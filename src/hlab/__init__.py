@@ -39,6 +39,7 @@ from .genus import (
     chi_p,
     chi_y,
     hilbert_polynomial,
+    hodge_classes,
     integrate,
     k1_formula_check,
     k2_surface_formula_check,

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Union
 
+from .bounds import is_integer_valued
 from .qpoly import QPoly
 from .ring import (
     GradedElement,
@@ -168,17 +169,14 @@ def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
     return out
 
 
-def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
-    """ch of the p-th exterior power of the cotangent bundle.
+def hodge_classes(x: ManifoldData) -> list[GradedElement]:
+    """[ch Omega^0, ..., ch Omega^n]: the exterior powers of the cotangent bundle.
 
-    Computed as e_p of the n quantities e^{-gamma_i}: their k-th power sums
-    are q_k = n + sum_j (-k)^j p_j / j!, then inverse Newton.
+    ch Omega^p is e_p of the n quantities e^{-gamma_i}.  Their k-th power
+    sums are q_k = n + sum_j (-k)^j p_j / j!, and one inverse-Newton ladder
+    yields every e_p at once.
     """
-    if not 0 <= p <= x.n:
-        raise ValueError(f"p = {p} outside [0, {x.n}]")
     spec = x.spec
-    if p == 0:
-        return spec.one()
     pX = x.tangent_power_sums()
     q = []
     for k in range(1, x.n + 1):
@@ -186,7 +184,22 @@ def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
         for j in range(1, x.n + 1):
             acc = acc + pX[j - 1] * Fraction((-k) ** j, factorial(j))
         q.append(acc)
-    return elementary_from_power_sums(q, x.n)[p - 1]
+    return [spec.one()] + elementary_from_power_sums(q, x.n)
+
+
+def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
+    """ch of the p-th exterior power of the cotangent bundle."""
+    if not 0 <= p <= x.n:
+        raise ValueError(f"p = {p} outside [0, {x.n}]")
+    return hodge_classes(x)[p]
+
+
+def _integral_chi(p: int, value: Fraction) -> Fraction:
+    if value.denominator != 1:
+        raise IntegralityError(
+            f"chi^{p} = {value} is not an integer; the Chern data is inconsistent"
+        )
+    return value
 
 
 def chi_p(x: ManifoldData, e: BundleData, p: int) -> Fraction:
@@ -195,42 +208,26 @@ def chi_p(x: ManifoldData, e: BundleData, p: int) -> Fraction:
         todd_class(x) * ch_hodge_sheaf(x, p) * chern_character(e, x.spec, x.n),
         x.fclass,
     )
-    if value.denominator != 1:
-        raise IntegralityError(
-            f"chi^{p} = {value} is not an integer; the Chern data is inconsistent"
-        )
-    return value
+    return _integral_chi(p, value)
 
 
 def chi_y(x: ManifoldData, e: BundleData) -> QPoly:
     """The chi_y genus: sum_p chi^p(X, E) y^p."""
-    td = todd_class(x)
-    ch_e = chern_character(e, x.spec, x.n)
-    coeffs = []
-    for p in range(x.n + 1):
-        value = integrate(td * ch_hodge_sheaf(x, p) * ch_e, x.fclass)
-        if value.denominator != 1:
-            raise IntegralityError(
-                f"chi^{p} = {value} is not an integer; the Chern data is inconsistent"
-            )
-        coeffs.append(value)
+    td_ch = todd_class(x) * chern_character(e, x.spec, x.n)
+    coeffs = [
+        _integral_chi(p, integrate(td_ch * hodge, x.fclass))
+        for p, hodge in enumerate(hodge_classes(x))
+    ]
     return QPoly(coeffs, var="y")
 
 
 def k_coefficients(chi: QPoly, upto: int | None = None) -> list[Fraction]:
     """Re-expand chi_y about y = -1: chi_y = sum_j K_j (y+1)^j, exactly.
 
-    K_j = sum_{p >= j} chi^p C(p, j) (-1)^{p-j}.
+    K_j = sum_{p >= j} chi^p C(p, j) (-1)^{p-j}, the coefficients of chi(y - 1).
     """
     n = chi.degree if upto is None else upto
-    coeffs = chi.padded(max(n + 1, chi.degree + 1))
-    out = []
-    for j in range(n + 1):
-        kj = Fraction(0)
-        for p in range(j, len(coeffs)):
-            kj += coeffs[p] * comb(p, j) * (-1) ** (p - j)
-        out.append(kj)
-    return out
+    return chi.shift(-1).padded(n + 1)
 
 
 def k1_formula_check(x: ManifoldData, e: BundleData) -> bool:
@@ -282,19 +279,11 @@ def hilbert_polynomial(x: ManifoldData, line: BundleData, p: int) -> QPoly:
         coeffs.append(a_i)
         c1_pow = c1_pow * c1
     poly = QPoly(coeffs, var="m")
-    _check_integer_valued(poly, p)
+    if not is_integer_valued(poly):
+        raise IntegralityError(
+            f"p-Hilbert polynomial for p={p} is not integer-valued: {poly}"
+        )
     return poly
-
-
-def _check_integer_valued(poly: QPoly, p: int):
-    # integer-valued <=> all forward differences at 0 are integers
-    values = [poly(m) for m in range(poly.degree + 2)]
-    while values:
-        if values[0].denominator != 1:
-            raise IntegralityError(
-                f"p-Hilbert polynomial for p={p} is not integer-valued: {poly}"
-            )
-        values = [b - a for a, b in zip(values, values[1:])]
 
 
 def chern_inequality_check(

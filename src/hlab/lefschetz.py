@@ -220,9 +220,6 @@ class FormVector:
                 acc = acc + a * b.conj()
         return acc
 
-    def norm2(self) -> Fraction:
-        return sum((v.abs2() for v in self.terms.values()), Fraction(0))
-
     def __add__(self, other):
         out = dict(self.terms)
         for i, v in other.terms.items():
@@ -409,7 +406,8 @@ def op_star(n: int, r: int = 1) -> Operator:
         # target monomial (Kc, Jc); conj then wedge against (J, K) gives the top cell
         csign, wJ, wK = conj_monomial(Kc, Jc)
         w = wedge_monomials(J, K, wJ, wK)
-        assert w is not None, "complement wedge cannot vanish"
+        if w is None:
+            raise AssertionError("complement wedge cannot vanish")
         sigma = csign * w[0]
         coeff = (lam / CQ(sigma)).conj()
         cols[c] = {basis.index[(Kc, Jc, s)]: coeff}
@@ -723,18 +721,17 @@ def cq_rank(rows: list[list[CQ]]) -> int:
     return rank
 
 
+def _strip_phase(value: CQ, phase: CQ) -> int:
+    """value / phase, which must be an integer: the entry carries the unit phase."""
+    w = value / phase
+    if w.im != 0 or w.re.denominator != 1:
+        raise AssertionError("entries do not share the expected phase")
+    return int(w.re)
+
+
 def _int_matrix(block: list[list[CQ]], phase: CQ) -> list[list[int]]:
-    """Strip a common unit phase, asserting all entries are integer multiples."""
-    out = []
-    for row in block:
-        new = []
-        for v in row:
-            w = v / phase
-            if w.im != 0 or w.re.denominator != 1:
-                raise AssertionError("entries do not share the expected phase")
-            new.append(int(w.re))
-        out.append(new)
-    return out
+    """Strip a common unit phase from every entry."""
+    return [[_strip_phase(v, phase) for v in row] for row in block]
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -792,11 +789,7 @@ class _SparseIntMap:
                 rw = dst_pos.get(g_row)
                 if rw is None:
                     continue
-                w = value / phase
-                if w.im != 0 or w.re.denominator != 1:
-                    raise AssertionError("entries do not share the expected phase")
-                self.cols[c][rw] = int(w.re)
-                self.rows[rw][c] = int(w.re)
+                self.cols[c][rw] = self.rows[rw][c] = _strip_phase(value, phase)
 
     def gram_apply(self, x: dict[int, int]) -> dict[int, int]:
         """(M^T M) x through two sparse passes."""
@@ -902,12 +895,7 @@ def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
         vec = L.apply(vec)
     phase = i_power(j)
     src_pos = {g: i for i, g in enumerate(src)}
-    v: dict[int, int] = {}
-    for g_idx, value in vec.terms.items():
-        w = value / phase
-        if w.im != 0 or w.re.denominator != 1:
-            raise AssertionError("eigenvector entries do not share the phase")
-        v[src_pos[g_idx]] = int(w.re)
+    v = {src_pos[g_idx]: _strip_phase(value, phase) for g_idx, value in vec.terms.items()}
     if not v:
         raise AssertionError("empty eigenvector witness; primitive theory bug")
     got = sparse.gram_apply(v)

@@ -134,9 +134,6 @@ class GradedElement:
         picked = {e: c for e, c in self.terms.items() if self.spec.weight_of(e) == k}
         return GradedElement(self.spec, picked)
 
-    def max_weight(self) -> int:
-        return max((self.spec.weight_of(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, k: int) -> bool:
         return all(self.spec.weight_of(e) == k for e in self.terms)
 

@@ -1,95 +1,7 @@
-"""Shared helpers: seeded random Chern data with exact integralization.
+"""Shared helpers: the seeded random Chern data of `hlab.fixtures`."""
 
-Random "formal manifolds" have no reason to produce integral Euler
-characteristics, so after drawing the data we rescale the fundamental
-class by the lcm of every denominator the planned integrals produce.
-Scaling is linear in the Chern-number table, so every identity under test
-is preserved while the engine's integrality validator stays satisfied.
-"""
-
-from __future__ import annotations
-
-import random
-from fractions import Fraction
-from math import gcd
-
-from hlab.genus import (
-    BundleData,
-    FundamentalClass,
-    ManifoldData,
-    bundle_power,
-    ch_hodge_sheaf,
-    chern_character,
-    integrate,
-    todd_class,
+from hlab.fixtures import (  # noqa: F401 - re-exported for the test modules
+    random_homogeneous,
+    random_manifold_bundle,
+    weight_keys,
 )
-from hlab.ring import RingSpec
-
-
-def weight_keys(spec: RingSpec, weight: int, prefix=(), start=0):
-    if start == len(spec.generators):
-        if weight == 0:
-            yield prefix
-        return
-    _, w = spec.generators[start]
-    for e in range(weight // w + 1):
-        yield from weight_keys(spec, weight - e * w, prefix + (e,), start + 1)
-
-
-def random_homogeneous(rng: random.Random, spec: RingSpec, weight: int, density=0.8):
-    terms = {}
-    for key in weight_keys(spec, weight):
-        if rng.random() < density:
-            terms[key] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return spec.element(terms)
-
-
-def surface_ring() -> RingSpec:
-    return RingSpec((("a", 1), ("b", 2), ("d", 1), ("e", 2)), 2)
-
-
-def manifold_ring(n: int, bundle_rank: int) -> RingSpec:
-    gens = [(f"x{i}", i) for i in range(1, n + 1)]
-    gens += [(f"y{j}", j) for j in range(1, min(bundle_rank, n) + 1)]
-    return RingSpec(tuple(gens), n)
-
-
-def random_manifold_bundle(
-    rng: random.Random,
-    n: int,
-    bundle_rank: int = 1,
-    line_powers=(),
-    hodge_ps=None,
-):
-    """Random Chern data for (X, E) with integral chi^p guaranteed.
-
-    ``line_powers``: also make chi^p(X, E^{tensor m}) integral for these m
-    (requires bundle_rank == 1).  ``hodge_ps`` defaults to all p in [0, n].
-    """
-    spec = manifold_ring(n, bundle_rank)
-    cx = tuple(random_homogeneous(rng, spec, i) for i in range(1, n + 1))
-    ce = tuple(
-        random_homogeneous(rng, spec, j) for j in range(1, min(bundle_rank, n) + 1)
-    )
-    fclass = FundamentalClass(
-        spec,
-        {k: Fraction(rng.randint(-5, 5)) for k in weight_keys(spec, n)},
-    )
-    x = ManifoldData(n, cx, fclass)
-    e = BundleData(bundle_rank, ce)
-
-    bundles = [BundleData.trivial(), e]
-    for m in line_powers:
-        bundles.append(bundle_power(e, m))
-    ps = range(n + 1) if hodge_ps is None else hodge_ps
-    td = todd_class(x)
-    hodge = {p: ch_hodge_sheaf(x, p) for p in ps}
-    scale = 1
-    for b in bundles:
-        ch = chern_character(b, spec, n)
-        for p in ps:
-            value = integrate(td * hodge[p] * ch, fclass)
-            scale = scale * value.denominator // gcd(scale, value.denominator)
-    if scale != 1:
-        x = ManifoldData(n, cx, fclass.scaled(scale))
-    return x, e

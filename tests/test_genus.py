@@ -20,6 +20,7 @@ from hlab.genus import (
     chi_p,
     chi_y,
     hilbert_polynomial,
+    hodge_classes,
     integrate,
     k1_formula_check,
     k2_surface_formula_check,
@@ -118,6 +119,21 @@ def test_ch_hodge_sheaf_ends(cp2):
     top = ch_hodge_sheaf(x, x.n)
     assert top.constant_term() == 1
     assert top == exp(-x.chern[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hodge_classes_formal_manifolds(n):
+    """Every rung of the one-pass ladder against oracles that avoid it."""
+    x, _ = random_manifold_bundle(random.Random(600 + n), n)
+    classes = hodge_classes(x)
+    assert len(classes) == n + 1
+    for p, cls in enumerate(classes):
+        assert cls.constant_term() == comb(n, p)
+        assert ch_hodge_sheaf(x, p) == cls
+    # Omega^1 = T*X, whose Chern classes are (-1)^i c_i(X)
+    cotangent = BundleData(n, tuple(c * (-1) ** i for i, c in enumerate(x.chern, start=1)))
+    assert classes[1] == chern_character(cotangent, x.spec, n)
+    assert classes[n] == exp(-x.chern[0])
 
 
 def test_ch_hodge_sheaf_cp2_middle(cp2):

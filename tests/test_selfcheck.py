@@ -1,0 +1,42 @@
+"""The `verify` suite and the library keep their checks under ``python -O``."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hlab
+
+BROKEN_TODD_UNDER_O = """
+from hlab import ring
+from hlab.cli import main
+
+ring.todd_series = lambda n: ring.Series([1] * (n + 1))
+raise SystemExit(main(["verify"]))
+"""
+
+
+def test_verify_reports_injected_fault_under_optimize():
+    env = {**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_TODD_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  todd series bernoulli values" in proc.stdout
+    assert "16/17 checks passed" in proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips ``assert``; library checks must raise explicitly."""
+    offenders = []
+    for path in sorted(Path(hlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert not offenders, offenders
