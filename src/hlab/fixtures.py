@@ -1,4 +1,5 @@
-"""Seeded random Chern data with exact integralization.
+"""Seeded random Chern data with exact integralization, and Hermitian
+curvature with a closed-form commutator norm.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -25,6 +26,14 @@ from .genus import (
     hodge_classes,
     integrate,
     todd_class,
+)
+from .lefschetz import (
+    CQ,
+    CQ_ONE,
+    CQ_ZERO,
+    DiagonalCurvature,
+    HermitianCurvature,
+    commutator_norm,
 )
 from .ring import RingSpec
 
@@ -91,3 +100,53 @@ def random_manifold_bundle(
     e = BundleData(bundle_rank, ce)
     bundles = [BundleData.trivial(), e] + [bundle_power(e, m) for m in line_powers]
     return integralized(ManifoldData(n, cx, fclass), bundles), e
+
+
+def _reflection(rng: random.Random, d: int) -> list[list[CQ]]:
+    """I - 2 v v* / (v* v) for a random nonzero Gaussian-integer v: a unitary
+    matrix with Gaussian-rational entries."""
+    v = [CQ(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+    if not any(v):
+        v[0] = CQ_ONE
+    c = Fraction(-2) / sum(x.abs2() for x in v)
+    return [
+        [(CQ_ONE if i == j else CQ_ZERO) + v[i] * v[j].conj() * c for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def rotated_split_curvature(rng: random.Random, n: int, r: int):
+    """A direct sum of r line bundles, presented in random unitary frames.
+
+    theta = V diag(gamma) V* with V = U (x) W for reflections U of the base
+    and W of the fiber, where gamma[j][s] is the curvature of line s along
+    base direction j.  A unitary frame change leaves every C_{p,q} alone, so
+    the table is the closed form: per bidegree, the largest diagonal C_{p,q}
+    among the r lines.  Returns (HermitianCurvature, table).
+    """
+    gamma = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(n)]
+    U, W = _reflection(rng, n), _reflection(rng, r)
+    d = n * r
+    V = [
+        [U[j][k] * W[a][b] for k in range(n) for b in range(r)]
+        for j in range(n)
+        for a in range(r)
+    ]
+    D = [gamma[z // r][z % r] for z in range(d)]
+    H = [
+        [sum((V[x][z] * D[z] * V[y][z].conj() for z in range(d)), CQ_ZERO) for y in range(d)]
+        for x in range(d)
+    ]
+    theta = tuple(
+        tuple(
+            tuple(tuple(H[j * r + a][k * r + b] for b in range(r)) for a in range(r))
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+    lines = [
+        commutator_norm(DiagonalCurvature(tuple(row[s] for row in gamma))).table
+        for s in range(r)
+    ]
+    table = {pq: max(t[pq] for t in lines) for pq in lines[0]}
+    return HermitianCurvature(theta), table

@@ -169,20 +169,35 @@ def _load_document(tree: dict) -> InputDocument:
     return doc
 
 
-def _parse_curvature(tree: dict) -> CurvatureSpec:
+def _parse_curvature(tree) -> CurvatureSpec:
+    if not isinstance(tree, dict):
+        raise DocumentError("curvature must be a JSON object")
     if "gammas" in tree:
-        return DiagonalCurvature(tuple(parse_rational(g) for g in tree["gammas"]))
+        gammas = tree["gammas"]
+        if not isinstance(gammas, list):
+            raise DocumentError(f"curvature.gammas must be a JSON list, got {gammas!r}")
+        try:
+            return DiagonalCurvature(tuple(parse_rational(g) for g in gammas))
+        except ValueError as exc:
+            raise DocumentError(f"curvature.gammas: {exc}") from None
     if "hermitian" in tree:
-        theta_tree = tree["hermitian"]["theta"]
-        theta = tuple(
-            tuple(
-                tuple(tuple(_parse_cq(x) for x in row) for row in mat)
-                for mat in line
-            )
-            for line in theta_tree
-        )
-        return HermitianCurvature(theta)
+        herm = tree["hermitian"]
+        theta = herm.get("theta") if isinstance(herm, dict) else None
+        try:
+            return HermitianCurvature(_nested_lists(theta, 3))
+        except ValueError as exc:  # DocumentError included: its message has no path
+            raise DocumentError(f"curvature.hermitian.theta: {exc}") from None
     raise DocumentError("curvature needs either 'gammas' or 'hermitian'")
+
+
+def _nested_lists(node, depth: int):
+    """Nested tuples of complex entries; every level above the entries must
+    be a JSON list (theta[j][k][a][b] has depth 3 above its entries)."""
+    if not isinstance(node, list):
+        raise DocumentError("must be an n x n array of r x r matrices (nested JSON lists)")
+    if depth == 0:
+        return tuple(_parse_cq(x) for x in node)
+    return tuple(_nested_lists(x, depth - 1) for x in node)
 
 
 def _parse_cq(entry) -> CQ:

@@ -17,11 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import copysign, factorial, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
-from .bounds import Interval, isolate_real_roots, sqrt_enclosure
-from .qpoly import QPoly
+from .bounds import Interval
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 
@@ -476,14 +475,16 @@ class HermitianCurvature:
         n = len(theta)
         if not 1 <= n <= MAX_N:
             raise ValueError(f"need between 1 and {MAX_N} base indices")
+        if any(len(line) != n for line in theta):
+            raise ValueError("theta must be an n x n array of fiber matrices")
         r = len(theta[0][0])
+        if r < 1 or any(
+            len(mat) != r or any(len(row) != r for row in mat) for line in theta for mat in line
+        ):
+            raise ValueError("fiber matrices must all be r x r with r >= 1")
         for j in range(n):
-            if len(theta[j]) != n:
-                raise ValueError("theta must be an n x n array of fiber matrices")
             for k in range(n):
                 mat = theta[j][k]
-                if len(mat) != r or any(len(row) != r for row in mat):
-                    raise ValueError("fiber matrices must all be r x r")
                 for a in range(r):
                     for b in range(r):
                         if mat[a][b] != theta[k][j][b][a].conj():
@@ -582,10 +583,13 @@ class CommutatorNorm:
 def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) -> CommutatorNorm:
     """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
 
-    Diagonal specs are handled exactly through the eigenvalue enumeration;
-    Hermitian specs get certified rational enclosures (width at most a few
-    multiples of tol) via the characteristic polynomial of the Hermitian
-    square on each bidegree block.
+    Diagonal specs are handled exactly through the eigenvalue enumeration.
+    Hermitian specs get a certified rational enclosure of width at most tol
+    on each bidegree block T: ||T|| < h holds exactly when h I - T and
+    h I + T are both positive definite, which Sylvester's criterion decides
+    from the leading principal minors (fraction-free Bareiss elimination
+    over the Gaussian integers).  A float eigenvalue guess only proposes
+    the two ends; exact bisection takes over where a proposal is refuted.
     """
     if isinstance(spec, DiagonalCurvature):
         eigs = diagonal_commutator_eigenvalues(spec)
@@ -609,69 +613,126 @@ def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) ->
 
 
 def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:
-    """Certified enclosure of the operator norm of a self-adjoint block."""
-    d = len(block)
-    if d == 0 or all(not v for row in block for v in row):
+    """Certified enclosure of the operator norm of a self-adjoint block, width <= tol.
+
+    The bracket starts at [0, max row sum], which holds for any matrix.  A
+    float guess proposes an upper and a lower end tol/2 away from it, and
+    exact bisection closes whatever is left; every end is proved or refuted
+    by an exact definiteness test, and a refuted end still narrows
+    the bracket from the other side.
+    """
+    if all(not v for row in block for v in row):
         return Interval(Fraction(0), Fraction(0))
-    # S = T^dagger T = T^2 is PSD; norm = sqrt(lambda_max(S))
-    S = [
-        [
-            sum((block[i][k] * block[k][j] for k in range(d)), CQ_ZERO)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    char = _charpoly(S)
-    lam = _largest_root_enclosure(char, tol * tol)
-    lo = _sqrt_lower(lam.lo, tol)
-    hi = _sqrt_upper(lam.hi, tol)
+    # T = (re + i im) / scale with Gaussian-integer entries
+    scale = lcm(*(x.denominator for row in block for v in row for x in (v.re, v.im)))
+    re = [[int(v.re * scale) for v in row] for row in block]
+    im = [[int(v.im * scale) for v in row] for row in block]
+    lo = Fraction(0)
+    hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
+    guess = _float_extreme_eigenvalue(block)
+    # the extreme eigenvalue's sign says which of h I -/+ T fails first
+    signs = (-1, 1) if guess < 0 else (1, -1)
+
+    def below(h: Fraction) -> bool:
+        """Exactly whether ||T|| < h, i.e. h I - s T is positive definite
+        for s = +1 and s = -1, each tested as the Gaussian-integer matrix
+        den(h) scale (h I - s T); stops at the first sign that fails."""
+        a, b = h.numerator * scale, h.denominator
+        return all(
+            _positive_definite(
+                [
+                    [(a if i == j else 0) - s * b * x for j, x in enumerate(row)]
+                    for i, row in enumerate(re)
+                ],
+                [[-s * b * x for x in row] for row in im],
+            )
+            for s in signs
+        )
+
+    if isfinite(guess):
+        step = tol / 4
+        center = round(Fraction(abs(guess)) / step) * step
+        for h in (center + 2 * step, center - 2 * step):
+            if lo < h < hi:
+                if below(h):
+                    hi = h
+                else:
+                    lo = h
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
     return Interval(lo, hi)
 
 
-def _charpoly(S: list[list[CQ]]) -> QPoly:
-    """Characteristic polynomial det(xI - S) by Faddeev-LeVerrier, exact."""
-    d = len(S)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    M = [[CQ_ONE if i == j else CQ_ZERO for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        # M <- S (M + c_{d-k+1} I) for k > 1; at k = 1, M = S
-        if k > 1:
-            prev = coeffs[d - k + 1]
-            N = [row[:] for row in M]
-            for i in range(d):
-                N[i][i] = N[i][i] + CQ(prev)
-            M = [
-                [
-                    sum((S[i][t] * N[t][j] for t in range(d)), CQ_ZERO)
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-        else:
-            M = [row[:] for row in S]
-        tr = sum((M[i][i] for i in range(d)), CQ_ZERO)
-        if tr.im != 0:
-            raise AssertionError("characteristic polynomial must be real here")
-        coeffs[d - k] = -tr.re / k
-    return QPoly(coeffs, var="x")
+def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
+    """Sylvester's criterion for the Hermitian Gaussian-integer matrix re + i im.
+
+    Fraction-free Bareiss elimination without pivoting: the k-th pivot is the
+    k-th leading principal minor, a real integer, and the matrix is positive
+    definite iff every pivot is > 0.  Each Schur complement stays Hermitian,
+    so only the upper triangle is updated.  The arguments are overwritten.
+    """
+    d = len(re)
+    prev = 1
+    for k in range(d):
+        pivot = re[k][k]
+        if im[k][k]:
+            raise AssertionError("leading principal minor is not real; block is not Hermitian")
+        if pivot <= 0:
+            return False
+        rk, ik = re[k], im[k]
+        for i in range(k + 1, d):
+            a, b = rk[i], -ik[i]  # entry (i, k) = conj(entry (k, i))
+            ri, ii = re[i], im[i]
+            for j in range(i, d):
+                c, e = rk[j], ik[j]
+                x, x_rem = divmod(pivot * ri[j] - a * c + b * e, prev)
+                y, y_rem = divmod(pivot * ii[j] - a * e - b * c, prev)
+                if x_rem or y_rem:
+                    raise AssertionError("Bareiss division is not exact")
+                ri[j], ii[j] = x, y
+        prev = pivot
+    return True
 
 
-def _largest_root_enclosure(poly: QPoly, tol: Fraction) -> Interval:
-    """Enclosure of the largest real root of a polynomial with >= 1 real root."""
-    intervals = isolate_real_roots(poly, width=tol)
-    if not intervals:
-        raise ValueError("polynomial has no real roots")
-    lo, hi = max(intervals, key=lambda iv: iv[1])
-    return Interval(max(lo, Fraction(0)), max(hi, Fraction(0)))
-
-
-def _sqrt_lower(x: Fraction, tol: Fraction) -> Fraction:
-    return sqrt_enclosure(max(x, Fraction(0)), tol)[0]
-
-
-def _sqrt_upper(x: Fraction, tol: Fraction) -> Fraction:
-    return sqrt_enclosure(max(x, Fraction(0)), tol)[1]
+def _float_extreme_eigenvalue(block: list[list[CQ]]) -> float:
+    """Eigenvalue of largest modulus of a Hermitian block, by cyclic complex
+    Jacobi in floats.  Only a proposal: the caller certifies it exactly,
+    and bisects when the proposal is refuted or not finite."""
+    try:
+        A = [[complex(float(v.re), float(v.im)) for v in row] for row in block]
+    except OverflowError:
+        return nan
+    d = len(A)
+    for _ in range(50):
+        off = sum(abs(A[i][j]) ** 2 for i in range(d) for j in range(i + 1, d))
+        if off <= 1e-32 * sum(abs(x) ** 2 for row in A for x in row):
+            break
+        for p in range(d):
+            for q in range(p + 1, d):
+                g = A[p][q]
+                mag = abs(g)
+                if not mag:
+                    continue
+                # a phase on basis vector q makes the entry real, then a real rotation
+                phase = g.conjugate() / mag
+                app, aqq = A[p][p].real, A[q][q].real
+                theta = (aqq - app) / (2 * mag)
+                t = copysign(1.0, theta) / (abs(theta) + sqrt(theta * theta + 1))
+                c = 1 / sqrt(t * t + 1)
+                s = t * c
+                for r in range(d):
+                    if r != p and r != q:
+                        arp, arq = A[r][p], A[r][q] * phase
+                        A[r][p] = nrp = c * arp - s * arq
+                        A[r][q] = nrq = s * arp + c * arq
+                        A[p][r], A[q][r] = nrp.conjugate(), nrq.conjugate()
+                A[p][p], A[q][q] = complex(app - t * mag), complex(aqq + t * mag)
+                A[p][q] = A[q][p] = 0j
+    return max((A[i][i].real for i in range(d)), key=abs)
 
 
 def flatness_test(spec: DiagonalCurvature) -> bool:

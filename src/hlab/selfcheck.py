@@ -174,6 +174,11 @@ def _check_commutator(rng):
         norm = lefschetz.commutator_norm(spec)
         _expect(norm.value == max(abs(v) for v in eigs.values()))
         _expect(max(abs(g) for g in gammas) <= norm.value)
+    # Hermitian: a split bundle in rotated frames keeps its diagonal table
+    spec, table = fixtures.rotated_split_curvature(rng, 2, 2)
+    for key, iv in lefschetz.commutator_norm(spec).table.items():
+        _expect(iv.lo <= table[key] <= iv.hi, (key, iv, table[key]))
+        _expect(iv.width <= Fraction(1, 10**12), (key, iv))
 
 
 def _check_lefschetz_power():

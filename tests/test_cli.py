@@ -220,3 +220,33 @@ def test_bounds_from_scalar_overrides(capsys, tmp_path):
     code, out, _ = run(capsys, "bounds", "--input", str(path), "--which", "t4chain")
     assert code == 0
     assert "N = 2" in out
+
+
+@pytest.mark.parametrize(
+    "curvature,path",
+    [
+        ({"gammas": "12"}, "curvature.gammas"),
+        ({"gammas": []}, "curvature.gammas"),
+        ({"hermitian": {"theta": []}}, "curvature.hermitian.theta"),
+        ({"hermitian": {"theta": [[]]}}, "curvature.hermitian.theta"),
+        ({"hermitian": {"theta": "12"}}, "curvature.hermitian.theta"),
+        ({"hermitian": {"theta": [[[["1", "0"], ["0"]]]]}}, "curvature.hermitian.theta"),
+        ({"hermitian": {"theta": [[[["0"]], [["1"]]], [[["0"]]]]}}, "curvature.hermitian.theta"),
+        (
+            {"hermitian": {"theta": [[[["1"]], [["0", "0"], ["0", "0"]]], [[["0"]], [["1"]]]]}},
+            "curvature.hermitian.theta",
+        ),
+        (
+            {"hermitian": {"theta": [[[["0"]], [["1"]]], [[["2"]], [["0"]]]]}},
+            "curvature.hermitian.theta",
+        ),
+    ],
+)
+def test_malformed_curvature_is_input_error(capsys, tmp_path, curvature, path):
+    # a string is not a list, and a ragged, empty or non-Hermitian theta is
+    # malformed input, not an engine failure
+    doc = tmp_path / "curv.json"
+    doc.write_text(json.dumps({"curvature": curvature}))
+    code, _, err = run(capsys, "commutator", "--input", str(doc))
+    assert code == 2
+    assert path in err

@@ -1,13 +1,20 @@
 """Exterior algebra model: L, Lambda, star, curvature commutators."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import hlab.lefschetz as lefschetz
+from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
+from hlab.fixtures import rotated_split_curvature
 from hlab.lefschetz import (
     CQ,
     CQ_I,
+    CQ_ONE,
+    CQ_ZERO,
     DiagonalCurvature,
     FormVector,
     HermitianCurvature,
@@ -372,6 +379,115 @@ def test_hermitian_unitary_invariance_random():
         exact = commutator_norm(DiagonalCurvature((a + b, a - b))).value
         assert got.lo <= exact <= got.hi
         assert got.width <= F(1, 10**10)
+
+
+@pytest.mark.parametrize("guess", [math.nan, 0.0, 1e6])
+def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
+    # a refuted or non-finite float proposal leaves the exact bisection from
+    # [0, max row sum], which must still pin the diagonal value within tol
+    monkeypatch.setattr(lefschetz, "_float_extreme_eigenvalue", lambda block: guess)
+    rng = random.Random(88)
+    for _ in range(5):
+        a = F(rng.randint(-5, 5), rng.randint(1, 3))
+        b = F(rng.randint(-5, 5), rng.randint(1, 3))
+        theta = _herm([[[[CQ(a)]], [[CQ(b)]]], [[[CQ(b)]], [[CQ(a)]]]])
+        got = commutator_norm(theta)
+        exact = commutator_norm(DiagonalCurvature((a + b, a - b)))
+        assert got.value.lo <= exact.value <= got.value.hi
+        for key, iv in got.table.items():
+            assert iv.lo <= exact.table[key] <= iv.hi
+            assert iv.width <= F(1, 10**12)
+
+
+def test_rotated_split_bundle_n3_r2():
+    # blocks of dimension 18; the characteristic-polynomial path took ~49 s
+    spec, table = rotated_split_curvature(random.Random(3), 3, 2)
+    start = time.perf_counter()
+    got = commutator_norm(spec)
+    elapsed = time.perf_counter() - start
+    assert set(got.table) == set(table)
+    for key, iv in got.table.items():
+        assert iv.lo <= table[key] <= iv.hi, key
+        assert iv.width <= F(1, 10**12)
+    assert elapsed < 2.0
+
+
+def test_positive_definite_rejects_a_non_real_pivot():
+    from hlab.lefschetz import _positive_definite
+
+    assert _positive_definite([[2, 1], [1, 2]], [[0, 0], [0, 0]])
+    assert not _positive_definite([[1, 2], [2, 1]], [[0, 0], [0, 0]])
+    with pytest.raises(AssertionError):
+        _positive_definite([[2, 1], [1, 2]], [[0, 0], [0, 1]])
+
+
+# -- reference: the characteristic polynomial of T^2 --------------------------------
+
+
+def _charpoly(S):
+    """det(xI - S) by Faddeev-LeVerrier over Q(i); real for Hermitian S."""
+    from hlab.qpoly import QPoly
+
+    d = len(S)
+    coeffs = [F(0)] * (d + 1)
+    coeffs[d] = F(1)
+    M = [row[:] for row in S]
+    for k in range(1, d + 1):
+        if k > 1:
+            N = [row[:] for row in M]
+            for i in range(d):
+                N[i][i] = N[i][i] + CQ(coeffs[d - k + 1])
+            M = [
+                [sum((S[i][t] * N[t][j] for t in range(d)), CQ_ZERO) for j in range(d)]
+                for i in range(d)
+            ]
+        tr = sum((M[i][i] for i in range(d)), CQ_ZERO)
+        assert tr.im == 0
+        coeffs[d - k] = -tr.re / k
+    return QPoly(coeffs, var="x")
+
+
+def _reference_norm_enclosure(block, tol):
+    """sqrt of the largest root of det(xI - T^2), isolated by Sturm sequences
+    to tol^2 and rounded outward (width at most 3 tol)."""
+    d = len(block)
+    if all(not v for row in block for v in row):
+        return Interval(F(0), F(0))
+    S = [
+        [sum((block[i][k] * block[k][j] for k in range(d)), CQ_ZERO) for j in range(d)]
+        for i in range(d)
+    ]
+    lo, hi = max(isolate_real_roots(_charpoly(S), width=tol * tol), key=lambda iv: iv[1])
+    return Interval(
+        sqrt_enclosure(max(lo, F(0)), tol)[0], sqrt_enclosure(max(hi, F(0)), tol)[1]
+    )
+
+
+def _random_hermitian_block(rng, d):
+    block = [[CQ_ZERO] * d for _ in range(d)]
+    for i in range(d):
+        block[i][i] = CQ(F(rng.randint(-6, 6), rng.randint(1, 3)))
+        for j in range(i + 1, d):
+            if rng.random() < 0.7:
+                z = CQ(F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4), 2))
+                block[i][j], block[j][i] = z, z.conj()
+    return block
+
+
+def test_hermitian_enclosure_matches_charpoly_reference():
+    from hlab.lefschetz import _hermitian_norm_enclosure
+
+    tol = F(1, 10**12)
+    rng = random.Random(2024)
+    blocks = [_random_hermitian_block(rng, d) for d in range(1, 10)]
+    # a symmetric spectrum {+1, -1} and the zero block
+    blocks.append([[CQ_ZERO, CQ_ONE], [CQ_ONE, CQ_ZERO]])
+    blocks.append([[CQ_ZERO] * 3 for _ in range(3)])
+    for block in blocks:
+        new = _hermitian_norm_enclosure(block, tol)
+        old = _reference_norm_enclosure(block, tol)
+        assert new.lo <= old.hi and old.lo <= new.hi, (len(block), new, old)
+        assert new.width <= tol
 
 
 def test_hermitian_fiber_action():
