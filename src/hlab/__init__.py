@@ -41,6 +41,7 @@ from .genus import (
     hilbert_polynomial,
     hodge_classes,
     integrate,
+    integrate_product,
     k1_formula_check,
     k2_surface_formula_check,
     k_coefficients,

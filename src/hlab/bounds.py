@@ -201,7 +201,7 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append(_refine(Q, chain, a, b, width))
+            out.append(_refine(Q, a, b, width))
             continue
         mid = (a + b) / 2
         if Q(mid) == 0:
@@ -224,13 +224,21 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
     return out
 
 
-def _refine(Q: QPoly, chain, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _refine(Q: QPoly, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect (a, b], which holds exactly one root of Q, down to ``width``.
+
+    Q is square-free, so Q changes sign at its one root in (a, b), and
+    neither end is a root: the root lies left of a non-root midpoint exactly
+    when Q there differs in sign from Q(a), and the half kept is the one a
+    Sturm count would pick.
+    """
+    left_positive = Q(a) > 0
     while b - a > width:
         mid = (a + b) / 2
         v = Q(mid)
         if v == 0:
             return (mid, mid)
-        if count_roots_between(chain, a, mid) == 1:
+        if (v > 0) != left_positive:
             b = mid
         else:
             a = mid

@@ -183,7 +183,10 @@ def cmd_ineq(args):
 
 def cmd_commutator(args):
     if args.gammas:
-        spec = DiagonalCurvature(tuple(parse_rational(g) for g in args.gammas.split(",")))
+        try:
+            spec = DiagonalCurvature(tuple(parse_rational(g) for g in args.gammas.split(",")))
+        except ValueError as exc:  # ExprError included
+            raise DocumentError(f"--gammas: {exc}") from None
         inputs = {"gammas": args.gammas}
     else:
         doc = _doc_from_args(args)

@@ -30,10 +30,13 @@ WEIGHT_CAP = 4096
 
 
 class ExprError(ValueError):
-    """Syntax or name error in an input expression, with position."""
+    """Syntax or name error in an input expression (with its position), or a
+    malformed rational literal (position None)."""
 
-    def __init__(self, message: str, position: int, src: str):
-        super().__init__(f"{message} at position {position}: {src!r}")
+    def __init__(self, message: str, position: int | None = None, src: str = ""):
+        if position is not None:
+            message = f"{message} at position {position}: {src!r}"
+        super().__init__(message)
         self.position = position
 
 
@@ -208,11 +211,14 @@ def parse_expression(src: str, spec: RingSpec) -> GradedElement:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or integer strings without any float contamination."""
+    """Parse 'p/q' or integer strings without any float contamination.
+
+    A malformed literal is an input error: an :class:`ExprError` naming it.
+    """
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+        raise ExprError(f"bad rational literal {text!r}: {exc}") from None
 
 
 def parse_monomial_key(key: str, spec: RingSpec) -> tuple[int, ...]:

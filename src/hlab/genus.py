@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
+from operator import add
 from typing import Mapping, Union
 
 from .bounds import is_integer_valued
@@ -74,21 +76,64 @@ class FundamentalClass:
         )
 
 
+def _check_rings(fclass: FundamentalClass, *elements: GradedElement):
+    if any(x.spec != fclass.spec for x in elements):
+        raise ValueError("element and fundamental class use different rings")
+
+
+def _pair_top(top: Mapping[tuple[int, ...], Fraction], fclass: FundamentalClass) -> Fraction:
+    """Apply the Chern-number table to top-weight coefficients.
+
+    Only nonzero coefficients are looked up, so a monomial that cancelled
+    needs no table entry; a missing one is an error naming the first such
+    monomial in graded-lexicographic order.
+    """
+    total = Fraction(0)
+    missing = []
+    for exps, coeff in top.items():
+        if not coeff:
+            continue
+        value = fclass.assignments.get(exps)
+        if value is None:
+            missing.append(exps)
+        else:
+            total += coeff * value
+    if missing:
+        raise MissingChernNumber(fclass.spec.monomial_name(max(missing)))
+    return total
+
+
 def integrate(x: GradedElement, fclass: FundamentalClass) -> Fraction:
     """Apply the fundamental class to the top-weight part of ``x``.
 
     Terms of weight below the truncation are ignored; a top-weight monomial
     with no table entry is an error naming the offending monomial.
     """
-    if x.spec != fclass.spec:
-        raise ValueError("element and fundamental class use different rings")
-    top = x.graded_component(x.spec.truncation)
-    total = Fraction(0)
-    for exps, coeff in top.terms.items():
-        if exps not in fclass.assignments:
-            raise MissingChernNumber(x.spec.monomial_name(exps))
-        total += coeff * fclass.assignments[exps]
-    return total
+    _check_rings(fclass, x)
+    return _pair_top(x.graded_component(x.spec.truncation).terms, fclass)
+
+
+def integrate_product(a: GradedElement, b: GradedElement, fclass: FundamentalClass) -> Fraction:
+    """The integral of ``a * b`` without forming the product.
+
+    Only the weight-w terms of ``a`` meet the weight-(n - w) terms of ``b``;
+    each top monomial's coefficient is summed before the table is consulted,
+    so this raises :class:`MissingChernNumber` exactly when
+    ``integrate(a * b, fclass)`` does.
+    """
+    _check_rings(fclass, a, b)
+    n = fclass.spec.truncation
+    da, left = a.scaled_by_weight()
+    db, right = b.scaled_by_weight()
+    top: dict[tuple[int, ...], int] = {}
+    for w, terms1 in left.items():
+        partners = right.get(n - w, ())
+        for e1, n1 in terms1:
+            for e2, n2 in partners:
+                e = tuple(map(add, e1, e2))
+                top[e] = top.get(e, 0) + n1 * n2
+    d = da * db
+    return _pair_top({e: Fraction(v, d) for e, v in top.items()}, fclass)
 
 
 @dataclass(frozen=True)
@@ -115,8 +160,38 @@ class ManifoldData:
     def spec(self) -> RingSpec:
         return self.fclass.spec
 
+    # The cached properties below are computed once per manifold and shared
+    # by every invariant taken on it; they live in the instance __dict__, so
+    # equality and hashing still see only the three fields.
+
+    @cached_property
+    def _power_sums(self) -> tuple[GradedElement, ...]:
+        return tuple(power_sums_from_elementary(list(self.chern), self.n))
+
     def tangent_power_sums(self) -> list[GradedElement]:
-        return power_sums_from_elementary(list(self.chern), self.n)
+        return list(self._power_sums)
+
+    @cached_property
+    def td(self) -> GradedElement:
+        """td(X): the Todd genus product over the Chern roots of TX."""
+        return genus_product(todd_series(self.n), self._power_sums)
+
+    @cached_property
+    def hodge(self) -> tuple[GradedElement, ...]:
+        """(ch Omega^0, ..., ch Omega^n): exterior powers of the cotangent bundle.
+
+        ch Omega^p is e_p of the n quantities e^{-gamma_i}.  Their k-th power
+        sums are q_k = n + sum_j (-k)^j p_j / j!, and one inverse-Newton
+        ladder yields every e_p at once.
+        """
+        spec = self.spec
+        q = []
+        for k in range(1, self.n + 1):
+            acc = spec.constant(self.n)
+            for j, pj in enumerate(self._power_sums, start=1):
+                acc = acc + pj * Fraction((-k) ** j, factorial(j))
+            q.append(acc)
+        return (spec.one(), *elementary_from_power_sums(q, self.n))
 
 
 @dataclass(frozen=True)
@@ -158,7 +233,7 @@ def _bundle_power_sums(e: BundleData, spec: RingSpec, n: int) -> list[GradedElem
 
 def todd_class(x: ManifoldData) -> GradedElement:
     """td(X): the Todd genus product over the Chern roots of TX."""
-    return genus_product(todd_series(x.n), x.tangent_power_sums())
+    return x.td
 
 
 def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
@@ -170,28 +245,15 @@ def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
 
 
 def hodge_classes(x: ManifoldData) -> list[GradedElement]:
-    """[ch Omega^0, ..., ch Omega^n]: the exterior powers of the cotangent bundle.
-
-    ch Omega^p is e_p of the n quantities e^{-gamma_i}.  Their k-th power
-    sums are q_k = n + sum_j (-k)^j p_j / j!, and one inverse-Newton ladder
-    yields every e_p at once.
-    """
-    spec = x.spec
-    pX = x.tangent_power_sums()
-    q = []
-    for k in range(1, x.n + 1):
-        acc = spec.constant(x.n)
-        for j in range(1, x.n + 1):
-            acc = acc + pX[j - 1] * Fraction((-k) ** j, factorial(j))
-        q.append(acc)
-    return [spec.one()] + elementary_from_power_sums(q, x.n)
+    """[ch Omega^0, ..., ch Omega^n], from one inverse-Newton ladder per manifold."""
+    return list(x.hodge)
 
 
 def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
     """ch of the p-th exterior power of the cotangent bundle."""
     if not 0 <= p <= x.n:
         raise ValueError(f"p = {p} outside [0, {x.n}]")
-    return hodge_classes(x)[p]
+    return x.hodge[p]
 
 
 def _integral_chi(p: int, value: Fraction) -> Fraction:
@@ -204,19 +266,16 @@ def _integral_chi(p: int, value: Fraction) -> Fraction:
 
 def chi_p(x: ManifoldData, e: BundleData, p: int) -> Fraction:
     """chi^p(X, E) = integral of td(X) ch(Omega^{p,0}) ch(E); must be integral."""
-    value = integrate(
-        todd_class(x) * ch_hodge_sheaf(x, p) * chern_character(e, x.spec, x.n),
-        x.fclass,
-    )
-    return _integral_chi(p, value)
+    td_ch = x.td * chern_character(e, x.spec, x.n)
+    return _integral_chi(p, integrate_product(td_ch, ch_hodge_sheaf(x, p), x.fclass))
 
 
 def chi_y(x: ManifoldData, e: BundleData) -> QPoly:
     """The chi_y genus: sum_p chi^p(X, E) y^p."""
-    td_ch = todd_class(x) * chern_character(e, x.spec, x.n)
+    td_ch = x.td * chern_character(e, x.spec, x.n)
     coeffs = [
-        _integral_chi(p, integrate(td_ch * hodge, x.fclass))
-        for p, hodge in enumerate(hodge_classes(x))
+        _integral_chi(p, integrate_product(td_ch, hodge, x.fclass))
+        for p, hodge in enumerate(x.hodge)
     ]
     return QPoly(coeffs, var="y")
 
@@ -237,7 +296,7 @@ def k1_formula_check(x: ManifoldData, e: BundleData) -> bool:
     c_n_top = integrate(x.chern[x.n - 1], x.fclass)
     c1e = e.chern[0] if e.chern else spec.zero()
     cn1 = x.chern[x.n - 2] if x.n >= 2 else spec.one()
-    closed = -Fraction(e.rank, 2) * x.n * c_n_top + integrate(cn1 * c1e, x.fclass)
+    closed = -Fraction(e.rank, 2) * x.n * c_n_top + integrate_product(cn1, c1e, x.fclass)
     return ks[1] == closed
 
 
@@ -252,7 +311,7 @@ def k2_surface_formula_check(x: ManifoldData, e: BundleData) -> bool:
     c2e = e.chern[1] if len(e.chern) >= 2 else spec.zero()
     closed = (
         e.rank * k2_x
-        - integrate(x.chern[0] * c1e, x.fclass) / 2
+        - integrate_product(x.chern[0], c1e, x.fclass) / 2
         + integrate(c1e * c1e - 2 * c2e, x.fclass) / 2
     )
     return ks[2] == closed
@@ -261,22 +320,20 @@ def k2_surface_formula_check(x: ManifoldData, e: BundleData) -> bool:
 def hilbert_polynomial(x: ManifoldData, line: BundleData, p: int) -> QPoly:
     """The p-Hilbert polynomial of a line bundle: m -> chi^p(X, L^{tensor m}).
 
-    Coefficient a_i is the integral of the weight-(n-i) part of
-    td(X) ch(Omega^{p,0}) against c_1(L)^i / i!.  The result is checked to
-    be integer-valued (exact forward differences at 0).
+    Coefficient a_i is the integral of td(X) ch(Omega^{p,0}) against the
+    weight-i class c_1(L)^i / i!, so only its weight-(n-i) part is paired.
+    The result is checked to be integer-valued (exact forward differences
+    at 0).
     """
     if line.rank != 1:
         raise ValueError("Hilbert polynomials are defined for line bundles")
     spec = x.spec
-    base = todd_class(x) * ch_hodge_sheaf(x, p)
+    base = x.td * ch_hodge_sheaf(x, p)
     c1 = line.chern[0] if line.chern else spec.zero()
     coeffs = []
     c1_pow = spec.one()
     for i in range(x.n + 1):
-        a_i = integrate(base.graded_component(x.n - i) * c1_pow, x.fclass) * Fraction(
-            1, factorial(i)
-        )
-        coeffs.append(a_i)
+        coeffs.append(integrate_product(base, c1_pow, x.fclass) / factorial(i))
         c1_pow = c1_pow * c1
     poly = QPoly(coeffs, var="m")
     if not is_integer_valued(poly):

@@ -78,10 +78,15 @@ class InputDocument:
             if key in raw:
                 fields[key] = parse_rational(raw[key])
         if "chi_p" in raw:
-            fields["chi_p"] = tuple(parse_rational(v) for v in raw["chi_p"])
+            chi_p = _json_list(raw["chi_p"], "bounds.chi_p")
+            fields["chi_p"] = tuple(parse_rational(v) for v in chi_p)
         if "hilbert" in raw:
+            if not isinstance(raw["hilbert"], dict):
+                raise DocumentError("bounds.hilbert must be a JSON object of coefficient lists")
             fields["hilbert"] = {
-                int(p): QPoly([parse_rational(c) for c in coeffs])
+                int(p): QPoly(
+                    [parse_rational(c) for c in _json_list(coeffs, f"bounds.hilbert.{p}")]
+                )
                 for p, coeffs in raw["hilbert"].items()
             }
         missing = [k for k in ("K", "C", "c_n") if k not in fields]
@@ -93,6 +98,13 @@ class InputDocument:
     def bounds_p(self) -> int:
         raw = self.require("bounds_raw")
         return int(raw.get("p", 0))
+
+
+def _json_list(value, path: str) -> list:
+    """A string is not a list of its characters: require a JSON list."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{path} must be a JSON list, got {value!r}")
+    return value
 
 
 def _parse_ring(tree: dict) -> RingSpec:
@@ -139,8 +151,10 @@ def _load_document(tree: dict) -> InputDocument:
             raise DocumentError("fundamental_class needs a ring section")
         table = {}
         for key, value in tree["fundamental_class"].items():
-            exps = parse_monomial_key(key, doc.spec)
-            table[exps] = parse_rational(value)
+            try:
+                table[parse_monomial_key(key, doc.spec)] = parse_rational(value)
+            except ValueError as exc:  # ExprError included
+                raise DocumentError(f"fundamental_class[{key!r}]: {exc}") from None
         fclass = FundamentalClass(doc.spec, table)
         if "manifold" in tree:
             chern = _parse_class_map(
@@ -173,9 +187,7 @@ def _parse_curvature(tree) -> CurvatureSpec:
     if not isinstance(tree, dict):
         raise DocumentError("curvature must be a JSON object")
     if "gammas" in tree:
-        gammas = tree["gammas"]
-        if not isinstance(gammas, list):
-            raise DocumentError(f"curvature.gammas must be a JSON list, got {gammas!r}")
+        gammas = _json_list(tree["gammas"], "curvature.gammas")
         try:
             return DiagonalCurvature(tuple(parse_rational(g) for g in gammas))
         except ValueError as exc:

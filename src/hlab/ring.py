@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -43,11 +45,13 @@ class RingSpec:
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
 
-    @property
+    # cached in the instance __dict__, so equality and hashing still see
+    # only the two fields
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.generators)
 
@@ -116,6 +120,15 @@ class GradedElement:
         self.spec = spec
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, spec: RingSpec, terms: dict[tuple[int, ...], Fraction]) -> "GradedElement":
+        """Adopt ``terms`` unchecked: arithmetic results already hold only
+        nonzero Fractions on valid exponent tuples of weight <= truncation."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.terms = terms
+        return out
+
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -131,8 +144,8 @@ class GradedElement:
         """Sum of the terms of total weight exactly ``k``."""
         if not 0 <= k <= self.spec.truncation:
             raise ValueError(f"component {k} outside [0, {self.spec.truncation}]")
-        picked = {e: c for e, c in self.terms.items() if self.spec.weight_of(e) == k}
-        return GradedElement(self.spec, picked)
+        wt = self.spec.weight_of
+        return GradedElement._wrap(self.spec, {e: c for e, c in self.terms.items() if wt(e) == k})
 
     def is_homogeneous(self, k: int) -> bool:
         return all(self.spec.weight_of(e) == k for e in self.terms)
@@ -149,17 +162,21 @@ class GradedElement:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return GradedElement(self.spec, out)
+                del out[e]
+        return GradedElement._wrap(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedElement(self.spec, {e: -c for e, c in self.terms.items()})
+        return GradedElement._wrap(self.spec, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,26 +186,46 @@ class GradedElement:
     def __rsub__(self, other):
         return (-self) + other
 
+    def scaled_by_weight(self) -> tuple[int, dict[int, list[tuple[tuple[int, ...], int]]]]:
+        """``(d, {w: [(exps, d * coeff), ...]})``: the terms over the lcm d of
+        their denominators, as integer numerators bucketed by weight."""
+        d = lcm(*(c.denominator for c in self.terms.values()))
+        wt = self.spec.weight_of
+        buckets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(wt(e), []).append((e, c.numerator * (d // c.denominator)))
+        return d, buckets
+
     def __mul__(self, other):
+        """Truncated product, accumulated over the integers.
+
+        Both operands are put over the lcm of their denominators and
+        bucketed by weight, so the inner loop multiplies and adds ints, one
+        Fraction is built per output term, and a weight pair above the
+        truncation is never visited.
+        """
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return GradedElement(self.spec, {e: c * q for e, c in self.terms.items()})
+            if q == 1:
+                return self
+            if not q:
+                return GradedElement._wrap(self.spec, {})
+            return GradedElement._wrap(self.spec, {e: c * q for e, c in self.terms.items()})
         self._check(other)
+        d1, left = self.scaled_by_weight()
+        d2, right = other.scaled_by_weight()
         trunc = self.spec.truncation
-        wt = self.spec.weight_of
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            w1 = wt(e1)
-            for e2, c2 in other.terms.items():
-                if w1 + wt(e2) > trunc:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return GradedElement(self.spec, out)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for w1, terms1 in left.items():
+            partners = [bucket for w2, bucket in right.items() if w1 + w2 <= trunc]
+            for e1, n1 in terms1:
+                for bucket in partners:
+                    for e2, n2 in bucket:
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = get(e, 0) + n1 * n2
+        d = d1 * d2
+        return GradedElement._wrap(self.spec, {e: Fraction(v, d) for e, v in acc.items() if v})
 
     __rmul__ = __mul__
 

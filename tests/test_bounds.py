@@ -207,6 +207,48 @@ def test_sturm_chain_counts():
     assert count_roots_between(chain, F(0), F(2)) == 1
 
 
+def _refine_by_sturm(Q, chain, a, b, width):
+    """The earlier bisection: recount Sturm variations on the left half."""
+    from hlab.bounds import count_roots_between
+
+    while b - a > width:
+        mid = (a + b) / 2
+        if Q(mid) == 0:
+            return (mid, mid)
+        if count_roots_between(chain, a, mid) == 1:
+            b = mid
+        else:
+            a = mid
+    return (a, b)
+
+
+def test_refine_by_sign_matches_sturm_counts():
+    from hlab.bounds import _refine, cauchy_bound
+
+    rng = random.Random(4103)
+    for _ in range(20):
+        P = QPoly([rng.choice([-3, -1, 1, 2])])
+        for _ in range(rng.randint(1, 3)):  # rational roots, some repeated
+            r = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+            for _ in range(rng.randint(1, 2)):
+                P = P * QPoly([-r, 1])
+        for _ in range(rng.randint(0, 2)):  # irrational pairs +-sqrt(k)
+            P = P * QPoly([-rng.choice([2, 3, 5, 7]), 0, 1])
+        Q = P.squarefree_part()
+        chain = sturm_chain(Q)
+        # no refinement below this width: the bare isolating intervals
+        coarse = isolate_real_roots(P, 4 * cauchy_bound(Q))
+        expected = []
+        for lo, hi in coarse:
+            if lo == hi:
+                expected.append((lo, hi))
+                continue
+            refined = _refine(Q, lo, hi, WIDTH)
+            assert refined == _refine_by_sturm(Q, chain, lo, hi, WIDTH)
+            expected.append(refined)
+        assert isolate_real_roots(P, WIDTH) == sorted(expected)
+
+
 # -- sqrt enclosures ---------------------------------------------------------------
 
 

@@ -250,3 +250,45 @@ def test_malformed_curvature_is_input_error(capsys, tmp_path, curvature, path):
     code, _, err = run(capsys, "commutator", "--input", str(doc))
     assert code == 2
     assert path in err
+
+
+@pytest.mark.parametrize(
+    "argv,fundamental_value,named",
+    [
+        (("genus",), "x", "'x'"),
+        (("genus",), "1/0", "'1/0'"),
+        (("commutator", "--gammas", "1,,2"), None, "''"),
+        (("commutator", "--gammas", "1,2,3,4,5,6,7"), None, "--gammas"),
+    ],
+)
+def test_bad_rational_literal_is_input_error(capsys, tmp_path, argv, fundamental_value, named):
+    if fundamental_value is not None:
+        tree = cp_fixture(2)
+        tree["fundamental_class"]["h^2"] = fundamental_value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(tree))
+        argv += ("--input", str(path))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "override,path",
+    [
+        ({"chi_p": "12"}, "bounds.chi_p"),
+        ({"chi_p": {"0": "1"}}, "bounds.chi_p"),
+        ({"hilbert": {"0": "123"}}, "bounds.hilbert.0"),
+        ({"hilbert": ["1", "3/2", "1/2"]}, "bounds.hilbert"),
+    ],
+)
+def test_bounds_lists_must_be_json_lists(capsys, tmp_path, override, path):
+    # a string is not the list of its characters ("12" is not [1, 2])
+    bounds = {"n": 2, "K": "100", "C": "2", "c_n": "1/10", "p": 0, "a_n": "1",
+              "chi_p": ["1", "-1", "1"], "hilbert": {"0": ["1", "3/2", "1/2"]}}
+    doc = tmp_path / "bounds.json"
+    doc.write_text(json.dumps({"bounds": {**bounds, **override}}))
+    for which in ("t4", "t5"):
+        code, _, err = run(capsys, "bounds", "--input", str(doc), "--which", which)
+        assert code == 2
+        assert path in err

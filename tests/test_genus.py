@@ -22,6 +22,7 @@ from hlab.genus import (
     hilbert_polynomial,
     hodge_classes,
     integrate,
+    integrate_product,
     k1_formula_check,
     k2_surface_formula_check,
     k_coefficients,
@@ -388,3 +389,59 @@ def test_bundle_power_validation(cp2):
     with pytest.raises(ValueError):
         bundle_power(BundleData(2, (x.spec.gen("h"),)), 2)
     assert bundle_power(o1, 0).chern[0].is_zero()
+
+
+# -- top-degree pairing and the per-manifold record ---------------------------------
+
+
+def test_integrate_product_matches_integrate_of_product():
+    rng = random.Random(4102)
+    for n in (1, 2, 3, 4):
+        x, e = random_manifold_bundle(rng, n, bundle_rank=2)
+        ch = chern_character(e, x.spec, n)
+        pairs = [(todd_class(x), ch)] + [(todd_class(x) * ch, h) for h in hodge_classes(x)]
+        pairs += [(x.chern[0], x.chern[n - 1]), (x.spec.zero(), ch), (ch, x.spec.one())]
+        for a, b in pairs:
+            assert integrate_product(a, b, x.fclass) == integrate(a * b, x.fclass)
+
+
+def test_integrate_product_missing_monomial_only_when_it_survives():
+    spec = RingSpec((("x", 1), ("y", 1)), 2)
+    f = FundamentalClass(spec, {(2, 0): F(3), (0, 2): F(5)})  # no x*y entry
+    x, y = spec.gen("x"), spec.gen("y")
+    # x*y cancels in (x + y)(x - y): neither route needs the missing entry
+    assert integrate_product(x + y, x - y, f) == integrate((x + y) * (x - y), f) == -2
+    for a, b in ((x + y, x + y), (x, y), (x + y + spec.one(), y)):
+        with pytest.raises(MissingChernNumber) as direct:
+            integrate(a * b, f)
+        with pytest.raises(MissingChernNumber) as paired:
+            integrate_product(a, b, f)
+        assert direct.value.monomial == paired.value.monomial == "x*y"
+
+
+def test_one_hodge_ladder_per_manifold(monkeypatch):
+    import hlab.genus as genus
+
+    calls = {"ladder": 0, "todd": 0}
+    ladder, product = genus.elementary_from_power_sums, genus.genus_product
+
+    def counted_ladder(*args):
+        calls["ladder"] += 1
+        return ladder(*args)
+
+    def counted_product(*args):
+        calls["todd"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(genus, "elementary_from_power_sums", counted_ladder)
+    monkeypatch.setattr(genus, "genus_product", counted_product)
+    x, o1 = projective_space(4)
+    chi_y(x, o1)
+    hilbert_polynomial(x, o1, 1)
+    assert k1_formula_check(x, o1)
+    chern_inequality_check(x, BundleData.trivial(), 2)
+    assert [ch_hodge_sheaf(x, p) for p in range(5)] == hodge_classes(x)
+    assert calls == {"ladder": 1, "todd": 1}
+    # the cache is per manifold: a second one runs its own ladder
+    chi_y(projective_space(4)[0], o1)
+    assert calls == {"ladder": 2, "todd": 2}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hlab.ring import (
+    GradedElement,
     RingSpec,
     Series,
     SpecMismatch,
@@ -310,3 +311,63 @@ def test_spec_validation():
         RingSpec((("a", 0),), 2)
     with pytest.raises(ValueError):
         RingSpec((("a", 1),), 0)
+
+
+# -- the bucketed integer product against the schoolbook product --------------------
+
+
+def _naive_product(a, b):
+    """Every pair of terms, Fraction arithmetic, truncation checked per pair."""
+    spec = a.spec
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if spec.weight_of(e) <= spec.truncation:
+                out[e] = out.get(e, F(0)) + c1 * c2
+    return GradedElement(spec, out)
+
+
+def _random_element(rng, spec, density):
+    from conftest import random_homogeneous
+
+    out = spec.zero()
+    for w in range(spec.truncation + 1):
+        if rng.random() < 0.8:
+            out = out + random_homogeneous(rng, spec, w, density)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,density",
+    [
+        (RingSpec((("h", 1),), 12), 0.8),
+        (RingSpec(tuple((f"x{i}", i) for i in range(1, 6)) + (("y1", 1), ("y2", 2)), 5), 0.3),
+    ],
+    ids=["deep-one-generator", "shallow-seven-generators"],
+)
+def test_mul_matches_naive_product(spec, density):
+    rng = random.Random(4101)
+    for _ in range(25):
+        a = _random_element(rng, spec, density)
+        b = _random_element(rng, spec, density)
+        product = a * b
+        assert product == _naive_product(a, b)
+        assert all(type(c) is F and c != 0 for c in product.terms.values())
+        assert all(spec.weight_of(e) <= spec.truncation for e in product.terms)
+        for q in (0, F(0), 1, F(-3, 7)):
+            assert a * q == q * a == _naive_product(a, spec.constant(q))
+        assert (a * 0).is_zero() and (a * spec.zero()).is_zero()
+
+
+def test_mul_cancellations():
+    spec = RingSpec((("x", 1), ("y", 1), ("z", 2)), 3)
+    x, y, z = spec.gen("x"), spec.gen("y"), spec.gen("z")
+    # the x*y terms cancel inside the product and must not be stored
+    diff = (x + y) * (x - y)
+    assert diff.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert ((x + y) * (x - y) * z).terms == {}  # weight 4 > 3: truncated away
+    assert (z * z).is_zero()
+    # over a common denominator the cancelling numerators sum to exactly 0
+    a, b = x * F(1, 2) + y * F(1, 3), x * 2 - y * F(4, 3)
+    assert a * b == _naive_product(a, b) == x * x - y * y * F(4, 9)

@@ -1,0 +1,31 @@
+"""Every function the benchmark tracer wraps by name still exists.
+
+``perfbench/tracer.py`` replaces each dotted name in ``TARGETS`` with a
+spanned wrapper, so renaming or deleting one breaks ``--trace 1`` runs.
+This test reads ``TARGETS`` without changing the tracer and fails first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _resolves(layer: str, dotted: str) -> bool:
+    home = importlib.import_module(f"hlab.{layer}")
+    if "." in dotted:
+        cls_name, attr = dotted.split(".")
+        # the tracer reads the class __dict__: an inherited method would not do
+        return callable(vars(getattr(home, cls_name, object)).get(attr))
+    return callable(getattr(home, dotted, None))
+
+
+def test_every_tracer_target_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(layer, dotted) for layer, group in tracer.TARGETS.items() for dotted in group]
+    assert len(names) > 50
+    missing = [f"hlab.{layer}.{dotted}" for layer, dotted in names if not _resolves(layer, dotted)]
+    assert not missing, missing
