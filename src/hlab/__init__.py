@@ -50,6 +50,7 @@ from .genus import (
 )
 from .lefschetz import (
     CQ,
+    CertificateError,
     CommutatorNorm,
     DiagonalCurvature,
     ExteriorBasis,

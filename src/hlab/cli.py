@@ -2,9 +2,10 @@
 
     hlab <subcommand> [--input FILE] [--output text|machine] [flags]
 
-Exit codes: 0 on success, 1 on engine errors (inconsistent data, violated
-hypotheses), 2 on usage or parse errors.  All numeric output is exact
-rational text except the explicitly marked enclosures.
+Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
+usage error or a malformed input document, 3 when an internal certificate
+fails (a bug).  All numeric output is exact rational text except the
+explicitly marked enclosures.
 """
 
 from __future__ import annotations
@@ -17,24 +18,25 @@ from fractions import Fraction
 
 from . import genus, lefschetz, selfcheck
 from .bounds import Interval, bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
-from .exprparse import ExprError, parse_rational
+from .exprparse import ExprError
 from .genus import BundleData, IntegralityError, MissingChernNumber
-from .inputdoc import DocumentError, InputDocument, cp_fixture, digest, load_document, load_file
-from .lefschetz import MAX_N, DiagonalCurvature
+from .inputdoc import DocumentError, cp_fixture, digest, load_document, load_file, parse_gammas
+from .lefschetz import MAX_N, CertificateError, DiagonalCurvature
 
-USAGE_ERROR = 2
 ENGINE_ERROR = 1
+USAGE_ERROR = 2
+CERTIFICATE_ERROR = 3
 
 
 class Reporter:
     """Collects results and warnings; renders text or machine output."""
 
-    def __init__(self, command: str, inputs, output: str):
+    def __init__(self, command: str, inputs, output: str, warnings=()):
         self.command = command
         self.inputs_digest = digest(inputs)
         self.output = output
         self.results: dict = {}
-        self.warnings: list[str] = []
+        self.warnings: list[str] = list(warnings)
 
     def add(self, key: str, value):
         self.results[key] = _plain(value)
@@ -110,12 +112,7 @@ def _flat_str(value):
     return str(value)
 
 
-def _attach_load_warnings(rep: Reporter, doc: InputDocument):
-    for message in doc.load_warnings:
-        rep.warn(message)
-
-
-def _doc_from_args(args) -> InputDocument:
+def _doc_from_args(args):
     if getattr(args, "input", None):
         return load_file(args.input)
     return load_document({})
@@ -128,8 +125,7 @@ def cmd_genus(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or BundleData.trivial()
-    rep = Reporter("genus", doc.raw, args.output)
-    _attach_load_warnings(rep, doc)
+    rep = Reporter("genus", doc.raw, args.output, doc.load_warnings)
     rep.add("td", genus.todd_class(x))
     rep.add("ch", genus.chern_character(e, x.spec, x.n))
     chi = genus.chi_y(x, e)
@@ -143,8 +139,7 @@ def cmd_kcoeffs(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or BundleData.trivial()
-    rep = Reporter("kcoeffs", doc.raw, args.output)
-    _attach_load_warnings(rep, doc)
+    rep = Reporter("kcoeffs", doc.raw, args.output, doc.load_warnings)
     chi = genus.chi_y(x, e)
     rep.add("K", genus.k_coefficients(chi, upto=x.n))
     rep.add("k1_closed_form_matches", genus.k1_formula_check(x, e))
@@ -157,8 +152,7 @@ def cmd_hilbert(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     line = doc.require("line_bundle")
-    rep = Reporter("hilbert", doc.raw, args.output)
-    _attach_load_warnings(rep, doc)
+    rep = Reporter("hilbert", doc.raw, args.output, doc.load_warnings)
     P = genus.hilbert_polynomial(x, line, args.p)
     rep.add("p", args.p)
     rep.add("polynomial", P)
@@ -170,8 +164,7 @@ def cmd_ineq(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or BundleData.trivial()
-    rep = Reporter("ineq", doc.raw, args.output)
-    _attach_load_warnings(rep, doc)
+    rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
     js = [args.j] if args.j is not None else list(range(x.n + 1))
     rows = []
     for j in js:
@@ -183,28 +176,16 @@ def cmd_ineq(args):
 
 def cmd_commutator(args):
     if args.gammas:
-        try:
-            spec = DiagonalCurvature(tuple(parse_rational(g) for g in args.gammas.split(",")))
-        except ValueError as exc:  # ExprError included
-            raise DocumentError(f"--gammas: {exc}") from None
-        inputs = {"gammas": args.gammas}
+        spec = parse_gammas(args.gammas.split(","), "--gammas")
+        rep = Reporter("commutator", {"gammas": args.gammas}, args.output)
     else:
         doc = _doc_from_args(args)
         spec = doc.require("curvature")
-        inputs = doc.raw
-    rep = Reporter("commutator", inputs, args.output)
-    if not args.gammas:
-        _attach_load_warnings(rep, doc)
+        rep = Reporter("commutator", doc.raw, args.output, doc.load_warnings)
     norm = lefschetz.commutator_norm(spec)
     rep.add("C", norm.value)
     rep.add("exact", norm.exact)
-    rep.add(
-        "C_pq",
-        [
-            {"p": p, "q": q, "value": _plain(v)}
-            for (p, q), v in sorted(norm.table.items())
-        ],
-    )
+    rep.add("C_pq", [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())])
     if isinstance(spec, DiagonalCurvature):
         rep.add("flat", lefschetz.flatness_test(spec))
     rep.emit()
@@ -215,44 +196,26 @@ def cmd_lefschetz_check(args):
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
     rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
     if n <= 3:
-        star = lefschetz.op_star(n, r)
-        inv = star.adjoint()
-        ident = inv.compose(star) == lefschetz.identity_operator(lefschetz.get_basis(n, r))
-        lam = inv.compose(lefschetz.op_L(n, r)).compose(star) == lefschetz.op_Lambda(n, r)
-        rep.add("star_unitary", ident)
-        rep.add("star_conjugation_gives_lambda", lam)
+        unitary, conjugation = lefschetz.star_identities(n, r)
+        rep.add("star_unitary", unitary)
+        rep.add("star_conjugation_gives_lambda", conjugation)
     else:
         rep.warn("star identity check skipped for n > 3 (cost)")
-    scan = lefschetz.injectivity_scan(n, r)
-    rep.add(
-        "injectivity",
-        [
-            {"p": p, "q": q, "injective": ok}
-            for (p, q), ok in sorted(scan.items())
-        ],
-    )
-    powers = []
-    for k in range(n + 1):
-        lp = lefschetz.lefschetz_power(n, r, k)
-        powers.append(
-            {
-                "k": k,
-                "bijective": lp.bijective,
-                "sigma_min": _plain(lp.sigma_min),
-                "sigma_max": _plain(lp.sigma_max),
-            }
-        )
-    rep.add("lefschetz_powers", powers)
+    scan = sorted(lefschetz.injectivity_scan(n, r).items())
+    rep.add("injectivity", [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan])
+    powers = [lefschetz.lefschetz_power(n, r, k) for k in range(n + 1)]
+    keys = ("k", "bijective", "sigma_min", "sigma_max")
+    rep.add("lefschetz_powers", [{key: getattr(lp, key) for key in keys} for lp in powers])
     rep.emit()
 
 
 def cmd_bounds(args):
     doc = _doc_from_args(args)
-    rep = Reporter(f"bounds {args.which}", doc.raw, args.output)
-    _attach_load_warnings(rep, doc)
+    rep = Reporter(f"bounds {args.which}", doc.raw, args.output, doc.load_warnings)
     computed = {}
     P = None
     p = doc.bounds_p
+    c1 = None
     if doc.manifold is not None and doc.line_bundle is not None:
         x, line = doc.manifold, doc.line_bundle
         c1 = line.chern[0] if line.chern else x.spec.zero()
@@ -267,26 +230,18 @@ def cmd_bounds(args):
         if which == "t4":
             rep.add("bound_T4", bound_T4(b))
         elif which == "t2":
-            if doc.manifold is not None and doc.line_bundle is not None:
-                c1 = doc.line_bundle.chern[0] if doc.line_bundle.chern else doc.manifold.spec.zero()
-                c1sq = genus.integrate(c1 * c1, doc.manifold.fclass)
-            else:
-                raw = doc.require("bounds_raw")
-                if "c1sq_L" not in raw:
-                    raise DocumentError(
-                        "bound T2 needs int c_1^2(L): provide manifold data "
-                        "or bounds.c1sq_L"
-                    )
-                c1sq = parse_rational(raw["c1sq_L"])
+            c1sq = doc.bounds.c1sq_L if c1 is None else genus.integrate(c1 * c1, x.fclass)
+            if c1sq is None:
+                raise DocumentError("bound T2 needs int c_1^2(L): give manifold data or bounds.c1sq_L")
             rep.add("c1sq_L", c1sq)
             rep.add("bound_T2", bound_T2(b, c1sq))
         elif which == "t5":
-            P = _require_poly(doc, P, b, p)
+            P = _require_poly(P, b, p)
             rr = root_report(P, _chi_p_value(b, p))
             rep.add("m_p", rr.m_p)
             rep.add("bound_T5", bound_T5(b, rr.m_p))
         elif which == "c1":
-            P = _require_poly(doc, P, b, p)
+            P = _require_poly(P, b, p)
             rr = root_report(P, _chi_p_value(b, p))
             rep.add("C_plus", rr.c_plus)
             rep.add("C_minus", rr.c_minus)
@@ -295,37 +250,33 @@ def cmd_bounds(args):
         elif which == "etheta":
             if b.chi_p is not None:
                 chi_val = sum(((-1) ** i * v for i, v in enumerate(b.chi_p)), Fraction(0))
+            elif doc.bounds.chi is None:
+                raise DocumentError("E_theta needs chi(X): give manifold data, bounds.chi_p or bounds.chi")
             else:
-                chi_val = parse_rational(doc.require("bounds_raw")["chi"])
+                chi_val = Fraction(doc.bounds.chi)
             if chi_val.denominator != 1:
-                raise DocumentError(f"chi must be an integer, got {chi_val}")
+                raise DocumentError(f"bounds.chi_p: chi = sum (-1)^p chi^p = {chi_val} is not an integer")
             lower, upper = e_theta_interval(b, int(chi_val))
             rep.add("chi", chi_val)
             rep.add("E_theta_lower_enclosure", lower)
             rep.add("E_theta_upper_enclosure", upper)
         elif which == "t4chain":
-            P = _require_poly(doc, P, b, p)
+            P = _require_poly(P, b, p)
             report = t4_chain(b, P, p)
-            rep.add("p", report.p)
-            rep.add("N", report.N)
-            rep.add("m_tilde", report.m_tilde)
-            rep.add("delta", report.delta)
-            rep.add("branch", report.branch)
-            rep.add("bound", report.bound)
+            for key in ("p", "N", "m_tilde", "delta", "branch", "bound"):
+                rep.add(key, getattr(report, key))
         for w in caught:
             rep.warn(str(w.message))
     rep.emit()
 
 
-def _require_poly(doc, P, b, p):
-    if P is not None:
-        return P
-    if b.hilbert and p in b.hilbert:
-        return b.hilbert[p]
-    raise DocumentError(
-        "this bound needs the p-Hilbert polynomial: provide manifold, "
-        "fundamental_class and line_bundle sections"
-    )
+def _require_poly(P, b, p):
+    if P is None and not (b.hilbert and p in b.hilbert):
+        raise DocumentError(
+            "this bound needs the p-Hilbert polynomial: provide manifold, fundamental_class and "
+            "line_bundle sections, or bounds.hilbert"
+        )
+    return b.hilbert[p] if P is None else P
 
 
 def _chi_p_value(b, p):
@@ -432,16 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.subcommand == "lefschetz-check":
-        if not 1 <= args.n <= MAX_N:
-            parser.error(f"--n must be in [1, {MAX_N}]")
+    if args.subcommand == "lefschetz-check" and not (1 <= args.n <= MAX_N and args.r >= 1):
+        parser.error(f"--n must be in [1, {MAX_N}] and --r at least 1")
     try:
         code = args.fn(args)
         return 0 if code is None else code
     except (DocumentError, ExprError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (IntegralityError, MissingChernNumber, ValueError, AssertionError) as exc:
+    except CertificateError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return CERTIFICATE_ERROR
+    except (IntegralityError, MissingChernNumber, ValueError) as exc:  # a violated hypothesis
         print(f"engine error: {exc}", file=sys.stderr)
         return ENGINE_ERROR
 

@@ -19,6 +19,7 @@ from the result with a warning, exactly once per parse.
 
 from __future__ import annotations
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -207,17 +208,23 @@ def parse_expression(src: str, spec: RingSpec) -> GradedElement:
     Terms whose weight exceeds the ring truncation are dropped with a
     :class:`TruncationWarning`.
     """
-    return _Parser(src, spec).parse()
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or integer strings without any float contamination.
-
-    A malformed literal is an input error: an :class:`ExprError` naming it.
-    """
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return _Parser(src, spec).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
+
+
+def parse_rational(text) -> Fraction:
+    """Parse a JSON int or a string of the form ``-?[0-9]+(/[0-9]+)?``, exactly.
+    Anything else (a float, a bool, '1e3', '1.5', padding) is an input error:
+    an :class:`ExprError` naming the literal."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
+        raise ExprError(f"bad rational literal {text!r}: expected an integer or 'p/q'")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, too many digits
         raise ExprError(f"bad rational literal {text!r}: {exc}") from None
 
 

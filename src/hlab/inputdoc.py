@@ -1,17 +1,24 @@
 """Structured input documents: JSON trees describing rings, Chern data,
 curvature and bound parameters.
 
-Rationals always travel as strings ("3/4" or "2") so no float ever enters
-the pipeline; expressions are parsed over the declared generators.
+This module alone reads the JSON tree.  It parses every section once, at
+load time, so a malformed section is an input error for every command: a
+:class:`DocumentError` naming the JSON path at fault.  A rational is a JSON
+int or a "p/q" string and an integer field a JSON int or a decimal string,
+so no float ever enters the pipeline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, make_dataclass
+from fractions import Fraction
 from math import comb
+from reprlib import repr as _show
 from typing import Any, Optional
 
 from .bounds import BoundsInput
@@ -19,21 +26,114 @@ from .exprparse import parse_expression, parse_monomial_key, parse_rational
 from .genus import BundleData, FundamentalClass, ManifoldData
 from .lefschetz import CQ, CurvatureSpec, DiagonalCurvature, HermitianCurvature
 from .qpoly import QPoly
-from .ring import GradedElement, RingSpec
+from .ring import RingSpec
 
 MAX_DOC_DIMENSION = 12  # polynomial-degree guard rail for desk-scale inputs
 
 
 class DocumentError(ValueError):
-    """Malformed input document."""
-
-
-def canonical_json(tree: Any) -> str:
-    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    """Malformed input document; the message names the JSON path at fault."""
 
 
 def digest(tree: Any) -> str:
-    return hashlib.sha256(canonical_json(tree).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+# -- the reader: type checks and one error conversion ---------------------------
+
+
+@contextmanager
+def _at(path: str):
+    """A ValueError raised while ``path`` is read (an ExprError, or a check
+    inside a constructor) becomes a DocumentError naming the path."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{path} must be a JSON object, got {_show(value)}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    """A string is not a list of its characters: require a JSON list."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{path} must be a JSON list, got {_show(value)}")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    """A JSON int or a decimal string such as "2"; never a bool or a float."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        with _at(path):  # more digits than int() converts
+            return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"{path} must be a JSON int or a decimal string, got {_show(value)}")
+    return value
+
+
+def _dimension(value, path: str) -> int:
+    n = _integer(value, path)
+    if not 1 <= n <= MAX_DOC_DIMENSION:
+        raise DocumentError(f"{path}: dimension {n} is outside the guard rail [1, {MAX_DOC_DIMENSION}]")
+    return n
+
+
+def _rational(value, path: str) -> Fraction:
+    with _at(path):
+        return parse_rational(value)
+
+
+def _rationals(value, path: str) -> tuple[Fraction, ...]:
+    return tuple(_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
+
+
+def parse_gammas(values, path: str) -> DiagonalCurvature:
+    """Diagonal curvature from a list of rational literals: ``curvature.gammas``
+    in a document, or the ``--gammas`` flag split at its commas."""
+    gammas = _rationals(values, path)
+    with _at(path):
+        return DiagonalCurvature(gammas)
+
+
+def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0) -> list:
+    """[c_1, c_2, ...] from {"c<i>": expression}, 1 <= i <= count, through the
+    highest nonzero class given and at least ``length`` long; omitted classes are 0."""
+    given = {}
+    for key, value in _object(node, path).items():
+        match = re.fullmatch(r"c([1-9][0-9]{0,3})", key)
+        if not match or int(match[1]) > count:
+            raise DocumentError(f"{path}.{key} is not a Chern-class key c1..c{count}")
+        if not isinstance(value, str):
+            raise DocumentError(f"{path}.{key} must be an expression string, got {_show(value)}")
+        with _at(f"{path}.{key}"):
+            given[int(match[1])] = parse_expression(value, spec)
+    top = max([length, *(i for i, c in given.items() if not c.is_zero())])
+    return [given.get(i, spec.zero()) for i in range(1, top + 1)]
+
+
+# -- the document ---------------------------------------------------------------
+
+
+def _hilbert(node, path: str) -> dict[int, QPoly]:
+    polys = _object(node, path).items()
+    return {_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
+
+
+# The bounds section, field by field with its reader.  BoundsSection holds the
+# parsed values; a field the document omits is None (p defaults to 0).
+_BOUNDS_READERS = {
+    "n": _dimension, "p": _integer, "chi": _integer, "chi_p": _rationals, "hilbert": _hilbert,
+    **dict.fromkeys(("K", "C", "c_n", "a_n", "c1sq_L"), _rational),
+}
+BoundsSection = make_dataclass(
+    "BoundsSection", [(key, Any, 0 if key == "p" else None) for key in _BOUNDS_READERS], frozen=True
+)
 
 
 @dataclass
@@ -46,12 +146,8 @@ class InputDocument:
     bundle: Optional[BundleData] = None
     line_bundle: Optional[BundleData] = None
     curvature: Optional[CurvatureSpec] = None
-    bounds_raw: Optional[dict] = None
+    bounds: Optional[BoundsSection] = None
     load_warnings: list[str] = field(default_factory=list)
-
-    @property
-    def digest(self) -> str:
-        return digest(self.raw)
 
     def require(self, name: str):
         value = getattr(self, name)
@@ -60,164 +156,110 @@ class InputDocument:
         return value
 
     def bounds_input(self, **computed) -> BoundsInput:
-        """Assemble a BoundsInput from the document, allowing computed fields
-        (a_n, chi_p) to be supplied by the caller unless the document
-        overrides them."""
-        raw = self.require("bounds_raw")
-        n = self.spec.truncation if self.spec else raw.get("n")
-        if "n" in raw:
-            n = int(raw["n"])
+        """A BoundsInput from the bounds section; the computed fields (a_n,
+        chi_p) fill in what the document does not give."""
+        section = self.require("bounds")
+        n = section.n or (self.spec.truncation if self.spec else None)
         if n is None:
             raise DocumentError("bounds need a dimension (ring section or bounds.n)")
-        if n > MAX_DOC_DIMENSION:
-            raise DocumentError(
-                f"dimension {n} exceeds the guard rail {MAX_DOC_DIMENSION}"
-            )
-        fields = dict(computed)
-        for key in ("K", "C", "c_n", "a_n"):
-            if key in raw:
-                fields[key] = parse_rational(raw[key])
-        if "chi_p" in raw:
-            chi_p = _json_list(raw["chi_p"], "bounds.chi_p")
-            fields["chi_p"] = tuple(parse_rational(v) for v in chi_p)
-        if "hilbert" in raw:
-            if not isinstance(raw["hilbert"], dict):
-                raise DocumentError("bounds.hilbert must be a JSON object of coefficient lists")
-            fields["hilbert"] = {
-                int(p): QPoly(
-                    [parse_rational(c) for c in _json_list(coeffs, f"bounds.hilbert.{p}")]
-                )
-                for p, coeffs in raw["hilbert"].items()
-            }
-        missing = [k for k in ("K", "C", "c_n") if k not in fields]
+        given = {key: getattr(section, key) for key in ("K", "C", "c_n", "a_n", "chi_p", "hilbert")}
+        computed.update((key, value) for key, value in given.items() if value is not None)
+        missing = [k for k in ("K", "C", "c_n") if k not in computed]
         if missing:
             raise DocumentError(f"bounds section is missing {missing}")
-        return BoundsInput(n=n, **fields)
+        return BoundsInput(n=n, **computed)
 
     @property
     def bounds_p(self) -> int:
-        raw = self.require("bounds_raw")
-        return int(raw.get("p", 0))
-
-
-def _json_list(value, path: str) -> list:
-    """A string is not a list of its characters: require a JSON list."""
-    if not isinstance(value, list):
-        raise DocumentError(f"{path} must be a JSON list, got {value!r}")
-    return value
-
-
-def _parse_ring(tree: dict) -> RingSpec:
-    try:
-        gens = tuple((g["name"], int(g["weight"])) for g in tree["generators"])
-        dim = int(tree["dimension"])
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"bad ring section: {exc}") from None
-    if dim > MAX_DOC_DIMENSION:
-        raise DocumentError(f"dimension {dim} exceeds the guard rail {MAX_DOC_DIMENSION}")
-    return RingSpec(gens, dim)
-
-
-def _parse_class_map(tree: dict, spec: RingSpec, prefix: str, count: int) -> list[GradedElement]:
-    out = []
-    for i in range(1, count + 1):
-        key = f"{prefix}{i}"
-        if key in tree:
-            out.append(parse_expression(str(tree[key]), spec))
-        else:
-            out.append(spec.zero())
-    unknown = set(tree) - {f"{prefix}{i}" for i in range(1, count + 1)}
-    if unknown:
-        raise DocumentError(f"unknown Chern-class keys {sorted(unknown)}")
-    return out
+        return self.require("bounds").p
 
 
 def load_document(tree: dict) -> InputDocument:
+    doc = InputDocument(raw=_object(tree, "the input document"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        doc = _load_document(tree)
+        _read_sections(doc, tree)
     doc.load_warnings = [str(w.message) for w in caught]
     return doc
 
 
-def _load_document(tree: dict) -> InputDocument:
-    if not isinstance(tree, dict):
-        raise DocumentError("input document must be a JSON object")
-    doc = InputDocument(raw=tree)
-    if "ring" in tree:
-        doc.spec = _parse_ring(tree["ring"])
-    if "fundamental_class" in tree:
-        if doc.spec is None:
-            raise DocumentError("fundamental_class needs a ring section")
-        table = {}
-        for key, value in tree["fundamental_class"].items():
-            try:
-                table[parse_monomial_key(key, doc.spec)] = parse_rational(value)
-            except ValueError as exc:  # ExprError included
-                raise DocumentError(f"fundamental_class[{key!r}]: {exc}") from None
-        fclass = FundamentalClass(doc.spec, table)
-        if "manifold" in tree:
-            chern = _parse_class_map(
-                tree["manifold"].get("chern", {}), doc.spec, "c", doc.spec.truncation
-            )
-            doc.manifold = ManifoldData(doc.spec.truncation, tuple(chern), fclass)
-    elif "manifold" in tree:
+def _read_sections(doc: InputDocument, tree: dict):
+    for key in ("fundamental_class", "manifold", "bundle", "line_bundle"):
+        if key in tree and "ring" not in tree:
+            raise DocumentError(f"{key} needs a ring section")
+    if "manifold" in tree and "fundamental_class" not in tree:
         raise DocumentError("a manifold needs a fundamental_class table")
+    if "ring" in tree:
+        doc.spec = spec = _ring(_object(tree["ring"], "ring"))
+    if "fundamental_class" in tree:
+        table = {}
+        for key, value in _object(tree["fundamental_class"], "fundamental_class").items():
+            with _at(f"fundamental_class.{key}"):
+                exps = parse_monomial_key(key, spec)
+                if exps in table:
+                    raise DocumentError(f"fundamental_class.{key} repeats the monomial of another key")
+                table[exps] = parse_rational(value)
+        with _at("fundamental_class"):
+            fclass = FundamentalClass(spec, table)
+    if "manifold" in tree:
+        node = _object(tree["manifold"], "manifold").get("chern", {})
+        chern = _chern_classes(node, spec, spec.truncation, "manifold.chern", spec.truncation)
+        with _at("manifold.chern"):
+            doc.manifold = ManifoldData(spec.truncation, tuple(chern), fclass)
     if "bundle" in tree:
-        if doc.spec is None:
-            raise DocumentError("bundle needs a ring section")
-        rank = int(tree["bundle"].get("rank", 1))
-        chern = _parse_class_map(tree["bundle"].get("chern", {}), doc.spec, "c", rank)
-        while chern and chern[-1].is_zero():
-            chern.pop()
-        doc.bundle = BundleData(rank, tuple(chern))
+        node = _object(tree["bundle"], "bundle")
+        rank = _integer(node.get("rank", 1), "bundle.rank")
+        chern = _chern_classes(node.get("chern", {}), spec, rank, "bundle.chern")
+        with _at("bundle"):
+            doc.bundle = BundleData(rank, tuple(chern))
     if "line_bundle" in tree:
-        if doc.spec is None:
-            raise DocumentError("line_bundle needs a ring section")
-        c1 = parse_expression(str(tree["line_bundle"].get("c1", "0")), doc.spec)
-        doc.line_bundle = BundleData(1, (c1,) if not c1.is_zero() else ())
+        c1 = _object(tree["line_bundle"], "line_bundle").get("c1", "0")
+        with _at("line_bundle"):
+            doc.line_bundle = BundleData(1, tuple(_chern_classes({"c1": c1}, spec, 1, "line_bundle")))
     if "curvature" in tree:
-        doc.curvature = _parse_curvature(tree["curvature"])
+        doc.curvature = _curvature(_object(tree["curvature"], "curvature"))
     if "bounds" in tree:
-        doc.bounds_raw = dict(tree["bounds"])
-    return doc
+        node = _object(tree["bounds"], "bounds")
+        fields = {key: read(node[key], f"bounds.{key}") for key, read in _BOUNDS_READERS.items() if key in node}
+        doc.bounds = BoundsSection(**fields)
 
 
-def _parse_curvature(tree) -> CurvatureSpec:
-    if not isinstance(tree, dict):
-        raise DocumentError("curvature must be a JSON object")
-    if "gammas" in tree:
-        gammas = _json_list(tree["gammas"], "curvature.gammas")
-        try:
-            return DiagonalCurvature(tuple(parse_rational(g) for g in gammas))
-        except ValueError as exc:
-            raise DocumentError(f"curvature.gammas: {exc}") from None
-    if "hermitian" in tree:
-        herm = tree["hermitian"]
-        theta = herm.get("theta") if isinstance(herm, dict) else None
-        try:
-            return HermitianCurvature(_nested_lists(theta, 3))
-        except ValueError as exc:  # DocumentError included: its message has no path
-            raise DocumentError(f"curvature.hermitian.theta: {exc}") from None
-    raise DocumentError("curvature needs either 'gammas' or 'hermitian'")
+def _ring(node: dict) -> RingSpec:
+    gens = []
+    for i, gen in enumerate(_list(node.get("generators"), "ring.generators")):
+        gen = _object(gen, f"ring.generators[{i}]")
+        if not isinstance(gen.get("name"), str):
+            raise DocumentError(f"ring.generators[{i}].name must be a string")
+        gens.append((gen["name"], _integer(gen.get("weight"), f"ring.generators[{i}].weight")))
+    dim = _dimension(node.get("dimension"), "ring.dimension")
+    with _at("ring.generators"):
+        return RingSpec(tuple(gens), dim)
 
 
-def _nested_lists(node, depth: int):
+def _curvature(node: dict) -> CurvatureSpec:
+    if "gammas" in node:
+        return parse_gammas(node["gammas"], "curvature.gammas")
+    if "hermitian" not in node:
+        raise DocumentError("curvature needs either 'gammas' or 'hermitian'")
+    herm = _object(node["hermitian"], "curvature.hermitian")
+    theta = _nested_lists(herm.get("theta"), 3, "curvature.hermitian.theta")
+    with _at("curvature.hermitian.theta"):
+        return HermitianCurvature(theta)
+
+
+def _nested_lists(node, depth: int, path: str):
     """Nested tuples of complex entries; every level above the entries must
     be a JSON list (theta[j][k][a][b] has depth 3 above its entries)."""
     if not isinstance(node, list):
-        raise DocumentError("must be an n x n array of r x r matrices (nested JSON lists)")
-    if depth == 0:
-        return tuple(_parse_cq(x) for x in node)
-    return tuple(_nested_lists(x, depth - 1) for x in node)
-
-
-def _parse_cq(entry) -> CQ:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise DocumentError(f"complex entry {entry!r} must be [re, im]")
-        return CQ(parse_rational(entry[0]), parse_rational(entry[1]))
-    return CQ(parse_rational(entry))
+        raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")
+    if depth > 0:
+        return tuple(_nested_lists(x, depth - 1, f"{path}[{i}]") for i, x in enumerate(node))
+    if any(isinstance(x, list) and len(x) != 2 for x in node):
+        raise DocumentError(f"{path}: a complex entry is a rational or [re, im]")
+    return tuple(
+        CQ(*_rationals(x, f"{path}[{i}]")) if isinstance(x, list) else CQ(_rational(x, f"{path}[{i}]"))
+        for i, x in enumerate(node)
+    )
 
 
 def load_file(path: str) -> InputDocument:
@@ -226,7 +268,7 @@ def load_file(path: str) -> InputDocument:
             tree = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
     return load_document(tree)
 
@@ -236,10 +278,7 @@ def load_file(path: str) -> InputDocument:
 
 def cp_fixture(n: int) -> dict:
     """The complex projective space document: c(TX) = (1+h)^{n+1}, int h^n = 1."""
-    if n < 1:
-        raise DocumentError("projective space needs n >= 1")
-    if n > MAX_DOC_DIMENSION:
-        raise DocumentError(f"dimension {n} exceeds the guard rail {MAX_DOC_DIMENSION}")
+    _dimension(n, "cp fixture n")
     chern = {}
     for i in range(1, n + 1):
         coeff = comb(n + 1, i)

@@ -27,6 +27,10 @@ MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 Scalar = Union[int, Fraction]
 
 
+class CertificateError(AssertionError):
+    """An exact internal certificate failed: a bug in hlab, never bad input."""
+
+
 class CQ:
     """Exact complex number with rational real and imaginary parts."""
 
@@ -338,9 +342,6 @@ class Operator:
             and self.cols == other.cols
         )
 
-    def diagonal(self) -> dict[int, CQ]:
-        return {c: col[c] for c, col in self.cols.items() if c in col}
-
     def is_diagonal(self) -> bool:
         return all(set(col) <= {c} for c, col in self.cols.items())
 
@@ -406,11 +407,19 @@ def op_star(n: int, r: int = 1) -> Operator:
         csign, wJ, wK = conj_monomial(Kc, Jc)
         w = wedge_monomials(J, K, wJ, wK)
         if w is None:
-            raise AssertionError("complement wedge cannot vanish")
+            raise CertificateError("complement wedge cannot vanish")
         sigma = csign * w[0]
         coeff = (lam / CQ(sigma)).conj()
         cols[c] = {basis.index[(Kc, Jc, s)]: coeff}
     return Operator(basis, cols)
+
+
+def star_identities(n: int, r: int = 1) -> tuple[bool, bool]:
+    """(star is unitary, star^{-1} L star == Lambda), both checked exactly."""
+    star = op_star(n, r)
+    inv = star.adjoint()
+    unitary = inv.compose(star) == identity_operator(get_basis(n, r))
+    return unitary, inv.compose(op_L(n, r)).compose(star) == op_Lambda(n, r)
 
 
 def sl2_commutator_check(n: int, r: int = 1) -> bool:
@@ -603,7 +612,7 @@ def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) ->
     basis = get_basis(n, r)
     T = op_Lambda(n, r).commutator(curvature_operator(spec))
     if T.adjoint() != T:
-        raise AssertionError("[Lambda, iTheta] must be self-adjoint; convention bug")
+        raise CertificateError("[Lambda, iTheta] must be self-adjoint; convention bug")
     table2: dict[tuple[int, int], Interval] = {}
     for (p, q), idxs in basis.by_bidegree.items():
         block = T.block(idxs, idxs)
@@ -680,7 +689,7 @@ def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
     for k in range(d):
         pivot = re[k][k]
         if im[k][k]:
-            raise AssertionError("leading principal minor is not real; block is not Hermitian")
+            raise CertificateError("leading principal minor is not real; block is not Hermitian")
         if pivot <= 0:
             return False
         rk, ik = re[k], im[k]
@@ -692,7 +701,7 @@ def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
                 x, x_rem = divmod(pivot * ri[j] - a * c + b * e, prev)
                 y, y_rem = divmod(pivot * ii[j] - a * e - b * c, prev)
                 if x_rem or y_rem:
-                    raise AssertionError("Bareiss division is not exact")
+                    raise CertificateError("Bareiss division is not exact")
                 ri[j], ii[j] = x, y
         prev = pivot
     return True
@@ -742,7 +751,7 @@ def flatness_test(spec: DiagonalCurvature) -> bool:
     c = commutator_norm(spec).value
     flat = all(g == 0 for g in spec.gammas)
     if (c == 0) != flat:
-        raise AssertionError("flatness lemma violated; eigenvalue enumeration bug")
+        raise CertificateError("flatness lemma violated; eigenvalue enumeration bug")
     return c == 0
 
 
@@ -751,7 +760,7 @@ def tensor_power_norm(spec: DiagonalCurvature, m: int) -> Fraction:
     c = commutator_norm(spec).value
     scaled = commutator_norm(spec.scaled(m)).value
     if scaled != abs(Fraction(m)) * c:
-        raise AssertionError("commutator norm failed to scale linearly")
+        raise CertificateError("commutator norm failed to scale linearly")
     return scaled
 
 
@@ -786,13 +795,8 @@ def _strip_phase(value: CQ, phase: CQ) -> int:
     """value / phase, which must be an integer: the entry carries the unit phase."""
     w = value / phase
     if w.im != 0 or w.re.denominator != 1:
-        raise AssertionError("entries do not share the expected phase")
+        raise CertificateError("entries do not share the expected phase")
     return int(w.re)
-
-
-def _int_matrix(block: list[list[CQ]], phase: CQ) -> list[list[int]]:
-    """Strip a common unit phase from every entry."""
-    return [[_strip_phase(v, phase) for v in row] for row in block]
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -834,23 +838,24 @@ class LefschetzPower:
 
 
 class _SparseIntMap:
-    """Integer matrix of L^{n-k} on one bidegree block, phase stripped."""
+    """Integer matrix of an operator from the src to the dst basis indices,
+    phase stripped; only nonzero entries are visited."""
 
     def __init__(self, op: Operator, src: Sequence[int], dst: Sequence[int], phase: CQ):
         self.dim = len(src)
-        src_pos = {g: i for i, g in enumerate(src)}
         dst_pos = {g: i for i, g in enumerate(dst)}
         self.cols: list[dict[int, int]] = [{} for _ in src]
         self.rows: list[dict[int, int]] = [{} for _ in dst]
-        for g_col, col in op.cols.items():
-            c = src_pos.get(g_col)
-            if c is None:
-                continue
-            for g_row, value in col.items():
+        for c, g_col in enumerate(src):
+            for g_row, value in op.cols.get(g_col, {}).items():
                 rw = dst_pos.get(g_row)
                 if rw is None:
                     continue
                 self.cols[c][rw] = self.rows[rw][c] = _strip_phase(value, phase)
+
+    def dense(self) -> list[list[int]]:
+        """The integer matrix, row-major, for :func:`int_rank`."""
+        return [[row.get(c, 0) for c in range(self.dim)] for row in self.rows]
 
     def gram_apply(self, x: dict[int, int]) -> dict[int, int]:
         """(M^T M) x through two sparse passes."""
@@ -906,9 +911,8 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
     dst_all = basis.by_degree(2 * n - k)
     bijective = len(src_all) == len(dst_all)  # plus nonsingular B, certified above
     if bijective and len(src_all) <= 256:
-        M = _int_matrix(M_op.block(dst_all, src_all), phase)
-        if int_rank(M) != len(src_all):
-            raise AssertionError("rank cross-check contradicts the spectral certificate")
+        if int_rank(_SparseIntMap(M_op, src_all, dst_all, phase).dense()) != len(src_all):
+            raise CertificateError("rank cross-check contradicts the spectral certificate")
     lo, hi = min(sigmas), max(sigmas)
     return LefschetzPower(
         k,
@@ -937,7 +941,7 @@ def _certify_block_annihilator(sparse: _SparseIntMap, eigen_candidates: list[int
             if not v:
                 break
         if v:
-            raise AssertionError("annihilating polynomial check failed")
+            raise CertificateError("annihilating polynomial check failed")
 
 
 def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
@@ -958,11 +962,11 @@ def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
     src_pos = {g: i for i, g in enumerate(src)}
     v = {src_pos[g_idx]: _strip_phase(value, phase) for g_idx, value in vec.terms.items()}
     if not v:
-        raise AssertionError("empty eigenvector witness; primitive theory bug")
+        raise CertificateError("empty eigenvector witness; primitive theory bug")
     got = sparse.gram_apply(v)
     expected = {i: eigenvalue * a2 for i, a2 in v.items()}
     if got != expected:
-        raise AssertionError("eigenvector certificate failed")
+        raise CertificateError("eigenvector certificate failed")
 
 
 def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
@@ -975,6 +979,5 @@ def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
         if not dst:
             out[(p, q)] = False
             continue
-        M = _int_matrix(L.block(dst, src), CQ_I)
-        out[(p, q)] = int_rank(M) == len(src)
+        out[(p, q)] = int_rank(_SparseIntMap(L, src, dst, CQ_I).dense()) == len(src)
     return out

@@ -154,11 +154,7 @@ def _check_hilbert():
 
 def _check_star():
     for n in (1, 2, 3):
-        star = lefschetz.op_star(n, 1)
-        inv = star.adjoint()
-        identity = lefschetz.identity_operator(lefschetz.get_basis(n, 1))
-        _expect(inv.compose(star) == identity)
-        _expect(inv.compose(lefschetz.op_L(n, 1)).compose(star) == lefschetz.op_Lambda(n, 1))
+        _expect(lefschetz.star_identities(n, 1) == (True, True), f"n = {n}")
 
 
 def _check_commutator(rng):

@@ -1,0 +1,127 @@
+"""The input boundary: every malformed document is an input error (exit 2)
+that names its JSON path, literals are never coerced, and a failed internal
+certificate has its own exit code (3)."""
+
+import json
+
+import pytest
+
+from hlab import lefschetz
+from hlab.cli import main
+from hlab.exprparse import ExprError, parse_rational
+from hlab.inputdoc import DocumentError, cp_fixture, load_document
+
+BOUNDS = {"K": "100", "C": "2", "c_n": "1/10", "p": 0}
+
+
+def _cp2(**sections):
+    tree = cp_fixture(2)
+    tree["bounds"] = dict(BOUNDS)
+    tree.update(sections)
+    return tree
+
+
+def _with(path, value, tree=None):
+    """The CP^2 document with the node at ``path`` (a tuple of keys) replaced."""
+    tree = _cp2() if tree is None else tree
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree
+
+
+GENUS, T4, T5 = ("genus",), ("bounds", "--which", "t4"), ("bounds", "--which", "t5")
+
+# (argv, document, the JSON path the error must name)
+FAULTS = {
+    # crashed with a traceback
+    "manifold-list": (GENUS, _with(("manifold",), ["c1"]), "manifold"),
+    "bundle-list": (GENUS, _with(("bundle",), [1]), "bundle"),
+    "fundamental-class-list": (GENUS, _with(("fundamental_class",), ["h^2"]), "fundamental_class"),
+    "bounds-list": (T4, _with(("bounds",), [1, 2]), "bounds"),
+    "etheta-without-chi": (
+        ("bounds", "--which", "etheta"),
+        {"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10"}},
+        "bounds.chi",
+    ),
+    # exited 1, as an engine error
+    "fundamental-class-wrong-weight": (GENUS, _with(("fundamental_class",), {"h": "1"}), "fundamental_class"),
+    "weight-not-integer": (GENUS, _with(("ring", "generators", 0, "weight"), "x"), "ring.generators[0].weight"),
+    "duplicate-generator": (
+        GENUS,
+        _with(("ring", "generators"), [{"name": "h", "weight": 1}, {"name": "h", "weight": 1}]),
+        "ring.generators",
+    ),
+    "rank-not-integer": (GENUS, _with(("bundle", "rank"), "x"), "bundle.rank"),
+    "c1-not-homogeneous": (GENUS, _with(("manifold", "chern", "c1"), "3*h + h^2"), "manifold.chern"),
+    "bounds-n-not-integer": (T4, _with(("bounds", "n"), "x"), "bounds.n"),
+    "bounds-p-not-integer": (T4, _with(("bounds", "p"), "x"), "bounds.p"),
+    "hilbert-key-not-integer": (T5, _with(("bounds", "hilbert"), {"x": ["1"]}), "bounds.hilbert"),
+    # silently coerced
+    "weight-float": (GENUS, _with(("ring", "generators", 0, "weight"), 1.5), "ring.generators[0].weight"),
+    "rank-float": (GENUS, _with(("bundle", "rank"), 2.7), "bundle.rank"),
+    "bounds-p-float": (T4, _with(("bounds", "p"), 0.5), "bounds.p"),
+    "exponent-literal": (T4, _with(("bounds", "K"), "1e3"), "bounds.K"),
+    "bounds-K-float": (T4, _with(("bounds", "K"), 100.0), "bounds.K"),
+    "gammas-float": (("commutator",), {"curvature": {"gammas": [1.5, 2]}}, "curvature.gammas"),
+    "fundamental-class-float": (GENUS, _with(("fundamental_class", "h^2"), 1.5), "fundamental_class.h^2"),
+}
+
+
+@pytest.mark.parametrize("argv,tree,path", list(FAULTS.values()), ids=list(FAULTS))
+def test_input_fault_exits_2_naming_its_path(capsys, tmp_path, argv, tree, path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(tree))
+    code = main([*argv, "--input", str(doc)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("input error: ")
+    assert path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", [1.5, "1e3", True, " 1/2x", "1.5", " 2", "+2", "1/-2", "1_000", None, ["1"]])
+def test_rational_literals_are_strict(literal):
+    with pytest.raises(ExprError, match="bad rational literal"):
+        parse_rational(literal)
+
+
+def test_rational_literals_accepted():
+    assert parse_rational(3) == 3
+    assert parse_rational("-3/4") == parse_rational(-3) / 4
+    assert parse_rational("0/5") == 0
+    with pytest.raises(ExprError):
+        parse_rational("1/0")
+
+
+def test_integer_fields_take_json_ints_or_decimal_strings():
+    doc = load_document(_with(("bundle", "rank"), "2"))
+    assert doc.bundle.rank == 2
+    # only the Chern-class keys given are read, not one slot per unit of rank
+    assert load_document(_with(("bundle", "rank"), 10**12)).bundle.rank == 10**12
+    for value in (True, 2.0, "2.0", "two", " 2"):
+        with pytest.raises(DocumentError, match=r"bundle\.rank"):
+            load_document(_with(("bundle", "rank"), value))
+
+
+def test_bounds_section_is_parsed_at_load():
+    # a malformed bounds section is an input error for every command
+    with pytest.raises(DocumentError, match=r"bounds\.K"):
+        load_document(_with(("bounds", "K"), "x"))
+    doc = load_document(_with(("bounds", "c1sq_L"), "9"))
+    assert doc.bounds.c1sq_L == 9 and doc.bounds.p == 0
+
+
+def test_deeply_nested_expression_is_input_error():
+    with pytest.raises(DocumentError, match=r"manifold\.chern"):
+        load_document(_with(("manifold", "chern", "c1"), "(" * 5000 + "h" + ")" * 5000))
+
+
+def test_failed_certificate_exits_3(capsys, monkeypatch):
+    # a rank cross-check that disagrees with the spectral certificate is a bug
+    monkeypatch.setattr(lefschetz, "int_rank", lambda rows: 0)
+    code = main(["lefschetz-check", "--n", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("certificate failure: ")
