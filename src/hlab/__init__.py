@@ -5,84 +5,56 @@ and the associated Euler-characteristic lower bounds.
 All computations are exact over the rationals (or Gaussian rationals for
 the exterior algebra); the only approximate outputs are certified rational
 enclosures of square roots and Hermitian operator norms.
+
+The names below are exported lazily (PEP 562): ``import hlab`` loads no
+engine module, and ``hlab.X`` or ``from hlab import X`` imports the module
+that defines ``X`` on first use.
 """
 
-from .bounds import (
-    BoundsInput,
-    Interval,
-    RootReport,
-    T4ChainReport,
-    bound_C1,
-    bound_T2,
-    bound_T4,
-    bound_T5,
-    e_theta_interval,
-    forward_difference,
-    isolate_real_roots,
-    lemma42_search,
-    lemma44_search,
-    root_report,
-    sqrt_enclosure,
-    t4_chain,
-)
-from .exprparse import ExprError, parse_expression, parse_rational
-from .genus import (
-    BundleData,
-    FundamentalClass,
-    IntegralityError,
-    ManifoldData,
-    MissingChernNumber,
-    bundle_power,
-    ch_hodge_sheaf,
-    chern_character,
-    chern_inequality_check,
-    chi_p,
-    chi_y,
-    hilbert_polynomial,
-    hodge_classes,
-    integrate,
-    integrate_product,
-    k1_formula_check,
-    k2_surface_formula_check,
-    k_coefficients,
-    projective_space,
-    todd_class,
-)
-from .lefschetz import (
-    CQ,
-    CertificateError,
-    CommutatorNorm,
-    DiagonalCurvature,
-    ExteriorBasis,
-    FormVector,
-    HermitianCurvature,
-    LefschetzPower,
-    Operator,
-    commutator_norm,
-    curvature_operator,
-    diagonal_commutator_eigenvalues,
-    flatness_test,
-    get_basis,
-    injectivity_scan,
-    lefschetz_power,
-    op_L,
-    op_Lambda,
-    op_star,
-    sl2_commutator_check,
-    tensor_power_norm,
-)
-from .qpoly import QPoly
-from .ring import (
-    GradedElement,
-    RingSpec,
-    Series,
-    SpecMismatch,
-    elementary_from_power_sums,
-    exp,
-    genus_product,
-    log,
-    power_sums_from_elementary,
-    todd_series,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# home module -> the names it exports through the package
+_EXPORTS = {
+    "bounds": (
+        "BoundsInput", "Interval", "RootReport", "T4ChainReport", "bound_C1", "bound_T2",
+        "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "isolate_real_roots",
+        "lemma42_search", "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
+    ),
+    "exprparse": ("ExprError", "parse_expression", "parse_rational"),
+    "genus": (
+        "BundleData", "FundamentalClass", "IntegralityError", "ManifoldData",
+        "MissingChernNumber", "bundle_power", "ch_hodge_sheaf", "chern_character",
+        "chern_inequality_check", "chi_p", "chi_y", "hilbert_polynomial", "hodge_classes",
+        "integrate", "integrate_product", "k1_formula_check", "k2_surface_formula_check",
+        "k_coefficients", "projective_space", "todd_class",
+    ),
+    "lefschetz": (
+        "CQ", "CertificateError", "CommutatorNorm", "DiagonalCurvature", "ExteriorBasis",
+        "FormVector", "HermitianCurvature", "LefschetzPower", "Operator", "commutator_norm",
+        "curvature_operator", "diagonal_commutator_eigenvalues", "flatness_test", "get_basis",
+        "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
+        "sl2_commutator_check", "tensor_power_norm",
+    ),
+    "qpoly": ("QPoly",),
+    "ring": (
+        "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",
+        "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

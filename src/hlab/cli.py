@@ -4,8 +4,13 @@
 
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
-fails (a bug).  All numeric output is exact rational text except the
-explicitly marked enclosures.
+fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
+them.  All numeric output is exact rational text except the explicitly
+marked enclosures.
+
+Importing this module loads the input boundary and the HRR and bounds
+engines only: the operator engine (``lefschetz``) is imported by the
+commands that run it, and the self-check suite by ``verify``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import genus, lefschetz, selfcheck
+from . import genus
 from .bounds import Interval, bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
-from .exprparse import ExprError
-from .genus import BundleData, IntegralityError, MissingChernNumber
-from .inputdoc import DocumentError, cp_fixture, digest, load_document, load_file, parse_gammas
-from .lefschetz import MAX_N, CertificateError, DiagonalCurvature
+from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
+from .genus import BundleData
+from .inputdoc import cp_fixture, digest, load_document, load_file, parse_gammas
 
 ENGINE_ERROR = 1
 USAGE_ERROR = 2
@@ -118,6 +122,12 @@ def _doc_from_args(args):
     return load_document({})
 
 
+def _flag_in_range(flag: str, value: int, n: int) -> int:
+    if not 0 <= value <= n:
+        raise DocumentError(f"{flag} = {value} is outside [0, {n}]")
+    return value
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -153,7 +163,7 @@ def cmd_hilbert(args):
     x = doc.require("manifold")
     line = doc.require("line_bundle")
     rep = Reporter("hilbert", doc.raw, args.output, doc.load_warnings)
-    P = genus.hilbert_polynomial(x, line, args.p)
+    P = genus.hilbert_polynomial(x, line, _flag_in_range("--p", args.p, x.n))
     rep.add("p", args.p)
     rep.add("polynomial", P)
     rep.add("coefficients", list(P.padded(x.n + 1)))
@@ -165,7 +175,7 @@ def cmd_ineq(args):
     x = doc.require("manifold")
     e = doc.bundle or BundleData.trivial()
     rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
-    js = [args.j] if args.j is not None else list(range(x.n + 1))
+    js = [_flag_in_range("--j", args.j, x.n)] if args.j is not None else list(range(x.n + 1))
     rows = []
     for j in js:
         holds, lhs, rhs = genus.chern_inequality_check(x, e, j)
@@ -175,6 +185,8 @@ def cmd_ineq(args):
 
 
 def cmd_commutator(args):
+    from . import lefschetz
+
     if args.gammas:
         spec = parse_gammas(args.gammas.split(","), "--gammas")
         rep = Reporter("commutator", {"gammas": args.gammas}, args.output)
@@ -186,12 +198,14 @@ def cmd_commutator(args):
     rep.add("C", norm.value)
     rep.add("exact", norm.exact)
     rep.add("C_pq", [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())])
-    if isinstance(spec, DiagonalCurvature):
+    if isinstance(spec, lefschetz.DiagonalCurvature):
         rep.add("flat", lefschetz.flatness_test(spec))
     rep.emit()
 
 
 def cmd_lefschetz_check(args):
+    from . import lefschetz
+
     n, r = args.n, args.r
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
     rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
@@ -288,6 +302,8 @@ def _chi_p_value(b, p):
 
 
 def cmd_verify(args):
+    from . import selfcheck
+
     results = selfcheck.run_all()
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
@@ -305,8 +321,11 @@ def cmd_fixture(args):
     tree = cp_fixture(args.n)
     text = json.dumps(tree, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DocumentError(f"--out: cannot write {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -383,8 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "lefschetz-check" and not (1 <= args.n <= MAX_N and args.r >= 1):
-        parser.error(f"--n must be in [1, {MAX_N}] and --r at least 1")
+    if args.subcommand == "lefschetz-check":
+        from .lefschetz import MAX_N
+
+        if not (1 <= args.n <= MAX_N and args.r >= 1):
+            parser.error(f"--n must be in [1, {MAX_N}] and --r at least 1")
+        dim = 4**args.n * args.r  # of the space Lambda(C^n + conj C^n) x C^r
+        if dim > 4**MAX_N:
+            parser.error(f"--r {args.r}: the space has dimension 4^n r = {dim} > 4^{MAX_N}")
     try:
         code = args.fn(args)
         return 0 if code is None else code

@@ -23,22 +23,12 @@ import re
 import warnings
 from fractions import Fraction
 
+from .errors import ExprError
 from .ring import GradedElement, RingSpec
 
 # expressions whose syntactic weight bound exceeds this are rejected
 # before any arithmetic is attempted
 WEIGHT_CAP = 4096
-
-
-class ExprError(ValueError):
-    """Syntax or name error in an input expression (with its position), or a
-    malformed rational literal (position None)."""
-
-    def __init__(self, message: str, position: int | None = None, src: str = ""):
-        if position is not None:
-            message = f"{message} at position {position}: {src!r}"
-        super().__init__(message)
-        self.position = position
 
 
 class TruncationWarning(UserWarning):

@@ -17,6 +17,7 @@ from operator import add
 from typing import Mapping, Union
 
 from .bounds import is_integer_valued
+from .errors import IntegralityError, MissingChernNumber
 from .qpoly import QPoly
 from .ring import (
     GradedElement,
@@ -28,25 +29,6 @@ from .ring import (
 )
 
 Scalar = Union[int, Fraction]
-
-
-class IntegralityError(ValueError):
-    """A holomorphic Euler characteristic came out non-integral.
-
-    This always signals inconsistent input Chern data, never a rounding
-    issue: all arithmetic is exact.
-    """
-
-
-class MissingChernNumber(KeyError):
-    """The fundamental-class table lacks an assignment for a top monomial."""
-
-    def __init__(self, monomial: str):
-        super().__init__(monomial)
-        self.monomial = monomial
-
-    def __str__(self):
-        return f"no Chern-number assignment for top monomial {self.monomial}"
 
 
 @dataclass(frozen=True)

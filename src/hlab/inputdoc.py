@@ -19,20 +19,19 @@ from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 from math import comb
 from reprlib import repr as _show
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .bounds import BoundsInput
+from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
 from .genus import BundleData, FundamentalClass, ManifoldData
-from .lefschetz import CQ, CurvatureSpec, DiagonalCurvature, HermitianCurvature
 from .qpoly import QPoly
 from .ring import RingSpec
 
+if TYPE_CHECKING:  # the curvature readers import the operator engine when called
+    from .lefschetz import CurvatureSpec, DiagonalCurvature
+
 MAX_DOC_DIMENSION = 12  # polynomial-degree guard rail for desk-scale inputs
-
-
-class DocumentError(ValueError):
-    """Malformed input document; the message names the JSON path at fault."""
 
 
 def digest(tree: Any) -> str:
@@ -96,6 +95,8 @@ def _rationals(value, path: str) -> tuple[Fraction, ...]:
 def parse_gammas(values, path: str) -> DiagonalCurvature:
     """Diagonal curvature from a list of rational literals: ``curvature.gammas``
     in a document, or the ``--gammas`` flag split at its commas."""
+    from .lefschetz import DiagonalCurvature
+
     gammas = _rationals(values, path)
     with _at(path):
         return DiagonalCurvature(gammas)
@@ -171,7 +172,10 @@ class InputDocument:
 
     @property
     def bounds_p(self) -> int:
-        return self.require("bounds").p
+        p = self.require("bounds").p
+        if self.manifold is not None and not 0 <= p <= self.manifold.n:
+            raise DocumentError(f"bounds.p = {p} is outside [0, {self.manifold.n}]")
+        return p
 
 
 def load_document(tree: dict) -> InputDocument:
@@ -237,6 +241,8 @@ def _ring(node: dict) -> RingSpec:
 
 
 def _curvature(node: dict) -> CurvatureSpec:
+    from .lefschetz import HermitianCurvature
+
     if "gammas" in node:
         return parse_gammas(node["gammas"], "curvature.gammas")
     if "hermitian" not in node:
@@ -250,6 +256,8 @@ def _curvature(node: dict) -> CurvatureSpec:
 def _nested_lists(node, depth: int, path: str):
     """Nested tuples of complex entries; every level above the entries must
     be a JSON list (theta[j][k][a][b] has depth 3 above its entries)."""
+    from .lefschetz import CQ
+
     if not isinstance(node, list):
         raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")
     if depth > 0:

@@ -21,14 +21,11 @@ from math import copysign, factorial, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
 from .bounds import Interval
+from .errors import CertificateError
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 
 Scalar = Union[int, Fraction]
-
-
-class CertificateError(AssertionError):
-    """An exact internal certificate failed: a bug in hlab, never bad input."""
 
 
 class CQ:

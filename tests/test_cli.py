@@ -157,8 +157,8 @@ def test_missing_input_is_usage_error(capsys):
 
 def test_hilbert_p_out_of_range(capsys, cp2_file):
     code, _, err = run(capsys, "hilbert", "--input", cp2_file, "--p", "5")
-    assert code == 1
-    assert "engine error" in err
+    assert code == 2
+    assert err.startswith("input error: --p = 5")
 
 
 def test_verify_passes(capsys):

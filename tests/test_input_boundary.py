@@ -125,3 +125,57 @@ def test_failed_certificate_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("certificate failure: ")
+
+
+def _cp4_bounds(tmp_path, p):
+    tree = cp_fixture(4)
+    tree["bounds"] = dict(BOUNDS, p=p)
+    doc = tmp_path / "cp4.json"
+    doc.write_text(json.dumps(tree))
+    return str(doc)
+
+
+# (argv, the flag or JSON path the error must name); exited 1 or printed a traceback
+FLAG_FAULTS = {
+    "hilbert-p": (("hilbert", "--p", "7"), "--p = 7"),
+    "ineq-j": (("ineq", "--j", "9"), "--j = 9"),
+    "bounds-p": (("bounds", "--which", "t5"), "bounds.p = 7"),
+    "fixture-out": (("fixture", "cp", "1", "--out", "/nonexistent/dir/x.json"), "--out"),
+}
+
+
+@pytest.mark.parametrize("argv,named", list(FLAG_FAULTS.values()), ids=list(FLAG_FAULTS))
+def test_flag_fault_exits_2_naming_the_flag(capsys, tmp_path, argv, named):
+    doc = [] if argv[0] == "fixture" else ["--input", _cp4_bounds(tmp_path, p=7)]
+    code = main([*argv, *doc])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"input error: {named}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,r", [(6, 2), (1, 10**9)])
+def test_lefschetz_check_r_bounds_the_dimension(capsys, monkeypatch, n, r):
+    def refuse(*args):
+        raise AssertionError("the space was built before --r was checked")
+
+    monkeypatch.setattr(lefschetz, "sl2_commutator_check", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["lefschetz-check", "--n", str(n), "--r", str(r)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--r" in err and "4^6" in err
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,r", [(6, 1), (5, 2), (4, 2)])
+def test_lefschetz_check_accepts_the_sizes_in_use(monkeypatch, n, r):
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(lefschetz, "sl2_commutator_check", started)
+    with pytest.raises(_Started):
+        main(["lefschetz-check", "--n", str(n), "--r", str(r)])
