@@ -185,7 +185,11 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
     """
     if P.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    Q = P.squarefree_part()
+    return _isolate_squarefree(P.squarefree_part(), width)
+
+
+def _isolate_squarefree(Q: QPoly, width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """:func:`isolate_real_roots` for a nonzero square-free Q."""
     if Q.degree < 1:
         return []
     if Q.degree == 1:
@@ -266,8 +270,8 @@ def root_report(P: QPoly, chi_p: Scalar = 0, width: Fraction = Fraction(1, 2**20
     shifted = P - Fraction(chi_p)
     if shifted.is_zero():
         raise ValueError("P - chi_p is identically zero; the root set is all of R")
-    intervals = isolate_real_roots(shifted, width)
-    intervals = [_sign_separated(shifted, iv) for iv in intervals]
+    Q = shifted.squarefree_part()
+    intervals = [_sign_separated(Q, iv) for iv in _isolate_squarefree(Q, width)]
     m_p = Fraction(0)
     c_plus = Fraction(0)
     c_minus = Fraction(0)
@@ -281,16 +285,16 @@ def root_report(P: QPoly, chi_p: Scalar = 0, width: Fraction = Fraction(1, 2**20
 
 
 def _sign_separated(Q: QPoly, interval):
-    """Shrink an isolating interval until it does not straddle zero."""
+    """Shrink an isolating interval of the square-free Q until it does not
+    straddle zero: as in :func:`_refine`, one root lies inside and neither end
+    is a root, so it lies left of a non-root 0 iff Q(0) and Q(lo) differ in sign."""
     lo, hi = interval
     if lo == hi or lo >= 0 or hi <= 0:
         return interval
-    sf = Q.squarefree_part()
-    chain = sturm_chain(sf)
-    v0 = sf(Fraction(0))
+    v0 = Q(Fraction(0))
     if v0 == 0:
         return (Fraction(0), Fraction(0))
-    if count_roots_between(chain, lo, Fraction(0)) == 1:
+    if (v0 > 0) != (Q(lo) > 0):
         return (lo, Fraction(0))
     return (Fraction(0), hi)
 

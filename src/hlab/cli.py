@@ -227,7 +227,6 @@ def cmd_bounds(args):
     doc = _doc_from_args(args)
     rep = Reporter(f"bounds {args.which}", doc.raw, args.output, doc.load_warnings)
     computed = {}
-    P = None
     p = doc.bounds_p
     c1 = None
     if doc.manifold is not None and doc.line_bundle is not None:
@@ -236,7 +235,6 @@ def cmd_bounds(args):
         computed["a_n"] = genus.integrate(c1 ** x.n, x.fclass)
         chi = genus.chi_y(x, doc.bundle or BundleData.trivial())
         computed["chi_p"] = tuple(chi.padded(x.n + 1))
-        P = genus.hilbert_polynomial(x, line, p)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         b = doc.bounds_input(**computed)
@@ -250,12 +248,12 @@ def cmd_bounds(args):
             rep.add("c1sq_L", c1sq)
             rep.add("bound_T2", bound_T2(b, c1sq))
         elif which == "t5":
-            P = _require_poly(P, b, p)
+            P = _require_poly(doc, b, p)
             rr = root_report(P, _chi_p_value(b, p))
             rep.add("m_p", rr.m_p)
             rep.add("bound_T5", bound_T5(b, rr.m_p))
         elif which == "c1":
-            P = _require_poly(P, b, p)
+            P = _require_poly(doc, b, p)
             rr = root_report(P, _chi_p_value(b, p))
             rep.add("C_plus", rr.c_plus)
             rep.add("C_minus", rr.c_minus)
@@ -275,7 +273,7 @@ def cmd_bounds(args):
             rep.add("E_theta_lower_enclosure", lower)
             rep.add("E_theta_upper_enclosure", upper)
         elif which == "t4chain":
-            P = _require_poly(P, b, p)
+            P = _require_poly(doc, b, p)
             report = t4_chain(b, P, p)
             for key in ("p", "N", "m_tilde", "delta", "branch", "bound"):
                 rep.add(key, getattr(report, key))
@@ -284,13 +282,16 @@ def cmd_bounds(args):
     rep.emit()
 
 
-def _require_poly(P, b, p):
-    if P is None and not (b.hilbert and p in b.hilbert):
+def _require_poly(doc, b, p):
+    """The p-Hilbert polynomial, built only for the bounds that use it."""
+    if doc.manifold is not None and doc.line_bundle is not None:
+        return genus.hilbert_polynomial(doc.manifold, doc.line_bundle, p)
+    if not (b.hilbert and p in b.hilbert):
         raise DocumentError(
             "this bound needs the p-Hilbert polynomial: provide manifold, fundamental_class and "
             "line_bundle sections, or bounds.hilbert"
         )
-    return b.hilbert[p] if P is None else P
+    return b.hilbert[p]
 
 
 def _chi_p_value(b, p):

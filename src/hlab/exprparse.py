@@ -12,9 +12,11 @@ Grammar (usual precedence, ^ binds tightest and is right-associative):
 '^' takes a nonnegative integer exponent.  Unknown generator names and
 syntax errors are reported with their character position.
 
-Evaluation happens in an untruncated shadow of the target ring so that
-terms exceeding the truncation weight can be reported: they are dropped
-from the result with a warning, exactly once per parse.
+Values are computed in the target ring itself: its truncation is the
+quotient by the monomials of weight above T, which commutes with every
+operation here.  A syntactic weight bound rides along with each value: a
+product or power whose bound exceeds max(WEIGHT_CAP, T) is rejected before
+any arithmetic, and one warning per parse fires when the whole bound exceeds T.
 """
 
 from __future__ import annotations
@@ -70,16 +72,13 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Evaluates in a shadow ring wide enough that nothing truncates,
-    tracking a syntactic weight bound to keep the shadow safe."""
+    """Evaluates in the target ring, tracking a syntactic weight bound that
+    caps the work and tells whether the truncation dropped anything."""
 
     def __init__(self, src: str, spec: RingSpec):
         self.src = src
         self.spec = spec
-        if spec.truncation >= WEIGHT_CAP:
-            self.shadow = spec
-        else:
-            self.shadow = RingSpec(spec.generators, WEIGHT_CAP)
+        self.cap = max(WEIGHT_CAP, spec.truncation)
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -95,29 +94,19 @@ class _Parser:
         raise ExprError(message, self.peek()[2], self.src)
 
     def _guard(self, bound: int, where: int) -> int:
-        if bound > self.shadow.truncation:
-            raise ExprError(
-                f"expression weight bound {bound} exceeds the cap "
-                f"{self.shadow.truncation}",
-                where,
-                self.src,
-            )
+        if bound > self.cap:
+            raise ExprError(f"expression weight bound {bound} exceeds the cap {self.cap}", where, self.src)
         return bound
 
-    def parse(self) -> GradedElement:
-        value, _ = self.expr()
+    def parse(self) -> tuple[GradedElement, int]:
+        """The truncated value and the weight bound of the whole input."""
+        try:
+            value, bound = self.expr()
+        except RecursionError:
+            raise ExprError("expression nested too deeply") from None
         if self.peek()[0] != "end":
             self.fail(f"unexpected trailing {self.peek()[1]!r}")
-        trunc = self.spec.truncation
-        dropped = sum(1 for e in value.terms if self.spec.weight_of(e) > trunc)
-        if dropped:
-            warnings.warn(
-                f"{dropped} term(s) of weight above {trunc} truncated "
-                f"in {self.src!r}",
-                TruncationWarning,
-                stacklevel=3,
-            )
-        return GradedElement(self.spec, value.terms)
+        return value, bound
 
     def expr(self):
         value, bound = self.term()
@@ -137,8 +126,9 @@ class _Parser:
                 bound = self._guard(bound + rbound, where)
                 value = value * rhs
             else:
+                # exact: a bound <= T means nothing of the divisor was truncated
                 const = rhs.constant_term()
-                if rhs != self.shadow.constant(const) or const == 0:
+                if rbound > self.spec.truncation or const == 0 or rhs != self.spec.constant(const):
                     raise ExprError(
                         "division is only defined by nonzero rational constants",
                         where,
@@ -174,14 +164,14 @@ class _Parser:
         kind, text, where = self.peek()
         if kind == "int":
             self.advance()
-            return self.shadow.constant(Fraction(int(text))), 0
+            return self.spec.constant(Fraction(int(text))), 0
         if kind == "name":
             self.advance()
             try:
-                elt = self.shadow.gen(text)
+                elt = self.spec.gen(text)
             except KeyError:
                 raise ExprError(f"unknown generator {text!r}", where, self.src) from None
-            return elt, self.shadow.weights[self.shadow.index(text)]
+            return elt, self.spec.weights[self.spec.index(text)]
         if (kind, text) == ("op", "("):
             self.advance()
             value = self.expr()
@@ -193,15 +183,15 @@ class _Parser:
 
 
 def parse_expression(src: str, spec: RingSpec) -> GradedElement:
-    """Parse an arithmetic expression over the ring's generators, exactly.
-
-    Terms whose weight exceeds the ring truncation are dropped with a
-    :class:`TruncationWarning`.
-    """
-    try:
-        return _Parser(src, spec).parse()
-    except RecursionError:
-        raise ExprError("expression nested too deeply") from None
+    """Parse an arithmetic expression over the ring's generators, exactly, in
+    ``spec`` itself.  A :class:`TruncationWarning` fires when the weight bound
+    exceeds the truncation: whenever a term was dropped, and also when written
+    high terms cancel (``h^3 - h^3``)."""
+    value, bound = _Parser(src, spec).parse()
+    if bound > spec.truncation:
+        message = f"terms of weight above {spec.truncation} truncated in {src!r}"
+        warnings.warn(message, TruncationWarning, stacklevel=2)
+    return value
 
 
 def parse_rational(text) -> Fraction:
@@ -220,7 +210,9 @@ def parse_rational(text) -> Fraction:
 
 def parse_monomial_key(key: str, spec: RingSpec) -> tuple[int, ...]:
     """Parse a canonical monomial string like 'h^2' or 'c1*c2' to exponents."""
-    elt = parse_expression(key, spec)
+    elt, bound = _Parser(key, spec).parse()
+    if bound > spec.truncation:
+        raise ValueError(f"{key!r} has weight above the truncation {spec.truncation}")
     if len(elt.terms) != 1:
         raise ValueError(f"{key!r} is not a single monomial")
     (exps, coeff), = elt.terms.items()

@@ -31,10 +31,6 @@ class QPoly:
     def zero(cls, var: str = "m") -> "QPoly":
         return cls([], var)
 
-    @classmethod
-    def monomial(cls, k: int, c: Scalar = 1, var: str = "m") -> "QPoly":
-        return cls([0] * k + [c], var)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -249,6 +249,53 @@ def test_refine_by_sign_matches_sturm_counts():
         assert isolate_real_roots(P, WIDTH) == sorted(expected)
 
 
+def _sign_separated_by_sturm(P, interval):
+    """The earlier split: a fresh square-free part and a Sturm count on the
+    left half, per straddling interval."""
+    from hlab.bounds import count_roots_between
+
+    lo, hi = interval
+    if lo == hi or lo >= 0 or hi <= 0:
+        return interval
+    sf = P.squarefree_part()
+    if sf(F(0)) == 0:
+        return (F(0), F(0))
+    if count_roots_between(sturm_chain(sf), lo, F(0)) == 1:
+        return (lo, F(0))
+    return (F(0), hi)
+
+
+def test_sign_split_matches_sturm_counts():
+    from hlab.bounds import _sign_separated, cauchy_bound, count_roots_between
+
+    rng = random.Random(5209)
+    straddling = 0
+    for _ in range(30):
+        P = QPoly([rng.choice([-3, -1, 1, 2])])
+        for _ in range(rng.randint(1, 3)):  # rational roots near 0, some repeated, maybe 0
+            r = F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+            for _ in range(rng.randint(1, 2)):
+                P = P * QPoly([-r, 1])
+        if rng.random() < 0.5:  # an irrational pair +-sqrt(k)
+            P = P * QPoly([-rng.choice([2, 3, 5]), 0, 1])
+        Q = P.squarefree_part()
+        chain = sturm_chain(Q)
+        # random isolating intervals around 0: one root inside, neither end a root
+        intervals = []
+        for _ in range(20):
+            lo, hi = -F(rng.randint(1, 40), 8), F(rng.randint(1, 40), 8)
+            if Q(lo) and Q(hi) and count_roots_between(chain, lo, hi) == 1:
+                intervals.append((lo, hi))
+        straddling += len(intervals)
+        for iv in intervals:
+            assert _sign_separated(Q, iv) == _sign_separated_by_sturm(P, iv)
+        # root_report, unrefined (a lone root's interval is (-B, B)) and refined
+        for width in (4 * cauchy_bound(Q), WIDTH):
+            expected = [_sign_separated_by_sturm(P, iv) for iv in isolate_real_roots(P, width)]
+            assert root_report(P, 0, width).intervals == tuple(expected)
+    assert straddling >= 100
+
+
 # -- sqrt enclosures ---------------------------------------------------------------
 
 

@@ -116,6 +116,21 @@ def test_bounds_etheta_inconsistent_is_engine_error(capsys, cp2_bounds_file):
     assert "engine error" in err
 
 
+def test_bounds_build_the_hilbert_polynomial_only_where_used(capsys, tmp_path):
+    tree = cp_fixture(2)
+    tree["line_bundle"]["c1"] = "1/2*h"  # chi(X, L^m) = (m^2 + 6m + 8)/8 is not integer-valued
+    tree["bounds"] = {"K": "100", "C": "2", "c_n": "1/10"}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(tree))
+    outcomes = {}
+    for which in ("t4", "t2", "etheta", "t5", "c1", "t4chain"):
+        code, _, err = run(capsys, "bounds", "--input", str(path), "--which", which)
+        outcomes[which] = (code, "p-Hilbert polynomial for p=0 is not integer-valued" in err)
+    assert outcomes["t4"] == outcomes["t2"] == (0, False)
+    assert outcomes["etheta"][1] is False  # fails on its own bracket, as on CP^2
+    assert outcomes["t5"] == outcomes["c1"] == outcomes["t4chain"] == (1, True)
+
+
 def test_fixture_emission_and_digest_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "cp3.json"
     code, _, _ = run(capsys, "fixture", "cp", "3", "--out", str(out_path))

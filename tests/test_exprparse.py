@@ -1,10 +1,14 @@
 """Expression parser and input-document handling."""
 
+import random
+import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from hlab.exprparse import (
+    WEIGHT_CAP,
     ExprError,
     TruncationWarning,
     parse_expression,
@@ -13,7 +17,7 @@ from hlab.exprparse import (
 )
 from hlab.inputdoc import DocumentError, cp_fixture, digest, load_document
 from hlab.lefschetz import DiagonalCurvature, HermitianCurvature
-from hlab.ring import RingSpec
+from hlab.ring import GradedElement, RingSpec
 
 F = Fraction
 
@@ -59,6 +63,7 @@ def test_rational_literals(spec):
     assert parse_expression("1/2*h", spec) == h * F(1, 2)
     assert parse_expression("3/2", spec) == spec.constant(F(3, 2))
     assert parse_expression("-h^2/4", spec) == h * h * F(-1, 4)
+    assert parse_expression("h/(h-h+2)", spec) == h * F(1, 2)
 
 
 def test_precedence_and_unary(spec):
@@ -90,11 +95,20 @@ def test_division_by_nonconstant_rejected(spec):
         parse_expression("1/h", spec)
     with pytest.raises(ExprError):
         parse_expression("h/0", spec)
+    # a divisor is judged in the document's ring, so one whose bound exceeds
+    # the truncation is rejected even when its high terms cancel
+    for src in ("h/(1+h^3)", "h/(1+h^3-h^3)"):
+        with pytest.raises(ExprError):
+            parse_expression(src, spec)
 
 
 def test_weight_overflow_truncated(spec):
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning, match=r"^terms of weight above 2 truncated in 'h\^3'$"):
         assert parse_expression("h^3", spec).is_zero()
+    # the warning follows the weight bound: written high terms warn even if they cancel
+    for src in ("h^3 - h^3", "0*h^3"):
+        with pytest.warns(TruncationWarning):
+            assert parse_expression(src, spec).is_zero()
 
 
 def test_weight_cap_guard(spec):
@@ -102,6 +116,64 @@ def test_weight_cap_guard(spec):
         parse_expression("h^100000", spec)
     with pytest.raises(ExprError):
         parse_expression("(h^65)^64", spec)
+
+
+def _random_expression(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([str(rng.randint(0, 4)), rng.choice(names)])
+    op = rng.choice("+-*/^u")
+    a = _random_expression(rng, names, depth - 1)
+    if op == "^":
+        return f"({a})^{rng.randint(0, 3)}"
+    if op == "/":
+        return f"({a})/{rng.randint(1, 4)}"
+    if op == "u":
+        return f"-({a})"
+    return f"({a}){op}({_random_expression(rng, names, depth - 1)})"
+
+
+def test_truncating_as_it_goes_matches_truncating_the_exact_value():
+    rng = random.Random(7001)
+    alphabets = ((("h", 1),), (("c1", 1), ("c2", 2)), (("a", 1), ("b", 1), ("x", 3)))
+    for _ in range(400):
+        gens = rng.choice(alphabets)
+        src = _random_expression(rng, [name for name, _ in gens], 3)
+        wide = RingSpec(gens, WEIGHT_CAP)
+        exact = parse_expression(src, wide)
+        for trunc in (1, 2, 3, 5):
+            spec = RingSpec(gens, trunc)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = parse_expression(src, spec)
+            assert got == GradedElement(spec, exact.terms), src
+            if any(wide.weight_of(e) > trunc for e in exact.terms):
+                assert any(w.category is TruncationWarning for w in caught), src
+
+
+def test_parse_builds_no_second_ring(spec, monkeypatch):
+    built = []
+    post_init = RingSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    quad = RingSpec(tuple((name, 1) for name in "abcd"), 2)
+    monkeypatch.setattr(RingSpec, "__post_init__", counting)
+    with pytest.warns(TruncationWarning):
+        parse_expression("(1+h)^3", spec)
+    assert built == []
+    # large exponents stay cheap: every power is truncated at weight 2
+    with pytest.warns(TruncationWarning):
+        got = parse_expression("(1+2*h)^4000", spec)
+    assert got == spec.element({(0,): 1, (1,): 8000, (2,): 4 * comb(4000, 2)})
+    with pytest.warns(TruncationWarning):
+        assert parse_expression("(a+b+c+d)^60", quad).is_zero()
+    with pytest.warns(TruncationWarning):
+        got = parse_expression("(1+a+b+c+d)^60", quad)
+    s = sum((quad.gen(name) for name in "abcd"), quad.zero())
+    assert got == 1 + 60 * s + comb(60, 2) * s * s
+    assert built == []
 
 
 def test_load_warnings_surface_on_document():
@@ -134,6 +206,8 @@ def test_parse_monomial_key(surf):
         parse_monomial_key("2*c1", surf)
     with pytest.raises(ValueError):
         parse_monomial_key("c1+c2", surf)
+    with pytest.raises(ValueError, match="'c1\\^3' has weight above the truncation 2"):
+        parse_monomial_key("c1^3", surf)
 
 
 # -- documents -------------------------------------------------------------------

@@ -66,6 +66,8 @@ FAULTS = {
     "bounds-K-float": (T4, _with(("bounds", "K"), 100.0), "bounds.K"),
     "gammas-float": (("commutator",), {"curvature": {"gammas": [1.5, 2]}}, "curvature.gammas"),
     "fundamental-class-float": (GENUS, _with(("fundamental_class", "h^2"), 1.5), "fundamental_class.h^2"),
+    # a key above the truncation
+    "fundamental-class-above-truncation": (GENUS, _with(("fundamental_class",), {"h^3": "1"}), "fundamental_class.h^3"),
 }
 
 
