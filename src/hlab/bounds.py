@@ -11,18 +11,17 @@ in the primitive-bound interval, which are certified decimal enclosures.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, isqrt
 from typing import Mapping, Optional, Sequence, Union
 
 from .qpoly import QPoly
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Certified rational enclosure lo <= value <= hi."""
 
     lo: Fraction
@@ -249,8 +248,7 @@ def _refine(Q: QPoly, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fracti
     return (a, b)
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(Record):
     """Isolating intervals and certified magnitude bounds for real roots."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -302,8 +300,7 @@ def _sign_separated(Q: QPoly, interval):
 # -- theorem evaluators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsInput:
+class BoundsInput(Record):
     """Scalar inputs for the Euler-characteristic bound evaluators.
 
     K is the curvature scale (sec <= -K), C the commutator norm, c_n the
@@ -413,8 +410,7 @@ def e_theta_interval(b: BoundsInput, chi: int, eps: Fraction = Fraction(1, 10**1
     return lower, upper
 
 
-@dataclass(frozen=True)
-class T4ChainReport:
+class T4ChainReport(Record):
     """Trace of the floor(c_n K / nC) pipeline on a p-Hilbert polynomial."""
 
     p: int

@@ -187,7 +187,9 @@ def cmd_ineq(args):
 def cmd_commutator(args):
     from . import lefschetz
 
-    if args.gammas:
+    if args.gammas is not None:
+        if args.input:
+            raise DocumentError("--gammas and --input both give a curvature: give one")
         spec = parse_gammas(args.gammas.split(","), "--gammas")
         rep = Reporter("commutator", {"gammas": args.gammas}, args.output)
     else:

@@ -17,13 +17,20 @@ quotient by the monomials of weight above T, which commutes with every
 operation here.  A syntactic weight bound rides along with each value: a
 product or power whose bound exceeds max(WEIGHT_CAP, T) is rejected before
 any arithmetic, and one warning per parse fires when the whole bound exceeds T.
+Coefficients are capped too, at the bit size of an integer with as many
+digits as the interpreter converts to text (``sys.get_int_max_str_digits()``):
+a power ``a^k`` is rejected before it is computed when k times the largest
+numerator or denominator bit length in ``a`` exceeds that size, and a
+product when its result does.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ExprError
 from .ring import GradedElement, RingSpec
@@ -71,14 +78,28 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+@lru_cache(maxsize=None)
+def _bit_size(digits: int) -> int:
+    """The bit size of a ``digits``-digit integer."""
+    return (10**digits).bit_length()
+
+
+def _coefficient_bits(value: GradedElement) -> int:
+    """The largest numerator or denominator bit length among the coefficients."""
+    coeffs = value.terms.values()
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+
+
 class _Parser:
     """Evaluates in the target ring, tracking a syntactic weight bound that
-    caps the work and tells whether the truncation dropped anything."""
+    caps the work and tells whether the truncation dropped anything, and
+    capping the size of every coefficient."""
 
     def __init__(self, src: str, spec: RingSpec):
         self.src = src
         self.spec = spec
         self.cap = max(WEIGHT_CAP, spec.truncation)
+        self.max_bits = _bit_size(sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -97,6 +118,12 @@ class _Parser:
         if bound > self.cap:
             raise ExprError(f"expression weight bound {bound} exceeds the cap {self.cap}", where, self.src)
         return bound
+
+    def _size_guard(self, bits: int, where: int):
+        if bits > self.max_bits:
+            raise ExprError(
+                f"a coefficient of about {bits} bits exceeds the {self.max_bits}-bit limit", where, self.src
+            )
 
     def parse(self) -> tuple[GradedElement, int]:
         """The truncated value and the weight bound of the whole input."""
@@ -125,6 +152,7 @@ class _Parser:
             if op == "*":
                 bound = self._guard(bound + rbound, where)
                 value = value * rhs
+                self._size_guard(_coefficient_bits(value), where)
             else:
                 # exact: a bound <= T means nothing of the divisor was truncated
                 const = rhs.constant_term()
@@ -157,6 +185,7 @@ class _Parser:
             self.advance()
             k = int(text)
             bound = self._guard(bound * k, where)
+            self._size_guard(k * _coefficient_bits(value), where)
             return value**k, bound
         return value, bound
 

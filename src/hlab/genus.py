@@ -9,7 +9,6 @@ characteristic comes out an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
@@ -19,6 +18,7 @@ from typing import Mapping, Union
 from .bounds import is_integer_valued
 from .errors import IntegralityError, MissingChernNumber
 from .qpoly import QPoly
+from .record import Record
 from .ring import (
     GradedElement,
     RingSpec,
@@ -31,8 +31,7 @@ from .ring import (
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class FundamentalClass:
+class FundamentalClass(Record):
     """Linear functional on top-weight monomials: the integral over X."""
 
     spec: RingSpec
@@ -118,8 +117,7 @@ def integrate_product(a: GradedElement, b: GradedElement, fclass: FundamentalCla
     return _pair_top({e: Fraction(v, d) for e, v in top.items()}, fclass)
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(Record):
     """Complex dimension, Chern classes c_1..c_n of TX, and the integral."""
 
     n: int
@@ -176,12 +174,11 @@ class ManifoldData:
         return (spec.one(), *elementary_from_power_sums(q, self.n))
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """Rank and Chern classes c_1..c_r of a holomorphic bundle."""
 
     rank: int
-    chern: tuple[GradedElement, ...] = field(default_factory=tuple)
+    chern: tuple[GradedElement, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "chern", tuple(self.chern))

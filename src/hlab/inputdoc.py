@@ -15,7 +15,6 @@ import json
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, make_dataclass
 from fractions import Fraction
 from math import comb
 from reprlib import repr as _show
@@ -26,6 +25,7 @@ from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
 from .genus import BundleData, FundamentalClass, ManifoldData
 from .qpoly import QPoly
+from .record import Record
 from .ring import RingSpec
 
 if TYPE_CHECKING:  # the curvature readers import the operator engine when called
@@ -132,23 +132,26 @@ _BOUNDS_READERS = {
     "n": _dimension, "p": _integer, "chi": _integer, "chi_p": _rationals, "hilbert": _hilbert,
     **dict.fromkeys(("K", "C", "c_n", "a_n", "c1sq_L"), _rational),
 }
-BoundsSection = make_dataclass(
-    "BoundsSection", [(key, Any, 0 if key == "p" else None) for key in _BOUNDS_READERS], frozen=True
-)
+BoundsSection = type("BoundsSection", (Record,), {
+    "__module__": __name__,
+    "__annotations__": dict.fromkeys(_BOUNDS_READERS, "Any"),
+    **dict.fromkeys(_BOUNDS_READERS),
+    "p": 0,
+})
 
 
-@dataclass
 class InputDocument:
     """Parsed engine inputs plus the raw tree they came from."""
 
-    raw: dict
-    spec: Optional[RingSpec] = None
-    manifold: Optional[ManifoldData] = None
-    bundle: Optional[BundleData] = None
-    line_bundle: Optional[BundleData] = None
-    curvature: Optional[CurvatureSpec] = None
-    bounds: Optional[BoundsSection] = None
-    load_warnings: list[str] = field(default_factory=list)
+    def __init__(self, raw: dict):
+        self.raw = raw
+        self.spec: Optional[RingSpec] = None
+        self.manifold: Optional[ManifoldData] = None
+        self.bundle: Optional[BundleData] = None
+        self.line_bundle: Optional[BundleData] = None
+        self.curvature: Optional[CurvatureSpec] = None
+        self.bounds: Optional[BoundsSection] = None
+        self.load_warnings: list[str] = []
 
     def require(self, name: str):
         value = getattr(self, name)

@@ -14,7 +14,6 @@ The ambient dimension is capped (the space has dimension 4^n r).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import copysign, factorial, isfinite, lcm, nan, sqrt
@@ -22,6 +21,7 @@ from typing import Mapping, Sequence, Union
 
 from .bounds import Interval
 from .errors import CertificateError
+from .record import Record
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 
@@ -438,8 +438,7 @@ def sl2_commutator_check(n: int, r: int = 1) -> bool:
 # -- curvature ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalCurvature:
+class DiagonalCurvature(Record):
     """iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j for a line bundle (r = 1)."""
 
     gammas: tuple[Fraction, ...]
@@ -461,8 +460,7 @@ class DiagonalCurvature:
         return DiagonalCurvature(tuple(g * Fraction(m) for g in self.gammas))
 
 
-@dataclass(frozen=True)
-class HermitianCurvature:
+class HermitianCurvature(Record):
     """iTheta(E) = i sum_{j,k} theta[j][k] xi_j ^ xibar_k, theta[j][k] r x r.
 
     Hermitian symmetry theta[j][k] = theta[k][j]^dagger is validated.
@@ -577,8 +575,7 @@ def diagonal_commutator_eigenvalues(
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorNorm:
+class CommutatorNorm(Record):
     """C = |[Lambda, iTheta(E)]| together with the per-bidegree table."""
 
     value: Union[Fraction, Interval]
@@ -823,8 +820,7 @@ def int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class LefschetzPower:
+class LefschetzPower(Record):
     """Result of analysing L^{n-k} from k-forms to (2n-k)-forms."""
 
     k: int

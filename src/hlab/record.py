@@ -1,0 +1,75 @@
+"""Immutable value records: the one base class of hlab's result and input types.
+
+A subclass lists its fields as class annotations, optionally with a default:
+
+    class Interval(Record):
+        lo: Fraction
+        hi: Fraction
+
+and gets a constructor taking them positionally or by keyword (then calling
+``__post_init__``, if defined, which may normalise a field through
+``object.__setattr__``), frozen attributes, ``==`` and ``hash`` over the
+field values, and the repr ``Interval(lo=..., hi=...)``.  A
+``functools.cached_property`` member lives in the instance ``__dict__`` and
+takes no part in equality or hashing.
+
+It reads the annotations once per class and generates no code, so importing
+a module of records costs no more than defining its classes.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields]
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments but {len(args)} were given")
+        values = dict(zip(self._fields, args))
+        for key, value in kwargs.items():
+            if key not in self._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        for key in self._fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{name}() missing required argument {key!r}")
+                values[key] = self._defaults[key]
+        self.__dict__.update(values)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[key] for key in self._fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={self.__dict__[key]!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"

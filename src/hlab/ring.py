@@ -9,12 +9,13 @@ product on cohomology with all relations above degree 2n collapsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
+
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -23,8 +24,7 @@ class SpecMismatch(ValueError):
     """Raised when two elements from different rings are combined."""
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     """Generator alphabet and truncation weight of a graded ring.
 
     ``generators`` is an ordered tuple of ``(name, weight)`` pairs;

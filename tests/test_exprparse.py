@@ -118,6 +118,15 @@ def test_weight_cap_guard(spec):
         parse_expression("(h^65)^64", spec)
 
 
+def test_coefficient_size_guard(spec):
+    # a constant base has weight bound 0, so the weight cap never limits it
+    for src in ("3^10000*h", "((2^4096)^4096)^4096", "(3^4000)*(3^4000)*(3^4000)", "10^4000", "h/3^10000"):
+        with pytest.raises(ExprError, match="bit limit"):
+            parse_expression(src, spec)
+    assert parse_expression("3^7000", spec) == 3**7000
+    assert parse_expression("1/2^7000*h", spec) == F(1, 2**7000) * spec.gen("h")
+
+
 def _random_expression(rng, names, depth):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([str(rng.randint(0, 4)), rng.choice(names)])

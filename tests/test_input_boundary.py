@@ -3,6 +3,7 @@ that names its JSON path, literals are never coerced, and a failed internal
 certificate has its own exit code (3)."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,8 @@ FAULTS = {
     "fundamental-class-float": (GENUS, _with(("fundamental_class", "h^2"), 1.5), "fundamental_class.h^2"),
     # a key above the truncation
     "fundamental-class-above-truncation": (GENUS, _with(("fundamental_class",), {"h^3": "1"}), "fundamental_class.h^3"),
+    # computed, then failed to print (exit 1)
+    "constant-too-large": (GENUS, _with(("bundle", "chern", "c1"), "3^10000*h"), "bundle.chern.c1"),
 }
 
 
@@ -81,6 +84,18 @@ def test_input_fault_exits_2_naming_its_path(capsys, tmp_path, argv, tree, path)
     assert err.startswith("input error: ")
     assert path in err
     assert "Traceback" not in err
+
+
+def test_huge_constant_is_refused_before_it_is_computed(capsys, tmp_path):
+    # 2^(4096^3) would take about 8.6 GB
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(_with(("bundle", "chern", "c1"), "((2^4096)^4096)^4096")))
+    start = time.perf_counter()
+    code = main(["genus", "--input", str(doc)])
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("input error: bundle.chern.c1: ")
 
 
 @pytest.mark.parametrize("literal", [1.5, "1e3", True, " 1/2x", "1.5", " 2", "+2", "1/-2", "1_000", None, ["1"]])
@@ -150,6 +165,25 @@ FLAG_FAULTS = {
 def test_flag_fault_exits_2_naming_the_flag(capsys, tmp_path, argv, named):
     doc = [] if argv[0] == "fixture" else ["--input", _cp4_bounds(tmp_path, p=7)]
     code = main([*argv, *doc])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"input error: {named}")
+    assert "Traceback" not in err
+
+
+# (argv, whether a curvature document is also given, what the error must name);
+# fell through to the document path, or silently ignored the document
+COMMUTATOR_FLAG_FAULTS = {
+    "empty-gammas": (("commutator", "--gammas="), False, "--gammas"),
+    "gammas-and-input": (("commutator", "--gammas=1,2"), True, "--gammas and --input"),
+}
+
+
+@pytest.mark.parametrize("argv,with_input,named", list(COMMUTATOR_FLAG_FAULTS.values()), ids=list(COMMUTATOR_FLAG_FAULTS))
+def test_commutator_flag_fault_exits_2_naming_the_flag(capsys, tmp_path, argv, with_input, named):
+    doc = tmp_path / "curvature.json"
+    doc.write_text(json.dumps({"curvature": {"gammas": ["1", "3"]}}))
+    code = main([*argv, *(["--input", str(doc)] if with_input else [])])
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"input error: {named}")

@@ -1,0 +1,94 @@
+"""``hlab.record.Record``: the value semantics every record type relies on."""
+
+from fractions import Fraction
+
+import pytest
+
+from hlab.bounds import BoundsInput, Interval
+from hlab.genus import BundleData, projective_space
+from hlab.inputdoc import BoundsSection
+from hlab.record import Record
+from hlab.ring import RingSpec
+
+F = Fraction
+
+
+def test_equality_and_hash_use_the_fields_only():
+    a, b = RingSpec((("h", 1),), 2), RingSpec((("h", 1),), 2)
+    assert a.names == ("h",)  # fills a's cache, not b's
+    assert a == b and hash(a) == hash(b)
+    assert a != RingSpec((("h", 1),), 3)
+    (x, _), (y, _) = projective_space(2), projective_space(2)
+    assert x.td is not None  # fills x's cached Todd class, not y's
+    assert "td" in vars(x) and "td" not in vars(y)
+    assert x == y
+    assert hash(Interval(1, 2)) == hash((F(1), F(2)))
+
+
+def test_records_of_different_classes_are_unequal():
+    class Pair(Record):
+        lo: Fraction
+        hi: Fraction
+
+    assert Pair(1, 2) != Interval(1, 2)
+    assert Interval(1, 2) != (F(1), F(2))
+
+
+def test_fields_are_frozen():
+    iv = Interval(1, 2)
+    with pytest.raises(AttributeError):
+        iv.lo = F(0)
+    with pytest.raises(AttributeError):
+        del iv.hi
+    with pytest.raises(AttributeError):
+        BoundsSection().p = 1
+    assert iv == Interval(1, 2)
+
+
+def test_repr_is_name_and_fields():
+    assert repr(Interval(F(1, 2), 1)) == "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))"
+    assert repr(BundleData(2)) == "BundleData(rank=2, chern=())"
+    assert repr(BoundsSection(K=F(3))).startswith("BoundsSection(n=None, p=0, chi=None, ")
+
+
+def test_defaults():
+    assert BundleData(1) == BundleData(1, ()) == BundleData(rank=1)
+    b = BoundsInput(2, 1, 1, 1)
+    assert (b.a_n, b.chi_p, b.hilbert) == (None, None, None)
+    assert BoundsInput(2, 1, 1, 1, chi_p=[1, 0, 1]).chi_p == (1, 0, 1)
+    assert BoundsSection().p == 0 and BoundsSection().K is None
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        ((1,), {}, "missing required argument 'hi'"),
+        ((1, 2, 3), {}, "takes 2 arguments but 3 were given"),
+        ((1, 2), {"mid": 1}, "unexpected keyword argument 'mid'"),
+        ((1,), {"lo": 1}, "multiple values for argument 'lo'"),
+    ],
+)
+def test_bad_arguments_raise_type_error(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Interval(*args, **kwargs)
+
+
+def test_post_init_validates_and_normalises():
+    with pytest.raises(ValueError, match="empty enclosure"):
+        Interval(2, 1)
+    iv = Interval(lo=1, hi=2)
+    assert type(iv.lo) is Fraction and iv.width == 1
+    with pytest.raises(ValueError, match="rank must be positive"):
+        BundleData(0)
+
+
+def test_subclass_fields_extend_the_base():
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    class Labelled(Point):
+        label: str = ""
+
+    assert Labelled._fields == ("x", "y", "label")
+    assert repr(Labelled(1, label="a")).endswith("Labelled(x=1, y=0, label='a')")

@@ -40,3 +40,22 @@ def test_library_has_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not offenders, offenders
+
+
+def test_library_does_not_import_dataclasses():
+    """``dataclasses`` loads ``inspect`` and compiles generated methods at
+    import time, a cost every cold-started job pays; records derive from
+    ``hlab.record.Record`` instead."""
+    offenders = []
+    for path in sorted(Path(hlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
