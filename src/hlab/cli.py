@@ -43,7 +43,13 @@ class Reporter:
         self.warnings: list[str] = list(warnings)
 
     def add(self, key: str, value):
-        self.results[key] = _plain(value)
+        try:
+            self.results[key] = _plain(value)
+        except ValueError:  # str() of an integer longer than the interpreter's limit
+            raise DocumentError(
+                f"result {key!r} holds a number of more than {sys.get_int_max_str_digits()} digits, "
+                "too long to print: the document's coefficients are too large"
+            ) from None
 
     def warn(self, message: str):
         self.warnings.append(message)
@@ -66,7 +72,11 @@ class Reporter:
 
 
 def _plain(value):
-    """Make values JSON-representable without floats: rationals as strings."""
+    """Make values JSON-representable without floats: rationals as strings.
+
+    Every number becomes text here, so one that is too long to print raises
+    ValueError here and not while the report is written.
+    """
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Interval):
@@ -74,6 +84,7 @@ def _plain(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
+        str(value)  # the check: raises ValueError past the digit limit
         return value
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -179,7 +190,7 @@ def cmd_ineq(args):
     rows = []
     for j in js:
         holds, lhs, rhs = genus.chern_inequality_check(x, e, j)
-        rows.append({"j": j, "lhs": str(lhs), "rhs": str(rhs), "holds": holds})
+        rows.append({"j": j, "lhs": lhs, "rhs": rhs, "holds": holds})
     rep.add("inequalities", rows)
     rep.emit()
 

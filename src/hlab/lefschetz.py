@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, factorial, isfinite, lcm, nan, sqrt
+from math import copysign, factorial, gcd, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
 from .bounds import Interval
@@ -29,72 +29,99 @@ Scalar = Union[int, Fraction]
 
 
 class CQ:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex rational (a + b i) / d over the Gaussian integers.
 
-    __slots__ = ("re", "im")
+    a, b, d are ints with d > 0 and gcd(a, b, d) = 1, a canonical form, so
+    equality compares fields.  Arithmetic takes a gcd only when d != 1; the
+    entries of L, Lambda and star and all their products have d = 1.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Scalar = 0, im: Scalar = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # with d the lcm of the reduced denominators, gcd(a, b, d) = 1
+            d = self.d = lcm(re.denominator, im.denominator)
+            self.a = re.numerator * (d // re.denominator)
+            self.b = im.numerator * (d // im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = _as_cq(other)
-        return CQ(self.re + other.re, self.im + other.im)
+        o = _as_cq(other)
+        if self.d == 1 == o.d:
+            return _cq(self.a + o.a, self.b + o.b, 1)
+        return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CQ(-self.re, -self.im)
+        return _cq(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _as_cq(other)
-        return CQ(self.re - other.re, self.im - other.im)
+        return self + -_as_cq(other)
 
     def __rsub__(self, other):
         return _as_cq(other) - self
 
     def __mul__(self, other):
-        other = _as_cq(other)
-        return CQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        o = _as_cq(other)
+        a, b = self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a
+        if self.d == 1 == o.d:
+            return _cq(a, b, 1)
+        return _reduced(a, b, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_cq(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        o = _as_cq(other)
+        norm = o.a * o.a + o.b * o.b
+        if not norm:
             raise ZeroDivisionError("complex division by zero")
-        return CQ(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+        # (a + b i) o.d (o.a - o.b i) / (d |o.a + o.b i|^2)
+        return _reduced(
+            (self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d, self.d * norm
         )
 
     def conj(self) -> "CQ":
-        return CQ(self.re, -self.im)
+        return _cq(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        other = _as_cq(other)
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, CQ):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        if not self.b:
+            return hash(self.a if self.d == 1 else Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
 def _as_cq(x) -> CQ:
@@ -103,6 +130,19 @@ def _as_cq(x) -> CQ:
     if isinstance(x, (int, Fraction)):
         return CQ(x)
     raise TypeError(f"cannot coerce {x!r} to a complex rational")
+
+
+def _cq(a: int, b: int, d: int) -> CQ:
+    """(a + b i) / d, already in canonical form."""
+    z = object.__new__(CQ)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> CQ:
+    """(a + b i) / d for d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    return _cq(a // g, b // g, d // g)
 
 
 CQ_ZERO = CQ(0)
@@ -248,10 +288,7 @@ class Operator:
 
     def __init__(self, basis: ExteriorBasis, cols: Mapping[int, Mapping[int, CQ]]):
         self.basis = basis
-        self.cols = {
-            c: {r: v for r, v in col.items() if v} for c, col in cols.items() if col
-        }
-        self.cols = {c: col for c, col in self.cols.items() if col}
+        self.cols = {c: kept for c, col in cols.items() if (kept := {r: v for r, v in col.items() if v})}
 
     def _check(self, other: "Operator"):
         if self.basis != other.basis:
@@ -419,8 +456,12 @@ def star_identities(n: int, r: int = 1) -> tuple[bool, bool]:
     return unitary, inv.compose(op_L(n, r)).compose(star) == op_Lambda(n, r)
 
 
+@lru_cache(maxsize=None)
 def sl2_commutator_check(n: int, r: int = 1) -> bool:
-    """True iff [Lambda, L] acts as (n-k) id on every k-form, exactly."""
+    """True iff [Lambda, L] acts as (n-k) id on every k-form, exactly.
+
+    Cached per (n, r), like the operators; :func:`injectivity_scan` rests on it.
+    """
     basis = get_basis(n, r)
     H = op_Lambda(n, r).commutator(op_L(n, r))
     for idx in range(basis.dim):
@@ -575,6 +616,25 @@ def diagonal_commutator_eigenvalues(
     return out
 
 
+def _diagonal_table(spec: DiagonalCurvature) -> dict[tuple[int, int], Fraction]:
+    """C_{p,q} = max |gamma_J + gamma_K - sum gamma| over |J| = p, |K| = q.
+
+    The eigenvalue is a sum of a p-subset sum and a q-subset sum less a
+    constant, so its extremes are the sums of the extremes: the p largest
+    and the p smallest gammas give max and min S_p, and the largest |x|
+    on [min, max] sits at an end.  No 4^n enumeration.
+    """
+    n, g = spec.n, sorted(spec.gammas)
+    total = sum(g, Fraction(0))
+    low = [sum(g[:p], Fraction(0)) for p in range(n + 1)]
+    high = [sum(g[n - p :], Fraction(0)) for p in range(n + 1)]
+    return {
+        (p, q): max(abs(high[p] + high[q] - total), abs(low[p] + low[q] - total))
+        for p in range(n + 1)
+        for q in range(n + 1)
+    }
+
+
 class CommutatorNorm(Record):
     """C = |[Lambda, iTheta(E)]| together with the per-bidegree table."""
 
@@ -586,7 +646,8 @@ class CommutatorNorm(Record):
 def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) -> CommutatorNorm:
     """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
 
-    Diagonal specs are handled exactly through the eigenvalue enumeration.
+    Diagonal specs are handled exactly through the closed form of the
+    eigenvalues (:func:`_diagonal_table`).
     Hermitian specs get a certified rational enclosure of width at most tol
     on each bidegree block T: ||T|| < h holds exactly when h I - T and
     h I + T are both positive definite, which Sylvester's criterion decides
@@ -595,11 +656,7 @@ def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) ->
     the two ends; exact bisection takes over where a proposal is refuted.
     """
     if isinstance(spec, DiagonalCurvature):
-        eigs = diagonal_commutator_eigenvalues(spec)
-        table: dict[tuple[int, int], Fraction] = {}
-        for (J, K), val in eigs.items():
-            key = (len(J), len(K))
-            table[key] = max(table.get(key, Fraction(0)), abs(val))
+        table = _diagonal_table(spec)
         return CommutatorNorm(max(table.values()), table, exact=True)
 
     n, r = spec.n, spec.r
@@ -627,9 +684,9 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:
     if all(not v for row in block for v in row):
         return Interval(Fraction(0), Fraction(0))
     # T = (re + i im) / scale with Gaussian-integer entries
-    scale = lcm(*(x.denominator for row in block for v in row for x in (v.re, v.im)))
-    re = [[int(v.re * scale) for v in row] for row in block]
-    im = [[int(v.im * scale) for v in row] for row in block]
+    scale = lcm(*(v.d for row in block for v in row))
+    re = [[v.a * (scale // v.d) for v in row] for row in block]
+    im = [[v.b * (scale // v.d) for v in row] for row in block]
     lo = Fraction(0)
     hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
     guess = _float_extreme_eigenvalue(block)
@@ -706,7 +763,7 @@ def _float_extreme_eigenvalue(block: list[list[CQ]]) -> float:
     Jacobi in floats.  Only a proposal: the caller certifies it exactly,
     and bisects when the proposal is refuted or not finite."""
     try:
-        A = [[complex(float(v.re), float(v.im)) for v in row] for row in block]
+        A = [[complex(v.a / v.d, v.b / v.d) for v in row] for row in block]
     except OverflowError:
         return nan
     d = len(A)
@@ -786,11 +843,11 @@ def cq_rank(rows: list[list[CQ]]) -> int:
 
 
 def _strip_phase(value: CQ, phase: CQ) -> int:
-    """value / phase, which must be an integer: the entry carries the unit phase."""
-    w = value / phase
-    if w.im != 0 or w.re.denominator != 1:
+    """value / phase = value conj(phase) for a unit phase; it must be an integer."""
+    w = value * phase.conj()
+    if w.b or w.d != 1:
         raise CertificateError("entries do not share the expected phase")
-    return int(w.re)
+    return w.a
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -873,8 +930,10 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
     integer eigenvector (an L-power of a disjoint-index monomial, which
     is primitive).  All candidates are positive, so the identity also
     certifies that B is nonsingular, i.e. that L^{n-k} is bijective onto
-    the (2n-k)-forms; small cases are cross-checked by a rank
-    computation.  The returned enclosures are degenerate (exact).
+    the (2n-k)-forms; up to 256 columns this is cross-checked by exact
+    ranks, one per bidegree block (L^{n-k} maps Lambda^{p,q} into
+    Lambda^{p+n-k,q+n-k} only, so the block ranks add up to the rank).
+    The returned enclosures are degenerate (exact).
     """
     if not 0 <= k <= n:
         raise ValueError(f"k = {k} outside [0, {n}]")
@@ -882,8 +941,12 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
     if k == n:
         one = Interval(Fraction(1), Fraction(1))
         return LefschetzPower(k, True, one, one, (Fraction(1),))
-    M_op = op_L(n, r).power(n - k)
+    M_op = _L_power(n, r, n - k)
     phase = i_power(n - k)
+    src_all = basis.by_degree(k)
+    bijective = len(src_all) == len(basis.by_degree(2 * n - k))  # plus nonsingular B, certified below
+    cross_check = bijective and len(src_all) <= 256
+    rank = 0
     sigmas: set[Fraction] = set()
     for p in range(min(k, n) + 1):
         q = k - p
@@ -900,12 +963,10 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
         for j, sigma in candidates:
             _certify_eigenvector(basis, sparse, src, n, r, p, q, j, int(sigma * sigma))
             sigmas.add(sigma)
-    src_all = basis.by_degree(k)
-    dst_all = basis.by_degree(2 * n - k)
-    bijective = len(src_all) == len(dst_all)  # plus nonsingular B, certified above
-    if bijective and len(src_all) <= 256:
-        if int_rank(_SparseIntMap(M_op, src_all, dst_all, phase).dense()) != len(src_all):
-            raise CertificateError("rank cross-check contradicts the spectral certificate")
+        if cross_check:
+            rank += int_rank(sparse.dense())
+    if cross_check and rank != len(src_all):
+        raise CertificateError("rank cross-check contradicts the spectral certificate")
     lo, hi = min(sigmas), max(sigmas)
     return LefschetzPower(
         k,
@@ -914,6 +975,12 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
         Interval(hi, hi),
         tuple(sorted(sigmas)),
     )
+
+
+@lru_cache(maxsize=None)
+def _L_power(n: int, r: int, j: int) -> Operator:
+    """L^j = L o L^{j-1}, each power built once per (n, r)."""
+    return identity_operator(get_basis(n, r)) if j == 0 else op_L(n, r).compose(_L_power(n, r, j - 1))
 
 
 def _certify_block_annihilator(sparse: _SparseIntMap, eigen_candidates: list[int]):
@@ -963,14 +1030,18 @@ def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
 
 
 def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
-    """Exact kernel test of L: Lambda^{p,q} -> Lambda^{p+1,q+1} for every (p,q)."""
-    basis = get_basis(n, r)
-    L = op_L(n, r)
-    out = {}
-    for (p, q), src in basis.by_bidegree.items():
-        dst = basis.by_bidegree.get((p + 1, q + 1), [])
-        if not dst:
-            out[(p, q)] = False
-            continue
-        out[(p, q)] = int_rank(_SparseIntMap(L, src, dst, CQ_I).dense()) == len(src)
-    return out
+    """Whether L: Lambda^{p,q} -> Lambda^{p+1,q+1} is injective, for every (p,q).
+
+    A certificate from the sl(2) identity, no rank.  Lambda = L* by
+    definition (:func:`op_Lambda`), and :func:`sl2_commutator_check` proves
+    [Lambda, L] = (n-p-q) id on Lambda^{p,q} exactly; it must hold in this
+    process, else CertificateError.  If Lv = 0 then
+    0 = <[Lambda, L] v, v> + |Lambda v|^2 = (n-p-q)|v|^2 + |Lambda v|^2,
+    so v = 0 whenever p+q < n.  When p+q >= n, either p = n or q = n and
+    the target is 0, or dim Lambda^{p+1,q+1} / dim Lambda^{p,q} =
+    (n-p)(n-q) / ((p+1)(q+1)) <= pq / ((p+1)(q+1)) < 1.  So L is injective
+    on (p,q) exactly when p+q < n.
+    """
+    if not sl2_commutator_check(n, r):
+        raise CertificateError("[Lambda, L] is not (n-k) id; no injectivity certificate")
+    return {(p, q): p + q < n for p, q in get_basis(n, r).by_bidegree}

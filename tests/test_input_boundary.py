@@ -98,6 +98,30 @@ def test_huge_constant_is_refused_before_it_is_computed(capsys, tmp_path):
     assert err.startswith("input error: bundle.chern.c1: ")
 
 
+# (document, command, the result that cannot be printed); exited 1 as an
+# "engine error" from str() of an integer past the interpreter's digit limit
+TOO_LONG = {
+    "cp2-genus": (2, "3^7000*h", ("genus",), "'ch'"),
+    "cp12-genus": (12, "10^3500*h", ("genus",), "'ch'"),
+    "cp2-ineq": (2, "3^7000*h", ("ineq",), "'inequalities'"),
+}
+
+
+@pytest.mark.parametrize("n,c1,argv,key", list(TOO_LONG.values()), ids=list(TOO_LONG))
+def test_result_too_long_to_print_exits_2(capsys, tmp_path, n, c1, argv, key):
+    tree = cp_fixture(n)
+    tree["bundle"]["chern"]["c1"] = c1
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(tree))
+    for output in ("machine", "text"):
+        code = main([*argv, "--input", str(doc), "--output", output])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert err.startswith(f"input error: result {key} ")
+        assert "coefficients are too large" in err
+        assert out == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("literal", [1.5, "1e3", True, " 1/2x", "1.5", " 2", "+2", "1/-2", "1_000", None, ["1"]])
 def test_rational_literals_are_strict(literal):
     with pytest.raises(ExprError, match="bad rational literal"):

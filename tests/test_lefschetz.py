@@ -4,12 +4,15 @@ import math
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import hlab.lefschetz as lefschetz
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
+from hlab.errors import CertificateError
 from hlab.fixtures import rotated_split_curvature
+from hlab.selfcheck import injectivity_by_rank
 from hlab.lefschetz import (
     CQ,
     CQ_I,
@@ -43,6 +46,81 @@ def _random_vector(rng, basis):
         terms[idx] = CQ(F(rng.randint(-5, 5), rng.randint(1, 3)),
                         F(rng.randint(-5, 5), rng.randint(1, 3)))
     return FormVector(basis, terms)
+
+
+# -- CQ on the Gaussian integers ---------------------------------------------------
+
+
+def _reference_repr(re, im):
+    """The repr of the (re, im) Fraction pair CQ was stored as before."""
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def _same(z, re, im):
+    """z equals the reference pair (re, im) and is stored in canonical form."""
+    assert (z.re, z.im) == (re, im)
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert z == CQ(re, im) and hash(z) == hash(CQ(re, im))
+    assert repr(z) == _reference_repr(re, im)
+    assert bool(z) == bool(re or im)
+    if not im:
+        assert z == re and hash(z) == hash(re) and re == z
+    else:
+        assert z != re
+
+
+def test_cq_arithmetic_matches_a_fraction_pair_reference():
+    rng = random.Random(20261018)
+
+    def draw():
+        return tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(2))
+
+    for _ in range(500):
+        (xr, xi), (yr, yi) = draw(), draw()
+        x, y = CQ(xr, xi), CQ(yr, yi)
+        _same(x, xr, xi)
+        _same(x + y, xr + yr, xi + yi)
+        _same(x - y, xr - yr, xi - yi)
+        _same(x * y, xr * yr - xi * yi, xr * yi + xi * yr)
+        _same(-x, -xr, -xi)
+        _same(x.conj(), xr, -xi)
+        assert x.abs2() == xr * xr + xi * xi and type(x.abs2()) is F
+        if yr or yi:
+            den = yr * yr + yi * yi
+            _same(x / y, (xr * yr + xi * yi) / den, (xi * yr - xr * yi) / den)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        # mixed with int and Fraction operands, on either side
+        _same(x + 1, xr + 1, xi)
+        _same(1 - x, 1 - xr, -xi)
+        _same(yr * x, yr * xr, yr * xi)
+        _same(x - yr, xr - yr, xi)
+        assert (x == y) == ((xr, xi) == (yr, yi))
+    # non-unit denominators that cancel back to d = 1
+    half = CQ(F(1, 2), F(1, 2))
+    for z, want in ((half + half.conj(), CQ(1)), (half * 2, CQ(1, 1)), (half * half.conj(), CQ(F(1, 2))),
+                    (CQ(F(3, 4), F(-5, 6)) * 12, CQ(9, -10)), (CQ(F(2, 3)) / CQ(F(2, 3)), CQ_ONE)):
+        assert (z.a, z.b, z.d) == (want.a, want.b, want.d)
+    assert (CQ(F(6, 4), F(1, 6)).a, CQ(F(6, 4), F(1, 6)).b, CQ(F(6, 4), F(1, 6)).d) == (9, 1, 6)
+
+
+def test_real_cq_hashes_like_the_number_it_equals():
+    assert CQ(1) == 1 and hash(CQ(1)) == hash(1)
+    assert CQ(1) in {1} and 1 in {CQ(1)}
+    assert CQ(F(3, 2)) in {F(3, 2)} and CQ(-7) in {-7: "x"}
+    assert CQ(0, 1) not in {1, 0}
+
+
+def test_cq_compares_unequal_to_a_non_number():
+    assert CQ(1) in [None, 1]
+    assert (CQ(1) == None) is False and CQ(1) != None  # noqa: E711
+    assert CQ(1) != "1" and CQ(0) != 0.0j
+    assert CQ(F(1, 2)).__eq__(object()) is NotImplemented
 
 
 # -- L and Lambda ----------------------------------------------------------------
@@ -250,6 +328,18 @@ def test_injectivity_n2_examples():
     assert not scan[(1, 1)]
 
 
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (1, 2)])
+def test_injectivity_certificate_matches_exact_ranks(n, r):
+    # the reference computes int_rank of every L block
+    assert injectivity_scan(n, r) == injectivity_by_rank(n, r)
+
+
+def test_injectivity_certificate_needs_the_sl2_identity(monkeypatch):
+    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: False)
+    with pytest.raises(CertificateError):
+        injectivity_scan(2, 1)
+
+
 # -- curvature --------------------------------------------------------------------
 
 
@@ -298,6 +388,29 @@ def test_commutator_closed_form_vs_matrix(n):
         # flatness-lemma lower bound and triangle upper bound
         assert max(abs(g) for g in gammas) <= norm.value
         assert norm.value <= sum(abs(g) for g in gammas)
+
+
+def _gamma_draws(rng, n):
+    """Seeded gammas with zeros and repeated values among them."""
+    draws = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(4)]
+    g = draws[0]
+    draws += [(F(0),) * n, (g[0],) * n, (g[0], F(0)) * (n // 2) + g[: n % 2], tuple(sorted(g * 2)[:n])]
+    return draws
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_diagonal_table_closed_form_matches_enumeration(n):
+    rng = random.Random(800 + n)
+    for gammas in _gamma_draws(rng, n):
+        spec = DiagonalCurvature(gammas)
+        want: dict = {}
+        for (J, K), ev in diagonal_commutator_eigenvalues(spec).items():
+            key = (len(J), len(K))
+            want[key] = max(want.get(key, F(0)), abs(ev))
+        norm = commutator_norm(spec)
+        assert norm.table == want, gammas
+        assert norm.value == max(want.values())
+        assert all(type(v) is F for v in norm.table.values())
 
 
 def test_commutator_norm_homogeneous():
