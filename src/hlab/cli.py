@@ -2,11 +2,15 @@
 
     hlab <subcommand> [--input FILE] [--output text|machine] [flags]
 
+One command table (``build_parser``) gives each subcommand its handler,
+help line, typed flags and positionals.  A flag is spelled in full, at most
+once, as ``--flag value`` or ``--flag=value``; ``--help`` lists them.
+
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
 fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
-them.  All numeric output is exact rational text except the explicitly
-marked enclosures.
+them, usage errors included.  All numeric output is exact rational text
+except the explicitly marked enclosures.
 
 Importing this module loads the input boundary and the HRR and bounds
 engines only: the operator engine (``lefschetz``) is imported by the
@@ -15,11 +19,11 @@ commands that run it, and the self-check suite by ``verify``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import genus
 from .bounds import Interval, bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
@@ -128,7 +132,7 @@ def _flat_str(value):
 
 
 def _doc_from_args(args):
-    if getattr(args, "input", None):
+    if args.input:
         return load_file(args.input)
     return load_document({})
 
@@ -330,8 +334,6 @@ def cmd_verify(args):
 
 
 def cmd_fixture(args):
-    if args.kind != "cp":
-        raise DocumentError(f"unknown fixture kind {args.kind!r}")
     tree = cp_fixture(args.n)
     text = json.dumps(tree, indent=2, sort_keys=True)
     if args.out:
@@ -348,83 +350,115 @@ def cmd_fixture(args):
 # -- dispatcher -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hlab",
-        description="Exact characteristic-class invariants, Lefschetz operator "
-        "models and Euler-characteristic bounds.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+OUTPUT = {"--output": (("text", "machine"), "text")}
+DOCUMENT = {"--input": (str, None), **OUTPUT}
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="JSON input document")
-        p.add_argument(
-            "--output", choices=("text", "machine"), default="text",
-            help="report format (machine = JSON)",
-        )
 
-    p = sub.add_parser("genus", help="Todd class, Chern character, chi_y, chi^p")
-    common(p)
-    p.set_defaults(fn=cmd_genus)
+def build_parser() -> dict:
+    """The command table: subcommand -> (handler, help, flags, positionals).
 
-    p = sub.add_parser("kcoeffs", help="Taylor coefficients of chi_y at y = -1")
-    common(p)
-    p.set_defaults(fn=cmd_kcoeffs)
+    ``flags`` maps each flag to (type, default), where the type is ``int``,
+    ``str`` or a tuple of choices and a default of ``...`` makes the flag
+    required; ``positionals`` lists (name, type) pairs in order.
+    """
+    which = ("t2", "t4", "t5", "c1", "etheta", "t4chain")
+    return {
+        "genus": (cmd_genus, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
+        "kcoeffs": (cmd_kcoeffs, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
+        "hilbert": (cmd_hilbert, "p-Hilbert polynomial of the line bundle", {**DOCUMENT, "--p": (int, 0)}, ()),
+        "ineq": (cmd_ineq, "Chern number inequality checker", {**DOCUMENT, "--j": (int, None)}, ()),
+        "commutator": (
+            cmd_commutator, "C = |[Lambda, iTheta]| and C_pq table", {**DOCUMENT, "--gammas": (str, None)}, ()
+        ),
+        "lefschetz-check": (
+            cmd_lefschetz_check, "sl2 / star / injectivity / power scans",
+            {**OUTPUT, "--n": (int, ...), "--r": (int, 1)}, (),
+        ),
+        "bounds": (cmd_bounds, "Euler-characteristic bound evaluators", {**DOCUMENT, "--which": (which, ...)}, ()),
+        "verify": (cmd_verify, "run the built-in property suites", {}, ()),
+        "fixture": (cmd_fixture, "emit a builtin input document", {"--out": (str, None)}, (("KIND", ("cp",)), ("N", int))),
+    }
 
-    p = sub.add_parser("hilbert", help="p-Hilbert polynomial of the line bundle")
-    common(p)
-    p.add_argument("--p", type=int, default=0)
-    p.set_defaults(fn=cmd_hilbert)
 
-    p = sub.add_parser("ineq", help="Chern number inequality checker")
-    common(p)
-    p.add_argument("--j", type=int, default=None)
-    p.set_defaults(fn=cmd_ineq)
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise DocumentError(f"{name}: {text!r} is not an integer") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise DocumentError(f"{name}: {text!r} is not one of {', '.join(kind)}")
+    return text
 
-    p = sub.add_parser("commutator", help="C = |[Lambda, iTheta]| and C_pq table")
-    common(p)
-    p.add_argument("--gammas", help="comma-separated curvature eigenvalues")
-    p.set_defaults(fn=cmd_commutator)
 
-    p = sub.add_parser("lefschetz-check", help="sl2 / star / injectivity / power scans")
-    common(p, needs_input=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.set_defaults(fn=cmd_lefschetz_check)
+def _parse(table: dict, argv: list):
+    """The namespace the handlers read, or the help text asked for."""
+    if not argv:
+        raise DocumentError("give a subcommand\n" + _help(table))
+    name, tokens = argv[0], iter(argv[1:])
+    if name in ("-h", "--help"):
+        return _help(table)
+    if name not in table:
+        raise DocumentError(f"{name!r} is not a subcommand: give one of {', '.join(table)}")
+    fn, _, flags, positionals = table[name]
+    values, words = {}, []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(table, name)
+        if not token.startswith("-") or token[1:].isdigit():
+            words.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise DocumentError(f"{flag} is not a flag of {name}: its flags are {', '.join(flags) or 'none'}")
+        if flag in values:
+            raise DocumentError(f"{flag} is given twice")
+        if not eq and (text := next(tokens, None)) is None:
+            raise DocumentError(f"{flag} needs a value")
+        values[flag] = _value(flag, flags[flag][0], text)
+    for flag, (_, default) in flags.items():
+        if default is ... and flag not in values:
+            raise DocumentError(f"{flag} is required")
+        values.setdefault(flag, default)
+    usage = " ".join(["usage is hlab", name, *(pos for pos, _ in positionals)])
+    if len(words) > len(positionals):
+        raise DocumentError(f"{words[len(positionals)]!r} is an extra argument: {usage}")
+    if len(words) < len(positionals):
+        raise DocumentError(f"{positionals[len(words)][0]} is missing: {usage}")
+    for (pos, kind), word in zip(positionals, words):
+        values[pos] = _value(pos, kind, word)
+    return SimpleNamespace(subcommand=name, fn=fn, **{key.lstrip("-").lower(): v for key, v in values.items()})
 
-    p = sub.add_parser("bounds", help="Euler-characteristic bound evaluators")
-    common(p)
-    p.add_argument(
-        "--which", required=True,
-        choices=("t2", "t4", "t5", "c1", "etheta", "t4chain"),
-    )
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("verify", help="run the built-in property suites")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("fixture", help="emit a builtin input document")
-    p.add_argument("kind", choices=("cp",))
-    p.add_argument("n", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_fixture)
-
-    return parser
+def _help(table: dict, name=None) -> str:
+    """The list of subcommands, or the positionals and flags of one."""
+    if name is None:
+        rows = [f"  {key:<16} {entry[1]}" for key, entry in table.items()]
+        return "\n".join(["usage: hlab <subcommand> [flags]; hlab <subcommand> --help lists its flags", *rows])
+    _, text, flags, positionals = table[name]
+    rows = [(key, kind, ...) for key, kind in positionals] + [(flag, *spec) for flag, spec in flags.items()]
+    lines = [f"usage: hlab {' '.join([name, *(pos for pos, _ in positionals)])} [flags]", text]
+    for key, kind, default in rows:
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "INT" if kind is int else "TEXT"
+        note = "required" if default is ... else "optional" if default is None else f"default {default}"
+        lines.append(f"  {key:<10} {meta} ({note})")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "lefschetz-check":
-        from .lefschetz import MAX_N
-
-        if not (1 <= args.n <= MAX_N and args.r >= 1):
-            parser.error(f"--n must be in [1, {MAX_N}] and --r at least 1")
-        dim = 4**args.n * args.r  # of the space Lambda(C^n + conj C^n) x C^r
-        if dim > 4**MAX_N:
-            parser.error(f"--r {args.r}: the space has dimension 4^n r = {dim} > 4^{MAX_N}")
     try:
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # the help text
+            print(args)
+            return 0
+        if args.subcommand == "lefschetz-check":
+            from .lefschetz import MAX_N
+
+            if not (1 <= args.n <= MAX_N and args.r >= 1):
+                raise DocumentError(f"--n must be in [1, {MAX_N}] and --r at least 1")
+            dim = 4**args.n * args.r  # of the space Lambda(C^n + conj C^n) x C^r
+            if dim > 4**MAX_N:
+                raise DocumentError(f"--r {args.r}: the space has dimension 4^n r = {dim} > 4^{MAX_N}")
         code = args.fn(args)
         return 0 if code is None else code
     except (DocumentError, ExprError) as exc:

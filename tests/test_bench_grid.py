@@ -1,10 +1,11 @@
-"""The benchmark's kahler and hermitian jobs of seed 0 give the stored answers.
+"""The benchmark's jobs of seed 0, on every workload, give the stored answers.
 
 Each job runs in-process through ``hlab.cli.main`` with ``--output machine``,
 and its report is checked by ``perfbench/checks.check_job`` against
 ``perfbench/answers.json``, closed-form oracles included.  A changed report
-then fails this suite and not only a benchmark run.  ``perfbench/`` is only
-read: its modules are loaded from their files, as the benchmark imports them.
+then fails this suite and not only a benchmark run, and every benchmark
+argv goes through the CLI's parser.  ``perfbench/`` is only read: its
+modules are loaded from their files, as the benchmark imports them.
 """
 
 import contextlib
@@ -35,12 +36,12 @@ gen = _load("gen")
 checks = _load("checks")
 STORE = checks.load_store()
 SEED = 0
-GRID = {workload: gen.build(workload, SEED) for workload in ("kahler", "hermitian")}
+GRID = {workload: gen.build(workload, SEED) for workload in ("hrr", "kahler", "hermitian")}
 JOBS = [(workload, job) for workload, wl in GRID.items() for job in wl.jobs]
 
 
 def test_grid_is_the_benchmark_grid():
-    assert [len(GRID[w].jobs) for w in ("kahler", "hermitian")] == [7, 8]
+    assert [len(GRID[w].jobs) for w in ("hrr", "kahler", "hermitian")] == [43, 7, 8]
     for workload, wl in GRID.items():
         for name, tree in wl.docs.items():
             assert checks.sha256(tree) == checks.stored_doc_digest(STORE, workload, SEED, name), name

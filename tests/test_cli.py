@@ -307,3 +307,95 @@ def test_bounds_lists_must_be_json_lists(capsys, tmp_path, override, path):
         code, _, err = run(capsys, "bounds", "--input", str(doc), "--which", which)
         assert code == 2
         assert path in err
+
+
+# -- the command table: flag syntax, usage errors and help ------------------------
+
+# (argv, what the message must start with); each is a usage error through main
+USAGE_FAULTS = {
+    "unknown-subcommand": (("nosuch",), "'nosuch'"),
+    "unknown-flag": (("genus", "--bogus", "x"), "--bogus"),
+    "abbreviation": (("genus", "--inp", "x"), "--inp"),
+    "missing-value": (("genus", "--input"), "--input"),
+    "bad-int": (("hilbert", "--p", "x"), "--p"),
+    "bad-which": (("bounds", "--which", "t9"), "--which"),
+    "bad-output": (("genus", "--output", "xml"), "--output"),
+    "lefschetz-check-without-n": (("lefschetz-check",), "--n"),
+    "bounds-without-which": (("bounds",), "--which"),
+    "fixture-without-n": (("fixture", "cp"), "N"),
+    "fixture-extra-positional": (("fixture", "cp", "1", "2"), "'2'"),
+    "repeated-flag": (("hilbert", "--p", "1", "--p", "2"), "--p"),
+}
+
+
+@pytest.mark.parametrize("argv,named", list(USAGE_FAULTS.values()), ids=list(USAGE_FAULTS))
+def test_usage_fault_exits_2_naming_the_flag(capsys, argv, named):
+    code, out, err = run(capsys, *argv)  # returns: main raises no SystemExit
+    assert code == 2, err
+    assert err.startswith(f"input error: {named}"), err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_repeated_flag_is_refused(capsys, cp2_file):
+    # was read as the last value: --p 2
+    code, out, err = run(capsys, "hilbert", "--input", cp2_file, "--p", "1", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --p ")
+
+
+def test_abbreviated_flag_is_refused(capsys, cp2_file):
+    # was read as --output machine; --out is a flag of fixture only
+    code, out, err = run(capsys, "genus", "--input", cp2_file, "--out", "machine")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --out ")
+
+
+FLAGS = {
+    "genus": "--input --output",
+    "kcoeffs": "--input --output",
+    "hilbert": "--input --output --p",
+    "ineq": "--input --output --j",
+    "commutator": "--input --output --gammas",
+    "lefschetz-check": "--output --n --r",
+    "bounds": "--input --output --which t2 t4 t5 c1 etheta t4chain",
+    "verify": "",
+    "fixture": "KIND N --out cp",
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_subcommand(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (0, "")
+    assert all(name in out for name in FLAGS)
+
+
+def test_no_arguments_is_a_usage_error_that_lists_the_subcommands(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
+    assert all(name in err for name in FLAGS)
+
+
+@pytest.mark.parametrize("name", list(FLAGS))
+def test_subcommand_help_lists_its_flags(capsys, name):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, name, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: hlab {name}")
+        assert all(word in out for word in FLAGS[name].split()), out
+
+
+def test_flag_equals_value_reads_like_two_tokens(capsys, cp2_file):
+    spaced = run(capsys, "hilbert", "--input", cp2_file, "--p", "1", "--output", "machine")
+    joined = run(capsys, "hilbert", f"--input={cp2_file}", "--p=1", "--output=machine")
+    assert spaced == joined
+    assert joined[0] == 0 and json.loads(joined[1])["results"]["p"] == 1
+
+
+def test_the_token_after_a_flag_is_its_value(capsys):
+    code, out, _ = run(capsys, "commutator", "--gammas", "-1,2")
+    assert code == 0
+    assert "C = 3" in out
+    assert run(capsys, "commutator", "--gammas=-1,2") == (code, out, "")
