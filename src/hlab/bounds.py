@@ -15,32 +15,10 @@ from fractions import Fraction
 from math import ceil, factorial, floor, isqrt
 from typing import Mapping, Optional, Sequence, Union
 
-from .qpoly import QPoly
-from .record import Record
+from .qpoly import QPoly, is_integer_valued
+from .record import Interval, Record
 
 Scalar = Union[int, Fraction]
-
-
-class Interval(Record):
-    """Certified rational enclosure lo <= value <= hi."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("empty enclosure")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __str__(self):
-        if self.lo == self.hi:
-            return str(self.lo)
-        return f"[{self.lo}, {self.hi}]"
 
 
 def sqrt_enclosure(x: Scalar, eps: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:
@@ -74,16 +52,6 @@ def forward_difference(P: QPoly, order: int = 1) -> QPoly:
     for _ in range(order):
         out = out.shift(1) - out
     return out
-
-
-def is_integer_valued(P: QPoly) -> bool:
-    """Exact test: all forward differences at 0 are integers."""
-    values = [P(m) for m in range(P.degree + 2)]
-    while values:
-        if values[0].denominator != 1:
-            return False
-        values = [b - a for a, b in zip(values, values[1:])]
-    return True
 
 
 def lemma44_search(P: QPoly, m0: int, k: int) -> int:

@@ -26,10 +26,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import genus
-from .bounds import Interval, bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
+from .bounds import bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
 from .genus import BundleData
-from .inputdoc import cp_fixture, digest, load_document, load_file, parse_gammas
+from .inputdoc import INTEGER, cp_fixture, digest, in_range, load_document, load_file, parse_gammas, parse_integer
+from .record import Interval
 
 ENGINE_ERROR = 1
 USAGE_ERROR = 2
@@ -137,12 +138,6 @@ def _doc_from_args(args):
     return load_document({})
 
 
-def _flag_in_range(flag: str, value: int, n: int) -> int:
-    if not 0 <= value <= n:
-        raise DocumentError(f"{flag} = {value} is outside [0, {n}]")
-    return value
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -178,7 +173,7 @@ def cmd_hilbert(args):
     x = doc.require("manifold")
     line = doc.require("line_bundle")
     rep = Reporter("hilbert", doc.raw, args.output, doc.load_warnings)
-    P = genus.hilbert_polynomial(x, line, _flag_in_range("--p", args.p, x.n))
+    P = genus.hilbert_polynomial(x, line, in_range(args.p, x.n, "--p"))
     rep.add("p", args.p)
     rep.add("polynomial", P)
     rep.add("coefficients", list(P.padded(x.n + 1)))
@@ -190,7 +185,7 @@ def cmd_ineq(args):
     x = doc.require("manifold")
     e = doc.bundle or BundleData.trivial()
     rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
-    js = [_flag_in_range("--j", args.j, x.n)] if args.j is not None else list(range(x.n + 1))
+    js = [in_range(args.j, x.n, "--j")] if args.j is not None else list(range(x.n + 1))
     rows = []
     for j in js:
         holds, lhs, rhs = genus.chern_inequality_check(x, e, j)
@@ -224,6 +219,10 @@ def cmd_lefschetz_check(args):
     from . import lefschetz
 
     n, r = args.n, args.r
+    if not (1 <= n <= lefschetz.MAX_N and r >= 1):
+        raise DocumentError(f"--n must be in [1, {lefschetz.MAX_N}] and --r at least 1")
+    if 4**n * r > 4**lefschetz.MAX_N:  # the dimension of Lambda(C^n + conj C^n) x C^r
+        raise DocumentError(f"--r {r}: the space has dimension 4^n r = {4**n * r} > 4^{lefschetz.MAX_N}")
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
     rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
     if n <= 3:
@@ -240,83 +239,47 @@ def cmd_lefschetz_check(args):
     rep.emit()
 
 
+# the optional BoundsInput fields each bound reads, beyond n, K, C and c_n
+_ROOTS = ("a_n", "chi_p", "hilbert")
+BOUND_READS = {"t2": (), "t4": (), "t5": _ROOTS, "c1": _ROOTS, "etheta": (), "t4chain": ("chi_p", "hilbert")}
+
+
 def cmd_bounds(args):
     doc = _doc_from_args(args)
-    rep = Reporter(f"bounds {args.which}", doc.raw, args.output, doc.load_warnings)
-    computed = {}
-    p = doc.bounds_p
-    c1 = None
-    if doc.manifold is not None and doc.line_bundle is not None:
-        x, line = doc.manifold, doc.line_bundle
-        c1 = line.chern[0] if line.chern else x.spec.zero()
-        computed["a_n"] = genus.integrate(c1 ** x.n, x.fclass)
-        chi = genus.chi_y(x, doc.bundle or BundleData.trivial())
-        computed["chi_p"] = tuple(chi.padded(x.n + 1))
+    which = args.which
+    rep = Reporter(f"bounds {which}", doc.raw, args.output, doc.load_warnings)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        b = doc.bounds_input(**computed)
-        which = args.which
+        b = doc.bounds_input(*BOUND_READS[which])
+        p = doc.bounds_p
         if which == "t4":
             rep.add("bound_T4", bound_T4(b))
         elif which == "t2":
-            c1sq = doc.bounds.c1sq_L if c1 is None else genus.integrate(c1 * c1, x.fclass)
-            if c1sq is None:
-                raise DocumentError("bound T2 needs int c_1^2(L): give manifold data or bounds.c1sq_L")
-            rep.add("c1sq_L", c1sq)
+            rep.add("c1sq_L", c1sq := doc.bound("c1sq_L"))
             rep.add("bound_T2", bound_T2(b, c1sq))
         elif which == "t5":
-            P = _require_poly(doc, b, p)
-            rr = root_report(P, _chi_p_value(b, p))
+            rr = root_report(b.hilbert[p], b.chi_p[p])
             rep.add("m_p", rr.m_p)
             rep.add("bound_T5", bound_T5(b, rr.m_p))
         elif which == "c1":
-            P = _require_poly(doc, b, p)
-            rr = root_report(P, _chi_p_value(b, p))
+            rr = root_report(b.hilbert[p], b.chi_p[p])
             rep.add("C_plus", rr.c_plus)
             rep.add("C_minus", rr.c_minus)
             rep.add("bound_C1_plus", bound_C1(b, rr.c_plus))
             rep.add("bound_C1_minus", bound_C1(b, rr.c_minus))
         elif which == "etheta":
-            if b.chi_p is not None:
-                chi_val = sum(((-1) ** i * v for i, v in enumerate(b.chi_p)), Fraction(0))
-            elif doc.bounds.chi is None:
-                raise DocumentError("E_theta needs chi(X): give manifold data, bounds.chi_p or bounds.chi")
-            else:
-                chi_val = Fraction(doc.bounds.chi)
-            if chi_val.denominator != 1:
-                raise DocumentError(f"bounds.chi_p: chi = sum (-1)^p chi^p = {chi_val} is not an integer")
-            lower, upper = e_theta_interval(b, int(chi_val))
-            rep.add("chi", chi_val)
+            chi = Fraction(doc.bound("chi"))
+            lower, upper = e_theta_interval(b, int(chi))
+            rep.add("chi", chi)
             rep.add("E_theta_lower_enclosure", lower)
             rep.add("E_theta_upper_enclosure", upper)
         elif which == "t4chain":
-            P = _require_poly(doc, b, p)
-            report = t4_chain(b, P, p)
+            report = t4_chain(b, b.hilbert[p], p)
             for key in ("p", "N", "m_tilde", "delta", "branch", "bound"):
                 rep.add(key, getattr(report, key))
         for w in caught:
             rep.warn(str(w.message))
     rep.emit()
-
-
-def _require_poly(doc, b, p):
-    """The p-Hilbert polynomial, built only for the bounds that use it."""
-    if doc.manifold is not None and doc.line_bundle is not None:
-        return genus.hilbert_polynomial(doc.manifold, doc.line_bundle, p)
-    if not (b.hilbert and p in b.hilbert):
-        raise DocumentError(
-            "this bound needs the p-Hilbert polynomial: provide manifold, fundamental_class and "
-            "line_bundle sections, or bounds.hilbert"
-        )
-    return b.hilbert[p]
-
-
-def _chi_p_value(b, p):
-    if b.chi_p is None or not 0 <= p < len(b.chi_p):
-        raise DocumentError(
-            "this bound needs chi^p(X): provide manifold data or bounds.chi_p"
-        )
-    return b.chi_p[p]
 
 
 def cmd_verify(args):
@@ -361,7 +324,7 @@ def build_parser() -> dict:
     ``str`` or a tuple of choices and a default of ``...`` makes the flag
     required; ``positionals`` lists (name, type) pairs in order.
     """
-    which = ("t2", "t4", "t5", "c1", "etheta", "t4chain")
+    which = tuple(BOUND_READS)
     return {
         "genus": (cmd_genus, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
         "kcoeffs": (cmd_kcoeffs, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
@@ -382,10 +345,7 @@ def build_parser() -> dict:
 
 def _value(name: str, kind, text: str):
     if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise DocumentError(f"{name}: {text!r} is not an integer") from None
+        return parse_integer(text, name)
     if isinstance(kind, tuple) and text not in kind:
         raise DocumentError(f"{name}: {text!r} is not one of {', '.join(kind)}")
     return text
@@ -405,7 +365,7 @@ def _parse(table: dict, argv: list):
     for token in tokens:
         if token in ("-h", "--help"):
             return _help(table, name)
-        if not token.startswith("-") or token[1:].isdigit():
+        if not token.startswith("-") or INTEGER.fullmatch(token):
             words.append(token)
             continue
         flag, eq, text = token.partition("=")
@@ -427,7 +387,7 @@ def _parse(table: dict, argv: list):
         raise DocumentError(f"{positionals[len(words)][0]} is missing: {usage}")
     for (pos, kind), word in zip(positionals, words):
         values[pos] = _value(pos, kind, word)
-    return SimpleNamespace(subcommand=name, fn=fn, **{key.lstrip("-").lower(): v for key, v in values.items()})
+    return SimpleNamespace(fn=fn, **{key.lstrip("-").lower(): v for key, v in values.items()})
 
 
 def _help(table: dict, name=None) -> str:
@@ -451,14 +411,6 @@ def main(argv=None) -> int:
         if isinstance(args, str):  # the help text
             print(args)
             return 0
-        if args.subcommand == "lefschetz-check":
-            from .lefschetz import MAX_N
-
-            if not (1 <= args.n <= MAX_N and args.r >= 1):
-                raise DocumentError(f"--n must be in [1, {MAX_N}] and --r at least 1")
-            dim = 4**args.n * args.r  # of the space Lambda(C^n + conj C^n) x C^r
-            if dim > 4**MAX_N:
-                raise DocumentError(f"--r {args.r}: the space has dimension 4^n r = {dim} > 4^{MAX_N}")
         code = args.fn(args)
         return 0 if code is None else code
     except (DocumentError, ExprError) as exc:

@@ -8,9 +8,10 @@ Grammar (usual precedence, ^ binds tightest and is right-associative):
     power  := atom ('^' unary)?
     atom   := INTEGER | NAME | '(' expr ')'
 
-'/' divides by a nonzero rational constant (so literals like 1/2 work);
-'^' takes a nonnegative integer exponent.  Unknown generator names and
-syntax errors are reported with their character position.
+An INTEGER is a run of ASCII digits [0-9].  '/' divides by a nonzero
+rational constant (so literals like 1/2 work); '^' takes a nonnegative
+integer exponent.  Unknown generator names, other characters and syntax
+errors are reported with their character position.
 
 Values are computed in the target ring itself: its truncation is the
 quotient by the monomials of weight above T, which commutes with every
@@ -59,9 +60,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: "٣" or "²" is no digit
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("int", src[i:j], i))
             i = j

@@ -15,9 +15,8 @@ from math import comb, factorial
 from operator import add
 from typing import Mapping, Union
 
-from .bounds import is_integer_valued
 from .errors import IntegralityError, MissingChernNumber
-from .qpoly import QPoly
+from .qpoly import QPoly, is_integer_valued
 from .record import Record
 from .ring import (
     GradedElement,

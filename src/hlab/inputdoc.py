@@ -5,7 +5,9 @@ This module alone reads the JSON tree.  It parses every section once, at
 load time, so a malformed section is an input error for every command: a
 :class:`DocumentError` naming the JSON path at fault.  A rational is a JSON
 int or a "p/q" string and an integer field a JSON int or a decimal string,
-so no float ever enters the pipeline.
+so no float ever enters the pipeline.  The integer rule is that of the
+command-line flags too, and :meth:`InputDocument.bound` alone decides where
+each bound input comes from.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import comb
 from reprlib import repr as _show
 from typing import TYPE_CHECKING, Any, Optional
 
+from . import genus
 from .bounds import BoundsInput
 from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
@@ -66,9 +69,15 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _integer(value, path: str) -> int:
-    """A JSON int or a decimal string such as "2"; never a bool or a float."""
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+INTEGER = re.compile(r"-?[0-9]+")  # the one integer rule: ASCII digits, no padding, no "+" or "_"
+
+
+def parse_integer(value, path: str) -> int:
+    """A JSON int or a string matching :data:`INTEGER` (a document's "2", a
+    flag's text); never a bool or a float."""
+    if isinstance(value, str):
+        if not INTEGER.fullmatch(value):
+            raise DocumentError(f"{path}: {value!r} is not an integer")
         with _at(path):  # more digits than int() converts
             return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -76,8 +85,15 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def in_range(value: int, n: int, path: str) -> int:
+    """A form degree (``--p``, ``--j``, ``bounds.p``) of an n-fold: in [0, n]."""
+    if not 0 <= value <= n:
+        raise DocumentError(f"{path} = {value} is outside [0, {n}]")
+    return value
+
+
 def _dimension(value, path: str) -> int:
-    n = _integer(value, path)
+    n = parse_integer(value, path)
     if not 1 <= n <= MAX_DOC_DIMENSION:
         raise DocumentError(f"{path}: dimension {n} is outside the guard rail [1, {MAX_DOC_DIMENSION}]")
     return n
@@ -90,6 +106,10 @@ def _rational(value, path: str) -> Fraction:
 
 def _rationals(value, path: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
+
+
+def _integers(value, path: str) -> tuple[int, ...]:
+    return tuple(parse_integer(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
 
 
 def parse_gammas(values, path: str) -> DiagonalCurvature:
@@ -123,13 +143,13 @@ def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0)
 
 def _hilbert(node, path: str) -> dict[int, QPoly]:
     polys = _object(node, path).items()
-    return {_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
+    return {parse_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
 
 
 # The bounds section, field by field with its reader.  BoundsSection holds the
 # parsed values; a field the document omits is None (p defaults to 0).
 _BOUNDS_READERS = {
-    "n": _dimension, "p": _integer, "chi": _integer, "chi_p": _rationals, "hilbert": _hilbert,
+    "n": _dimension, "p": parse_integer, "chi": parse_integer, "chi_p": _integers, "hilbert": _hilbert,
     **dict.fromkeys(("K", "C", "c_n", "a_n", "c1sq_L"), _rational),
 }
 BoundsSection = type("BoundsSection", (Record,), {
@@ -159,26 +179,52 @@ class InputDocument:
             raise DocumentError(f"this command needs a {name!r} section in the input")
         return value
 
-    def bounds_input(self, **computed) -> BoundsInput:
-        """A BoundsInput from the bounds section; the computed fields (a_n,
-        chi_p) fill in what the document does not give."""
+    def bounds_input(self, *fields: str) -> BoundsInput:
+        """n, K, C and c_n, and the optional BoundsInput ``fields`` (a_n,
+        chi_p, hilbert) a bound reads, each got by :meth:`bound`."""
         section = self.require("bounds")
-        n = section.n or (self.spec.truncation if self.spec else None)
-        if n is None:
-            raise DocumentError("bounds need a dimension (ring section or bounds.n)")
-        given = {key: getattr(section, key) for key in ("K", "C", "c_n", "a_n", "chi_p", "hilbert")}
-        computed.update((key, value) for key, value in given.items() if value is not None)
-        missing = [k for k in ("K", "C", "c_n") if k not in computed]
-        if missing:
+        if missing := [k for k in ("K", "C", "c_n") if getattr(section, k) is None]:
             raise DocumentError(f"bounds section is missing {missing}")
-        return BoundsInput(n=n, **computed)
+        values = {key: self.bound(key) for key in fields}
+        if "hilbert" in values:  # BoundsInput maps p to its polynomial
+            values["hilbert"] = {self.bounds_p: values["hilbert"]}
+        return BoundsInput(self.bound("n"), section.K, section.C, section.c_n, **values)
 
     @property
     def bounds_p(self) -> int:
-        p = self.require("bounds").p
-        if self.manifold is not None and not 0 <= p <= self.manifold.n:
-            raise DocumentError(f"bounds.p = {p} is outside [0, {self.manifold.n}]")
-        return p
+        return in_range(self.require("bounds").p, self.bound("n"), "bounds.p")
+
+    def bound(self, key: str):
+        """One bound input, by the one source rule: derived when the document
+        has the sections it comes from, read from ``bounds.<key>`` otherwise;
+        given both ways, the two must agree.  n comes from the ring, chi^p(X)
+        from the manifold, chi from chi^p got either way, and a_n, c1sq_L and
+        the bounds.p-Hilbert polynomial (``hilbert``) from the manifold and
+        line bundle."""
+        section, x, line = self.require("bounds"), self.manifold, self.line_bundle
+        given, path, derived = getattr(section, key), f"bounds.{key}", None
+        if key == "hilbert":
+            given, path = (given or {}).get(self.bounds_p), f"{path}.{self.bounds_p}"
+        if key == "n" and self.spec is not None:
+            derived = self.spec.truncation
+        elif key == "chi" and (x is not None or section.chi_p is not None):
+            derived = sum((-1) ** p * v for p, v in enumerate(self.bound("chi_p")))
+        elif key == "chi_p" and x is not None:  # X's own, whatever the bundle section says; chi_y checks integrality
+            derived = tuple(map(int, genus.chi_y(x, BundleData.trivial()).padded(x.n + 1)))
+        elif key == "hilbert" and x is not None and line is not None:
+            derived = genus.hilbert_polynomial(x, line, self.bounds_p)
+        elif key in ("a_n", "c1sq_L") and x is not None and line is not None:
+            c1 = line.chern[0] if line.chern else x.spec.zero()
+            derived = genus.integrate(c1 ** x.n if key == "a_n" else c1 * c1, x.fclass)
+        if derived is None:
+            if given is None:
+                raise DocumentError(f"this bound needs {path}, or the document sections to derive it from")
+            if key == "chi_p" and len(given) != (count := self.bound("n") + 1):
+                raise DocumentError(f"{path} must list chi^0 .. chi^n: {count} values, not {len(given)}")
+            return given
+        if given is not None and given != derived:
+            raise DocumentError(f"{path} = {given} disagrees with {derived}, derived from the rest of the document")
+        return derived
 
 
 def load_document(tree: dict) -> InputDocument:
@@ -215,7 +261,7 @@ def _read_sections(doc: InputDocument, tree: dict):
             doc.manifold = ManifoldData(spec.truncation, tuple(chern), fclass)
     if "bundle" in tree:
         node = _object(tree["bundle"], "bundle")
-        rank = _integer(node.get("rank", 1), "bundle.rank")
+        rank = parse_integer(node.get("rank", 1), "bundle.rank")
         chern = _chern_classes(node.get("chern", {}), spec, rank, "bundle.chern")
         with _at("bundle"):
             doc.bundle = BundleData(rank, tuple(chern))
@@ -237,7 +283,7 @@ def _ring(node: dict) -> RingSpec:
         gen = _object(gen, f"ring.generators[{i}]")
         if not isinstance(gen.get("name"), str):
             raise DocumentError(f"ring.generators[{i}].name must be a string")
-        gens.append((gen["name"], _integer(gen.get("weight"), f"ring.generators[{i}].weight")))
+        gens.append((gen["name"], parse_integer(gen.get("weight"), f"ring.generators[{i}].weight")))
     dim = _dimension(node.get("dimension"), "ring.dimension")
     with _at("ring.generators"):
         return RingSpec(tuple(gens), dim)

@@ -19,9 +19,8 @@ from functools import lru_cache
 from math import copysign, factorial, gcd, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
-from .bounds import Interval
 from .errors import CertificateError
-from .record import Record
+from .record import Interval, Record
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 

@@ -212,3 +212,13 @@ def poly_from_values(values: Sequence[tuple[Scalar, Scalar]], var: str = "m") ->
             num = num * QPoly([-xj, 1], var) * (Fraction(1) / (xi - xj))
         out = out + num
     return out
+
+
+def is_integer_valued(P: QPoly) -> bool:
+    """Exact test: all forward differences at 0 are integers."""
+    values = [P(m) for m in range(P.degree + 2)]
+    while values:
+        if values[0].denominator != 1:
+            return False
+        values = [b - a for a, b in zip(values, values[1:])]
+    return True

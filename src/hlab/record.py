@@ -19,6 +19,8 @@ a module of records costs no more than defining its classes.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class Record:
     _fields: tuple[str, ...] = ()
@@ -73,3 +75,25 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{key}={self.__dict__[key]!r}" for key in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class Interval(Record):
+    """Certified rational enclosure lo <= value <= hi."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError("empty enclosure")
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def __str__(self):
+        if self.lo == self.hi:
+            return str(self.lo)
+        return f"[{self.lo}, {self.hi}]"

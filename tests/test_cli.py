@@ -131,6 +131,52 @@ def test_bounds_build_the_hilbert_polynomial_only_where_used(capsys, tmp_path):
     assert outcomes["t5"] == outcomes["c1"] == outcomes["t4chain"] == (1, True)
 
 
+def test_bounds_call_chi_y_only_where_chi_p_is_read(capsys, cp2_bounds_file, monkeypatch):
+    from hlab import genus
+
+    calls, chi_y = [], genus.chi_y
+
+    def counted(*args):
+        calls.append(args)
+        return chi_y(*args)
+
+    monkeypatch.setattr(genus, "chi_y", counted)
+    for which, count in (("t4", 0), ("t2", 0), ("t5", 1), ("etheta", 1)):
+        calls.clear()
+        run(capsys, "bounds", "--input", cp2_bounds_file, "--which", which)
+        assert len(calls) == count, which
+
+
+@pytest.mark.parametrize("chern", [{"c1": "h"}, {"c1": "3*h", "c2": "2*h^2"}])
+def test_bounds_read_the_euler_characteristics_of_x_not_of_the_bundle(capsys, tmp_path, chern):
+    # chi^p(X, E) of the bundle section was read as chi^p(X): an O(1) bundle
+    # moved the m_p of t5 from 3 to 33554435/8388608
+    tree = cp_fixture(2)
+    tree["bounds"] = {"K": "100", "C": "2", "c_n": "1/20"}
+    reports = []
+    for bundle in ({"rank": 1, "chern": {}}, {"rank": 2, "chern": chern}):
+        tree["bundle"] = bundle
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(tree))
+        for which in ("t4", "t2", "t5", "c1", "etheta", "t4chain"):
+            code, out, err = run(capsys, "bounds", "--input", str(path), "--which", which, "--output", "machine")
+            reports.append((which, code, json.loads(out)["results"] if out else err))
+    assert reports[:6] == reports[6:]
+    assert reports[4][:2] == ("etheta", 0) and reports[4][2]["chi"] == "3"
+
+
+def test_bounds_value_given_both_ways_is_accepted_when_it_agrees(capsys, tmp_path):
+    # a disagreeing one is refused (FAULTS in test_input_boundary.py)
+    tree = cp_fixture(2)
+    for chi in (3, "3"):  # chi(CP^2) = 3
+        tree["bounds"] = {"K": "100", "C": "2", "c_n": "1/20", "chi": chi}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(tree))
+        code, out, err = run(capsys, "bounds", "--input", str(path), "--which", "etheta")
+        assert code == 0, err
+        assert "chi = 3" in out
+
+
 def test_fixture_emission_and_digest_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "cp3.json"
     code, _, _ = run(capsys, "fixture", "cp", "3", "--out", str(out_path))
@@ -325,6 +371,13 @@ USAGE_FAULTS = {
     "fixture-without-n": (("fixture", "cp"), "N"),
     "fixture-extra-positional": (("fixture", "cp", "1", "2"), "'2'"),
     "repeated-flag": (("hilbert", "--p", "1", "--p", "2"), "--p"),
+    # an integer is -?[0-9]+, as in a document; int() read these as 1, 1, 10 and 2
+    "int-padded": (("hilbert", "--p", " 1"), "--p: ' 1' is not an integer"),
+    "int-non-ascii": (("hilbert", "--p", "١"), "--p: '١' is not an integer"),
+    "int-underscore": (("lefschetz-check", "--n", "1_0"), "--n: '1_0' is not an integer"),
+    "positional-padded": (("fixture", "cp", " 2"), "N: ' 2' is not an integer"),
+    # not an integer, so a flag; was read as the positional -1
+    "non-ascii-negative": (("fixture", "cp", "-١"), "-١ is not a flag"),
 }
 
 

@@ -84,6 +84,14 @@ def test_syntax_error_reports_position(spec):
         parse_expression("h h", spec)
 
 
+@pytest.mark.parametrize("src,position", [("٣*h", 0), ("h^²", 2), ("1٣", 1)])
+def test_integers_are_ascii_digits(spec, src, position):
+    # "٣*h" was read as 3*h, and "h^²" raised a bare ValueError from int()
+    with pytest.raises(ExprError, match="unexpected character") as err:
+        parse_expression(src, spec)
+    assert err.value.position == position
+
+
 def test_unknown_generator(spec):
     with pytest.raises(ExprError) as err:
         parse_expression("2*q", spec)

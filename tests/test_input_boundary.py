@@ -69,6 +69,27 @@ FAULTS = {
     "fundamental-class-float": (GENUS, _with(("fundamental_class", "h^2"), 1.5), "fundamental_class.h^2"),
     # a key above the truncation
     "fundamental-class-above-truncation": (GENUS, _with(("fundamental_class",), {"h^3": "1"}), "fundamental_class.h^3"),
+    # a bound input given both ways must agree; the document won for a_n and
+    # chi_p, the manifold data for the rest
+    "c1sq-conflict": (("bounds", "--which", "t2"), _with(("bounds", "c1sq_L"), "9"), "bounds.c1sq_L"),
+    "a_n-conflict": (T5, _with(("bounds", "a_n"), "2"), "bounds.a_n"),
+    "chi_p-conflict": (T5, _with(("bounds", "chi_p"), ["1", "0", "1"]), "bounds.chi_p"),
+    "hilbert-conflict": (T5, _with(("bounds", "hilbert"), {"0": ["1", "1"]}), "bounds.hilbert.0"),
+    "n-conflict": (T4, _with(("bounds", "n"), 3), "bounds.n"),
+    "chi-conflict": (("bounds", "--which", "etheta"), _with(("bounds", "chi"), 5), "bounds.chi"),
+    # read without manifold data: a missing a_n exited 1, a short chi_p and a
+    # p above n were accepted
+    "a_n-missing": (
+        T5, {"bounds": {**BOUNDS, "n": 2, "chi_p": ["1", "-1", "1"], "hilbert": {"0": ["1", "1"]}}}, "bounds.a_n"
+    ),
+    "chi_p-short": (
+        T5, {"bounds": {**BOUNDS, "n": 2, "a_n": "1", "chi_p": ["1"], "hilbert": {"0": ["2", "1"]}}}, "bounds.chi_p"
+    ),
+    "bounds-p-above-n": (T4, {"bounds": {**BOUNDS, "n": 2, "p": 3}}, "bounds.p = 3"),
+    # an Euler characteristic is an integer; chi^p = 1/2 was accepted
+    "chi_p-fraction": (T5, _with(("bounds", "chi_p"), ["1/2", "0", "1"]), "bounds.chi_p[0]"),
+    # an expression integer is ASCII digits; "٣" was read as 3
+    "non-ascii-digit": (GENUS, _with(("bundle", "chern", "c1"), "٣*h"), "bundle.chern.c1"),
     # computed, then failed to print (exit 1)
     "constant-too-large": (GENUS, _with(("bundle", "chern", "c1"), "3^10000*h"), "bundle.chern.c1"),
 }

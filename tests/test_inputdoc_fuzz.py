@@ -2,8 +2,13 @@
 ``load_document`` raises only an input error (``DocumentError`` or
 ``ExprError``), never anything else."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
+from hlab.cli import main
 from hlab.exprparse import ExprError
 from hlab.inputdoc import DocumentError, load_document
 from test_input_boundary import _cp2, _with
@@ -62,3 +67,22 @@ SPLICE_PATHS = [p for p in _paths(_cp2(curvature={"gammas": ["1", "2"]})) if p]
 @hypothesis.given(st.sampled_from(SPLICE_PATHS), TREES)
 def test_random_trees_spliced_into_cp2_raise_only_input_errors(path, value):
     _load_or_input_error(_with(path, value, _cp2(curvature={"gammas": ["1", "2"]})))
+
+
+WHICH = st.sampled_from(["t2", "t4", "t5", "c1", "etheta", "t4chain"])
+# the bound inputs with a source rule (K, C and c_n are plain rationals, and a
+# large K/C makes t4chain scan a long window)
+BOUND_KEYS = st.sampled_from(["n", "p", "a_n", "chi_p", "chi", "c1sq_L", "hilbert"])
+
+
+@FUZZ
+@hypothesis.given(BOUND_KEYS, TREES, WHICH, st.booleans())
+def test_bounds_on_random_bound_inputs_exit_through_the_code_map(tmp_path_factory, key, value, which, manifold):
+    # every bound input is got by one rule, derived or read; whatever the
+    # bounds section holds, the command ends with an exit code, not a traceback
+    tree = _cp2() if manifold else {"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10", "p": 0}}
+    tree["bounds"][key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(tree))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["bounds", "--which", which, "--input", str(path)]) in (0, 1, 2)

@@ -99,6 +99,16 @@ def test_commands_load_no_code_generation(cp2_file, argv):
     assert not modules & (CODEGEN | ARGPARSE), sorted(modules & (CODEGEN | ARGPARSE))
 
 
+def test_operator_engine_imports_no_other_engine():
+    # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly
+    probe = (
+        "import json, sys\nbefore = set(sys.modules)\nimport hlab.lefschetz\n"
+        "print(json.dumps({'code': 0, 'modules': sorted(set(sys.modules) - before)}))"
+    )
+    _, modules = _loaded(probe)
+    assert {m for m in modules if m.startswith("hlab.")} == {"hlab.lefschetz", "hlab.errors", "hlab.record"}
+
+
 def test_bare_import_loads_no_engine():
     probe = "import hlab, json, sys\nprint(json.dumps({'code': 0, 'modules': list(sys.modules)}))"
     _, modules = _loaded(probe)
