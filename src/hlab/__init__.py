@@ -35,7 +35,7 @@ _EXPORTS = {
         "FormVector", "HermitianCurvature", "LefschetzPower", "Operator", "commutator_norm",
         "curvature_operator", "diagonal_commutator_eigenvalues", "flatness_test", "get_basis",
         "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
-        "sl2_commutator_check", "tensor_power_norm",
+        "sl2_commutator_check",
     ),
     "qpoly": ("QPoly",),
     "ring": (

@@ -89,7 +89,8 @@ def lemma42_search(P: QPoly, candidates: Sequence[int], Lval: int) -> int:
     most deg(P)(2 Lval - 1) in total, so any list of deg(P)(2 Lval - 1) + 1
     distinct integers guarantees a hit (a list sized to the looser
     2 deg(P) Lval + 1 passes a fortiori).  The first qualifying candidate
-    in list order is returned.
+    in list order is returned.  A ``range`` holds distinct integers, so it
+    is counted and scanned without being stored.
     """
     n = P.degree
     if n < 1:
@@ -98,10 +99,10 @@ def lemma42_search(P: QPoly, candidates: Sequence[int], Lval: int) -> int:
         raise ValueError("the target bound must be a positive integer")
     if not is_integer_valued(P):
         raise ValueError("lemma applies to integer-valued polynomials only")
-    distinct = set(candidates)
+    distinct = len(candidates if isinstance(candidates, range) else set(candidates))
     needed = n * (2 * Lval - 1) + 1
-    if len(distinct) < needed:
-        raise ValueError(f"need at least {needed} distinct candidates, got {len(distinct)}")
+    if distinct < needed:
+        raise ValueError(f"need at least {needed} distinct candidates, got {distinct}")
     for m in candidates:
         if abs(P(m)) >= Lval:
             return m
@@ -407,9 +408,8 @@ def t4_chain(b: BoundsInput, P: QPoly, p: int) -> T4ChainReport:
     N = floor(b.c_n * b.K / (b.n * b.C))
     if N <= 0:
         return T4ChainReport(p, max(N, 0), None, None, "degenerate", 1)
-    candidates = list(range(-b.n * N, b.n * N + 1))
     shifted = P - b.chi_p[p]
-    m_tilde = lemma42_search(shifted, candidates, N)
+    m_tilde = lemma42_search(shifted, range(-b.n * N, b.n * N + 1), N)
     delta = shifted(m_tilde)
     s = Fraction((-1) ** (b.n - p + 1)) * delta
     branch = "chi_p" if s >= N else "chi_p_twisted"

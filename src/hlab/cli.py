@@ -219,10 +219,10 @@ def cmd_lefschetz_check(args):
     from . import lefschetz
 
     n, r = args.n, args.r
-    if not (1 <= n <= lefschetz.MAX_N and r >= 1):
-        raise DocumentError(f"--n must be in [1, {lefschetz.MAX_N}] and --r at least 1")
-    if 4**n * r > 4**lefschetz.MAX_N:  # the dimension of Lambda(C^n + conj C^n) x C^r
-        raise DocumentError(f"--r {r}: the space has dimension 4^n r = {4**n * r} > 4^{lefschetz.MAX_N}")
+    try:
+        lefschetz.check_space(n, r)
+    except ValueError as exc:
+        raise DocumentError(f"--n {n} --r {r}: {exc}") from None
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
     rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
     if n <= 3:

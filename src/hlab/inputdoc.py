@@ -27,7 +27,7 @@ from .bounds import BoundsInput
 from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
 from .genus import BundleData, FundamentalClass, ManifoldData
-from .qpoly import QPoly
+from .qpoly import QPoly, is_integer_valued
 from .record import Record
 from .ring import RingSpec
 
@@ -221,6 +221,8 @@ class InputDocument:
                 raise DocumentError(f"this bound needs {path}, or the document sections to derive it from")
             if key == "chi_p" and len(given) != (count := self.bound("n") + 1):
                 raise DocumentError(f"{path} must list chi^0 .. chi^n: {count} values, not {len(given)}")
+            if key == "hilbert" and (given.degree > (n := self.bound("n")) or not is_integer_valued(given)):
+                raise DocumentError(f"{path} = {given} is not an integer-valued polynomial of degree <= n = {n}")
             return given
         if given is not None and given != derived:
             raise DocumentError(f"{path} = {given} disagrees with {derived}, derived from the rest of the document")

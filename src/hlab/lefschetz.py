@@ -8,7 +8,8 @@ Hodge star follows the convention  alpha ^ conj(star beta) = <alpha, beta> vol
 with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
 
-The ambient dimension is capped (the space has dimension 4^n r).
+One rule, :func:`check_space`, admits the space for every way in: the basis,
+both curvature records and the ``lefschetz-check`` flags.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import CertificateError
 from .record import Interval, Record
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
+HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
 
 Scalar = Union[int, Fraction]
 
@@ -189,14 +191,22 @@ def conj_monomial(J: tuple[int, ...], K: tuple[int, ...]):
     return sign, K, J
 
 
+def check_space(n: int, r: int):
+    """The one rule admitting Lambda^{*,*}(C^n) tensor C^r: 1 <= n <= MAX_N,
+    r >= 1 and dimension 4^n r <= 4^MAX_N; ValueError otherwise."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n} is outside [1, {MAX_N}]")
+    if r < 1:
+        raise ValueError(f"the fiber rank r = {r} is below 1")
+    if 4**n * r > 4**MAX_N:
+        raise ValueError(f"the space has dimension 4^n r = {4**n * r} > 4^{MAX_N}")
+
+
 class ExteriorBasis:
     """Orthonormal monomial basis of Lambda^{*,*}(C^n) tensor C^r."""
 
     def __init__(self, n: int, r: int):
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be in [1, {MAX_N}] (space has dimension 4^n r)")
-        if r < 1:
-            raise ValueError("fiber rank must be positive")
+        check_space(n, r)
         self.n = n
         self.r = r
         self.monomials: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -485,8 +495,7 @@ class DiagonalCurvature(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
-        if not 1 <= len(self.gammas) <= MAX_N:
-            raise ValueError(f"need between 1 and {MAX_N} eigenvalues")
+        check_space(self.n, 1)
 
     @property
     def n(self) -> int:
@@ -495,6 +504,14 @@ class DiagonalCurvature(Record):
     @property
     def r(self) -> int:
         return 1
+
+    @property
+    def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
+        """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j)."""
+        zero = ((CQ_ZERO,),)
+        return tuple(
+            tuple(((CQ(g),),) if j == k else zero for k in range(self.n)) for j, g in enumerate(self.gammas)
+        )
 
     def scaled(self, m: Scalar) -> "DiagonalCurvature":
         return DiagonalCurvature(tuple(g * Fraction(m) for g in self.gammas))
@@ -517,15 +534,12 @@ class HermitianCurvature(Record):
         )
         object.__setattr__(self, "theta", theta)
         n = len(theta)
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"need between 1 and {MAX_N} base indices")
-        if any(len(line) != n for line in theta):
-            raise ValueError("theta must be an n x n array of fiber matrices")
-        r = len(theta[0][0])
-        if r < 1 or any(
+        r = len(theta[0][0]) if n and theta[0] else 0
+        check_space(n, r)
+        if any(len(line) != n for line in theta) or any(
             len(mat) != r or any(len(row) != r for row in mat) for line in theta for mat in line
         ):
-            raise ValueError("fiber matrices must all be r x r with r >= 1")
+            raise ValueError("theta must be an n x n array of r x r fiber matrices")
         for j in range(n):
             for k in range(n):
                 mat = theta[j][k]
@@ -552,43 +566,31 @@ def curvature_operator(spec: CurvatureSpec) -> Operator:
     """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action."""
     n, r = spec.n, spec.r
     basis = get_basis(n, r)
-    if isinstance(spec, DiagonalCurvature):
-
-        def fiber(j, k):
-            if j != k:
-                return None
-            g = spec.gammas[j - 1]
-            return ((CQ(g),),) if g else None
-
-    else:
-
-        def fiber(j, k):
-            mat = spec.theta[j - 1][k - 1]
-            return mat if any(any(x for x in row) for row in mat) else None
-
+    blocks = [
+        (j, k, mat)
+        for j, line in enumerate(spec.theta, 1)
+        for k, mat in enumerate(line, 1)
+        if any(any(row) for row in mat)
+    ]
     cols: dict[int, dict[int, CQ]] = {}
     for c, (J, K, s) in enumerate(basis.monomials):
         col: dict[int, CQ] = {}
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                mat = fiber(j, k)
-                if mat is None:
+        for j, k, mat in blocks:
+            w = wedge_monomials((j,), (k,), J, K)
+            if w is None:
+                continue
+            sign, J2, K2 = w
+            phase = CQ_I * sign
+            for s2 in range(r):
+                v = mat[s2][s]
+                if not v:
                     continue
-                w = wedge_monomials((j,), (k,), J, K)
-                if w is None:
-                    continue
-                sign, J2, K2 = w
-                phase = CQ_I * sign
-                for s2 in range(r):
-                    v = mat[s2][s]
-                    if not v:
-                        continue
-                    tgt = basis.index[(J2, K2, s2)]
-                    acc = col.get(tgt, CQ_ZERO) + phase * v
-                    if acc:
-                        col[tgt] = acc
-                    else:
-                        col.pop(tgt, None)
+                tgt = basis.index[(J2, K2, s2)]
+                acc = col.get(tgt, CQ_ZERO) + phase * v
+                if acc:
+                    col[tgt] = acc
+                else:
+                    col.pop(tgt, None)
         if col:
             cols[c] = col
     return Operator(basis, cols)
@@ -642,16 +644,16 @@ class CommutatorNorm(Record):
     exact: bool
 
 
-def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) -> CommutatorNorm:
+def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
 
     Diagonal specs are handled exactly through the closed form of the
     eigenvalues (:func:`_diagonal_table`).
-    Hermitian specs get a certified rational enclosure of width at most tol
-    on each bidegree block T: ||T|| < h holds exactly when h I - T and
-    h I + T are both positive definite, which Sylvester's criterion decides
-    from the leading principal minors (fraction-free Bareiss elimination
-    over the Gaussian integers).  A float eigenvalue guess only proposes
+    Hermitian specs get a certified rational enclosure of width at most
+    HERMITIAN_WIDTH on each bidegree block T: ||T|| < h holds exactly when
+    h I - T and h I + T are both positive definite, which Sylvester's
+    criterion decides from the leading principal minors (fraction-free
+    Bareiss elimination over the Gaussian integers).  A float eigenvalue guess only proposes
     the two ends; exact bisection takes over where a proposal is refuted.
     """
     if isinstance(spec, DiagonalCurvature):
@@ -666,7 +668,7 @@ def commutator_norm(spec: CurvatureSpec, tol: Fraction = Fraction(1, 10**12)) ->
     table2: dict[tuple[int, int], Interval] = {}
     for (p, q), idxs in basis.by_bidegree.items():
         block = T.block(idxs, idxs)
-        table2[(p, q)] = _hermitian_norm_enclosure(block, tol)
+        table2[(p, q)] = _hermitian_norm_enclosure(block, HERMITIAN_WIDTH)
     worst = max(table2.values(), key=lambda iv: iv.hi)
     return CommutatorNorm(worst, table2, exact=False)
 
@@ -803,15 +805,6 @@ def flatness_test(spec: DiagonalCurvature) -> bool:
     if (c == 0) != flat:
         raise CertificateError("flatness lemma violated; eigenvalue enumeration bug")
     return c == 0
-
-
-def tensor_power_norm(spec: DiagonalCurvature, m: int) -> Fraction:
-    """|[Lambda, iTheta(L^{tensor m})]| = |m| C, checked against rescaling."""
-    c = commutator_norm(spec).value
-    scaled = commutator_norm(spec.scaled(m)).value
-    if scaled != abs(Fraction(m)) * c:
-        raise CertificateError("commutator norm failed to scale linearly")
-    return scaled
 
 
 # -- exact linear algebra ------------------------------------------------------
@@ -1004,7 +997,8 @@ def _certify_block_annihilator(sparse: _SparseIntMap, eigen_candidates: list[int
 
 
 def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
-    """Witness the eigenvalue with v = L^j (xi_J ^ xibar_K), J, K disjoint.
+    """Witness the eigenvalue with v = L^j (xi_J ^ xibar_K), J, K disjoint,
+    read as a column of the cached L^j.
 
     A monomial with disjoint index sets is primitive (contracting with the
     Kahler form needs a shared index), so v spans a weight line on which
@@ -1013,13 +1007,10 @@ def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
     a, b = p - j, q - j
     J = tuple(range(1, a + 1))
     K = tuple(range(a + 1, a + b + 1))
-    vec = FormVector(basis, {basis.index[(J, K, 0)]: CQ_ONE})
-    L = op_L(n, r)
-    for _ in range(j):
-        vec = L.apply(vec)
+    column = _L_power(n, r, j).cols.get(basis.index[(J, K, 0)], {})
     phase = i_power(j)
     src_pos = {g: i for i, g in enumerate(src)}
-    v = {src_pos[g_idx]: _strip_phase(value, phase) for g_idx, value in vec.terms.items()}
+    v = {src_pos[g_idx]: _strip_phase(value, phase) for g_idx, value in column.items()}
     if not v:
         raise CertificateError("empty eigenvector witness; primitive theory bug")
     got = sparse.gram_apply(v)

@@ -1,6 +1,7 @@
 """Numerical polynomials, root isolation, and the bound evaluators."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -428,6 +429,21 @@ def test_t4_chain_linear_example():
     assert rep.m_tilde in (-2, 2)
     assert rep.bound == 3
     assert abs(rep.delta) >= rep.N
+
+
+def test_t4_chain_scans_its_window_without_storing_it():
+    # N = floor(c_n K / (n C)) = 25000 on CP^2, a window of 2 n N + 1 = 100001
+    # candidates; the list and set of them took several MB
+    b = BoundsInput(n=2, K=F(10**6), C=F(2), c_n=F(1, 10), chi_p=(F(1), F(-1), F(1)))
+    P = QPoly([1, F(3, 2), F(1, 2)])  # (m + 1)(m + 2) / 2
+    tracemalloc.start()
+    try:
+        rep = t4_chain(b, P, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.N == 25000 and rep.m_tilde == -50000
+    assert peak < 2**20
 
 
 def test_t4_chain_rejects_constant():

@@ -33,6 +33,12 @@ def _with(path, value, tree=None):
 
 
 GENUS, T4, T5 = ("genus",), ("bounds", "--which", "t4"), ("bounds", "--which", "t5")
+T4CHAIN = ("bounds", "--which", "t4chain")
+
+
+def _scalar_bounds(hilbert):
+    """A bounds section with no manifold, reading the given 0-Hilbert polynomial."""
+    return {"bounds": {**BOUNDS, "n": 2, "a_n": "1", "chi_p": ["1", "-1", "1"], "hilbert": {"0": hilbert}}}
 
 # (argv, document, the JSON path the error must name)
 FAULTS = {
@@ -86,6 +92,12 @@ FAULTS = {
         T5, {"bounds": {**BOUNDS, "n": 2, "a_n": "1", "chi_p": ["1"], "hilbert": {"0": ["2", "1"]}}}, "bounds.chi_p"
     ),
     "bounds-p-above-n": (T4, {"bounds": {**BOUNDS, "n": 2, "p": 3}}, "bounds.p = 3"),
+    # a given Hilbert polynomial meets the rule a derived one meets: degree
+    # <= n and integer-valued; t5 exited 0, t4chain exited 1
+    "hilbert-degree-above-n-t5": (T5, _scalar_bounds(["1", "3/2", "1/2", "1"]), "bounds.hilbert.0"),
+    "hilbert-degree-above-n-t4chain": (T4CHAIN, _scalar_bounds(["1", "3/2", "1/2", "1"]), "bounds.hilbert.0"),
+    "hilbert-not-integer-valued-t5": (T5, _scalar_bounds(["1", "1/3", "0"]), "bounds.hilbert.0"),
+    "hilbert-not-integer-valued-t4chain": (T4CHAIN, _scalar_bounds(["1", "1/3", "0"]), "bounds.hilbert.0"),
     # an Euler characteristic is an integer; chi^p = 1/2 was accepted
     "chi_p-fraction": (T5, _with(("bounds", "chi_p"), ["1/2", "0", "1"]), "bounds.chi_p[0]"),
     # an expression integer is ASCII digits; "٣" was read as 3
@@ -259,3 +271,42 @@ def test_lefschetz_check_accepts_the_sizes_in_use(monkeypatch, n, r):
     monkeypatch.setattr(lefschetz, "sl2_commutator_check", started)
     with pytest.raises(_Started):
         main(["lefschetz-check", "--n", str(n), "--r", str(r)])
+
+
+def _hermitian(n, r):
+    """theta with the r x r identity on the diagonal: n line bundles' worth of curvature."""
+    eye = [["1" if a == b else "0" for b in range(r)] for a in range(r)]
+    zero = [["0"] * r for _ in range(r)]
+    return {"curvature": {"hermitian": {"theta": [[eye if j == k else zero for k in range(n)] for j in range(n)]}}}
+
+
+# (argv, curvature document or None, what the error must name); every way into
+# the operator engine is held to one space rule, 1 <= n <= 6 and 4^n r <= 4^6.
+# The Hermitian documents were admitted and ran for minutes.
+SPACE_FAULTS = {
+    "hermitian-n6-r2": (("commutator",), _hermitian(6, 2), "curvature.hermitian.theta: the space has dimension"),
+    "hermitian-n3-r65": (("commutator",), _hermitian(3, 65), "curvature.hermitian.theta: the space has dimension"),
+    "gammas-flag-seven": (("commutator", "--gammas", "1,2,3,4,5,6,7"), None, "--gammas: n = 7"),
+    "gammas-document-seven": (("commutator",), {"curvature": {"gammas": list("1234567")}}, "curvature.gammas: n = 7"),
+    "lefschetz-check-n6-r2": (("lefschetz-check", "--n", "6", "--r", "2"), None, "--n 6 --r 2: "),
+    "lefschetz-check-n7-r1": (("lefschetz-check", "--n", "7", "--r", "1"), None, "--n 7 --r 1: n = 7"),
+}
+
+
+@pytest.mark.parametrize("argv,tree,named", list(SPACE_FAULTS.values()), ids=list(SPACE_FAULTS))
+def test_space_rule_refuses_before_a_basis_is_built(capsys, monkeypatch, tmp_path, argv, tree, named):
+    def refuse(*args):
+        raise AssertionError("a basis was built before the space was checked")
+
+    monkeypatch.setattr(lefschetz, "get_basis", refuse)
+    if tree is not None:
+        doc = tmp_path / "curvature.json"
+        doc.write_text(json.dumps(tree))
+        argv += ("--input", str(doc))
+    start = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"input error: {named}")
+    assert "Traceback" not in err

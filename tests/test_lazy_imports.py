@@ -133,7 +133,7 @@ EXPORTS = {
         "CQ CertificateError CommutatorNorm DiagonalCurvature ExteriorBasis FormVector "
         "HermitianCurvature LefschetzPower Operator commutator_norm curvature_operator "
         "diagonal_commutator_eigenvalues flatness_test get_basis injectivity_scan lefschetz_power "
-        "op_L op_Lambda op_star sl2_commutator_check tensor_power_norm"
+        "op_L op_Lambda op_star sl2_commutator_check"
     ),
     "qpoly": "QPoly",
     "ring": (
@@ -145,7 +145,7 @@ EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names.sp
 
 
 def test_every_export_is_listed():
-    assert len(EXPORTED) == 71
+    assert len(EXPORTED) == 70
     listed = set(dir(hlab))
     for name in [name for _, name in EXPORTED] + ["__version__"]:
         assert name in listed and name in hlab.__all__, name

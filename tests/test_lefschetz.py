@@ -1,6 +1,7 @@
 """Exterior algebra model: L, Lambda, star, curvature commutators."""
 
 import math
+import re
 import random
 import time
 from fractions import Fraction
@@ -32,8 +33,8 @@ from hlab.lefschetz import (
     op_L,
     op_Lambda,
     op_star,
+    check_space,
     sl2_commutator_check,
-    tensor_power_norm,
 )
 
 F = Fraction
@@ -361,6 +362,14 @@ def test_tensor_power_scales_operator():
     assert curvature_operator(spec.scaled(4)) == curvature_operator(spec).scale(4)
 
 
+def test_diagonal_curvature_is_hermitian_with_diagonal_theta():
+    gammas = (F(1), F(0), F(-5, 2))
+    spec = DiagonalCurvature(gammas)
+    diagonal = [[[[CQ(g if j == k else 0)]] for k in range(3)] for j, g in enumerate(gammas)]
+    assert spec.theta == _herm(diagonal).theta
+    assert curvature_operator(spec) == curvature_operator(_herm(diagonal))
+
+
 def test_commutator_example_n2():
     cn = commutator_norm(DiagonalCurvature((F(1), F(2))))
     assert cn.value == 3
@@ -429,10 +438,9 @@ def test_flatness():
 
 
 def test_tensor_power_norm_values():
+    # the curvature of L^m is m iTheta(L), so its norm is |m| C
     spec = DiagonalCurvature((F(1), F(2)))
-    assert tensor_power_norm(spec, 0) == 0
-    assert tensor_power_norm(spec, 1) == 3
-    assert tensor_power_norm(spec, -3) == 9
+    assert [commutator_norm(spec.scaled(m)).value for m in (0, 1, -3)] == [0, 3, 9]
 
 
 # -- Hermitian curvature -----------------------------------------------------------
@@ -641,3 +649,23 @@ def test_basis_guard():
         get_basis(7, 1)
     with pytest.raises(ValueError):
         DiagonalCurvature(tuple(F(1) for _ in range(7)))
+
+
+@pytest.mark.parametrize("n,r", [(0, 1), (7, 1), (1, 0), (6, 2), (3, 65), (4, 17)])
+def test_one_space_rule_refuses_every_way_in(n, r):
+    # the basis and both curvature records refuse the same spaces, by one message
+    with pytest.raises(ValueError) as rule:
+        check_space(n, r)
+    with pytest.raises(ValueError, match=re.escape(str(rule.value))):
+        get_basis(n, r)
+    zero = tuple(tuple(tuple(tuple(CQ_ZERO for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
+    with pytest.raises(ValueError, match=re.escape(str(rule.value))):
+        HermitianCurvature(zero)
+    if r == 1:
+        with pytest.raises(ValueError, match=re.escape(str(rule.value))):
+            DiagonalCurvature(tuple(F(1) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (6, 1), (5, 4), (4, 16), (3, 64), (1, 1024)])
+def test_one_space_rule_admits_up_to_4_to_the_6(n, r):
+    check_space(n, r)
