@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import copysign, factorial, gcd, isfinite, lcm, nan, sqrt
+from math import comb, copysign, factorial, gcd, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
 from .errors import CertificateError
@@ -25,6 +25,7 @@ from .record import Interval, Record
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
+MAX_HERMITIAN_BLOCK = 100  # Bareiss cost grows as the cube; n = 5, r = 1 takes minutes
 
 Scalar = Union[int, Fraction]
 
@@ -224,13 +225,6 @@ class ExteriorBasis:
         self.index = {mon: i for i, mon in enumerate(self.monomials)}
         self.dim = len(self.monomials)
 
-    def by_degree(self, k: int) -> list[int]:
-        out = []
-        for (p, q), idxs in self.by_bidegree.items():
-            if p + q == k:
-                out.extend(idxs)
-        return out
-
     def bidegree_of(self, idx: int) -> tuple[int, int]:
         J, K, _ = self.monomials[idx]
         return len(J), len(K)
@@ -406,22 +400,39 @@ def identity_operator(basis: ExteriorBasis) -> Operator:
 # -- the Kahler package -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def op_L(n: int, r: int = 1) -> Operator:
-    """Wedge with omega = i sum_j xi_j ^ xibar_j, with exact reordering signs."""
+def _wedge_operator(n: int, r: int, blocks) -> Operator:
+    """Matrix of alpha -> i sum mat xi_j ^ xibar_k ^ alpha over the
+    (j, k, r x r fiber matrix) blocks, with exact reordering signs."""
     basis = get_basis(n, r)
     cols: dict[int, dict[int, CQ]] = {}
     for c, (J, K, s) in enumerate(basis.monomials):
         col: dict[int, CQ] = {}
-        for j in range(1, n + 1):
-            w = wedge_monomials((j,), (j,), J, K)
+        for j, k, mat in blocks:
+            w = wedge_monomials((j,), (k,), J, K)
             if w is None:
                 continue
             sign, J2, K2 = w
-            col[basis.index[(J2, K2, s)]] = CQ_I * sign
+            phase = CQ_I * sign
+            for s2 in range(r):
+                v = mat[s2][s]
+                if not v:
+                    continue
+                tgt = basis.index[(J2, K2, s2)]
+                acc = col.get(tgt, CQ_ZERO) + phase * v
+                if acc:
+                    col[tgt] = acc
+                else:
+                    col.pop(tgt, None)
         if col:
             cols[c] = col
     return Operator(basis, cols)
+
+
+@lru_cache(maxsize=None)
+def op_L(n: int, r: int = 1) -> Operator:
+    """Wedge with omega = i sum_j xi_j ^ xibar_j, with exact reordering signs."""
+    eye = tuple(tuple(CQ_ONE if a == b else CQ_ZERO for b in range(r)) for a in range(r))
+    return _wedge_operator(n, r, [(j, j, eye) for j in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -467,20 +478,21 @@ def star_identities(n: int, r: int = 1) -> tuple[bool, bool]:
 
 @lru_cache(maxsize=None)
 def sl2_commutator_check(n: int, r: int = 1) -> bool:
-    """True iff [Lambda, L] acts as (n-k) id on every k-form, exactly.
+    """True iff L maps Lambda^{p,q} into Lambda^{p+1,q+1} and [Lambda, L]
+    acts as (n-k) id on every k-form, exactly.
 
-    Cached per (n, r), like the operators; :func:`injectivity_scan` rests on it.
+    Cached per (n, r), like the operators; :func:`injectivity_scan` and
+    :func:`lefschetz_power` rest on it.
     """
-    basis = get_basis(n, r)
-    H = op_Lambda(n, r).commutator(op_L(n, r))
+    basis, L = get_basis(n, r), op_L(n, r)
+    for c, col in L.cols.items():
+        p, q = basis.bidegree_of(c)
+        if any(basis.bidegree_of(row) != (p + 1, q + 1) for row in col):
+            return False
+    H = op_Lambda(n, r).commutator(L)
     for idx in range(basis.dim):
-        p, q = basis.bidegree_of(idx)
-        expected = CQ(n - (p + q))
-        col = H.cols.get(idx, {})
-        if expected:
-            if col != {idx: expected}:
-                return False
-        elif col:
+        m = n - sum(basis.bidegree_of(idx))
+        if H.cols.get(idx, {}) != ({idx: CQ(m)} if m else {}):
             return False
     return True
 
@@ -536,6 +548,10 @@ class HermitianCurvature(Record):
         n = len(theta)
         r = len(theta[0][0]) if n and theta[0] else 0
         check_space(n, r)
+        if (block := r * comb(n, n // 2) ** 2) > MAX_HERMITIAN_BLOCK:
+            raise ValueError(
+                f"the largest bidegree block has dimension {r} C({n}, {n // 2})^2 = {block} > {MAX_HERMITIAN_BLOCK}"
+            )
         if any(len(line) != n for line in theta) or any(
             len(mat) != r or any(len(row) != r for row in mat) for line in theta for mat in line
         ):
@@ -564,36 +580,13 @@ CurvatureSpec = Union[DiagonalCurvature, HermitianCurvature]
 
 def curvature_operator(spec: CurvatureSpec) -> Operator:
     """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action."""
-    n, r = spec.n, spec.r
-    basis = get_basis(n, r)
     blocks = [
         (j, k, mat)
         for j, line in enumerate(spec.theta, 1)
         for k, mat in enumerate(line, 1)
         if any(any(row) for row in mat)
     ]
-    cols: dict[int, dict[int, CQ]] = {}
-    for c, (J, K, s) in enumerate(basis.monomials):
-        col: dict[int, CQ] = {}
-        for j, k, mat in blocks:
-            w = wedge_monomials((j,), (k,), J, K)
-            if w is None:
-                continue
-            sign, J2, K2 = w
-            phase = CQ_I * sign
-            for s2 in range(r):
-                v = mat[s2][s]
-                if not v:
-                    continue
-                tgt = basis.index[(J2, K2, s2)]
-                acc = col.get(tgt, CQ_ZERO) + phase * v
-                if acc:
-                    col[tgt] = acc
-                else:
-                    col.pop(tgt, None)
-        if col:
-            cols[c] = col
-    return Operator(basis, cols)
+    return _wedge_operator(spec.n, spec.r, blocks)
 
 
 def diagonal_commutator_eigenvalues(
@@ -879,144 +872,33 @@ class LefschetzPower(Record):
     sigma_values: tuple[Fraction, ...]
 
 
-class _SparseIntMap:
-    """Integer matrix of an operator from the src to the dst basis indices,
-    phase stripped; only nonzero entries are visited."""
-
-    def __init__(self, op: Operator, src: Sequence[int], dst: Sequence[int], phase: CQ):
-        self.dim = len(src)
-        dst_pos = {g: i for i, g in enumerate(dst)}
-        self.cols: list[dict[int, int]] = [{} for _ in src]
-        self.rows: list[dict[int, int]] = [{} for _ in dst]
-        for c, g_col in enumerate(src):
-            for g_row, value in op.cols.get(g_col, {}).items():
-                rw = dst_pos.get(g_row)
-                if rw is None:
-                    continue
-                self.cols[c][rw] = self.rows[rw][c] = _strip_phase(value, phase)
-
-    def dense(self) -> list[list[int]]:
-        """The integer matrix, row-major, for :func:`int_rank`."""
-        return [[row.get(c, 0) for c in range(self.dim)] for row in self.rows]
-
-    def gram_apply(self, x: dict[int, int]) -> dict[int, int]:
-        """(M^T M) x through two sparse passes."""
-        mid: dict[int, int] = {}
-        for c, a in x.items():
-            for rw, w in self.cols[c].items():
-                mid[rw] = mid.get(rw, 0) + w * a
-        out: dict[int, int] = {}
-        for rw, a in mid.items():
-            for c, w in self.rows[rw].items():
-                out[c] = out.get(c, 0) + w * a
-        return {i: v for i, v in out.items() if v}
-
-
 def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
-    """Bijectivity and extreme singular values of L^{n-k} on k-forms.
+    """Bijectivity and the singular values of L^{n-k} from k-forms to
+    (2n-k)-forms: s_j = (n-k+j)!/j! for 0 <= j <= k/2, exactly.
 
-    The squared singular values are certified exactly per bidegree block:
-    the candidates ((n-k+j)!/j!)^2 from the primitive decomposition are
-    shown to exhaust the spectrum of B = M^T M by an exact annihilating-
-    polynomial identity, and each candidate is witnessed by an explicit
-    integer eigenvector (an L-power of a disjoint-index monomial, which
-    is primitive).  All candidates are positive, so the identity also
-    certifies that B is nonsingular, i.e. that L^{n-k} is bijective onto
-    the (2n-k)-forms; up to 256 columns this is cross-checked by exact
-    ranks, one per bidegree block (L^{n-k} maps Lambda^{p,q} into
-    Lambda^{p+n-k,q+n-k} only, so the block ranks add up to the rank).
-    The returned enclosures are degenerate (exact).
+    A certificate from the sl(2) identity, no matrix.
+    :func:`sl2_commutator_check` proves in this process that L maps
+    Lambda^{p,q} into Lambda^{p+1,q+1} and that [Lambda, L] = (n-m) id on
+    m-forms, else CertificateError.  So L, Lambda = L* and H = [L, Lambda]
+    span a representation of sl(2) closed under adjoints; it splits into
+    orthogonal irreducibles, each generated by a primitive form v
+    (Lambda v = 0) of degree m <= n, with
+    Lambda L^j v = j(n-m-j+1) L^{j-1} v and hence
+    |L^j v|^2 = j! (n-m)!/(n-m-j)! |v|^2.  For w = L^j v of degree
+    k = m + 2j this gives |L^{n-k} w| = s_j |w|, and the spaces L^j P^{k-2j}
+    are orthogonal (they lie in distinct irreducible types) and span the
+    k-forms.  Primitive m-forms are the orthogonal complement of
+    L Lambda^{m-2}, and dim Lambda^{m-2} < dim Lambda^m for m <= n, so every
+    s_j occurs.  Each s_j >= 1 and both degrees have dimension
+    C(2n, k) r, so L^{n-k} is bijective.  The enclosures are exact.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k = {k} outside [0, {n}]")
-    basis = get_basis(n, r)
-    if k == n:
-        one = Interval(Fraction(1), Fraction(1))
-        return LefschetzPower(k, True, one, one, (Fraction(1),))
-    M_op = _L_power(n, r, n - k)
-    phase = i_power(n - k)
-    src_all = basis.by_degree(k)
-    bijective = len(src_all) == len(basis.by_degree(2 * n - k))  # plus nonsingular B, certified below
-    cross_check = bijective and len(src_all) <= 256
-    rank = 0
-    sigmas: set[Fraction] = set()
-    for p in range(min(k, n) + 1):
-        q = k - p
-        if q < 0 or q > n:
-            continue
-        src = basis.by_bidegree[(p, q)]
-        dst = basis.by_bidegree[(p + n - k, q + n - k)]
-        sparse = _SparseIntMap(M_op, src, dst, phase)
-        candidates = [
-            (j, Fraction(factorial(n - k + j), factorial(j)))
-            for j in range(min(p, q) + 1)
-        ]
-        _certify_block_annihilator(sparse, [int(s * s) for _, s in candidates])
-        for j, sigma in candidates:
-            _certify_eigenvector(basis, sparse, src, n, r, p, q, j, int(sigma * sigma))
-            sigmas.add(sigma)
-        if cross_check:
-            rank += int_rank(sparse.dense())
-    if cross_check and rank != len(src_all):
-        raise CertificateError("rank cross-check contradicts the spectral certificate")
-    lo, hi = min(sigmas), max(sigmas)
-    return LefschetzPower(
-        k,
-        bijective,
-        Interval(lo, lo),
-        Interval(hi, hi),
-        tuple(sorted(sigmas)),
-    )
-
-
-@lru_cache(maxsize=None)
-def _L_power(n: int, r: int, j: int) -> Operator:
-    """L^j = L o L^{j-1}, each power built once per (n, r)."""
-    return identity_operator(get_basis(n, r)) if j == 0 else op_L(n, r).compose(_L_power(n, r, j - 1))
-
-
-def _certify_block_annihilator(sparse: _SparseIntMap, eigen_candidates: list[int]):
-    """Check prod_c (B - c I) = 0 on every basis vector of the block; B is
-    symmetric hence diagonalizable, so the spectrum is contained in the
-    candidate set."""
-    for start in range(sparse.dim):
-        v = {start: 1}
-        for c in eigen_candidates:
-            nxt = sparse.gram_apply(v)
-            for idx, a in v.items():
-                acc = nxt.get(idx, 0) - c * a
-                if acc:
-                    nxt[idx] = acc
-                else:
-                    nxt.pop(idx, None)
-            v = nxt
-            if not v:
-                break
-        if v:
-            raise CertificateError("annihilating polynomial check failed")
-
-
-def _certify_eigenvector(basis, sparse, src, n, r, p, q, j, eigenvalue: int):
-    """Witness the eigenvalue with v = L^j (xi_J ^ xibar_K), J, K disjoint,
-    read as a column of the cached L^j.
-
-    A monomial with disjoint index sets is primitive (contracting with the
-    Kahler form needs a shared index), so v spans a weight line on which
-    M^T M acts by the candidate scalar.
-    """
-    a, b = p - j, q - j
-    J = tuple(range(1, a + 1))
-    K = tuple(range(a + 1, a + b + 1))
-    column = _L_power(n, r, j).cols.get(basis.index[(J, K, 0)], {})
-    phase = i_power(j)
-    src_pos = {g: i for i, g in enumerate(src)}
-    v = {src_pos[g_idx]: _strip_phase(value, phase) for g_idx, value in column.items()}
-    if not v:
-        raise CertificateError("empty eigenvector witness; primitive theory bug")
-    got = sparse.gram_apply(v)
-    expected = {i: eigenvalue * a2 for i, a2 in v.items()}
-    if got != expected:
-        raise CertificateError("eigenvector certificate failed")
+    if not sl2_commutator_check(n, r):
+        raise CertificateError("[Lambda, L] is not (n-k) id; no hard Lefschetz certificate")
+    sigmas = sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)})
+    lo, hi = Interval(sigmas[0], sigmas[0]), Interval(sigmas[-1], sigmas[-1])
+    return LefschetzPower(k, True, lo, hi, tuple(sigmas))
 
 
 def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:

@@ -179,10 +179,44 @@ def _check_commutator(rng):
 
 def _check_lefschetz_power():
     for n in (1, 2, 3):
-        for k in range(n + 1):
-            lp = lefschetz.lefschetz_power(n, 1, k)
-            _expect(lp.bijective, (n, k))
-            _expect(lp.sigma_min.lo >= 1)
+        for r in (1, 2):
+            for k in range(n + 1):
+                lp = lefschetz.lefschetz_power(n, r, k)
+                _expect((lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), (n, r, k))
+
+
+def _int_block(op, src, dst, phase) -> list[list[int]]:
+    """The block of ``op`` from the src to the dst basis indices, row-major,
+    divided by the unit ``phase`` that all its entries share."""
+    return [[lefschetz._strip_phase(v, phase) for v in row] for row in op.block(dst, src)]
+
+
+def lefschetz_power_by_rank(n: int, r: int, k: int) -> tuple[bool, tuple[Fraction, ...]]:
+    """(bijective, singular values) of L^{n-k} on k-forms, from exact integer
+    ranks; independent of the sl(2) certificate it checks.  Per bidegree
+    block M (phase i^{n-k} stripped) B = M^T M is symmetric, so when every
+    candidate s = (n-k+j)!/j!, j <= min(p, q), makes B - s^2 I singular and
+    their nullities sum to dim B, the candidates are exactly its spectrum;
+    all are positive, so a square block is bijective."""
+    basis = lefschetz.get_basis(n, r)
+    power = lefschetz.op_L(n, r).power(n - k)
+    bijective, sigmas = True, set()
+    for (p, q), src in basis.by_bidegree.items():
+        if p + q != k:
+            continue
+        dst = basis.by_bidegree[(p + n - k, q + n - k)]
+        M = _int_block(power, src, dst, lefschetz.i_power(n - k))
+        dim = len(src)
+        B = [[sum(row[a] * row[b] for row in M) for b in range(dim)] for a in range(dim)]
+        candidates = {factorial(n - k + j) // factorial(j) for j in range(min(p, q) + 1)}
+        nullities = [
+            dim - lefschetz.int_rank([[x - s * s * (a == b) for b, x in enumerate(row)] for a, row in enumerate(B)])
+            for s in candidates
+        ]
+        _expect(min(nullities) > 0 and sum(nullities) == dim, ("spectrum", n, r, k, p, q, nullities))
+        bijective = bijective and len(dst) == dim
+        sigmas |= candidates
+    return bijective, tuple(Fraction(s) for s in sorted(sigmas))
 
 
 def injectivity_by_rank(n: int, r: int) -> dict[tuple[int, int], bool]:
@@ -193,7 +227,7 @@ def injectivity_by_rank(n: int, r: int) -> dict[tuple[int, int], bool]:
     out = {}
     for (p, q), src in basis.by_bidegree.items():
         dst = basis.by_bidegree.get((p + 1, q + 1), [])
-        rows = lefschetz._SparseIntMap(L, src, dst, lefschetz.CQ_I).dense()
+        rows = _int_block(L, src, dst, lefschetz.CQ_I)
         out[(p, q)] = bool(dst) and lefschetz.int_rank(rows) == len(src)
     return out
 

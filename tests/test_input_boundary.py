@@ -193,8 +193,8 @@ def test_deeply_nested_expression_is_input_error():
 
 
 def test_failed_certificate_exits_3(capsys, monkeypatch):
-    # a rank cross-check that disagrees with the spectral certificate is a bug
-    monkeypatch.setattr(lefschetz, "int_rank", lambda rows: 0)
+    # an sl(2) identity that fails in this process is a bug, not an input error
+    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: False)
     code = main(["lefschetz-check", "--n", "2"])
     err = capsys.readouterr().err
     assert code == 3
@@ -281,11 +281,14 @@ def _hermitian(n, r):
 
 
 # (argv, curvature document or None, what the error must name); every way into
-# the operator engine is held to one space rule, 1 <= n <= 6 and 4^n r <= 4^6.
-# The Hermitian documents were admitted and ran for minutes.
+# the operator engine is held to one space rule, 1 <= n <= 6 and 4^n r <= 4^6,
+# and a Hermitian document also to a largest bidegree block of dimension
+# r C(n, floor(n/2))^2 <= 100.  The Hermitian documents were admitted and ran for minutes.
 SPACE_FAULTS = {
     "hermitian-n6-r2": (("commutator",), _hermitian(6, 2), "curvature.hermitian.theta: the space has dimension"),
     "hermitian-n3-r65": (("commutator",), _hermitian(3, 65), "curvature.hermitian.theta: the space has dimension"),
+    "hermitian-n6-r1": (("commutator",), _hermitian(6, 1), "curvature.hermitian.theta: the largest bidegree block has dimension 1 C(6, 3)^2 = 400 > 100"),
+    "hermitian-n4-r3": (("commutator",), _hermitian(4, 3), "curvature.hermitian.theta: the largest bidegree block has dimension 3 C(4, 2)^2 = 108 > 100"),
     "gammas-flag-seven": (("commutator", "--gammas", "1,2,3,4,5,6,7"), None, "--gammas: n = 7"),
     "gammas-document-seven": (("commutator",), {"curvature": {"gammas": list("1234567")}}, "curvature.gammas: n = 7"),
     "lefschetz-check-n6-r2": (("lefschetz-check", "--n", "6", "--r", "2"), None, "--n 6 --r 2: "),

@@ -13,7 +13,7 @@ import hlab.lefschetz as lefschetz
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
 from hlab.fixtures import rotated_split_curvature
-from hlab.selfcheck import injectivity_by_rank
+from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
     CQ,
     CQ_I,
@@ -266,7 +266,8 @@ def test_lefschetz_power_n1():
 
 def test_lefschetz_power_equal_dimensions():
     basis = get_basis(2, 1)
-    assert len(basis.by_degree(1)) == len(basis.by_degree(3)) == 4
+    degree = {k: sum(len(idxs) for (p, q), idxs in basis.by_bidegree.items() if p + q == k) for k in (1, 3)}
+    assert degree[1] == degree[3] == 4
     lp = lefschetz_power(2, 1, 1)
     assert lp.bijective
 
@@ -310,6 +311,38 @@ def test_lefschetz_power_guard_limit_spot():
     assert lp.sigma_values == (F(6), F(24))
 
 
+@pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (1, 2)])
+def test_lefschetz_power_matches_exact_ranks(n, r):
+    # the reference proves the spectrum of every M^T M block by integer ranks
+    for k in range(n + 1):
+        lp = lefschetz_power(n, r, k)
+        assert (lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), k
+
+
+def test_lefschetz_power_builds_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lefschetz_power built a matrix")
+
+    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: True)
+    for name in ("op_L", "int_rank"):
+        monkeypatch.setattr(lefschetz, name, refuse)
+    for name in ("compose", "power"):
+        monkeypatch.setattr(lefschetz.Operator, name, refuse)
+    assert lefschetz_power(6, 1, 2).sigma_values == (F(24), F(120))
+
+
+def test_sl2_check_refuses_an_entry_off_the_bidegree_shift(monkeypatch):
+    # both proofs need L to map (p, q) into (p+1, q+1).  Conjugating L by the
+    # swap xi_j <-> xibar_j on 1-forms keeps the degree, so [Lambda, L] is
+    # still (n-k) id, but L now maps (0, 1) into (2, 1).
+    basis = get_basis(2, 1)
+    swap = {i: basis.index[(K, J, s)] if len(J) + len(K) == 1 else i for i, (J, K, s) in enumerate(basis.monomials)}
+    L = lefschetz.Operator(basis, {swap[c]: {swap[r]: v for r, v in col.items()} for c, col in op_L(2, 1).cols.items()})
+    monkeypatch.setattr(lefschetz, "op_L", lambda n, r=1: L)
+    monkeypatch.setattr(lefschetz, "op_Lambda", lambda n, r=1: L.adjoint())
+    assert not sl2_commutator_check.__wrapped__(2, 1)
+
+
 # -- injectivity ------------------------------------------------------------------
 
 
@@ -339,6 +372,8 @@ def test_injectivity_certificate_needs_the_sl2_identity(monkeypatch):
     monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: False)
     with pytest.raises(CertificateError):
         injectivity_scan(2, 1)
+    with pytest.raises(CertificateError):
+        lefschetz_power(2, 1, 1)
 
 
 # -- curvature --------------------------------------------------------------------
@@ -631,17 +666,24 @@ def test_fiber_matrix_acts_by_columns():
     assert op.cols[src1] == {basis.index[((1,), (1,), 0)]: CQ(-2)}
 
 
-def test_annihilator_certifier_rejects_wrong_candidates():
-    from hlab.lefschetz import _SparseIntMap, _certify_block_annihilator, i_power, op_L
+@pytest.mark.parametrize("n,r", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
+def test_L_is_the_curvature_operator_of_the_identity_theta(n, r):
+    eye = [[CQ(int(a == b)) for b in range(r)] for a in range(r)]
+    zero = [[CQ_ZERO] * r for _ in range(r)]
+    theta = [[eye if j == k else zero for k in range(n)] for j in range(n)]
+    assert op_L(n, r) == curvature_operator(HermitianCurvature(theta))
 
-    basis = get_basis(2, 1)
-    M_op = op_L(2, 1).power(2)
-    src = basis.by_bidegree[(0, 0)]
-    dst = basis.by_bidegree[(2, 2)]
-    sparse = _SparseIntMap(M_op, src, dst, i_power(2))
-    _certify_block_annihilator(sparse, [4])  # sigma = 2! on scalars
-    with pytest.raises(AssertionError):
-        _certify_block_annihilator(sparse, [5])
+
+@pytest.mark.parametrize("n,r,block", [(6, 1, 400), (4, 3, 108), (3, 12, 108), (5, 1, None), (4, 2, None), (3, 11, None)])
+def test_hermitian_curvature_bounds_the_block_dimension(n, r, block):
+    # every (n, r) here passes the space rule; r C(n, floor(n/2))^2 <= 100 is admitted
+    check_space(n, r)
+    zero = tuple(tuple(tuple(tuple(CQ_ZERO for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
+    if block is None:
+        assert HermitianCurvature(zero).r == r
+    else:
+        with pytest.raises(ValueError, match=rf"{r} C\({n}, {n // 2}\)\^2 = {block} > 100"):
+            HermitianCurvature(zero)
 
 
 def test_basis_guard():

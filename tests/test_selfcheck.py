@@ -59,3 +59,26 @@ def test_library_does_not_import_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_library_has_no_dead_private_helpers():
+    """Every private module-level function or class in ``hlab`` is referenced
+    somewhere in ``hlab`` outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(hlab.__file__).parent.glob("*.py"))}
+    defined = {
+        (name, node.name): node
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    inside = {id(sub): key for key, node in defined.items() for sub in ast.walk(node)}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref is not None and inside.get(id(node), (None, None))[1] != ref:
+                used.add(ref)
+    dead = sorted(f"{module}:{helper}" for module, helper in defined if helper not in used)
+    assert not dead, dead
