@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import ceil, factorial, floor, isqrt
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .qpoly import QPoly, is_integer_valued
 from .record import Interval, Record
@@ -270,29 +270,23 @@ def _sign_separated(Q: QPoly, interval):
 
 
 class BoundsInput(Record):
-    """Scalar inputs for the Euler-characteristic bound evaluators.
+    """The hypotheses shared by the Euler-characteristic bound evaluators.
 
-    K is the curvature scale (sec <= -K), C the commutator norm, c_n the
-    paper-level dimensional constant (always user-supplied), a_n the top
-    self-intersection of c_1(L), chi_p the list of chi^p(X) values.
+    n is the dimension, K the curvature scale (sec <= -K), C the commutator
+    norm and c_n the paper-level dimensional constant (always user-supplied).
+    Data of X and L (a_n, chi^p(X), a p-Hilbert polynomial) are arguments of
+    the evaluators that read them.
     """
 
     n: int
     K: Fraction
     C: Fraction
     c_n: Fraction
-    a_n: Optional[Fraction] = None
-    chi_p: Optional[tuple[Fraction, ...]] = None
-    hilbert: Optional[Mapping[int, QPoly]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", Fraction(self.K))
         object.__setattr__(self, "C", Fraction(self.C))
         object.__setattr__(self, "c_n", Fraction(self.c_n))
-        if self.a_n is not None:
-            object.__setattr__(self, "a_n", Fraction(self.a_n))
-        if self.chi_p is not None:
-            object.__setattr__(self, "chi_p", tuple(Fraction(v) for v in self.chi_p))
         if self.n < 1:
             raise ValueError("dimension must be positive")
         if self.K <= 0:
@@ -301,18 +295,12 @@ class BoundsInput(Record):
             raise ValueError("c_n must be positive")
         if self.C < 0:
             raise ValueError("C must be nonnegative")
-
-
-def _require_positive_C(b: BoundsInput):
-    if b.C == 0:
-        raise ValueError(
-            "C = 0 makes the bound undefined (a non-flat line bundle has C > 0)"
-        )
+        if self.C == 0:
+            raise ValueError("C = 0 makes the bound undefined (a non-flat line bundle has C > 0)")
 
 
 def bound_T4(b: BoundsInput) -> int:
     """(n+1) + floor(c_n K / (n C)), the basic Euler-characteristic bound."""
-    _require_positive_C(b)
     return b.n + 1 + floor(b.c_n * b.K / (b.n * b.C))
 
 
@@ -320,57 +308,52 @@ def bound_T2(b: BoundsInput, c1sq_L: Scalar) -> Fraction:
     """Surface bound 3 + |int c_1^2(L)| floor(c_n K / C)^2; requires n = 2."""
     if b.n != 2:
         raise ValueError("this bound is specific to surfaces (n = 2)")
-    _require_positive_C(b)
     f = floor(b.c_n * b.K / b.C)
     return 3 + abs(Fraction(c1sq_L)) * Fraction(f) ** 2
 
 
-def bound_T5(b: BoundsInput, m_p: Scalar) -> Fraction:
-    """Root-aware bound max(n+1, n+1 + 2|a_n| sign(..) |floor(..)|^n)."""
-    _require_positive_C(b)
-    if b.a_n is None:
-        raise ValueError("bound_T5 needs a_n = int c_1^n(L)")
-    if b.a_n == 0:
+def bound_T5(b: BoundsInput, a_n: Scalar, m_p: Scalar) -> Fraction:
+    """Root-aware bound max(n+1, n+1 + 2|a_n| sign(..) |floor(..)|^n), with
+    a_n = int c_1^n(L)."""
+    if a_n == 0:
         warnings.warn("a_n = 0: Hilbert polynomial degenerates, returning n + 1")
         return Fraction(b.n + 1)
     x = b.c_n * b.K - b.C * Fraction(m_p)
     s = _sign(floor(x))
     inner = abs(floor(x / (2 * b.C * b.n)))
-    value = b.n + 1 + 2 * abs(b.a_n) * s * Fraction(inner) ** b.n
+    value = b.n + 1 + 2 * abs(Fraction(a_n)) * s * Fraction(inner) ** b.n
     return max(Fraction(b.n + 1), value)
 
 
-def bound_C1(b: BoundsInput, C_pm: Scalar) -> Fraction:
-    """Signed-root bound 2|a_n| |floor((c_n K - C C^pm)/(2Cn))|^n + 1."""
-    _require_positive_C(b)
+def bound_C1(b: BoundsInput, a_n: Scalar, C_pm: Scalar) -> Fraction:
+    """Signed-root bound 2|a_n| |floor((c_n K - C C^pm)/(2Cn))|^n + 1, with
+    a_n = int c_1^n(L)."""
     C_pm = Fraction(C_pm)
     if b.c_n * b.K < b.C * C_pm:
         raise ValueError("hypothesis c_n K >= C C^pm is violated")
-    if b.a_n is None:
-        raise ValueError("bound_C1 needs a_n = int c_1^n(L)")
-    if b.a_n == 0:
+    if a_n == 0:
         warnings.warn("a_n = 0: Hilbert polynomial degenerates, returning 1")
         return Fraction(1)
     inner = abs(floor((b.c_n * b.K - b.C * C_pm) / (2 * b.C * b.n)))
-    return 2 * abs(b.a_n) * Fraction(inner) ** b.n + 1
+    return 2 * abs(Fraction(a_n)) * Fraction(inner) ** b.n + 1
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def e_theta_interval(b: BoundsInput, chi: int, eps: Fraction = Fraction(1, 10**12)) -> tuple[Interval, Interval]:
+def e_theta_interval(b: BoundsInput, chi: int) -> tuple[Interval, Interval]:
     """Certified enclosures of the primitive-norm bracket for E(theta).
 
     Returns (lower, upper) enclosing
-    sqrt(c_n / (n C ((-1)^n chi - n)))  and  sqrt(n) K^{-1/2}.
+    sqrt(c_n / (n C ((-1)^n chi - n)))  and  sqrt(n) K^{-1/2},
+    each at most 10^-12 wide (:func:`sqrt_enclosure`'s default).
     """
-    _require_positive_C(b)
     signed = (-1) ** b.n * chi
     if signed <= b.n:
         raise ValueError(f"(-1)^n chi = {signed} must exceed n = {b.n}")
-    lower = Interval(*sqrt_enclosure(b.c_n / (b.n * b.C * (signed - b.n)), eps))
-    upper = Interval(*sqrt_enclosure(Fraction(b.n) / b.K, eps))
+    lower = Interval(*sqrt_enclosure(b.c_n / (b.n * b.C * (signed - b.n))))
+    upper = Interval(*sqrt_enclosure(Fraction(b.n) / b.K))
     if lower.lo > upper.hi:
         raise ValueError(
             "certified lower endpoint exceeds the upper endpoint: "
@@ -390,25 +373,25 @@ class T4ChainReport(Record):
     bound: int
 
 
-def t4_chain(b: BoundsInput, P: QPoly, p: int) -> T4ChainReport:
+def t4_chain(b: BoundsInput, P: QPoly, chi_p: Scalar, p: int) -> T4ChainReport:
     """Reproduce the proof pipeline: N = floor(c_n K/(nC)), scan |m| <= nN.
 
-    Finds an integer m with |P(m) - chi^p(X)| >= N and reports which
-    Euler characteristic, untwisted ("chi_p") or twisted by L^m
-    ("chi_p_twisted"), is certified to be at least N + 1 in absolute
-    value with the sign (-1)^{n-p}.
+    P is the p-Hilbert polynomial and chi_p the value chi^p(X).  Finds an
+    integer m with |P(m) - chi_p| >= N and reports which Euler
+    characteristic, untwisted ("chi_p") or twisted by L^m
+    ("chi_p_twisted"), is certified to be at least N + 1 in absolute value
+    with the sign (-1)^{n-p}.
     """
+    if not 0 <= p <= b.n:
+        raise ValueError(f"p = {p} is outside [0, {b.n}]")
     if P.degree < 1:
         raise ValueError("the p-Hilbert polynomial must be non-constant")
     if P.degree > b.n:
         raise ValueError("polynomial degree exceeds the dimension")
-    _require_positive_C(b)
-    if b.chi_p is None or not 0 <= p < len(b.chi_p):
-        raise ValueError("t4_chain needs the chi^p(X) table in BoundsInput")
     N = floor(b.c_n * b.K / (b.n * b.C))
     if N <= 0:
         return T4ChainReport(p, max(N, 0), None, None, "degenerate", 1)
-    shifted = P - b.chi_p[p]
+    shifted = P - Fraction(chi_p)
     m_tilde = lemma42_search(shifted, range(-b.n * N, b.n * N + 1), N)
     delta = shifted(m_tilde)
     s = Fraction((-1) ** (b.n - p + 1)) * delta

@@ -239,18 +239,15 @@ def cmd_lefschetz_check(args):
     rep.emit()
 
 
-# the optional BoundsInput fields each bound reads, beyond n, K, C and c_n
-_ROOTS = ("a_n", "chi_p", "hilbert")
-BOUND_READS = {"t2": (), "t4": (), "t5": _ROOTS, "c1": _ROOTS, "etheta": (), "t4chain": ("chi_p", "hilbert")}
-
-
 def cmd_bounds(args):
+    """The hypotheses on n, K, C and c_n are checked first, then bounds.p,
+    then the data of X and L that the chosen bound reads."""
     doc = _doc_from_args(args)
     which = args.which
     rep = Reporter(f"bounds {which}", doc.raw, args.output, doc.load_warnings)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        b = doc.bounds_input(*BOUND_READS[which])
+        b = doc.bounds_input()
         p = doc.bounds_p
         if which == "t4":
             rep.add("bound_T4", bound_T4(b))
@@ -258,15 +255,17 @@ def cmd_bounds(args):
             rep.add("c1sq_L", c1sq := doc.bound("c1sq_L"))
             rep.add("bound_T2", bound_T2(b, c1sq))
         elif which == "t5":
-            rr = root_report(b.hilbert[p], b.chi_p[p])
+            a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
+            rr = root_report(doc.bound("hilbert"), chi_p[p])
             rep.add("m_p", rr.m_p)
-            rep.add("bound_T5", bound_T5(b, rr.m_p))
+            rep.add("bound_T5", bound_T5(b, a_n, rr.m_p))
         elif which == "c1":
-            rr = root_report(b.hilbert[p], b.chi_p[p])
+            a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
+            rr = root_report(doc.bound("hilbert"), chi_p[p])
             rep.add("C_plus", rr.c_plus)
             rep.add("C_minus", rr.c_minus)
-            rep.add("bound_C1_plus", bound_C1(b, rr.c_plus))
-            rep.add("bound_C1_minus", bound_C1(b, rr.c_minus))
+            rep.add("bound_C1_plus", bound_C1(b, a_n, rr.c_plus))
+            rep.add("bound_C1_minus", bound_C1(b, a_n, rr.c_minus))
         elif which == "etheta":
             chi = Fraction(doc.bound("chi"))
             lower, upper = e_theta_interval(b, int(chi))
@@ -274,7 +273,8 @@ def cmd_bounds(args):
             rep.add("E_theta_lower_enclosure", lower)
             rep.add("E_theta_upper_enclosure", upper)
         elif which == "t4chain":
-            report = t4_chain(b, b.hilbert[p], p)
+            chi_p = doc.bound("chi_p")
+            report = t4_chain(b, doc.bound("hilbert"), chi_p[p], p)
             for key in ("p", "N", "m_tilde", "delta", "branch", "bound"):
                 rep.add(key, getattr(report, key))
         for w in caught:
@@ -324,7 +324,6 @@ def build_parser() -> dict:
     ``str`` or a tuple of choices and a default of ``...`` makes the flag
     required; ``positionals`` lists (name, type) pairs in order.
     """
-    which = tuple(BOUND_READS)
     return {
         "genus": (cmd_genus, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
         "kcoeffs": (cmd_kcoeffs, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
@@ -337,7 +336,10 @@ def build_parser() -> dict:
             cmd_lefschetz_check, "sl2 / star / injectivity / power scans",
             {**OUTPUT, "--n": (int, ...), "--r": (int, 1)}, (),
         ),
-        "bounds": (cmd_bounds, "Euler-characteristic bound evaluators", {**DOCUMENT, "--which": (which, ...)}, ()),
+        "bounds": (
+            cmd_bounds, "Euler-characteristic bound evaluators",
+            {**DOCUMENT, "--which": (("t2", "t4", "t5", "c1", "etheta", "t4chain"), ...)}, (),
+        ),
         "verify": (cmd_verify, "run the built-in property suites", {}, ()),
         "fixture": (cmd_fixture, "emit a builtin input document", {"--out": (str, None)}, (("KIND", ("cp",)), ("N", int))),
     }

@@ -28,7 +28,6 @@ from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
 from .genus import BundleData, FundamentalClass, ManifoldData
 from .qpoly import QPoly, is_integer_valued
-from .record import Record
 from .ring import RingSpec
 
 if TYPE_CHECKING:  # the curvature readers import the operator engine when called
@@ -146,18 +145,12 @@ def _hilbert(node, path: str) -> dict[int, QPoly]:
     return {parse_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
 
 
-# The bounds section, field by field with its reader.  BoundsSection holds the
-# parsed values; a field the document omits is None (p defaults to 0).
+# The bounds section, field by field with its reader; InputDocument.bounds maps
+# each field the document gives to its parsed value.
 _BOUNDS_READERS = {
     "n": _dimension, "p": parse_integer, "chi": parse_integer, "chi_p": _integers, "hilbert": _hilbert,
     **dict.fromkeys(("K", "C", "c_n", "a_n", "c1sq_L"), _rational),
 }
-BoundsSection = type("BoundsSection", (Record,), {
-    "__module__": __name__,
-    "__annotations__": dict.fromkeys(_BOUNDS_READERS, "Any"),
-    **dict.fromkeys(_BOUNDS_READERS),
-    "p": 0,
-})
 
 
 class InputDocument:
@@ -170,7 +163,7 @@ class InputDocument:
         self.bundle: Optional[BundleData] = None
         self.line_bundle: Optional[BundleData] = None
         self.curvature: Optional[CurvatureSpec] = None
-        self.bounds: Optional[BoundsSection] = None
+        self.bounds: Optional[dict[str, Any]] = None
         self.load_warnings: list[str] = []
 
     def require(self, name: str):
@@ -179,20 +172,17 @@ class InputDocument:
             raise DocumentError(f"this command needs a {name!r} section in the input")
         return value
 
-    def bounds_input(self, *fields: str) -> BoundsInput:
-        """n, K, C and c_n, and the optional BoundsInput ``fields`` (a_n,
-        chi_p, hilbert) a bound reads, each got by :meth:`bound`."""
+    def bounds_input(self) -> BoundsInput:
+        """The hypotheses n, K, C and c_n, checked by BoundsInput; the data of
+        X and L that a bound reads are got by :meth:`bound`."""
         section = self.require("bounds")
-        if missing := [k for k in ("K", "C", "c_n") if getattr(section, k) is None]:
+        if missing := [k for k in ("K", "C", "c_n") if k not in section]:
             raise DocumentError(f"bounds section is missing {missing}")
-        values = {key: self.bound(key) for key in fields}
-        if "hilbert" in values:  # BoundsInput maps p to its polynomial
-            values["hilbert"] = {self.bounds_p: values["hilbert"]}
-        return BoundsInput(self.bound("n"), section.K, section.C, section.c_n, **values)
+        return BoundsInput(self.bound("n"), section["K"], section["C"], section["c_n"])
 
     @property
     def bounds_p(self) -> int:
-        return in_range(self.require("bounds").p, self.bound("n"), "bounds.p")
+        return in_range(self.require("bounds").get("p", 0), self.bound("n"), "bounds.p")
 
     def bound(self, key: str):
         """One bound input, by the one source rule: derived when the document
@@ -202,12 +192,12 @@ class InputDocument:
         the bounds.p-Hilbert polynomial (``hilbert``) from the manifold and
         line bundle."""
         section, x, line = self.require("bounds"), self.manifold, self.line_bundle
-        given, path, derived = getattr(section, key), f"bounds.{key}", None
+        given, path, derived = section.get(key), f"bounds.{key}", None
         if key == "hilbert":
             given, path = (given or {}).get(self.bounds_p), f"{path}.{self.bounds_p}"
         if key == "n" and self.spec is not None:
             derived = self.spec.truncation
-        elif key == "chi" and (x is not None or section.chi_p is not None):
+        elif key == "chi" and (x is not None or "chi_p" in section):
             derived = sum((-1) ** p * v for p, v in enumerate(self.bound("chi_p")))
         elif key == "chi_p" and x is not None:  # X's own, whatever the bundle section says; chi_y checks integrality
             derived = tuple(map(int, genus.chi_y(x, BundleData.trivial()).padded(x.n + 1)))
@@ -275,8 +265,7 @@ def _read_sections(doc: InputDocument, tree: dict):
         doc.curvature = _curvature(_object(tree["curvature"], "curvature"))
     if "bounds" in tree:
         node = _object(tree["bounds"], "bounds")
-        fields = {key: read(node[key], f"bounds.{key}") for key, read in _BOUNDS_READERS.items() if key in node}
-        doc.bounds = BoundsSection(**fields)
+        doc.bounds = {key: read(node[key], f"bounds.{key}") for key, read in _BOUNDS_READERS.items() if key in node}
 
 
 def _ring(node: dict) -> RingSpec:

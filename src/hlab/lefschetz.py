@@ -796,7 +796,7 @@ def flatness_test(spec: DiagonalCurvature) -> bool:
     c = commutator_norm(spec).value
     flat = all(g == 0 for g in spec.gammas)
     if (c == 0) != flat:
-        raise CertificateError("flatness lemma violated; eigenvalue enumeration bug")
+        raise CertificateError("flatness lemma violated; closed-form C_pq table (_diagonal_table) bug")
     return c == 0
 
 
@@ -825,14 +825,6 @@ def cq_rank(rows: list[list[CQ]]) -> int:
         if row == nrows:
             break
     return rank
-
-
-def _strip_phase(value: CQ, phase: CQ) -> int:
-    """value / phase = value conj(phase) for a unit phase; it must be an integer."""
-    w = value * phase.conj()
-    if w.b or w.d != 1:
-        raise CertificateError("entries do not share the expected phase")
-    return w.a
 
 
 def int_rank(rows: list[list[int]]) -> int:

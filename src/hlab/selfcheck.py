@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import bounds, fixtures, genus, lefschetz, ring
+from .errors import CertificateError
 from .qpoly import QPoly
 
 
@@ -188,7 +189,15 @@ def _check_lefschetz_power():
 def _int_block(op, src, dst, phase) -> list[list[int]]:
     """The block of ``op`` from the src to the dst basis indices, row-major,
     divided by the unit ``phase`` that all its entries share."""
-    return [[lefschetz._strip_phase(v, phase) for v in row] for row in op.block(dst, src)]
+    return [[_strip_phase(v, phase) for v in row] for row in op.block(dst, src)]
+
+
+def _strip_phase(value, phase) -> int:
+    """value / phase = value conj(phase) for a unit phase; it must be an integer."""
+    w = value * phase.conj()
+    if w.b or w.d != 1:
+        raise CertificateError("entries do not share the expected phase")
+    return w.a
 
 
 def lefschetz_power_by_rank(n: int, r: int, k: int) -> tuple[bool, tuple[Fraction, ...]]:
@@ -263,11 +272,7 @@ def _check_bound_fixtures():
     _expect(bounds.bound_T4(b) == 5)
     b2 = bounds.BoundsInput(n=2, K=Fraction(5), C=Fraction(2), c_n=Fraction(1))
     _expect(bounds.bound_T2(b2, 1) == 7)
-    b5 = bounds.BoundsInput(
-        n=3, K=Fraction(61), C=Fraction(1), c_n=Fraction(1), a_n=Fraction(1)
-    )
-    _expect(bounds.bound_T5(b5, 1) == 2004)
-    bc = bounds.BoundsInput(
-        n=2, K=Fraction(9), C=Fraction(1), c_n=Fraction(1), a_n=Fraction(1)
-    )
-    _expect(bounds.bound_C1(bc, 1) == 9)
+    b5 = bounds.BoundsInput(n=3, K=Fraction(61), C=Fraction(1), c_n=Fraction(1))
+    _expect(bounds.bound_T5(b5, 1, 1) == 2004)
+    bc = bounds.BoundsInput(n=2, K=Fraction(9), C=Fraction(1), c_n=Fraction(1))
+    _expect(bounds.bound_C1(bc, 1, 1) == 9)

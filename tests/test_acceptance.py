@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
-from conftest import random_manifold_bundle
+from conftest import newton_poly, random_manifold_bundle, weight_keys
 
 from hlab.bounds import (
     BoundsInput,
@@ -88,19 +88,13 @@ def test_criterion_02_todd_and_ch_printed_forms():
         spec = RingSpec((("c1", 1), ("c2", 2), ("d1", 1), ("d2", 2)), 2)
         c1, c2 = spec.gen("c1"), spec.gen("c2")
         d1, d2 = spec.gen("d1"), spec.gen("d2")
-        fclass = FundamentalClass(spec, {k: F(0) for k in _weight2_keys(spec)})
+        fclass = FundamentalClass(spec, {k: F(0) for k in weight_keys(spec, 2)})
         x = ManifoldData(2, (c1, c2), fclass)
         assert todd_class(x) == spec.one() + c1 * F(1, 2) + (c1 * c1 + c2) * F(1, 12)
         e = BundleData(2, (d1, d2))
         assert chern_character(e, spec, 2) == (
             spec.constant(2) + d1 + (d1 * d1 - 2 * d2) * F(1, 2)
         )
-
-
-def _weight2_keys(spec):
-    from conftest import weight_keys
-
-    return list(weight_keys(spec, 2))
 
 
 def test_criterion_03_k_identities_100_random_surfaces():
@@ -232,9 +226,9 @@ def test_criterion_09_lemma44_exhaustive():
         polys = []
         for n in (1, 2, 3, 4):
             for a_n in (1, 2, 5):
-                polys.append(_newton_poly([0] * n + [a_n]))
-                polys.append(_newton_poly([rng.randint(0, 4) for _ in range(n)] + [a_n]))
-                polys.append(_newton_poly([rng.randint(0, 9) for _ in range(n)] + [a_n]))
+                polys.append(newton_poly([0] * n + [a_n]))
+                polys.append(newton_poly([rng.randint(0, 4) for _ in range(n)] + [a_n]))
+                polys.append(newton_poly([rng.randint(0, 9) for _ in range(n)] + [a_n]))
         for P in polys:
             n = P.degree
             a_n = P.leading() * factorial(n)
@@ -249,16 +243,6 @@ def test_criterion_09_lemma44_exhaustive():
                         assert Q(earlier) < target
 
 
-def _newton_poly(b):
-    P = QPoly([])
-    for i, bi in enumerate(b):
-        term = QPoly([1])
-        for j in range(i):
-            term = term * QPoly([-j, 1]) * F(1, j + 1)
-        P = P + bi * term
-    return P
-
-
 def test_criterion_10_bound_evaluator_fixtures():
     with criterion(10, "bound_T4/T2/T5/C1 reproduce the hand-computed fixtures exactly"):
         assert bound_T4(BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))) == 5
@@ -266,12 +250,12 @@ def test_criterion_10_bound_evaluator_fixtures():
         assert bound_T2(BoundsInput(n=2, K=F(1), C=F(5), c_n=F(1)), 7) == 3
         assert bound_T2(BoundsInput(n=2, K=F(5), C=F(2), c_n=F(1)), 1) == 7
         assert bound_T2(BoundsInput(n=2, K=F(100), C=F(1), c_n=F(3, 100)), -2) == 21
-        b5 = BoundsInput(n=3, K=F(61), C=F(1), c_n=F(1), a_n=F(1))
-        assert bound_T5(b5, 1) == 2004
-        assert bound_T5(b5, 1000) == 4
-        bc = BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1), a_n=F(1))
-        assert bound_C1(bc, 1) == 9
-        assert bound_C1(BoundsInput(n=2, K=F(4), C=F(2), c_n=F(1), a_n=F(7)), 2) == 1
+        b5 = BoundsInput(n=3, K=F(61), C=F(1), c_n=F(1))
+        assert bound_T5(b5, F(1), 1) == 2004
+        assert bound_T5(b5, F(1), 1000) == 4
+        bc = BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1))
+        assert bound_C1(bc, F(1), 1) == 9
+        assert bound_C1(BoundsInput(n=2, K=F(4), C=F(2), c_n=F(1)), F(7), 2) == 1
 
 
 def test_criterion_11_root_machinery():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from conftest import newton_poly
 
 from hlab.bounds import (
     BoundsInput,
@@ -30,17 +31,6 @@ F = Fraction
 WIDTH = F(1, 2**20)
 
 
-def _newton_basis_poly(b):
-    """P(m) = sum b_i C(m, i): integer-valued with Delta^i P(0) = b_i."""
-    P = QPoly([])
-    for i, bi in enumerate(b):
-        term = QPoly([1])
-        for j in range(i):
-            term = term * QPoly([-j, 1]) * F(1, j + 1)
-        P = P + bi * term
-    return P
-
-
 # -- forward differences ----------------------------------------------------------
 
 
@@ -56,7 +46,7 @@ def test_forward_difference_top_is_an(n):
     rng = random.Random(900 + n)
     for _ in range(5):
         b = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 9)]
-        P = _newton_basis_poly(b)
+        P = newton_poly(b)
         assert P.leading() == F(b[-1], factorial(n))
         assert forward_difference(P, n) == QPoly([b[-1]])
 
@@ -65,7 +55,7 @@ def test_newton_polys_are_integer_valued():
     rng = random.Random(901)
     for _ in range(10):
         b = [rng.randint(-9, 9) for _ in range(5)]
-        assert is_integer_valued(_newton_basis_poly(b))
+        assert is_integer_valued(newton_poly(b))
     assert not is_integer_valued(QPoly([0, F(1, 2)]))
 
 
@@ -94,7 +84,7 @@ def test_lemma44_membership_and_bound_random():
         m0 = rng.randint(-3, 3)
         k = rng.randint(0, 5)
         b = [rng.randint(0, 6) for _ in range(n)] + [rng.randint(1, 5)]
-        P = _newton_basis_poly(b).shift(-m0)  # nonnegative for m >= m0
+        P = newton_poly(b).shift(-m0)  # nonnegative for m >= m0
         a_n = P.leading() * factorial(n)
         m = lemma44_search(P, m0, k)
         assert m0 <= m <= m0 + k * n
@@ -125,7 +115,7 @@ def test_lemma42_random_guarantee():
     for _ in range(40):
         n = rng.randint(1, 4)
         b = [rng.randint(-4, 4) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
-        P = _newton_basis_poly(b)
+        P = newton_poly(b)
         Lval = rng.randint(1, 3)
         lo = rng.randint(-30, 0)
         candidates = list(range(lo, lo + 2 * n * Lval + 1))
@@ -354,36 +344,36 @@ def test_bound_T2_fixtures():
 
 
 def test_bound_T5_fixtures():
-    b = BoundsInput(n=3, K=F(61), C=F(1), c_n=F(1), a_n=F(1))
-    assert bound_T5(b, 1) == 2004
+    b = BoundsInput(n=3, K=F(61), C=F(1), c_n=F(1))
+    assert bound_T5(b, F(1), 1) == 2004
     # floor negative -> max clause yields n+1
-    assert bound_T5(b, 1000) == 4
+    assert bound_T5(b, F(1), 1000) == 4
     # x in [0, 1) -> sign 0 -> n+1
-    b2 = BoundsInput(n=2, K=F(1, 2), C=F(1), c_n=F(1), a_n=F(5))
-    assert bound_T5(b2, 0) == 3
+    b2 = BoundsInput(n=2, K=F(1, 2), C=F(1), c_n=F(1))
+    assert bound_T5(b2, F(5), 0) == 3
 
 
 def test_bound_T5_negative_floor_semantics():
     # x = c_n K - C m_p = -1/2: floor is -1 (not truncation toward zero),
     # so the signed term is negative and the max clause wins
-    b = BoundsInput(n=2, K=F(1, 2), C=F(1), c_n=F(1), a_n=F(3))
-    assert bound_T5(b, 1) == 3
+    b = BoundsInput(n=2, K=F(1, 2), C=F(1), c_n=F(1))
+    assert bound_T5(b, F(3), 1) == 3
 
 
 def test_bound_T5_degenerate_an():
-    b = BoundsInput(n=2, K=F(10), C=F(1), c_n=F(1), a_n=F(0))
+    b = BoundsInput(n=2, K=F(10), C=F(1), c_n=F(1))
     with pytest.warns(UserWarning):
-        assert bound_T5(b, 0) == 3
+        assert bound_T5(b, F(0), 0) == 3
 
 
 def test_bound_C1_fixtures():
-    b = BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1), a_n=F(1))
-    assert bound_C1(b, 1) == 9
-    assert bound_C1(BoundsInput(n=2, K=F(4), C=F(2), c_n=F(1), a_n=F(7)), 2) == 1
+    b = BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1))
+    assert bound_C1(b, F(1), 1) == 9
+    assert bound_C1(BoundsInput(n=2, K=F(4), C=F(2), c_n=F(1)), F(7), 2) == 1
     with pytest.raises(ValueError):
-        bound_C1(b, 100)  # c_n K < C C_pm
+        bound_C1(b, F(1), 100)  # c_n K < C C_pm
     with pytest.warns(UserWarning):
-        assert bound_C1(BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1), a_n=F(0)), 1) == 1
+        assert bound_C1(BoundsInput(n=2, K=F(9), C=F(1), c_n=F(1)), F(0), 1) == 1
 
 
 def test_e_theta_degenerate_interval():
@@ -417,14 +407,14 @@ def test_e_theta_irrational_enclosures():
 
 
 def test_t4_chain_degenerate():
-    b = BoundsInput(n=2, K=F(1), C=F(10), c_n=F(1), chi_p=(F(1), F(-2), F(1)))
-    rep = t4_chain(b, QPoly([1, 0, 1]), 0)
+    b = BoundsInput(n=2, K=F(1), C=F(10), c_n=F(1))
+    rep = t4_chain(b, QPoly([1, 0, 1]), F(1), 0)
     assert rep.N == 0 and rep.bound == 1 and rep.branch == "degenerate"
 
 
 def test_t4_chain_linear_example():
-    b = BoundsInput(n=1, K=F(2), C=F(1), c_n=F(1), chi_p=(F(-1), F(1)))
-    rep = t4_chain(b, QPoly([-1, 1]), 0)  # P - chi = m
+    b = BoundsInput(n=1, K=F(2), C=F(1), c_n=F(1))
+    rep = t4_chain(b, QPoly([-1, 1]), F(-1), 0)  # P - chi = m
     assert rep.N == 2
     assert rep.m_tilde in (-2, 2)
     assert rep.bound == 3
@@ -434,11 +424,11 @@ def test_t4_chain_linear_example():
 def test_t4_chain_scans_its_window_without_storing_it():
     # N = floor(c_n K / (n C)) = 25000 on CP^2, a window of 2 n N + 1 = 100001
     # candidates; the list and set of them took several MB
-    b = BoundsInput(n=2, K=F(10**6), C=F(2), c_n=F(1, 10), chi_p=(F(1), F(-1), F(1)))
+    b = BoundsInput(n=2, K=F(10**6), C=F(2), c_n=F(1, 10))
     P = QPoly([1, F(3, 2), F(1, 2)])  # (m + 1)(m + 2) / 2
     tracemalloc.start()
     try:
-        rep = t4_chain(b, P, 0)
+        rep = t4_chain(b, P, F(1), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -447,16 +437,16 @@ def test_t4_chain_scans_its_window_without_storing_it():
 
 
 def test_t4_chain_rejects_constant():
-    b = BoundsInput(n=1, K=F(2), C=F(1), c_n=F(1), chi_p=(F(1), F(1)))
+    b = BoundsInput(n=1, K=F(2), C=F(1), c_n=F(1))
     with pytest.raises(ValueError):
-        t4_chain(b, QPoly([5]), 0)
+        t4_chain(b, QPoly([5]), F(1), 0)
 
 
 def test_t4_chain_branches():
     # engineered so the twisted branch is forced: n=1, p=0, (-1)^{n-p+1} = 1
-    b = BoundsInput(n=1, K=F(3), C=F(1), c_n=F(1), chi_p=(F(2), F(-2)))
+    b = BoundsInput(n=1, K=F(3), C=F(1), c_n=F(1))
     P = QPoly([2, 1])  # P - chi = m
-    rep = t4_chain(b, P, 0)
+    rep = t4_chain(b, P, F(2), 0)
     assert rep.branch in ("chi_p", "chi_p_twisted")
     s = F((-1) ** (b.n - 0 + 1)) * rep.delta
     if s >= rep.N:
@@ -472,3 +462,18 @@ def test_bounds_input_validation():
         BoundsInput(n=2, K=F(1), C=F(-1), c_n=F(1))
     with pytest.raises(ValueError):
         BoundsInput(n=2, K=F(1), C=F(1), c_n=F(0))
+
+
+def test_bounds_input_refuses_C_zero():
+    # the one C > 0 check, for every evaluator: the record cannot be built
+    with pytest.raises(ValueError, match=r"C = 0 makes the bound undefined"):
+        BoundsInput(n=2, K=F(1), C=F(0), c_n=F(1))
+    with pytest.raises(ValueError, match="C must be nonnegative"):
+        BoundsInput(n=2, K=F(1), C=F(-1), c_n=F(1))
+
+
+@pytest.mark.parametrize("p", [-1, 3])
+def test_t4_chain_refuses_p_outside_0_to_n(p):
+    b = BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))
+    with pytest.raises(ValueError, match=rf"p = {p} is outside \[0, 2\]"):
+        t4_chain(b, QPoly([1, F(3, 2), F(1, 2)]), F(1), p)

@@ -147,6 +147,19 @@ def test_bounds_call_chi_y_only_where_chi_p_is_read(capsys, cp2_bounds_file, mon
         assert len(calls) == count, which
 
 
+@pytest.mark.parametrize("extra", [{}, {"p": 3}], ids=["no-X-L-data", "and-p-out-of-range"])
+@pytest.mark.parametrize("which", ["t4", "t2", "t5", "c1", "etheta", "t4chain"])
+def test_bounds_check_the_hypotheses_before_what_a_bound_reads(capsys, tmp_path, which, extra):
+    # C = 0 violates a hypothesis (exit 1) before any a_n, chi^p or Hilbert
+    # polynomial is asked for, and before bounds.p is range-checked (exit 2)
+    bounds = {"n": 2, "K": "100", "C": "0", "c_n": "1/10", "c1sq_L": "1", "chi": 5, **extra}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"bounds": bounds}))
+    code, _, err = run(capsys, "bounds", "--input", str(path), "--which", which)
+    assert code == 1
+    assert "C = 0 makes the bound undefined" in err
+
+
 @pytest.mark.parametrize("chern", [{"c1": "h"}, {"c1": "3*h", "c2": "2*h^2"}])
 def test_bounds_read_the_euler_characteristics_of_x_not_of_the_bundle(capsys, tmp_path, chern):
     # chi^p(X, E) of the bundle section was read as chi^p(X): an O(1) bundle

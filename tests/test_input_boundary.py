@@ -184,7 +184,8 @@ def test_bounds_section_is_parsed_at_load():
     with pytest.raises(DocumentError, match=r"bounds\.K"):
         load_document(_with(("bounds", "K"), "x"))
     doc = load_document(_with(("bounds", "c1sq_L"), "9"))
-    assert doc.bounds.c1sq_L == 9 and doc.bounds.p == 0
+    assert doc.bounds["c1sq_L"] == 9 and doc.bounds["p"] == 0
+    assert load_document(_with(("bounds",), {"K": "1"})).bounds_p == 0  # p defaults to 0
 
 
 def test_deeply_nested_expression_is_input_error():

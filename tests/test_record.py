@@ -6,7 +6,6 @@ import pytest
 
 from hlab.bounds import BoundsInput, Interval
 from hlab.genus import BundleData, projective_space
-from hlab.inputdoc import BoundsSection
 from hlab.record import Record
 from hlab.ring import RingSpec
 
@@ -41,22 +40,20 @@ def test_fields_are_frozen():
     with pytest.raises(AttributeError):
         del iv.hi
     with pytest.raises(AttributeError):
-        BoundsSection().p = 1
+        BundleData(1).rank = 2
     assert iv == Interval(1, 2)
 
 
 def test_repr_is_name_and_fields():
     assert repr(Interval(F(1, 2), 1)) == "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))"
     assert repr(BundleData(2)) == "BundleData(rank=2, chern=())"
-    assert repr(BoundsSection(K=F(3))).startswith("BoundsSection(n=None, p=0, chi=None, ")
 
 
 def test_defaults():
     assert BundleData(1) == BundleData(1, ()) == BundleData(rank=1)
+    assert BundleData(1).chern == () and BundleData(2, chern=()).rank == 2
     b = BoundsInput(2, 1, 1, 1)
-    assert (b.a_n, b.chi_p, b.hilbert) == (None, None, None)
-    assert BoundsInput(2, 1, 1, 1, chi_p=[1, 0, 1]).chi_p == (1, 0, 1)
-    assert BoundsSection().p == 0 and BoundsSection().K is None
+    assert (b.K, b.C, b.c_n) == (1, 1, 1) and type(b.C) is Fraction
 
 
 @pytest.mark.parametrize(
