@@ -12,9 +12,13 @@ fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
 them, usage errors included.  All numeric output is exact rational text
 except the explicitly marked enclosures.
 
-Importing this module loads the input boundary and the HRR and bounds
-engines only: the operator engine (``lefschetz``) is imported by the
-commands that run it, and the self-check suite by ``verify``.
+Importing this module loads the input boundary only (``inputdoc``,
+``exprparse``, ``errors``, ``record``).  Each handler imports the engine it
+runs: the HRR engine (``genus``, with ``ring`` and ``qpoly``) in the four
+HRR handlers, the bound evaluators in ``bounds``, the operator engine
+(``lefschetz``) in the operator commands and the self-check suite in
+``verify``; ``inputdoc`` imports a section's engine where it reads that
+section.
 """
 
 from __future__ import annotations
@@ -25,10 +29,7 @@ import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import genus
-from .bounds import bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
-from .genus import BundleData
 from .inputdoc import INTEGER, cp_fixture, digest, in_range, load_document, load_file, parse_gammas, parse_integer
 from .record import Interval
 
@@ -142,9 +143,11 @@ def _doc_from_args(args):
 
 
 def cmd_genus(args):
+    from . import genus
+
     doc = _doc_from_args(args)
     x = doc.require("manifold")
-    e = doc.bundle or BundleData.trivial()
+    e = doc.bundle or genus.BundleData.trivial()
     rep = Reporter("genus", doc.raw, args.output, doc.load_warnings)
     rep.add("td", genus.todd_class(x))
     rep.add("ch", genus.chern_character(e, x.spec, x.n))
@@ -156,9 +159,11 @@ def cmd_genus(args):
 
 
 def cmd_kcoeffs(args):
+    from . import genus
+
     doc = _doc_from_args(args)
     x = doc.require("manifold")
-    e = doc.bundle or BundleData.trivial()
+    e = doc.bundle or genus.BundleData.trivial()
     rep = Reporter("kcoeffs", doc.raw, args.output, doc.load_warnings)
     chi = genus.chi_y(x, e)
     rep.add("K", genus.k_coefficients(chi, upto=x.n))
@@ -169,6 +174,8 @@ def cmd_kcoeffs(args):
 
 
 def cmd_hilbert(args):
+    from . import genus
+
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     line = doc.require("line_bundle")
@@ -181,9 +188,11 @@ def cmd_hilbert(args):
 
 
 def cmd_ineq(args):
+    from . import genus
+
     doc = _doc_from_args(args)
     x = doc.require("manifold")
-    e = doc.bundle or BundleData.trivial()
+    e = doc.bundle or genus.BundleData.trivial()
     rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
     js = [in_range(args.j, x.n, "--j")] if args.j is not None else list(range(x.n + 1))
     rows = []
@@ -242,6 +251,8 @@ def cmd_lefschetz_check(args):
 def cmd_bounds(args):
     """The hypotheses on n, K, C and c_n are checked first, then bounds.p,
     then the data of X and L that the chosen bound reads."""
+    from .bounds import bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
+
     doc = _doc_from_args(args)
     which = args.which
     rep = Reporter(f"bounds {which}", doc.raw, args.output, doc.load_warnings)

@@ -32,9 +32,12 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import ExprError
-from .ring import GradedElement, RingSpec
+
+if TYPE_CHECKING:  # the parser calls only the methods of the RingSpec it is given
+    from .ring import GradedElement, RingSpec
 
 # expressions whose syntactic weight bound exceeds this are rejected
 # before any arithmetic is attempted

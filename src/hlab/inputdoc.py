@@ -22,16 +22,15 @@ from math import comb
 from reprlib import repr as _show
 from typing import TYPE_CHECKING, Any, Optional
 
-from . import genus
-from .bounds import BoundsInput
 from .errors import DocumentError
 from .exprparse import parse_expression, parse_monomial_key, parse_rational
-from .genus import BundleData, FundamentalClass, ManifoldData
-from .qpoly import QPoly, is_integer_valued
-from .ring import RingSpec
 
-if TYPE_CHECKING:  # the curvature readers import the operator engine when called
+if TYPE_CHECKING:  # each section's reader imports its engine when called
+    from .bounds import BoundsInput
+    from .genus import BundleData, ManifoldData
     from .lefschetz import CurvatureSpec, DiagonalCurvature
+    from .qpoly import QPoly
+    from .ring import RingSpec
 
 MAX_DOC_DIMENSION = 12  # polynomial-degree guard rail for desk-scale inputs
 
@@ -55,9 +54,13 @@ def _at(path: str):
         raise DocumentError(f"{path}: {exc}") from None
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, fields=None) -> dict:
+    """A JSON object; given its ``fields``, one with no other key, so a
+    misspelt field is refused rather than read as absent."""
     if not isinstance(value, dict):
         raise DocumentError(f"{path} must be a JSON object, got {_show(value)}")
+    if fields is not None and (unknown := [key for key in value if key not in fields]):
+        raise DocumentError(f"{path} has no field {_show(unknown[0])}: its fields are {', '.join(fields)}")
     return value
 
 
@@ -141,9 +144,14 @@ def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0)
 
 
 def _hilbert(node, path: str) -> dict[int, QPoly]:
+    from .qpoly import QPoly
+
     polys = _object(node, path).items()
     return {parse_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
 
+
+# The top-level fields of a document.
+_SECTIONS = ("ring", "fundamental_class", "manifold", "bundle", "line_bundle", "curvature", "bounds")
 
 # The bounds section, field by field with its reader; InputDocument.bounds maps
 # each field the document gives to its parsed value.
@@ -175,6 +183,8 @@ class InputDocument:
     def bounds_input(self) -> BoundsInput:
         """The hypotheses n, K, C and c_n, checked by BoundsInput; the data of
         X and L that a bound reads are got by :meth:`bound`."""
+        from .bounds import BoundsInput
+
         section = self.require("bounds")
         if missing := [k for k in ("K", "C", "c_n") if k not in section]:
             raise DocumentError(f"bounds section is missing {missing}")
@@ -191,7 +201,11 @@ class InputDocument:
         from the manifold, chi from chi^p got either way, and a_n, c1sq_L and
         the bounds.p-Hilbert polynomial (``hilbert``) from the manifold and
         line bundle."""
+        from .qpoly import is_integer_valued
+
         section, x, line = self.require("bounds"), self.manifold, self.line_bundle
+        if x is not None:  # every derivation from X runs in genus, loaded when X was read
+            from . import genus
         given, path, derived = section.get(key), f"bounds.{key}", None
         if key == "hilbert":
             given, path = (given or {}).get(self.bounds_p), f"{path}.{self.bounds_p}"
@@ -200,7 +214,7 @@ class InputDocument:
         elif key == "chi" and (x is not None or "chi_p" in section):
             derived = sum((-1) ** p * v for p, v in enumerate(self.bound("chi_p")))
         elif key == "chi_p" and x is not None:  # X's own, whatever the bundle section says; chi_y checks integrality
-            derived = tuple(map(int, genus.chi_y(x, BundleData.trivial()).padded(x.n + 1)))
+            derived = tuple(map(int, genus.chi_y(x, genus.BundleData.trivial()).padded(x.n + 1)))
         elif key == "hilbert" and x is not None and line is not None:
             derived = genus.hilbert_polynomial(x, line, self.bounds_p)
         elif key in ("a_n", "c1sq_L") and x is not None and line is not None:
@@ -220,7 +234,7 @@ class InputDocument:
 
 
 def load_document(tree: dict) -> InputDocument:
-    doc = InputDocument(raw=_object(tree, "the input document"))
+    doc = InputDocument(raw=_object(tree, "the input document", _SECTIONS))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _read_sections(doc, tree)
@@ -234,8 +248,10 @@ def _read_sections(doc: InputDocument, tree: dict):
             raise DocumentError(f"{key} needs a ring section")
     if "manifold" in tree and "fundamental_class" not in tree:
         raise DocumentError("a manifold needs a fundamental_class table")
-    if "ring" in tree:
-        doc.spec = spec = _ring(_object(tree["ring"], "ring"))
+    if "ring" in tree:  # every section read below until curvature needs the ring
+        from .genus import BundleData, FundamentalClass, ManifoldData
+
+        doc.spec = spec = _ring(_object(tree["ring"], "ring", ("generators", "dimension")))
     if "fundamental_class" in tree:
         table = {}
         for key, value in _object(tree["fundamental_class"], "fundamental_class").items():
@@ -247,31 +263,33 @@ def _read_sections(doc: InputDocument, tree: dict):
         with _at("fundamental_class"):
             fclass = FundamentalClass(spec, table)
     if "manifold" in tree:
-        node = _object(tree["manifold"], "manifold").get("chern", {})
+        node = _object(tree["manifold"], "manifold", ("chern",)).get("chern", {})
         chern = _chern_classes(node, spec, spec.truncation, "manifold.chern", spec.truncation)
         with _at("manifold.chern"):
             doc.manifold = ManifoldData(spec.truncation, tuple(chern), fclass)
     if "bundle" in tree:
-        node = _object(tree["bundle"], "bundle")
+        node = _object(tree["bundle"], "bundle", ("rank", "chern"))
         rank = parse_integer(node.get("rank", 1), "bundle.rank")
         chern = _chern_classes(node.get("chern", {}), spec, rank, "bundle.chern")
         with _at("bundle"):
             doc.bundle = BundleData(rank, tuple(chern))
     if "line_bundle" in tree:
-        c1 = _object(tree["line_bundle"], "line_bundle").get("c1", "0")
+        c1 = _object(tree["line_bundle"], "line_bundle", ("c1",)).get("c1", "0")
         with _at("line_bundle"):
             doc.line_bundle = BundleData(1, tuple(_chern_classes({"c1": c1}, spec, 1, "line_bundle")))
     if "curvature" in tree:
-        doc.curvature = _curvature(_object(tree["curvature"], "curvature"))
+        doc.curvature = _curvature(_object(tree["curvature"], "curvature", ("gammas", "hermitian")))
     if "bounds" in tree:
-        node = _object(tree["bounds"], "bounds")
+        node = _object(tree["bounds"], "bounds", tuple(_BOUNDS_READERS))
         doc.bounds = {key: read(node[key], f"bounds.{key}") for key, read in _BOUNDS_READERS.items() if key in node}
 
 
 def _ring(node: dict) -> RingSpec:
+    from .ring import RingSpec
+
     gens = []
     for i, gen in enumerate(_list(node.get("generators"), "ring.generators")):
-        gen = _object(gen, f"ring.generators[{i}]")
+        gen = _object(gen, f"ring.generators[{i}]", ("name", "weight"))
         if not isinstance(gen.get("name"), str):
             raise DocumentError(f"ring.generators[{i}].name must be a string")
         gens.append((gen["name"], parse_integer(gen.get("weight"), f"ring.generators[{i}].weight")))
@@ -283,11 +301,11 @@ def _ring(node: dict) -> RingSpec:
 def _curvature(node: dict) -> CurvatureSpec:
     from .lefschetz import HermitianCurvature
 
+    if ("gammas" in node) == ("hermitian" in node):
+        raise DocumentError("curvature needs one of 'gammas' and 'hermitian', not both or neither")
     if "gammas" in node:
         return parse_gammas(node["gammas"], "curvature.gammas")
-    if "hermitian" not in node:
-        raise DocumentError("curvature needs either 'gammas' or 'hermitian'")
-    herm = _object(node["hermitian"], "curvature.hermitian")
+    herm = _object(node["hermitian"], "curvature.hermitian", ("theta",))
     theta = _nested_lists(herm.get("theta"), 3, "curvature.hermitian.theta")
     with _at("curvature.hermitian.theta"):
         return HermitianCurvature(theta)

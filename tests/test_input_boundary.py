@@ -104,6 +104,29 @@ FAULTS = {
     "non-ascii-digit": (GENUS, _with(("bundle", "chern", "c1"), "٣*h"), "bundle.chern.c1"),
     # computed, then failed to print (exit 1)
     "constant-too-large": (GENUS, _with(("bundle", "chern", "c1"), "3^10000*h"), "bundle.chern.c1"),
+    # a misspelt field was read as absent, with exit 0: t4chain ran at p = 0,
+    # t2 read the derived c1sq_L and genus the trivial bundle
+    "bounds-P": (T4CHAIN, _with(("bounds", "P"), 2), "bounds has no field 'P'"),
+    "bounds-c1sqL": (("bounds", "--which", "t2"), _with(("bounds", "c1sqL"), "7"), "bounds has no field 'c1sqL'"),
+    "bundel": (GENUS, _with(("bundel",), {"rank": 2}), "the input document has no field 'bundel'"),
+    "ring-field": (GENUS, _with(("ring", "dim"), 2), "ring has no field 'dim'"),
+    "generator-field": (
+        GENUS, _with(("ring", "generators", 0, "wieght"), 1), "ring.generators[0] has no field 'wieght'"
+    ),
+    "manifold-field": (GENUS, _with(("manifold", "c1"), "3*h"), "manifold has no field 'c1'"),
+    "bundle-field": (GENUS, _with(("bundle", "rnak"), 2), "bundle has no field 'rnak'"),
+    "line-bundle-field": (("hilbert",), _with(("line_bundle", "c2"), "h^2"), "line_bundle has no field 'c2'"),
+    "curvature-field": (
+        ("commutator",), {"curvature": {"gammas": ["1"], "gamma": ["2"]}}, "curvature has no field 'gamma'"
+    ),
+    "hermitian-field": (
+        ("commutator",),
+        {"curvature": {"hermitian": {"theta": [[[[1]]]], "thetas": []}}},
+        "curvature.hermitian has no field 'thetas'",
+    ),
+    "curvature-both": (
+        ("commutator",), {"curvature": {"gammas": ["1"], "hermitian": {"theta": [[[[1]]]]}}}, "curvature needs one of"
+    ),
 }
 
 

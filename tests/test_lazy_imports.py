@@ -1,10 +1,12 @@
 """Start-up loads only the engine a command runs.
 
-``import hlab`` loads no engine module, ``import hlab.cli`` loads the input
-boundary and the HRR and bounds engines, and the operator engine
-(``lefschetz``) and the self-check suite (``selfcheck``, ``fixtures``) are
-imported by the commands that use them.  No command loads ``dataclasses``,
-``inspect``, or ``argparse`` and the ``gettext`` and ``locale`` it pulls in.
+``import hlab`` loads no engine module and ``import hlab.cli`` loads the
+input boundary alone.  Each command imports the engine it runs: the HRR
+engine (``ring``, ``genus``, ``qpoly``), the bound evaluators (``bounds``),
+the operator engine (``lefschetz``) or the self-check suite (``selfcheck``,
+``fixtures``); the exact set of each is pinned here.  No command loads
+``dataclasses``, ``inspect``, or ``argparse`` and the ``gettext`` and
+``locale`` it pulls in.
 The package still exports every name it did when it imported all of its
 modules eagerly.
 """
@@ -26,6 +28,10 @@ HEAVY = {"hlab.lefschetz", "hlab.selfcheck", "hlab.fixtures"}
 CODEGEN = {"dataclasses", "inspect"}  # about 24 ms of a cold start when they load
 ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with the parsers built
 ENGINES = {f"hlab.{m}" for m in ("bounds", "exprparse", "genus", "inputdoc", "lefschetz", "qpoly", "ring")}
+# The hlab modules a command loads: the input boundary, plus its engine.
+BOUNDARY = {f"hlab.{m}" for m in ("cli", "errors", "record", "inputdoc", "exprparse")}
+HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
+OPERATOR = BOUNDARY | {"hlab.lefschetz"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -49,6 +55,10 @@ def _loaded(code: str, *argv: str) -> tuple[int, set]:
     return report["code"], set(report["modules"])
 
 
+def _hlab(modules: set) -> set:
+    return {m for m in modules if m.startswith("hlab.")}
+
+
 @pytest.fixture(scope="module")
 def cp2_file(tmp_path_factory):
     tree = cp_fixture(2)
@@ -68,21 +78,39 @@ HRR_AND_BOUNDS = [
 def test_hrr_and_bounds_commands_skip_the_operator_engine(cp2_file, argv):
     code, modules = _loaded(PROBE, *argv, "--input", cp2_file)
     assert code == (1 if argv[-1] == "etheta" else 0)  # E_theta's hypotheses fail on this document
-    assert not modules & HEAVY, sorted(modules & HEAVY)
+    assert _hlab(modules) == (HRR | {"hlab.bounds"} if argv[0] == "bounds" else HRR)
+
+
+def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
+    path = tmp_path / "scalars.json"
+    path.write_text(json.dumps({"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10"}}))
+    code, modules = _loaded(PROBE, "bounds", "--which", "t4", "--input", str(path))
+    assert code == 0
+    assert _hlab(modules) == BOUNDARY | {"hlab.bounds", "hlab.qpoly"}
 
 
 def test_fixture_command_loads_no_operator_engine():
     code, modules = _loaded(PROBE, "fixture", "cp", "1")
     assert code == 0
-    assert not modules & HEAVY, sorted(modules & HEAVY)
+    assert _hlab(modules) == BOUNDARY
 
 
-@pytest.mark.parametrize("argv", [("commutator", "--gammas", "1,2"), ("lefschetz-check", "--n", "2")], ids=" ".join)
-def test_operator_commands_load_lefschetz_only(argv):
-    code, modules = _loaded(PROBE, *argv)
+@pytest.fixture(scope="module")
+def hermitian_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "hermitian.json"
+    path.write_text(json.dumps({"curvature": {"hermitian": {"theta": [[[[1, 0], [0, 2]]]]}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("commutator", "--gammas", "1,2"), ("lefschetz-check", "--n", "2"), ("commutator", "--input", "HERMITIAN")],
+    ids=" ".join,
+)
+def test_operator_commands_load_lefschetz_only(hermitian_file, argv):
+    code, modules = _loaded(PROBE, *(hermitian_file if arg == "HERMITIAN" else arg for arg in argv))
     assert code == 0
-    assert "hlab.lefschetz" in modules
-    assert not modules & {"hlab.selfcheck", "hlab.fixtures"}
+    assert _hlab(modules) == OPERATOR
 
 
 @pytest.mark.parametrize(
