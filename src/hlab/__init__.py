@@ -22,7 +22,8 @@ _EXPORTS = {
         "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "isolate_real_roots",
         "lemma42_search", "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
     ),
-    "exprparse": ("ExprError", "parse_expression", "parse_rational"),
+    "diagonal": ("CommutatorNorm", "DiagonalCurvature", "flatness_test"),
+    "exprparse": ("ExprError", "parse_expression"),
     "genus": (
         "BundleData", "FundamentalClass", "IntegralityError", "ManifoldData",
         "MissingChernNumber", "bundle_power", "ch_hodge_sheaf", "chern_character",
@@ -31,12 +32,12 @@ _EXPORTS = {
         "k_coefficients", "projective_space", "todd_class",
     ),
     "lefschetz": (
-        "CQ", "CertificateError", "CommutatorNorm", "DiagonalCurvature", "ExteriorBasis",
-        "FormVector", "HermitianCurvature", "LefschetzPower", "Operator", "commutator_norm",
-        "curvature_operator", "diagonal_commutator_eigenvalues", "flatness_test", "get_basis",
-        "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
-        "sl2_commutator_check",
+        "CQ", "CertificateError", "ExteriorBasis", "FormVector", "HermitianCurvature",
+        "LefschetzPower", "Operator", "commutator_norm", "curvature_operator",
+        "diagonal_commutator_eigenvalues", "get_basis", "injectivity_scan", "lefschetz_power",
+        "op_L", "op_Lambda", "op_star", "sl2_commutator_check",
     ),
+    "literals": ("parse_rational",),
     "qpoly": ("QPoly",),
     "ring": (
         "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",

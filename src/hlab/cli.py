@@ -12,13 +12,16 @@ fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
 them, usage errors included.  All numeric output is exact rational text
 except the explicitly marked enclosures.
 
-Importing this module loads the input boundary only (``inputdoc``,
-``exprparse``, ``errors``, ``record``).  Each handler imports the engine it
-runs: the HRR engine (``genus``, with ``ring`` and ``qpoly``) in the four
-HRR handlers, the bound evaluators in ``bounds``, the operator engine
-(``lefschetz``) in the operator commands and the self-check suite in
-``verify``; ``inputdoc`` imports a section's engine where it reads that
-section.
+Importing this module loads the literal rules of the flags only
+(``literals``, ``errors``, ``record``).  The document reader (``inputdoc``)
+loads in the handlers that read ``--input`` and in ``fixture``, and each
+handler imports the engine it runs: the HRR engine (``genus``, with ``ring``
+and ``qpoly``) in the four HRR handlers, the bound evaluators in ``bounds``,
+the diagonal closed form (``diagonal``) in ``commutator`` and the space rule
+of ``lefschetz-check``, the operator engine (``lefschetz``) only for
+Hermitian curvature and the ``lefschetz-check`` scans, and the self-check
+suite in ``verify``; ``inputdoc`` imports the expression parser and a
+section's engine where it reads that section.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
-from .inputdoc import INTEGER, cp_fixture, digest, in_range, load_document, load_file, parse_gammas, parse_integer
+from .literals import INTEGER, digest, in_range, parse_gammas, parse_integer
 from .record import Interval
 
 ENGINE_ERROR = 1
@@ -134,6 +137,8 @@ def _flat_str(value):
 
 
 def _doc_from_args(args):
+    from .inputdoc import load_document, load_file
+
     if args.input:
         return load_file(args.input)
     return load_document({})
@@ -204,7 +209,7 @@ def cmd_ineq(args):
 
 
 def cmd_commutator(args):
-    from . import lefschetz
+    from .diagonal import DiagonalCurvature, diagonal_norm, flatness_test
 
     if args.gammas is not None:
         if args.input:
@@ -215,23 +220,30 @@ def cmd_commutator(args):
         doc = _doc_from_args(args)
         spec = doc.require("curvature")
         rep = Reporter("commutator", doc.raw, args.output, doc.load_warnings)
-    norm = lefschetz.commutator_norm(spec)
+    if isinstance(spec, DiagonalCurvature):  # the closed form: no operator engine
+        norm = diagonal_norm(spec)
+    else:
+        from .lefschetz import commutator_norm
+
+        norm = commutator_norm(spec)
     rep.add("C", norm.value)
     rep.add("exact", norm.exact)
     rep.add("C_pq", [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())])
-    if isinstance(spec, lefschetz.DiagonalCurvature):
-        rep.add("flat", lefschetz.flatness_test(spec))
+    if isinstance(spec, DiagonalCurvature):
+        rep.add("flat", flatness_test(spec))
     rep.emit()
 
 
 def cmd_lefschetz_check(args):
-    from . import lefschetz
+    from .diagonal import check_space
 
     n, r = args.n, args.r
     try:
-        lefschetz.check_space(n, r)
+        check_space(n, r)
     except ValueError as exc:
         raise DocumentError(f"--n {n} --r {r}: {exc}") from None
+    from . import lefschetz
+
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
     rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
     if n <= 3:
@@ -308,6 +320,8 @@ def cmd_verify(args):
 
 
 def cmd_fixture(args):
+    from .inputdoc import cp_fixture
+
     tree = cp_fixture(args.n)
     text = json.dumps(tree, indent=2, sort_keys=True)
     if args.out:

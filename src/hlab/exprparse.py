@@ -27,7 +27,6 @@ product when its result does.
 
 from __future__ import annotations
 
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -35,6 +34,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ExprError
+from .literals import parse_rational  # noqa: F401 - re-exported: its home is literals
 
 if TYPE_CHECKING:  # the parser calls only the methods of the RingSpec it is given
     from .ring import GradedElement, RingSpec
@@ -225,20 +225,6 @@ def parse_expression(src: str, spec: RingSpec) -> GradedElement:
         message = f"terms of weight above {spec.truncation} truncated in {src!r}"
         warnings.warn(message, TruncationWarning, stacklevel=2)
     return value
-
-
-def parse_rational(text) -> Fraction:
-    """Parse a JSON int or a string of the form ``-?[0-9]+(/[0-9]+)?``, exactly.
-    Anything else (a float, a bool, '1e3', '1.5', padding) is an input error:
-    an :class:`ExprError` naming the literal."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
-        raise ExprError(f"bad rational literal {text!r}: expected an integer or 'p/q'")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, too many digits
-        raise ExprError(f"bad rational literal {text!r}: {exc}") from None
 
 
 def parse_monomial_key(key: str, spec: RingSpec) -> tuple[int, ...]:

@@ -5,53 +5,37 @@ This module alone reads the JSON tree.  It parses every section once, at
 load time, so a malformed section is an input error for every command: a
 :class:`DocumentError` naming the JSON path at fault.  A rational is a JSON
 int or a "p/q" string and an integer field a JSON int or a decimal string,
-so no float ever enters the pipeline.  The integer rule is that of the
-command-line flags too, and :meth:`InputDocument.bound` alone decides where
-each bound input comes from.
+so no float ever enters the pipeline.  Those literal rules live in
+``hlab.literals``, shared with the command-line flags; the expression parser
+(``exprparse``) and each section's engine load only where a section needs
+them.  :meth:`InputDocument.bound` alone decides where each bound input
+comes from.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import warnings
-from contextlib import contextmanager
-from fractions import Fraction
 from math import comb
 from reprlib import repr as _show
 from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import DocumentError
-from .exprparse import parse_expression, parse_monomial_key, parse_rational
+from .literals import _at, _list, _rational, _rationals, in_range, parse_gammas, parse_integer, parse_rational
+from .literals import digest  # noqa: F401 - re-exported: its home is literals
 
 if TYPE_CHECKING:  # each section's reader imports its engine when called
     from .bounds import BoundsInput
     from .genus import BundleData, ManifoldData
-    from .lefschetz import CurvatureSpec, DiagonalCurvature
+    from .lefschetz import CurvatureSpec
     from .qpoly import QPoly
     from .ring import RingSpec
 
 MAX_DOC_DIMENSION = 12  # polynomial-degree guard rail for desk-scale inputs
 
 
-def digest(tree: Any) -> str:
-    return hashlib.sha256(json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
-# -- the reader: type checks and one error conversion ---------------------------
-
-
-@contextmanager
-def _at(path: str):
-    """A ValueError raised while ``path`` is read (an ExprError, or a check
-    inside a constructor) becomes a DocumentError naming the path."""
-    try:
-        yield
-    except DocumentError:
-        raise
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from None
+# -- the reader: type checks ---------------------------------------------------
 
 
 def _object(value, path: str, fields=None) -> dict:
@@ -64,36 +48,6 @@ def _object(value, path: str, fields=None) -> dict:
     return value
 
 
-def _list(value, path: str) -> list:
-    """A string is not a list of its characters: require a JSON list."""
-    if not isinstance(value, list):
-        raise DocumentError(f"{path} must be a JSON list, got {_show(value)}")
-    return value
-
-
-INTEGER = re.compile(r"-?[0-9]+")  # the one integer rule: ASCII digits, no padding, no "+" or "_"
-
-
-def parse_integer(value, path: str) -> int:
-    """A JSON int or a string matching :data:`INTEGER` (a document's "2", a
-    flag's text); never a bool or a float."""
-    if isinstance(value, str):
-        if not INTEGER.fullmatch(value):
-            raise DocumentError(f"{path}: {value!r} is not an integer")
-        with _at(path):  # more digits than int() converts
-            return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"{path} must be a JSON int or a decimal string, got {_show(value)}")
-    return value
-
-
-def in_range(value: int, n: int, path: str) -> int:
-    """A form degree (``--p``, ``--j``, ``bounds.p``) of an n-fold: in [0, n]."""
-    if not 0 <= value <= n:
-        raise DocumentError(f"{path} = {value} is outside [0, {n}]")
-    return value
-
-
 def _dimension(value, path: str) -> int:
     n = parse_integer(value, path)
     if not 1 <= n <= MAX_DOC_DIMENSION:
@@ -101,32 +55,15 @@ def _dimension(value, path: str) -> int:
     return n
 
 
-def _rational(value, path: str) -> Fraction:
-    with _at(path):
-        return parse_rational(value)
-
-
-def _rationals(value, path: str) -> tuple[Fraction, ...]:
-    return tuple(_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
-
-
 def _integers(value, path: str) -> tuple[int, ...]:
     return tuple(parse_integer(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
-
-
-def parse_gammas(values, path: str) -> DiagonalCurvature:
-    """Diagonal curvature from a list of rational literals: ``curvature.gammas``
-    in a document, or the ``--gammas`` flag split at its commas."""
-    from .lefschetz import DiagonalCurvature
-
-    gammas = _rationals(values, path)
-    with _at(path):
-        return DiagonalCurvature(gammas)
 
 
 def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0) -> list:
     """[c_1, c_2, ...] from {"c<i>": expression}, 1 <= i <= count, through the
     highest nonzero class given and at least ``length`` long; omitted classes are 0."""
+    from .exprparse import parse_expression
+
     given = {}
     for key, value in _object(node, path).items():
         match = re.fullmatch(r"c([1-9][0-9]{0,3})", key)
@@ -253,6 +190,8 @@ def _read_sections(doc: InputDocument, tree: dict):
 
         doc.spec = spec = _ring(_object(tree["ring"], "ring", ("generators", "dimension")))
     if "fundamental_class" in tree:
+        from .exprparse import parse_monomial_key
+
         table = {}
         for key, value in _object(tree["fundamental_class"], "fundamental_class").items():
             with _at(f"fundamental_class.{key}"):
@@ -299,12 +238,12 @@ def _ring(node: dict) -> RingSpec:
 
 
 def _curvature(node: dict) -> CurvatureSpec:
-    from .lefschetz import HermitianCurvature
-
     if ("gammas" in node) == ("hermitian" in node):
         raise DocumentError("curvature needs one of 'gammas' and 'hermitian', not both or neither")
     if "gammas" in node:
         return parse_gammas(node["gammas"], "curvature.gammas")
+    from .lefschetz import HermitianCurvature
+
     herm = _object(node["hermitian"], "curvature.hermitian", ("theta",))
     theta = _nested_lists(herm.get("theta"), 3, "curvature.hermitian.theta")
     with _at("curvature.hermitian.theta"):

@@ -9,7 +9,9 @@ with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
 
 One rule, :func:`check_space`, admits the space for every way in: the basis,
-both curvature records and the ``lefschetz-check`` flags.
+both curvature records and the ``lefschetz-check`` flags.  It lives in
+``hlab.diagonal`` with the diagonal curvature record and its closed-form
+norm, which load without this engine; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from math import comb, copysign, factorial, gcd, isfinite, lcm, nan, sqrt
 from typing import Mapping, Sequence, Union
 
 from .errors import CertificateError
+from .diagonal import CommutatorNorm, DiagonalCurvature, check_space, diagonal_norm
+from .diagonal import flatness_test  # noqa: F401 - re-exported: its home is diagonal
 from .record import Interval, Record
 
-MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
 MAX_HERMITIAN_BLOCK = 100  # Bareiss cost grows as the cube; n = 5, r = 1 takes minutes
 
@@ -190,17 +193,6 @@ def conj_monomial(J: tuple[int, ...], K: tuple[int, ...]):
     """conj(xi_J ^ xibar_K) = (-1)^{|J||K|} xi_K ^ xibar_J."""
     sign = -1 if (len(J) * len(K)) % 2 else 1
     return sign, K, J
-
-
-def check_space(n: int, r: int):
-    """The one rule admitting Lambda^{*,*}(C^n) tensor C^r: 1 <= n <= MAX_N,
-    r >= 1 and dimension 4^n r <= 4^MAX_N; ValueError otherwise."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n = {n} is outside [1, {MAX_N}]")
-    if r < 1:
-        raise ValueError(f"the fiber rank r = {r} is below 1")
-    if 4**n * r > 4**MAX_N:
-        raise ValueError(f"the space has dimension 4^n r = {4**n * r} > 4^{MAX_N}")
 
 
 class ExteriorBasis:
@@ -500,35 +492,6 @@ def sl2_commutator_check(n: int, r: int = 1) -> bool:
 # -- curvature ---------------------------------------------------------------
 
 
-class DiagonalCurvature(Record):
-    """iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j for a line bundle (r = 1)."""
-
-    gammas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
-        check_space(self.n, 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.gammas)
-
-    @property
-    def r(self) -> int:
-        return 1
-
-    @property
-    def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
-        """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j)."""
-        zero = ((CQ_ZERO,),)
-        return tuple(
-            tuple(((CQ(g),),) if j == k else zero for k in range(self.n)) for j, g in enumerate(self.gammas)
-        )
-
-    def scaled(self, m: Scalar) -> "DiagonalCurvature":
-        return DiagonalCurvature(tuple(g * Fraction(m) for g in self.gammas))
-
-
 class HermitianCurvature(Record):
     """iTheta(E) = i sum_{j,k} theta[j][k] xi_j ^ xibar_k, theta[j][k] r x r.
 
@@ -610,38 +573,11 @@ def diagonal_commutator_eigenvalues(
     return out
 
 
-def _diagonal_table(spec: DiagonalCurvature) -> dict[tuple[int, int], Fraction]:
-    """C_{p,q} = max |gamma_J + gamma_K - sum gamma| over |J| = p, |K| = q.
-
-    The eigenvalue is a sum of a p-subset sum and a q-subset sum less a
-    constant, so its extremes are the sums of the extremes: the p largest
-    and the p smallest gammas give max and min S_p, and the largest |x|
-    on [min, max] sits at an end.  No 4^n enumeration.
-    """
-    n, g = spec.n, sorted(spec.gammas)
-    total = sum(g, Fraction(0))
-    low = [sum(g[:p], Fraction(0)) for p in range(n + 1)]
-    high = [sum(g[n - p :], Fraction(0)) for p in range(n + 1)]
-    return {
-        (p, q): max(abs(high[p] + high[q] - total), abs(low[p] + low[q] - total))
-        for p in range(n + 1)
-        for q in range(n + 1)
-    }
-
-
-class CommutatorNorm(Record):
-    """C = |[Lambda, iTheta(E)]| together with the per-bidegree table."""
-
-    value: Union[Fraction, Interval]
-    table: dict[tuple[int, int], Union[Fraction, Interval]]
-    exact: bool
-
-
 def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
 
     Diagonal specs are handled exactly through the closed form of the
-    eigenvalues (:func:`_diagonal_table`).
+    eigenvalues (:func:`hlab.diagonal.diagonal_norm`).
     Hermitian specs get a certified rational enclosure of width at most
     HERMITIAN_WIDTH on each bidegree block T: ||T|| < h holds exactly when
     h I - T and h I + T are both positive definite, which Sylvester's
@@ -650,8 +586,7 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     the two ends; exact bisection takes over where a proposal is refuted.
     """
     if isinstance(spec, DiagonalCurvature):
-        table = _diagonal_table(spec)
-        return CommutatorNorm(max(table.values()), table, exact=True)
+        return diagonal_norm(spec)
 
     n, r = spec.n, spec.r
     basis = get_basis(n, r)
@@ -787,17 +722,6 @@ def _float_extreme_eigenvalue(block: list[list[CQ]]) -> float:
                 A[p][p], A[q][q] = complex(app - t * mag), complex(aqq + t * mag)
                 A[p][q] = A[q][p] = 0j
     return max((A[i][i].real for i in range(d)), key=abs)
-
-
-def flatness_test(spec: DiagonalCurvature) -> bool:
-    """C = 0 iff Theta(L) = 0; both sides are computed and cross-checked."""
-    if not isinstance(spec, DiagonalCurvature):
-        raise TypeError("flatness test applies to diagonal line-bundle curvature")
-    c = commutator_norm(spec).value
-    flat = all(g == 0 for g in spec.gammas)
-    if (c == 0) != flat:
-        raise CertificateError("flatness lemma violated; closed-form C_pq table (_diagonal_table) bug")
-    return c == 0
 
 
 # -- exact linear algebra ------------------------------------------------------

@@ -1,0 +1,61 @@
+"""The diagonal closed form: one object on every import path, and the same
+table as the operator engine builds.
+
+``hlab.diagonal`` holds the diagonal curvature record, its closed-form
+C_{p,q} table and the space rule, so ``commutator --gammas`` loads no
+operator engine; ``hlab.lefschetz`` re-exports them, as ``inputdoc`` and
+``exprparse`` re-export the literal rules of ``hlab.literals``.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import hlab
+from hlab import diagonal, exprparse, inputdoc, lefschetz, literals
+
+MOVED = [
+    (lefschetz, diagonal, "CommutatorNorm"),
+    (lefschetz, diagonal, "DiagonalCurvature"),
+    (lefschetz, diagonal, "check_space"),
+    (lefschetz, diagonal, "diagonal_norm"),
+    (lefschetz, diagonal, "flatness_test"),
+    (inputdoc, literals, "digest"),
+    (exprparse, literals, "parse_rational"),
+]
+
+
+@pytest.mark.parametrize("old,home,name", MOVED, ids=[f"{old.__name__}.{name}" for old, _, name in MOVED])
+def test_a_moved_name_is_its_home_modules_object(old, home, name):
+    # one object on both paths, so isinstance agrees whichever path built a spec
+    assert getattr(old, name) is getattr(home, name)
+    if hasattr(hlab, name):
+        assert getattr(hlab, name) is getattr(home, name)
+
+
+def _draws(rng, n):
+    """Seeded gammas, with zeros and repeated values among them."""
+    draws = [tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(3)]
+    g = draws[0]
+    return draws + [(F(0),) * n, (g[0],) * n, (g[0], F(0)) * (n // 2) + g[: n % 2]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_table_is_the_operator_table(n):
+    rng = random.Random(1600 + n)
+    basis = lefschetz.get_basis(n, 1)
+    lam = lefschetz.op_Lambda(n, 1)
+    for gammas in _draws(rng, n):
+        spec = diagonal.DiagonalCurvature(gammas)
+        norm = diagonal.diagonal_norm(spec)
+        assert norm.exact and norm.value == max(norm.table.values())
+        assert lefschetz.commutator_norm(spec) == norm
+        T = lam.commutator(lefschetz.curvature_operator(spec))  # [Lambda, iTheta(L)], diagonal
+        assert T.is_diagonal()
+        built = {}
+        for (p, q), idxs in basis.by_bidegree.items():
+            entries = [T.entry(i, i) for i in idxs]
+            assert all(not e.im for e in entries)
+            built[(p, q)] = max(abs(e.re) for e in entries)
+        assert norm.table == built, gammas

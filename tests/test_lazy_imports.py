@@ -1,9 +1,12 @@
 """Start-up loads only the engine a command runs.
 
 ``import hlab`` loads no engine module and ``import hlab.cli`` loads the
-input boundary alone.  Each command imports the engine it runs: the HRR
-engine (``ring``, ``genus``, ``qpoly``), the bound evaluators (``bounds``),
-the operator engine (``lefschetz``) or the self-check suite (``selfcheck``,
+literal rules of the flags alone.  A command that reads a document loads
+the document reader (``inputdoc``), and the expression parser
+(``exprparse``) when the document holds expressions.  Each command imports
+the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
+bound evaluators (``bounds``), the diagonal closed form (``diagonal``), the
+operator engine (``lefschetz``) or the self-check suite (``selfcheck``,
 ``fixtures``); the exact set of each is pinned here.  No command loads
 ``dataclasses``, ``inspect``, or ``argparse`` and the ``gettext`` and
 ``locale`` it pulls in.
@@ -27,11 +30,19 @@ SRC = str(Path(hlab.__file__).parents[1])
 HEAVY = {"hlab.lefschetz", "hlab.selfcheck", "hlab.fixtures"}
 CODEGEN = {"dataclasses", "inspect"}  # about 24 ms of a cold start when they load
 ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with the parsers built
-ENGINES = {f"hlab.{m}" for m in ("bounds", "exprparse", "genus", "inputdoc", "lefschetz", "qpoly", "ring")}
-# The hlab modules a command loads: the input boundary, plus its engine.
-BOUNDARY = {f"hlab.{m}" for m in ("cli", "errors", "record", "inputdoc", "exprparse")}
+ENGINES = {
+    f"hlab.{m}"
+    for m in ("bounds", "diagonal", "exprparse", "genus", "inputdoc", "lefschetz", "literals", "qpoly", "ring")
+}
+# The hlab modules a command loads: the flag rules, the document reader if it
+# reads a document (with the expression parser if the document has
+# expressions), plus its engine.
+FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "record", "literals")}
+READER = FLAGS | {"hlab.inputdoc"}
+BOUNDARY = READER | {"hlab.exprparse"}
 HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
-OPERATOR = BOUNDARY | {"hlab.lefschetz"}
+DIAGONAL = FLAGS | {"hlab.diagonal"}
+OPERATOR = DIAGONAL | {"hlab.lefschetz"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -57,6 +68,15 @@ def _loaded(code: str, *argv: str) -> tuple[int, set]:
 
 def _hlab(modules: set) -> set:
     return {m for m in modules if m.startswith("hlab.")}
+
+
+def _import_loads(statement: str) -> set:
+    """The hlab modules that running ``statement`` in a fresh interpreter loads."""
+    probe = (
+        f"import json, sys\nbefore = set(sys.modules)\n{statement}\n"
+        "print(json.dumps({'code': 0, 'modules': sorted(set(sys.modules) - before)}))"
+    )
+    return _hlab(_loaded(probe)[1])
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +106,17 @@ def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
     path.write_text(json.dumps({"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10"}}))
     code, modules = _loaded(PROBE, "bounds", "--which", "t4", "--input", str(path))
     assert code == 0
-    assert _hlab(modules) == BOUNDARY | {"hlab.bounds", "hlab.qpoly"}
+    assert _hlab(modules) == READER | {"hlab.bounds", "hlab.qpoly"}
 
 
 def test_fixture_command_loads_no_operator_engine():
     code, modules = _loaded(PROBE, "fixture", "cp", "1")
     assert code == 0
-    assert _hlab(modules) == BOUNDARY
+    assert _hlab(modules) == READER
+
+
+def test_cli_import_loads_the_flag_rules_only():
+    assert _import_loads("import hlab.cli") == FLAGS
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +126,31 @@ def hermitian_file(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("commutator", "--gammas", "1,2"), ("lefschetz-check", "--n", "2"), ("commutator", "--input", "HERMITIAN")],
-    ids=" ".join,
-)
-def test_operator_commands_load_lefschetz_only(hermitian_file, argv):
-    code, modules = _loaded(PROBE, *(hermitian_file if arg == "HERMITIAN" else arg for arg in argv))
-    assert code == 0
-    assert _hlab(modules) == OPERATOR
+@pytest.fixture(scope="module")
+def gammas_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "gammas.json"
+    path.write_text(json.dumps({"curvature": {"gammas": [1, "-1/2"]}}))
+    return str(path)
+
+
+# Diagonal curvature, from the flag or a document, and a refused space take
+# the closed form and the space rule; only Hermitian curvature and the
+# lefschetz-check scans load the operator engine.
+OPERATOR_COMMANDS = [
+    (("commutator", "--gammas", "1,2"), 0, DIAGONAL),
+    (("commutator", "--input", "GAMMAS"), 0, DIAGONAL | {"hlab.inputdoc"}),
+    (("lefschetz-check", "--n", "7"), 2, DIAGONAL),
+    (("lefschetz-check", "--n", "2"), 0, OPERATOR),
+    (("commutator", "--input", "HERMITIAN"), 0, OPERATOR | {"hlab.inputdoc"}),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,loads", OPERATOR_COMMANDS, ids=[" ".join(c[0]) for c in OPERATOR_COMMANDS])
+def test_operator_commands_load_lefschetz_only(gammas_file, hermitian_file, argv, exit_code, loads):
+    files = {"GAMMAS": gammas_file, "HERMITIAN": hermitian_file}
+    code, modules = _loaded(PROBE, *(files.get(arg, arg) for arg in argv))
+    assert code == exit_code
+    assert _hlab(modules) == loads
 
 
 @pytest.mark.parametrize(
@@ -129,12 +169,12 @@ def test_commands_load_no_code_generation(cp2_file, argv):
 
 def test_operator_engine_imports_no_other_engine():
     # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly
-    probe = (
-        "import json, sys\nbefore = set(sys.modules)\nimport hlab.lefschetz\n"
-        "print(json.dumps({'code': 0, 'modules': sorted(set(sys.modules) - before)}))"
-    )
-    _, modules = _loaded(probe)
-    assert {m for m in modules if m.startswith("hlab.")} == {"hlab.lefschetz", "hlab.errors", "hlab.record"}
+    assert _import_loads("import hlab.lefschetz") == {"hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.record"}
+
+
+@pytest.mark.parametrize("statement", ["import hlab.diagonal", "from hlab import DiagonalCurvature, flatness_test"])
+def test_diagonal_closed_form_loads_no_operator_engine(statement):
+    assert _import_loads(statement) == {"hlab.diagonal", "hlab.errors", "hlab.record"}
 
 
 def test_bare_import_loads_no_engine():
