@@ -200,9 +200,10 @@ def cmd_ineq(args):
     e = doc.bundle or genus.BundleData.trivial()
     rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
     js = [in_range(args.j, x.n, "--j")] if args.j is not None else list(range(x.n + 1))
+    ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
     rows = []
     for j in js:
-        holds, lhs, rhs = genus.chern_inequality_check(x, e, j)
+        holds, lhs, rhs = genus.chern_inequality_check(ks, j)
         rows.append({"j": j, "lhs": lhs, "rhs": rhs, "holds": holds})
     rep.add("inequalities", rows)
     rep.emit()

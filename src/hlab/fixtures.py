@@ -1,5 +1,6 @@
-"""Seeded random Chern data with exact integralization, and Hermitian
-curvature with a closed-form commutator norm.
+"""The one source of seeded random data: ring elements, Chern data with
+exact integralization, diagonal curvature gammas, and Hermitian curvature
+with a closed-form commutator norm.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -7,7 +8,8 @@ class by the lcm of every denominator the planned integrals produce.
 Scaling is linear in the Chern-number table, so every identity under test
 is preserved while the engine's integrality validator stays satisfied.
 
-Shared by the test suite and the `verify` subcommand.
+Shared by the test suite and the `verify` subcommand, which take CP^n from
+``genus.projective_space``, the document ``hlab fixture cp n`` prints.
 """
 
 from __future__ import annotations
@@ -55,6 +57,24 @@ def random_homogeneous(rng: random.Random, spec: RingSpec, weight: int, density=
         if rng.random() < density:
             terms[key] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return spec.element(terms)
+
+
+def random_element(rng: random.Random, spec: RingSpec, density=0.8):
+    """A sum of random homogeneous parts: each weight present with chance 0.8,
+    and each of its monomials with chance ``density``."""
+    out = spec.zero()
+    for w in range(spec.truncation + 1):
+        if rng.random() < 0.8:
+            out = out + random_homogeneous(rng, spec, w, density)
+    return out
+
+
+def gamma_draws(rng: random.Random, n: int) -> list[tuple[Fraction, ...]]:
+    """Seeded diagonal curvature gammas, with zeros and repeated values among them."""
+    draws = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(4)]
+    g = draws[0]
+    zero = Fraction(0)
+    return draws + [(zero,) * n, (g[0],) * n, (g[0], zero) * (n // 2) + g[: n % 2], tuple(sorted(g * 2)[:n])]
 
 
 def manifold_ring(n: int, bundle_rank: int) -> RingSpec:

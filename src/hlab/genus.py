@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 from operator import add
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import IntegralityError, MissingChernNumber
 from .qpoly import QPoly, is_integer_valued
@@ -321,19 +321,18 @@ def hilbert_polynomial(x: ManifoldData, line: BundleData, p: int) -> QPoly:
     return poly
 
 
-def chern_inequality_check(
-    x: ManifoldData, e: BundleData, j: int
-) -> tuple[bool, Fraction, Fraction]:
-    """Evaluate (-1)^{n+j} K_j(X, E) >= sum_{p=j..n} C(p, j).
+def chern_inequality_check(ks: Sequence[Fraction], j: int) -> tuple[bool, Fraction, Fraction]:
+    """Evaluate (-1)^{n+j} K_j(X, E) >= sum_{p=j..n} C(p, j) from the
+    coefficients K_0..K_n of :func:`k_coefficients`, with n = len(ks) - 1.
 
     Pure arithmetic on the given Chern data; no curvature hypothesis is or
     can be verified here.
     """
-    if not 0 <= j <= x.n:
-        raise ValueError(f"j = {j} outside [0, {x.n}]")
-    ks = k_coefficients(chi_y(x, e), upto=x.n)
-    lhs = Fraction((-1) ** (x.n + j)) * ks[j]
-    rhs = Fraction(sum(comb(p, j) for p in range(j, x.n + 1)))
+    n = len(ks) - 1
+    if not 0 <= j <= n:
+        raise ValueError(f"j = {j} outside [0, {n}]")
+    lhs = Fraction((-1) ** (n + j)) * ks[j]
+    rhs = Fraction(sum(comb(p, j) for p in range(j, n + 1)))
     return lhs >= rhs, lhs, rhs
 
 
@@ -341,12 +340,10 @@ def chern_inequality_check(
 
 
 def projective_space(n: int) -> tuple[ManifoldData, BundleData]:
-    """Complex projective space with its hyperplane bundle O(1).
+    """Complex projective space with its hyperplane bundle O(1), read from
+    the document ``hlab fixture cp n`` prints (:func:`hlab.inputdoc.cp_fixture`),
+    so n outside the document guard rail [1, 12] is a ``DocumentError``."""
+    from .inputdoc import cp_fixture, load_document
 
-    One generator h of weight 1, c(TX) = (1+h)^{n+1}, integral of h^n = 1.
-    """
-    spec = RingSpec((("h", 1),), n)
-    h = spec.gen("h")
-    chern = tuple(spec.element({(i,): comb(n + 1, i)}) for i in range(1, n + 1))
-    fclass = FundamentalClass(spec, {(n,): Fraction(1)})
-    return ManifoldData(n, chern, fclass), BundleData(1, (h,))
+    doc = load_document(cp_fixture(n))
+    return doc.manifold, doc.line_bundle

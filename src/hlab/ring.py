@@ -413,26 +413,12 @@ class Series:
         return Series(inv)
 
     def log(self) -> "Series":
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1: the integral of f'/f."""
         if self.coeffs[0] != 1:
             raise ValueError("series log requires constant term 1")
-        n = self.truncation
-        v = list(self.coeffs)
-        v[0] = Fraction(0)
-        out = [Fraction(0)] * (n + 1)
-        power = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            nxt = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(power):
-                if a == 0:
-                    continue
-                for j in range(1, n - i + 1):
-                    nxt[i + j] += a * v[j]
-            power = nxt
-            sign = Fraction((-1) ** (k + 1), k)
-            for d in range(n + 1):
-                out[d] += sign * power[d]
-        return Series(out)
+        derivative = Series([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
+        g = (derivative * self.reciprocal()).coeffs
+        return Series([0] + [g[k - 1] / k for k in range(1, self.truncation + 1)])
 
     def __str__(self):
         return " + ".join(f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c != 0) or "0"

@@ -1,8 +1,11 @@
 """Built-in property suite behind the `verify` subcommand.
 
-Runs a deterministic battery of the library's defining identities (seeded
-random data, no network, no external files) and reports one line per
-check.  The CLI exits nonzero iff any check fails.
+Runs a deterministic battery of the library's defining identities and
+reports one line per check; no network, no external files.  Every random
+draw comes from ``hlab.fixtures``, as in the test suite, and CP^n from
+``genus.projective_space``, which reads the document ``hlab fixture cp n``
+prints, so that document is what the CP^n checks test.  The CLI exits
+nonzero iff any check fails.
 """
 
 from __future__ import annotations
@@ -14,21 +17,6 @@ from math import factorial
 from . import bounds, fixtures, genus, lefschetz, ring
 from .errors import CertificateError
 from .qpoly import QPoly
-
-
-def _random_element(rng, spec, max_terms=4, weight_min=0):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = []
-        budget = spec.truncation
-        for _, w in spec.generators:
-            e = rng.randint(0, budget // w)
-            exps.append(e)
-            budget -= e * w
-        if spec.weight_of(exps) < weight_min:
-            continue
-        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return spec.element(terms)
 
 
 def _expect(ok, detail=""):
@@ -76,7 +64,7 @@ def _check_sl2():
 def _check_ring_axioms(rng):
     spec = ring.RingSpec((("u", 1), ("v", 2)), 4)
     for _ in range(25):
-        a, b, c = (_random_element(rng, spec) for _ in range(3))
+        a, b, c = (fixtures.random_element(rng, spec) for _ in range(3))
         _expect((a + b) + c == a + (b + c))
         _expect(a * b == b * a)
         _expect((a * b) * c == a * (b * c))
@@ -88,7 +76,7 @@ def _check_ring_axioms(rng):
 def _check_exp_log(rng):
     spec = ring.RingSpec((("u", 1), ("v", 2)), 5)
     for _ in range(10):
-        x = _random_element(rng, spec)
+        x = fixtures.random_element(rng, spec)
         x = x - spec.constant(x.constant_term())
         _expect(ring.log(ring.exp(x)) == x)
         u = spec.one() + x
@@ -159,8 +147,7 @@ def _check_star():
 
 
 def _check_commutator(rng):
-    for _ in range(5):
-        gammas = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+    for gammas in fixtures.gamma_draws(rng, 2):
         spec = lefschetz.DiagonalCurvature(gammas)
         basis = lefschetz.get_basis(2, 1)
         T = lefschetz.curvature_operator(spec).commutator(lefschetz.op_Lambda(2, 1))

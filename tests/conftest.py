@@ -1,5 +1,5 @@
-"""Shared helpers: the seeded random Chern data of `hlab.fixtures`, and
-integer-valued polynomials in the binomial basis."""
+"""Shared helpers: the seeded random Chern data of `hlab.fixtures`, random
+forms, and integer-valued polynomials in the binomial basis."""
 
 from fractions import Fraction
 
@@ -8,7 +8,18 @@ from hlab.fixtures import (  # noqa: F401 - re-exported for the test modules
     random_manifold_bundle,
     weight_keys,
 )
+from hlab.lefschetz import CQ, FormVector
 from hlab.qpoly import QPoly
+
+
+def random_form(rng, basis):
+    """A form with one to six random Gaussian-rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        idx = rng.randrange(basis.dim)
+        terms[idx] = CQ(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return FormVector(basis, terms)
 
 
 def newton_poly(b):

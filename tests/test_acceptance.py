@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
-from conftest import newton_poly, random_manifold_bundle, weight_keys
+from conftest import newton_poly, random_form, random_manifold_bundle, weight_keys
 
 from hlab.bounds import (
     BoundsInput,
@@ -42,7 +42,6 @@ from hlab.genus import (
 from hlab.lefschetz import (
     CQ,
     DiagonalCurvature,
-    FormVector,
     commutator_norm,
     curvature_operator,
     diagonal_commutator_eigenvalues,
@@ -194,8 +193,8 @@ def test_criterion_08_kahler_package_algebra():
             basis = get_basis(n, 1)
             L, lam = op_L(n, 1), op_Lambda(n, 1)
             for _ in range(6):
-                a = _random_form(rng, basis)
-                b = _random_form(rng, basis)
+                a = random_form(rng, basis)
+                b = random_form(rng, basis)
                 assert lam.apply(a).inner(b) == a.inner(L.apply(b))
             assert sl2_commutator_check(n, 1)
             for k in range(n + 1):
@@ -205,19 +204,6 @@ def test_criterion_08_kahler_package_algebra():
             inv = star.adjoint()
             assert inv.compose(star) == identity_operator(get_basis(n, 1))
             assert inv.compose(op_L(n, 1)).compose(star) == op_Lambda(n, 1)
-
-
-def _random_form(rng, basis):
-    return FormVector(
-        basis,
-        {
-            rng.randrange(basis.dim): CQ(
-                F(rng.randint(-5, 5), rng.randint(1, 3)),
-                F(rng.randint(-5, 5), rng.randint(1, 3)),
-            )
-            for _ in range(5)
-        },
-    )
 
 
 def test_criterion_09_lemma44_exhaustive():

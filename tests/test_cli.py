@@ -147,6 +147,28 @@ def test_bounds_call_chi_y_only_where_chi_p_is_read(capsys, cp2_bounds_file, mon
         assert len(calls) == count, which
 
 
+def test_ineq_calls_chi_y_once_for_every_j(capsys, tmp_path, monkeypatch):
+    from hlab import genus
+
+    calls, chi_y = [], genus.chi_y
+
+    def counted(*args):
+        calls.append(args)
+        return chi_y(*args)
+
+    monkeypatch.setattr(genus, "chi_y", counted)
+    path = tmp_path / "cp4.json"
+    path.write_text(json.dumps(cp_fixture(4)))
+    for argv in ((), ("--j", "2")):
+        calls.clear()
+        code, out, _ = run(capsys, "ineq", "--input", str(path), *argv)
+        assert code == 0 and "holds=True" in out
+        assert len(calls) == 1, argv
+    calls.clear()
+    assert run(capsys, "ineq", "--input", str(path), "--j", "5")[0] == 2
+    assert calls == []  # the --j range check comes first
+
+
 @pytest.mark.parametrize("extra", [{}, {"p": 3}], ids=["no-X-L-data", "and-p-out-of-range"])
 @pytest.mark.parametrize("which", ["t4", "t2", "t5", "c1", "etheta", "t4chain"])
 def test_bounds_check_the_hypotheses_before_what_a_bound_reads(capsys, tmp_path, which, extra):

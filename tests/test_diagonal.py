@@ -8,12 +8,12 @@ operator engine; ``hlab.lefschetz`` re-exports them, as ``inputdoc`` and
 """
 
 import random
-from fractions import Fraction as F
 
 import pytest
 
 import hlab
 from hlab import diagonal, exprparse, inputdoc, lefschetz, literals
+from hlab.fixtures import gamma_draws
 
 MOVED = [
     (lefschetz, diagonal, "CommutatorNorm"),
@@ -34,19 +34,12 @@ def test_a_moved_name_is_its_home_modules_object(old, home, name):
         assert getattr(hlab, name) is getattr(home, name)
 
 
-def _draws(rng, n):
-    """Seeded gammas, with zeros and repeated values among them."""
-    draws = [tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(3)]
-    g = draws[0]
-    return draws + [(F(0),) * n, (g[0],) * n, (g[0], F(0)) * (n // 2) + g[: n % 2]]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_form_table_is_the_operator_table(n):
     rng = random.Random(1600 + n)
     basis = lefschetz.get_basis(n, 1)
     lam = lefschetz.op_Lambda(n, 1)
-    for gammas in _draws(rng, n):
+    for gammas in gamma_draws(rng, n):
         spec = diagonal.DiagonalCurvature(gammas)
         norm = diagonal.diagonal_norm(spec)
         assert norm.exact and norm.value == max(norm.table.values())

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from conftest import random_manifold_bundle, weight_keys
 
+from hlab.errors import DocumentError
 from hlab.genus import (
     BundleData,
     FundamentalClass,
@@ -38,6 +39,25 @@ F = Fraction
 @pytest.fixture
 def cp2():
     return projective_space(2)
+
+
+# -- the CP^n fixture ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_projective_space_reads_the_closed_form_table(n):
+    # c(TX) = (1+h)^{n+1}, int h^n = 1, c_1(O(1)) = h, up to the guard rail
+    x, o1 = projective_space(n)
+    h = x.spec.gen("h")
+    assert x.chern == tuple(h**i * comb(n + 1, i) for i in range(1, n + 1))
+    assert integrate(h**n, x.fclass) == 1 and o1 == BundleData(1, (h,))
+
+
+@pytest.mark.parametrize("n", [0, 13])
+def test_projective_space_keeps_the_document_guard_rail(n):
+    # the document reader refuses these, so the library refuses them too
+    with pytest.raises(DocumentError, match=r"\[1, 12\]"):
+        projective_space(n)
 
 
 # -- integrate -------------------------------------------------------------------
@@ -356,15 +376,22 @@ def test_hilbert_rejects_higher_rank(cp2):
 # -- inequality checker ---------------------------------------------------------------
 
 
+def _ks(x, e=BundleData.trivial()):
+    return k_coefficients(chi_y(x, e), upto=x.n)
+
+
 def test_inequality_rhs_values(cp2):
     x, _ = cp2
-    e = BundleData.trivial()
-    holds, lhs, rhs = chern_inequality_check(x, e, 0)
+    ks = _ks(x)
+    holds, lhs, rhs = chern_inequality_check(ks, 0)
     assert (holds, lhs, rhs) == (True, 3, 3)
-    _, _, rhs_n = chern_inequality_check(x, e, x.n)
+    _, _, rhs_n = chern_inequality_check(ks, x.n)
     assert rhs_n == 1
-    _, _, rhs_0 = chern_inequality_check(x, e, 0)
+    _, _, rhs_0 = chern_inequality_check(ks, 0)
     assert rhs_0 == x.n + 1
+    for j in (-1, x.n + 1):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+            chern_inequality_check(ks, j)
 
 
 def test_inequality_all_j_on_cpn():
@@ -374,14 +401,12 @@ def test_inequality_all_j_on_cpn():
     for n in (2, 4):
         x, _ = projective_space(n)
         for j in range(n + 1):
-            holds, lhs, rhs = chern_inequality_check(x, BundleData.trivial(), j)
+            holds, lhs, rhs = chern_inequality_check(_ks(x), j)
             assert holds and lhs == rhs
     for n in (1, 3):
         x, _ = projective_space(n)
-        results = [
-            chern_inequality_check(x, BundleData.trivial(), j)[0] for j in range(n + 1)
-        ]
-        assert not any(results)
+        ks = _ks(x)
+        assert not any(chern_inequality_check(ks, j)[0] for j in range(n + 1))
 
 
 def test_bundle_power_validation(cp2):
@@ -439,7 +464,7 @@ def test_one_hodge_ladder_per_manifold(monkeypatch):
     chi_y(x, o1)
     hilbert_polynomial(x, o1, 1)
     assert k1_formula_check(x, o1)
-    chern_inequality_check(x, BundleData.trivial(), 2)
+    chern_inequality_check(_ks(x), 2)
     assert [ch_hodge_sheaf(x, p) for p in range(5)] == hodge_classes(x)
     assert calls == {"ladder": 1, "todd": 1}
     # the cache is per manifold: a second one runs its own ladder

@@ -8,11 +8,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import random_form
 
 import hlab.lefschetz as lefschetz
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
-from hlab.fixtures import rotated_split_curvature
+from hlab.fixtures import gamma_draws, rotated_split_curvature
 from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
     CQ,
@@ -38,15 +39,6 @@ from hlab.lefschetz import (
 )
 
 F = Fraction
-
-
-def _random_vector(rng, basis):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        idx = rng.randrange(basis.dim)
-        terms[idx] = CQ(F(rng.randint(-5, 5), rng.randint(1, 3)),
-                        F(rng.randint(-5, 5), rng.randint(1, 3)))
-    return FormVector(basis, terms)
 
 
 # -- CQ on the Gaussian integers ---------------------------------------------------
@@ -173,7 +165,7 @@ def test_adjointness_random_vectors(n, r):
     basis = get_basis(n, r)
     L, lam = op_L(n, r), op_Lambda(n, r)
     for _ in range(8):
-        a, b = _random_vector(rng, basis), _random_vector(rng, basis)
+        a, b = random_form(rng, basis), random_form(rng, basis)
         assert lam.apply(a).inner(b) == a.inner(L.apply(b))
 
 
@@ -434,18 +426,10 @@ def test_commutator_closed_form_vs_matrix(n):
         assert norm.value <= sum(abs(g) for g in gammas)
 
 
-def _gamma_draws(rng, n):
-    """Seeded gammas with zeros and repeated values among them."""
-    draws = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)) for _ in range(4)]
-    g = draws[0]
-    draws += [(F(0),) * n, (g[0],) * n, (g[0], F(0)) * (n // 2) + g[: n % 2], tuple(sorted(g * 2)[:n])]
-    return draws
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_diagonal_table_closed_form_matches_enumeration(n):
     rng = random.Random(800 + n)
-    for gammas in _gamma_draws(rng, n):
+    for gammas in gamma_draws(rng, n):
         spec = DiagonalCurvature(gammas)
         want: dict = {}
         for (J, K), ev in diagonal_commutator_eigenvalues(spec).items():
@@ -481,16 +465,6 @@ def test_tensor_power_norm_values():
 # -- Hermitian curvature -----------------------------------------------------------
 
 
-def _diag_embedding(gammas):
-    n = len(gammas)
-    return HermitianCurvature(
-        tuple(
-            tuple((((CQ(gammas[j]) if j == k else CQ(0)),),) for k in range(n))
-            for j in range(n)
-        )
-    )
-
-
 def _herm(entries):
     # entries: n x n x r x r nested lists of CQ
     return HermitianCurvature(
@@ -506,7 +480,7 @@ def test_hermitian_requires_symmetry():
 def test_hermitian_matches_diagonal():
     for gammas in [(F(1), F(2)), (F(-1), F(3)), (F(0), F(0))]:
         exact_norm = commutator_norm(DiagonalCurvature(gammas))
-        enclosed = commutator_norm(_diag_embedding(gammas))
+        enclosed = commutator_norm(HermitianCurvature(DiagonalCurvature(gammas).theta))
         assert enclosed.value.lo <= exact_norm.value <= enclosed.value.hi
         assert enclosed.value.width <= F(1, 10**10)
         for key, iv in enclosed.table.items():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hlab.fixtures import random_element
 from hlab.ring import (
     GradedElement,
     RingSpec,
@@ -256,18 +257,8 @@ def test_genus_product_requires_unit_constant(surf):
 def test_ring_axioms_random():
     rng = random.Random(9)
     spec = RingSpec((("u", 1), ("v", 2), ("w", 3)), 5)
-    from conftest import weight_keys
-
-    def rand():
-        terms = {}
-        for w in range(6):
-            for key in weight_keys(spec, w):
-                if rng.random() < 0.3:
-                    terms[key] = F(rng.randint(-9, 9), rng.randint(1, 6))
-        return spec.element(terms)
-
     for _ in range(15):
-        a, b, c = rand(), rand(), rand()
+        a, b, c = (random_element(rng, spec, 0.3) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a * b == b * a
@@ -324,16 +315,6 @@ def _naive_product(a, b):
     return GradedElement(spec, out)
 
 
-def _random_element(rng, spec, density):
-    from conftest import random_homogeneous
-
-    out = spec.zero()
-    for w in range(spec.truncation + 1):
-        if rng.random() < 0.8:
-            out = out + random_homogeneous(rng, spec, w, density)
-    return out
-
-
 @pytest.mark.parametrize(
     "spec,density",
     [
@@ -345,8 +326,8 @@ def _random_element(rng, spec, density):
 def test_mul_matches_naive_product(spec, density):
     rng = random.Random(4101)
     for _ in range(25):
-        a = _random_element(rng, spec, density)
-        b = _random_element(rng, spec, density)
+        a = random_element(rng, spec, density)
+        b = random_element(rng, spec, density)
         product = a * b
         assert product == _naive_product(a, b)
         assert all(type(c) is F and c != 0 for c in product.terms.values())

@@ -1,4 +1,5 @@
-"""The `verify` suite and the library keep their checks under ``python -O``."""
+"""The `verify` suite checks the fixtures users get, and it and the library
+keep their checks under ``python -O``."""
 
 import ast
 import os
@@ -18,19 +19,48 @@ ring.todd_series = lambda n: ring.Series([1] * (n + 1))
 raise SystemExit(main(["verify"]))
 """
 
+# The CP^n checks of `verify` read the document `hlab fixture cp N` prints,
+# so a fault in that document fails them.
+DOUBLED_CP_FUNDAMENTAL_CLASS = """
+from hlab import inputdoc
+from hlab.cli import main
 
-def test_verify_reports_injected_fault_under_optimize():
+cp_fixture = inputdoc.cp_fixture
+
+def doubled(n):
+    tree = cp_fixture(n)
+    tree["fundamental_class"] = {key: "2" for key in tree["fundamental_class"]}
+    return tree
+
+inputdoc.cp_fixture = doubled
+raise SystemExit(main(["verify"]))
+"""
+
+
+def _verify(script, *flags):
     env = {**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_TODD_UNDER_O],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def test_verify_reports_injected_fault_under_optimize():
+    proc = _verify(BROKEN_TODD_UNDER_O, "-O")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
     assert "16/17 checks passed" in proc.stdout
+
+
+def test_verify_checks_the_cp_document_hlab_fixture_prints():
+    proc = _verify(DOUBLED_CP_FUNDAMENTAL_CLASS)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  projective space genus suite" in proc.stdout
+    assert "FAIL  hilbert polynomial consistency" in proc.stdout
+    assert "15/17 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
