@@ -19,11 +19,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BoundsInput", "Interval", "RootReport", "T4ChainReport", "bound_C1", "bound_T2",
-        "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "isolate_real_roots",
-        "lemma42_search", "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
+        "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "lemma42_search",
+        "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
     ),
     "diagonal": ("CommutatorNorm", "DiagonalCurvature", "flatness_test"),
     "exprparse": ("ExprError", "parse_expression"),
+    "gaussian": ("CQ",),
     "genus": (
         "BundleData", "FundamentalClass", "IntegralityError", "ManifoldData",
         "MissingChernNumber", "bundle_power", "ch_hodge_sheaf", "chern_character",
@@ -31,11 +32,12 @@ _EXPORTS = {
         "integrate", "integrate_product", "k1_formula_check", "k2_surface_formula_check",
         "k_coefficients", "projective_space", "todd_class",
     ),
+    "hermitian": ("HermitianCurvature",),
     "lefschetz": (
-        "CQ", "CertificateError", "ExteriorBasis", "FormVector", "HermitianCurvature",
-        "LefschetzPower", "Operator", "commutator_norm", "curvature_operator",
-        "diagonal_commutator_eigenvalues", "get_basis", "injectivity_scan", "lefschetz_power",
-        "op_L", "op_Lambda", "op_star", "sl2_commutator_check",
+        "CertificateError", "ExteriorBasis", "FormVector", "LefschetzPower", "Operator",
+        "commutator_norm", "curvature_operator", "diagonal_commutator_eigenvalues", "get_basis",
+        "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
+        "sl2_commutator_check",
     ),
     "literals": ("parse_rational",),
     "qpoly": ("QPoly",),
@@ -43,6 +45,7 @@ _EXPORTS = {
         "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",
         "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",
     ),
+    "roots": ("isolate_real_roots",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

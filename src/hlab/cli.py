@@ -18,10 +18,12 @@ loads in the handlers that read ``--input`` and in ``fixture``, and each
 handler imports the engine it runs: the HRR engine (``genus``, with ``ring``
 and ``qpoly``) in the four HRR handlers, the bound evaluators in ``bounds``,
 the diagonal closed form (``diagonal``) in ``commutator`` and the space rule
-of ``lefschetz-check``, the operator engine (``lefschetz``) only for
-Hermitian curvature and the ``lefschetz-check`` scans, and the self-check
-suite in ``verify``; ``inputdoc`` imports the expression parser and a
-section's engine where it reads that section.
+of ``lefschetz-check``, the eigenvalue path (``linebundle``, with ``roots``
+and ``qpoly``) for Hermitian line-bundle curvature, the operator engine
+(``lefschetz``) only for Hermitian curvature of rank r >= 2 and the
+``lefschetz-check`` scans, and the self-check suite in ``verify``;
+``inputdoc`` imports the expression parser and a section's engine where it
+reads that section.
 """
 
 from __future__ import annotations
@@ -170,11 +172,11 @@ def cmd_kcoeffs(args):
     x = doc.require("manifold")
     e = doc.bundle or genus.BundleData.trivial()
     rep = Reporter("kcoeffs", doc.raw, args.output, doc.load_warnings)
-    chi = genus.chi_y(x, e)
-    rep.add("K", genus.k_coefficients(chi, upto=x.n))
-    rep.add("k1_closed_form_matches", genus.k1_formula_check(x, e))
+    ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
+    rep.add("K", ks)
+    rep.add("k1_closed_form_matches", genus.k1_formula_check(x, e, ks))
     if x.n == 2:
-        rep.add("k2_surface_form_matches", genus.k2_surface_formula_check(x, e))
+        rep.add("k2_surface_form_matches", genus.k2_surface_formula_check(x, e, ks))
     rep.emit()
 
 
@@ -223,6 +225,10 @@ def cmd_commutator(args):
         rep = Reporter("commutator", doc.raw, args.output, doc.load_warnings)
     if isinstance(spec, DiagonalCurvature):  # the closed form: no operator engine
         norm = diagonal_norm(spec)
+    elif spec.r == 1:  # the closed form at the eigenvalues of theta: no operator engine
+        from .linebundle import line_bundle_norm
+
+        norm = line_bundle_norm(spec)
     else:
         from .lefschetz import commutator_norm
 

@@ -19,7 +19,7 @@ from .errors import CertificateError
 from .record import Interval, Record
 
 if TYPE_CHECKING:
-    from .lefschetz import CQ
+    from .gaussian import CQ
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 
@@ -55,7 +55,7 @@ class DiagonalCurvature(Record):
     @property
     def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
         """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j)."""
-        from .lefschetz import CQ, CQ_ZERO  # only the operator engine reads theta
+        from .gaussian import CQ, CQ_ZERO  # only the operator engine reads theta
 
         zero = ((CQ_ZERO,),)
         return tuple(

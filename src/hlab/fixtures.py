@@ -1,6 +1,6 @@
 """The one source of seeded random data: ring elements, Chern data with
-exact integralization, diagonal curvature gammas, and Hermitian curvature
-with a closed-form commutator norm.
+exact integralization, diagonal curvature gammas, and Hermitian curvature,
+generic or with a closed-form commutator norm.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -29,14 +29,9 @@ from .genus import (
     integrate,
     todd_class,
 )
-from .lefschetz import (
-    CQ,
-    CQ_ONE,
-    CQ_ZERO,
-    DiagonalCurvature,
-    HermitianCurvature,
-    commutator_norm,
-)
+from .diagonal import DiagonalCurvature, diagonal_norm
+from .gaussian import CQ, CQ_ONE, CQ_ZERO
+from .hermitian import HermitianCurvature
 from .ring import RingSpec
 
 
@@ -157,16 +152,36 @@ def rotated_split_curvature(rng: random.Random, n: int, r: int):
         [sum((V[x][z] * D[z] * V[y][z].conj() for z in range(d)), CQ_ZERO) for y in range(d)]
         for x in range(d)
     ]
-    theta = tuple(
-        tuple(
-            tuple(tuple(H[j * r + a][k * r + b] for b in range(r)) for a in range(r))
-            for k in range(n)
-        )
-        for j in range(n)
-    )
     lines = [
-        commutator_norm(DiagonalCurvature(tuple(row[s] for row in gamma))).table
+        diagonal_norm(DiagonalCurvature(tuple(row[s] for row in gamma))).table
         for s in range(r)
     ]
     table = {pq: max(t[pq] for t in lines) for pq in lines[0]}
-    return HermitianCurvature(theta), table
+    return _curvature(H, n, r), table
+
+
+def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
+    """A Hermitian theta with random Gaussian-rational entries, some zero off
+    the diagonal: irrational eigenvalues and no closed-form norm."""
+    d = n * r
+    H = [[CQ_ZERO] * d for _ in range(d)]
+    for x in range(d):
+        H[x][x] = CQ(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        for y in range(x + 1, d):
+            if rng.random() < 0.7:
+                z = CQ(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), 2))
+                H[x][y], H[y][x] = z, z.conj()
+    return _curvature(H, n, r)
+
+
+def _curvature(H: list[list[CQ]], n: int, r: int) -> HermitianCurvature:
+    """The curvature whose (nr x nr) matrix is H: theta[j][k][a][b] = H[j r + a][k r + b]."""
+    return HermitianCurvature(
+        tuple(
+            tuple(
+                tuple(tuple(H[j * r + a][k * r + b] for b in range(r)) for a in range(r))
+                for k in range(n)
+            )
+            for j in range(n)
+        )
+    )

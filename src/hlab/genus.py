@@ -267,9 +267,9 @@ def k_coefficients(chi: QPoly, upto: int | None = None) -> list[Fraction]:
     return chi.shift(-1).padded(n + 1)
 
 
-def k1_formula_check(x: ManifoldData, e: BundleData) -> bool:
-    """K_1 against its closed form -(rank/2) n c_n[X] + <c_{n-1}(X)c_1(E), X>."""
-    ks = k_coefficients(chi_y(x, e), upto=x.n)
+def k1_formula_check(x: ManifoldData, e: BundleData, ks: Sequence[Fraction]) -> bool:
+    """K_1 of :func:`k_coefficients` (ks = K_0..K_n of chi_y(X, E)) against
+    its closed form -(rank/2) n c_n[X] + <c_{n-1}(X)c_1(E), X>."""
     spec = x.spec
     c_n_top = integrate(x.chern[x.n - 1], x.fclass)
     c1e = e.chern[0] if e.chern else spec.zero()
@@ -278,18 +278,23 @@ def k1_formula_check(x: ManifoldData, e: BundleData) -> bool:
     return ks[1] == closed
 
 
-def k2_surface_formula_check(x: ManifoldData, e: BundleData) -> bool:
-    """Surface-only closed form of K_2(X, E); requires n = 2."""
+def k2_surface_formula_check(x: ManifoldData, e: BundleData, ks: Sequence[Fraction]) -> bool:
+    """K_2 of :func:`k_coefficients` (ks = K_0..K_2 of chi_y(X, E)) against
+    its surface-only closed form; requires n = 2.
+
+    K_2(X, E) = rank K_2(X) - <c_1(X)c_1(E), X>/2 + <c_1(E)^2 - 2c_2(E), X>/2,
+    with K_2(X) = chi^2(X) = <(c_1^2 + c_2)(X), X>/12 (HRR for Omega^2 = K_X,
+    where ch(K_X) = 1 - c_1 + c_1^2/2 cancels all but the Todd term).
+    """
     if x.n != 2:
         raise ValueError("the K_2 closed form is specific to surfaces")
-    ks = k_coefficients(chi_y(x, e), upto=2)
-    k2_x = k_coefficients(chi_y(x, BundleData.trivial()), upto=2)[2]
     spec = x.spec
+    c1, c2 = x.chern[0], x.chern[1]
     c1e = e.chern[0] if e.chern else spec.zero()
     c2e = e.chern[1] if len(e.chern) >= 2 else spec.zero()
     closed = (
-        e.rank * k2_x
-        - integrate_product(x.chern[0], c1e, x.fclass) / 2
+        e.rank * integrate(c1 * c1 + c2, x.fclass) / 12
+        - integrate_product(c1, c1e, x.fclass) / 2
         + integrate(c1e * c1e - 2 * c2e, x.fclass) / 2
     )
     return ks[2] == closed

@@ -28,7 +28,7 @@ from .literals import digest  # noqa: F401 - re-exported: its home is literals
 if TYPE_CHECKING:  # each section's reader imports its engine when called
     from .bounds import BoundsInput
     from .genus import BundleData, ManifoldData
-    from .lefschetz import CurvatureSpec
+    from .hermitian import CurvatureSpec
     from .qpoly import QPoly
     from .ring import RingSpec
 
@@ -242,7 +242,7 @@ def _curvature(node: dict) -> CurvatureSpec:
         raise DocumentError("curvature needs one of 'gammas' and 'hermitian', not both or neither")
     if "gammas" in node:
         return parse_gammas(node["gammas"], "curvature.gammas")
-    from .lefschetz import HermitianCurvature
+    from .hermitian import HermitianCurvature
 
     herm = _object(node["hermitian"], "curvature.hermitian", ("theta",))
     theta = _nested_lists(herm.get("theta"), 3, "curvature.hermitian.theta")
@@ -253,7 +253,7 @@ def _curvature(node: dict) -> CurvatureSpec:
 def _nested_lists(node, depth: int, path: str):
     """Nested tuples of complex entries; every level above the entries must
     be a JSON list (theta[j][k][a][b] has depth 3 above its entries)."""
-    from .lefschetz import CQ
+    from .gaussian import CQ
 
     if not isinstance(node, list):
         raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")

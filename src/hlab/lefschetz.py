@@ -11,7 +11,11 @@ theorem about the convention, checked by the tests rather than assumed.
 One rule, :func:`check_space`, admits the space for every way in: the basis,
 both curvature records and the ``lefschetz-check`` flags.  It lives in
 ``hlab.diagonal`` with the diagonal curvature record and its closed-form
-norm, which load without this engine; they are re-exported here.
+norm, which load without this engine; they are re-exported here.  The
+scalars are the Gaussian rationals of ``hlab.gaussian``.  The Hermitian
+curvature record lives in ``hlab.hermitian``, which this engine loads only
+to take the norm of a curvature of rank r >= 2 (a line bundle takes
+``hlab.linebundle`` and builds no operator).
 """
 
 from __future__ import annotations
@@ -19,140 +23,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, copysign, factorial, gcd, isfinite, lcm, nan, sqrt
-from typing import Mapping, Sequence, Union
+from math import factorial, isfinite, lcm
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import CertificateError
 from .diagonal import CommutatorNorm, DiagonalCurvature, check_space, diagonal_norm
 from .diagonal import flatness_test  # noqa: F401 - re-exported: its home is diagonal
+from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
 from .record import Interval, Record
 
-HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
-MAX_HERMITIAN_BLOCK = 100  # Bareiss cost grows as the cube; n = 5, r = 1 takes minutes
-
-Scalar = Union[int, Fraction]
-
-
-class CQ:
-    """Exact complex rational (a + b i) / d over the Gaussian integers.
-
-    a, b, d are ints with d > 0 and gcd(a, b, d) = 1, a canonical form, so
-    equality compares fields.  Arithmetic takes a gcd only when d != 1; the
-    entries of L, Lambda and star and all their products have d = 1.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re: Scalar = 0, im: Scalar = 0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-        else:
-            re, im = Fraction(re), Fraction(im)
-            # with d the lcm of the reduced denominators, gcd(a, b, d) = 1
-            d = self.d = lcm(re.denominator, im.denominator)
-            self.a = re.numerator * (d // re.denominator)
-            self.b = im.numerator * (d // im.denominator)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
-    def __add__(self, other):
-        o = _as_cq(other)
-        if self.d == 1 == o.d:
-            return _cq(self.a + o.a, self.b + o.b, 1)
-        return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _cq(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + -_as_cq(other)
-
-    def __rsub__(self, other):
-        return _as_cq(other) - self
-
-    def __mul__(self, other):
-        o = _as_cq(other)
-        a, b = self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a
-        if self.d == 1 == o.d:
-            return _cq(a, b, 1)
-        return _reduced(a, b, self.d * o.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_cq(other)
-        norm = o.a * o.a + o.b * o.b
-        if not norm:
-            raise ZeroDivisionError("complex division by zero")
-        # (a + b i) o.d (o.a - o.b i) / (d |o.a + o.b i|^2)
-        return _reduced(
-            (self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d, self.d * norm
-        )
-
-    def conj(self) -> "CQ":
-        return _cq(self.a, -self.b, self.d)
-
-    def abs2(self) -> Fraction:
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, CQ):
-            return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other.numerator and self.d == other.denominator
-        return NotImplemented
-
-    def __hash__(self):
-        # a real value hashes like the int or Fraction it equals
-        if not self.b:
-            return hash(self.a if self.d == 1 else Fraction(self.a, self.d))
-        return hash((self.a, self.b, self.d))
-
-    def __repr__(self):
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
-
-
-def _as_cq(x) -> CQ:
-    if isinstance(x, CQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CQ(x)
-    raise TypeError(f"cannot coerce {x!r} to a complex rational")
-
-
-def _cq(a: int, b: int, d: int) -> CQ:
-    """(a + b i) / d, already in canonical form."""
-    z = object.__new__(CQ)
-    z.a, z.b, z.d = a, b, d
-    return z
-
-
-def _reduced(a: int, b: int, d: int) -> CQ:
-    """(a + b i) / d for d > 0, brought to canonical form."""
-    g = gcd(a, b, d)
-    return _cq(a // g, b // g, d // g)
-
-
-CQ_ZERO = CQ(0)
-CQ_ONE = CQ(1)
-CQ_I = CQ(0, 1)
+if TYPE_CHECKING:
+    from .hermitian import CurvatureSpec, HermitianCurvature
 
 
 def i_power(k: int) -> CQ:
@@ -492,55 +373,6 @@ def sl2_commutator_check(n: int, r: int = 1) -> bool:
 # -- curvature ---------------------------------------------------------------
 
 
-class HermitianCurvature(Record):
-    """iTheta(E) = i sum_{j,k} theta[j][k] xi_j ^ xibar_k, theta[j][k] r x r.
-
-    Hermitian symmetry theta[j][k] = theta[k][j]^dagger is validated.
-    """
-
-    theta: tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]
-
-    def __post_init__(self):
-        theta = tuple(
-            tuple(
-                tuple(tuple(_as_cq(x) for x in row) for row in mat) for mat in line
-            )
-            for line in self.theta
-        )
-        object.__setattr__(self, "theta", theta)
-        n = len(theta)
-        r = len(theta[0][0]) if n and theta[0] else 0
-        check_space(n, r)
-        if (block := r * comb(n, n // 2) ** 2) > MAX_HERMITIAN_BLOCK:
-            raise ValueError(
-                f"the largest bidegree block has dimension {r} C({n}, {n // 2})^2 = {block} > {MAX_HERMITIAN_BLOCK}"
-            )
-        if any(len(line) != n for line in theta) or any(
-            len(mat) != r or any(len(row) != r for row in mat) for line in theta for mat in line
-        ):
-            raise ValueError("theta must be an n x n array of r x r fiber matrices")
-        for j in range(n):
-            for k in range(n):
-                mat = theta[j][k]
-                for a in range(r):
-                    for b in range(r):
-                        if mat[a][b] != theta[k][j][b][a].conj():
-                            raise ValueError(
-                                f"theta[{j}][{k}] is not the adjoint of theta[{k}][{j}]"
-                            )
-
-    @property
-    def n(self) -> int:
-        return len(self.theta)
-
-    @property
-    def r(self) -> int:
-        return len(self.theta[0][0])
-
-
-CurvatureSpec = Union[DiagonalCurvature, HermitianCurvature]
-
-
 def curvature_operator(spec: CurvatureSpec) -> Operator:
     """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action."""
     blocks = [
@@ -576,17 +408,34 @@ def diagonal_commutator_eigenvalues(
 def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
 
-    Diagonal specs are handled exactly through the closed form of the
-    eigenvalues (:func:`hlab.diagonal.diagonal_norm`).
-    Hermitian specs get a certified rational enclosure of width at most
-    HERMITIAN_WIDTH on each bidegree block T: ||T|| < h holds exactly when
-    h I - T and h I + T are both positive definite, which Sylvester's
-    criterion decides from the leading principal minors (fraction-free
-    Bareiss elimination over the Gaussian integers).  A float eigenvalue guess only proposes
-    the two ends; exact bisection takes over where a proposal is refuted.
+    A diagonal spec takes the exact closed form of the eigenvalues
+    (:func:`hlab.diagonal.diagonal_norm`), and a Hermitian line bundle the
+    same closed form at the eigenvalues of theta, enclosed to width at most
+    HERMITIAN_WIDTH (:func:`hlab.linebundle.line_bundle_norm`); neither
+    builds an operator.  Rank r >= 2 takes :func:`block_commutator_norm`.
     """
     if isinstance(spec, DiagonalCurvature):
         return diagonal_norm(spec)
+    if spec.r == 1:
+        from .linebundle import line_bundle_norm
+
+        return line_bundle_norm(spec)
+    return block_commutator_norm(spec)
+
+
+def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
+    """C and the C_{p,q} table of a Hermitian curvature of any rank, from
+    the bidegree blocks T of [Lambda, iTheta(E)].
+
+    Each ||T|| gets a certified rational enclosure of width at most
+    HERMITIAN_WIDTH: ||T|| < h holds exactly when h I - T and h I + T are
+    both positive definite, which Sylvester's criterion decides from the
+    leading principal minors (fraction-free Bareiss elimination over the
+    Gaussian integers).  A float eigenvalue guess only proposes the two
+    ends; exact bisection takes over where a proposal is refuted
+    (:func:`_hermitian_norm_enclosure`).
+    """
+    from .hermitian import HERMITIAN_WIDTH
 
     n, r = spec.n, spec.r
     basis = get_basis(n, r)
@@ -610,6 +459,8 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:
     by an exact definiteness test, and a refuted end still narrows
     the bracket from the other side.
     """
+    from .hermitian import _float_eigenvalues
+
     if all(not v for row in block for v in row):
         return Interval(Fraction(0), Fraction(0))
     # T = (re + i im) / scale with Gaussian-integer entries
@@ -618,7 +469,7 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:
     im = [[v.b * (scale // v.d) for v in row] for row in block]
     lo = Fraction(0)
     hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
-    guess = _float_extreme_eigenvalue(block)
+    guess = max(_float_eigenvalues(block), key=abs)
     # the extreme eigenvalue's sign says which of h I -/+ T fails first
     signs = (-1, 1) if guess < 0 else (1, -1)
 
@@ -685,43 +536,6 @@ def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
                 ri[j], ii[j] = x, y
         prev = pivot
     return True
-
-
-def _float_extreme_eigenvalue(block: list[list[CQ]]) -> float:
-    """Eigenvalue of largest modulus of a Hermitian block, by cyclic complex
-    Jacobi in floats.  Only a proposal: the caller certifies it exactly,
-    and bisects when the proposal is refuted or not finite."""
-    try:
-        A = [[complex(v.a / v.d, v.b / v.d) for v in row] for row in block]
-    except OverflowError:
-        return nan
-    d = len(A)
-    for _ in range(50):
-        off = sum(abs(A[i][j]) ** 2 for i in range(d) for j in range(i + 1, d))
-        if off <= 1e-32 * sum(abs(x) ** 2 for row in A for x in row):
-            break
-        for p in range(d):
-            for q in range(p + 1, d):
-                g = A[p][q]
-                mag = abs(g)
-                if not mag:
-                    continue
-                # a phase on basis vector q makes the entry real, then a real rotation
-                phase = g.conjugate() / mag
-                app, aqq = A[p][p].real, A[q][q].real
-                theta = (aqq - app) / (2 * mag)
-                t = copysign(1.0, theta) / (abs(theta) + sqrt(theta * theta + 1))
-                c = 1 / sqrt(t * t + 1)
-                s = t * c
-                for r in range(d):
-                    if r != p and r != q:
-                        arp, arq = A[r][p], A[r][q] * phase
-                        A[r][p] = nrp = c * arp - s * arq
-                        A[r][q] = nrq = s * arp + c * arq
-                        A[p][r], A[q][r] = nrp.conjugate(), nrq.conjugate()
-                A[p][p], A[q][q] = complex(app - t * mag), complex(aqq + t * mag)
-                A[p][q] = A[q][p] = 0j
-    return max((A[i][i].real for i in range(d)), key=abs)
 
 
 # -- exact linear algebra ------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from . import bounds, fixtures, genus, lefschetz, ring
+from . import bounds, fixtures, genus, hermitian, lefschetz, linebundle, ring
 from .errors import CertificateError
 from .qpoly import QPoly
 
@@ -48,6 +48,7 @@ def run_all() -> list[tuple[str, bool, str]]:
     check("sl2 commutator", _check_sl2)
     check("hodge star conjugation identity", _check_star)
     check("commutator closed form vs matrix", lambda: _check_commutator(rng))
+    check("line-bundle norm: eigenvalues vs blocks", lambda: _check_line_bundle_norm(rng))
     check("hard lefschetz bijectivity", _check_lefschetz_power)
     check("injectivity range", _check_injectivity)
     check("lemma44_search window and bound", _check_lemma44)
@@ -129,8 +130,8 @@ def _check_k_formulas(rng):
         ks = genus.k_coefficients(genus.chi_y(x, e), upto=2)
         c2_top = genus.integrate(x.chern[1], x.fclass)
         _expect(ks[0] == e.rank * c2_top)
-        _expect(genus.k1_formula_check(x, e))
-        _expect(genus.k2_surface_formula_check(x, e))
+        _expect(genus.k1_formula_check(x, e, ks))
+        _expect(genus.k2_surface_formula_check(x, e, ks))
 
 
 def _check_hilbert():
@@ -163,6 +164,19 @@ def _check_commutator(rng):
     for key, iv in lefschetz.commutator_norm(spec).table.items():
         _expect(iv.lo <= table[key] <= iv.hi, (key, iv, table[key]))
         _expect(iv.width <= Fraction(1, 10**12), (key, iv))
+
+
+def _check_line_bundle_norm(rng):
+    """The eigenvalue path of a Hermitian line bundle against the Bareiss
+    certificate of every bidegree block, on generic and rotated split draws."""
+    for n in (1, 2, 3):
+        for spec in (fixtures.generic_curvature(rng, n, 1), fixtures.rotated_split_curvature(rng, n, 1)[0]):
+            fast, slow = linebundle.line_bundle_norm(spec), lefschetz.block_commutator_norm(spec)
+            _expect(set(fast.table) == set(slow.table), n)
+            for key, iv in slow.table.items():
+                other = fast.table[key]
+                _expect(iv.lo <= other.hi and other.lo <= iv.hi, (n, key, other, iv))
+                _expect(max(iv.width, other.width) <= hermitian.HERMITIAN_WIDTH, (n, key))
 
 
 def _check_lefschetz_power():

@@ -8,7 +8,8 @@ from hlab.fixtures import (  # noqa: F401 - re-exported for the test modules
     random_manifold_bundle,
     weight_keys,
 )
-from hlab.lefschetz import CQ, FormVector
+from hlab.gaussian import CQ
+from hlab.lefschetz import FormVector
 from hlab.qpoly import QPoly
 
 

@@ -39,8 +39,8 @@ from hlab.genus import (
     projective_space,
     todd_class,
 )
+from hlab.gaussian import CQ
 from hlab.lefschetz import (
-    CQ,
     DiagonalCurvature,
     commutator_norm,
     curvature_operator,
@@ -103,8 +103,8 @@ def test_criterion_03_k_identities_100_random_surfaces():
             x, e = random_manifold_bundle(rng, 2, bundle_rank=2)
             ks = k_coefficients(chi_y(x, e), upto=2)
             assert ks[0] == e.rank * integrate(x.chern[1], x.fclass)
-            assert k1_formula_check(x, e)
-            assert k2_surface_formula_check(x, e)
+            assert k1_formula_check(x, e, ks)
+            assert k2_surface_formula_check(x, e, ks)
 
 
 def test_criterion_04_flat_bundle_factorization_100_random():

@@ -214,7 +214,7 @@ def _refine_by_sturm(Q, chain, a, b, width):
 
 
 def test_refine_by_sign_matches_sturm_counts():
-    from hlab.bounds import _refine, cauchy_bound
+    from hlab.roots import _refine, cauchy_bound
 
     rng = random.Random(4103)
     for _ in range(20):
@@ -238,6 +238,48 @@ def test_refine_by_sign_matches_sturm_counts():
             assert refined == _refine_by_sturm(Q, chain, lo, hi, WIDTH)
             expected.append(refined)
         assert isolate_real_roots(P, WIDTH) == sorted(expected)
+
+
+def test_squarefree_factors_give_each_root_its_multiplicity():
+    from hlab.roots import squarefree_factors
+
+    rng = random.Random(6007)
+    for _ in range(20):
+        P, multiplicity = QPoly([rng.choice([-3, -1, 1, 2])]), {}
+        for _ in range(rng.randint(1, 4)):  # rational roots, some repeated
+            r, m = F(rng.randint(-9, 9), rng.choice([1, 2, 3])), rng.randint(1, 3)
+            multiplicity[r] = multiplicity.get(r, 0) + m
+            for _ in range(m):
+                P = P * QPoly([-r, 1])
+        if rng.random() < 0.5:  # a simple irrational pair +-sqrt(k)
+            P = P * QPoly([-rng.choice([2, 3, 5]), 0, 1])
+        factors = squarefree_factors(P)
+        product = QPoly([P.leading()])
+        for i, a in factors:
+            assert a.leading() == 1 and a == a.squarefree_part()
+            for _ in range(i):
+                product = product * a
+        assert product == P
+        assert len({i for i, _ in factors}) == len(factors)
+        for r, m in multiplicity.items():
+            assert [i for i, a in factors if a(r) == 0] == [m]
+
+
+def test_isolate_near_certifies_proposals_and_bisects_without_them():
+    from math import nan, sqrt
+
+    from hlab.roots import isolate_near
+
+    cubic = QPoly([-6, 11, -6, 1])  # roots 1, 2, 3
+    assert isolate_near(cubic, [3.0, 1.0 + 1e-15, 2.0, 2.0], WIDTH) == [(1, 1), (2, 2), (3, 3)]
+    Q = QPoly([-2, 0, 1])  # roots +-sqrt(2)
+    got = isolate_near(Q, [sqrt(2), -sqrt(2), sqrt(2)], WIDTH)
+    assert got != isolate_real_roots(Q, WIDTH)  # the proposals were certified
+    assert [(lo < 0) for lo, _ in got] == [True, False]
+    for lo, hi in got:
+        assert hi - lo <= WIDTH and Q(lo) * Q(hi) < 0
+    for guesses in ([], [nan, 0.0, 1e6], [sqrt(2)], [1.5, -1.5]):
+        assert isolate_near(Q, guesses, WIDTH) == isolate_real_roots(Q, WIDTH), guesses
 
 
 def _sign_separated_by_sturm(P, interval):

@@ -147,6 +147,27 @@ def test_bounds_call_chi_y_only_where_chi_p_is_read(capsys, cp2_bounds_file, mon
         assert len(calls) == count, which
 
 
+def test_kcoeffs_calls_chi_y_once(capsys, tmp_path, monkeypatch):
+    # the K_1 and K_2 closed-form checks read the K_j the command printed
+    from hlab import genus
+
+    calls, chi_y = [], genus.chi_y
+
+    def counted(*args):
+        calls.append(args)
+        return chi_y(*args)
+
+    monkeypatch.setattr(genus, "chi_y", counted)
+    for n in (2, 5):
+        path = tmp_path / f"cp{n}.json"
+        path.write_text(json.dumps(cp_fixture(n)))
+        calls.clear()
+        code, out, _ = run(capsys, "kcoeffs", "--input", str(path))
+        assert code == 0 and "k1_closed_form_matches = True" in out
+        assert ("k2_surface_form_matches = True" in out) == (n == 2)
+        assert len(calls) == 1, n
+
+
 def test_ineq_calls_chi_y_once_for_every_j(capsys, tmp_path, monkeypatch):
     from hlab import genus
 
@@ -287,7 +308,9 @@ def test_commutator_hermitian_document(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["exact"] is False
-    lo, hi = report["results"]["C"]
+    # an enclosure [lo, hi], or one exact value when it is degenerate
+    C = report["results"]["C"]
+    lo, hi = C if isinstance(C, list) else (C, C)
     # base-index eigenvalues are +-1, so C matches the diagonal spec (1, -1)
     from fractions import Fraction
 

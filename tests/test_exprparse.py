@@ -16,7 +16,8 @@ from hlab.exprparse import (
     parse_rational,
 )
 from hlab.inputdoc import DocumentError, cp_fixture, digest, load_document
-from hlab.lefschetz import DiagonalCurvature, HermitianCurvature
+from hlab.diagonal import DiagonalCurvature
+from hlab.hermitian import HermitianCurvature
 from hlab.ring import GradedElement, RingSpec
 
 F = Fraction

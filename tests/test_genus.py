@@ -277,7 +277,7 @@ def test_k0_k1_closed_forms_random():
             ks = k_coefficients(chi_y(x, e), upto=n)
             c_n_top = integrate(x.chern[-1], x.fclass)
             assert ks[0] == e.rank * c_n_top
-            assert k1_formula_check(x, e)
+            assert k1_formula_check(x, e, ks)
             # trivial bundle: K_1 = -(n/2) c_n[X]
             ks0 = k_coefficients(chi_y(x, BundleData.trivial()), upto=n)
             assert ks0[1] == -F(n, 2) * c_n_top
@@ -287,14 +287,24 @@ def test_k2_surface_closed_form_random():
     rng = random.Random(506)
     for _ in range(10):
         x, e = random_manifold_bundle(rng, 2, bundle_rank=2)
-        assert k2_surface_formula_check(x, e)
+        assert k2_surface_formula_check(x, e, _ks(x, e))
+
+
+def test_k2_of_a_surface_is_the_noether_form():
+    # k2_surface_formula_check reads K_2(X) = chi^2(X) = <c_1^2 + c_2, X>/12
+    # instead of a second chi_y; HRR must agree on every formal surface
+    rng = random.Random(510)
+    for _ in range(10):
+        x, _ = random_manifold_bundle(rng, 2, bundle_rank=2)
+        c1, c2 = x.chern
+        assert _ks(x)[2] == integrate(c1 * c1 + c2, x.fclass) / 12
 
 
 def test_k2_flat_bundle_reduces_to_rank_multiple():
     rng = random.Random(509)
     x, e = random_manifold_bundle(rng, 2, bundle_rank=2)
     flat = BundleData(e.rank, ())
-    assert k2_surface_formula_check(x, flat)
+    assert k2_surface_formula_check(x, flat, _ks(x, flat))
     ks = k_coefficients(chi_y(x, flat), upto=2)
     k2_x = k_coefficients(chi_y(x, BundleData.trivial()), upto=2)[2]
     assert ks[2] == e.rank * k2_x
@@ -304,13 +314,13 @@ def test_k2_rejects_non_surfaces():
     rng = random.Random(507)
     x, e = random_manifold_bundle(rng, 3)
     with pytest.raises(ValueError):
-        k2_surface_formula_check(x, e)
+        k2_surface_formula_check(x, e, _ks(x, e))
 
 
 def test_k1_k2_on_cp2_with_o1(cp2):
     x, o1 = cp2
-    assert k1_formula_check(x, o1)
-    assert k2_surface_formula_check(x, o1)
+    assert k1_formula_check(x, o1, _ks(x, o1))
+    assert k2_surface_formula_check(x, o1, _ks(x, o1))
 
 
 # -- Hilbert polynomials -------------------------------------------------------------
@@ -463,7 +473,7 @@ def test_one_hodge_ladder_per_manifold(monkeypatch):
     x, o1 = projective_space(4)
     chi_y(x, o1)
     hilbert_polynomial(x, o1, 1)
-    assert k1_formula_check(x, o1)
+    assert k1_formula_check(x, o1, _ks(x, o1))
     chern_inequality_check(_ks(x), 2)
     assert [ch_hodge_sheaf(x, p) for p in range(5)] == hodge_classes(x)
     assert calls == {"ladder": 1, "todd": 1}

@@ -3,11 +3,14 @@ that names its JSON path, literals are never coerced, and a failed internal
 certificate has its own exit code (3)."""
 
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from hlab import lefschetz
+from hlab.fixtures import rotated_split_curvature
 from hlab.cli import main
 from hlab.exprparse import ExprError, parse_rational
 from hlab.inputdoc import DocumentError, cp_fixture, load_document
@@ -306,12 +309,12 @@ def _hermitian(n, r):
 
 # (argv, curvature document or None, what the error must name); every way into
 # the operator engine is held to one space rule, 1 <= n <= 6 and 4^n r <= 4^6,
-# and a Hermitian document also to a largest bidegree block of dimension
-# r C(n, floor(n/2))^2 <= 100.  The Hermitian documents were admitted and ran for minutes.
+# and a Hermitian document of rank r >= 2 also to a largest bidegree block of
+# dimension r C(n, floor(n/2))^2 <= 100.  The Hermitian documents were admitted
+# and ran for minutes.
 SPACE_FAULTS = {
     "hermitian-n6-r2": (("commutator",), _hermitian(6, 2), "curvature.hermitian.theta: the space has dimension"),
     "hermitian-n3-r65": (("commutator",), _hermitian(3, 65), "curvature.hermitian.theta: the space has dimension"),
-    "hermitian-n6-r1": (("commutator",), _hermitian(6, 1), "curvature.hermitian.theta: the largest bidegree block has dimension 1 C(6, 3)^2 = 400 > 100"),
     "hermitian-n4-r3": (("commutator",), _hermitian(4, 3), "curvature.hermitian.theta: the largest bidegree block has dimension 3 C(4, 2)^2 = 108 > 100"),
     "gammas-flag-seven": (("commutator", "--gammas", "1,2,3,4,5,6,7"), None, "--gammas: n = 7"),
     "gammas-document-seven": (("commutator",), {"curvature": {"gammas": list("1234567")}}, "curvature.gammas: n = 7"),
@@ -337,3 +340,29 @@ def test_space_rule_refuses_before_a_basis_is_built(capsys, monkeypatch, tmp_pat
     assert code == 2, err
     assert err.startswith(f"input error: {named}")
     assert "Traceback" not in err
+
+
+def test_hermitian_line_bundle_n6_runs_without_a_basis(capsys, monkeypatch, tmp_path):
+    # a line bundle's norm builds no bidegree block, so n = 6, r = 1 is
+    # admitted: it exits 0 and encloses the closed form of the rotated split
+    # fixture, without building a basis
+    def refuse(*args):
+        raise AssertionError("the line-bundle norm built a basis")
+
+    monkeypatch.setattr(lefschetz, "get_basis", refuse)
+    spec, table = rotated_split_curvature(random.Random(6), 6, 1)
+    theta = [[[[[str(v.re), str(v.im)] for v in row] for row in mat] for mat in line] for line in spec.theta]
+    doc = tmp_path / "curvature.json"
+    doc.write_text(json.dumps({"curvature": {"hermitian": {"theta": theta}}}))
+    start = time.perf_counter()
+    code = main(["commutator", "--input", str(doc), "--output", "machine"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["exact"] is False
+    rows = {(row["p"], row["q"]): row["value"] for row in results["C_pq"]}
+    assert set(rows) == set(table)
+    for key, value in rows.items():
+        lo, hi = (Fraction(v) for v in value) if isinstance(value, list) else (Fraction(value),) * 2
+        assert lo <= table[key] <= hi, key

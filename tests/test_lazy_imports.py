@@ -5,9 +5,11 @@ literal rules of the flags alone.  A command that reads a document loads
 the document reader (``inputdoc``), and the expression parser
 (``exprparse``) when the document holds expressions.  Each command imports
 the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
-bound evaluators (``bounds``), the diagonal closed form (``diagonal``), the
-operator engine (``lefschetz``) or the self-check suite (``selfcheck``,
-``fixtures``); the exact set of each is pinned here.  No command loads
+bound evaluators (``bounds``, with the root isolation of ``roots``), the
+diagonal closed form (``diagonal``), the line-bundle eigenvalue path
+(``linebundle``, ``roots``, ``qpoly``), the operator engine
+(``lefschetz``) or the self-check suite (``selfcheck``, ``fixtures``); the
+exact set of each is pinned here.  No command loads
 ``dataclasses``, ``inspect``, or ``argparse`` and the ``gettext`` and
 ``locale`` it pulls in.
 The package still exports every name it did when it imported all of its
@@ -32,7 +34,10 @@ CODEGEN = {"dataclasses", "inspect"}  # about 24 ms of a cold start when they lo
 ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with the parsers built
 ENGINES = {
     f"hlab.{m}"
-    for m in ("bounds", "diagonal", "exprparse", "genus", "inputdoc", "lefschetz", "literals", "qpoly", "ring")
+    for m in (
+        "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz", "linebundle",
+        "literals", "qpoly", "ring", "roots",
+    )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
 # reads a document (with the expression parser if the document has
@@ -41,8 +46,11 @@ FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "record", "literals")}
 READER = FLAGS | {"hlab.inputdoc"}
 BOUNDARY = READER | {"hlab.exprparse"}
 HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
+BOUNDS = {"hlab.bounds", "hlab.roots"}
 DIAGONAL = FLAGS | {"hlab.diagonal"}
-OPERATOR = DIAGONAL | {"hlab.lefschetz"}
+OPERATOR = DIAGONAL | {"hlab.lefschetz", "hlab.gaussian"}
+# a Hermitian document: the record and its Gaussian-rational entries
+HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -98,7 +106,7 @@ HRR_AND_BOUNDS = [
 def test_hrr_and_bounds_commands_skip_the_operator_engine(cp2_file, argv):
     code, modules = _loaded(PROBE, *argv, "--input", cp2_file)
     assert code == (1 if argv[-1] == "etheta" else 0)  # E_theta's hypotheses fail on this document
-    assert _hlab(modules) == (HRR | {"hlab.bounds"} if argv[0] == "bounds" else HRR)
+    assert _hlab(modules) == (HRR | BOUNDS if argv[0] == "bounds" else HRR)
 
 
 def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
@@ -106,7 +114,7 @@ def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
     path.write_text(json.dumps({"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10"}}))
     code, modules = _loaded(PROBE, "bounds", "--which", "t4", "--input", str(path))
     assert code == 0
-    assert _hlab(modules) == READER | {"hlab.bounds", "hlab.qpoly"}
+    assert _hlab(modules) == READER | BOUNDS | {"hlab.qpoly"}
 
 
 def test_fixture_command_loads_no_operator_engine():
@@ -122,7 +130,15 @@ def test_cli_import_loads_the_flag_rules_only():
 @pytest.fixture(scope="module")
 def hermitian_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("doc") / "hermitian.json"
-    path.write_text(json.dumps({"curvature": {"hermitian": {"theta": [[[[1, 0], [0, 2]]]]}}}))
+    path.write_text(json.dumps({"curvature": {"hermitian": {"theta": [[[[1, 0], [0, 2]]]]}}}))  # r = 2
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def line_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "line.json"
+    theta = [[[["1"]], [[["1/2", "1"]]]], [[[["1/2", "-1"]]], [["-3"]]]]  # r = 1
+    path.write_text(json.dumps({"curvature": {"hermitian": {"theta": theta}}}))
     return str(path)
 
 
@@ -134,20 +150,23 @@ def gammas_file(tmp_path_factory):
 
 
 # Diagonal curvature, from the flag or a document, and a refused space take
-# the closed form and the space rule; only Hermitian curvature and the
-# lefschetz-check scans load the operator engine.
+# the closed form and the space rule, and a Hermitian line bundle the
+# eigenvalues of theta (no operator engine, no bound evaluators); only
+# Hermitian curvature of rank r >= 2 and the lefschetz-check scans load the
+# operator engine.
 OPERATOR_COMMANDS = [
     (("commutator", "--gammas", "1,2"), 0, DIAGONAL),
     (("commutator", "--input", "GAMMAS"), 0, DIAGONAL | {"hlab.inputdoc"}),
     (("lefschetz-check", "--n", "7"), 2, DIAGONAL),
     (("lefschetz-check", "--n", "2"), 0, OPERATOR),
-    (("commutator", "--input", "HERMITIAN"), 0, OPERATOR | {"hlab.inputdoc"}),
+    (("commutator", "--input", "HERMITIAN"), 0, HERMITIAN | {"hlab.lefschetz"}),
+    (("commutator", "--input", "LINE"), 0, HERMITIAN | {"hlab.linebundle", "hlab.roots", "hlab.qpoly"}),
 ]
 
 
 @pytest.mark.parametrize("argv,exit_code,loads", OPERATOR_COMMANDS, ids=[" ".join(c[0]) for c in OPERATOR_COMMANDS])
-def test_operator_commands_load_lefschetz_only(gammas_file, hermitian_file, argv, exit_code, loads):
-    files = {"GAMMAS": gammas_file, "HERMITIAN": hermitian_file}
+def test_operator_commands_load_lefschetz_only(gammas_file, hermitian_file, line_file, argv, exit_code, loads):
+    files = {"GAMMAS": gammas_file, "HERMITIAN": hermitian_file, "LINE": line_file}
     code, modules = _loaded(PROBE, *(files.get(arg, arg) for arg in argv))
     assert code == exit_code
     assert _hlab(modules) == loads
@@ -168,8 +187,11 @@ def test_commands_load_no_code_generation(cp2_file, argv):
 
 
 def test_operator_engine_imports_no_other_engine():
-    # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly
-    assert _import_loads("import hlab.lefschetz") == {"hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.record"}
+    # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly,
+    # and the Hermitian record and certificates load only for a rank r >= 2 norm
+    assert _import_loads("import hlab.lefschetz") == {
+        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.record"
+    }
 
 
 @pytest.mark.parametrize("statement", ["import hlab.diagonal", "from hlab import DiagonalCurvature, flatness_test"])
@@ -187,19 +209,21 @@ def test_bare_import_loads_no_engine():
 EXPORTS = {
     "bounds": (
         "BoundsInput Interval RootReport T4ChainReport bound_C1 bound_T2 bound_T4 bound_T5 "
-        "e_theta_interval forward_difference isolate_real_roots lemma42_search lemma44_search "
+        "e_theta_interval forward_difference lemma42_search lemma44_search "
         "root_report sqrt_enclosure t4_chain"
     ),
     "exprparse": "ExprError parse_expression parse_rational",
+    "gaussian": "CQ",
     "genus": (
         "BundleData FundamentalClass IntegralityError ManifoldData MissingChernNumber bundle_power "
         "ch_hodge_sheaf chern_character chern_inequality_check chi_p chi_y hilbert_polynomial "
         "hodge_classes integrate integrate_product k1_formula_check k2_surface_formula_check "
         "k_coefficients projective_space todd_class"
     ),
+    "hermitian": "HermitianCurvature",
     "lefschetz": (
-        "CQ CertificateError CommutatorNorm DiagonalCurvature ExteriorBasis FormVector "
-        "HermitianCurvature LefschetzPower Operator commutator_norm curvature_operator "
+        "CertificateError CommutatorNorm DiagonalCurvature ExteriorBasis FormVector "
+        "LefschetzPower Operator commutator_norm curvature_operator "
         "diagonal_commutator_eigenvalues flatness_test get_basis injectivity_scan lefschetz_power "
         "op_L op_Lambda op_star sl2_commutator_check"
     ),
@@ -208,6 +232,7 @@ EXPORTS = {
         "GradedElement RingSpec Series SpecMismatch elementary_from_power_sums exp genus_product "
         "log power_sums_from_elementary todd_series"
     ),
+    "roots": "isolate_real_roots",
 }
 EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names.split()]
 

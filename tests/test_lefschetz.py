@@ -10,19 +10,19 @@ from math import gcd
 import pytest
 from conftest import random_form
 
+import hlab.hermitian as hermitian
 import hlab.lefschetz as lefschetz
+import hlab.linebundle as linebundle
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
-from hlab.fixtures import gamma_draws, rotated_split_curvature
+from hlab.fixtures import gamma_draws, generic_curvature, rotated_split_curvature
+from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
+from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
+from hlab.linebundle import line_bundle_norm
 from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
-    CQ,
-    CQ_I,
-    CQ_ONE,
-    CQ_ZERO,
     DiagonalCurvature,
     FormVector,
-    HermitianCurvature,
     commutator_norm,
     curvature_operator,
     diagonal_commutator_eigenvalues,
@@ -513,9 +513,24 @@ def test_hermitian_unitary_invariance_random():
 
 @pytest.mark.parametrize("guess", [math.nan, 0.0, 1e6])
 def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
-    # a refuted or non-finite float proposal leaves the exact bisection from
-    # [0, max row sum], which must still pin the diagonal value within tol
-    monkeypatch.setattr(lefschetz, "_float_extreme_eigenvalue", lambda block: guess)
+    # r = 2 takes the block certificate: a refuted or non-finite float
+    # proposal leaves the exact bisection from [0, max row sum], which must
+    # still pin the split-bundle value within tol
+    monkeypatch.setattr(hermitian, "_float_eigenvalues", lambda block: [guess] * len(block))
+    spec, table = rotated_split_curvature(random.Random(88), 2, 2)
+    got = commutator_norm(spec)
+    assert set(got.table) == set(table)
+    for key, iv in got.table.items():
+        assert iv.lo <= table[key] <= iv.hi, key
+        assert iv.width <= HERMITIAN_WIDTH
+
+
+@pytest.mark.parametrize("guess", [math.nan, 0.0, 1e6])
+def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
+    # r = 1 takes the eigenvalues of theta: a refuted or non-finite float
+    # proposal of every eigenvalue leaves exact Sturm bisection, which must
+    # still pin the diagonal value within tol
+    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda block: [guess] * len(block))
     rng = random.Random(88)
     for _ in range(5):
         a = F(rng.randint(-5, 5), rng.randint(1, 3))
@@ -526,7 +541,59 @@ def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
         assert got.value.lo <= exact.value <= got.value.hi
         for key, iv in got.table.items():
             assert iv.lo <= exact.table[key] <= iv.hi
-            assert iv.width <= F(1, 10**12)
+            assert iv.width <= HERMITIAN_WIDTH
+    # irrational eigenvalues too: the enclosures meet those of good proposals
+    monkeypatch.undo()
+    specs = [generic_curvature(random.Random(seed), 4, 1) for seed in range(3)]
+    good = [line_bundle_norm(spec) for spec in specs]
+    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda block: [guess] * len(block))
+    for spec, want in zip(specs, good):
+        for key, iv in line_bundle_norm(spec).table.items():
+            assert iv.lo <= want.table[key].hi and want.table[key].lo <= iv.hi, key
+            assert iv.width <= HERMITIAN_WIDTH
+
+
+def test_line_bundle_norm_of_a_rotated_line_is_exact():
+    # integer eigenvalues: every proposal is certified as an exact root, and
+    # the blocks (n, 0) and (0, n), identically zero, enclose 0 as [0, 0]
+    for n in range(1, 7):
+        spec, table = rotated_split_curvature(random.Random(n), n, 1)
+        got = commutator_norm(spec)
+        assert got.exact is False
+        assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
+        assert got.table[(n, 0)] == got.table[(0, n)] == Interval(0, 0)
+
+
+def test_line_bundle_norm_n5_builds_no_operator(monkeypatch):
+    # the Bareiss block path takes about 94 s on this matrix (2-vCPU host, Python 3.11)
+    def refuse(*args):
+        raise AssertionError("the line-bundle norm built an operator")
+
+    monkeypatch.setattr(lefschetz, "get_basis", refuse)
+    spec, table = rotated_split_curvature(random.Random(7), 5, 1)
+    start = time.perf_counter()
+    got = commutator_norm(spec)
+    elapsed = time.perf_counter() - start
+    assert set(got.table) == set(table)
+    for key, iv in got.table.items():
+        assert iv.lo <= table[key] <= iv.hi, key
+        assert iv.width <= HERMITIAN_WIDTH
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [([[CQ(0, 1), CQ(0)], [CQ(0), CQ(0)]], "polynomial .* is not real"), ([[CQ(1), CQ(0, 1)], [CQ(0, 1), CQ(1)]], "theta has 0 real eigenvalues")],
+    ids=["non-real charpoly", "complex eigenvalues"],
+)
+def test_line_bundle_norm_certifies_real_eigenvalues(entries, message):
+    # theta is validated Hermitian, so only a record changed after the fact
+    # gets this far: diag(i, 0) has a non-real characteristic polynomial, and
+    # [[1, i], [i, 1]] the real x^2 - 2x + 2 with no real root
+    spec = _herm([[[[CQ(1)]], [[CQ(0)]]], [[[CQ(0)]], [[CQ(1)]]]])
+    object.__setattr__(spec, "theta", tuple(tuple(((v,),) for v in row) for row in entries))
+    with pytest.raises(CertificateError, match=message):
+        line_bundle_norm(spec)
 
 
 def test_rotated_split_bundle_n3_r2():
@@ -648,9 +715,10 @@ def test_L_is_the_curvature_operator_of_the_identity_theta(n, r):
     assert op_L(n, r) == curvature_operator(HermitianCurvature(theta))
 
 
-@pytest.mark.parametrize("n,r,block", [(6, 1, 400), (4, 3, 108), (3, 12, 108), (5, 1, None), (4, 2, None), (3, 11, None)])
+@pytest.mark.parametrize("n,r,block", [(6, 1, None), (4, 3, 108), (3, 12, 108), (5, 1, None), (4, 2, None), (3, 11, None)])
 def test_hermitian_curvature_bounds_the_block_dimension(n, r, block):
-    # every (n, r) here passes the space rule; r C(n, floor(n/2))^2 <= 100 is admitted
+    # every (n, r) here passes the space rule; for r >= 2, r C(n, floor(n/2))^2
+    # <= 100 is admitted, and a line bundle's norm builds no block
     check_space(n, r)
     zero = tuple(tuple(tuple(tuple(CQ_ZERO for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
     if block is None:

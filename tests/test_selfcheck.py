@@ -36,6 +36,18 @@ inputdoc.cp_fixture = doubled
 raise SystemExit(main(["verify"]))
 """
 
+# The line-bundle check of `verify` holds the eigenvalue path of
+# ``linebundle.line_bundle_norm`` against the Bareiss block certificate, so
+# eigenvalue enclosures that all miss by 1 fail it.
+SHIFTED_EIGENVALUES = """
+from hlab import linebundle
+from hlab.cli import main
+
+enclosures = linebundle.eigenvalue_enclosures
+linebundle.eigenvalue_enclosures = lambda theta: [(lo + 1, hi + 1) for lo, hi in enclosures(theta)]
+raise SystemExit(main(["verify"]))
+"""
+
 
 def _verify(script, *flags):
     env = {**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])}
@@ -52,7 +64,7 @@ def test_verify_reports_injected_fault_under_optimize():
     proc = _verify(BROKEN_TODD_UNDER_O, "-O")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
-    assert "16/17 checks passed" in proc.stdout
+    assert "17/18 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_cp_document_hlab_fixture_prints():
@@ -60,7 +72,14 @@ def test_verify_checks_the_cp_document_hlab_fixture_prints():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  projective space genus suite" in proc.stdout
     assert "FAIL  hilbert polynomial consistency" in proc.stdout
-    assert "15/17 checks passed" in proc.stdout
+    assert "16/18 checks passed" in proc.stdout
+
+
+def test_verify_checks_the_line_bundle_eigenvalue_path():
+    proc = _verify(SHIFTED_EIGENVALUES)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  line-bundle norm: eigenvalues vs blocks" in proc.stdout
+    assert "17/18 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
