@@ -22,7 +22,7 @@ _EXPORTS = {
         "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "lemma42_search",
         "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
     ),
-    "diagonal": ("CommutatorNorm", "DiagonalCurvature", "flatness_test"),
+    "diagonal": ("CommutatorNorm", "DiagonalCurvature", "commutator_norm", "flatness_test"),
     "exprparse": ("ExprError", "parse_expression"),
     "gaussian": ("CQ",),
     "genus": (
@@ -35,7 +35,7 @@ _EXPORTS = {
     "hermitian": ("HermitianCurvature",),
     "lefschetz": (
         "CertificateError", "ExteriorBasis", "FormVector", "LefschetzPower", "Operator",
-        "commutator_norm", "curvature_operator", "diagonal_commutator_eigenvalues", "get_basis",
+        "curvature_operator", "diagonal_commutator_eigenvalues", "get_basis",
         "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
         "sl2_commutator_check",
     ),

@@ -17,10 +17,9 @@ Importing this module loads the literal rules of the flags only
 loads in the handlers that read ``--input`` and in ``fixture``, and each
 handler imports the engine it runs: the HRR engine (``genus``, with ``ring``
 and ``qpoly``) in the four HRR handlers, the bound evaluators in ``bounds``,
-the diagonal closed form (``diagonal``) in ``commutator`` and the space rule
-of ``lefschetz-check``, the eigenvalue path (``linebundle``, with ``roots``
-and ``qpoly``) for Hermitian line-bundle curvature, the operator engine
-(``lefschetz``) only for Hermitian curvature of rank r >= 2 and the
+``diagonal`` in ``commutator`` (whose ``commutator_norm`` imports the
+certificate a curvature takes) and for the space rule of
+``lefschetz-check``, the operator engine (``lefschetz``) for the
 ``lefschetz-check`` scans, and the self-check suite in ``verify``;
 ``inputdoc`` imports the expression parser and a section's engine where it
 reads that section.
@@ -212,7 +211,7 @@ def cmd_ineq(args):
 
 
 def cmd_commutator(args):
-    from .diagonal import DiagonalCurvature, diagonal_norm, flatness_test
+    from .diagonal import DiagonalCurvature, commutator_norm, flatness_test
 
     if args.gammas is not None:
         if args.input:
@@ -223,16 +222,7 @@ def cmd_commutator(args):
         doc = _doc_from_args(args)
         spec = doc.require("curvature")
         rep = Reporter("commutator", doc.raw, args.output, doc.load_warnings)
-    if isinstance(spec, DiagonalCurvature):  # the closed form: no operator engine
-        norm = diagonal_norm(spec)
-    elif spec.r == 1:  # the closed form at the eigenvalues of theta: no operator engine
-        from .linebundle import line_bundle_norm
-
-        norm = line_bundle_norm(spec)
-    else:
-        from .lefschetz import commutator_norm
-
-        norm = commutator_norm(spec)
+    norm = commutator_norm(spec)
     rep.add("C", norm.value)
     rep.add("exact", norm.exact)
     rep.add("C_pq", [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())])

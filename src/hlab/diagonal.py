@@ -1,25 +1,30 @@
-"""Diagonal line-bundle curvature and its commutator norm in closed form.
+"""Diagonal line-bundle curvature, its commutator norm in closed form, and
+the one choice of how C = |[Lambda, iTheta(E)]| is computed.
 
 For iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j the operator [iTheta(L), Lambda]
 is diagonal on the monomial basis, with eigenvalue gamma_J + gamma_K - sum gamma
 on xi_J ^ xibar_K, so C = |[Lambda, iTheta(L)]| and each C_{p,q} are exact
 rationals got from sorted partial sums of the gammas, with no operator built.
-This module holds that closed form and the space rule :func:`check_space`
-that every way into the operator engine passes, so ``commutator --gammas``
-and the ``lefschetz-check`` flag check load no operator engine;
-``hlab.lefschetz`` re-exports all of them.
+The same closed form, at enclosures of the eigenvalues of theta, gives the
+norm of a Hermitian line bundle (``hlab.linebundle``).  This module holds
+that closed form, :func:`commutator_norm`, which sends each curvature to its
+certificate, and the space rule :func:`check_space` that every way into the
+operator engine passes, so ``commutator --gammas`` and the
+``lefschetz-check`` flag check load no operator engine; ``hlab.lefschetz``
+re-exports all of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CertificateError
 from .record import Interval, Record
 
 if TYPE_CHECKING:
     from .gaussian import CQ
+    from .hermitian import CurvatureSpec
 
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
 
@@ -71,32 +76,78 @@ class CommutatorNorm(Record):
 
     value: Union[Fraction, Interval]
     table: dict[tuple[int, int], Union[Fraction, Interval]]
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """True when C is an exact rational, False when it is an enclosure."""
+        return not isinstance(self.value, Interval)
 
 
-def _diagonal_table(spec: DiagonalCurvature) -> dict[tuple[int, int], Fraction]:
-    """C_{p,q} = max |gamma_J + gamma_K - sum gamma| over |J| = p, |K| = q.
+def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
+    """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
+
+    A diagonal spec takes the exact closed form (:func:`diagonal_norm`), and
+    a Hermitian line bundle the same closed form at the eigenvalues of
+    theta, enclosed to width at most HERMITIAN_WIDTH
+    (``hlab.linebundle.line_bundle_norm``); neither builds an operator.
+    Rank r >= 2 takes the bidegree blocks of the operator engine
+    (``hlab.lefschetz.block_commutator_norm``).  Each path imports its
+    engine here, so a job loads only the one it runs.
+    """
+    if isinstance(spec, DiagonalCurvature):
+        return diagonal_norm(spec)
+    if spec.r == 1:
+        from .linebundle import line_bundle_norm
+
+        return line_bundle_norm(spec)
+    from .lefschetz import block_commutator_norm
+
+    return block_commutator_norm(spec)
+
+
+def _diagonal_table(
+    gammas: Sequence[tuple[Fraction, Fraction]], total: Fraction
+) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """C_{p,q} = max |gamma_J + gamma_K - total| over |J| = p, |K| = q, each
+    as a rational (lo, hi), from (lo, hi) enclosures of the gammas in
+    increasing order and their exact sum ``total``.
 
     The eigenvalue is a sum of a p-subset sum and a q-subset sum less a
     constant, so its extremes are the sums of the extremes: the p largest
     and the p smallest gammas give max and min S_p, and the largest |x|
-    on [min, max] sits at an end.  No 4^n enumeration.
+    on [min, max] sits at an end.  No 4^n enumeration.  S_n is ``total``
+    exactly, so a block that is identically zero (p = n, q = 0 and the
+    reverse) encloses 0 as [0, 0]; every other entry is at most 2n times
+    as wide as the widest gamma, and degenerate enclosures give exact ends.
     """
-    n, g = spec.n, sorted(spec.gammas)
-    total = sum(g, Fraction(0))
-    low = [sum(g[:p], Fraction(0)) for p in range(n + 1)]
-    high = [sum(g[n - p :], Fraction(0)) for p in range(n + 1)]
-    return {
-        (p, q): max(abs(high[p] + high[q] - total), abs(low[p] + low[q] - total))
-        for p in range(n + 1)
-        for q in range(n + 1)
-    }
+    n, zero = len(gammas), Fraction(0)
+    los, his = [lo for lo, _ in gammas], [hi for _, hi in gammas]
+    least = [(sum(los[:p], zero), sum(his[:p], zero)) for p in range(n)] + [(total, total)]
+    most = [(sum(los[n - p :], zero), sum(his[n - p :], zero)) for p in range(n)] + [(total, total)]
+    table = {}
+    for p in range(n + 1):
+        for q in range(n + 1):
+            top = _abs(most[p][0] + most[q][0] - total, most[p][1] + most[q][1] - total)
+            bottom = _abs(least[p][0] + least[q][0] - total, least[p][1] + least[q][1] - total)
+            table[(p, q)] = (max(top[0], bottom[0]), max(top[1], bottom[1]))
+    return table
+
+
+def _abs(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The enclosure {|x| : lo <= x <= hi}."""
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return Fraction(0), max(-lo, hi)
 
 
 def diagonal_norm(spec: DiagonalCurvature) -> CommutatorNorm:
-    """The exact C and C_{p,q} table of a diagonal curvature (:func:`_diagonal_table`)."""
-    table = _diagonal_table(spec)
-    return CommutatorNorm(max(table.values()), table, exact=True)
+    """The exact C and C_{p,q} table of a diagonal curvature: :func:`_diagonal_table`
+    at the degenerate enclosures (gamma, gamma)."""
+    ends = _diagonal_table([(g, g) for g in sorted(spec.gammas)], sum(spec.gammas, Fraction(0)))
+    table = {key: lo for key, (lo, _) in ends.items()}
+    return CommutatorNorm(max(table.values()), table)
 
 
 def flatness_test(spec: DiagonalCurvature) -> bool:

@@ -147,9 +147,6 @@ class ManifoldData(Record):
     def _power_sums(self) -> tuple[GradedElement, ...]:
         return tuple(power_sums_from_elementary(list(self.chern), self.n))
 
-    def tangent_power_sums(self) -> list[GradedElement]:
-        return list(self._power_sums)
-
     @cached_property
     def td(self) -> GradedElement:
         """td(X): the Todd genus product over the Chern roots of TX."""

@@ -1,10 +1,9 @@
 """Hermitian curvature iTheta(E): the record, and the float eigenvalues that
 propose the ends of its certified norm enclosures.
 
-Both norm certificates read it: a line bundle (r = 1) takes the
-eigenvalues of theta (``hlab.linebundle``), and rank r >= 2 the bidegree
-blocks of [Lambda, iTheta(E)] (``hlab.lefschetz.block_commutator_norm``).
-Each C_{p,q} enclosure is at most HERMITIAN_WIDTH wide.
+Both Hermitian norm certificates read it; ``hlab.diagonal.commutator_norm``
+chooses between them.  Each C_{p,q} enclosure is at most HERMITIAN_WIDTH
+wide.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ theorem about the convention, checked by the tests rather than assumed.
 
 One rule, :func:`check_space`, admits the space for every way in: the basis,
 both curvature records and the ``lefschetz-check`` flags.  It lives in
-``hlab.diagonal`` with the diagonal curvature record and its closed-form
-norm, which load without this engine; they are re-exported here.  The
-scalars are the Gaussian rationals of ``hlab.gaussian``.  The Hermitian
-curvature record lives in ``hlab.hermitian``, which this engine loads only
-to take the norm of a curvature of rank r >= 2 (a line bundle takes
-``hlab.linebundle`` and builds no operator).
+``hlab.diagonal`` with the diagonal curvature record, its closed-form norm
+and ``commutator_norm``, which chooses the certificate of each curvature;
+they load without this engine and are re-exported here.  The scalars are
+the Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record
+lives in ``hlab.hermitian``, and the certificate of rank r >= 2 here is
+:func:`block_commutator_norm`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from math import factorial, isfinite, lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import CertificateError
-from .diagonal import CommutatorNorm, DiagonalCurvature, check_space, diagonal_norm
-from .diagonal import flatness_test  # noqa: F401 - re-exported: its home is diagonal
+from .diagonal import CommutatorNorm, DiagonalCurvature, check_space
+from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
 from .record import Interval, Record
 
@@ -405,24 +405,6 @@ def diagonal_commutator_eigenvalues(
     return out
 
 
-def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
-    """Operator norm of [Lambda, iTheta(E)] and the C_{p,q} table.
-
-    A diagonal spec takes the exact closed form of the eigenvalues
-    (:func:`hlab.diagonal.diagonal_norm`), and a Hermitian line bundle the
-    same closed form at the eigenvalues of theta, enclosed to width at most
-    HERMITIAN_WIDTH (:func:`hlab.linebundle.line_bundle_norm`); neither
-    builds an operator.  Rank r >= 2 takes :func:`block_commutator_norm`.
-    """
-    if isinstance(spec, DiagonalCurvature):
-        return diagonal_norm(spec)
-    if spec.r == 1:
-        from .linebundle import line_bundle_norm
-
-        return line_bundle_norm(spec)
-    return block_commutator_norm(spec)
-
-
 def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
     """C and the C_{p,q} table of a Hermitian curvature of any rank, from
     the bidegree blocks T of [Lambda, iTheta(E)].
@@ -447,7 +429,7 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
         block = T.block(idxs, idxs)
         table2[(p, q)] = _hermitian_norm_enclosure(block, HERMITIAN_WIDTH)
     worst = max(table2.values(), key=lambda iv: iv.hi)
-    return CommutatorNorm(worst, table2, exact=False)
+    return CommutatorNorm(worst, table2)
 
 
 def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:

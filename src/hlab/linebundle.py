@@ -5,14 +5,15 @@ with U* theta U = diag(gamma) acts unitarily on Lambda^{p,q}(C^n) and
 commutes with L and Lambda, so every C_{p,q} is the closed form of
 ``hlab.diagonal`` at the eigenvalues gamma of theta.  They are enclosed from
 the exact characteristic polynomial with the root isolation of
-``hlab.roots``, and no operator is built.
+``hlab.roots``, and no operator is built.  ``hlab.diagonal.commutator_norm``
+sends a Hermitian curvature here when r = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagonal import CommutatorNorm
+from .diagonal import CommutatorNorm, _diagonal_table
 from .errors import CertificateError
 from .gaussian import CQ, CQ_ONE, CQ_ZERO
 from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues
@@ -25,54 +26,25 @@ def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
     """C = |[Lambda, iTheta(L)]| and the C_{p,q} table of a line bundle, each
     enclosed to width at most HERMITIAN_WIDTH.
 
-    C_{p,q} = max |gamma_J + gamma_K - sum gamma| over |J| = p, |K| = q at the
-    eigenvalues gamma of theta (module docstring), each enclosed to width
-    HERMITIAN_WIDTH / (2n) by :func:`eigenvalue_enclosures`.  The extremes
-    are the sums of the p (and q) largest and smallest eigenvalues, as in
-    ``hlab.diagonal._diagonal_table``, here in interval arithmetic with the
-    sum of all n eigenvalues taken as tr theta exactly, so a block that is
-    identically zero (p = n, q = 0 and the reverse) encloses 0 as [0, 0].
+    The closed form ``hlab.diagonal._diagonal_table`` at the eigenvalues of
+    theta (module docstring), each enclosed to width HERMITIAN_WIDTH / (2n)
+    by :func:`eigenvalue_enclosures`, with their sum taken as tr theta
+    exactly.
     """
     if spec.r != 1:
         raise ValueError(f"the eigenvalue path takes a line bundle, not r = {spec.r}")
     n = spec.n
     theta = [[line[k][0][0] for k in range(n)] for line in spec.theta]
-    gammas = eigenvalue_enclosures(theta)
     trace = sum((theta[j][j].re for j in range(n)), Fraction(0))
-    low, high = [(Fraction(0), Fraction(0))], [(Fraction(0), Fraction(0))]
-    for p in range(1, n):
-        low.append(_add(low[-1], gammas[p - 1]))
-        high.append(_add(high[-1], gammas[n - p]))
-    low.append((trace, trace))
-    high.append((trace, trace))
-    table = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            top, bottom = _add(high[p], high[q]), _add(low[p], low[q])
-            lo_top, hi_top = _abs(top[0] - trace, top[1] - trace)
-            lo_bottom, hi_bottom = _abs(bottom[0] - trace, bottom[1] - trace)
-            table[(p, q)] = Interval(max(lo_top, lo_bottom), max(hi_top, hi_bottom))
-    worst = max(table.values(), key=lambda iv: iv.hi)
-    return CommutatorNorm(worst, table, exact=False)
+    ends = _diagonal_table(eigenvalue_enclosures(theta, trace), trace)
+    table = {key: Interval(lo, hi) for key, (lo, hi) in ends.items()}
+    return CommutatorNorm(max(table.values(), key=lambda iv: iv.hi), table)
 
 
-def _add(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _abs(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """The enclosure {|x| : lo <= x <= hi}."""
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return Fraction(0), max(-lo, hi)
-
-
-def eigenvalue_enclosures(theta: list[list[CQ]]) -> list[tuple[Fraction, Fraction]]:
+def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[Fraction, Fraction]]:
     """The n eigenvalues of the Hermitian matrix theta, with multiplicity and
     in increasing order, each as a rational (lo, hi) at most
-    HERMITIAN_WIDTH / (2n) wide.
+    HERMITIAN_WIDTH / (2n) wide; ``trace`` is tr theta.
 
     The characteristic polynomial is exact (:func:`_charpoly`); Yun's
     decomposition gives each distinct root its multiplicity, and each
@@ -90,7 +62,6 @@ def eigenvalue_enclosures(theta: list[list[CQ]]) -> list[tuple[Fraction, Fractio
             out += [iv] * multiplicity
     if len(out) != n:
         raise CertificateError(f"theta has {len(out)} real eigenvalues with multiplicity, not n = {n}")
-    trace = sum((theta[j][j].re for j in range(n)), Fraction(0))
     if not sum(lo for lo, _ in out) <= trace <= sum(hi for _, hi in out):
         raise CertificateError("the eigenvalue enclosures do not add up around tr theta")
     return sorted(out)

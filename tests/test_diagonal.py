@@ -1,13 +1,16 @@
-"""The diagonal closed form: one object on every import path, and the same
-table as the operator engine builds.
+"""The diagonal closed form: one object on every import path, the same
+table as the operator engine builds, and enclosures of it from enclosures
+of the gammas.
 
 ``hlab.diagonal`` holds the diagonal curvature record, its closed-form
-C_{p,q} table and the space rule, so ``commutator --gammas`` loads no
-operator engine; ``hlab.lefschetz`` re-exports them, as ``inputdoc`` and
-``exprparse`` re-export the literal rules of ``hlab.literals``.
+C_{p,q} table, ``commutator_norm`` and the space rule, so
+``commutator --gammas`` loads no operator engine; ``hlab.lefschetz``
+re-exports them, as ``inputdoc`` and ``exprparse`` re-export the literal
+rules of ``hlab.literals``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +22,7 @@ MOVED = [
     (lefschetz, diagonal, "CommutatorNorm"),
     (lefschetz, diagonal, "DiagonalCurvature"),
     (lefschetz, diagonal, "check_space"),
+    (lefschetz, diagonal, "commutator_norm"),
     (lefschetz, diagonal, "diagonal_norm"),
     (lefschetz, diagonal, "flatness_test"),
     (inputdoc, literals, "digest"),
@@ -52,3 +56,28 @@ def test_closed_form_table_is_the_operator_table(n):
             assert all(not e.im for e in entries)
             built[(p, q)] = max(abs(e.re) for e in entries)
         assert norm.table == built, gammas
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_encloses_the_exact_table_from_wide_gammas(n):
+    # the line-bundle path feeds eigenvalue enclosures HERMITIAN_WIDTH / (2n)
+    # wide to the same closed form, and relies on each C_pq enclosure being at
+    # most 2n times as wide as the widest input.  Scaled by 1/1000 the gammas
+    # are closer than the widening, so partial sums near but not at 0 get
+    # enclosures that straddle 0.
+    rng = random.Random(1900 + n)
+    straddled = False
+    for scale in (1, Fraction(1, 1000)):
+        for draw in gamma_draws(rng, n):
+            gammas = sorted(g * scale for g in draw)
+            exact = diagonal.diagonal_norm(diagonal.DiagonalCurvature(gammas)).table
+            widened = [(g - Fraction(rng.randint(1, 9), 1000), g + Fraction(rng.randint(1, 9), 1000)) for g in gammas]
+            widest = max(hi - lo for lo, hi in widened)
+            table = diagonal._diagonal_table(widened, sum(gammas, Fraction(0)))
+            assert set(table) == set(exact)
+            for key, (lo, hi) in table.items():
+                assert lo <= exact[key] <= hi, (gammas, key)
+                assert hi - lo <= 2 * n * widest, (gammas, key)
+                straddled |= lo == 0 < exact[key]
+    # for n = 1 every sum is S_0 = 0 or S_1 = total, exact
+    assert straddled or n == 1

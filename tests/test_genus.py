@@ -223,13 +223,13 @@ def test_chi_y_against_product_formula_oracle():
     Hodge-sheaf assembly.  The two paths share no intermediate code."""
     from math import factorial
 
-    from hlab.ring import Series, genus_product, todd_series
+    from hlab.ring import Series, genus_product, power_sums_from_elementary, todd_series
 
     rng = random.Random(510)
     for n in (1, 2, 3):
         x, e = random_manifold_bundle(rng, n, bundle_rank=2)
         chi = chi_y(x, e)
-        p_sums = x.tangent_power_sums()
+        p_sums = power_sums_from_elementary(list(x.chern), x.n)
         td = genus_product(todd_series(n), p_sums)
         ch_e = chern_character(e, x.spec, n)
         for y0 in (2, 3, -2):

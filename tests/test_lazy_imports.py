@@ -5,13 +5,12 @@ literal rules of the flags alone.  A command that reads a document loads
 the document reader (``inputdoc``), and the expression parser
 (``exprparse``) when the document holds expressions.  Each command imports
 the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
-bound evaluators (``bounds``, with the root isolation of ``roots``), the
-diagonal closed form (``diagonal``), the line-bundle eigenvalue path
-(``linebundle``, ``roots``, ``qpoly``), the operator engine
-(``lefschetz``) or the self-check suite (``selfcheck``, ``fixtures``); the
-exact set of each is pinned here.  No command loads
-``dataclasses``, ``inspect``, or ``argparse`` and the ``gettext`` and
-``locale`` it pulls in.
+bound evaluators (``bounds``, with the root isolation of ``roots``),
+``diagonal`` (whose ``commutator_norm`` imports the certificate a
+curvature takes), the operator engine (``lefschetz``) or the self-check
+suite (``selfcheck``, ``fixtures``); the exact set of each is pinned here.
+No command loads ``dataclasses``, ``inspect``, or ``argparse`` and the
+``gettext`` and ``locale`` it pulls in.
 The package still exports every name it did when it imported all of its
 modules eagerly.
 """

@@ -2,12 +2,15 @@
 keep their checks under ``python -O``."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import hlab
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # genus binds ring's todd_series when it is imported, so importing it before
 # the patch keeps the fault in the one check that reads ring.todd_series.
@@ -44,7 +47,7 @@ from hlab import linebundle
 from hlab.cli import main
 
 enclosures = linebundle.eigenvalue_enclosures
-linebundle.eigenvalue_enclosures = lambda theta: [(lo + 1, hi + 1) for lo, hi in enclosures(theta)]
+linebundle.eigenvalue_enclosures = lambda theta, trace: [(lo + 1, hi + 1) for lo, hi in enclosures(theta, trace)]
 raise SystemExit(main(["verify"]))
 """
 
@@ -112,16 +115,17 @@ def test_library_does_not_import_dataclasses():
     assert not offenders, offenders
 
 
-def test_library_has_no_dead_private_helpers():
-    """Every private module-level function or class in ``hlab`` is referenced
-    somewhere in ``hlab`` outside its own definition."""
+def _unreferenced(public: bool) -> list[tuple[str, str]]:
+    """(module file, name) of each public (or private) module-level function
+    or class in ``hlab`` that is named nowhere in ``hlab`` outside its own
+    definition."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(hlab.__file__).parent.glob("*.py"))}
     defined = {
         (name, node.name): node
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") != public
         and not node.name.startswith("__")
     }
     inside = {id(sub): key for key, node in defined.items() for sub in ast.walk(node)}
@@ -131,5 +135,28 @@ def test_library_has_no_dead_private_helpers():
             ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
             if ref is not None and inside.get(id(node), (None, None))[1] != ref:
                 used.add(ref)
-    dead = sorted(f"{module}:{helper}" for module, helper in defined if helper not in used)
+    return sorted(key for key in defined if key[1] not in used)
+
+
+def test_library_has_no_dead_private_helpers():
+    """Every private module-level function or class in ``hlab`` is referenced
+    somewhere in ``hlab`` outside its own definition."""
+    dead = [f"{module}:{helper}" for module, helper in _unreferenced(public=False)]
+    assert not dead, dead
+
+
+def test_library_has_no_dead_public_code():
+    """Every public module-level function or class in ``hlab`` is referenced
+    somewhere in ``hlab`` outside its own definition, exported by the
+    package, or wrapped by name by the benchmark tracer
+    (``perfbench/tracer.py``, read as ``tests/test_tracer_targets.py`` reads it)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {dotted for group in tracer.TARGETS.values() for dotted in group}
+    dead = [
+        f"{module}:{name}"
+        for module, name in _unreferenced(public=True)
+        if name not in hlab.__all__ and name not in traced
+    ]
     assert not dead, dead
