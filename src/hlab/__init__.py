@@ -18,29 +18,29 @@ __version__ = "0.1.0"
 # home module -> the names it exports through the package
 _EXPORTS = {
     "bounds": (
-        "BoundsInput", "Interval", "RootReport", "T4ChainReport", "bound_C1", "bound_T2",
-        "bound_T4", "bound_T5", "e_theta_interval", "forward_difference", "lemma42_search",
+        "BoundsInput", "RootReport", "T4ChainReport", "bound_C1", "bound_T2", "bound_T4",
+        "bound_T5", "e_theta_interval", "forward_difference", "lemma42_search",
         "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
     ),
     "diagonal": ("CommutatorNorm", "DiagonalCurvature", "commutator_norm", "flatness_test"),
-    "exprparse": ("ExprError", "parse_expression"),
+    "errors": ("CertificateError", "ExprError", "IntegralityError", "MissingChernNumber"),
+    "exprparse": ("parse_expression",),
     "gaussian": ("CQ",),
     "genus": (
-        "BundleData", "FundamentalClass", "IntegralityError", "ManifoldData",
-        "MissingChernNumber", "bundle_power", "ch_hodge_sheaf", "chern_character",
-        "chern_inequality_check", "chi_p", "chi_y", "hilbert_polynomial", "hodge_classes",
-        "integrate", "integrate_product", "k1_formula_check", "k2_surface_formula_check",
-        "k_coefficients", "projective_space", "todd_class",
+        "BundleData", "FundamentalClass", "ManifoldData", "bundle_power", "ch_hodge_sheaf",
+        "chern_character", "chern_inequality_check", "chi_p", "chi_y", "hilbert_polynomial",
+        "hodge_classes", "integrate", "integrate_product", "k1_formula_check",
+        "k2_surface_formula_check", "k_coefficients", "projective_space", "todd_class",
     ),
     "hermitian": ("HermitianCurvature",),
     "lefschetz": (
-        "CertificateError", "ExteriorBasis", "FormVector", "LefschetzPower", "Operator",
-        "curvature_operator", "diagonal_commutator_eigenvalues", "get_basis",
-        "injectivity_scan", "lefschetz_power", "op_L", "op_Lambda", "op_star",
-        "sl2_commutator_check",
+        "ExteriorBasis", "FormVector", "LefschetzPower", "Operator", "curvature_operator",
+        "diagonal_commutator_eigenvalues", "get_basis", "injectivity_scan", "lefschetz_power",
+        "op_L", "op_Lambda", "op_star", "sl2_commutator_check",
     ),
     "literals": ("parse_rational",),
     "qpoly": ("QPoly",),
+    "record": ("Interval",),
     "ring": (
         "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",
         "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",

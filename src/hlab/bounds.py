@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 from .qpoly import QPoly, is_integer_valued
 from .record import Interval, Record
-from .roots import _isolate_squarefree
 from .roots import cauchy_bound, count_roots_between, isolate_real_roots, sturm_chain  # noqa: F401 - re-exported: their home is roots
 
 Scalar = Union[int, Fraction]
@@ -120,19 +119,20 @@ class RootReport(Record):
     c_minus: Fraction
 
 
-def root_report(P: QPoly, chi_p: Scalar = 0, width: Fraction = Fraction(1, 2**20)) -> RootReport:
+def root_report(P: QPoly, chi_p: Scalar = 0) -> RootReport:
     """Analyse the real solutions of P(m) = chi_p.
 
     ``m_p`` is a certified upper bound on the largest |root|; ``c_plus``
     and ``c_minus`` bound the largest positive root and the largest
     |negative root|.  All three are 0 when the corresponding root set is
-    empty.
+    empty.  No interval straddles 0, so each root is counted on its own
+    side: the bisection of :func:`isolate_real_roots` first cuts the
+    Cauchy bracket (-B, B), B >= 1, at its midpoint 0.
     """
     shifted = P - Fraction(chi_p)
     if shifted.is_zero():
         raise ValueError("P - chi_p is identically zero; the root set is all of R")
-    Q = shifted.squarefree_part()
-    intervals = [_sign_separated(Q, iv) for iv in _isolate_squarefree(Q, width)]
+    intervals = isolate_real_roots(shifted)
     m_p = Fraction(0)
     c_plus = Fraction(0)
     c_minus = Fraction(0)
@@ -143,21 +143,6 @@ def root_report(P: QPoly, chi_p: Scalar = 0, width: Fraction = Fraction(1, 2**20
         elif hi <= 0 and lo < 0:
             c_minus = max(c_minus, abs(lo))
     return RootReport(tuple(intervals), m_p, c_plus, c_minus)
-
-
-def _sign_separated(Q: QPoly, interval):
-    """Shrink an isolating interval of the square-free Q until it does not
-    straddle zero: as in :func:`_refine`, one root lies inside and neither end
-    is a root, so it lies left of a non-root 0 iff Q(0) and Q(lo) differ in sign."""
-    lo, hi = interval
-    if lo == hi or lo >= 0 or hi <= 0:
-        return interval
-    v0 = Q(Fraction(0))
-    if v0 == 0:
-        return (Fraction(0), Fraction(0))
-    if (v0 > 0) != (Q(lo) > 0):
-        return (lo, Fraction(0))
-    return (Fraction(0), hi)
 
 
 # -- theorem evaluators ---------------------------------------------------------

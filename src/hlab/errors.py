@@ -7,9 +7,10 @@ map every failure kind without importing an engine it does not run:
     IntegralityError, MissingChernNumber   -> 1 (a violated hypothesis)
     CertificateError                       -> 3 (an internal certificate failed)
 
-Each engine module imports its own classes from here, so the old paths
-(``hlab.inputdoc.DocumentError``, ``hlab.lefschetz.CertificateError``, ...)
-name the same classes.
+The package exports them from here, so ``from hlab import CertificateError``
+loads no engine.  Each engine module imports its own classes from here, so
+the old paths (``hlab.inputdoc.DocumentError``,
+``hlab.lefschetz.CertificateError``, ...) name the same classes.
 """
 
 from __future__ import annotations

@@ -139,11 +139,7 @@ class FormVector:
     def __add__(self, other):
         out = dict(self.terms)
         for i, v in other.terms.items():
-            s = out.get(i, CQ_ZERO) + v
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            out[i] = out.get(i, CQ_ZERO) + v
         return FormVector(self.basis, out)
 
     def __eq__(self, other):
@@ -177,11 +173,7 @@ class Operator:
         out: dict[int, CQ] = {}
         for c, a in vec.terms.items():
             for r, v in self.cols.get(c, {}).items():
-                s = out.get(r, CQ_ZERO) + v * a
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
+                out[r] = out.get(r, CQ_ZERO) + v * a
         return FormVector(self.basis, out)
 
     def compose(self, other: "Operator") -> "Operator":
@@ -189,16 +181,10 @@ class Operator:
         self._check(other)
         cols: dict[int, dict[int, CQ]] = {}
         for c, col in other.cols.items():
-            acc: dict[int, CQ] = {}
+            acc = cols[c] = {}
             for mid, v in col.items():
                 for r, w in self.cols.get(mid, {}).items():
-                    s = acc.get(r, CQ_ZERO) + w * v
-                    if s:
-                        acc[r] = s
-                    else:
-                        acc.pop(r, None)
-            if acc:
-                cols[c] = acc
+                    acc[r] = acc.get(r, CQ_ZERO) + w * v
         return Operator(self.basis, cols)
 
     def __add__(self, other):
@@ -207,11 +193,7 @@ class Operator:
         for c, col in other.cols.items():
             acc = cols.setdefault(c, {})
             for r, v in col.items():
-                s = acc.get(r, CQ_ZERO) + v
-                if s:
-                    acc[r] = s
-                else:
-                    acc.pop(r, None)
+                acc[r] = acc.get(r, CQ_ZERO) + v
         return Operator(self.basis, cols)
 
     def __sub__(self, other):
@@ -279,7 +261,7 @@ def _wedge_operator(n: int, r: int, blocks) -> Operator:
     basis = get_basis(n, r)
     cols: dict[int, dict[int, CQ]] = {}
     for c, (J, K, s) in enumerate(basis.monomials):
-        col: dict[int, CQ] = {}
+        col = cols[c] = {}
         for j, k, mat in blocks:
             w = wedge_monomials((j,), (k,), J, K)
             if w is None:
@@ -291,13 +273,7 @@ def _wedge_operator(n: int, r: int, blocks) -> Operator:
                 if not v:
                     continue
                 tgt = basis.index[(J2, K2, s2)]
-                acc = col.get(tgt, CQ_ZERO) + phase * v
-                if acc:
-                    col[tgt] = acc
-                else:
-                    col.pop(tgt, None)
-        if col:
-            cols[c] = col
+                col[tgt] = col.get(tgt, CQ_ZERO) + phase * v
     return Operator(basis, cols)
 
 

@@ -19,7 +19,7 @@ from .gaussian import CQ, CQ_ONE, CQ_ZERO
 from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues
 from .qpoly import QPoly
 from .record import Interval
-from .roots import isolate_near, squarefree_factors
+from .roots import isolate_real_roots, squarefree_factors
 
 
 def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
@@ -49,16 +49,17 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
     The characteristic polynomial is exact (:func:`_charpoly`); Yun's
     decomposition gives each distinct root its multiplicity, and each
     square-free factor's roots are isolated by Sturm counts, proposed by
-    float eigenvalues (``hlab.roots.isolate_near``).  Certified: the
-    multiplicities of the roots found sum to n, so every eigenvalue is
-    real and enclosed, and their enclosures add up around tr theta.
+    float eigenvalues (the ``guesses`` of ``hlab.roots.isolate_real_roots``).
+    Certified: the multiplicities of the roots found sum to n, so every
+    eigenvalue is real and enclosed, and their enclosures add up around
+    tr theta.
     """
     n = len(theta)
     width = HERMITIAN_WIDTH / (2 * n)
     guesses = _float_eigenvalues(theta)
     out = []
     for multiplicity, factor in squarefree_factors(_charpoly(theta)):
-        for iv in isolate_near(factor, guesses, width):
+        for iv in isolate_real_roots(factor, width, guesses):
             out += [iv] * multiplicity
     if len(out) != n:
         raise CertificateError(f"theta has {len(out)} real eigenvalues with multiplicity, not n = {n}")

@@ -4,7 +4,8 @@ Yun's square-free decomposition.
 The bound evaluators (``hlab.bounds``) isolate the roots of a Hilbert
 polynomial here, and the line-bundle commutator norm (``hlab.linebundle``)
 the eigenvalues of its curvature.  Every interval is certified by exact
-rational arithmetic; a float may only propose one (:func:`isolate_near`).
+rational arithmetic; a float may only propose one (the ``guesses`` of
+:func:`isolate_real_roots`).
 """
 
 from __future__ import annotations
@@ -47,31 +48,54 @@ def cauchy_bound(P: QPoly) -> Fraction:
     return 1 + (max(rest) / lead if rest else Fraction(0))
 
 
-def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(
+    P: QPoly, width: Fraction = Fraction(1, 2**20), guesses: Iterable[float] = ()
+) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, one distinct real root of P in each.
 
     Multiple roots are removed by dividing out gcd(P, P') first, so a
     simple sign change certifies each non-degenerate interval; a root hit
-    exactly during bisection is returned as a degenerate [r, r] interval.
-    Non-degenerate intervals are refined to at most ``width``.
+    exactly is returned as a degenerate [r, r] interval.  Non-degenerate
+    intervals are at most ``width`` wide.
+
+    Float ``guesses`` may propose the intervals.  Each proposes the grid
+    point c nearest to it on the grid of step width/2: [c, c] when c is a
+    root, else [c - width/2, c + width/2], kept when the square-free part
+    changes sign across it and the Sturm count on it is 1, and when it is
+    disjoint from the intervals kept so far.  The kept intervals hold
+    distinct roots, so as many of them as the degree hold every root.
+    Otherwise (a bad, missing or non-finite guess, or a root that is not
+    real) exact bisection isolates the real roots.
     """
     if P.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate_squarefree(P.squarefree_part(), width)
-
-
-def _isolate_squarefree(Q: QPoly, width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """:func:`isolate_real_roots` for a nonzero square-free Q."""
+    Q = P.squarefree_part()
     if Q.degree < 1:
         return []
     if Q.degree == 1:
         root = -Q.coeffs[0] / Q.coeffs[1]
         return [(root, root)]
     chain = sturm_chain(Q)
+    step = width / 2
+    kept: list[tuple[Fraction, Fraction]] = []
+    for guess in guesses:
+        if not isfinite(guess):
+            continue
+        c = round(Fraction(guess) / step) * step
+        if Q(c) == 0:
+            iv = (c, c)
+        else:
+            lo, hi = c - step, c + step
+            if Q(lo) * Q(hi) >= 0 or count_roots_between(chain, lo, hi) != 1:
+                continue
+            iv = (lo, hi)
+        if all(iv[1] < a or b < iv[0] for a, b in kept):
+            kept.append(iv)
+    if len(kept) == Q.degree:
+        return sorted(kept)
     B = cauchy_bound(Q)
     out: list[tuple[Fraction, Fraction]] = []
-    total = count_roots_between(chain, -B, B)
-    work = [(-B, B, total)]
+    work = [(-B, B, count_roots_between(chain, -B, B))]
     while work:
         a, b, cnt = work.pop()
         if cnt == 0:
@@ -140,38 +164,3 @@ def squarefree_factors(P: QPoly) -> list[tuple[int, QPoly]]:
             out.append((i, a))
         i += 1
     return out
-
-
-def isolate_near(Q: QPoly, guesses: Iterable[float], width: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """:func:`isolate_real_roots` for a square-free Q, with the intervals
-    proposed by float ``guesses`` and certified exactly.
-
-    Each guess proposes the grid point c nearest to it on the grid of step
-    width/2: [c, c] when Q(c) = 0, else [c - width/2, c + width/2], kept when Q
-    changes sign across it and the Sturm count on it is 1, and when it is
-    disjoint from the intervals kept so far.  The kept intervals hold
-    distinct roots, so deg Q of them hold every root.  Otherwise (a bad,
-    missing or non-finite guess, or a root that is not real) exact
-    bisection isolates the real roots.
-    """
-    if Q.degree < 2:
-        return _isolate_squarefree(Q, width)
-    chain = sturm_chain(Q)
-    step = width / 2
-    kept: list[tuple[Fraction, Fraction]] = []
-    for guess in guesses:
-        if not isfinite(guess):
-            continue
-        c = round(Fraction(guess) / step) * step
-        if Q(c) == 0:
-            iv = (c, c)
-        else:
-            lo, hi = c - step, c + step
-            if Q(lo) * Q(hi) >= 0 or count_roots_between(chain, lo, hi) != 1:
-                continue
-            iv = (lo, hi)
-        if all(iv[1] < a or b < iv[0] for a, b in kept):
-            kept.append(iv)
-    if len(kept) == Q.degree:
-        return sorted(kept)
-    return _isolate_squarefree(Q, width)

@@ -1,4 +1,5 @@
-"""The benchmark's jobs of seed 0, on every workload, give the stored answers.
+"""The benchmark's jobs of seed 0, on every workload, give the stored answers,
+and so do the seeded jobs of two more stored seed classes.
 
 Each job runs in-process through ``hlab.cli.main`` with ``--output machine``,
 and its report is checked by ``perfbench/checks.check_job`` against
@@ -59,3 +60,26 @@ def test_bench_job_gives_the_stored_answer(tmp_path, workload, job):
         code = cli.main(argv)
     entry = checks.stored_entry(STORE, workload, SEED, job)
     assert checks.check_job(job, code, out.getvalue(), entry) == []
+
+
+def test_seeded_jobs_of_other_seed_classes_give_the_stored_answers(tmp_path):
+    # class 13 is that of seed 1501 (1501 % SEED_PERIOD)
+    failed, ran = {}, 0
+    for seed in (7, 13):
+        for workload in GRID:
+            wl = gen.build(workload, seed)
+            paths = {}
+            for name, tree in wl.docs.items():
+                paths[name] = str(tmp_path / f"{seed}-{workload}-{name}.json")
+                Path(paths[name]).write_text(json.dumps(tree))
+            for job in (job for job in wl.jobs if job.seeded):
+                argv = [*job.argv, *(["--input", paths[job.doc]] if job.doc else []), "--output", "machine"]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                entry = checks.stored_entry(STORE, workload, seed, job)
+                ran += 1
+                if problems := checks.check_job(job, code, out.getvalue(), entry):
+                    failed[f"{seed}:{workload}:{job.id}"] = problems
+    assert ran == 78
+    assert failed == {}

@@ -268,41 +268,28 @@ def test_squarefree_factors_give_each_root_its_multiplicity():
 def test_isolate_near_certifies_proposals_and_bisects_without_them():
     from math import nan, sqrt
 
-    from hlab.roots import isolate_near
-
     cubic = QPoly([-6, 11, -6, 1])  # roots 1, 2, 3
-    assert isolate_near(cubic, [3.0, 1.0 + 1e-15, 2.0, 2.0], WIDTH) == [(1, 1), (2, 2), (3, 3)]
+    assert isolate_real_roots(cubic, WIDTH, [3.0, 1.0 + 1e-15, 2.0, 2.0]) == [(1, 1), (2, 2), (3, 3)]
     Q = QPoly([-2, 0, 1])  # roots +-sqrt(2)
-    got = isolate_near(Q, [sqrt(2), -sqrt(2), sqrt(2)], WIDTH)
+    got = isolate_real_roots(Q, WIDTH, [sqrt(2), -sqrt(2), sqrt(2)])
     assert got != isolate_real_roots(Q, WIDTH)  # the proposals were certified
     assert [(lo < 0) for lo, _ in got] == [True, False]
     for lo, hi in got:
         assert hi - lo <= WIDTH and Q(lo) * Q(hi) < 0
     for guesses in ([], [nan, 0.0, 1e6], [sqrt(2)], [1.5, -1.5]):
-        assert isolate_near(Q, guesses, WIDTH) == isolate_real_roots(Q, WIDTH), guesses
+        assert isolate_real_roots(Q, WIDTH, guesses) == isolate_real_roots(Q, WIDTH), guesses
+    P = QPoly([-1, 1]) * QPoly([-1, 1]) * QPoly([-2, 1]) * QPoly([-2, 0, 1])  # (m-1)^2 (m-2) (m^2-2)
+    got = isolate_real_roots(P, WIDTH, [1.0, 1.0, 2.0, sqrt(2), -sqrt(2)])
+    assert got != isolate_real_roots(P, WIDTH)  # the proposals were certified
+    assert len(got) == 4
+    for (lo, hi), root in zip(got, (-sqrt(2), 1, sqrt(2), 2)):
+        assert hi - lo <= WIDTH and abs(float(lo + hi) / 2 - root) <= WIDTH
+    for guesses in ([nan, 0.0, 1e6], [1.0, 2.0]):
+        assert isolate_real_roots(P, WIDTH, guesses) == isolate_real_roots(P, WIDTH), guesses
 
 
-def _sign_separated_by_sturm(P, interval):
-    """The earlier split: a fresh square-free part and a Sturm count on the
-    left half, per straddling interval."""
-    from hlab.bounds import count_roots_between
-
-    lo, hi = interval
-    if lo == hi or lo >= 0 or hi <= 0:
-        return interval
-    sf = P.squarefree_part()
-    if sf(F(0)) == 0:
-        return (F(0), F(0))
-    if count_roots_between(sturm_chain(sf), lo, F(0)) == 1:
-        return (lo, F(0))
-    return (F(0), hi)
-
-
-def test_sign_split_matches_sturm_counts():
-    from hlab.bounds import _sign_separated, cauchy_bound, count_roots_between
-
+def test_root_report_intervals_are_the_isolating_intervals_and_keep_off_zero():
     rng = random.Random(5209)
-    straddling = 0
     for _ in range(30):
         P = QPoly([rng.choice([-3, -1, 1, 2])])
         for _ in range(rng.randint(1, 3)):  # rational roots near 0, some repeated, maybe 0
@@ -311,22 +298,9 @@ def test_sign_split_matches_sturm_counts():
                 P = P * QPoly([-r, 1])
         if rng.random() < 0.5:  # an irrational pair +-sqrt(k)
             P = P * QPoly([-rng.choice([2, 3, 5]), 0, 1])
-        Q = P.squarefree_part()
-        chain = sturm_chain(Q)
-        # random isolating intervals around 0: one root inside, neither end a root
-        intervals = []
-        for _ in range(20):
-            lo, hi = -F(rng.randint(1, 40), 8), F(rng.randint(1, 40), 8)
-            if Q(lo) and Q(hi) and count_roots_between(chain, lo, hi) == 1:
-                intervals.append((lo, hi))
-        straddling += len(intervals)
-        for iv in intervals:
-            assert _sign_separated(Q, iv) == _sign_separated_by_sturm(P, iv)
-        # root_report, unrefined (a lone root's interval is (-B, B)) and refined
-        for width in (4 * cauchy_bound(Q), WIDTH):
-            expected = [_sign_separated_by_sturm(P, iv) for iv in isolate_real_roots(P, width)]
-            assert root_report(P, 0, width).intervals == tuple(expected)
-    assert straddling >= 100
+        intervals = root_report(P).intervals
+        assert intervals == tuple(isolate_real_roots(P))
+        assert not any(lo < 0 < hi for lo, hi in intervals)
 
 
 # -- sqrt enclosures ---------------------------------------------------------------

@@ -1,8 +1,15 @@
 """``hlab.record.Record``: the value semantics every record type relies on."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import hlab
 
 from hlab.bounds import BoundsInput, Interval
 from hlab.genus import BundleData, projective_space
@@ -89,3 +96,17 @@ def test_subclass_fields_extend_the_base():
 
     assert Labelled._fields == ("x", "y", "label")
     assert repr(Labelled(1, label="a")).endswith("Labelled(x=1, y=0, label='a')")
+
+
+@pytest.mark.parametrize("name", ["CertificateError", "ExprError", "IntegralityError", "MissingChernNumber", "Interval"])
+def test_exceptions_and_interval_load_only_their_home(name):
+    probe = (
+        f"import json, sys\nbefore = set(sys.modules)\nfrom hlab import {name}\n"
+        "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith('hlab.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"hlab.errors", "hlab.record"}
