@@ -90,8 +90,8 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     a Hermitian line bundle the same closed form at the eigenvalues of
     theta, enclosed to width at most HERMITIAN_WIDTH
     (``hlab.linebundle.line_bundle_norm``); neither builds an operator.
-    Rank r >= 2 takes the bidegree blocks of the operator engine
-    (``hlab.lefschetz.block_commutator_norm``).  Each path imports its
+    Rank r >= 2 takes the bidegree blocks, read from theta
+    (``hlab.blocks.block_commutator_norm``).  Each path imports its
     engine here, so a job loads only the one it runs.
     """
     if isinstance(spec, DiagonalCurvature):
@@ -100,7 +100,7 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
         from .linebundle import line_bundle_norm
 
         return line_bundle_norm(spec)
-    from .lefschetz import block_commutator_norm
+    from .blocks import block_commutator_norm
 
     return block_commutator_norm(spec)
 

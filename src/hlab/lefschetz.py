@@ -7,6 +7,8 @@ form omega = i sum_j xi_j ^ xibar_j, Lambda is its basis adjoint, and the
 Hodge star follows the convention  alpha ^ conj(star beta) = <alpha, beta> vol
 with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
+The signs and phases of monomials under wedge, conjugation and star live in
+``hlab.monomials``, which the Hermitian block certificate reads too.
 
 One rule, :func:`check_space`, admits the space for every way in: the basis,
 both curvature records and the ``lefschetz-check`` flags.  It lives in
@@ -14,8 +16,9 @@ both curvature records and the ``lefschetz-check`` flags.  It lives in
 and ``commutator_norm``, which chooses the certificate of each curvature;
 they load without this engine and are re-exported here.  The scalars are
 the Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record
-lives in ``hlab.hermitian``, and the certificate of rank r >= 2 here is
-:func:`block_commutator_norm`.
+lives in ``hlab.hermitian``.  No command's norm builds an operator here: the
+bidegree blocks of [Lambda, iTheta(E)] are read from theta in ``hlab.blocks``,
+and ``hlab verify`` holds them against :func:`curvature_operator`.
 """
 
 from __future__ import annotations
@@ -23,57 +26,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isfinite, lcm
+from math import factorial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import CertificateError
-from .diagonal import CommutatorNorm, DiagonalCurvature, check_space
+from .diagonal import CommutatorNorm, DiagonalCurvature, check_space  # noqa: F401 - CommutatorNorm is re-exported
 from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
+from .monomials import bidegree_monomials, complement, star_phase, wedge_monomials
 from .record import Interval, Record
 
 if TYPE_CHECKING:
-    from .hermitian import CurvatureSpec, HermitianCurvature
-
-
-def i_power(k: int) -> CQ:
-    return (CQ_ONE, CQ_I, CQ(-1), CQ(0, -1))[k % 4]
-
-
-# -- monomial combinatorics ---------------------------------------------------
-
-
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
-    """Sign of sorting the concatenation of two sorted disjoint tuples.
-
-    Returns None when the tuples intersect (the wedge vanishes).
-    """
-    if set(a) & set(b):
-        return None
-    inversions = sum(1 for x in a for y in b if x > y)
-    return -1 if inversions % 2 else 1
-
-
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
-
-
-def wedge_monomials(
-    J1: tuple[int, ...], K1: tuple[int, ...], J2: tuple[int, ...], K2: tuple[int, ...]
-):
-    """(xi_J1 ^ xibar_K1) ^ (xi_J2 ^ xibar_K2) -> (sign, J, K) or None."""
-    s1 = _merge_sign(J1, J2)
-    s2 = _merge_sign(K1, K2)
-    if s1 is None or s2 is None:
-        return None
-    sign = s1 * s2 * (-1 if (len(K1) * len(J2)) % 2 else 1)
-    return sign, _merge(J1, J2), _merge(K1, K2)
-
-
-def conj_monomial(J: tuple[int, ...], K: tuple[int, ...]):
-    """conj(xi_J ^ xibar_K) = (-1)^{|J||K|} xi_K ^ xibar_J."""
-    sign = -1 if (len(J) * len(K)) % 2 else 1
-    return sign, K, J
+    from .hermitian import CurvatureSpec
 
 
 class ExteriorBasis:
@@ -85,15 +49,13 @@ class ExteriorBasis:
         self.r = r
         self.monomials: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         self.by_bidegree: dict[tuple[int, int], list[int]] = {}
-        full = tuple(range(1, n + 1))
         for p in range(n + 1):
             for q in range(n + 1):
                 block = []
-                for J in itertools.combinations(full, p):
-                    for K in itertools.combinations(full, q):
-                        for s in range(r):
-                            block.append(len(self.monomials))
-                            self.monomials.append((J, K, s))
+                for J, K in bidegree_monomials(n, p, q):
+                    for s in range(r):
+                        block.append(len(self.monomials))
+                        self.monomials.append((J, K, s))
                 self.by_bidegree[(p, q)] = block
         self.index = {mon: i for i, mon in enumerate(self.monomials)}
         self.dim = len(self.monomials)
@@ -290,30 +252,15 @@ def op_Lambda(n: int, r: int = 1) -> Operator:
     return op_L(n, r).adjoint()
 
 
-def volume_phase(n: int) -> CQ:
-    """vol = omega^n/n! = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n."""
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return i_power(n) * sign
-
-
 @lru_cache(maxsize=None)
 def op_star(n: int, r: int = 1) -> Operator:
-    """Hodge star fixed by  u ^ conj(star u) = <u, u> vol  on monomials."""
+    """Hodge star fixed by  u ^ conj(star u) = <u, u> vol  on monomials
+    (its phases are ``hlab.monomials.star_phase``)."""
     basis = get_basis(n, r)
-    full = set(range(1, n + 1))
-    lam = volume_phase(n)
-    cols: dict[int, dict[int, CQ]] = {}
-    for c, (J, K, s) in enumerate(basis.monomials):
-        Jc = tuple(sorted(full - set(J)))
-        Kc = tuple(sorted(full - set(K)))
-        # target monomial (Kc, Jc); conj then wedge against (J, K) gives the top cell
-        csign, wJ, wK = conj_monomial(Kc, Jc)
-        w = wedge_monomials(J, K, wJ, wK)
-        if w is None:
-            raise CertificateError("complement wedge cannot vanish")
-        sigma = csign * w[0]
-        coeff = (lam / CQ(sigma)).conj()
-        cols[c] = {basis.index[(Kc, Jc, s)]: coeff}
+    cols = {
+        c: {basis.index[(complement(n, K), complement(n, J), s)]: star_phase(n, J, K)}
+        for c, (J, K, s) in enumerate(basis.monomials)
+    }
     return Operator(basis, cols)
 
 
@@ -379,121 +326,6 @@ def diagonal_commutator_eigenvalues(
                     gK = sum((spec.gammas[k - 1] for k in K), Fraction(0))
                     out[(J, K)] = gJ + gK - total
     return out
-
-
-def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
-    """C and the C_{p,q} table of a Hermitian curvature of any rank, from
-    the bidegree blocks T of [Lambda, iTheta(E)].
-
-    Each ||T|| gets a certified rational enclosure of width at most
-    HERMITIAN_WIDTH: ||T|| < h holds exactly when h I - T and h I + T are
-    both positive definite, which Sylvester's criterion decides from the
-    leading principal minors (fraction-free Bareiss elimination over the
-    Gaussian integers).  A float eigenvalue guess only proposes the two
-    ends; exact bisection takes over where a proposal is refuted
-    (:func:`_hermitian_norm_enclosure`).
-    """
-    from .hermitian import HERMITIAN_WIDTH
-
-    n, r = spec.n, spec.r
-    basis = get_basis(n, r)
-    T = op_Lambda(n, r).commutator(curvature_operator(spec))
-    if T.adjoint() != T:
-        raise CertificateError("[Lambda, iTheta] must be self-adjoint; convention bug")
-    table2: dict[tuple[int, int], Interval] = {}
-    for (p, q), idxs in basis.by_bidegree.items():
-        block = T.block(idxs, idxs)
-        table2[(p, q)] = _hermitian_norm_enclosure(block, HERMITIAN_WIDTH)
-    worst = max(table2.values(), key=lambda iv: iv.hi)
-    return CommutatorNorm(worst, table2)
-
-
-def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction) -> Interval:
-    """Certified enclosure of the operator norm of a self-adjoint block, width <= tol.
-
-    The bracket starts at [0, max row sum], which holds for any matrix.  A
-    float guess proposes an upper and a lower end tol/2 away from it, and
-    exact bisection closes whatever is left; every end is proved or refuted
-    by an exact definiteness test, and a refuted end still narrows
-    the bracket from the other side.
-    """
-    from .hermitian import _float_eigenvalues
-
-    if all(not v for row in block for v in row):
-        return Interval(Fraction(0), Fraction(0))
-    # T = (re + i im) / scale with Gaussian-integer entries
-    scale = lcm(*(v.d for row in block for v in row))
-    re = [[v.a * (scale // v.d) for v in row] for row in block]
-    im = [[v.b * (scale // v.d) for v in row] for row in block]
-    lo = Fraction(0)
-    hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
-    guess = max(_float_eigenvalues(block), key=abs)
-    # the extreme eigenvalue's sign says which of h I -/+ T fails first
-    signs = (-1, 1) if guess < 0 else (1, -1)
-
-    def below(h: Fraction) -> bool:
-        """Exactly whether ||T|| < h, i.e. h I - s T is positive definite
-        for s = +1 and s = -1, each tested as the Gaussian-integer matrix
-        den(h) scale (h I - s T); stops at the first sign that fails."""
-        a, b = h.numerator * scale, h.denominator
-        return all(
-            _positive_definite(
-                [
-                    [(a if i == j else 0) - s * b * x for j, x in enumerate(row)]
-                    for i, row in enumerate(re)
-                ],
-                [[-s * b * x for x in row] for row in im],
-            )
-            for s in signs
-        )
-
-    if isfinite(guess):
-        step = tol / 4
-        center = round(Fraction(abs(guess)) / step) * step
-        for h in (center + 2 * step, center - 2 * step):
-            if lo < h < hi:
-                if below(h):
-                    hi = h
-                else:
-                    lo = h
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return Interval(lo, hi)
-
-
-def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
-    """Sylvester's criterion for the Hermitian Gaussian-integer matrix re + i im.
-
-    Fraction-free Bareiss elimination without pivoting: the k-th pivot is the
-    k-th leading principal minor, a real integer, and the matrix is positive
-    definite iff every pivot is > 0.  Each Schur complement stays Hermitian,
-    so only the upper triangle is updated.  The arguments are overwritten.
-    """
-    d = len(re)
-    prev = 1
-    for k in range(d):
-        pivot = re[k][k]
-        if im[k][k]:
-            raise CertificateError("leading principal minor is not real; block is not Hermitian")
-        if pivot <= 0:
-            return False
-        rk, ik = re[k], im[k]
-        for i in range(k + 1, d):
-            a, b = rk[i], -ik[i]  # entry (i, k) = conj(entry (k, i))
-            ri, ii = re[i], im[i]
-            for j in range(i, d):
-                c, e = rk[j], ik[j]
-                x, x_rem = divmod(pivot * ri[j] - a * c + b * e, prev)
-                y, y_rem = divmod(pivot * ii[j] - a * e - b * c, prev)
-                if x_rem or y_rem:
-                    raise CertificateError("Bareiss division is not exact")
-                ri[j], ii[j] = x, y
-        prev = pivot
-    return True
 
 
 # -- exact linear algebra ------------------------------------------------------

@@ -11,7 +11,6 @@ expression parser (``exprparse``).  ``inputdoc`` re-exports ``digest`` and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from contextlib import contextmanager
@@ -21,6 +20,11 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import DocumentError, ExprError
 
+try:  # lean, as random takes _sha512: hashlib loads OpenSSL's _hashlib
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 if TYPE_CHECKING:
     from .diagonal import DiagonalCurvature
 
@@ -28,7 +32,7 @@ INTEGER = re.compile(r"-?[0-9]+")  # the one integer rule: ASCII digits, no padd
 
 
 def digest(tree: Any) -> str:
-    return hashlib.sha256(json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return sha256(json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 @contextmanager

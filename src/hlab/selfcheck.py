@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from . import bounds, fixtures, genus, hermitian, lefschetz, linebundle, ring
+from . import blocks, bounds, fixtures, genus, hermitian, lefschetz, linebundle, monomials, ring
 from .errors import CertificateError
 from .qpoly import QPoly
 
@@ -49,6 +49,7 @@ def run_all() -> list[tuple[str, bool, str]]:
     check("hodge star conjugation identity", _check_star)
     check("commutator closed form vs matrix", lambda: _check_commutator(rng))
     check("line-bundle norm: eigenvalues vs blocks", lambda: _check_line_bundle_norm(rng))
+    check("commutator blocks: theta formula vs operator engine", lambda: _check_commutator_blocks(rng))
     check("hard lefschetz bijectivity", _check_lefschetz_power)
     check("injectivity range", _check_injectivity)
     check("lemma44_search window and bound", _check_lemma44)
@@ -171,12 +172,24 @@ def _check_line_bundle_norm(rng):
     certificate of every bidegree block, on generic and rotated split draws."""
     for n in (1, 2, 3):
         for spec in (fixtures.generic_curvature(rng, n, 1), fixtures.rotated_split_curvature(rng, n, 1)[0]):
-            fast, slow = linebundle.line_bundle_norm(spec), lefschetz.block_commutator_norm(spec)
+            fast, slow = linebundle.line_bundle_norm(spec), blocks.block_commutator_norm(spec)
             _expect(set(fast.table) == set(slow.table), n)
             for key, iv in slow.table.items():
                 other = fast.table[key]
                 _expect(iv.lo <= other.hi and other.lo <= iv.hi, (n, key, other, iv))
                 _expect(max(iv.width, other.width) <= hermitian.HERMITIAN_WIDTH, (n, key))
+
+
+def _check_commutator_blocks(rng):
+    """Each bidegree block that ``blocks.commutator_block`` reads from theta
+    against the same block of the operator [Lambda, iTheta(E)], built by the
+    engine from L and the curvature operator, on generic draws."""
+    for n in (1, 2, 3):
+        for r in (1, 2):
+            spec = fixtures.generic_curvature(rng, n, r)
+            T = lefschetz.op_Lambda(n, r).commutator(lefschetz.curvature_operator(spec))
+            for (p, q), idxs in lefschetz.get_basis(n, r).by_bidegree.items():
+                _expect(blocks.commutator_block(spec, p, q) == T.block(idxs, idxs), (n, r, p, q))
 
 
 def _check_lefschetz_power():
@@ -215,7 +228,7 @@ def lefschetz_power_by_rank(n: int, r: int, k: int) -> tuple[bool, tuple[Fractio
         if p + q != k:
             continue
         dst = basis.by_bidegree[(p + n - k, q + n - k)]
-        M = _int_block(power, src, dst, lefschetz.i_power(n - k))
+        M = _int_block(power, src, dst, monomials.i_power(n - k))
         dim = len(src)
         B = [[sum(row[a] * row[b] for row in M) for b in range(dim)] for a in range(dim)]
         candidates = {factorial(n - k + j) // factorial(j) for j in range(min(p, q) + 1)}

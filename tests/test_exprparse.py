@@ -1,5 +1,7 @@
 """Expression parser and input-document handling."""
 
+import hashlib
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -236,6 +238,17 @@ def test_digest_is_key_order_insensitive():
     b = {"ring": {"generators": [{"name": "h", "weight": 1}], "dimension": 2}}
     assert digest(a) == digest(b)
     assert digest(a) != digest({"ring": {"dimension": 3, "generators": []}})
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [{}, [], 0, None, "x" * 200, {"b": [1, "1/2", {"x": None}], "a": "\u00e9"}, cp_fixture(2)],
+    ids=["empty object", "empty list", "zero", "null", "long string", "nested", "CP^2"],
+)
+def test_digest_is_the_sha256_of_the_canonical_json(tree):
+    # the digest takes the lean _sha256 module where it exists: the hash hashlib gives
+    canonical = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
+    assert digest(tree) == hashlib.sha256(canonical).hexdigest()
 
 
 def test_cp_fixture_roundtrip():

@@ -8,9 +8,10 @@ the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
 bound evaluators (``bounds``, with the root isolation of ``roots``),
 ``diagonal`` (whose ``commutator_norm`` imports the certificate a
 curvature takes), the operator engine (``lefschetz``) or the self-check
-suite (``selfcheck``, ``fixtures``); the exact set of each is pinned here.
-No command loads ``dataclasses``, ``inspect``, or ``argparse`` and the
-``gettext`` and ``locale`` it pulls in.
+suite (``selfcheck``, ``fixtures``); the exact set of each is pinned here,
+and so is the hlab source each set compiles.
+No command loads ``dataclasses``, ``inspect``, ``argparse`` and the
+``gettext`` and ``locale`` it pulls in, or OpenSSL's ``_hashlib``.
 The package still exports every name it did when it imported all of its
 modules eagerly.
 """
@@ -29,13 +30,14 @@ from hlab.inputdoc import cp_fixture
 
 SRC = str(Path(hlab.__file__).parents[1])
 HEAVY = {"hlab.lefschetz", "hlab.selfcheck", "hlab.fixtures"}
+OPENSSL = {"hashlib", "_hashlib"}  # 4-5 ms of a cold start; the input digest takes _sha256
 CODEGEN = {"dataclasses", "inspect"}  # about 24 ms of a cold start when they load
 ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with the parsers built
 ENGINES = {
     f"hlab.{m}"
     for m in (
-        "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz", "linebundle",
-        "literals", "qpoly", "ring", "roots",
+        "blocks", "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz",
+        "linebundle", "literals", "monomials", "qpoly", "ring", "roots",
     )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
@@ -47,9 +49,12 @@ BOUNDARY = READER | {"hlab.exprparse"}
 HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
 BOUNDS = {"hlab.bounds", "hlab.roots"}
 DIAGONAL = FLAGS | {"hlab.diagonal"}
-OPERATOR = DIAGONAL | {"hlab.lefschetz", "hlab.gaussian"}
-# a Hermitian document: the record and its Gaussian-rational entries
+OPERATOR = DIAGONAL | {"hlab.lefschetz", "hlab.gaussian", "hlab.monomials"}
+# a Hermitian document: the record and its Gaussian-rational entries; then
+# the eigenvalue path of a line bundle, or the blocks of rank r >= 2
 HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
+LINE_BUNDLE = HERMITIAN | {"hlab.linebundle", "hlab.roots", "hlab.qpoly"}
+RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -149,17 +154,17 @@ def gammas_file(tmp_path_factory):
 
 
 # Diagonal curvature, from the flag or a document, and a refused space take
-# the closed form and the space rule, and a Hermitian line bundle the
-# eigenvalues of theta (no operator engine, no bound evaluators); only
-# Hermitian curvature of rank r >= 2 and the lefschetz-check scans load the
-# operator engine.
+# the closed form and the space rule, a Hermitian line bundle the
+# eigenvalues of theta, and Hermitian curvature of rank r >= 2 the bidegree
+# blocks read from theta (no operator engine, no bound evaluators); only the
+# lefschetz-check scans load the operator engine.
 OPERATOR_COMMANDS = [
     (("commutator", "--gammas", "1,2"), 0, DIAGONAL),
     (("commutator", "--input", "GAMMAS"), 0, DIAGONAL | {"hlab.inputdoc"}),
     (("lefschetz-check", "--n", "7"), 2, DIAGONAL),
     (("lefschetz-check", "--n", "2"), 0, OPERATOR),
-    (("commutator", "--input", "HERMITIAN"), 0, HERMITIAN | {"hlab.lefschetz"}),
-    (("commutator", "--input", "LINE"), 0, HERMITIAN | {"hlab.linebundle", "hlab.roots", "hlab.qpoly"}),
+    (("commutator", "--input", "HERMITIAN"), 0, RANK_R),
+    (("commutator", "--input", "LINE"), 0, LINE_BUNDLE),
 ]
 
 
@@ -187,10 +192,49 @@ def test_commands_load_no_code_generation(cp2_file, argv):
 
 def test_operator_engine_imports_no_other_engine():
     # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly,
-    # and the Hermitian record and certificates load only for a rank r >= 2 norm
+    # and it loads neither the Hermitian record nor any norm certificate
     assert _import_loads("import hlab.lefschetz") == {
-        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.record"
+        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.monomials", "hlab.record"
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fixture", "cp", "1"), ("genus",), ("bounds", "--which", "t5"), ("commutator", "--gammas", "1,2"),
+     ("commutator", "--input", "HERMITIAN"), ("commutator", "--input", "LINE"), ("lefschetz-check", "--n", "2"),
+     ("verify",)],
+    ids=" ".join,
+)
+def test_commands_load_no_openssl_hash(cp2_file, hermitian_file, line_file, argv):
+    files = {"HERMITIAN": hermitian_file, "LINE": line_file}
+    argv = tuple(files.get(arg, arg) for arg in argv)
+    if argv[0] in ("genus", "bounds"):
+        argv = (*argv, "--input", cp2_file)
+    code, modules = _loaded(PROBE, *argv)
+    assert code == 0
+    assert not modules & OPENSSL, sorted(modules & OPENSSL)
+
+
+# The hlab source, in bytes, that each pinned module set compiles: a change
+# may make a command compile less, never more, without raising its pin here.
+SOURCE_BYTES = [
+    ("import hlab.cli", FLAGS, 26991),
+    ("fixture", READER, 40815),
+    ("genus kcoeffs hilbert ineq", HRR, 86064),
+    ("bounds", HRR | BOUNDS, 103014),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64839),
+    ("commutator --gammas", DIAGONAL, 33587),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47411),
+    ("lefschetz-check", OPERATOR, 57126),
+    ("commutator --input HERMITIAN", RANK_R, 69084),
+    ("commutator --input LINE", LINE_BUNDLE, 74156),
+]
+
+
+@pytest.mark.parametrize("modules,pinned", [c[1:] for c in SOURCE_BYTES], ids=[c[0] for c in SOURCE_BYTES])
+def test_pinned_module_sets_compile_no_more_source(modules, pinned):
+    root = Path(hlab.__file__).parent
+    assert sum((root / f"{name.removeprefix('hlab.')}.py").stat().st_size for name in modules) <= pinned
 
 
 @pytest.mark.parametrize("statement", ["import hlab.diagonal", "from hlab import DiagonalCurvature, flatness_test"])

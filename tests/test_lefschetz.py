@@ -173,7 +173,7 @@ def test_adjointness_random_vectors(n, r):
 
 
 def test_star_of_one_is_volume():
-    from hlab.lefschetz import volume_phase
+    from hlab.monomials import volume_phase
 
     for n in (1, 2, 3):
         basis = get_basis(n, 1)
@@ -188,7 +188,7 @@ def test_star_of_one_is_volume():
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (3, 1), (2, 2)])
 def test_star_defining_convention(n, r):
     # u ^ conj(star u) = <u, u> vol on every basis monomial
-    from hlab.lefschetz import conj_monomial, volume_phase, wedge_monomials
+    from hlab.monomials import conj_monomial, volume_phase, wedge_monomials
 
     basis = get_basis(n, r)
     star = op_star(n, r)
@@ -553,6 +553,30 @@ def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
             assert iv.width <= HERMITIAN_WIDTH
 
 
+def test_line_bundle_proposals_certify_each_factor_without_gcd_or_bisection(monkeypatch):
+    # Yun's factors are square-free, so no gcd is taken again, and each float
+    # eigenvalue is routed to the factor it nearly annihilates: on rotated
+    # lines, whose characteristic polynomials split into several factors,
+    # every root is certified from its own proposal and no bisection starts
+    from hlab import roots
+    from hlab.qpoly import QPoly
+
+    def refuse(*args):
+        raise AssertionError("a gcd or a bisection ran")
+
+    monkeypatch.setattr(QPoly, "squarefree_part", refuse)
+    monkeypatch.setattr(roots, "cauchy_bound", refuse)
+    split = 0
+    for seed in range(8):
+        for n in range(2, 7):
+            spec, table = rotated_split_curvature(random.Random(seed), n, 1)
+            theta = [[line[k][0][0] for k in range(n)] for line in spec.theta]
+            split += len(roots.squarefree_factors(linebundle._charpoly(theta))) > 1
+            got = line_bundle_norm(spec)
+            assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
+    assert split >= 10
+
+
 def test_line_bundle_norm_of_a_rotated_line_is_exact():
     # integer eigenvalues: every proposal is certified as an exact root, and
     # the blocks (n, 0) and (0, n), identically zero, enclose 0 as [0, 0]
@@ -610,7 +634,7 @@ def test_rotated_split_bundle_n3_r2():
 
 
 def test_positive_definite_rejects_a_non_real_pivot():
-    from hlab.lefschetz import _positive_definite
+    from hlab.blocks import _positive_definite
 
     assert _positive_definite([[2, 1], [1, 2]], [[0, 0], [0, 0]])
     assert not _positive_definite([[1, 2], [2, 1]], [[0, 0], [0, 0]])
@@ -672,7 +696,7 @@ def _random_hermitian_block(rng, d):
 
 
 def test_hermitian_enclosure_matches_charpoly_reference():
-    from hlab.lefschetz import _hermitian_norm_enclosure
+    from hlab.blocks import _hermitian_norm_enclosure
 
     tol = F(1, 10**12)
     rng = random.Random(2024)
