@@ -13,16 +13,9 @@ them, usage errors included.  All numeric output is exact rational text
 except the explicitly marked enclosures.
 
 Importing this module loads the literal rules of the flags only
-(``literals``, ``errors``, ``record``).  The document reader (``inputdoc``)
-loads in the handlers that read ``--input`` and in ``fixture``, and each
-handler imports the engine it runs: the HRR engine (``genus``, with ``ring``
-and ``qpoly``) in the four HRR handlers, the bound evaluators in ``bounds``,
-``diagonal`` in ``commutator`` (whose ``commutator_norm`` imports the
-certificate a curvature takes) and for the space rule of
-``lefschetz-check``, the operator engine (``lefschetz``) for the
-``lefschetz-check`` scans, and the self-check suite in ``verify``;
-``inputdoc`` imports the expression parser and a section's engine where it
-reads that section.
+(``literals``, ``errors``, ``record``).  Each handler imports what it runs:
+the document reader (``inputdoc``) where it reads a document, and its engine
+(``genus``, ``bounds``, ``diagonal``, ``lefschetz`` or ``selfcheck``).
 """
 
 from __future__ import annotations
@@ -126,9 +119,7 @@ def _print_tree(tree, indent=0):
 
 
 def _is_flat(value):
-    if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
-    return False
+    return isinstance(value, list) and all(not isinstance(v, (dict, list)) for v in value)
 
 
 def _flat_str(value):

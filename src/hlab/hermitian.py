@@ -1,8 +1,7 @@
 """Hermitian curvature iTheta(E): the record, and the float eigenvalues that
 propose the ends of its certified norm enclosures.
 
-Both Hermitian norm certificates read it, the eigenvalues of theta
-(``hlab.linebundle``) and the bidegree blocks (``hlab.blocks``);
+Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
 ``hlab.diagonal.commutator_norm`` chooses between them.  Each C_{p,q}
 enclosure is at most HERMITIAN_WIDTH wide.
 """
@@ -18,7 +17,7 @@ from .gaussian import CQ, _as_cq
 from .record import Record
 
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
-MAX_HERMITIAN_BLOCK = 100  # r >= 2: hlab.blocks certifies each block by Bareiss, at a cost cubic in its dimension
+MAX_HERMITIAN_BLOCK = 100  # r >= 2: Bareiss (hlab.blocks) costs the cube of the largest block
 
 
 class HermitianCurvature(Record):

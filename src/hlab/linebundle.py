@@ -12,7 +12,6 @@ sends a Hermitian curvature here when r = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite, isnan
 
 from .diagonal import CommutatorNorm, _diagonal_table
 from .errors import CertificateError
@@ -20,7 +19,7 @@ from .gaussian import CQ, CQ_ONE, CQ_ZERO
 from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues
 from .qpoly import QPoly
 from .record import Interval
-from .roots import _isolate_squarefree, squarefree_factors
+from .roots import isolate_real_roots, squarefree_factors
 
 
 def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
@@ -48,46 +47,25 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
     HERMITIAN_WIDTH / (2n) wide; ``trace`` is tr theta.
 
     The characteristic polynomial is exact (:func:`_charpoly`); Yun's
-    decomposition gives each distinct root its multiplicity, and the roots
-    of each square-free factor are isolated by Sturm counts, with no gcd
-    taken again.  Float eigenvalues propose them (the ``guesses`` of
-    ``hlab.roots.isolate_real_roots``), each finite one only to the factor
-    it nearly annihilates (:func:`_newton_distance`); a misrouted one is
-    refused like any bad guess.  Certified: the multiplicities of the roots
-    found sum to n, so every eigenvalue is real and enclosed, and their
-    enclosures add up around tr theta.
+    decomposition gives each distinct root its multiplicity, and each
+    square-free factor's roots are isolated by Sturm counts, proposed by
+    float eigenvalues (the ``guesses`` of ``hlab.roots.isolate_real_roots``).
+    Certified: the multiplicities of the roots found sum to n, so every
+    eigenvalue is real and enclosed, and their enclosures add up around
+    tr theta.
     """
     n = len(theta)
     width = HERMITIAN_WIDTH / (2 * n)
-    factors = squarefree_factors(_charpoly(theta))
-    routed: list[list[float]] = [[] for _ in factors]
-    for guess in filter(isfinite, _float_eigenvalues(theta)):
-        routed[min(range(len(factors)), key=lambda i: _newton_distance(factors[i][1], guess))].append(guess)
+    guesses = _float_eigenvalues(theta)
     out = []
-    for (multiplicity, factor), guesses in zip(factors, routed):
-        for iv in _isolate_squarefree(factor, width, guesses):
+    for multiplicity, factor in squarefree_factors(_charpoly(theta)):
+        for iv in isolate_real_roots(factor, width, guesses):
             out += [iv] * multiplicity
     if len(out) != n:
         raise CertificateError(f"theta has {len(out)} real eigenvalues with multiplicity, not n = {n}")
     if not sum(lo for lo, _ in out) <= trace <= sum(hi for _, hi in out):
         raise CertificateError("the eigenvalue enclosures do not add up around tr theta")
     return sorted(out)
-
-
-def _newton_distance(P: QPoly, x: float) -> float:
-    """|P(x) / P'(x)| in floats: near a simple root of P, about the distance
-    from x to it; inf where a float overflows or P'(x) = 0 != P(x)."""
-    value = slope = 0.0
-    try:
-        for c in reversed(P.coeffs):
-            slope = slope * x + value
-            value = value * x + float(c)
-    except OverflowError:
-        return inf
-    if not value:
-        return 0.0
-    step = abs(value / slope) if slope else inf
-    return inf if isnan(step) else step
 
 
 def _charpoly(theta: list[list[CQ]]) -> QPoly:

@@ -20,10 +20,13 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import DocumentError, ExprError
 
-try:  # lean, as random takes _sha512: hashlib loads OpenSSL's _hashlib
-    from _sha256 import sha256
+try:  # lean, as in random: hashlib loads OpenSSL's _hashlib
+    from _sha2 import sha256  # Python >= 3.12
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .diagonal import DiagonalCurvature

@@ -69,14 +69,7 @@ def isolate_real_roots(
     """
     if P.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate_squarefree(P.squarefree_part(), width, guesses)
-
-
-def _isolate_squarefree(
-    Q: QPoly, width: Fraction, guesses: Iterable[float]
-) -> list[tuple[Fraction, Fraction]]:
-    """:func:`isolate_real_roots` of a nonzero square-free Q, which takes no
-    gcd: Yun's factors (:func:`squarefree_factors`) are square-free already."""
+    Q = P.squarefree_part()
     if Q.degree < 1:
         return []
     if Q.degree == 1:

@@ -16,7 +16,8 @@ The package still exports every name it did when it imported all of its
 modules eagerly.
 """
 
-import importlib
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,7 +31,9 @@ from hlab.inputdoc import cp_fixture
 
 SRC = str(Path(hlab.__file__).parents[1])
 HEAVY = {"hlab.lefschetz", "hlab.selfcheck", "hlab.fixtures"}
-OPENSSL = {"hashlib", "_hashlib"}  # 4-5 ms of a cold start; the input digest takes _sha256
+OPENSSL = {"hashlib", "_hashlib"}  # 4-5 ms of a cold start; the input digest takes a lean module
+# sha256 without OpenSSL: in _sha2 from Python 3.12 on, in _sha256 before
+LEAN_SHA256 = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
 CODEGEN = {"dataclasses", "inspect"}  # about 24 ms of a cold start when they load
 ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with the parsers built
 ENGINES = {
@@ -205,6 +208,7 @@ def test_operator_engine_imports_no_other_engine():
      ("verify",)],
     ids=" ".join,
 )
+@pytest.mark.skipif(not LEAN_SHA256, reason="this interpreter has sha256 only through hashlib")
 def test_commands_load_no_openssl_hash(cp2_file, hermitian_file, line_file, argv):
     files = {"HERMITIAN": hermitian_file, "LINE": line_file}
     argv = tuple(files.get(arg, arg) for arg in argv)
@@ -215,19 +219,56 @@ def test_commands_load_no_openssl_hash(cp2_file, hermitian_file, line_file, argv
     assert not modules & OPENSSL, sorted(modules & OPENSSL)
 
 
+# Import hlab.literals with only the named lean sha256 modules importable,
+# each a stand-in for this interpreter's own, and print the digest of a tree.
+LAYOUT_PROBE = """
+import json, sys, types
+real = None
+for name in ("_sha2", "_sha256"):
+    try:
+        real = real or __import__(name).sha256
+    except ImportError:
+        pass
+    sys.modules[name] = None
+for name in sys.argv[1:]:
+    sys.modules[name] = types.ModuleType(name)
+    sys.modules[name].sha256 = real
+from hlab import literals
+lean = real is not None and literals.sha256 is real
+tree = {"b": [1, "1/2"], "a": None}
+print(json.dumps({"lean": lean, "hashlib": "hashlib" in sys.modules, "digest": literals.digest(tree)}))
+"""
+
+
+@pytest.mark.parametrize("layout", [("_sha2",), ("_sha256",), ()], ids=["3.12 on", "up to 3.11", "no lean module"])
+def test_digest_takes_sha256_from_either_stdlib_layout(layout):
+    # the digest takes the lean module of either layout, and hashlib only where
+    # neither exists; the hash is the same
+    if layout and not LEAN_SHA256:
+        pytest.skip("this interpreter has sha256 only through hashlib")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYOUT_PROBE, *layout], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert (report["lean"], report["hashlib"]) == ((True, False) if layout else (False, True))
+    assert report["digest"] == hashlib.sha256(b'{"a":null,"b":[1,"1/2"]}').hexdigest()
+
+
 # The hlab source, in bytes, that each pinned module set compiles: a change
 # may make a command compile less, never more, without raising its pin here.
 SOURCE_BYTES = [
-    ("import hlab.cli", FLAGS, 26991),
-    ("fixture", READER, 40815),
-    ("genus kcoeffs hilbert ineq", HRR, 86064),
-    ("bounds", HRR | BOUNDS, 103014),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64839),
-    ("commutator --gammas", DIAGONAL, 33587),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47411),
-    ("lefschetz-check", OPERATOR, 57126),
-    ("commutator --input HERMITIAN", RANK_R, 69084),
-    ("commutator --input LINE", LINE_BUNDLE, 74156),
+    ("import hlab.cli", FLAGS, 26859),
+    ("fixture", READER, 40683),
+    ("genus kcoeffs hilbert ineq", HRR, 85932),
+    ("bounds", HRR | BOUNDS, 102564),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64389),
+    ("commutator --gammas", DIAGONAL, 33467),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47291),
+    ("lefschetz-check", OPERATOR, 56763),
+    ("commutator --input HERMITIAN", RANK_R, 68640),
+    ("commutator --input LINE", LINE_BUNDLE, 72642),
 ]
 
 

@@ -553,30 +553,6 @@ def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
             assert iv.width <= HERMITIAN_WIDTH
 
 
-def test_line_bundle_proposals_certify_each_factor_without_gcd_or_bisection(monkeypatch):
-    # Yun's factors are square-free, so no gcd is taken again, and each float
-    # eigenvalue is routed to the factor it nearly annihilates: on rotated
-    # lines, whose characteristic polynomials split into several factors,
-    # every root is certified from its own proposal and no bisection starts
-    from hlab import roots
-    from hlab.qpoly import QPoly
-
-    def refuse(*args):
-        raise AssertionError("a gcd or a bisection ran")
-
-    monkeypatch.setattr(QPoly, "squarefree_part", refuse)
-    monkeypatch.setattr(roots, "cauchy_bound", refuse)
-    split = 0
-    for seed in range(8):
-        for n in range(2, 7):
-            spec, table = rotated_split_curvature(random.Random(seed), n, 1)
-            theta = [[line[k][0][0] for k in range(n)] for line in spec.theta]
-            split += len(roots.squarefree_factors(linebundle._charpoly(theta))) > 1
-            got = line_bundle_norm(spec)
-            assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
-    assert split >= 10
-
-
 def test_line_bundle_norm_of_a_rotated_line_is_exact():
     # integer eigenvalues: every proposal is certified as an exact root, and
     # the blocks (n, 0) and (0, n), identically zero, enclose 0 as [0, 0]
