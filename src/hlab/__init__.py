@@ -34,9 +34,8 @@ _EXPORTS = {
     ),
     "hermitian": ("HermitianCurvature",),
     "lefschetz": (
-        "ExteriorBasis", "FormVector", "LefschetzPower", "Operator", "curvature_operator",
-        "diagonal_commutator_eigenvalues", "get_basis", "injectivity_scan", "lefschetz_power",
-        "op_L", "op_Lambda", "op_star", "sl2_commutator_check",
+        "ExteriorBasis", "FormVector", "Operator", "curvature_operator",
+        "diagonal_commutator_eigenvalues", "get_basis", "op_L", "op_Lambda", "op_star",
     ),
     "literals": ("parse_rational",),
     "qpoly": ("QPoly",),
@@ -46,6 +45,7 @@ _EXPORTS = {
         "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",
     ),
     "roots": ("isolate_real_roots",),
+    "sl2": ("LefschetzPower", "injectivity_scan", "lefschetz_power", "sl2_commutator_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

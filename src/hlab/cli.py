@@ -13,9 +13,7 @@ them, usage errors included.  All numeric output is exact rational text
 except the explicitly marked enclosures.
 
 Importing this module loads the literal rules of the flags only
-(``literals``, ``errors``, ``record``).  Each handler imports what it runs:
-the document reader (``inputdoc``) where it reads a document, and its engine
-(``genus``, ``bounds``, ``diagonal``, ``lefschetz`` or ``selfcheck``).
+(``literals``, ``errors``, ``record``); each handler imports what it runs.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
-from .literals import INTEGER, digest, in_range, parse_gammas, parse_integer
+from .literals import INTEGER, check_space, digest, in_range, parse_gammas, parse_integer
 from .record import Interval
 
 ENGINE_ERROR = 1
@@ -77,8 +75,8 @@ class Reporter:
 def _plain(value):
     """Make values JSON-representable without floats: rationals as strings.
 
-    Every number becomes text here, so one that is too long to print raises
-    ValueError here and not while the report is written.
+    Every number becomes text here, so one too long to print raises
+    ValueError here, not while the report is written.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -223,26 +221,24 @@ def cmd_commutator(args):
 
 
 def cmd_lefschetz_check(args):
-    from .diagonal import check_space
-
     n, r = args.n, args.r
     try:
         check_space(n, r)
     except ValueError as exc:
         raise DocumentError(f"--n {n} --r {r}: {exc}") from None
-    from . import lefschetz
+    from . import sl2
 
     rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
-    rep.add("sl2_commutator", lefschetz.sl2_commutator_check(n, r))
+    rep.add("sl2_commutator", sl2.sl2_commutator_check(n, r))
     if n <= 3:
-        unitary, conjugation = lefschetz.star_identities(n, r)
+        unitary, conjugation = sl2.star_identities(n, r)
         rep.add("star_unitary", unitary)
         rep.add("star_conjugation_gives_lambda", conjugation)
     else:
         rep.warn("star identity check skipped for n > 3 (cost)")
-    scan = sorted(lefschetz.injectivity_scan(n, r).items())
+    scan = sorted(sl2.injectivity_scan(n, r).items())
     rep.add("injectivity", [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan])
-    powers = [lefschetz.lefschetz_power(n, r, k) for k in range(n + 1)]
+    powers = [sl2.lefschetz_power(n, r, k) for k in range(n + 1)]
     keys = ("k", "bijective", "sigma_min", "sigma_max")
     rep.add("lefschetz_powers", [{key: getattr(lp, key) for key in keys} for lp in powers])
     rep.emit()
@@ -300,7 +296,7 @@ def cmd_verify(args):
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail and not ok:
+        if detail:
             line += f"  ({detail})"
         print(line)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

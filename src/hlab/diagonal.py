@@ -7,11 +7,10 @@ on xi_J ^ xibar_K, so C = |[Lambda, iTheta(L)]| and each C_{p,q} are exact
 rationals got from sorted partial sums of the gammas, with no operator built.
 The same closed form, at enclosures of the eigenvalues of theta, gives the
 norm of a Hermitian line bundle (``hlab.linebundle``).  This module holds
-that closed form, :func:`commutator_norm`, which sends each curvature to its
-certificate, and the space rule :func:`check_space` that every way into the
-operator engine passes, so ``commutator --gammas`` and the
-``lefschetz-check`` flag check load no operator engine; ``hlab.lefschetz``
-re-exports all of them.
+that closed form and :func:`commutator_norm`, which sends each curvature to
+its certificate, so ``commutator --gammas`` loads no operator engine;
+``hlab.lefschetz`` re-exports them.  The space rule ``check_space`` lives in
+``hlab.literals``.
 """
 
 from __future__ import annotations
@@ -26,26 +25,14 @@ if TYPE_CHECKING:
     from .gaussian import CQ
     from .hermitian import CurvatureSpec
 
-MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
-
-
-def check_space(n: int, r: int):
-    """The one rule admitting Lambda^{*,*}(C^n) tensor C^r: 1 <= n <= MAX_N,
-    r >= 1 and dimension 4^n r <= 4^MAX_N; ValueError otherwise."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n = {n} is outside [1, {MAX_N}]")
-    if r < 1:
-        raise ValueError(f"the fiber rank r = {r} is below 1")
-    if 4**n * r > 4**MAX_N:
-        raise ValueError(f"the space has dimension 4^n r = {4**n * r} > 4^{MAX_N}")
-
-
 class DiagonalCurvature(Record):
     """iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j for a line bundle (r = 1)."""
 
     gammas: tuple[Fraction, ...]
 
     def __post_init__(self):
+        from .literals import check_space
+
         object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
         check_space(self.n, 1)
 

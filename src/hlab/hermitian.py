@@ -12,8 +12,9 @@ from fractions import Fraction
 from math import comb, copysign, nan, sqrt
 from typing import Union
 
-from .diagonal import DiagonalCurvature, check_space
+from .diagonal import DiagonalCurvature
 from .gaussian import CQ, _as_cq
+from .literals import check_space
 from .record import Record
 
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure

@@ -7,18 +7,20 @@ form omega = i sum_j xi_j ^ xibar_j, Lambda is its basis adjoint, and the
 Hodge star follows the convention  alpha ^ conj(star beta) = <alpha, beta> vol
 with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
-The signs and phases of monomials under wedge, conjugation and star live in
+The signs and phases of monomials under wedge and star live in
 ``hlab.monomials``, which the Hermitian block certificate reads too.
 
-One rule, :func:`check_space`, admits the space for every way in: the basis,
-both curvature records and the ``lefschetz-check`` flags.  It lives in
-``hlab.diagonal`` with the diagonal curvature record, its closed-form norm
-and ``commutator_norm``, which chooses the certificate of each curvature;
-they load without this engine and are re-exported here.  The scalars are
-the Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record
-lives in ``hlab.hermitian``.  No command's norm builds an operator here: the
-bidegree blocks of [Lambda, iTheta(E)] are read from theta in ``hlab.blocks``,
-and ``hlab verify`` holds them against :func:`curvature_operator`.
+Only ``hlab verify`` runs this engine: it and the tests hold the faster
+certificates against it.  ``lefschetz-check`` certifies sl(2), the star
+identities, hard Lefschetz and injectivity from integer tables in
+``hlab.sl2``, and three of those functions are re-exported here.  The
+bidegree blocks of [Lambda, iTheta(E)] are read from theta in
+``hlab.blocks``.  The space rule :func:`check_space` lives in
+``hlab.literals``, and the diagonal curvature record, its closed-form norm
+and ``commutator_norm``, which chooses the certificate of each curvature,
+in ``hlab.diagonal``; both are re-exported here.  The scalars are the
+Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record
+lives in ``hlab.hermitian``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import CertificateError
-from .diagonal import CommutatorNorm, DiagonalCurvature, check_space  # noqa: F401 - CommutatorNorm is re-exported
+from .errors import CertificateError  # noqa: F401 - re-exported, like every engine's own exception
+from .diagonal import CommutatorNorm, DiagonalCurvature  # noqa: F401 - CommutatorNorm is re-exported
 from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
+from .literals import check_space
 from .monomials import bidegree_monomials, complement, star_phase, wedge_monomials
-from .record import Interval, Record
+from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
     from .hermitian import CurvatureSpec
@@ -264,35 +266,6 @@ def op_star(n: int, r: int = 1) -> Operator:
     return Operator(basis, cols)
 
 
-def star_identities(n: int, r: int = 1) -> tuple[bool, bool]:
-    """(star is unitary, star^{-1} L star == Lambda), both checked exactly."""
-    star = op_star(n, r)
-    inv = star.adjoint()
-    unitary = inv.compose(star) == identity_operator(get_basis(n, r))
-    return unitary, inv.compose(op_L(n, r)).compose(star) == op_Lambda(n, r)
-
-
-@lru_cache(maxsize=None)
-def sl2_commutator_check(n: int, r: int = 1) -> bool:
-    """True iff L maps Lambda^{p,q} into Lambda^{p+1,q+1} and [Lambda, L]
-    acts as (n-k) id on every k-form, exactly.
-
-    Cached per (n, r), like the operators; :func:`injectivity_scan` and
-    :func:`lefschetz_power` rest on it.
-    """
-    basis, L = get_basis(n, r), op_L(n, r)
-    for c, col in L.cols.items():
-        p, q = basis.bidegree_of(c)
-        if any(basis.bidegree_of(row) != (p + 1, q + 1) for row in col):
-            return False
-    H = op_Lambda(n, r).commutator(L)
-    for idx in range(basis.dim):
-        m = n - sum(basis.bidegree_of(idx))
-        if H.cols.get(idx, {}) != ({idx: CQ(m)} if m else {}):
-            return False
-    return True
-
-
 # -- curvature ---------------------------------------------------------------
 
 
@@ -380,60 +353,3 @@ def int_rank(rows: list[list[int]]) -> int:
         if row == nrows:
             break
     return rank
-
-
-class LefschetzPower(Record):
-    """Result of analysing L^{n-k} from k-forms to (2n-k)-forms."""
-
-    k: int
-    bijective: bool
-    sigma_min: Interval
-    sigma_max: Interval
-    sigma_values: tuple[Fraction, ...]
-
-
-def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
-    """Bijectivity and the singular values of L^{n-k} from k-forms to
-    (2n-k)-forms: s_j = (n-k+j)!/j! for 0 <= j <= k/2, exactly.
-
-    A certificate from the sl(2) identity, no matrix.
-    :func:`sl2_commutator_check` proves in this process that L maps
-    Lambda^{p,q} into Lambda^{p+1,q+1} and that [Lambda, L] = (n-m) id on
-    m-forms, else CertificateError.  So L, Lambda = L* and H = [L, Lambda]
-    span a representation of sl(2) closed under adjoints; it splits into
-    orthogonal irreducibles, each generated by a primitive form v
-    (Lambda v = 0) of degree m <= n, with
-    Lambda L^j v = j(n-m-j+1) L^{j-1} v and hence
-    |L^j v|^2 = j! (n-m)!/(n-m-j)! |v|^2.  For w = L^j v of degree
-    k = m + 2j this gives |L^{n-k} w| = s_j |w|, and the spaces L^j P^{k-2j}
-    are orthogonal (they lie in distinct irreducible types) and span the
-    k-forms.  Primitive m-forms are the orthogonal complement of
-    L Lambda^{m-2}, and dim Lambda^{m-2} < dim Lambda^m for m <= n, so every
-    s_j occurs.  Each s_j >= 1 and both degrees have dimension
-    C(2n, k) r, so L^{n-k} is bijective.  The enclosures are exact.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"k = {k} outside [0, {n}]")
-    if not sl2_commutator_check(n, r):
-        raise CertificateError("[Lambda, L] is not (n-k) id; no hard Lefschetz certificate")
-    sigmas = sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)})
-    lo, hi = Interval(sigmas[0], sigmas[0]), Interval(sigmas[-1], sigmas[-1])
-    return LefschetzPower(k, True, lo, hi, tuple(sigmas))
-
-
-def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
-    """Whether L: Lambda^{p,q} -> Lambda^{p+1,q+1} is injective, for every (p,q).
-
-    A certificate from the sl(2) identity, no rank.  Lambda = L* by
-    definition (:func:`op_Lambda`), and :func:`sl2_commutator_check` proves
-    [Lambda, L] = (n-p-q) id on Lambda^{p,q} exactly; it must hold in this
-    process, else CertificateError.  If Lv = 0 then
-    0 = <[Lambda, L] v, v> + |Lambda v|^2 = (n-p-q)|v|^2 + |Lambda v|^2,
-    so v = 0 whenever p+q < n.  When p+q >= n, either p = n or q = n and
-    the target is 0, or dim Lambda^{p+1,q+1} / dim Lambda^{p,q} =
-    (n-p)(n-q) / ((p+1)(q+1)) <= pq / ((p+1)(q+1)) < 1.  So L is injective
-    on (p,q) exactly when p+q < n.
-    """
-    if not sl2_commutator_check(n, r):
-        raise CertificateError("[Lambda, L] is not (n-k) id; no injectivity certificate")
-    return {(p, q): p + q < n for p, q in get_basis(n, r).by_bidegree}

@@ -2,11 +2,11 @@
 
 An integer is a JSON int or a string matching :data:`INTEGER`, a rational a
 JSON int or a "p/q" string, and diagonal curvature a list of rationals; no
-float or bool is ever accepted.  ``digest`` names the inputs of a report.
-``cli`` imports this module alone for its flags, so a command that reads
-no document loads neither the document reader (``inputdoc``) nor the
-expression parser (``exprparse``).  ``inputdoc`` re-exports ``digest`` and
-``exprparse`` re-exports ``parse_rational`` from here.
+float or bool is ever accepted.  ``digest`` names the inputs of a report,
+and :func:`check_space` admits the exterior algebra of every command.
+``cli`` imports this module alone for its flags, so a command that reads no
+document loads no document reader (``inputdoc``, ``exprparse``).
+``inputdoc`` re-exports ``digest``, ``exprparse`` ``parse_rational``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,17 @@ if TYPE_CHECKING:
     from .diagonal import DiagonalCurvature
 
 INTEGER = re.compile(r"-?[0-9]+")  # the one integer rule: ASCII digits, no padding, no "+" or "_"
+MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
+
+
+def check_space(n: int, r: int):
+    """The one rule admitting Lambda^{*,*}(C^n) tensor C^r (ValueError if not)."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n} is outside [1, {MAX_N}]")
+    if r < 1:
+        raise ValueError(f"the fiber rank r = {r} is below 1")
+    if 4**n * r > 4**MAX_N:
+        raise ValueError(f"the space has dimension 4^n r = {4**n * r} > 4^{MAX_N}")
 
 
 def digest(tree: Any) -> str:

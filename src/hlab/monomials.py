@@ -1,61 +1,74 @@
 """The monomials xi_J ^ xibar_K of Lambda^{*,*}(C^n): their basis order, and
-their signs and phases under wedge, conjugation and the Hodge star.
+their signs and phases under wedge and the Hodge star.
 
-J and K are sorted tuples of indices in {1..n}.  The operator engine
-(``hlab.lefschetz``) builds its basis, L and the star from these rules, and
-the bidegree blocks of a Hermitian commutator norm (``hlab.blocks``) are
-laid out and paired by the same ones, so neither loads the other.
+The rules are integer ones on bitmasks (index j is bit j - 1): the wedge
+sign is +-1 and the star's phase an exponent of i.  ``hlab.sl2`` certifies
+the Kahler identities from them alone.  The helpers on sorted index tuples
+wrap them in Gaussian rationals for the operator engine (``hlab.lefschetz``)
+and the Hermitian blocks (``hlab.blocks``); only they load ``hlab.gaussian``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .errors import CertificateError
-from .gaussian import CQ, CQ_I, CQ_ONE
+if TYPE_CHECKING:
+    from .gaussian import CQ
+
+
+def mask(J: tuple[int, ...]) -> int:
+    """The bitmask of an index tuple: bit j - 1 for each j in J."""
+    return sum(1 << (j - 1) for j in J)
+
+
+def _inversions(a: int, b: int) -> int:
+    """The pairs x in a, y in b with x > y."""
+    count = 0
+    while b:
+        low = b & -b
+        count += (a & -(low << 1)).bit_count()
+        b ^= low
+    return count
+
+
+def wedge_sign(J1: int, K1: int, J2: int, K2: int) -> int:
+    """(xi_J1 ^ xibar_K1) ^ (xi_J2 ^ xibar_K2) = sign xi_{J1|J2} ^ xibar_{K1|K2}
+    on bitmasks, sign = +-1; 0 when the wedge vanishes."""
+    if J1 & J2 or K1 & K2:
+        return 0
+    odd = _inversions(J1, J2) + _inversions(K1, K2) + K1.bit_count() * J2.bit_count()
+    return -1 if odd % 2 else 1
+
+
+def star_exponent(n: int, J: int, K: int) -> int:
+    """The e in 0..3 with star(xi_J ^ xibar_K) = i^e xi_{K^c} ^ xibar_{J^c}, on
+    bitmasks, fixed by  u ^ conj(star u) = <u, u> vol  on monomials.
+
+    vol = omega^n/n! = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n, and
+    conj(xi_{K^c} ^ xibar_{J^c}) = (-1)^{|J^c||K^c|} xi_{J^c} ^ xibar_{K^c},
+    whose wedge with xi_J ^ xibar_K is a sign times the top cell: the phase
+    is i^{-n} times the three signs.
+    """
+    Jc, Kc = J ^ ((1 << n) - 1), K ^ ((1 << n) - 1)
+    odd = n * (n - 1) // 2 + Jc.bit_count() * Kc.bit_count() + (wedge_sign(J, K, Jc, Kc) < 0)
+    return (2 * odd - n) % 4
 
 
 def i_power(k: int) -> CQ:
-    return (CQ_ONE, CQ_I, CQ(-1), CQ(0, -1))[k % 4]
+    from .gaussian import CQ
 
-
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
-    """Sign of sorting the concatenation of two sorted disjoint tuples.
-
-    Returns None when the tuples intersect (the wedge vanishes).
-    """
-    if set(a) & set(b):
-        return None
-    inversions = sum(1 for x in a for y in b if x > y)
-    return -1 if inversions % 2 else 1
-
-
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
+    return CQ(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4])
 
 
 def wedge_monomials(
     J1: tuple[int, ...], K1: tuple[int, ...], J2: tuple[int, ...], K2: tuple[int, ...]
 ):
     """(xi_J1 ^ xibar_K1) ^ (xi_J2 ^ xibar_K2) -> (sign, J, K) or None."""
-    s1 = _merge_sign(J1, J2)
-    s2 = _merge_sign(K1, K2)
-    if s1 is None or s2 is None:
+    sign = wedge_sign(mask(J1), mask(K1), mask(J2), mask(K2))
+    if not sign:
         return None
-    sign = s1 * s2 * (-1 if (len(K1) * len(J2)) % 2 else 1)
-    return sign, _merge(J1, J2), _merge(K1, K2)
-
-
-def conj_monomial(J: tuple[int, ...], K: tuple[int, ...]):
-    """conj(xi_J ^ xibar_K) = (-1)^{|J||K|} xi_K ^ xibar_J."""
-    sign = -1 if (len(J) * len(K)) % 2 else 1
-    return sign, K, J
-
-
-def volume_phase(n: int) -> CQ:
-    """vol = omega^n/n! = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n."""
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return i_power(n) * sign
+    return sign, tuple(sorted(J1 + J2)), tuple(sorted(K1 + K2))
 
 
 def bidegree_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -71,12 +84,6 @@ def complement(n: int, J: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def star_phase(n: int, J: tuple[int, ...], K: tuple[int, ...]) -> CQ:
-    """The unit c with star(xi_J ^ xibar_K) = c xi_{K^c} ^ xibar_{J^c} for J, K
-    in {1..n}, fixed by  u ^ conj(star u) = <u, u> vol  on monomials."""
-    Jc, Kc = complement(n, J), complement(n, K)
-    # conj of the target monomial (Kc, Jc), wedged against (J, K), gives the top cell
-    csign, wJ, wK = conj_monomial(Kc, Jc)
-    w = wedge_monomials(J, K, wJ, wK)
-    if w is None:
-        raise CertificateError("complement wedge cannot vanish")
-    return (volume_phase(n) / CQ(csign * w[0])).conj()
+    """The unit c with star(xi_J ^ xibar_K) = c xi_{K^c} ^ xibar_{J^c}: i to
+    the :func:`star_exponent`."""
+    return i_power(star_exponent(n, mask(J), mask(K)))

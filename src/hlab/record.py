@@ -13,8 +13,8 @@ field values, and the repr ``Interval(lo=..., hi=...)``.  A
 ``functools.cached_property`` member lives in the instance ``__dict__`` and
 takes no part in equality or hashing.
 
-It reads the annotations once per class and generates no code, so importing
-a module of records costs no more than defining its classes.
+It reads the annotations once per class and generates no code at import,
+unlike ``dataclasses``.
 """
 
 from __future__ import annotations

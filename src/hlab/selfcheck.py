@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from . import blocks, bounds, fixtures, genus, hermitian, lefschetz, linebundle, monomials, ring
+from . import blocks, bounds, fixtures, genus, hermitian, lefschetz, linebundle, monomials, ring, sl2
 from .errors import CertificateError
 from .qpoly import QPoly
 
@@ -55,12 +55,13 @@ def run_all() -> list[tuple[str, bool, str]]:
     check("lemma44_search window and bound", _check_lemma44)
     check("root isolation", _check_roots)
     check("bound evaluator fixtures", _check_bound_fixtures)
+    check("lefschetz-check certificates vs operator engine", _check_certificate_tables)
     return results
 
 
 def _check_sl2():
     for n in (1, 2, 3):
-        _expect(lefschetz.sl2_commutator_check(n, 1), n)
+        _expect(sl2.sl2_commutator_check(n, 1), n)
 
 
 def _check_ring_axioms(rng):
@@ -145,7 +146,7 @@ def _check_hilbert():
 
 def _check_star():
     for n in (1, 2, 3):
-        _expect(lefschetz.star_identities(n, 1) == (True, True), f"n = {n}")
+        _expect(sl2.star_identities(n, 1) == (True, True), f"n = {n}")
 
 
 def _check_commutator(rng):
@@ -196,7 +197,7 @@ def _check_lefschetz_power():
     for n in (1, 2, 3):
         for r in (1, 2):
             for k in range(n + 1):
-                lp = lefschetz.lefschetz_power(n, r, k)
+                lp = sl2.lefschetz_power(n, r, k)
                 _expect((lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), (n, r, k))
 
 
@@ -258,7 +259,28 @@ def injectivity_by_rank(n: int, r: int) -> dict[tuple[int, int], bool]:
 def _check_injectivity():
     for n in (1, 2, 3):
         for r in (1, 2):
-            _expect(lefschetz.injectivity_scan(n, r) == injectivity_by_rank(n, r), (n, r))
+            _expect(sl2.injectivity_scan(n, r) == injectivity_by_rank(n, r), (n, r))
+
+
+def _check_certificate_tables():
+    """The integer tables ``lefschetz-check`` certifies against the operators
+    of the engine, entry for entry: L = iS (``sl2.sign_table``) and the star
+    c -> i^e sigma(c) (``sl2.star_table``), for n <= 3 and r <= 3."""
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            basis = lefschetz.get_basis(n, r)
+            key = [monomials.mask(J) | monomials.mask(K) << n | s << 2 * n for J, K, s in basis.monomials]
+            _expect(sorted(key) == list(range(basis.dim)), ("basis", n, r))
+            L = {c: {row: lefschetz.CQ_I * v for row, v in col.items()} for c, col in sl2.sign_table(n, r).items() if col}
+            _expect(_keyed(lefschetz.op_L(n, r), key) == L, ("L", n, r))
+            star = {c: {t: monomials.i_power(e)} for c, (t, e) in sl2.star_table(n, r).items()}
+            _expect(_keyed(lefschetz.op_star(n, r), key) == star, ("star", n, r))
+
+
+def _keyed(op, key: list[int]) -> dict[int, dict]:
+    """The columns of an engine operator, indexed by the ``sl2`` basis key of
+    each basis index."""
+    return {key[c]: {key[row]: v for row, v in col.items()} for c, col in op.cols.items()}
 
 
 def _check_lemma44():

@@ -1,0 +1,179 @@
+"""The pointwise Kahler identities of ``lefschetz-check``, over the integers.
+
+A basis monomial xi_J ^ xibar_K (x) e_s of Lambda^{*,*}(C^n) (x) C^r is the
+key J | K << n | s << 2n, with J and K bitmasks (``hlab.monomials``), and
+the keys below r 4^n are the whole basis.  L = iS for the integer sign
+table S of :func:`sign_table`, so Lambda = L* = -i S^T and
+[Lambda, L] = S^T S - S S^T, checked over Z.  The star is the permutation
+sigma of :func:`star_table` with phases i^e.  The signs and exponents come
+from ``hlab.monomials``; ``hlab verify`` holds both tables against the
+operators ``hlab.lefschetz`` builds.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
+from .errors import CertificateError
+from .literals import check_space
+from .monomials import star_exponent, wedge_sign
+from .record import Interval, Record
+
+
+def sign_table(n: int, r: int) -> dict[int, dict[int, int]]:
+    """S with L = iS: each basis key c to {row key: +-1}, L c = i sum S[row, c] row."""
+    check_space(n, r)
+    full, table = (1 << n) - 1, {}
+    for c in range(r << 2 * n):
+        J, K = c & full, c >> n & full
+        col = table[c] = {}
+        for j in range(n):
+            sign = wedge_sign(1 << j, 1 << j, J, K)
+            if sign:
+                col[c | 1 << j | 1 << n + j] = sign
+    return table
+
+
+def star_table(n: int, r: int) -> dict[int, tuple[int, int]]:
+    """star c = i^e sigma(c): each basis key c to (sigma(c), e)."""
+    check_space(n, r)
+    full, table = (1 << n) - 1, {}
+    for c in range(r << 2 * n):
+        J, K, fiber = c & full, c >> n & full, c >> 2 * n << 2 * n
+        table[c] = ((K ^ full) | (J ^ full) << n | fiber, star_exponent(n, J, K))
+    return table
+
+
+def _bidegree(n: int, c: int) -> tuple[int, int]:
+    full = (1 << n) - 1
+    return (c & full).bit_count(), (c >> n & full).bit_count()
+
+
+def _rows(S: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The rows of S: S^T."""
+    rows: dict[int, dict[int, int]] = {}
+    for c, col in S.items():
+        for row, v in col.items():
+            rows.setdefault(row, {})[c] = v
+    return rows
+
+
+def sl2_certificate(n: int, S: dict[int, dict[int, int]]) -> bool:
+    """True iff L = iS maps Lambda^{p,q} into Lambda^{p+1,q+1} and
+    [Lambda, L] = S^T S - S S^T is (n-k) id on every k-form, exactly, for a
+    sign table S over the whole basis."""
+    for c, col in S.items():
+        p, q = _bidegree(n, c)
+        if any(_bidegree(n, row) != (p + 1, q + 1) for row in col):
+            return False
+    rows = _rows(S)
+    for c, col in S.items():
+        acc: dict[int, int] = {}
+        for row, v in col.items():
+            for c2, w in rows[row].items():
+                acc[c2] = acc.get(c2, 0) + v * w
+        for c2, v in rows.get(c, {}).items():
+            for row, w in S[c2].items():
+                acc[row] = acc.get(row, 0) - v * w
+        m = n - sum(_bidegree(n, c))
+        if {key: v for key, v in acc.items() if v} != ({c: m} if m else {}):
+            return False
+    return True
+
+
+def star_certificate(S: dict[int, dict[int, int]], star: dict[int, tuple[int, int]]) -> tuple[bool, bool]:
+    """(star is unitary, star^{-1} L star == Lambda), exactly, for L = iS and
+    star c = i^e sigma(c) over the whole basis.
+
+    Entry (c', c) of star* star is i^(e_c - e_c') when sigma(c') = sigma(c),
+    so star* star = id iff sigma is one to one.  Row c' of star* sees only
+    sigma(c'), so entry (c', c) of star* L star is the single term
+    i^(e_c + 1 - e_c') S[sigma(c'), sigma(c)]; Lambda = -i S^T has
+    i^3 S[c, c'] there.  Both are compared as exponents of i mod 4, with
+    -1 = i^2.
+    """
+    preimage: dict[int, list[int]] = {}
+    for c, (t, _) in star.items():
+        preimage.setdefault(t, []).append(c)
+    unitary = all(len(cs) == 1 for cs in preimage.values())
+    rows = _rows(S)
+    for c, (t, e) in star.items():
+        got = {c2: (e + 1 - star[c2][1] + 2 * (v < 0)) % 4 for row, v in S[t].items() for c2 in preimage.get(row, ())}
+        if got != {c2: (3 + 2 * (v < 0)) % 4 for c2, v in rows.get(c, {}).items()}:
+            return unitary, False
+    return unitary, True
+
+
+def star_identities(n: int, r: int = 1) -> tuple[bool, bool]:
+    """(star is unitary, star^{-1} L star == Lambda), both checked exactly."""
+    return star_certificate(sign_table(n, r), star_table(n, r))
+
+
+@lru_cache(maxsize=None)
+def sl2_commutator_check(n: int, r: int = 1) -> bool:
+    """True iff L maps Lambda^{p,q} into Lambda^{p+1,q+1} and [Lambda, L]
+    acts as (n-k) id on every k-form, exactly.
+
+    Cached per (n, r); :func:`injectivity_scan` and :func:`lefschetz_power`
+    rest on it.
+    """
+    return sl2_certificate(n, sign_table(n, r))
+
+
+class LefschetzPower(Record):
+    """Result of analysing L^{n-k} from k-forms to (2n-k)-forms."""
+
+    k: int
+    bijective: bool
+    sigma_min: Interval
+    sigma_max: Interval
+    sigma_values: tuple[Fraction, ...]
+
+
+def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
+    """Bijectivity and the singular values of L^{n-k} from k-forms to
+    (2n-k)-forms: s_j = (n-k+j)!/j! for 0 <= j <= k/2, exactly.
+
+    A certificate from the sl(2) identity, no matrix.
+    :func:`sl2_commutator_check` proves in this process that L maps
+    Lambda^{p,q} into Lambda^{p+1,q+1} and that [Lambda, L] = (n-m) id on
+    m-forms, else CertificateError.  So L, Lambda = L* and H = [L, Lambda]
+    span a representation of sl(2) closed under adjoints; it splits into
+    orthogonal irreducibles, each generated by a primitive form v
+    (Lambda v = 0) of degree m <= n, with
+    Lambda L^j v = j(n-m-j+1) L^{j-1} v and hence
+    |L^j v|^2 = j! (n-m)!/(n-m-j)! |v|^2.  For w = L^j v of degree
+    k = m + 2j this gives |L^{n-k} w| = s_j |w|, and the spaces L^j P^{k-2j}
+    are orthogonal (they lie in distinct irreducible types) and span the
+    k-forms.  Primitive m-forms are the orthogonal complement of
+    L Lambda^{m-2}, and dim Lambda^{m-2} < dim Lambda^m for m <= n, so every
+    s_j occurs.  Each s_j >= 1 and both degrees have dimension
+    C(2n, k) r, so L^{n-k} is bijective.  The enclosures are exact.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"k = {k} outside [0, {n}]")
+    if not sl2_commutator_check(n, r):
+        raise CertificateError("[Lambda, L] is not (n-k) id; no hard Lefschetz certificate")
+    sigmas = sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)})
+    lo, hi = Interval(sigmas[0], sigmas[0]), Interval(sigmas[-1], sigmas[-1])
+    return LefschetzPower(k, True, lo, hi, tuple(sigmas))
+
+
+def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
+    """Whether L: Lambda^{p,q} -> Lambda^{p+1,q+1} is injective, for every (p,q).
+
+    A certificate from the sl(2) identity, no rank.  Lambda = L* by
+    definition, and :func:`sl2_commutator_check` proves
+    [Lambda, L] = (n-p-q) id on Lambda^{p,q} exactly; it must hold in this
+    process, else CertificateError.  If Lv = 0 then
+    0 = <[Lambda, L] v, v> + |Lambda v|^2 = (n-p-q)|v|^2 + |Lambda v|^2,
+    so v = 0 whenever p+q < n.  When p+q >= n, either p = n or q = n and
+    the target is 0, or dim Lambda^{p+1,q+1} / dim Lambda^{p,q} =
+    (n-p)(n-q) / ((p+1)(q+1)) <= pq / ((p+1)(q+1)) < 1.  So L is injective
+    on (p,q) exactly when p+q < n.
+    """
+    if not sl2_commutator_check(n, r):
+        raise CertificateError("[Lambda, L] is not (n-k) id; no injectivity certificate")
+    return {(p, q): p + q < n for p in range(n + 1) for q in range(n + 1)}

@@ -3,10 +3,10 @@ table as the operator engine builds, and enclosures of it from enclosures
 of the gammas.
 
 ``hlab.diagonal`` holds the diagonal curvature record, its closed-form
-C_{p,q} table, ``commutator_norm`` and the space rule, so
-``commutator --gammas`` loads no operator engine; ``hlab.lefschetz``
-re-exports them, as ``inputdoc`` and ``exprparse`` re-export the literal
-rules of ``hlab.literals``.
+C_{p,q} table and ``commutator_norm``, so ``commutator --gammas`` loads no
+operator engine; ``hlab.lefschetz`` re-exports them and the space rule of
+``hlab.literals``, as ``inputdoc`` and ``exprparse`` re-export its literal
+rules.
 """
 
 import random
@@ -21,7 +21,7 @@ from hlab.fixtures import gamma_draws
 MOVED = [
     (lefschetz, diagonal, "CommutatorNorm"),
     (lefschetz, diagonal, "DiagonalCurvature"),
-    (lefschetz, diagonal, "check_space"),
+    (lefschetz, literals, "check_space"),
     (lefschetz, diagonal, "commutator_norm"),
     (lefschetz, diagonal, "diagonal_norm"),
     (lefschetz, diagonal, "flatness_test"),

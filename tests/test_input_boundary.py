@@ -2,14 +2,17 @@
 that names its JSON path, literals are never coerced, and a failed internal
 certificate has its own exit code (3)."""
 
+import importlib.util
 import json
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hlab import lefschetz
+from hlab import lefschetz, sl2
 from hlab.fixtures import rotated_split_curvature
 from hlab.cli import main
 from hlab.exprparse import ExprError, parse_rational
@@ -221,7 +224,7 @@ def test_deeply_nested_expression_is_input_error():
 
 def test_failed_certificate_exits_3(capsys, monkeypatch):
     # an sl(2) identity that fails in this process is a bug, not an input error
-    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: False)
+    monkeypatch.setattr(sl2, "sl2_commutator_check", lambda n, r=1: False)
     code = main(["lefschetz-check", "--n", "2"])
     err = capsys.readouterr().err
     assert code == 3
@@ -279,7 +282,7 @@ def test_lefschetz_check_r_bounds_the_dimension(capsys, monkeypatch, n, r):
     def refuse(*args):
         raise AssertionError("the space was built before --r was checked")
 
-    monkeypatch.setattr(lefschetz, "sl2_commutator_check", refuse)
+    monkeypatch.setattr(sl2, "sl2_commutator_check", refuse)
     code = main(["lefschetz-check", "--n", str(n), "--r", str(r)])
     err = capsys.readouterr().err
     assert code == 2
@@ -295,9 +298,34 @@ def test_lefschetz_check_accepts_the_sizes_in_use(monkeypatch, n, r):
     def started(*args):
         raise _Started
 
-    monkeypatch.setattr(lefschetz, "sl2_commutator_check", started)
+    monkeypatch.setattr(sl2, "sl2_commutator_check", started)
     with pytest.raises(_Started):
         main(["lefschetz-check", "--n", str(n), "--r", str(r)])
+
+
+def _perfbench(name):
+    """perfbench/<name>.py under its own name, as tests/test_bench_grid.py loads it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("n,r", [(6, 1), (5, 4)])
+def test_lefschetz_check_runs_the_guard_rail_sizes(capsys, n, r):
+    # the largest admitted spaces, 4^n r = 4^6, run to the end and meet the
+    # closed forms of the benchmark's oracle
+    code = main(["lefschetz-check", "--n", str(n), "--r", str(r), "--output", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    report = json.loads(out)
+    results = report["results"]
+    assert results["sl2_commutator"] is True
+    want = [{"p": p, "q": q, "injective": p + q < n} for p in range(n + 1) for q in range(n + 1)]
+    assert results["injectivity"] == want
+    assert results["lefschetz_powers"] == _perfbench("gen").lefschetz_powers(n)
+    assert report["warnings"] == ["star identity check skipped for n > 3 (cost)"]
 
 
 def _hermitian(n, r):
@@ -329,6 +357,7 @@ def test_space_rule_refuses_before_a_basis_is_built(capsys, monkeypatch, tmp_pat
         raise AssertionError("a basis was built before the space was checked")
 
     monkeypatch.setattr(lefschetz, "get_basis", refuse)
+    monkeypatch.setattr(sl2, "sign_table", refuse)
     if tree is not None:
         doc = tmp_path / "curvature.json"
         doc.write_text(json.dumps(tree))

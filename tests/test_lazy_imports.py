@@ -7,9 +7,11 @@ the document reader (``inputdoc``), and the expression parser
 the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
 bound evaluators (``bounds``, with the root isolation of ``roots``),
 ``diagonal`` (whose ``commutator_norm`` imports the certificate a
-curvature takes), the operator engine (``lefschetz``) or the self-check
-suite (``selfcheck``, ``fixtures``); the exact set of each is pinned here,
-and so is the hlab source each set compiles.
+curvature takes), the integer Kahler certificates of ``lefschetz-check``
+(``sl2``, with the sign rules of ``monomials``) or the self-check suite
+(``selfcheck``, ``fixtures``); only the last loads the operator engine
+(``lefschetz``).  The exact set of each is pinned here, and so is the hlab
+source each set compiles.
 No command loads ``dataclasses``, ``inspect``, ``argparse`` and the
 ``gettext`` and ``locale`` it pulls in, or OpenSSL's ``_hashlib``.
 The package still exports every name it did when it imported all of its
@@ -40,7 +42,7 @@ ENGINES = {
     f"hlab.{m}"
     for m in (
         "blocks", "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz",
-        "linebundle", "literals", "monomials", "qpoly", "ring", "roots",
+        "linebundle", "literals", "monomials", "qpoly", "ring", "roots", "sl2",
     )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
@@ -52,7 +54,8 @@ BOUNDARY = READER | {"hlab.exprparse"}
 HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
 BOUNDS = {"hlab.bounds", "hlab.roots"}
 DIAGONAL = FLAGS | {"hlab.diagonal"}
-OPERATOR = DIAGONAL | {"hlab.lefschetz", "hlab.gaussian", "hlab.monomials"}
+# lefschetz-check: the space rule is a flag rule, the certificates are integer ones
+SL2 = FLAGS | {"hlab.sl2", "hlab.monomials"}
 # a Hermitian document: the record and its Gaussian-rational entries; then
 # the eigenvalue path of a line bundle, or the blocks of rank r >= 2
 HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
@@ -159,13 +162,14 @@ def gammas_file(tmp_path_factory):
 # Diagonal curvature, from the flag or a document, and a refused space take
 # the closed form and the space rule, a Hermitian line bundle the
 # eigenvalues of theta, and Hermitian curvature of rank r >= 2 the bidegree
-# blocks read from theta (no operator engine, no bound evaluators); only the
-# lefschetz-check scans load the operator engine.
+# blocks read from theta (no operator engine, no bound evaluators).  The
+# lefschetz-check certificates are integer tables: no operator engine, no
+# Gaussian rationals and no diagonal closed form.
 OPERATOR_COMMANDS = [
     (("commutator", "--gammas", "1,2"), 0, DIAGONAL),
     (("commutator", "--input", "GAMMAS"), 0, DIAGONAL | {"hlab.inputdoc"}),
-    (("lefschetz-check", "--n", "7"), 2, DIAGONAL),
-    (("lefschetz-check", "--n", "2"), 0, OPERATOR),
+    (("lefschetz-check", "--n", "7"), 2, FLAGS),
+    (("lefschetz-check", "--n", "2"), 0, SL2),
     (("commutator", "--input", "HERMITIAN"), 0, RANK_R),
     (("commutator", "--input", "LINE"), 0, LINE_BUNDLE),
 ]
@@ -195,9 +199,11 @@ def test_commands_load_no_code_generation(cp2_file, argv):
 
 def test_operator_engine_imports_no_other_engine():
     # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly,
-    # and it loads neither the Hermitian record nor any norm certificate
+    # and it loads neither the Hermitian record nor any norm certificate; it
+    # takes the space rule from literals and re-exports three sl2 certificates
     assert _import_loads("import hlab.lefschetz") == {
-        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.monomials", "hlab.record"
+        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.literals", "hlab.monomials",
+        "hlab.record", "hlab.sl2",
     }
 
 
@@ -266,7 +272,7 @@ SOURCE_BYTES = [
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64389),
     ("commutator --gammas", DIAGONAL, 33467),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47291),
-    ("lefschetz-check", OPERATOR, 56763),
+    ("lefschetz-check", SL2, 37640),
     ("commutator --input HERMITIAN", RANK_R, 68640),
     ("commutator --input LINE", LINE_BUNDLE, 72642),
 ]
@@ -307,9 +313,8 @@ EXPORTS = {
     "hermitian": "HermitianCurvature",
     "lefschetz": (
         "CertificateError CommutatorNorm DiagonalCurvature ExteriorBasis FormVector "
-        "LefschetzPower Operator commutator_norm curvature_operator "
-        "diagonal_commutator_eigenvalues flatness_test get_basis injectivity_scan lefschetz_power "
-        "op_L op_Lambda op_star sl2_commutator_check"
+        "Operator commutator_norm curvature_operator "
+        "diagonal_commutator_eigenvalues flatness_test get_basis op_L op_Lambda op_star"
     ),
     "qpoly": "QPoly",
     "ring": (
@@ -317,6 +322,7 @@ EXPORTS = {
         "log power_sums_from_elementary todd_series"
     ),
     "roots": "isolate_real_roots",
+    "sl2": "LefschetzPower injectivity_scan lefschetz_power sl2_commutator_check",
 }
 EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names.split()]
 

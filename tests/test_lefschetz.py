@@ -13,12 +13,15 @@ from conftest import random_form
 import hlab.hermitian as hermitian
 import hlab.lefschetz as lefschetz
 import hlab.linebundle as linebundle
+import hlab.sl2 as sl2
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
 from hlab.fixtures import gamma_draws, generic_curvature, rotated_split_curvature
 from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
 from hlab.linebundle import line_bundle_norm
+from hlab.literals import check_space
+from hlab.monomials import i_power, mask, wedge_monomials
 from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
     DiagonalCurvature,
@@ -29,14 +32,11 @@ from hlab.lefschetz import (
     flatness_test,
     get_basis,
     identity_operator,
-    injectivity_scan,
-    lefschetz_power,
     op_L,
     op_Lambda,
     op_star,
-    check_space,
-    sl2_commutator_check,
 )
+from hlab.sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check
 
 F = Fraction
 
@@ -172,9 +172,12 @@ def test_adjointness_random_vectors(n, r):
 # -- Hodge star -------------------------------------------------------------------
 
 
-def test_star_of_one_is_volume():
-    from hlab.monomials import volume_phase
+def volume_phase(n):
+    """vol = omega^n/n! = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n."""
+    return i_power(n) * (-1) ** (n * (n - 1) // 2)
 
+
+def test_star_of_one_is_volume():
     for n in (1, 2, 3):
         basis = get_basis(n, 1)
         col = op_star(n, 1).cols[basis.index[((), (), 0)]]
@@ -188,8 +191,6 @@ def test_star_of_one_is_volume():
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (3, 1), (2, 2)])
 def test_star_defining_convention(n, r):
     # u ^ conj(star u) = <u, u> vol on every basis monomial
-    from hlab.monomials import conj_monomial, volume_phase, wedge_monomials
-
     basis = get_basis(n, r)
     star = op_star(n, r)
     vol = volume_phase(n)
@@ -197,8 +198,9 @@ def test_star_defining_convention(n, r):
         ((row, coeff),) = star.cols[idx].items()
         tJ, tK, ts = basis.monomials[row]
         assert ts == s
-        csign, wJ, wK = conj_monomial(tJ, tK)
-        w = wedge_monomials(J, K, wJ, wK)
+        # conj(xi_tJ ^ xibar_tK) = (-1)^{|tJ||tK|} xi_tK ^ xibar_tJ
+        csign = (-1) ** (len(tJ) * len(tK))
+        w = wedge_monomials(J, K, tK, tJ)
         assert w is not None
         sign, fullJ, fullK = w
         assert fullJ == fullK == tuple(range(1, n + 1))
@@ -315,24 +317,97 @@ def test_lefschetz_power_builds_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("lefschetz_power built a matrix")
 
-    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: True)
-    for name in ("op_L", "int_rank"):
-        monkeypatch.setattr(lefschetz, name, refuse)
-    for name in ("compose", "power"):
-        monkeypatch.setattr(lefschetz.Operator, name, refuse)
+    monkeypatch.setattr(sl2, "sl2_commutator_check", lambda n, r=1: True)
+    for name in ("sign_table", "star_table"):
+        monkeypatch.setattr(sl2, name, refuse)
     assert lefschetz_power(6, 1, 2).sigma_values == (F(24), F(120))
 
 
-def test_sl2_check_refuses_an_entry_off_the_bidegree_shift(monkeypatch):
+def _keys(n, r):
+    """The sl2 key of each engine basis index."""
+    return [mask(J) | mask(K) << n | s << 2 * n for J, K, s in get_basis(n, r).monomials]
+
+
+def _engine_verdicts(n, L, star):
+    """(sl(2), star conjugation) as the operator engine decides them for the
+    operators L and star: the bidegree shift and [Lambda, L] = (n-k) id, and
+    star* L star == L*."""
+    basis = get_basis(n, 1)
+    shifted = all(
+        basis.bidegree_of(row) == tuple(d + 1 for d in basis.bidegree_of(c)) for c, col in L.cols.items() for row in col
+    )
+    H = L.adjoint().commutator(L)
+    diagonal = all(
+        H.cols.get(idx, {}) == ({idx: CQ(m)} if (m := n - sum(basis.bidegree_of(idx))) else {})
+        for idx in range(basis.dim)
+    )
+    return shifted and diagonal, star.adjoint().compose(L).compose(star) == L.adjoint()
+
+
+def test_sl2_check_refuses_an_entry_off_the_bidegree_shift():
     # both proofs need L to map (p, q) into (p+1, q+1).  Conjugating L by the
     # swap xi_j <-> xibar_j on 1-forms keeps the degree, so [Lambda, L] is
     # still (n-k) id, but L now maps (0, 1) into (2, 1).
-    basis = get_basis(2, 1)
-    swap = {i: basis.index[(K, J, s)] if len(J) + len(K) == 1 else i for i, (J, K, s) in enumerate(basis.monomials)}
-    L = lefschetz.Operator(basis, {swap[c]: {swap[r]: v for r, v in col.items()} for c, col in op_L(2, 1).cols.items()})
-    monkeypatch.setattr(lefschetz, "op_L", lambda n, r=1: L)
-    monkeypatch.setattr(lefschetz, "op_Lambda", lambda n, r=1: L.adjoint())
-    assert not sl2_commutator_check.__wrapped__(2, 1)
+    def swap(c):
+        J, K = c & 3, c >> 2
+        return K | J << 2 if (J | K << 2).bit_count() == 1 else c
+
+    S = {swap(c): {swap(row): v for row, v in col.items()} for c, col in sl2.sign_table(2, 1).items()}
+    assert not sl2.sl2_certificate(2, S)
+    assert sl2.sl2_certificate(2, sl2.sign_table(2, 1))
+
+
+def test_sign_flips_are_refused_as_the_engine_refuses_them():
+    # flip each single sign of S at (3, 1) and the same entry of L = iS: the
+    # integer certificates and the engine give the same verdicts.  36 of the
+    # 48 flips break [Lambda, L] = (n-k) id; the other 12 are sign gauges
+    n = 3
+    index = {key: idx for idx, key in enumerate(_keys(n, 1))}
+    table, star = sl2.sign_table(n, 1), op_star(n, 1)
+    refused = 0
+    for c, col in table.items():
+        for row in col:
+            S = {c2: dict(col2) for c2, col2 in table.items()}
+            S[c][row] = -S[c][row]
+            L = lefschetz.Operator(
+                get_basis(n, 1), {index[c2]: {index[r2]: CQ_I * v for r2, v in col2.items()} for c2, col2 in S.items()}
+            )
+            verdicts = (sl2.sl2_certificate(n, S), sl2.star_certificate(S, sl2.star_table(n, 1))[1])
+            assert verdicts == _engine_verdicts(n, L, star), (c, row)
+            refused += not verdicts[0]
+    assert refused == 36
+
+
+def test_a_flipped_star_phase_fails_the_conjugation():
+    # negate the phase of one basis monomial's star at (2, 1): the star stays
+    # unitary, and star^{-1} L star == Lambda fails exactly when the engine
+    # says so; it fails for the star of 1, which is the volume form
+    n, keys = 2, _keys(2, 1)
+    S, table = sl2.sign_table(n, 1), sl2.star_table(n, 1)
+    assert sl2.star_certificate(S, table) == (True, True)
+    verdicts = {}
+    for idx, key in enumerate(keys):
+        flipped = {**table, key: (table[key][0], (table[key][1] + 2) % 4)}
+        star = op_star(n, 1)
+        star = lefschetz.Operator(star.basis, {**star.cols, idx: {r: -v for r, v in star.cols[idx].items()}})
+        unitary, conjugation = sl2.star_certificate(S, flipped)
+        assert unitary
+        assert conjugation == _engine_verdicts(n, op_L(n, 1), star)[1], key
+        verdicts[key] = conjugation
+    assert verdicts[0] is False
+
+
+def test_a_star_that_is_not_one_to_one_is_not_unitary():
+    # send the star of 1 to the image of the star of the volume form: the
+    # star is no longer unitary, for the integer certificate and the engine
+    n, keys = 2, _keys(2, 1)
+    one, vol = 0, (1 << 2 * n) - 1  # the keys of 1 and of xi_1 ^ xi_2 ^ xibar_1 ^ xibar_2
+    table = sl2.star_table(n, 1)
+    table[one] = table[vol]
+    star = op_star(n, 1)
+    star = lefschetz.Operator(star.basis, {**star.cols, keys.index(one): star.cols[keys.index(vol)]})
+    assert sl2.star_certificate(sl2.sign_table(n, 1), table)[0] is False
+    assert star.adjoint().compose(star) != identity_operator(get_basis(n, 1))
 
 
 # -- injectivity ------------------------------------------------------------------
@@ -361,7 +436,7 @@ def test_injectivity_certificate_matches_exact_ranks(n, r):
 
 
 def test_injectivity_certificate_needs_the_sl2_identity(monkeypatch):
-    monkeypatch.setattr(lefschetz, "sl2_commutator_check", lambda n, r=1: False)
+    monkeypatch.setattr(sl2, "sl2_commutator_check", lambda n, r=1: False)
     with pytest.raises(CertificateError):
         injectivity_scan(2, 1)
     with pytest.raises(CertificateError):

@@ -67,7 +67,7 @@ def test_verify_reports_injected_fault_under_optimize():
     proc = _verify(BROKEN_TODD_UNDER_O, "-O")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
-    assert "18/19 checks passed" in proc.stdout
+    assert "19/20 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_cp_document_hlab_fixture_prints():
@@ -75,14 +75,14 @@ def test_verify_checks_the_cp_document_hlab_fixture_prints():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  projective space genus suite" in proc.stdout
     assert "FAIL  hilbert polynomial consistency" in proc.stdout
-    assert "17/19 checks passed" in proc.stdout
+    assert "18/20 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_line_bundle_eigenvalue_path():
     proc = _verify(SHIFTED_EIGENVALUES)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  line-bundle norm: eigenvalues vs blocks" in proc.stdout
-    assert "18/19 checks passed" in proc.stdout
+    assert "19/20 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
