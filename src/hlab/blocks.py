@@ -8,19 +8,20 @@ T maps Lambda^{p,q} x C^r into itself.  On u = xi_J ^ xibar_K (x) e_s,
 
 with each r x r fiber matrix theta_jk acting on e_s.  J:k->j removes k from
 J and inserts j; the term is zero when k is not in J, or when j != k is.
-eps is (-1)^(position of k in J + insertion position of j in J minus k),
-and eps' the same within K alone: there is no sign across J and K.  So the
-block T_{p,q}, of dimension r C(n,p) C(n,q) in the basis order (J, K, s)
-of ``hlab.monomials.bidegree_monomials``, is built entry by entry
+With R = J minus k, eps = wedge_sign(k, R) wedge_sign(j, R): the sign that
+takes xi_k out of xi_J times the one that puts xi_j into xi_R.  eps' is the
+same within K alone: there is no sign across J and K.  So the block
+T_{p,q}, of dimension r C(n,p) C(n,q) in the basis order of
+``hlab.monomials.basis_keys``, is built entry by entry
 (:func:`commutator_block`) and no 4^n r-dimensional operator is.
 ``hlab verify`` holds every block against the operator engine's.
 
 The Hodge star maps Lambda^{p,q} onto Lambda^{n-q,n-p} by the monomial
-unitary S: (J, K, s) -> star_phase(J, K) (K^c, J^c, s) of
-``hlab.monomials``, and star^{-1} T star = -T, so T_{n-q,n-p} = -S T_{p,q} S*
-and the two blocks have the same norm.  Every run builds both blocks of a
-pair and checks that identity exactly, then certifies one norm for both; a
-block with p + q = n is its own partner, so its spectrum is symmetric.
+unitary S: c -> i^e sigma(c) of ``hlab.monomials.star_key``, and
+star^{-1} T star = -T, so T_{n-q,n-p} = -S T_{p,q} S* and the two blocks
+have the same norm.  Every run builds both blocks of a pair and checks that
+identity exactly, then certifies one norm for both; a block with p + q = n
+is its own partner, so its spectrum is symmetric.
 ``hlab.diagonal.commutator_norm`` sends a Hermitian curvature of rank
 r >= 2 here, and loads no operator engine for it.
 """
@@ -35,7 +36,7 @@ from . import hermitian
 from .diagonal import CommutatorNorm
 from .errors import CertificateError
 from .gaussian import CQ, CQ_ZERO
-from .monomials import bidegree_monomials, complement, star_phase
+from .monomials import basis_keys, i_power, star_key, wedge_sign
 from .record import Interval
 
 if TYPE_CHECKING:
@@ -74,65 +75,54 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
 
 def commutator_block(spec: HermitianCurvature, p: int, q: int) -> list[list[CQ]]:
     """The block T_{p,q} of [Lambda, iTheta(E)], row-major in the basis order
-    (J, K, s), from theta by the formula of the module docstring.  It must be
-    Hermitian, else CertificateError."""
+    of ``basis_keys``, from theta by the formula of the module docstring.  It
+    must be Hermitian, else CertificateError."""
     n, r, theta = spec.n, spec.r, spec.theta
-    rows = _rows(n, r, p, q)
-    size = len(rows) * r
+    keys = basis_keys(n, r, p, q)
+    rows = {c: i for i, c in enumerate(keys)}
+    size, full = len(keys), (1 << n) - 1
     block = [[CQ_ZERO] * size for _ in range(size)]
 
-    def add(J, K, col, mat, sign):
-        """Add sign mat[s'][s] at row (J, K, s'), column col + s."""
-        row = rows[(J, K)]
+    def add(c, col, mat, sign):
+        """Add sign mat[s'][s] at row (key c) + s', column col + s."""
+        row = rows[c]
         for a in range(r):
             line = block[row + a]
             for s, v in enumerate(mat[a]):
                 if v:
                     line[col + s] = line[col + s] + v if sign > 0 else line[col + s] - v
 
-    for (J, K), col in rows.items():
+    for col in range(0, size, r):
+        c = keys[col]
         for j in range(n):
-            add(J, K, col, theta[j][j], 1)
-        for k, j, sign, moved in _moves(n, J):  # xi_{J:k->j}
-            add(moved, K, col, theta[j - 1][k - 1], -sign)
-        for j, k, sign, moved in _moves(n, K):  # xibar_{K:j->k}
-            add(J, moved, col, theta[j - 1][k - 1], -sign)
+            add(c, col, theta[j][j], 1)
+        # xi_{J:k->j} at shift 0, with theta_jk; xibar_{K:k->j} at shift n, with theta_kj
+        for shift in (0, n):
+            part = c >> shift & full
+            for k in range(n):
+                if part >> k & 1:
+                    rest = part ^ 1 << k
+                    for j in range(n):
+                        if not rest >> j & 1:
+                            sign = wedge_sign(1 << k, 0, rest, 0) * wedge_sign(1 << j, 0, rest, 0)
+                            add(c ^ (1 << k ^ 1 << j) << shift, col, theta[j][k] if shift == 0 else theta[k][j], -sign)
     for i, line in enumerate(block):
         if any(line[j] != block[j][i].conj() for j in range(i, size)):
             raise CertificateError("[Lambda, iTheta] must be self-adjoint; convention bug")
     return block
 
 
-def _rows(n: int, r: int, p: int, q: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """The row of (J, K, 0) in T_{p,q} for each |J| = p, |K| = q, in the
-    basis order (J, K, s)."""
-    return {JK: i * r for i, JK in enumerate(bidegree_monomials(n, p, q))}
-
-
-def _moves(n: int, indices: tuple[int, ...]):
-    """(old, new, sign, moved) for each index ``old`` of ``indices`` and each
-    ``new`` in {1..n} that is ``old`` or not in ``indices``: ``moved`` is
-    ``indices`` with old replaced by new, sorted, and ``sign`` is
-    (-1)^(position of old + insertion position of new without old)."""
-    for at, old in enumerate(indices):
-        rest = indices[:at] + indices[at + 1 :]
-        for new in range(1, n + 1):
-            if new not in rest:
-                ins = sum(1 for x in rest if x < new)
-                yield old, new, -1 if (at + ins) % 2 else 1, rest[:ins] + (new,) + rest[ins:]
-
-
 def _check_star_pair(spec: HermitianCurvature, p: int, q: int, block, partner):
     """T_{n-q,n-p} = -S T_{p,q} S* exactly for the star's monomial unitary S
     (module docstring), else CertificateError."""
     n, r = spec.n, spec.r
-    targets = _rows(n, r, n - q, n - p)
+    targets = {c: i for i, c in enumerate(basis_keys(n, r, n - q, n - p))}
     # S sends index a of T_{p,q} to index image[a] of T_{n-q,n-p}, times phase[a]
     image, phase = [], []
-    for J, K in _rows(n, r, p, q):
-        row = targets[(complement(n, K), complement(n, J))]
-        image += range(row, row + r)
-        phase += [star_phase(n, J, K)] * r
+    for c in basis_keys(n, r, p, q):
+        t, e = star_key(n, c)
+        image.append(targets[t])
+        phase.append(i_power(e))
     for a, line in enumerate(block):
         target = partner[image[a]]
         for b, v in enumerate(line):

@@ -7,8 +7,9 @@ form omega = i sum_j xi_j ^ xibar_j, Lambda is its basis adjoint, and the
 Hodge star follows the convention  alpha ^ conj(star beta) = <alpha, beta> vol
 with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
-The signs and phases of monomials under wedge and star live in
-``hlab.monomials``, which the Hermitian block certificate reads too.
+A basis index is the integer key of ``hlab.monomials``, which holds the
+basis order and every sign and phase under wedge and star, for
+``hlab.sl2`` and the Hermitian blocks too.
 
 Only ``hlab verify`` runs this engine: it and the tests hold the faster
 certificates against it.  ``lefschetz-check`` certifies sl(2), the star
@@ -35,7 +36,7 @@ from .diagonal import CommutatorNorm, DiagonalCurvature  # noqa: F401 - Commutat
 from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
 from .literals import check_space
-from .monomials import bidegree_monomials, complement, star_phase, wedge_monomials
+from .monomials import basis_keys, bidegree, i_power, star_key, wedge_sign
 from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
@@ -43,28 +44,25 @@ if TYPE_CHECKING:
 
 
 class ExteriorBasis:
-    """Orthonormal monomial basis of Lambda^{*,*}(C^n) tensor C^r."""
+    """Orthonormal monomial basis of Lambda^{*,*}(C^n) tensor C^r.
+
+    A basis index is the key J | K << n | s << 2n of ``hlab.monomials``, so
+    dim = r 4^n and ``by_bidegree`` lists ``basis_keys``.  ``monomials[c]``
+    and ``index`` view each key as its index tuples (J, K, s)."""
 
     def __init__(self, n: int, r: int):
         check_space(n, r)
         self.n = n
         self.r = r
-        self.monomials: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        self.by_bidegree: dict[tuple[int, int], list[int]] = {}
-        for p in range(n + 1):
-            for q in range(n + 1):
-                block = []
-                for J, K in bidegree_monomials(n, p, q):
-                    for s in range(r):
-                        block.append(len(self.monomials))
-                        self.monomials.append((J, K, s))
-                self.by_bidegree[(p, q)] = block
-        self.index = {mon: i for i, mon in enumerate(self.monomials)}
-        self.dim = len(self.monomials)
+        self.dim = r << 2 * n
+        self.by_bidegree = {(p, q): basis_keys(n, r, p, q) for p in range(n + 1) for q in range(n + 1)}
+        subsets = [tuple(j + 1 for j in range(n) if m >> j & 1) for m in range(1 << n)]
+        full = (1 << n) - 1
+        self.monomials = [(subsets[c & full], subsets[c >> n & full], c >> 2 * n) for c in range(self.dim)]
+        self.index = {mon: c for c, mon in enumerate(self.monomials)}
 
     def bidegree_of(self, idx: int) -> tuple[int, int]:
-        J, K, _ = self.monomials[idx]
-        return len(J), len(K)
+        return bidegree(self.n, idx)
 
     def __eq__(self, other):
         return (
@@ -221,23 +219,24 @@ def identity_operator(basis: ExteriorBasis) -> Operator:
 
 def _wedge_operator(n: int, r: int, blocks) -> Operator:
     """Matrix of alpha -> i sum mat xi_j ^ xibar_k ^ alpha over the
-    (j, k, r x r fiber matrix) blocks, with exact reordering signs."""
-    basis = get_basis(n, r)
+    (j, k, r x r fiber matrix) blocks, j and k bit indices, with exact
+    reordering signs."""
+    basis, full = get_basis(n, r), (1 << n) - 1
     cols: dict[int, dict[int, CQ]] = {}
-    for c, (J, K, s) in enumerate(basis.monomials):
+    for c in range(basis.dim):
+        J, K, s = c & full, c >> n & full, c >> 2 * n
         col = cols[c] = {}
         for j, k, mat in blocks:
-            w = wedge_monomials((j,), (k,), J, K)
-            if w is None:
+            sign = wedge_sign(1 << j, 1 << k, J, K)
+            if not sign:
                 continue
-            sign, J2, K2 = w
             phase = CQ_I * sign
+            base = J | 1 << j | (K | 1 << k) << n
             for s2 in range(r):
                 v = mat[s2][s]
-                if not v:
-                    continue
-                tgt = basis.index[(J2, K2, s2)]
-                col[tgt] = col.get(tgt, CQ_ZERO) + phase * v
+                if v:
+                    tgt = base | s2 << 2 * n
+                    col[tgt] = col.get(tgt, CQ_ZERO) + phase * v
     return Operator(basis, cols)
 
 
@@ -245,7 +244,7 @@ def _wedge_operator(n: int, r: int, blocks) -> Operator:
 def op_L(n: int, r: int = 1) -> Operator:
     """Wedge with omega = i sum_j xi_j ^ xibar_j, with exact reordering signs."""
     eye = tuple(tuple(CQ_ONE if a == b else CQ_ZERO for b in range(r)) for a in range(r))
-    return _wedge_operator(n, r, [(j, j, eye) for j in range(1, n + 1)])
+    return _wedge_operator(n, r, [(j, j, eye) for j in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -256,13 +255,12 @@ def op_Lambda(n: int, r: int = 1) -> Operator:
 
 @lru_cache(maxsize=None)
 def op_star(n: int, r: int = 1) -> Operator:
-    """Hodge star fixed by  u ^ conj(star u) = <u, u> vol  on monomials
-    (its phases are ``hlab.monomials.star_phase``)."""
-    basis = get_basis(n, r)
-    cols = {
-        c: {basis.index[(complement(n, K), complement(n, J), s)]: star_phase(n, J, K)}
-        for c, (J, K, s) in enumerate(basis.monomials)
-    }
+    """Hodge star fixed by  u ^ conj(star u) = <u, u> vol  on monomials:
+    c -> i^e sigma(c) of ``hlab.monomials.star_key``."""
+    basis, cols = get_basis(n, r), {}
+    for c in range(basis.dim):
+        t, e = star_key(n, c)
+        cols[c] = {t: i_power(e)}
     return Operator(basis, cols)
 
 
@@ -273,8 +271,8 @@ def curvature_operator(spec: CurvatureSpec) -> Operator:
     """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action."""
     blocks = [
         (j, k, mat)
-        for j, line in enumerate(spec.theta, 1)
-        for k, mat in enumerate(line, 1)
+        for j, line in enumerate(spec.theta)
+        for k, mat in enumerate(line)
         if any(any(row) for row in mat)
     ]
     return _wedge_operator(spec.n, spec.r, blocks)

@@ -1,11 +1,13 @@
-"""The monomials xi_J ^ xibar_K of Lambda^{*,*}(C^n): their basis order, and
-their signs and phases under wedge and the Hodge star.
+"""The basis of Lambda^{*,*}(C^n) x C^r as integer keys, and the signs and
+phases of its monomials under wedge and the Hodge star.
 
-The rules are integer ones on bitmasks (index j is bit j - 1): the wedge
-sign is +-1 and the star's phase an exponent of i.  ``hlab.sl2`` certifies
-the Kahler identities from them alone.  The helpers on sorted index tuples
-wrap them in Gaussian rationals for the operator engine (``hlab.lefschetz``)
-and the Hermitian blocks (``hlab.blocks``); only they load ``hlab.gaussian``.
+A basis monomial xi_J ^ xibar_K (x) e_s is the key J | K << n | s << 2n,
+with J and K bitmasks (index j is bit j - 1), so the keys below r 4^n are
+the whole basis.  The wedge sign is +-1 and the star's phase an exponent of
+i.  The certificates of ``hlab.sl2``, the Hermitian blocks (``hlab.blocks``)
+and the operator engine (``hlab.lefschetz``) all index the basis by these
+keys and take every sign and phase from here; only :func:`i_power` loads
+``hlab.gaussian``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .gaussian import CQ
-
-
-def mask(J: tuple[int, ...]) -> int:
-    """The bitmask of an index tuple: bit j - 1 for each j in J."""
-    return sum(1 << (j - 1) for j in J)
 
 
 def _inversions(a: int, b: int) -> int:
@@ -41,49 +38,37 @@ def wedge_sign(J1: int, K1: int, J2: int, K2: int) -> int:
     return -1 if odd % 2 else 1
 
 
-def star_exponent(n: int, J: int, K: int) -> int:
-    """The e in 0..3 with star(xi_J ^ xibar_K) = i^e xi_{K^c} ^ xibar_{J^c}, on
-    bitmasks, fixed by  u ^ conj(star u) = <u, u> vol  on monomials.
+def bidegree(n: int, c: int) -> tuple[int, int]:
+    """The bidegree (|J|, |K|) of the basis key c."""
+    full = (1 << n) - 1
+    return (c & full).bit_count(), (c >> n & full).bit_count()
+
+
+def basis_keys(n: int, r: int, p: int, q: int) -> list[int]:
+    """The keys of bidegree (p, q), in the basis order: J, then K, each as a
+    sorted index tuple in lexicographic order, then s."""
+    masks = [[sum(1 << j for j in J) for J in combinations(range(n), k)] for k in (p, q)]
+    return [J | K << n | s << 2 * n for J in masks[0] for K in masks[1] for s in range(r)]
+
+
+def star_key(n: int, c: int) -> tuple[int, int]:
+    """(sigma(c), e) with star c = i^e sigma(c): the star sends
+    xi_J ^ xibar_K (x) e_s to i^e xi_{K^c} ^ xibar_{J^c} (x) e_s, with e in
+    0..3 fixed by  u ^ conj(star u) = <u, u> vol  on monomials.
 
     vol = omega^n/n! = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n, and
     conj(xi_{K^c} ^ xibar_{J^c}) = (-1)^{|J^c||K^c|} xi_{J^c} ^ xibar_{K^c},
     whose wedge with xi_J ^ xibar_K is a sign times the top cell: the phase
     is i^{-n} times the three signs.
     """
-    Jc, Kc = J ^ ((1 << n) - 1), K ^ ((1 << n) - 1)
+    full = (1 << n) - 1
+    J, K = c & full, c >> n & full
+    Jc, Kc = J ^ full, K ^ full
     odd = n * (n - 1) // 2 + Jc.bit_count() * Kc.bit_count() + (wedge_sign(J, K, Jc, Kc) < 0)
-    return (2 * odd - n) % 4
+    return Kc | Jc << n | c >> 2 * n << 2 * n, (2 * odd - n) % 4
 
 
 def i_power(k: int) -> CQ:
     from .gaussian import CQ
 
     return CQ(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4])
-
-
-def wedge_monomials(
-    J1: tuple[int, ...], K1: tuple[int, ...], J2: tuple[int, ...], K2: tuple[int, ...]
-):
-    """(xi_J1 ^ xibar_K1) ^ (xi_J2 ^ xibar_K2) -> (sign, J, K) or None."""
-    sign = wedge_sign(mask(J1), mask(K1), mask(J2), mask(K2))
-    if not sign:
-        return None
-    return sign, tuple(sorted(J1 + J2)), tuple(sorted(K1 + K2))
-
-
-def bidegree_monomials(n: int, p: int, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (J, K) of the monomials xi_J ^ xibar_K of bidegree (p, q), in the
-    basis order: J, then K, each lexicographic."""
-    full = range(1, n + 1)
-    return [(J, K) for J in combinations(full, p) for K in combinations(full, q)]
-
-
-def complement(n: int, J: tuple[int, ...]) -> tuple[int, ...]:
-    """{1..n} minus J, sorted."""
-    return tuple(j for j in range(1, n + 1) if j not in J)
-
-
-def star_phase(n: int, J: tuple[int, ...], K: tuple[int, ...]) -> CQ:
-    """The unit c with star(xi_J ^ xibar_K) = c xi_{K^c} ^ xibar_{J^c}: i to
-    the :func:`star_exponent`."""
-    return i_power(star_exponent(n, mask(J), mask(K)))

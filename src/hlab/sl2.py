@@ -1,13 +1,12 @@
 """The pointwise Kahler identities of ``lefschetz-check``, over the integers.
 
-A basis monomial xi_J ^ xibar_K (x) e_s of Lambda^{*,*}(C^n) (x) C^r is the
-key J | K << n | s << 2n, with J and K bitmasks (``hlab.monomials``), and
-the keys below r 4^n are the whole basis.  L = iS for the integer sign
-table S of :func:`sign_table`, so Lambda = L* = -i S^T and
+The basis of Lambda^{*,*}(C^n) (x) C^r is indexed by the integer keys of
+``hlab.monomials``.  L = iS for the integer sign table S of
+:func:`sign_table`, so Lambda = L* = -i S^T and
 [Lambda, L] = S^T S - S S^T, checked over Z.  The star is the permutation
-sigma of :func:`star_table` with phases i^e.  The signs and exponents come
-from ``hlab.monomials``; ``hlab verify`` holds both tables against the
-operators ``hlab.lefschetz`` builds.
+sigma of :func:`star_table` with phases i^e, read off
+``monomials.star_key``.  ``hlab verify`` holds S against the operator L
+that ``hlab.lefschetz`` builds.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from math import factorial
 
 from .errors import CertificateError
 from .literals import check_space
-from .monomials import star_exponent, wedge_sign
+from .monomials import bidegree, star_key, wedge_sign
 from .record import Interval, Record
 
 
@@ -39,16 +38,7 @@ def sign_table(n: int, r: int) -> dict[int, dict[int, int]]:
 def star_table(n: int, r: int) -> dict[int, tuple[int, int]]:
     """star c = i^e sigma(c): each basis key c to (sigma(c), e)."""
     check_space(n, r)
-    full, table = (1 << n) - 1, {}
-    for c in range(r << 2 * n):
-        J, K, fiber = c & full, c >> n & full, c >> 2 * n << 2 * n
-        table[c] = ((K ^ full) | (J ^ full) << n | fiber, star_exponent(n, J, K))
-    return table
-
-
-def _bidegree(n: int, c: int) -> tuple[int, int]:
-    full = (1 << n) - 1
-    return (c & full).bit_count(), (c >> n & full).bit_count()
+    return {c: star_key(n, c) for c in range(r << 2 * n)}
 
 
 def _rows(S: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -65,8 +55,8 @@ def sl2_certificate(n: int, S: dict[int, dict[int, int]]) -> bool:
     [Lambda, L] = S^T S - S S^T is (n-k) id on every k-form, exactly, for a
     sign table S over the whole basis."""
     for c, col in S.items():
-        p, q = _bidegree(n, c)
-        if any(_bidegree(n, row) != (p + 1, q + 1) for row in col):
+        p, q = bidegree(n, c)
+        if any(bidegree(n, row) != (p + 1, q + 1) for row in col):
             return False
     rows = _rows(S)
     for c, col in S.items():
@@ -77,7 +67,7 @@ def sl2_certificate(n: int, S: dict[int, dict[int, int]]) -> bool:
         for c2, v in rows.get(c, {}).items():
             for row, w in S[c2].items():
                 acc[row] = acc.get(row, 0) - v * w
-        m = n - sum(_bidegree(n, c))
+        m = n - sum(bidegree(n, c))
         if {key: v for key, v in acc.items() if v} != ({c: m} if m else {}):
             return False
     return True

@@ -272,8 +272,8 @@ SOURCE_BYTES = [
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64389),
     ("commutator --gammas", DIAGONAL, 33467),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47291),
-    ("lefschetz-check", SL2, 37640),
-    ("commutator --input HERMITIAN", RANK_R, 68640),
+    ("lefschetz-check", SL2, 36761),
+    ("commutator --input HERMITIAN", RANK_R, 67644),
     ("commutator --input LINE", LINE_BUNDLE, 72642),
 ]
 
