@@ -6,6 +6,13 @@ One command table (``build_parser``) gives each subcommand its handler,
 help line, typed flags and positionals.  A flag is spelled in full, at most
 once, as ``--flag value`` or ``--flag=value``; ``--help`` lists them.
 
+Every command with ``--output`` reports through one path: its handler
+returns its inputs and an ordered dict of results, and ``main`` runs it under
+one warning capture and builds the :class:`Reporter`.  A report holds the
+command (with the ``--which`` choice of ``bounds``), the sha256 of its
+inputs, the results and every Python warning the command raised, in the
+order raised.  ``verify`` and ``fixture`` print their own output.
+
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
 fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
@@ -34,9 +41,9 @@ CERTIFICATE_ERROR = 3
 
 
 class Reporter:
-    """Collects results and warnings; renders text or machine output."""
+    """A command's results and warnings, rendered as text or machine output."""
 
-    def __init__(self, command: str, inputs, output: str, warnings=()):
+    def __init__(self, command: str, inputs, output: str, warnings):
         self.command = command
         self.inputs_digest = digest(inputs)
         self.output = output
@@ -52,9 +59,6 @@ class Reporter:
                 "too long to print: the document's coefficients are too large"
             ) from None
 
-    def warn(self, message: str):
-        self.warnings.append(message)
-
     def emit(self):
         if self.output == "machine":
             report = {
@@ -69,7 +73,13 @@ class Reporter:
         print(f"# inputs sha256: {self.inputs_digest}")
         for message in self.warnings:
             print(f"warning: {message}")
-        _print_tree(self.results)
+        for key, value in self.results.items():  # a value, or a table of flat rows
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                print(f"{key}:")
+                for row in value:
+                    print("  " + "  ".join(f"{k}={_flat_str(v)}" for k, v in row.items()))
+            else:
+                print(f"{key} = {_flat_str(value)}")
 
 
 def _plain(value):
@@ -94,32 +104,6 @@ def _plain(value):
     return str(value)
 
 
-def _print_tree(tree, indent=0):
-    pad = "  " * indent
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                print(f"{pad}{key}:")
-                _print_tree(value, indent + 1)
-            else:
-                print(f"{pad}{key} = {_flat_str(value)}")
-    elif isinstance(tree, list):
-        for value in tree:
-            if isinstance(value, dict) and all(
-                not isinstance(v, (dict, list)) or _is_flat(v) for v in value.values()
-            ):
-                row = "  ".join(f"{k}={_flat_str(v)}" for k, v in value.items())
-                print(f"{pad}{row}")
-            elif isinstance(value, (dict, list)):
-                _print_tree(value, indent)
-            else:
-                print(f"{pad}{_flat_str(value)}")
-
-
-def _is_flat(value):
-    return isinstance(value, list) and all(not isinstance(v, (dict, list)) for v in value)
-
-
 def _flat_str(value):
     if isinstance(value, list):
         return "[" + ", ".join(str(v) for v in value) + "]"
@@ -135,6 +119,7 @@ def _doc_from_args(args):
 
 
 # -- subcommands -----------------------------------------------------------------
+# A reporting handler returns (inputs, results); main builds the report.
 
 
 def cmd_genus(args):
@@ -143,14 +128,13 @@ def cmd_genus(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or genus.BundleData.trivial()
-    rep = Reporter("genus", doc.raw, args.output, doc.load_warnings)
-    rep.add("td", genus.todd_class(x))
-    rep.add("ch", genus.chern_character(e, x.spec, x.n))
-    chi = genus.chi_y(x, e)
-    rep.add("chi_p", list(chi.padded(x.n + 1)))
-    rep.add("chi_y", chi)
-    rep.add("euler_characteristic", chi(-1))
-    rep.emit()
+    return doc.raw, {
+        "td": genus.todd_class(x),
+        "ch": genus.chern_character(e, x.spec, x.n),
+        "chi_p": list((chi := genus.chi_y(x, e)).padded(x.n + 1)),
+        "chi_y": chi,
+        "euler_characteristic": chi(-1),
+    }
 
 
 def cmd_kcoeffs(args):
@@ -159,13 +143,11 @@ def cmd_kcoeffs(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or genus.BundleData.trivial()
-    rep = Reporter("kcoeffs", doc.raw, args.output, doc.load_warnings)
     ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
-    rep.add("K", ks)
-    rep.add("k1_closed_form_matches", genus.k1_formula_check(x, e, ks))
+    results = {"K": ks, "k1_closed_form_matches": genus.k1_formula_check(x, e, ks)}
     if x.n == 2:
-        rep.add("k2_surface_form_matches", genus.k2_surface_formula_check(x, e, ks))
-    rep.emit()
+        results["k2_surface_form_matches"] = genus.k2_surface_formula_check(x, e, ks)
+    return doc.raw, results
 
 
 def cmd_hilbert(args):
@@ -174,12 +156,8 @@ def cmd_hilbert(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     line = doc.require("line_bundle")
-    rep = Reporter("hilbert", doc.raw, args.output, doc.load_warnings)
     P = genus.hilbert_polynomial(x, line, in_range(args.p, x.n, "--p"))
-    rep.add("p", args.p)
-    rep.add("polynomial", P)
-    rep.add("coefficients", list(P.padded(x.n + 1)))
-    rep.emit()
+    return doc.raw, {"p": args.p, "polynomial": P, "coefficients": list(P.padded(x.n + 1))}
 
 
 def cmd_ineq(args):
@@ -188,15 +166,13 @@ def cmd_ineq(args):
     doc = _doc_from_args(args)
     x = doc.require("manifold")
     e = doc.bundle or genus.BundleData.trivial()
-    rep = Reporter("ineq", doc.raw, args.output, doc.load_warnings)
     js = [in_range(args.j, x.n, "--j")] if args.j is not None else list(range(x.n + 1))
     ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
     rows = []
     for j in js:
         holds, lhs, rhs = genus.chern_inequality_check(ks, j)
         rows.append({"j": j, "lhs": lhs, "rhs": rhs, "holds": holds})
-    rep.add("inequalities", rows)
-    rep.emit()
+    return doc.raw, {"inequalities": rows}
 
 
 def cmd_commutator(args):
@@ -205,19 +181,16 @@ def cmd_commutator(args):
     if args.gammas is not None:
         if args.input:
             raise DocumentError("--gammas and --input both give a curvature: give one")
-        spec = parse_gammas(args.gammas.split(","), "--gammas")
-        rep = Reporter("commutator", {"gammas": args.gammas}, args.output)
+        inputs, spec = {"gammas": args.gammas}, parse_gammas(args.gammas.split(","), "--gammas")
     else:
         doc = _doc_from_args(args)
-        spec = doc.require("curvature")
-        rep = Reporter("commutator", doc.raw, args.output, doc.load_warnings)
+        inputs, spec = doc.raw, doc.require("curvature")
     norm = commutator_norm(spec)
-    rep.add("C", norm.value)
-    rep.add("exact", norm.exact)
-    rep.add("C_pq", [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())])
+    table = [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())]
+    results = {"C": norm.value, "exact": norm.exact, "C_pq": table}
     if isinstance(spec, DiagonalCurvature):
-        rep.add("flat", flatness_test(spec))
-    rep.emit()
+        results["flat"] = flatness_test(spec)
+    return inputs, results
 
 
 def cmd_lefschetz_check(args):
@@ -228,20 +201,17 @@ def cmd_lefschetz_check(args):
         raise DocumentError(f"--n {n} --r {r}: {exc}") from None
     from . import sl2
 
-    rep = Reporter("lefschetz-check", {"n": n, "r": r}, args.output)
-    rep.add("sl2_commutator", sl2.sl2_commutator_check(n, r))
+    results = {"sl2_commutator": sl2.sl2_commutator_check(n, r)}
     if n <= 3:
-        unitary, conjugation = sl2.star_identities(n, r)
-        rep.add("star_unitary", unitary)
-        rep.add("star_conjugation_gives_lambda", conjugation)
+        results["star_unitary"], results["star_conjugation_gives_lambda"] = sl2.star_identities(n, r)
     else:
-        rep.warn("star identity check skipped for n > 3 (cost)")
+        warnings.warn("star identity check skipped for n > 3 (cost)")
     scan = sorted(sl2.injectivity_scan(n, r).items())
-    rep.add("injectivity", [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan])
+    results["injectivity"] = [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan]
     powers = [sl2.lefschetz_power(n, r, k) for k in range(n + 1)]
     keys = ("k", "bijective", "sigma_min", "sigma_max")
-    rep.add("lefschetz_powers", [{key: getattr(lp, key) for key in keys} for lp in powers])
-    rep.emit()
+    results["lefschetz_powers"] = [{key: getattr(lp, key) for key in keys} for lp in powers]
+    return {"n": n, "r": r}, results
 
 
 def cmd_bounds(args):
@@ -250,43 +220,29 @@ def cmd_bounds(args):
     from .bounds import bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
 
     doc = _doc_from_args(args)
-    which = args.which
-    rep = Reporter(f"bounds {which}", doc.raw, args.output, doc.load_warnings)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        b = doc.bounds_input()
-        p = doc.bounds_p
-        if which == "t4":
-            rep.add("bound_T4", bound_T4(b))
-        elif which == "t2":
-            rep.add("c1sq_L", c1sq := doc.bound("c1sq_L"))
-            rep.add("bound_T2", bound_T2(b, c1sq))
-        elif which == "t5":
-            a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
-            rr = root_report(doc.bound("hilbert"), chi_p[p])
-            rep.add("m_p", rr.m_p)
-            rep.add("bound_T5", bound_T5(b, a_n, rr.m_p))
-        elif which == "c1":
-            a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
-            rr = root_report(doc.bound("hilbert"), chi_p[p])
-            rep.add("C_plus", rr.c_plus)
-            rep.add("C_minus", rr.c_minus)
-            rep.add("bound_C1_plus", bound_C1(b, a_n, rr.c_plus))
-            rep.add("bound_C1_minus", bound_C1(b, a_n, rr.c_minus))
-        elif which == "etheta":
-            chi = Fraction(doc.bound("chi"))
-            lower, upper = e_theta_interval(b, int(chi))
-            rep.add("chi", chi)
-            rep.add("E_theta_lower_enclosure", lower)
-            rep.add("E_theta_upper_enclosure", upper)
-        elif which == "t4chain":
-            chi_p = doc.bound("chi_p")
-            report = t4_chain(b, doc.bound("hilbert"), chi_p[p], p)
-            for key in ("p", "N", "m_tilde", "delta", "branch", "bound"):
-                rep.add(key, getattr(report, key))
-        for w in caught:
-            rep.warn(str(w.message))
-    rep.emit()
+    which, b, p = args.which, doc.bounds_input(), doc.bounds_p
+    if which == "t4":
+        results = {"bound_T4": bound_T4(b)}
+    elif which == "t2":
+        c1sq = doc.bound("c1sq_L")
+        results = {"c1sq_L": c1sq, "bound_T2": bound_T2(b, c1sq)}
+    elif which in ("t5", "c1"):
+        a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
+        rr = root_report(doc.bound("hilbert"), chi_p[p])
+        if which == "t5":
+            results = {"m_p": rr.m_p, "bound_T5": bound_T5(b, a_n, rr.m_p)}
+        else:
+            plus, minus = bound_C1(b, a_n, rr.c_plus), bound_C1(b, a_n, rr.c_minus)
+            results = {"C_plus": rr.c_plus, "C_minus": rr.c_minus, "bound_C1_plus": plus, "bound_C1_minus": minus}
+    elif which == "etheta":
+        chi = Fraction(doc.bound("chi"))
+        lower, upper = e_theta_interval(b, int(chi))
+        results = {"chi": chi, "E_theta_lower_enclosure": lower, "E_theta_upper_enclosure": upper}
+    else:  # t4chain
+        chi_p = doc.bound("chi_p")
+        report = t4_chain(b, doc.bound("hilbert"), chi_p[p], p)
+        results = {key: getattr(report, key) for key in ("p", "N", "m_tilde", "delta", "branch", "bound")}
+    return doc.raw, results
 
 
 def cmd_verify(args):
@@ -398,7 +354,7 @@ def _parse(table: dict, argv: list):
         raise DocumentError(f"{positionals[len(words)][0]} is missing: {usage}")
     for (pos, kind), word in zip(positionals, words):
         values[pos] = _value(pos, kind, word)
-    return SimpleNamespace(fn=fn, **{key.lstrip("-").lower(): v for key, v in values.items()})
+    return SimpleNamespace(fn=fn, command=name, **{key.lstrip("-").lower(): v for key, v in values.items()})
 
 
 def _help(table: dict, name=None) -> str:
@@ -422,8 +378,17 @@ def main(argv=None) -> int:
         if isinstance(args, str):  # the help text
             print(args)
             return 0
-        code = args.fn(args)
-        return 0 if code is None else code
+        if "output" not in vars(args):  # verify and fixture print their own output
+            return args.fn(args) or 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            inputs, results = args.fn(args)
+        command = f"bounds {args.which}" if args.command == "bounds" else args.command
+        rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
+        for key, value in results.items():
+            rep.add(key, value)
+        rep.emit()
+        return 0
     except (DocumentError, ExprError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -9,14 +9,15 @@ so no float ever enters the pipeline.  Those literal rules live in
 ``hlab.literals``, shared with the command-line flags; the expression parser
 (``exprparse``) and each section's engine load only where a section needs
 them.  :meth:`InputDocument.bound` alone decides where each bound input
-comes from.
+comes from.  An expression truncated at the ring's dimension emits the
+parser's ``TruncationWarning`` to the caller as an ordinary Python warning;
+the command line records it in the report.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import warnings
 from math import comb
 from reprlib import repr as _show
 from typing import TYPE_CHECKING, Any, Optional
@@ -109,7 +110,6 @@ class InputDocument:
         self.line_bundle: Optional[BundleData] = None
         self.curvature: Optional[CurvatureSpec] = None
         self.bounds: Optional[dict[str, Any]] = None
-        self.load_warnings: list[str] = []
 
     def require(self, name: str):
         value = getattr(self, name)
@@ -172,14 +172,6 @@ class InputDocument:
 
 def load_document(tree: dict) -> InputDocument:
     doc = InputDocument(raw=_object(tree, "the input document", _SECTIONS))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _read_sections(doc, tree)
-    doc.load_warnings = [str(w.message) for w in caught]
-    return doc
-
-
-def _read_sections(doc: InputDocument, tree: dict):
     for key in ("fundamental_class", "manifold", "bundle", "line_bundle"):
         if key in tree and "ring" not in tree:
             raise DocumentError(f"{key} needs a ring section")
@@ -221,6 +213,7 @@ def _read_sections(doc: InputDocument, tree: dict):
     if "bounds" in tree:
         node = _object(tree["bounds"], "bounds", tuple(_BOUNDS_READERS))
         doc.bounds = {key: read(node[key], f"bounds.{key}") for key, read in _BOUNDS_READERS.items() if key in node}
+    return doc
 
 
 def _ring(node: dict) -> RingSpec:

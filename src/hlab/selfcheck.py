@@ -55,7 +55,7 @@ def run_all() -> list[tuple[str, bool, str]]:
     check("lemma44_search window and bound", _check_lemma44)
     check("root isolation", _check_roots)
     check("bound evaluator fixtures", _check_bound_fixtures)
-    check("lefschetz-check certificates vs operator engine", _check_certificate_tables)
+    check("lefschetz-check sign table vs operator engine L", _check_certificate_tables)
     return results
 
 
@@ -263,9 +263,10 @@ def _check_injectivity():
 
 
 def _check_certificate_tables():
-    """The sign table ``lefschetz-check`` certifies against the engine's L,
-    entry for entry: L = iS (``sl2.sign_table``), for n <= 3 and r <= 3.
-    Both index the basis by the keys of ``hlab.monomials``."""
+    """The sign table S of ``lefschetz-check`` (``sl2.sign_table``) against
+    the operator engine's L, entry for entry: L = iS, for n <= 3 and r <= 3.
+    Both index the basis by the keys of ``hlab.monomials``; the star map is
+    shared (``monomials.star_key``), so only the sign table is compared."""
     for n in (1, 2, 3):
         for r in (1, 2, 3):
             L = {c: {row: lefschetz.CQ_I * v for row, v in col.items()} for c, col in sl2.sign_table(n, r).items() if col}

@@ -278,6 +278,30 @@ def test_hilbert_p_out_of_range(capsys, cp2_file):
     assert err.startswith("input error: --p = 5")
 
 
+def test_truncation_warning_reaches_the_report(capsys, tmp_path):
+    tree = cp_fixture(2)
+    tree["manifold"]["chern"]["c1"] = "3*h + h^3"
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run(capsys, "genus", "--input", str(path), "--output", "machine")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["warnings"] == ["terms of weight above 2 truncated in '3*h + h^3'"]
+
+
+@pytest.mark.parametrize("which,count", [("t5", 1), ("c1", 2)])
+def test_bound_warnings_reach_the_report_once_per_evaluation(capsys, tmp_path, which, count):
+    # a_n = 0: each bound evaluation warns that the Hilbert polynomial degenerates
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"bounds": {
+        "n": 2, "K": "100", "C": "2", "c_n": "1/10", "a_n": "0", "p": 0, "chi_p": ["1", "-1", "1"],
+        "hilbert": {"0": ["1", "3/2", "1/2"]},
+    }}))
+    code, out, err = run(capsys, "bounds", "--which", which, "--input", str(path), "--output", "machine")
+    assert (code, err) == (0, "")
+    warned = json.loads(out)["warnings"]
+    assert len(warned) == count and all(w.startswith("a_n = 0: Hilbert polynomial degenerates") for w in warned)
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

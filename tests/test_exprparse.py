@@ -196,16 +196,13 @@ def test_parse_builds_no_second_ring(spec, monkeypatch):
     assert built == []
 
 
-def test_load_warnings_surface_on_document():
-    from hlab.inputdoc import load_document
-
-    tree = {
-        "ring": {"generators": [{"name": "h", "weight": 1}], "dimension": 2},
-        "manifold": {"chern": {"c1": "3*h", "c2": "(1+h)^3 - 1 - 3*h"}},
-        "fundamental_class": {"h^2": "1"},
-    }
-    doc = load_document(tree)
-    assert any("truncated" in w for w in doc.load_warnings)
+def test_load_document_raises_the_truncation_warning():
+    # load_document records nothing: the warning reaches its caller
+    tree = cp_fixture(2)
+    tree["manifold"]["chern"]["c1"] = "3*h + h^3"
+    with pytest.warns(TruncationWarning, match=r"terms of weight above 2 truncated in '3\*h \+ h\^3'"):
+        doc = load_document(tree)
+    assert str(doc.manifold.chern[0]) == "3*h"
 
 
 def test_parse_rational():

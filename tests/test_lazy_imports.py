@@ -265,16 +265,16 @@ def test_digest_takes_sha256_from_either_stdlib_layout(layout):
 # The hlab source, in bytes, that each pinned module set compiles: a change
 # may make a command compile less, never more, without raising its pin here.
 SOURCE_BYTES = [
-    ("import hlab.cli", FLAGS, 26859),
-    ("fixture", READER, 40683),
-    ("genus kcoeffs hilbert ineq", HRR, 85932),
-    ("bounds", HRR | BOUNDS, 102564),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 64389),
-    ("commutator --gammas", DIAGONAL, 33467),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 47291),
-    ("lefschetz-check", SL2, 36761),
-    ("commutator --input HERMITIAN", RANK_R, 67644),
-    ("commutator --input LINE", LINE_BUNDLE, 72642),
+    ("import hlab.cli", FLAGS, 26139),
+    ("fixture", READER, 39840),
+    ("genus kcoeffs hilbert ineq", HRR, 85089),
+    ("bounds", HRR | BOUNDS, 101721),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 63546),
+    ("commutator --gammas", DIAGONAL, 32183),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45884),
+    ("lefschetz-check", SL2, 36068),
+    ("commutator --input HERMITIAN", RANK_R, 66828),
+    ("commutator --input LINE", LINE_BUNDLE, 71287),
 ]
 
 

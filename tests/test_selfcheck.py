@@ -67,6 +67,7 @@ def test_verify_reports_injected_fault_under_optimize():
     proc = _verify(BROKEN_TODD_UNDER_O, "-O")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
+    assert "PASS  lefschetz-check sign table vs operator engine L" in proc.stdout
     assert "19/20 checks passed" in proc.stdout
 
 
