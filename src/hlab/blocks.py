@@ -29,7 +29,7 @@ r >= 2 here, and loads no operator engine for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from . import hermitian
@@ -49,12 +49,11 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
 
     Each ||T|| gets a certified rational enclosure of width at most
     HERMITIAN_WIDTH: ||T|| < h holds exactly when h I - T and h I + T are
-    both positive definite, which Sylvester's criterion decides from the
-    leading principal minors (fraction-free Bareiss elimination over the
-    Gaussian integers).  A float eigenvalue guess only proposes the two
-    ends; exact bisection takes over where a proposal is refuted
-    (:func:`_hermitian_norm_enclosure`).  The star pairs blocks (module
-    docstring): one enclosure serves both blocks of a pair.
+    both positive definite, which ``hermitian.inertia_signs`` decides.  A
+    float eigenvalue guess only proposes the two ends; exact bisection takes
+    over where a proposal is refuted (:func:`_hermitian_norm_enclosure`).
+    The star pairs blocks (module docstring): one enclosure serves both
+    blocks of a pair.
     """
     n = spec.n
     found: dict[tuple[int, int], Interval] = {}
@@ -75,8 +74,7 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
 
 def commutator_block(spec: HermitianCurvature, p: int, q: int) -> list[list[CQ]]:
     """The block T_{p,q} of [Lambda, iTheta(E)], row-major in the basis order
-    of ``basis_keys``, from theta by the formula of the module docstring.  It
-    must be Hermitian, else CertificateError."""
+    of ``basis_keys``, from theta by the formula of the module docstring."""
     n, r, theta = spec.n, spec.r, spec.theta
     keys = basis_keys(n, r, p, q)
     rows = {c: i for i, c in enumerate(keys)}
@@ -106,9 +104,6 @@ def commutator_block(spec: HermitianCurvature, p: int, q: int) -> list[list[CQ]]
                         if not rest >> j & 1:
                             sign = wedge_sign(1 << k, 0, rest, 0) * wedge_sign(1 << j, 0, rest, 0)
                             add(c ^ (1 << k ^ 1 << j) << shift, col, theta[j][k] if shift == 0 else theta[k][j], -sign)
-    for i, line in enumerate(block):
-        if any(line[j] != block[j][i].conj() for j in range(i, size)):
-            raise CertificateError("[Lambda, iTheta] must be self-adjoint; convention bug")
     return block
 
 
@@ -140,34 +135,20 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction, symmetric: b
     the bracket from the other side.  A caller that has proved the spectrum
     ``symmetric`` (-T similar to T) gets one definiteness test per end.
     """
-    if all(not v for row in block for v in row):
-        return Interval(Fraction(0), Fraction(0))
-    # T = (re + i im) / scale with Gaussian-integer entries
-    scale = lcm(*(v.d for row in block for v in row))
-    re = [[v.a * (scale // v.d) for v in row] for row in block]
-    im = [[v.b * (scale // v.d) for v in row] for row in block]
+    scale, re, im = parts = hermitian.integer_parts(block)  # certifies T Hermitian
     lo = Fraction(0)
     hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
+    if not hi:  # the zero block
+        return Interval(lo, hi)
     guess = max(hermitian._float_eigenvalues(block), key=abs)
     # the extreme eigenvalue's sign says which of h I -/+ T fails first; with
     # a symmetric spectrum h I - T is positive definite iff h I + T is
     signs = (1,) if symmetric else (-1, 1) if guess < 0 else (1, -1)
 
     def below(h: Fraction) -> bool:
-        """Exactly whether ||T|| < h, i.e. h I - s T is positive definite
-        for s = +1 and s = -1, each tested as the Gaussian-integer matrix
-        den(h) scale (h I - s T); stops at the first sign that fails."""
-        a, b = h.numerator * scale, h.denominator
-        return all(
-            _positive_definite(
-                [
-                    [(a if i == j else 0) - s * b * x for j, x in enumerate(row)]
-                    for i, row in enumerate(re)
-                ],
-                [[-s * b * x for x in row] for row in im],
-            )
-            for s in signs
-        )
+        """Exactly whether ||T|| < h: h I - s T is positive definite for
+        s = +1 and -1; stops at the first failing pivot."""
+        return all(sign > 0 for s in signs for sign in hermitian.inertia_signs(parts, h, s))
 
     if isfinite(guess):
         step = tol / 4
@@ -185,34 +166,3 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction, symmetric: b
         else:
             lo = mid
     return Interval(lo, hi)
-
-
-def _positive_definite(re: list[list[int]], im: list[list[int]]) -> bool:
-    """Sylvester's criterion for the Hermitian Gaussian-integer matrix re + i im.
-
-    Fraction-free Bareiss elimination without pivoting: the k-th pivot is the
-    k-th leading principal minor, a real integer, and the matrix is positive
-    definite iff every pivot is > 0.  Each Schur complement stays Hermitian,
-    so only the upper triangle is updated.  The arguments are overwritten.
-    """
-    d = len(re)
-    prev = 1
-    for k in range(d):
-        pivot = re[k][k]
-        if im[k][k]:
-            raise CertificateError("leading principal minor is not real; block is not Hermitian")
-        if pivot <= 0:
-            return False
-        rk, ik = re[k], im[k]
-        for i in range(k + 1, d):
-            a, b = rk[i], -ik[i]  # entry (i, k) = conj(entry (k, i))
-            ri, ii = re[i], im[i]
-            for j in range(i, d):
-                c, e = rk[j], ik[j]
-                x, x_rem = divmod(pivot * ri[j] - a * c + b * e, prev)
-                y, y_rem = divmod(pivot * ii[j] - a * e - b * c, prev)
-                if x_rem or y_rem:
-                    raise CertificateError("Bareiss division is not exact")
-                ri[j], ii[j] = x, y
-        prev = pivot
-    return True

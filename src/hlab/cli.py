@@ -15,9 +15,10 @@ order raised.  ``verify`` and ``fixture`` print their own output.
 
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
-fails (a bug); ``main`` maps the exception classes of ``hlab.errors`` to
-them, usage errors included.  All numeric output is exact rational text
-except the explicitly marked enclosures.
+fails (a bug), 141 when stdout closes early (``| head``); ``main`` maps
+the exception classes of ``hlab.errors`` to them, usage errors included.
+All numeric output is exact rational text except the explicitly marked
+enclosures.
 
 Importing this module loads the literal rules of the flags only
 (``literals``, ``errors``, ``record``); each handler imports what it runs.
@@ -26,6 +27,7 @@ Importing this module loads the literal rules of the flags only
 from __future__ import annotations
 
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -38,6 +40,7 @@ from .record import Interval
 ENGINE_ERROR = 1
 USAGE_ERROR = 2
 CERTIFICATE_ERROR = 3
+CLOSED_OUTPUT = 141  # 128 + SIGPIPE
 
 
 class Reporter:
@@ -373,22 +376,27 @@ def _help(table: dict, name=None) -> str:
 
 
 def main(argv=None) -> int:
+    code = 0
     try:
         args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # the help text
             print(args)
-            return 0
-        if "output" not in vars(args):  # verify and fixture print their own output
-            return args.fn(args) or 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            inputs, results = args.fn(args)
-        command = f"bounds {args.which}" if args.command == "bounds" else args.command
-        rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
-        for key, value in results.items():
-            rep.add(key, value)
-        rep.emit()
-        return 0
+        elif "output" not in vars(args):  # verify and fixture print their own output
+            code = args.fn(args) or 0
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                inputs, results = args.fn(args)
+            command = f"bounds {args.which}" if args.command == "bounds" else args.command
+            rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
+            for key, value in results.items():
+                rep.add(key, value)
+            rep.emit()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # so the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_OUTPUT
     except (DocumentError, ExprError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return USAGE_ERROR

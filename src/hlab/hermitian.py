@@ -1,5 +1,5 @@
-"""Hermitian curvature iTheta(E): the record, and the float eigenvalues that
-propose the ends of its certified norm enclosures.
+"""Hermitian curvature iTheta(E): the record, the exact inertia kernel of
+its spectra, and the float eigenvalues that propose what it certifies.
 
 Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
 ``hlab.diagonal.commutator_norm`` chooses between them.  Each C_{p,q}
@@ -9,10 +9,11 @@ enclosure is at most HERMITIAN_WIDTH wide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, copysign, nan, sqrt
-from typing import Union
+from math import comb, copysign, lcm, nan, sqrt
+from typing import Iterator, Union
 
 from .diagonal import DiagonalCurvature
+from .errors import CertificateError
 from .gaussian import CQ, _as_cq
 from .literals import check_space
 from .record import Record
@@ -70,6 +71,75 @@ class HermitianCurvature(Record):
 
 
 CurvatureSpec = Union[DiagonalCurvature, HermitianCurvature]
+
+
+def integer_parts(matrix: list[list[CQ]]) -> tuple:
+    """Integers (scale, re, im) with matrix = (re + i im) / scale, and the
+    one Hermitian certificate of both paths."""
+    for i, row in enumerate(matrix):
+        if any(row[j] != matrix[j][i].conj() for j in range(i, len(row))):
+            raise CertificateError("matrix is not Hermitian; convention bug")
+    scale = lcm(*(v.d for row in matrix for v in row))
+    re = [[v.a * (scale // v.d) for v in row] for row in matrix]
+    im = [[v.b * (scale // v.d) for v in row] for row in matrix]
+    return scale, re, im
+
+
+def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
+    """Lazily, the sign of each eigenvalue of den(h) scale (h I - s A),
+    A = (re + i im) / scale: +1 per eigenvalue of s A below h, 0 per one at h.
+
+    Sylvester's inertia from Bareiss pivots D_k: sign(D_k D_{k-1}).  A zero
+    pivot takes a congruence that keeps later divisions exact: a swap with a
+    later nonzero diagonal entry, else e_k -> e_k + u e_t; a zero row is a
+    zero eigenvalue.
+    """
+    scale, re, im = parts
+    num, den = h.numerator * scale, h.denominator
+    mr = [[(num if i == j else 0) - s * den * x for j, x in enumerate(row)] for i, row in enumerate(re)]
+    mi = [[-s * den * x for x in row] for row in im]
+    d, prev = len(mr), 1
+    for k in range(d):
+        rk, ik = mr[k], mi[k]
+        if not rk[k]:
+            t = next((t for t in range(k + 1, d) if mr[t][t]), 0)
+            if t:
+                _swap(mr, mi, k, t)
+            elif t := next((t for t in range(k + 1, d) if rk[t] or ik[t]), 0):
+                real = bool(rk[t])  # u = 1, else u = i; row k gains conj(u) row t
+                rk[k] = 2 * rk[t] if real else -2 * ik[t]  # 2 Re(u M_kt)
+                for j in range(k + 1, d):
+                    if j != t:
+                        c, e = (mr[t][j], mi[t][j]) if t < j else (mr[j][t], -mi[j][t])
+                        rk[j], ik[j] = (rk[j] + c, ik[j] + e) if real else (rk[j] + e, ik[j] - c)
+            else:  # a zero row
+                yield 0
+                continue
+        pivot = rk[k]
+        yield 1 if (pivot > 0) == (prev > 0) else -1
+        for i in range(k + 1, d):
+            a, b = rk[i], -ik[i]  # entry (i, k) = conj(entry (k, i))
+            ri, ii = mr[i], mi[i]
+            for j in range(i, d):
+                c, e = rk[j], ik[j]
+                x, x_rem = divmod(pivot * ri[j] - a * c + b * e, prev)
+                y, y_rem = divmod(pivot * ii[j] - a * e - b * c, prev)
+                if x_rem or y_rem:
+                    raise CertificateError("Bareiss division is not exact")
+                ri[j], ii[j] = x, y
+        prev = pivot
+
+
+def _swap(mr, mi, k, t):
+    """Swap indices k < t of the upper triangle mr + i mi."""
+    mr[k][k], mr[t][t] = mr[t][t], mr[k][k]
+    mi[k][t] = -mi[k][t]
+    for i in range(k + 1, t):  # (k, i) and (i, t) trade places, conjugated
+        mr[k][i], mr[i][t] = mr[i][t], mr[k][i]
+        mi[k][i], mi[i][t] = -mi[i][t], -mi[k][i]
+    for j in range(t + 1, len(mr)):
+        mr[k][j], mr[t][j] = mr[t][j], mr[k][j]
+        mi[k][j], mi[t][j] = mi[t][j], mi[k][j]
 
 
 def _float_eigenvalues(block: list[list[CQ]]) -> list[float]:

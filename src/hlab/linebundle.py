@@ -3,23 +3,23 @@
 For r = 1, theta is an n x n Hermitian matrix.  A unitary frame U of C^n
 with U* theta U = diag(gamma) acts unitarily on Lambda^{p,q}(C^n) and
 commutes with L and Lambda, so every C_{p,q} is the closed form of
-``hlab.diagonal`` at the eigenvalues gamma of theta.  They are enclosed from
-the exact characteristic polynomial with the root isolation of
-``hlab.roots``, and no operator is built.  ``hlab.diagonal.commutator_norm``
-sends a Hermitian curvature here when r = 1.
+``hlab.diagonal`` at the eigenvalues gamma of theta.  They are enclosed by
+counting the eigenvalues of theta below and at a rational h with the exact
+inertia kernel of ``hlab.hermitian``, and no operator and no polynomial is
+built.  ``hlab.diagonal.commutator_norm`` sends a Hermitian curvature here
+when r = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 from .diagonal import CommutatorNorm, _diagonal_table
 from .errors import CertificateError
-from .gaussian import CQ, CQ_ONE, CQ_ZERO
-from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues
-from .qpoly import QPoly
+from .gaussian import CQ
+from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues, inertia_signs, integer_parts
 from .record import Interval
-from .roots import isolate_real_roots, squarefree_factors
 
 
 def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
@@ -46,40 +46,51 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
     in increasing order, each as a rational (lo, hi) at most
     HERMITIAN_WIDTH / (2n) wide; ``trace`` is tr theta.
 
-    The characteristic polynomial is exact (:func:`_charpoly`); Yun's
-    decomposition gives each distinct root its multiplicity, and each
-    square-free factor's roots are isolated by Sturm counts, proposed by
-    float eigenvalues (the ``guesses`` of ``hlab.roots.isolate_real_roots``).
-    Certified: the multiplicities of the roots found sum to n, so every
-    eigenvalue is real and enclosed, and their enclosures add up around
-    tr theta.
+    ``hermitian.integer_parts`` certifies theta Hermitian, and the inertia
+    kernel counts its eigenvalues below h and at h exactly.  Each float
+    eigenvalue proposes the grid point c nearest to it on the grid of step
+    width/2: [c, c] when c is an eigenvalue, as often as its multiplicity,
+    else [c - width/2, c + width/2], as often as the eigenvalues in it; a
+    proposal must be disjoint from those kept so far.  Unless the kept ones
+    hold all n eigenvalues (a bad, missing or non-finite proposal), exact
+    bisection on the same counts encloses them from a Gershgorin bracket.
+    Certified: the enclosures add up around tr theta.
     """
     n = len(theta)
     width = HERMITIAN_WIDTH / (2 * n)
-    guesses = _float_eigenvalues(theta)
-    out = []
-    for multiplicity, factor in squarefree_factors(_charpoly(theta)):
-        for iv in isolate_real_roots(factor, width, guesses):
-            out += [iv] * multiplicity
+    parts = integer_parts(theta)
+
+    def counts(h: Fraction) -> tuple[int, int]:
+        """The number of eigenvalues below h and equal to h."""
+        signs = list(inertia_signs(parts, h))
+        return signs.count(1), signs.count(0)
+
+    step = width / 2
+    out: list[tuple[Fraction, Fraction]] = []
+    for guess in _float_eigenvalues(theta):
+        if not isfinite(guess):
+            continue
+        c = round(Fraction(guess) / step) * step
+        iv, inside = (c, c), counts(c)[1]
+        if not inside:
+            under, (below, at_hi) = counts(c - step)[0], counts(c + step)
+            iv, inside = (c - step, c + step), below + at_hi - under
+        if inside and all(iv[1] < lo or hi < iv[0] for lo, hi in out):
+            out += [iv] * inside
     if len(out) != n:
-        raise CertificateError(f"theta has {len(out)} real eigenvalues with multiplicity, not n = {n}")
+        scale, re, im = parts
+        bound = 1 + Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
+        # (a, b, eigenvalues <= a, eigenvalues < b): b - a halves until it is width
+        out, work = [], [(-bound, bound, 0, n)]
+        while work:
+            a, b, at_most_a, below_b = work.pop()
+            if at_most_a == below_b or b - a <= width:
+                out += [(a, b)] * (below_b - at_most_a)
+                continue
+            mid = (a + b) / 2
+            below, at = counts(mid)
+            out += [(mid, mid)] * at
+            work += [(a, mid, at_most_a, below), (mid, b, below + at, below_b)]
     if not sum(lo for lo, _ in out) <= trace <= sum(hi for _, hi in out):
         raise CertificateError("the eigenvalue enclosures do not add up around tr theta")
     return sorted(out)
-
-
-def _charpoly(theta: list[list[CQ]]) -> QPoly:
-    """det(x I - theta) by Faddeev-LeVerrier over Q(i): with M_1 = I,
-    c_{n-k} = -tr(theta M_k) / k and M_{k+1} = theta M_k + c_{n-k} I.
-    Every coefficient must be real, else CertificateError."""
-    n = len(theta)
-    coeffs = [CQ_ZERO] * n + [CQ_ONE]
-    product = theta  # theta M_k
-    for k in range(1, n + 1):
-        c = coeffs[n - k] = -sum((product[i][i] for i in range(n)), CQ_ZERO) / CQ(k)
-        if k < n:
-            M = [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(product)]
-            product = [[sum((theta[i][t] * M[t][j] for t in range(n)), CQ_ZERO) for j in range(n)] for i in range(n)]
-    if any(c.b for c in coeffs):
-        raise CertificateError("the characteristic polynomial of a Hermitian theta is not real")
-    return QPoly([c.re for c in coeffs], "x")

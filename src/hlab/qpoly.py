@@ -1,9 +1,9 @@
 """Exact univariate polynomials over the rationals.
 
-Used for chi_y genus polynomials (variable ``y``), Hilbert polynomials in
-the tensor power (variable ``m``), and characteristic polynomials fed to
-the root-isolation machinery.  Coefficients are `fractions.Fraction`;
-trailing zeros are trimmed so equality is equality of functions.
+Used for chi_y genus polynomials (variable ``y``) and Hilbert polynomials
+in the tensor power (variable ``m``), whose real roots ``hlab.roots``
+isolates.  Coefficients are `fractions.Fraction`; trailing zeros are
+trimmed so equality is equality of functions.
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
-"""Exact real-root isolation: Sturm counts, sign-change bisection and
-Yun's square-free decomposition.
+"""Exact real-root isolation: Sturm counts and sign-change bisection.
 
-The bound evaluators (``hlab.bounds``) isolate the roots of a Hilbert
-polynomial here, and the line-bundle commutator norm (``hlab.linebundle``)
-the eigenvalues of its curvature.  Every interval is certified by exact
-rational arithmetic; a float may only propose one (the ``guesses`` of
-:func:`isolate_real_roots`).
+Only the bound evaluators (``hlab.bounds``) isolate roots, those of a
+Hilbert polynomial; the eigenvalues of a Hermitian curvature are counted by
+the inertia kernel of ``hlab.hermitian`` instead.  Every interval is
+certified by exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .qpoly import QPoly
 
@@ -48,24 +45,13 @@ def cauchy_bound(P: QPoly) -> Fraction:
     return 1 + (max(rest) / lead if rest else Fraction(0))
 
 
-def isolate_real_roots(
-    P: QPoly, width: Fraction = Fraction(1, 2**20), guesses: Iterable[float] = ()
-) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, one distinct real root of P in each.
 
     Multiple roots are removed by dividing out gcd(P, P') first, so a
     simple sign change certifies each non-degenerate interval; a root hit
     exactly is returned as a degenerate [r, r] interval.  Non-degenerate
     intervals are at most ``width`` wide.
-
-    Float ``guesses`` may propose the intervals.  Each proposes the grid
-    point c nearest to it on the grid of step width/2: [c, c] when c is a
-    root, else [c - width/2, c + width/2], kept when the square-free part
-    changes sign across it and the Sturm count on it is 1, and when it is
-    disjoint from the intervals kept so far.  The kept intervals hold
-    distinct roots, so as many of them as the degree hold every root.
-    Otherwise (a bad, missing or non-finite guess, or a root that is not
-    real) exact bisection isolates the real roots.
     """
     if P.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -76,23 +62,6 @@ def isolate_real_roots(
         root = -Q.coeffs[0] / Q.coeffs[1]
         return [(root, root)]
     chain = sturm_chain(Q)
-    step = width / 2
-    kept: list[tuple[Fraction, Fraction]] = []
-    for guess in guesses:
-        if not isfinite(guess):
-            continue
-        c = round(Fraction(guess) / step) * step
-        if Q(c) == 0:
-            iv = (c, c)
-        else:
-            lo, hi = c - step, c + step
-            if Q(lo) * Q(hi) >= 0 or count_roots_between(chain, lo, hi) != 1:
-                continue
-            iv = (lo, hi)
-        if all(iv[1] < a or b < iv[0] for a, b in kept):
-            kept.append(iv)
-    if len(kept) == Q.degree:
-        return sorted(kept)
     B = cauchy_bound(Q)
     out: list[tuple[Fraction, Fraction]] = []
     work = [(-B, B, count_roots_between(chain, -B, B))]
@@ -143,24 +112,3 @@ def _refine(Q: QPoly, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fracti
         else:
             a = mid
     return (a, b)
-
-
-def squarefree_factors(P: QPoly) -> list[tuple[int, QPoly]]:
-    """Yun's square-free decomposition: the (i, a_i) with deg a_i >= 1 and
-    P = lc(P) prod a_i^i, each a_i monic, square-free and prime to the others,
-    so the roots of a_i are exactly the roots of P of multiplicity i."""
-    if P.degree < 1:
-        return []
-    dP = P.derivative()
-    g = P.gcd(dP)
-    b, c = P.divmod(g)[0], dP.divmod(g)[0]
-    d = c - b.derivative()
-    out, i = [], 1
-    while b.degree >= 1:
-        a = b.gcd(d)
-        b, c = b.divmod(a)[0], d.divmod(a)[0]
-        d = c - b.derivative()
-        if a.degree >= 1:
-            out.append((i, a))
-        i += 1
-    return out

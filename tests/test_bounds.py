@@ -240,52 +240,21 @@ def test_refine_by_sign_matches_sturm_counts():
         assert isolate_real_roots(P, WIDTH) == sorted(expected)
 
 
-def test_squarefree_factors_give_each_root_its_multiplicity():
-    from hlab.roots import squarefree_factors
-
-    rng = random.Random(6007)
-    for _ in range(20):
-        P, multiplicity = QPoly([rng.choice([-3, -1, 1, 2])]), {}
-        for _ in range(rng.randint(1, 4)):  # rational roots, some repeated
-            r, m = F(rng.randint(-9, 9), rng.choice([1, 2, 3])), rng.randint(1, 3)
-            multiplicity[r] = multiplicity.get(r, 0) + m
-            for _ in range(m):
-                P = P * QPoly([-r, 1])
-        if rng.random() < 0.5:  # a simple irrational pair +-sqrt(k)
-            P = P * QPoly([-rng.choice([2, 3, 5]), 0, 1])
-        factors = squarefree_factors(P)
-        product = QPoly([P.leading()])
-        for i, a in factors:
-            assert a.leading() == 1 and a == a.squarefree_part()
-            for _ in range(i):
-                product = product * a
-        assert product == P
-        assert len({i for i, _ in factors}) == len(factors)
-        for r, m in multiplicity.items():
-            assert [i for i, a in factors if a(r) == 0] == [m]
-
-
 def test_isolate_near_certifies_proposals_and_bisects_without_them():
-    from math import nan, sqrt
+    # the isolator takes no float proposals any more (the inertia kernel
+    # certifies those of a line bundle); what is left is exact bisection
+    from math import sqrt
 
-    cubic = QPoly([-6, 11, -6, 1])  # roots 1, 2, 3
-    assert isolate_real_roots(cubic, WIDTH, [3.0, 1.0 + 1e-15, 2.0, 2.0]) == [(1, 1), (2, 2), (3, 3)]
     Q = QPoly([-2, 0, 1])  # roots +-sqrt(2)
-    got = isolate_real_roots(Q, WIDTH, [sqrt(2), -sqrt(2), sqrt(2)])
-    assert got != isolate_real_roots(Q, WIDTH)  # the proposals were certified
+    got = isolate_real_roots(Q, WIDTH)
     assert [(lo < 0) for lo, _ in got] == [True, False]
     for lo, hi in got:
         assert hi - lo <= WIDTH and Q(lo) * Q(hi) < 0
-    for guesses in ([], [nan, 0.0, 1e6], [sqrt(2)], [1.5, -1.5]):
-        assert isolate_real_roots(Q, WIDTH, guesses) == isolate_real_roots(Q, WIDTH), guesses
     P = QPoly([-1, 1]) * QPoly([-1, 1]) * QPoly([-2, 1]) * QPoly([-2, 0, 1])  # (m-1)^2 (m-2) (m^2-2)
-    got = isolate_real_roots(P, WIDTH, [1.0, 1.0, 2.0, sqrt(2), -sqrt(2)])
-    assert got != isolate_real_roots(P, WIDTH)  # the proposals were certified
+    got = isolate_real_roots(P, WIDTH)
     assert len(got) == 4
     for (lo, hi), root in zip(got, (-sqrt(2), 1, sqrt(2), 2)):
         assert hi - lo <= WIDTH and abs(float(lo + hi) / 2 - root) <= WIDTH
-    for guesses in ([nan, 0.0, 1e6], [1.0, 2.0]):
-        assert isolate_real_roots(P, WIDTH, guesses) == isolate_real_roots(P, WIDTH), guesses
 
 
 def test_root_report_intervals_are_the_isolating_intervals_and_keep_off_zero():

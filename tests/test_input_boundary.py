@@ -4,7 +4,9 @@ certificate has its own exit code (3)."""
 
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -229,6 +231,24 @@ def test_failed_certificate_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("certificate failure: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("lefschetz-check", "--n", "4", "--output", "machine"), ("fixture", "cp", "1"), ("verify",)],
+    ids=" ".join,
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the reader is gone before the report is written (`hlab ... | head`):
+    # the exit code is 128 + SIGPIPE, used by no other failure, and stderr is empty
+    env = {**os.environ, "PYTHONPATH": str(Path(sl2.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hlab", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141, err
+    assert not err
 
 
 def _cp4_bounds(tmp_path, p):

@@ -59,7 +59,7 @@ SL2 = FLAGS | {"hlab.sl2", "hlab.monomials"}
 # a Hermitian document: the record and its Gaussian-rational entries; then
 # the eigenvalue path of a line bundle, or the blocks of rank r >= 2
 HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
-LINE_BUNDLE = HERMITIAN | {"hlab.linebundle", "hlab.roots", "hlab.qpoly"}
+LINE_BUNDLE = HERMITIAN | {"hlab.linebundle"}
 RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
 
 # Run one command in a fresh interpreter and print the modules that importing
@@ -265,16 +265,16 @@ def test_digest_takes_sha256_from_either_stdlib_layout(layout):
 # The hlab source, in bytes, that each pinned module set compiles: a change
 # may make a command compile less, never more, without raising its pin here.
 SOURCE_BYTES = [
-    ("import hlab.cli", FLAGS, 26139),
-    ("fixture", READER, 39840),
-    ("genus kcoeffs hilbert ineq", HRR, 85089),
-    ("bounds", HRR | BOUNDS, 101721),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 63546),
-    ("commutator --gammas", DIAGONAL, 32183),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45884),
-    ("lefschetz-check", SL2, 36068),
-    ("commutator --input HERMITIAN", RANK_R, 66828),
-    ("commutator --input LINE", LINE_BUNDLE, 71287),
+    ("import hlab.cli", FLAGS, 26507),
+    ("fixture", READER, 40208),
+    ("genus kcoeffs hilbert ineq", HRR, 85434),
+    ("bounds", HRR | BOUNDS, 100101),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61926),
+    ("commutator --gammas", DIAGONAL, 32551),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 46252),
+    ("lefschetz-check", SL2, 36436),
+    ("commutator --input HERMITIAN", RANK_R, 68216),
+    ("commutator --input LINE", LINE_BUNDLE, 62450),
 ]
 
 
