@@ -135,9 +135,8 @@ def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction, symmetric: b
     the bracket from the other side.  A caller that has proved the spectrum
     ``symmetric`` (-T similar to T) gets one definiteness test per end.
     """
-    scale, re, im = parts = hermitian.integer_parts(block)  # certifies T Hermitian
+    *_, hi = parts = hermitian.integer_parts(block)  # certifies T Hermitian
     lo = Fraction(0)
-    hi = Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
     if not hi:  # the zero block
         return Interval(lo, hi)
     guess = max(hermitian._float_eigenvalues(block), key=abs)

@@ -7,7 +7,7 @@ help line, typed flags and positionals.  A flag is spelled in full, at most
 once, as ``--flag value`` or ``--flag=value``; ``--help`` lists them.
 
 Every command with ``--output`` reports through one path: its handler
-returns its inputs and an ordered dict of results, and ``main`` runs it under
+returns its inputs and an ordered dict of results, and ``_run`` runs it under
 one warning capture and builds the :class:`Reporter`.  A report holds the
 command (with the ``--which`` choice of ``bounds``), the sha256 of its
 inputs, the results and every Python warning the command raised, in the
@@ -16,9 +16,8 @@ order raised.  ``verify`` and ``fixture`` print their own output.
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
 fails (a bug), 141 when stdout closes early (``| head``); ``main`` maps
-the exception classes of ``hlab.errors`` to them, usage errors included.
-All numeric output is exact rational text except the explicitly marked
-enclosures.
+the exception classes of ``hlab.errors`` to them.  All numeric output is
+exact rational text except the explicitly marked enclosures.
 
 Importing this module loads the literal rules of the flags only
 (``literals``, ``errors``, ``record``); each handler imports what it runs.
@@ -50,8 +49,8 @@ class Reporter:
         self.command = command
         self.inputs_digest = digest(inputs)
         self.output = output
-        self.results: dict = {}
-        self.warnings: list[str] = list(warnings)
+        self.results = {}
+        self.warnings = list(warnings)
 
     def add(self, key: str, value):
         try:
@@ -86,11 +85,7 @@ class Reporter:
 
 
 def _plain(value):
-    """Make values JSON-representable without floats: rationals as strings.
-
-    Every number becomes text here, so one too long to print raises
-    ValueError here, not while the report is written.
-    """
+    """Make values JSON-representable without floats: rationals as strings."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Interval):
@@ -109,20 +104,18 @@ def _plain(value):
 
 def _flat_str(value):
     if isinstance(value, list):
-        return "[" + ", ".join(str(v) for v in value) + "]"
+        return "[" + ", ".join(map(str, value)) + "]"
     return str(value)
 
 
 def _doc_from_args(args):
     from .inputdoc import load_document, load_file
 
-    if args.input:
-        return load_file(args.input)
-    return load_document({})
+    return load_file(args.input) if args.input else load_document({})
 
 
-# -- subcommands -----------------------------------------------------------------
-# A reporting handler returns (inputs, results); main builds the report.
+# -- subcommands --------------------------------------------------------------
+# A reporting handler returns (inputs, results); _run builds the report.
 
 
 def cmd_genus(args):
@@ -252,21 +245,17 @@ def cmd_verify(args):
     from . import selfcheck
 
     results = selfcheck.run_all()
-    failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail:
-            line += f"  ({detail})"
-        print(line)
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_fixture(args):
     from .inputdoc import cp_fixture
 
-    tree = cp_fixture(args.n)
-    text = json.dumps(tree, indent=2, sort_keys=True)
+    text = json.dumps(cp_fixture(args.n), indent=2, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -278,7 +267,7 @@ def cmd_fixture(args):
         print(text)
 
 
-# -- dispatcher -------------------------------------------------------------------
+# -- dispatcher ---------------------------------------------------------------
 
 
 OUTPUT = {"--output": (("text", "machine"), "text")}
@@ -375,27 +364,32 @@ def _help(table: dict, name=None) -> str:
     return "\n".join(lines)
 
 
+def _run(argv: list) -> int:
+    args = _parse(build_parser(), argv)
+    if isinstance(args, str):  # the help text
+        print(args)
+        return 0
+    if "output" not in vars(args):  # verify and fixture print their own output
+        return args.fn(args) or 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inputs, results = args.fn(args)
+    command = f"bounds {args.which}" if args.command == "bounds" else args.command
+    rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
+    for key, value in results.items():
+        rep.add(key, value)
+    rep.emit()
+    return 0
+
+
 def main(argv=None) -> int:
-    code = 0
     try:
-        args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
-        if isinstance(args, str):  # the help text
-            print(args)
-        elif "output" not in vars(args):  # verify and fixture print their own output
-            code = args.fn(args) or 0
-        else:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                inputs, results = args.fn(args)
-            command = f"bounds {args.which}" if args.command == "bounds" else args.command
-            rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
-            for key, value in results.items():
-                rep.add(key, value)
-            rep.emit()
+        code = _run(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except BrokenPipeError:  # so the flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:  # so the flush at exit goes to devnull
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return CLOSED_OUTPUT
     except (DocumentError, ExprError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -74,15 +74,16 @@ CurvatureSpec = Union[DiagonalCurvature, HermitianCurvature]
 
 
 def integer_parts(matrix: list[list[CQ]]) -> tuple:
-    """Integers (scale, re, im) with matrix = (re + i im) / scale, and the
-    one Hermitian certificate of both paths."""
+    """(scale, re, im, radius): integers with matrix = (re + i im) / scale,
+    and the largest row sum of |re| + |im| over scale, which bounds every
+    eigenvalue's size.  The one Hermitian certificate of both paths."""
     for i, row in enumerate(matrix):
         if any(row[j] != matrix[j][i].conj() for j in range(i, len(row))):
             raise CertificateError("matrix is not Hermitian; convention bug")
     scale = lcm(*(v.d for row in matrix for v in row))
     re = [[v.a * (scale // v.d) for v in row] for row in matrix]
     im = [[v.b * (scale // v.d) for v in row] for row in matrix]
-    return scale, re, im
+    return scale, re, im, Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
 
 
 def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
@@ -90,11 +91,10 @@ def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
     A = (re + i im) / scale: +1 per eigenvalue of s A below h, 0 per one at h.
 
     Sylvester's inertia from Bareiss pivots D_k: sign(D_k D_{k-1}).  A zero
-    pivot takes a congruence that keeps later divisions exact: a swap with a
-    later nonzero diagonal entry, else e_k -> e_k + u e_t; a zero row is a
-    zero eigenvalue.
+    row is a zero eigenvalue; any other zero pivot takes the congruence
+    e_k -> e_k + u e_t, u = +-1 or +-i, which keeps later divisions exact.
     """
-    scale, re, im = parts
+    scale, re, im, _ = parts
     num, den = h.numerator * scale, h.denominator
     mr = [[(num if i == j else 0) - s * den * x for j, x in enumerate(row)] for i, row in enumerate(re)]
     mi = [[-s * den * x for x in row] for row in im]
@@ -102,19 +102,18 @@ def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
     for k in range(d):
         rk, ik = mr[k], mi[k]
         if not rk[k]:
-            t = next((t for t in range(k + 1, d) if mr[t][t]), 0)
-            if t:
-                _swap(mr, mi, k, t)
-            elif t := next((t for t in range(k + 1, d) if rk[t] or ik[t]), 0):
-                real = bool(rk[t])  # u = 1, else u = i; row k gains conj(u) row t
-                rk[k] = 2 * rk[t] if real else -2 * ik[t]  # 2 Re(u M_kt)
-                for j in range(k + 1, d):
-                    if j != t:
-                        c, e = (mr[t][j], mi[t][j]) if t < j else (mr[j][t], -mi[j][t])
-                        rk[j], ik[j] = (rk[j] + c, ik[j] + e) if real else (rk[j] + e, ik[j] - c)
-            else:  # a zero row
+            if not (t := next((t for t in range(k + 1, d) if rk[t] or ik[t]), 0)):  # a zero row
                 yield 0
                 continue
+            # u = +-1, else +-i; row k gains conj(u) row t, and the pivot
+            # 2 Re(u M_kt) + M_tt takes the sign of u that makes it nonzero
+            real, m = bool(rk[t]), mr[t][t]
+            p = rk[t] if real else -ik[t]  # Re(M_kt), else Re(i M_kt)
+            sign = 1 if 2 * p + m else -1
+            for j in range(k + 1, d):
+                c, e = (mr[t][j], mi[t][j]) if t <= j else (mr[j][t], -mi[j][t])
+                rk[j], ik[j] = (rk[j] + sign * c, ik[j] + sign * e) if real else (rk[j] + sign * e, ik[j] - sign * c)
+            rk[k] = 2 * sign * p + m
         pivot = rk[k]
         yield 1 if (pivot > 0) == (prev > 0) else -1
         for i in range(k + 1, d):
@@ -128,18 +127,6 @@ def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
                     raise CertificateError("Bareiss division is not exact")
                 ri[j], ii[j] = x, y
         prev = pivot
-
-
-def _swap(mr, mi, k, t):
-    """Swap indices k < t of the upper triangle mr + i mi."""
-    mr[k][k], mr[t][t] = mr[t][t], mr[k][k]
-    mi[k][t] = -mi[k][t]
-    for i in range(k + 1, t):  # (k, i) and (i, t) trade places, conjugated
-        mr[k][i], mr[i][t] = mr[i][t], mr[k][i]
-        mi[k][i], mi[i][t] = -mi[i][t], -mi[k][i]
-    for j in range(t + 1, len(mr)):
-        mr[k][j], mr[t][j] = mr[t][j], mr[k][j]
-        mi[k][j], mi[t][j] = mi[t][j], mi[k][j]
 
 
 def _float_eigenvalues(block: list[list[CQ]]) -> list[float]:

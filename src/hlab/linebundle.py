@@ -58,7 +58,7 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
     """
     n = len(theta)
     width = HERMITIAN_WIDTH / (2 * n)
-    parts = integer_parts(theta)
+    *_, radius = parts = integer_parts(theta)  # radius bounds every eigenvalue's size
 
     def counts(h: Fraction) -> tuple[int, int]:
         """The number of eigenvalues below h and equal to h."""
@@ -78,8 +78,7 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
         if inside and all(iv[1] < lo or hi < iv[0] for lo, hi in out):
             out += [iv] * inside
     if len(out) != n:
-        scale, re, im = parts
-        bound = 1 + Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
+        bound = 1 + radius
         # (a, b, eigenvalues <= a, eigenvalues < b): b - a halves until it is width
         out, work = [], [(-bound, bound, 0, n)]
         while work:

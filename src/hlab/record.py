@@ -49,9 +49,8 @@ class Record:
                     raise TypeError(f"{name}() missing required argument {key!r}")
                 values[key] = self._defaults[key]
         self.__dict__.update(values)
-        post_init = getattr(self, "__post_init__", None)
-        if post_init is not None:
-            post_init()
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,8 +62,6 @@ class Record:
         return tuple(self.__dict__[key] for key in self._fields)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
@@ -94,6 +91,4 @@ class Interval(Record):
         return self.hi - self.lo
 
     def __str__(self):
-        if self.lo == self.hi:
-            return str(self.lo)
-        return f"[{self.lo}, {self.hi}]"
+        return str(self.lo) if self.lo == self.hi else f"[{self.lo}, {self.hi}]"

@@ -265,16 +265,16 @@ def test_digest_takes_sha256_from_either_stdlib_layout(layout):
 # The hlab source, in bytes, that each pinned module set compiles: a change
 # may make a command compile less, never more, without raising its pin here.
 SOURCE_BYTES = [
-    ("import hlab.cli", FLAGS, 26507),
-    ("fixture", READER, 40208),
-    ("genus kcoeffs hilbert ineq", HRR, 85434),
-    ("bounds", HRR | BOUNDS, 100101),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61926),
-    ("commutator --gammas", DIAGONAL, 32551),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 46252),
-    ("lefschetz-check", SL2, 36436),
-    ("commutator --input HERMITIAN", RANK_R, 68216),
-    ("commutator --input LINE", LINE_BUNDLE, 62450),
+    ("import hlab.cli", FLAGS, 26134),
+    ("fixture", READER, 39835),
+    ("genus kcoeffs hilbert ineq", HRR, 85061),
+    ("bounds", HRR | BOUNDS, 99728),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61553),
+    ("commutator --gammas", DIAGONAL, 32178),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45879),
+    ("lefschetz-check", SL2, 36063),
+    ("commutator --input HERMITIAN", RANK_R, 67471),
+    ("commutator --input LINE", LINE_BUNDLE, 61685),
 ]
 
 

@@ -724,11 +724,20 @@ def _inertia_by_charpoly(A):
 def _structured_hermitian(rng, d, kind):
     """A Hermitian Gaussian-integer matrix of one kind: generic, singular
     (v v* - w w*), a zero diagonal with real or with purely imaginary
-    off-diagonal entries, or generic with zero rows."""
+    off-diagonal entries, generic with zero rows, or "cancelling": A_00 = 0,
+    the other diagonal entries -2, 0 or 2 and off-diagonal entries +-1 or +-i,
+    so that 2 Re(u A_0t) + A_tt is often 0 for u = 1 or i."""
     if kind == "singular":
         v, w = ([CQ(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(2))
         return [[v[i] * v[j].conj() - w[i] * w[j].conj() for j in range(d)] for i in range(d)]
     A = [[CQ_ZERO] * d for _ in range(d)]
+    if kind == "cancelling":
+        for i in range(d):
+            A[i][i] = CQ(rng.choice((-2, 0, 2)) if i else 0)
+            for j in range(i + 1, d):
+                A[i][j] = rng.choice((CQ(1), CQ(-1), CQ(0, 1), CQ(0, -1), CQ_ZERO))
+                A[j][i] = A[i][j].conj()
+        return A
     for i in range(d):
         if kind in ("generic", "zero rows"):
             A[i][i] = CQ(rng.randint(-3, 3))
@@ -744,18 +753,20 @@ def _structured_hermitian(rng, d, kind):
     return A
 
 
-KINDS = ("generic", "singular", "real", "imaginary", "zero rows")
+KINDS = ("generic", "singular", "real", "imaginary", "zero rows", "cancelling")
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_inertia_signs_match_the_characteristic_polynomial(kind):
-    # every zero-pivot case of the kernel (a swap, e_k + e_t, e_k + i e_t, a
-    # zero row) against an independent count of the eigenvalues; h I - s A at
-    # a random h (s = +1 or -1) for generic draws
+    # every zero-pivot case of the kernel (e_k +- e_t, e_k +- i e_t, a zero
+    # row) against an independent count of the eigenvalues; h I - s A at a
+    # random h (s = +1 or -1) for generic draws
     rng = random.Random(f"inertia {kind}")
     draws = [_structured_hermitian(rng, d, kind) for d in range(1, 9) for _ in range(6)]
     if kind == "zero rows":
         draws += [[[CQ_ZERO] * d for _ in range(d)] for d in (1, 2, 5)]
+    if kind == "cancelling":  # u = 1 and u = i give a zero pivot: u = -1, -i
+        draws += [[[CQ_ZERO, z], [z.conj(), CQ(m)]] for z, m in ((CQ(1), -2), (CQ(0, 1), 2))]
     for A in draws:
         d = len(A)
         h, s = (F(rng.randint(-6, 6), rng.randint(1, 3)), rng.choice((1, -1))) if kind == "generic" else (F(0), -1)
