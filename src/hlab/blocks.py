@@ -29,7 +29,6 @@ r >= 2 here, and loads no operator engine for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
 from typing import TYPE_CHECKING
 
 from . import hermitian
@@ -47,13 +46,9 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
     """C and the C_{p,q} table of a Hermitian curvature of any rank, from
     the bidegree blocks T of [Lambda, iTheta(E)].
 
-    Each ||T|| gets a certified rational enclosure of width at most
-    HERMITIAN_WIDTH: ||T|| < h holds exactly when h I - T and h I + T are
-    both positive definite, which ``hermitian.inertia_signs`` decides.  A
-    float eigenvalue guess only proposes the two ends; exact bisection takes
-    over where a proposal is refuted (:func:`_hermitian_norm_enclosure`).
-    The star pairs blocks (module docstring): one enclosure serves both
-    blocks of a pair.
+    Each ||T|| is enclosed to width HERMITIAN_WIDTH by
+    :func:`_hermitian_norm_enclosure`.  The star pairs blocks (module
+    docstring): one enclosure serves both blocks of a pair.
     """
     n = spec.n
     found: dict[tuple[int, int], Interval] = {}
@@ -128,40 +123,25 @@ def _check_star_pair(spec: HermitianCurvature, p: int, q: int, block, partner):
 def _hermitian_norm_enclosure(block: list[list[CQ]], tol: Fraction, symmetric: bool = False) -> Interval:
     """Certified enclosure of the operator norm of a self-adjoint block, width <= tol.
 
-    The bracket starts at [0, max row sum], which holds for any matrix.  A
-    float guess proposes an upper and a lower end tol/2 away from it, and
-    exact bisection closes whatever is left; every end is proved or refuted
-    by an exact definiteness test, and a refuted end still narrows
-    the bracket from the other side.  A caller that has proved the spectrum
-    ``symmetric`` (-T similar to T) gets one definiteness test per end.
+    ||T|| lies in [0, max row sum], and ``hermitian.enclose`` searches the
+    open (-1, 1 + max row sum) from a float guess, so either end can be hit:
+    ||T|| > h when h I - T or h I + T has a negative eigenvalue, else
+    ||T|| = h when one has a zero eigenvalue.  A caller that has proved the
+    spectrum ``symmetric`` (-T similar to T) gets one inertia test per h.
     """
-    *_, hi = parts = hermitian.integer_parts(block)  # certifies T Hermitian
-    lo = Fraction(0)
-    if not hi:  # the zero block
-        return Interval(lo, hi)
+    *_, radius = parts = hermitian.integer_parts(block)  # certifies T Hermitian
     guess = max(hermitian._float_eigenvalues(block), key=abs)
-    # the extreme eigenvalue's sign says which of h I -/+ T fails first; with
-    # a symmetric spectrum h I - T is positive definite iff h I + T is
+    # the extreme eigenvalue's sign says which of h I -/+ T fails first
     signs = (1,) if symmetric else (-1, 1) if guess < 0 else (1, -1)
 
-    def below(h: Fraction) -> bool:
-        """Exactly whether ||T|| < h: h I - s T is positive definite for
-        s = +1 and -1; stops at the first failing pivot."""
-        return all(sign > 0 for s in signs for sign in hermitian.inertia_signs(parts, h, s))
+    def compare(h):
+        """sign(||T|| - h)"""
+        zero = False
+        for s in signs:
+            for sign in hermitian.inertia_signs(parts, h, s):
+                if sign < 0:
+                    return 1
+                zero = zero or not sign
+        return 0 if zero else -1
 
-    if isfinite(guess):
-        step = tol / 4
-        center = round(Fraction(abs(guess)) / step) * step
-        for h in (center + 2 * step, center - 2 * step):
-            if lo < h < hi:
-                if below(h):
-                    hi = h
-                else:
-                    lo = h
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return Interval(lo, hi)
+    return Interval(*hermitian.enclose(compare, abs(guess), Fraction(-1), 1 + radius, tol))

@@ -96,16 +96,16 @@ def _diagonal_table(
     gammas: Sequence[tuple[Fraction, Fraction]], total: Fraction
 ) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
     """C_{p,q} = max |gamma_J + gamma_K - total| over |J| = p, |K| = q, each
-    as a rational (lo, hi), from (lo, hi) enclosures of the gammas in
-    increasing order and their exact sum ``total``.
+    as a rational (lo, hi), from the gammas' exact sum ``total`` and
+    enclosures whose k-th holds the k-th smallest (lows may be unsorted).
 
-    The eigenvalue is a sum of a p-subset sum and a q-subset sum less a
-    constant, so its extremes are the sums of the extremes: the p largest
-    and the p smallest gammas give max and min S_p, and the largest |x|
-    on [min, max] sits at an end.  No 4^n enumeration.  S_n is ``total``
-    exactly, so a block that is identically zero (p = n, q = 0 and the
-    reverse) encloses 0 as [0, 0]; every other entry is at most 2n times
-    as wide as the widest gamma, and degenerate enclosures give exact ends.
+    The eigenvalue is S_p + S_q - total for subset sums S, so its extremes
+    are sums of extremes: the p largest and the p smallest gammas give max
+    and min S_p, and the largest |x| on [min, max] sits at an end.  No 4^n
+    enumeration.  S_n is ``total`` exactly, so a block that is identically
+    zero (p = n, q = 0 and the reverse) encloses 0 as [0, 0]; every other
+    entry is at most 2n times as wide as the widest gamma, and degenerate
+    enclosures give exact ends.
     """
     n, zero = len(gammas), Fraction(0)
     los, his = [lo for lo, _ in gammas], [hi for _, hi in gammas]

@@ -1,5 +1,6 @@
 """Hermitian curvature iTheta(E): the record, the exact inertia kernel of
-its spectra, and the float eigenvalues that propose what it certifies.
+its spectra, the search that encloses a value from it, and the float
+eigenvalues that propose where to look.
 
 Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
 ``hlab.diagonal.commutator_norm`` chooses between them.  Each C_{p,q}
@@ -9,7 +10,7 @@ enclosure is at most HERMITIAN_WIDTH wide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, copysign, lcm, nan, sqrt
+from math import comb, copysign, isfinite, lcm, nan, sqrt
 from typing import Iterator, Union
 
 from .diagonal import DiagonalCurvature
@@ -129,11 +130,34 @@ def inertia_signs(parts: tuple, h: Fraction, s: int = 1) -> Iterator[int]:
         prev = pivot
 
 
+def enclose(compare, guess: float, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+    """(lo, hi), at most width wide, around the x in [lo, hi] with
+    compare(h) = sign(x - h) exactly; h stays inside the open bracket.
+
+    A finite guess proposes the nearest c of the grid of step width/2, then
+    c -/+ width/2 on the side compare(c) names; exact bisection does the rest.
+    """
+    step = width / 2
+
+    def probe(h):
+        nonlocal lo, hi
+        if (side := compare(h)) >= 0:
+            lo = h
+        if side <= 0:
+            hi = h
+        return side
+
+    if isfinite(guess) and lo < (c := round(Fraction(guess) / step) * step) < hi:
+        if (side := probe(c)) and lo < c + side * step < hi:
+            probe(c + side * step)
+    while hi - lo > width:
+        probe((lo + hi) / 2)
+    return lo, hi
+
+
 def _float_eigenvalues(block: list[list[CQ]]) -> list[float]:
     """Eigenvalues of a Hermitian block, by cyclic complex Jacobi in floats
-    (nan when an entry overflows a float).  Only proposals: the callers
-    certify them exactly, and bisect where a proposal is refuted or not
-    finite."""
+    (nan when an entry overflows a float).  Only guesses for :func:`enclose`."""
     try:
         A = [[complex(v.a / v.d, v.b / v.d) for v in row] for row in block]
     except OverflowError:

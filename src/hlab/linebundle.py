@@ -13,12 +13,12 @@ when r = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite
+from functools import partial
 
 from .diagonal import CommutatorNorm, _diagonal_table
 from .errors import CertificateError
 from .gaussian import CQ
-from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues, inertia_signs, integer_parts
+from .hermitian import HERMITIAN_WIDTH, HermitianCurvature, _float_eigenvalues, enclose, inertia_signs, integer_parts
 from .record import Interval
 
 
@@ -42,54 +42,29 @@ def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
 
 
 def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """The n eigenvalues of the Hermitian matrix theta, with multiplicity and
-    in increasing order, each as a rational (lo, hi) at most
-    HERMITIAN_WIDTH / (2n) wide; ``trace`` is tr theta.
+    """The n eigenvalues of the Hermitian matrix theta, with multiplicity,
+    each as a rational (lo, hi) at most HERMITIAN_WIDTH / (2n) wide:
+    enclosure k holds the k-th smallest, and the lows need not be sorted.
+    ``trace`` is tr theta.
 
     ``hermitian.integer_parts`` certifies theta Hermitian, and the inertia
-    kernel counts its eigenvalues below h and at h exactly.  Each float
-    eigenvalue proposes the grid point c nearest to it on the grid of step
-    width/2: [c, c] when c is an eigenvalue, as often as its multiplicity,
-    else [c - width/2, c + width/2], as often as the eigenvalues in it; a
-    proposal must be disjoint from those kept so far.  Unless the kept ones
-    hold all n eigenvalues (a bad, missing or non-finite proposal), exact
-    bisection on the same counts encloses them from a Gershgorin bracket.
+    kernel counts its eigenvalues below h and at h exactly, which gives the
+    sign of gamma_k - h.  ``hermitian.enclose`` takes it from the k-th
+    sorted float eigenvalue and the bracket +-(1 + max row sum).
     Certified: the enclosures add up around tr theta.
     """
     n = len(theta)
-    width = HERMITIAN_WIDTH / (2 * n)
     *_, radius = parts = integer_parts(theta)  # radius bounds every eigenvalue's size
 
-    def counts(h: Fraction) -> tuple[int, int]:
-        """The number of eigenvalues below h and equal to h."""
+    def compare(k: int, h: Fraction) -> int:
+        """sign(gamma_k - h), gamma_k the k-th smallest eigenvalue."""
         signs = list(inertia_signs(parts, h))
-        return signs.count(1), signs.count(0)
+        below = signs.count(1)
+        return -1 if below > k else 0 if below + signs.count(0) > k else 1
 
-    step = width / 2
-    out: list[tuple[Fraction, Fraction]] = []
-    for guess in _float_eigenvalues(theta):
-        if not isfinite(guess):
-            continue
-        c = round(Fraction(guess) / step) * step
-        iv, inside = (c, c), counts(c)[1]
-        if not inside:
-            under, (below, at_hi) = counts(c - step)[0], counts(c + step)
-            iv, inside = (c - step, c + step), below + at_hi - under
-        if inside and all(iv[1] < lo or hi < iv[0] for lo, hi in out):
-            out += [iv] * inside
-    if len(out) != n:
-        bound = 1 + radius
-        # (a, b, eigenvalues <= a, eigenvalues < b): b - a halves until it is width
-        out, work = [], [(-bound, bound, 0, n)]
-        while work:
-            a, b, at_most_a, below_b = work.pop()
-            if at_most_a == below_b or b - a <= width:
-                out += [(a, b)] * (below_b - at_most_a)
-                continue
-            mid = (a + b) / 2
-            below, at = counts(mid)
-            out += [(mid, mid)] * at
-            work += [(a, mid, at_most_a, below), (mid, b, below + at, below_b)]
+    width = HERMITIAN_WIDTH / (2 * n)
+    guesses = sorted(_float_eigenvalues(theta))
+    out = [enclose(partial(compare, k), g, -1 - radius, 1 + radius, width) for k, g in enumerate(guesses)]
     if not sum(lo for lo, _ in out) <= trace <= sum(hi for _, hi in out):
         raise CertificateError("the eigenvalue enclosures do not add up around tr theta")
-    return sorted(out)
+    return out

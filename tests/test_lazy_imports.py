@@ -270,11 +270,11 @@ SOURCE_BYTES = [
     ("genus kcoeffs hilbert ineq", HRR, 85061),
     ("bounds", HRR | BOUNDS, 99728),
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61553),
-    ("commutator --gammas", DIAGONAL, 32178),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45879),
+    ("commutator --gammas", DIAGONAL, 32168),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45869),
     ("lefschetz-check", SL2, 36063),
-    ("commutator --input HERMITIAN", RANK_R, 67471),
-    ("commutator --input LINE", LINE_BUNDLE, 61685),
+    ("commutator --input HERMITIAN", RANK_R, 67393),
+    ("commutator --input LINE", LINE_BUNDLE, 61345),
 ]
 
 

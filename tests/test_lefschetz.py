@@ -607,8 +607,8 @@ def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
 @pytest.mark.parametrize("guess", [math.nan, 0.0, 1e6])
 def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
     # r = 1 takes the eigenvalues of theta: a refuted or non-finite float
-    # proposal of every eigenvalue leaves exact Sturm bisection, which must
-    # still pin the diagonal value within tol
+    # proposal of every eigenvalue leaves exact bisection on the inertia
+    # counts, which must still pin the diagonal value within tol
     monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda block: [guess] * len(block))
     rng = random.Random(88)
     for _ in range(5):
@@ -641,6 +641,54 @@ def test_line_bundle_norm_of_a_rotated_line_is_exact():
         assert got.exact is False
         assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
         assert got.table[(n, 0)] == got.table[(0, n)] == Interval(0, 0)
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
+def test_block_norm_of_a_rotated_split_bundle_is_exact(n, r):
+    # rank r >= 2 takes the blocks; every C_pq of the closed-form table is an
+    # integer, which the proposal lands on and the zero count certifies, also
+    # where it equals the max row sum of its block (seed 1 of n=2 r=2)
+    for seed in range(4):
+        spec, table = rotated_split_curvature(random.Random(seed), n, r)
+        got = commutator_norm(spec)
+        assert got.exact is False
+        assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
+
+
+def _sqrt2_compare(calls):
+    """compare for x = sqrt 2: sign(2 - h^2) on h > 0, recording each h."""
+
+    def compare(h):
+        calls.append(h)
+        return (h * h < 2) - (h * h > 2)
+
+    return compare
+
+
+@pytest.mark.parametrize("x", [F(0), F(3), F(-7, 4), F(1, 2 * 10**6)])
+def test_enclose_returns_a_grid_point_exactly(x):
+    calls = []
+
+    def compare(h):
+        calls.append(h)
+        return (x > h) - (x < h)
+
+    assert hermitian.enclose(compare, float(x), F(-10), F(10), F(1, 10**6)) == (x, x)
+    assert calls == [x]
+
+
+@pytest.mark.parametrize("guess", [math.sqrt(2), math.nan, 0.0, 1.0, 2.0, 1e6])
+@pytest.mark.parametrize("width", [F(1, 10**12), F(1, 3)])
+def test_enclose_brackets_an_irrational_within_width(guess, width):
+    # a guess on an end of [1, 2] or outside it is not probed: compare runs
+    # only strictly inside the bracket
+    calls = []
+    lo, hi = hermitian.enclose(_sqrt2_compare(calls), guess, F(1), F(2), width)
+    assert lo * lo < 2 < hi * hi
+    assert hi - lo <= width
+    assert calls and all(F(1) < h < F(2) for h in calls)
+    if guess == math.sqrt(2):
+        assert len(calls) == 2 and hi - lo == width / 2
 
 
 def test_line_bundle_norm_n5_builds_no_operator(monkeypatch):

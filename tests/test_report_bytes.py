@@ -236,20 +236,20 @@ DIGESTS = {
     "kahler:gammas-5 machine": "ce2150d285604ea222eb47898fa36446b36545a8d3bb3877a28bf36a17ec2f0e",
     "kahler:gammas-6 text": "003e80667de29e736a13d4d3cf7049805874613425f25f8b915c3cf2c2f83c17",
     "kahler:gammas-6 machine": "1255d10f7627f8893c2174ef36adf6dee646c935a107a050fea2e708bc813e56",
-    "hermitian:generic-n2-r1:commutator text": "47ed1006f6fd41c21e3f8d3d35f4646d7bfe9cdd3059c8405a3f76e3738ab7d6",
-    "hermitian:generic-n2-r1:commutator machine": "189e803a3a2007a4e99b61d58a6329411181b48c42378271089592ede4971852",
-    "hermitian:generic-n2-r2:commutator text": "364ea893876cebfce6c780e90b464a6c0259680c34929105cd332537efbfd89a",
-    "hermitian:generic-n2-r2:commutator machine": "b13cd73e45f45b21e4d7c5e9d8b72d9eae67767b572cb15a21e7746fd1049df7",
-    "hermitian:generic-n2-r3:commutator text": "5d37783fa898a2a51bcbdfc1d269c1943486d02ebef9db93d06b5e5dc86800d4",
-    "hermitian:generic-n2-r3:commutator machine": "43bf05c61cfb2c726a1faf3ff411baeafcddd4ed560b987e13e233c26bb576f1",
-    "hermitian:generic-n3-r1:commutator text": "61dfd02a43593c3507dc585e7ec4e032d133d8540b966c79b51509b4ef249d3b",
-    "hermitian:generic-n3-r1:commutator machine": "79e09f38a5fb7dc07ee63d1bcfa4a6d0b5ccd118ae250031a7cfc05a74ddec30",
+    "hermitian:generic-n2-r1:commutator text": "6f26da19dd517bfc614e4b1ff7c29d28742e83ad2e98ac4f4863a959ca034d43",
+    "hermitian:generic-n2-r1:commutator machine": "02216d4696f651583d627e3b79f7e5f597117d7de70d12223919f2924e370503",
+    "hermitian:generic-n2-r2:commutator text": "ee59f28ae394d83ae30f29e6cf530861d60ce672e4fac67d1510f48addf62ce5",
+    "hermitian:generic-n2-r2:commutator machine": "4c65aee0d2f01ebbdd74ef36971c4a7020d3d22986f6fda06ba362d5ab1500b4",
+    "hermitian:generic-n2-r3:commutator text": "95af50d5030914ee6f8d2fbf06a1f2bd8a278d0d73b809c84eadbb1043a1de51",
+    "hermitian:generic-n2-r3:commutator machine": "6b5ccc2cf11baeb7c6fedff49582fdfc2502ba7f1f1e122db3ca33be8eb10c00",
+    "hermitian:generic-n3-r1:commutator text": "5775fcd5fc27c9c2f2bbc7585517ea3b760dc5b5275f9c761558630e009fc5d8",
+    "hermitian:generic-n3-r1:commutator machine": "085c4c4949c9c06a5447f867779038bff6cf186a81b8ed4b4cfa6f4f10c4e3b2",
     "hermitian:rotated-n2-r1:commutator text": "852febe0a54b8e338f99452d473b31bba99674bd3b32ae46da433a87a5fc0de8",
     "hermitian:rotated-n2-r1:commutator machine": "81e704c909953e2ad578513aa19b5e602422f0bbd1be8db7b3dbb212b1f1b943",
-    "hermitian:rotated-n2-r2:commutator text": "178d945e483f3ee47b839bdc1078a665c17a096497024a2565ec8315bc566763",
-    "hermitian:rotated-n2-r2:commutator machine": "5794ff546fe23d200619f21078a5fb6cc6fd8525b01bf956c0b8794fef3288e5",
-    "hermitian:rotated-n2-r3:commutator text": "012db0376250e25b9b84bf9e36306ed2a33155cddaead21a73a0d4069e06ce5d",
-    "hermitian:rotated-n2-r3:commutator machine": "da21b49f4a9a32a0b29bb92ac414a646749f3e69b2e18b21bb0a4123d8fd7306",
+    "hermitian:rotated-n2-r2:commutator text": "0a4970ad9c4453074333ed7daa91453b2874816a4e1285b4fee881589962e6ad",
+    "hermitian:rotated-n2-r2:commutator machine": "6b209dedce2fc6ec437e543d8c44bb6bedb92e0d4826c3580f2f34196306cfaa",
+    "hermitian:rotated-n2-r3:commutator text": "765dd2f2aeff92010a93a0f604d39519d032f4fb11ac3f93393e442abb52b3b6",
+    "hermitian:rotated-n2-r3:commutator machine": "1561851a79c421512c9b6e59f748a3486b88a275a1a58622469889fd5bac87d6",
     "hermitian:rotated-n3-r1:commutator text": "e9a34ae88893cdf024dccb5582e73ea720a6bde4c0dd4a21fea70bbfd7fd7720",
     "hermitian:rotated-n3-r1:commutator machine": "abfbefb43febcb1466098ac261ddf5eb7f57c605f819545cef18fae57baef38d",
     "no arguments": "825c500e4173fa7f34d30f1c903fa71d8febac09080669d229c951feb6eb1c75",
