@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BoundsInput", "RootReport", "T4ChainReport", "bound_C1", "bound_T2", "bound_T4",
-        "bound_T5", "e_theta_interval", "forward_difference", "lemma42_search",
-        "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
+        "bound_T5", "e_theta_interval", "forward_difference", "isolate_real_roots",
+        "lemma42_search", "lemma44_search", "root_report", "sqrt_enclosure", "t4_chain",
     ),
     "diagonal": ("CommutatorNorm", "DiagonalCurvature", "commutator_norm", "flatness_test"),
     "errors": ("CertificateError", "ExprError", "IntegralityError", "MissingChernNumber"),
@@ -44,7 +44,6 @@ _EXPORTS = {
         "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",
         "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",
     ),
-    "roots": ("isolate_real_roots",),
     "sl2": ("LefschetzPower", "injectivity_scan", "lefschetz_power", "sl2_commutator_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,7 +1,7 @@
 """Exact univariate polynomials over the rationals.
 
 Used for chi_y genus polynomials (variable ``y``) and Hilbert polynomials
-in the tensor power (variable ``m``), whose real roots ``hlab.roots``
+in the tensor power (variable ``m``), whose real roots ``bounds``
 isolates.  Coefficients are `fractions.Fraction`; trailing zeros are
 trimmed so equality is equality of functions.
 """

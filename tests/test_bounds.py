@@ -214,7 +214,7 @@ def _refine_by_sturm(Q, chain, a, b, width):
 
 
 def test_refine_by_sign_matches_sturm_counts():
-    from hlab.roots import _refine, cauchy_bound
+    from hlab.bounds import _refine, cauchy_bound
 
     rng = random.Random(4103)
     for _ in range(20):
@@ -240,9 +240,7 @@ def test_refine_by_sign_matches_sturm_counts():
         assert isolate_real_roots(P, WIDTH) == sorted(expected)
 
 
-def test_isolate_near_certifies_proposals_and_bisects_without_them():
-    # the isolator takes no float proposals any more (the inertia kernel
-    # certifies those of a line bundle); what is left is exact bisection
+def test_isolation_encloses_simple_and_repeated_roots_within_width():
     from math import sqrt
 
     Q = QPoly([-2, 0, 1])  # roots +-sqrt(2)

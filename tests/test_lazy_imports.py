@@ -5,10 +5,10 @@ literal rules of the flags alone.  A command that reads a document loads
 the document reader (``inputdoc``), and the expression parser
 (``exprparse``) when the document holds expressions.  Each command imports
 the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
-bound evaluators (``bounds``, with the root isolation of ``roots``),
-``diagonal`` (whose ``commutator_norm`` imports the certificate a
-curvature takes), the integer Kahler certificates of ``lefschetz-check``
-(``sl2``, with the sign rules of ``monomials``) or the self-check suite
+bound evaluators (``bounds``), ``diagonal`` (whose ``commutator_norm``
+imports the certificate a curvature takes), the integer Kahler
+certificates of ``lefschetz-check`` (``sl2``, with the sign rules of
+``monomials``) or the self-check suite
 (``selfcheck``, ``fixtures``); only the last loads the operator engine
 (``lefschetz``).  The exact set of each is pinned here, and so is the hlab
 source each set compiles.
@@ -42,7 +42,7 @@ ENGINES = {
     f"hlab.{m}"
     for m in (
         "blocks", "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz",
-        "linebundle", "literals", "monomials", "qpoly", "ring", "roots", "sl2",
+        "linebundle", "literals", "monomials", "qpoly", "ring", "sl2",
     )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
@@ -52,7 +52,7 @@ FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "record", "literals")}
 READER = FLAGS | {"hlab.inputdoc"}
 BOUNDARY = READER | {"hlab.exprparse"}
 HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
-BOUNDS = {"hlab.bounds", "hlab.roots"}
+BOUNDS = {"hlab.bounds"}
 DIAGONAL = FLAGS | {"hlab.diagonal"}
 # lefschetz-check: the space rule is a flag rule, the certificates are integer ones
 SL2 = FLAGS | {"hlab.sl2", "hlab.monomials"}
@@ -267,9 +267,9 @@ def test_digest_takes_sha256_from_either_stdlib_layout(layout):
 SOURCE_BYTES = [
     ("import hlab.cli", FLAGS, 26134),
     ("fixture", READER, 39835),
-    ("genus kcoeffs hilbert ineq", HRR, 85061),
-    ("bounds", HRR | BOUNDS, 99728),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61553),
+    ("genus kcoeffs hilbert ineq", HRR, 85057),
+    ("bounds", HRR | BOUNDS, 99182),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61007),
     ("commutator --gammas", DIAGONAL, 32168),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45869),
     ("lefschetz-check", SL2, 36063),
@@ -289,6 +289,12 @@ def test_diagonal_closed_form_loads_no_operator_engine(statement):
     assert _import_loads(statement) == {"hlab.diagonal", "hlab.errors", "hlab.record"}
 
 
+def test_module_sets_name_every_module_once():
+    # a deleted module left in a set, or a new one left out, fails here
+    modules = {f"hlab.{p.stem}" for p in Path(hlab.__file__).parent.glob("*.py")} - {"hlab.__init__", "hlab.__main__"}
+    assert ENGINES | HEAVY | FLAGS == modules
+
+
 def test_bare_import_loads_no_engine():
     probe = "import hlab, json, sys\nprint(json.dumps({'code': 0, 'modules': list(sys.modules)}))"
     _, modules = _loaded(probe)
@@ -300,7 +306,7 @@ EXPORTS = {
     "bounds": (
         "BoundsInput Interval RootReport T4ChainReport bound_C1 bound_T2 bound_T4 bound_T5 "
         "e_theta_interval forward_difference lemma42_search lemma44_search "
-        "root_report sqrt_enclosure t4_chain"
+        "isolate_real_roots root_report sqrt_enclosure t4_chain"
     ),
     "exprparse": "ExprError parse_expression parse_rational",
     "gaussian": "CQ",
@@ -321,7 +327,6 @@ EXPORTS = {
         "GradedElement RingSpec Series SpecMismatch elementary_from_power_sums exp genus_product "
         "log power_sums_from_elementary todd_series"
     ),
-    "roots": "isolate_real_roots",
     "sl2": "LefschetzPower injectivity_scan lefschetz_power sl2_commutator_check",
 }
 EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names.split()]

@@ -593,8 +593,8 @@ def test_hermitian_unitary_invariance_random():
 @pytest.mark.parametrize("guess", [math.nan, 0.0, 1e6])
 def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
     # r = 2 takes the block certificate: a refuted or non-finite float
-    # proposal leaves the exact bisection from [0, max row sum], which must
-    # still pin the split-bundle value within tol
+    # proposal leaves the exact bisection of the open (-1, 1 + max row sum),
+    # which must still pin the split-bundle value within tol
     monkeypatch.setattr(hermitian, "_float_eigenvalues", lambda block: [guess] * len(block))
     spec, table = rotated_split_curvature(random.Random(88), 2, 2)
     got = commutator_norm(spec)
