@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import ceil, factorial, floor, isqrt
+from math import ceil, factorial, floor, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 from .qpoly import QPoly, is_integer_valued
@@ -36,9 +36,7 @@ def sqrt_enclosure(x: Scalar, eps: Fraction = Fraction(1, 10**12)) -> tuple[Frac
         return root, root
     scale = max(1, ceil(Fraction(1) / (den * eps)))
     lo_int = isqrt(num * den * scale * scale)
-    lo = Fraction(lo_int, den * scale)
-    hi = Fraction(lo_int + 1, den * scale)
-    return lo, hi
+    return Fraction(lo_int, den * scale), Fraction(lo_int + 1, den * scale)
 
 
 # -- numerical polynomials -----------------------------------------------------
@@ -114,33 +112,43 @@ def lemma42_search(P: QPoly, candidates: Sequence[int], Lval: int) -> int:
 
 def sturm_chain(P: QPoly) -> list[QPoly]:
     chain = [P, P.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        chain.append(-rem)
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
     if chain[-1].is_zero():
         chain.pop()
     return chain
 
 
-def _variations(chain: Sequence[QPoly], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = poly(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _integral(P: QPoly) -> tuple[int, ...]:
+    """The coefficients of P times the lcm of their denominators: integers."""
+    d = lcm(*(c.denominator for c in P.coeffs))
+    return tuple(c.numerator * (d // c.denominator) for c in P.coeffs)
+
+
+def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
+    """sign P(p/q), q > 0, from P's integer c_i: that of sum c_i p^i q^(d-i)."""
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qk
+        qk *= q
+    return _sign(acc)
+
+
+def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [s for c in chain if (s := _sign_at(c, x))]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots_between(chain: Sequence[QPoly], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b]; endpoints must not be roots."""
+    chain = [_integral(P) for P in chain]
     return _variations(chain, a) - _variations(chain, b)
 
 
 def cauchy_bound(P: QPoly) -> Fraction:
     """All roots satisfy |z| < 1 + max |a_i| / |a_deg|."""
-    lead = abs(P.leading())
-    rest = [abs(c) for c in P.coeffs[:-1]]
-    return 1 + (max(rest) / lead if rest else Fraction(0))
+    return 1 + max((abs(c) for c in P.coeffs[:-1]), default=0) / abs(P.leading())
 
 
 def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[tuple[Fraction, Fraction]]:
@@ -159,7 +167,7 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
     if Q.degree == 1:
         root = -Q.coeffs[0] / Q.coeffs[1]
         return [(root, root)]
-    chain = sturm_chain(Q)
+    chain, q = sturm_chain(Q), _integral(Q)
     B = cauchy_bound(Q)
     out: list[tuple[Fraction, Fraction]] = []
     work = [(-B, B, count_roots_between(chain, -B, B))]
@@ -171,22 +179,20 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
             out.append(_refine(Q, a, b, width))
             continue
         mid = (a + b) / 2
-        if Q(mid) == 0:
+        if not _sign_at(q, mid):
             out.append((mid, mid))
             # carve out a punctured neighbourhood holding only this root
             delta = (b - a) / 4
             while True:
                 lo, hi = mid - delta, mid + delta
-                if Q(lo) != 0 and Q(hi) != 0 and count_roots_between(chain, lo, hi) == 1:
+                if _sign_at(q, lo) and _sign_at(q, hi) and count_roots_between(chain, lo, hi) == 1:
                     break
                 delta /= 2
             left = count_roots_between(chain, a, lo)
-            work.append((a, lo, left))
-            work.append((hi, b, cnt - 1 - left))
+            work += [(a, lo, left), (hi, b, cnt - 1 - left)]
         else:
             left = count_roots_between(chain, a, mid)
-            work.append((a, mid, left))
-            work.append((mid, b, cnt - left))
+            work += [(a, mid, left), (mid, b, cnt - left)]
     out.sort()
     return out
 
@@ -199,13 +205,14 @@ def _refine(Q: QPoly, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fracti
     when Q there differs in sign from Q(a), and the half kept is the one a
     Sturm count would pick.
     """
-    left_positive = Q(a) > 0
+    q = _integral(Q)
+    left = _sign_at(q, a)
     while b - a > width:
         mid = (a + b) / 2
-        v = Q(mid)
-        if v == 0:
+        s = _sign_at(q, mid)
+        if not s:
             return (mid, mid)
-        if (v > 0) != left_positive:
+        if s != left:
             b = mid
         else:
             a = mid
@@ -231,13 +238,11 @@ def root_report(P: QPoly, chi_p: Scalar = 0) -> RootReport:
     side: the bisection of :func:`isolate_real_roots` first cuts the
     Cauchy bracket (-B, B), B >= 1, at its midpoint 0.
     """
-    shifted = P - Fraction(chi_p)
+    shifted = P - chi_p
     if shifted.is_zero():
         raise ValueError("P - chi_p is identically zero; the root set is all of R")
     intervals = isolate_real_roots(shifted)
-    m_p = Fraction(0)
-    c_plus = Fraction(0)
-    c_minus = Fraction(0)
+    m_p = c_plus = c_minus = Fraction(0)
     for lo, hi in intervals:
         m_p = max(m_p, abs(lo), abs(hi))
         if lo >= 0 and hi > 0:
@@ -372,7 +377,7 @@ def t4_chain(b: BoundsInput, P: QPoly, chi_p: Scalar, p: int) -> T4ChainReport:
     N = floor(b.c_n * b.K / (b.n * b.C))
     if N <= 0:
         return T4ChainReport(p, max(N, 0), None, None, "degenerate", 1)
-    shifted = P - Fraction(chi_p)
+    shifted = P - chi_p
     m_tilde = lemma42_search(shifted, range(-b.n * N, b.n * N + 1), N)
     delta = shifted(m_tilde)
     s = Fraction((-1) ** (b.n - p + 1)) * delta

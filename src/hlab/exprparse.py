@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -90,8 +89,7 @@ def _bit_size(digits: int) -> int:
 
 def _coefficient_bits(value: GradedElement) -> int:
     """The largest numerator or denominator bit length among the coefficients."""
-    coeffs = value.terms.values()
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.terms.values()), default=0)
 
 
 class _Parser:
@@ -197,7 +195,7 @@ class _Parser:
         kind, text, where = self.peek()
         if kind == "int":
             self.advance()
-            return self.spec.constant(Fraction(int(text))), 0
+            return self.spec.constant(int(text)), 0
         if kind == "name":
             self.advance()
             try:

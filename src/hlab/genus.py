@@ -61,8 +61,8 @@ def _check_rings(fclass: FundamentalClass, *elements: GradedElement):
         raise ValueError("element and fundamental class use different rings")
 
 
-def _pair_top(top: Mapping[tuple[int, ...], Fraction], fclass: FundamentalClass) -> Fraction:
-    """Apply the Chern-number table to top-weight coefficients.
+def _pair_top(top: Mapping[tuple[int, ...], int], den: int, fclass: FundamentalClass) -> Fraction:
+    """Apply the Chern-number table to top-weight numerators over ``den``.
 
     Only nonzero coefficients are looked up, so a monomial that cancelled
     needs no table entry; a missing one is an error naming the first such
@@ -80,7 +80,7 @@ def _pair_top(top: Mapping[tuple[int, ...], Fraction], fclass: FundamentalClass)
             total += coeff * value
     if missing:
         raise MissingChernNumber(fclass.spec.monomial_name(max(missing)))
-    return total
+    return total / den
 
 
 def integrate(x: GradedElement, fclass: FundamentalClass) -> Fraction:
@@ -90,30 +90,26 @@ def integrate(x: GradedElement, fclass: FundamentalClass) -> Fraction:
     with no table entry is an error naming the offending monomial.
     """
     _check_rings(fclass, x)
-    return _pair_top(x.graded_component(x.spec.truncation).terms, fclass)
+    return _pair_top(x.parts.get(x.spec.truncation, {}), x.den, fclass)
 
 
 def integrate_product(a: GradedElement, b: GradedElement, fclass: FundamentalClass) -> Fraction:
     """The integral of ``a * b`` without forming the product.
 
-    Only the weight-w terms of ``a`` meet the weight-(n - w) terms of ``b``;
+    Only the weight-w part of ``a`` meets the weight-(n - w) part of ``b``;
     each top monomial's coefficient is summed before the table is consulted,
     so this raises :class:`MissingChernNumber` exactly when
     ``integrate(a * b, fclass)`` does.
     """
     _check_rings(fclass, a, b)
     n = fclass.spec.truncation
-    da, left = a.scaled_by_weight()
-    db, right = b.scaled_by_weight()
     top: dict[tuple[int, ...], int] = {}
-    for w, terms1 in left.items():
-        partners = right.get(n - w, ())
-        for e1, n1 in terms1:
-            for e2, n2 in partners:
+    for w, part in a.parts.items():
+        for e1, n1 in part.items():
+            for e2, n2 in b.parts.get(n - w, {}).items():
                 e = tuple(map(add, e1, e2))
                 top[e] = top.get(e, 0) + n1 * n2
-    d = da * db
-    return _pair_top({e: Fraction(v, d) for e, v in top.items()}, fclass)
+    return _pair_top(top, a.den * b.den, fclass)
 
 
 class ManifoldData(Record):
@@ -156,18 +152,22 @@ class ManifoldData(Record):
     def hodge(self) -> tuple[GradedElement, ...]:
         """(ch Omega^0, ..., ch Omega^n): exterior powers of the cotangent bundle.
 
-        ch Omega^p is e_p of the n quantities e^{-gamma_i}.  Their k-th power
-        sums are q_k = n + sum_j (-k)^j p_j / j!, and one inverse-Newton
-        ladder yields every e_p at once.
+        ch Omega^p = e_p(1 + u) = sum_{m <= p} C(n - m, p - m) e_m(u), with
+        u_i = e^{-gamma_i} - 1.  As (e^x - 1)^k / k! = sum_j S(j, k) x^j / j!
+        (S: Stirling numbers of the second kind), the power sums of u are
+        P_k = sum_{j >= k} (-1)^j k! S(j, k) p_j / j!, and one inverse-Newton
+        ladder yields every e_m(u).  e_m(u) has weight >= m, so the ladder
+        multiplies small nilpotent elements.
         """
-        spec = self.spec
-        q = []
-        for k in range(1, self.n + 1):
-            acc = spec.constant(self.n)
-            for j, pj in enumerate(self._power_sums, start=1):
-                acc = acc + pj * Fraction((-k) ** j, factorial(j))
-            q.append(acc)
-        return (spec.one(), *elementary_from_power_sums(q, self.n))
+        spec, n = self.spec, self.n
+        P = [spec.zero()] * (n + 1)
+        surj = [1]  # k! S(j, k) for k = 0..j: the maps of j points onto k
+        for j, pj in enumerate(self._power_sums, start=1):
+            surj = [0] + [k * (s + t) for k, s, t in zip(range(1, j + 1), surj, surj[1:] + [0])]
+            for k in range(1, j + 1):
+                P[k] = P[k] + pj * Fraction((-1) ** j * surj[k], factorial(j))
+        e = (spec.one(), *elementary_from_power_sums(P[1:], n))
+        return tuple(sum((e[m] * comb(n - m, p - m) for m in range(p + 1)), spec.zero()) for p in range(n + 1))
 
 
 class BundleData(Record):
@@ -201,7 +201,7 @@ def bundle_power(line: BundleData, m: Scalar) -> BundleData:
 
 
 def _bundle_power_sums(e: BundleData, spec: RingSpec, n: int) -> list[GradedElement]:
-    elem = [c for c in e.chern[:n]]
+    elem = list(e.chern[:n])
     elem += [spec.zero()] * (n - len(elem))
     return power_sums_from_elementary(elem, n)
 
@@ -215,7 +215,7 @@ def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
     """ch(E) = rank + sum_k p_k(E)/k! truncated at weight n."""
     out = spec.constant(e.rank)
     for k, pk in enumerate(_bundle_power_sums(e, spec, n), start=1):
-        out = out + pk * Fraction(1, factorial(k))
+        out = out + pk / factorial(k)
     return out
 
 

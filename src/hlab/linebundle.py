@@ -5,15 +5,14 @@ with U* theta U = diag(gamma) acts unitarily on Lambda^{p,q}(C^n) and
 commutes with L and Lambda, so every C_{p,q} is the closed form of
 ``hlab.diagonal`` at the eigenvalues gamma of theta.  They are enclosed by
 counting the eigenvalues of theta below and at a rational h with the exact
-inertia kernel of ``hlab.hermitian``, and no operator and no polynomial is
-built.  ``hlab.diagonal.commutator_norm`` sends a Hermitian curvature here
-when r = 1.
+inertia kernel of ``hlab.hermitian``; no operator or polynomial is built.
+``hlab.diagonal.commutator_norm`` sends a Hermitian line bundle here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .diagonal import CommutatorNorm, _diagonal_table
 from .errors import CertificateError
@@ -34,7 +33,7 @@ def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
     if spec.r != 1:
         raise ValueError(f"the eigenvalue path takes a line bundle, not r = {spec.r}")
     n = spec.n
-    theta = [[line[k][0][0] for k in range(n)] for line in spec.theta]
+    theta = [[m[0][0] for m in line] for line in spec.theta]
     trace = sum((theta[j][j].re for j in range(n)), Fraction(0))
     ends = _diagonal_table(eigenvalue_enclosures(theta, trace), trace)
     table = {key: Interval(lo, hi) for key, (lo, hi) in ends.items()}
@@ -47,20 +46,20 @@ def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[
     enclosure k holds the k-th smallest, and the lows need not be sorted.
     ``trace`` is tr theta.
 
-    ``hermitian.integer_parts`` certifies theta Hermitian, and the inertia
-    kernel counts its eigenvalues below h and at h exactly, which gives the
-    sign of gamma_k - h.  ``hermitian.enclose`` takes it from the k-th
-    sorted float eigenvalue and the bracket +-(1 + max row sum).
+    ``hermitian.integer_parts`` certifies theta Hermitian, and one inertia
+    elimination per h counts its eigenvalues below and at h: the sign of
+    each gamma_k - h.  ``hermitian.enclose`` takes it from the k-th sorted
+    float eigenvalue and the bracket +-(1 + max row sum).
     Certified: the enclosures add up around tr theta.
     """
     n = len(theta)
     *_, radius = parts = integer_parts(theta)  # radius bounds every eigenvalue's size
+    signs = cache(lambda h: list(inertia_signs(parts, h)))
 
     def compare(k: int, h: Fraction) -> int:
         """sign(gamma_k - h), gamma_k the k-th smallest eigenvalue."""
-        signs = list(inertia_signs(parts, h))
-        below = signs.count(1)
-        return -1 if below > k else 0 if below + signs.count(0) > k else 1
+        below = signs(h).count(1)
+        return -1 if below > k else 0 if below + signs(h).count(0) > k else 1
 
     width = HERMITIAN_WIDTH / (2 * n)
     guesses = sorted(_float_eigenvalues(theta))

@@ -74,8 +74,6 @@ class QPoly:
         return QPoly([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly([other], self.var)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -107,21 +105,14 @@ class QPoly:
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
         d, lc = other.degree, other.leading()
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            q[k] = f
+        q = [Fraction(0)] * max(0, self.degree - d + 1)
+        r = list(self.coeffs)
+        for k in reversed(range(len(q))):
+            f = q[k] = r[k + d] / lc
             for i, b in enumerate(other.coeffs):
                 r[k + i] -= f * b
-            r.pop()
-        return QPoly(q, self.var), QPoly(r, self.var)
+        return QPoly(q, self.var), QPoly(r[:d], self.var)
 
     def derivative(self) -> "QPoly":
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
@@ -129,10 +120,7 @@ class QPoly:
     def shift(self, a: Scalar) -> "QPoly":
         """Taylor shift: returns P(x + a)."""
         a = Fraction(a)
-        n = self.degree
-        if n < 0:
-            return self
-        out = [Fraction(0)] * (n + 1)
+        out = [Fraction(0)] * len(self.coeffs)
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -153,12 +141,10 @@ class QPoly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def squarefree_part(self) -> "QPoly":
         """Divide out repeated factors (gcd with the derivative)."""
-        if self.degree < 1:
-            return self
         g = self.gcd(self.derivative())
         if g.degree < 1:
             return self
@@ -185,19 +171,14 @@ class QPoly:
                 else:
                     body = f"{_coeff_str(c)}{mono}"
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return " + ".join(parts).replace(" + -", " - ")
 
     def __repr__(self):
         return f"<QPoly {self}>"
 
 
 def _coeff_str(c: Fraction, alone: bool = False) -> str:
-    if c.denominator == 1:
-        return str(c)
-    return str(c) if alone else f"({c})"
+    return str(c) if alone or c.denominator == 1 else f"({c})"
 
 
 def poly_from_values(values: Sequence[tuple[Scalar, Scalar]], var: str = "m") -> QPoly:

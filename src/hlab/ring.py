@@ -1,17 +1,17 @@
 """Truncated graded-commutative polynomial ring over exact rationals.
 
-Everything here is exact: coefficients are `fractions.Fraction`, monomials
-are sparse exponent tuples, and any term whose total weight exceeds the
-ring's truncation is discarded.  The truncation models the top real
-dimension of a compact complex n-fold, so products behave like the cup
-product on cohomology with all relations above degree 2n collapsed.
+Everything here is exact: coefficients are integers over one common
+denominator, monomials are sparse exponent tuples, and any term whose total
+weight exceeds the ring's truncation is discarded.  The truncation models
+the top real dimension of a compact complex n-fold, so products behave like
+the cup product on cohomology with all relations above degree 2n collapsed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -65,19 +65,20 @@ class RingSpec(Record):
         return sum(e * w for e, w in zip(exps, self.weights))
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {})
+        return _canonical(self, {}, 1)
 
     def one(self) -> "GradedElement":
         return self.constant(1)
 
     def constant(self, value: Scalar) -> "GradedElement":
-        zero_key = (0,) * len(self.generators)
-        return GradedElement(self, {zero_key: Fraction(value)})
+        q = Fraction(value)
+        return _canonical(self, {0: {(0,) * len(self.generators): q.numerator}} if q else {}, q.denominator)
 
     def gen(self, name: str) -> "GradedElement":
         i = self.index(name)
-        key = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return GradedElement(self, {key: Fraction(1)})
+        key = tuple(int(j == i) for j in range(len(self.generators)))
+        w = self.weights[i]
+        return _canonical(self, {w: {key: 1}} if w <= self.truncation else {}, 1)
 
     def element(self, terms: Mapping[Sequence[int], Scalar]) -> "GradedElement":
         return GradedElement(self, {tuple(k): Fraction(v) for k, v in terms.items()})
@@ -93,19 +94,23 @@ class RingSpec(Record):
         return "*".join(parts) if parts else "1"
 
 
-def _grlex_key(spec: RingSpec, exps: tuple[int, ...]):
-    return (spec.weight_of(exps), tuple(-e for e in exps))
+def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den: int) -> "GradedElement":
+    """``parts / den`` (no zero numerator, no empty part, den > 0), reduced."""
+    g = gcd(den, *(v for part in parts.values() for v in part.values()))
+    if g > 1:
+        parts = {w: {e: v // g for e, v in part.items()} for w, part in parts.items()}
+    out = object.__new__(GradedElement)
+    out.spec, out.parts, out.den = spec, parts, den // g
+    return out
 
 
 class GradedElement:
-    """Sparse truncated polynomial over Fraction in a :class:`RingSpec`.
+    """Sparse truncated polynomial over Q in a :class:`RingSpec`.
 
-    Values are immutable once constructed; all arithmetic returns fresh
-    elements.  Stored terms always satisfy weight <= spec.truncation and
-    never carry a zero coefficient.
+    ``parts[w]`` maps each exponent tuple of weight w <= spec.truncation to
+    a nonzero integer numerator over ``den`` > 0, with gcd 1: one form per
+    value.  Values are immutable; all arithmetic returns fresh elements.
     """
-
-    __slots__ = ("spec", "terms")
 
     def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, ...], Fraction]):
         clean = {}
@@ -113,29 +118,26 @@ class GradedElement:
         for exps, coeff in terms.items():
             if len(exps) != ngen or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {spec.names}")
-            if coeff == 0:
-                continue
-            if spec.weight_of(exps) <= spec.truncation:
-                clean[exps] = Fraction(coeff)
-        self.spec = spec
-        self.terms = clean
+            if (c := Fraction(coeff)) and spec.weight_of(exps) <= spec.truncation:
+                clean[exps] = c
+        # over the lcm of reduced denominators the gcd is 1
+        self.spec, self.den, self.parts = spec, lcm(*(c.denominator for c in clean.values())), {}
+        for exps, c in clean.items():
+            self.parts.setdefault(spec.weight_of(exps), {})[exps] = c.numerator * (self.den // c.denominator)
 
-    @classmethod
-    def _wrap(cls, spec: RingSpec, terms: dict[tuple[int, ...], Fraction]) -> "GradedElement":
-        """Adopt ``terms`` unchecked: arithmetic results already hold only
-        nonzero Fractions on valid exponent tuples of weight <= truncation."""
-        out = object.__new__(cls)
-        out.spec = spec
-        out.terms = terms
-        return out
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """``{exps: coefficient}``, each coefficient a nonzero Fraction."""
+        return {e: Fraction(v, self.den) for part in self.parts.values() for e, v in part.items()}
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.parts
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.spec.generators), Fraction(0))
+        # generators weigh >= 1: weight 0 holds the constant alone
+        return Fraction(sum(self.parts.get(0, {}).values()), self.den)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -144,94 +146,78 @@ class GradedElement:
         """Sum of the terms of total weight exactly ``k``."""
         if not 0 <= k <= self.spec.truncation:
             raise ValueError(f"component {k} outside [0, {self.spec.truncation}]")
-        wt = self.spec.weight_of
-        return GradedElement._wrap(self.spec, {e: c for e, c in self.terms.items() if wt(e) == k})
+        return _canonical(self.spec, {k: self.parts[k]} if k in self.parts else {}, self.den)
 
     def is_homogeneous(self, k: int) -> bool:
-        return all(self.spec.weight_of(e) == k for e in self.terms)
+        return self.parts.keys() <= {k}
 
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "GradedElement"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch(f"ring mismatch: {self.spec} vs {other.spec}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.spec.constant(other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-                continue
-            s += c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return GradedElement._wrap(self.spec, out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        parts = {w: {e: v * s for e, v in part.items()} for w, part in self.parts.items()}
+        for w, part in other.parts.items():
+            out = parts.setdefault(w, {})
+            for e, v in part.items():
+                v = out.get(e, 0) + v * t
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            if not out:
+                del parts[w]
+        return _canonical(self.spec, parts, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedElement._wrap(self.spec, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.spec.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def scaled_by_weight(self) -> tuple[int, dict[int, list[tuple[tuple[int, ...], int]]]]:
-        """``(d, {w: [(exps, d * coeff), ...]})``: the terms over the lcm d of
-        their denominators, as integer numerators bucketed by weight."""
-        d = lcm(*(c.denominator for c in self.terms.values()))
-        wt = self.spec.weight_of
-        buckets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(wt(e), []).append((e, c.numerator * (d // c.denominator)))
-        return d, buckets
-
     def __mul__(self, other):
-        """Truncated product, accumulated over the integers.
-
-        Both operands are put over the lcm of their denominators and
-        bucketed by weight, so the inner loop multiplies and adds ints, one
-        Fraction is built per output term, and a weight pair above the
-        truncation is never visited.
-        """
+        """Truncated product over the integers: only weight pairs w1 + w2 <=
+        truncation are visited, each writing into part w1 + w2."""
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 1:
                 return self
-            if not q:
-                return GradedElement._wrap(self.spec, {})
-            return GradedElement._wrap(self.spec, {e: c * q for e, c in self.terms.items()})
+            a = q.numerator
+            parts = {w: {e: v * a for e, v in part.items()} for w, part in self.parts.items()} if a else {}
+            return _canonical(self.spec, parts, self.den * q.denominator)
         self._check(other)
-        d1, left = self.scaled_by_weight()
-        d2, right = other.scaled_by_weight()
         trunc = self.spec.truncation
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for w1, terms1 in left.items():
-            partners = [bucket for w2, bucket in right.items() if w1 + w2 <= trunc]
-            for e1, n1 in terms1:
-                for bucket in partners:
-                    for e2, n2 in bucket:
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = get(e, 0) + n1 * n2
-        d = d1 * d2
-        return GradedElement._wrap(self.spec, {e: Fraction(v, d) for e, v in acc.items() if v})
+        right = other.parts.items()
+        acc: dict[int, dict[tuple[int, ...], int]] = {}
+        for w1, part1 in self.parts.items():
+            for w2, part2 in right:
+                if w1 + w2 <= trunc:
+                    out = acc.setdefault(w1 + w2, {})
+                    get = out.get
+                    for e1, n1 in part1.items():
+                        for e2, n2 in part2.items():
+                            e = tuple(map(add, e1, e2))
+                            out[e] = get(e, 0) + n1 * n2
+        parts = {w: p for w, out in acc.items() if (p := {e: v for e, v in out.items() if v})}
+        return _canonical(self.spec, parts, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         raise TypeError("can only divide by a nonzero rational scalar")
 
     def __pow__(self, k: int):
@@ -251,7 +237,7 @@ class GradedElement:
             other = self.spec.constant(other)
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.spec == other.spec and self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
         return hash((self.spec, tuple(sorted(self.terms.items()))))
@@ -260,7 +246,8 @@ class GradedElement:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order (deterministic printing)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(self.spec, kv[0]))
+        terms, parts = self.terms, self.parts
+        return [(e, terms[e]) for w in sorted(parts) for e in sorted(parts[w], reverse=True)]
 
     def __str__(self):
         if not self.terms:
@@ -277,10 +264,7 @@ class GradedElement:
             else:
                 text = f"{coeff}*{mono}"
             parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
 
     def __repr__(self):
         return f"<GradedElement {self}>"
@@ -290,36 +274,25 @@ class GradedElement:
 
 
 def exp(x: GradedElement) -> GradedElement:
-    """Finite exponential sum_{k<=n} x^k/k!; x must have zero constant term.
-
-    Terminates because x is nilpotent under truncation.
-    """
+    """Finite exponential sum_{k<=n} x^k/k!; x must have zero constant term."""
     if x.constant_term() != 0:
         raise ValueError("exp requires a zero constant term")
-    n = x.spec.truncation
-    out = x.spec.one()
-    power = x.spec.one()
-    for k in range(1, n + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        out = out + power * Fraction(1, factorial(k))
-    return out
+    return _nilpotent_series(x, lambda k: Fraction(1, factorial(k)))
 
 
 def log(u: GradedElement) -> GradedElement:
     """Series log of an element with constant term 1 (inverse of exp)."""
     if u.constant_term() != 1:
         raise ValueError("log requires constant term 1")
-    v = u - 1
-    n = u.spec.truncation
-    out = u.spec.zero()
-    power = u.spec.one()
-    for k in range(1, n + 1):
-        power = power * v
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (k + 1), k)
+    return _nilpotent_series(u - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+
+
+def _nilpotent_series(x: GradedElement, coeff) -> GradedElement:
+    """sum_k coeff(k) x^k for x of zero constant term: finite, since x is
+    nilpotent under truncation."""
+    out, power, k = x.spec.zero(), x.spec.one(), 0
+    while not power.is_zero():
+        out, power, k = out + power * coeff(k), power * x, k + 1
     return out
 
 
@@ -343,7 +316,7 @@ def power_sums_from_elementary(e: Sequence[GradedElement], n: int) -> list[Grade
     for k in range(1, n + 1):
         acc = e[k - 1] * ((-1) ** (k - 1) * k)
         for i in range(1, k):
-            acc = acc + e[i - 1] * p[k - i - 1] * ((-1) ** (i - 1))
+            acc = acc + e[i - 1] * p[k - i - 1] * (-1) ** (i - 1)
         p.append(acc)
     return p
 
@@ -355,14 +328,13 @@ def elementary_from_power_sums(p: Sequence[GradedElement], n: int) -> list[Grade
     if n == 0:
         return []
     spec = p[0].spec
-    e: list[GradedElement] = []
+    e = [spec.one()]
     for k in range(1, n + 1):
         acc = spec.zero()
         for i in range(1, k + 1):
-            prev = e[k - i - 1] if k - i >= 1 else spec.one()
-            acc = acc + prev * p[i - 1] * ((-1) ** (i - 1))
-        e.append(acc * Fraction(1, k))
-    return e
+            acc = acc + e[k - i] * p[i - 1] * (-1) ** (i - 1)
+        e.append(acc / k)
+    return e[1:]
 
 
 # -- one-variable series ----------------------------------------------------
@@ -398,7 +370,7 @@ class Series:
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a == 0:
                 continue
-            for j in range(0, n - i + 1):
+            for j in range(n - i + 1):
                 out[i + j] += a * other.coeffs[j]
         return Series(out)
 

@@ -198,6 +198,26 @@ def test_sturm_chain_counts():
     assert count_roots_between(chain, F(0), F(2)) == 1
 
 
+def test_integer_sign_matches_fraction_evaluation():
+    from hlab.bounds import _integral, _sign_at
+
+    rng = random.Random(4104)
+    for _ in range(60):
+        roots = [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(rng.randint(0, 3))]
+        P = QPoly([F(rng.randint(-9, 9), rng.choice([1, 2, 5, 12])) for _ in range(rng.randint(0, 4))])
+        for r in roots:
+            c = F(rng.choice([-3, 1, 2]), rng.choice([1, 4]))
+            P = P * QPoly([-r * c, c])  # a root at r, and rational coefficients
+        ints = _integral(P)
+        assert all(type(c) is int for c in ints)
+        dyadic = [F(rng.randint(-2**12, 2**12), 2 ** rng.randint(0, 10)) for _ in range(5)]
+        other = [F(rng.randint(-500, 500), rng.choice([3, 7, 9, 11, 75])) for _ in range(5)]
+        for x in dyadic + other + roots + [F(0)]:
+            v = P(x)
+            assert _sign_at(ints, x) == (v > 0) - (v < 0)
+        assert all(_sign_at(ints, r) == 0 for r in roots)
+
+
 def _refine_by_sturm(Q, chain, a, b, width):
     """The earlier bisection: recount Sturm variations on the left half."""
     from hlab.bounds import count_roots_between

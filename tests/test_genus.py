@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from conftest import random_manifold_bundle, weight_keys
@@ -31,7 +31,7 @@ from hlab.genus import (
     todd_class,
 )
 from hlab.qpoly import QPoly
-from hlab.ring import RingSpec, exp
+from hlab.ring import RingSpec, elementary_from_power_sums, exp, power_sums_from_elementary
 
 F = Fraction
 
@@ -155,6 +155,34 @@ def test_hodge_classes_formal_manifolds(n):
     cotangent = BundleData(n, tuple(c * (-1) ** i for i, c in enumerate(x.chern, start=1)))
     assert classes[1] == chern_character(cotangent, x.spec, n)
     assert classes[n] == exp(-x.chern[0])
+
+
+def _inverse_newton_hodge(x):
+    """ch Omega^p as e_p of the n quantities e^{-gamma_i}, from their power
+    sums q_k = n + sum_j (-k)^j p_j / j! through one inverse-Newton ladder
+    over full (not nilpotent) elements."""
+    p = power_sums_from_elementary(list(x.chern), x.n)
+    q = [
+        sum((pj * Fraction((-k) ** j, factorial(j)) for j, pj in enumerate(p, start=1)), x.spec.constant(x.n))
+        for k in range(1, x.n + 1)
+    ]
+    return (x.spec.one(), *elementary_from_power_sums(q, x.n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hodge_ladder_matches_inverse_newton_on_projective_space(n):
+    x, _ = projective_space(n)
+    assert x.hodge == _inverse_newton_hodge(x)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("bundle_rank", [1, 2])
+def test_hodge_ladder_matches_inverse_newton_on_formal_manifolds(n, bundle_rank):
+    # multi-generator rings: x_1..x_n of weights 1..n, plus y_1 (and y_2)
+    rng = random.Random(700 + 10 * n + bundle_rank)
+    for _ in range(2):
+        x, _ = random_manifold_bundle(rng, n, bundle_rank=bundle_rank)
+        assert x.hodge == _inverse_newton_hodge(x)
 
 
 def test_ch_hodge_sheaf_cp2_middle(cp2):

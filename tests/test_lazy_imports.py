@@ -267,14 +267,14 @@ def test_digest_takes_sha256_from_either_stdlib_layout(layout):
 SOURCE_BYTES = [
     ("import hlab.cli", FLAGS, 26134),
     ("fixture", READER, 39835),
-    ("genus kcoeffs hilbert ineq", HRR, 85057),
-    ("bounds", HRR | BOUNDS, 99182),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 61007),
+    ("genus kcoeffs hilbert ineq", HRR, 84702),
+    ("bounds", HRR | BOUNDS, 99181),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 60842),
     ("commutator --gammas", DIAGONAL, 32168),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 45869),
     ("lefschetz-check", SL2, 36063),
     ("commutator --input HERMITIAN", RANK_R, 67393),
-    ("commutator --input LINE", LINE_BUNDLE, 61345),
+    ("commutator --input LINE", LINE_BUNDLE, 61337),
 ]
 
 

@@ -643,6 +643,23 @@ def test_line_bundle_norm_of_a_rotated_line_is_exact():
         assert got.table[(n, 0)] == got.table[(0, n)] == Interval(0, 0)
 
 
+def test_line_bundle_eliminates_once_per_probed_value(monkeypatch):
+    # equal eigenvalues share their probes: n = 6 probes 4 distinct h, one of
+    # them for three eigenvalues, and each h costs one inertia elimination
+    probes = []
+    signs = linebundle.inertia_signs
+
+    def counted(parts, h):
+        probes.append(h)
+        return signs(parts, h)
+
+    monkeypatch.setattr(linebundle, "inertia_signs", counted)
+    spec, table = rotated_split_curvature(random.Random(6), 6, 1)
+    got = line_bundle_norm(spec)
+    assert {key: (iv.lo, iv.hi) for key, iv in got.table.items()} == {key: (v, v) for key, v in table.items()}
+    assert len(probes) == len(set(probes)) == 4
+
+
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
 def test_block_norm_of_a_rotated_split_bundle_is_exact(n, r):
     # rank r >= 2 takes the blocks; every C_pq of the closed-form table is an

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hlab.fixtures import random_element
+from hlab.fixtures import random_element, weight_keys
 from hlab.ring import (
     GradedElement,
     RingSpec,
@@ -348,3 +349,128 @@ def test_mul_cancellations():
     # over a common denominator the cancelling numerators sum to exactly 0
     a, b = x * F(1, 2) + y * F(1, 3), x * 2 - y * F(4, 3)
     assert a * b == _naive_product(a, b) == x * x - y * y * F(4, 9)
+
+
+# -- the integer parts against a Fraction-dict reference ------------------------
+
+ORACLE_SPECS = [
+    RingSpec((("h", 1),), 6),
+    RingSpec((("u", 1), ("v", 2), ("w", 3)), 5),
+    RingSpec((("a", 2), ("b", 3), ("c", 1)), 7),  # weights above 1
+]
+SCALARS = [0, 1, -1, F(0), F(1), F(-3, 7), F(5, 2), -4]
+
+
+def _dict_mul(spec, a, b):
+    """The truncated product of two {exps: Fraction} dicts, term by term."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if spec.weight_of(e) <= spec.truncation:
+                out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(x):
+    """Integer numerators over den > 0 with gcd 1, nonempty parts keyed by weight."""
+    spec = x.spec
+    numerators = [v for part in x.parts.values() for v in part.values()]
+    assert type(x.den) is int and x.den > 0 and gcd(x.den, *numerators) == 1
+    for w, part in x.parts.items():
+        assert part and 0 <= w <= spec.truncation
+        assert all(type(v) is int and v and spec.weight_of(e) == w for e, v in part.items())
+    assert x.terms == {e: F(v, x.den) for part in x.parts.values() for e, v in part.items()}
+    assert all(type(c) is F and c for c in x.terms.values())
+    if not numerators:
+        assert x.den == 1 and x.is_zero()
+
+
+def _draw(rng, spec):
+    """A random element and its dict, drawn independently of the ring's arithmetic."""
+    terms = {}
+    for w in range(spec.truncation + 3):  # some keys above the truncation
+        for key in weight_keys(spec, w):
+            if rng.random() < 0.4:
+                terms[key] = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 9]))
+    ref = {e: c for e, c in terms.items() if c and spec.weight_of(e) <= spec.truncation}
+    return GradedElement(spec, terms), ref
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["h-T6", "uvw-T5", "abc-T7"])
+def test_arithmetic_matches_the_fraction_dict_reference(spec):
+    from hlab.genus import FundamentalClass, integrate_product
+
+    rng = random.Random(4201)
+    fclass = FundamentalClass(spec, {e: F(rng.randint(-5, 5), rng.randint(1, 3)) for e in weight_keys(spec, spec.truncation)})
+    for _ in range(25):
+        (a, ra), (b, rb) = _draw(rng, spec), _draw(rng, spec)
+        assert a.terms == ra
+        cases = [
+            (a * b, _dict_mul(spec, ra, rb)),
+            (a + b, _dict_add(ra, rb)),
+            (a - b, _dict_add(ra, rb, -1)),
+            (-a, {e: -c for e, c in ra.items()}),
+            (a - a, {}),
+            (a * b - b * a, {}),
+        ]
+        for q in SCALARS:
+            cases += [(a * q, {e: c * q for e, c in ra.items() if c * q}), (q * a, {e: c * q for e, c in ra.items() if c * q})]
+            cases += [(a + q, _dict_add(ra, {(0,) * len(spec.generators): F(q)}))]
+            if q:
+                cases += [(a / q, {e: c / q for e, c in ra.items()})]
+        power = {(0,) * len(spec.generators): F(1)}
+        for k in range(4):
+            cases.append((a**k, power))
+            power = _dict_mul(spec, power, ra)
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.terms == want
+        top = {e: c for e, c in _dict_mul(spec, ra, rb).items() if spec.weight_of(e) == spec.truncation}
+        assert integrate_product(a, b, fclass) == sum((c * fclass.assignments[e] for e, c in top.items()), F(0))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["h-T6", "uvw-T5", "abc-T7"])
+def test_equal_values_by_different_routes_are_equal_and_hash_alike(spec):
+    rng = random.Random(4202)
+    for _ in range(15):
+        (a, ra), (b, _), (c, _) = _draw(rng, spec), _draw(rng, spec), _draw(rng, spec)
+        routes = [
+            (a * (b + c), a * b + a * c),
+            ((a * F(2, 3)) * F(3, 2), a),
+            (a / F(-5, 7) * F(-5, 7), a),
+            (spec.element(ra), a),
+            (GradedElement(spec, {e: F(2) * x for e, x in ra.items()}), a + a),
+            (a * b * c, c * (b * a)),
+            ((a + b) - b, a),
+            (a ** 3, a * a * a),
+            (a * 0, spec.zero()),
+            (a - a, spec.constant(0)),
+        ]
+        for x, y in routes:
+            _assert_canonical(x)
+            _assert_canonical(y)
+            assert x == y and hash(x) == hash(y)
+            assert (x.den, x.parts) == (y.den, y.parts)
+
+
+def test_atoms_are_canonical_and_heavy_generators_vanish():
+    spec = RingSpec((("a", 2), ("b", 3), ("c", 1), ("d", 5)), 4)
+    for name in spec.names:
+        g = spec.gen(name)
+        _assert_canonical(g)
+        assert g == spec.element({tuple(int(m == name) for m in spec.names): 1})
+    assert spec.gen("d").is_zero()  # weight 5 > T = 4
+    # a coefficient that is zero only once read as a rational is dropped too
+    assert GradedElement(spec, {(0, 0, 1, 0): "0", (0, 0, 0, 0): "3/6"}) == F(1, 2)
+    for q in SCALARS + [F(6, 4), F(-10, 15)]:
+        k = spec.constant(q)
+        _assert_canonical(k)
+        assert k.constant_term() == q and k == q and (k.den, k.is_zero()) == (F(q).denominator, not q)
