@@ -25,9 +25,7 @@ from .genus import (
     ManifoldData,
     bundle_power,
     chern_character,
-    hodge_classes,
-    integrate,
-    todd_class,
+    integrate_product,
 )
 from .diagonal import DiagonalCurvature, diagonal_norm
 from .gaussian import CQ, CQ_ONE, CQ_ZERO
@@ -80,13 +78,11 @@ def manifold_ring(n: int, bundle_rank: int) -> RingSpec:
 
 def integralized(x: ManifoldData, bundles: Iterable[BundleData]) -> ManifoldData:
     """``x`` with its fundamental class scaled so every chi^p(X, B) is integral."""
-    td = todd_class(x)
-    hodge = [td * h for h in hodge_classes(x)]
     scale = 1
     for b in bundles:
-        ch = chern_character(b, x.spec, x.n)
-        for h in hodge:
-            scale = lcm(scale, integrate(h * ch, x.fclass).denominator)
+        td_ch = x.td * chern_character(b, x.spec, x.n)
+        for h in x.hodge:
+            scale = lcm(scale, integrate_product(td_ch, h, x.fclass).denominator)
     if scale == 1:
         return x
     return ManifoldData(x.n, x.chern, x.fclass.scaled(scale))

@@ -200,21 +200,16 @@ def bundle_power(line: BundleData, m: Scalar) -> BundleData:
     return BundleData(1, (line.chern[0] * Fraction(m),))
 
 
-def _bundle_power_sums(e: BundleData, spec: RingSpec, n: int) -> list[GradedElement]:
-    elem = list(e.chern[:n])
-    elem += [spec.zero()] * (n - len(elem))
-    return power_sums_from_elementary(elem, n)
-
-
 def todd_class(x: ManifoldData) -> GradedElement:
     """td(X): the Todd genus product over the Chern roots of TX."""
     return x.td
 
 
 def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
-    """ch(E) = rank + sum_k p_k(E)/k! truncated at weight n."""
+    """ch(E) = rank + sum_k p_k(E)/k! truncated at weight n; the power sums
+    come from E's own classes, so a bundle without classes has ch = rank."""
     out = spec.constant(e.rank)
-    for k, pk in enumerate(_bundle_power_sums(e, spec, n), start=1):
+    for k, pk in enumerate(power_sums_from_elementary(e.chern[:n], n) if e.chern else (), start=1):
         out = out + pk / factorial(k)
     return out
 

@@ -300,22 +300,22 @@ def _nilpotent_series(x: GradedElement, coeff) -> GradedElement:
 
 
 def power_sums_from_elementary(e: Sequence[GradedElement], n: int) -> list[GradedElement]:
-    """Newton's identities: elementary symmetric e_1..e_n -> power sums p_1..p_n.
+    """Newton's identities: elementary symmetric e_1..e_m -> power sums p_1..p_n.
 
-    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k.
+    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k.  The m given
+    classes are 1 <= m <= n; e_i = 0 for i > m, and its terms are skipped.
     """
-    if len(e) != n:
-        raise ValueError(f"need exactly {n} elementary inputs, got {len(e)}")
-    if n == 0:
-        return []
+    m = len(e)
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 to {n} elementary inputs, got {m}")
     spec = e[0].spec
     for x in e:
         if x.spec != spec:
             raise SpecMismatch("elementary inputs live in different rings")
     p: list[GradedElement] = []
     for k in range(1, n + 1):
-        acc = e[k - 1] * ((-1) ** (k - 1) * k)
-        for i in range(1, k):
+        acc = e[k - 1] * ((-1) ** (k - 1) * k) if k <= m else spec.zero()
+        for i in range(1, min(k, m + 1)):
             acc = acc + e[i - 1] * p[k - i - 1] * (-1) ** (i - 1)
         p.append(acc)
     return p

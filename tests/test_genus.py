@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from conftest import random_manifold_bundle, weight_keys
+from conftest import random_homogeneous, random_manifold_bundle, weight_keys
 
 from hlab.errors import DocumentError
 from hlab.genus import (
@@ -128,6 +128,46 @@ def test_chern_character_rank2_closed_form():
     d1, d2 = spec.gen("d1"), spec.gen("d2")
     e = BundleData(2, (d1, d2))
     assert chern_character(e, spec, 2) == spec.constant(2) + d1 + (d1 * d1 - 2 * d2) * F(1, 2)
+
+
+def _padded_ch(e, spec, n):
+    """ch(E) from the whole Newton ladder over c_1..c_n, each absent class 0."""
+    c, p = [*e.chern[:n], *[spec.zero()] * (n - len(e.chern[:n]))], []
+    for k in range(1, n + 1):
+        acc = c[k - 1] * ((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + c[i - 1] * p[k - i - 1] * (-1) ** (i - 1)
+        p.append(acc)
+    return sum((pk / factorial(k) for k, pk in enumerate(p, start=1)), spec.constant(e.rank))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_chern_character_runs_the_ladder_on_the_classes_given(n, rank):
+    # 0..rank classes, some above the truncation when rank > n
+    rng = random.Random(800 + 10 * n + rank)
+    spec = RingSpec((("y1", 1), ("y2", 2), ("y3", 3)), n)
+    for given in range(rank + 1):
+        e = BundleData(rank, tuple(random_homogeneous(rng, spec, i) for i in range(1, given + 1)))
+        assert chern_character(e, spec, n) == _padded_ch(e, spec, n), given
+
+
+def test_classless_bundle_makes_no_ring_product(monkeypatch):
+    from hlab.ring import GradedElement
+
+    products, mul = [], GradedElement.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    x, o1 = projective_space(12)
+    monkeypatch.setattr(GradedElement, "__mul__", counted)
+    for rank in (1, 5):
+        assert chern_character(BundleData.trivial(rank), x.spec, x.n) == x.spec.constant(rank)
+    assert products == []
+    chern_character(o1, x.spec, x.n)
+    assert products  # the counter sees a bundle with a class
 
 
 # -- ch of the Hodge sheaves -------------------------------------------------------

@@ -2,21 +2,18 @@
 that names its JSON path, literals are never coerced, and a failed internal
 certificate has its own exit code (3)."""
 
-import importlib.util
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import HLAB_ENV, perfbench, run_hlab, write_doc
 
 from hlab import lefschetz, sl2
 from hlab.fixtures import rotated_split_curvature
-from hlab.cli import main
 from hlab.exprparse import ExprError, parse_rational
 from hlab.inputdoc import DocumentError, cp_fixture, load_document
 
@@ -139,25 +136,20 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("argv,tree,path", list(FAULTS.values()), ids=list(FAULTS))
-def test_input_fault_exits_2_naming_its_path(capsys, tmp_path, argv, tree, path):
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(tree))
-    code = main([*argv, "--input", str(doc)])
-    err = capsys.readouterr().err
+def test_input_fault_exits_2_naming_its_path(tmp_path, argv, tree, path):
+    code, _, err = run_hlab([*argv, "--input", write_doc(tmp_path, tree)])
     assert code == 2, err
     assert err.startswith("input error: ")
     assert path in err
     assert "Traceback" not in err
 
 
-def test_huge_constant_is_refused_before_it_is_computed(capsys, tmp_path):
+def test_huge_constant_is_refused_before_it_is_computed(tmp_path):
     # 2^(4096^3) would take about 8.6 GB
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(_with(("bundle", "chern", "c1"), "((2^4096)^4096)^4096")))
+    doc = write_doc(tmp_path, _with(("bundle", "chern", "c1"), "((2^4096)^4096)^4096"))
     start = time.perf_counter()
-    code = main(["genus", "--input", str(doc)])
+    code, _, err = run_hlab(["genus", "--input", doc])
     assert time.perf_counter() - start < 5
-    err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("input error: bundle.chern.c1: ")
 
@@ -172,14 +164,12 @@ TOO_LONG = {
 
 
 @pytest.mark.parametrize("n,c1,argv,key", list(TOO_LONG.values()), ids=list(TOO_LONG))
-def test_result_too_long_to_print_exits_2(capsys, tmp_path, n, c1, argv, key):
+def test_result_too_long_to_print_exits_2(tmp_path, n, c1, argv, key):
     tree = cp_fixture(n)
     tree["bundle"]["chern"]["c1"] = c1
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(tree))
+    doc = write_doc(tmp_path, tree)
     for output in ("machine", "text"):
-        code = main([*argv, "--input", str(doc), "--output", output])
-        out, err = capsys.readouterr()
+        code, out, err = run_hlab([*argv, "--input", doc, "--output", output])
         assert code == 2, err
         assert err.startswith(f"input error: result {key} ")
         assert "coefficients are too large" in err
@@ -224,11 +214,10 @@ def test_deeply_nested_expression_is_input_error():
         load_document(_with(("manifold", "chern", "c1"), "(" * 5000 + "h" + ")" * 5000))
 
 
-def test_failed_certificate_exits_3(capsys, monkeypatch):
+def test_failed_certificate_exits_3(monkeypatch):
     # an sl(2) identity that fails in this process is a bug, not an input error
     monkeypatch.setattr(sl2, "sl2_commutator_check", lambda n, r=1: False)
-    code = main(["lefschetz-check", "--n", "2"])
-    err = capsys.readouterr().err
+    code, _, err = run_hlab(["lefschetz-check", "--n", "2"])
     assert code == 3
     assert err.startswith("certificate failure: ")
 
@@ -241,9 +230,8 @@ def test_failed_certificate_exits_3(capsys, monkeypatch):
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     # the reader is gone before the report is written (`hlab ... | head`):
     # the exit code is 128 + SIGPIPE, used by no other failure, and stderr is empty
-    env = {**os.environ, "PYTHONPATH": str(Path(sl2.__file__).parents[1])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "hlab", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "hlab", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=HLAB_ENV
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -254,9 +242,7 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 def _cp4_bounds(tmp_path, p):
     tree = cp_fixture(4)
     tree["bounds"] = dict(BOUNDS, p=p)
-    doc = tmp_path / "cp4.json"
-    doc.write_text(json.dumps(tree))
-    return str(doc)
+    return write_doc(tmp_path, tree, "cp4.json")
 
 
 # (argv, the flag or JSON path the error must name); exited 1 or printed a traceback
@@ -269,10 +255,9 @@ FLAG_FAULTS = {
 
 
 @pytest.mark.parametrize("argv,named", list(FLAG_FAULTS.values()), ids=list(FLAG_FAULTS))
-def test_flag_fault_exits_2_naming_the_flag(capsys, tmp_path, argv, named):
+def test_flag_fault_exits_2_naming_the_flag(tmp_path, argv, named):
     doc = [] if argv[0] == "fixture" else ["--input", _cp4_bounds(tmp_path, p=7)]
-    code = main([*argv, *doc])
-    err = capsys.readouterr().err
+    code, _, err = run_hlab([*argv, *doc])
     assert code == 2, err
     assert err.startswith(f"input error: {named}")
     assert "Traceback" not in err
@@ -287,24 +272,21 @@ COMMUTATOR_FLAG_FAULTS = {
 
 
 @pytest.mark.parametrize("argv,with_input,named", list(COMMUTATOR_FLAG_FAULTS.values()), ids=list(COMMUTATOR_FLAG_FAULTS))
-def test_commutator_flag_fault_exits_2_naming_the_flag(capsys, tmp_path, argv, with_input, named):
-    doc = tmp_path / "curvature.json"
-    doc.write_text(json.dumps({"curvature": {"gammas": ["1", "3"]}}))
-    code = main([*argv, *(["--input", str(doc)] if with_input else [])])
-    err = capsys.readouterr().err
+def test_commutator_flag_fault_exits_2_naming_the_flag(tmp_path, argv, with_input, named):
+    doc = write_doc(tmp_path, {"curvature": {"gammas": ["1", "3"]}}, "curvature.json")
+    code, _, err = run_hlab([*argv, *(["--input", doc] if with_input else [])])
     assert code == 2, err
     assert err.startswith(f"input error: {named}")
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n,r", [(6, 2), (1, 10**9)])
-def test_lefschetz_check_r_bounds_the_dimension(capsys, monkeypatch, n, r):
+def test_lefschetz_check_r_bounds_the_dimension(monkeypatch, n, r):
     def refuse(*args):
         raise AssertionError("the space was built before --r was checked")
 
     monkeypatch.setattr(sl2, "sl2_commutator_check", refuse)
-    code = main(["lefschetz-check", "--n", str(n), "--r", str(r)])
-    err = capsys.readouterr().err
+    code, _, err = run_hlab(["lefschetz-check", "--n", str(n), "--r", str(r)])
     assert code == 2
     assert "--r" in err and "4^6" in err
 
@@ -320,31 +302,21 @@ def test_lefschetz_check_accepts_the_sizes_in_use(monkeypatch, n, r):
 
     monkeypatch.setattr(sl2, "sl2_commutator_check", started)
     with pytest.raises(_Started):
-        main(["lefschetz-check", "--n", str(n), "--r", str(r)])
-
-
-def _perfbench(name):
-    """perfbench/<name>.py under its own name, as tests/test_bench_grid.py loads it."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+        run_hlab(["lefschetz-check", "--n", str(n), "--r", str(r)])
 
 
 @pytest.mark.parametrize("n,r", [(6, 1), (5, 4)])
-def test_lefschetz_check_runs_the_guard_rail_sizes(capsys, n, r):
+def test_lefschetz_check_runs_the_guard_rail_sizes(n, r):
     # the largest admitted spaces, 4^n r = 4^6, run to the end and meet the
     # closed forms of the benchmark's oracle
-    code = main(["lefschetz-check", "--n", str(n), "--r", str(r), "--output", "machine"])
-    out, err = capsys.readouterr()
+    code, out, err = run_hlab(["lefschetz-check", "--n", str(n), "--r", str(r), "--output", "machine"])
     assert code == 0, err
     report = json.loads(out)
     results = report["results"]
     assert results["sl2_commutator"] is True
     want = [{"p": p, "q": q, "injective": p + q < n} for p in range(n + 1) for q in range(n + 1)]
     assert results["injectivity"] == want
-    assert results["lefschetz_powers"] == _perfbench("gen").lefschetz_powers(n)
+    assert results["lefschetz_powers"] == perfbench("gen").lefschetz_powers(n)
     assert report["warnings"] == ["star identity check skipped for n > 3 (cost)"]
 
 
@@ -372,26 +344,23 @@ SPACE_FAULTS = {
 
 
 @pytest.mark.parametrize("argv,tree,named", list(SPACE_FAULTS.values()), ids=list(SPACE_FAULTS))
-def test_space_rule_refuses_before_a_basis_is_built(capsys, monkeypatch, tmp_path, argv, tree, named):
+def test_space_rule_refuses_before_a_basis_is_built(monkeypatch, tmp_path, argv, tree, named):
     def refuse(*args):
         raise AssertionError("a basis was built before the space was checked")
 
     monkeypatch.setattr(lefschetz, "get_basis", refuse)
     monkeypatch.setattr(sl2, "sign_table", refuse)
     if tree is not None:
-        doc = tmp_path / "curvature.json"
-        doc.write_text(json.dumps(tree))
-        argv += ("--input", str(doc))
+        argv += ("--input", write_doc(tmp_path, tree, "curvature.json"))
     start = time.perf_counter()
-    code = main(list(argv))
+    code, _, err = run_hlab(argv)
     assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith(f"input error: {named}")
     assert "Traceback" not in err
 
 
-def test_hermitian_line_bundle_n6_runs_without_a_basis(capsys, monkeypatch, tmp_path):
+def test_hermitian_line_bundle_n6_runs_without_a_basis(monkeypatch, tmp_path):
     # a line bundle's norm builds no bidegree block, so n = 6, r = 1 is
     # admitted: it exits 0 and encloses the closed form of the rotated split
     # fixture, without building a basis
@@ -401,12 +370,10 @@ def test_hermitian_line_bundle_n6_runs_without_a_basis(capsys, monkeypatch, tmp_
     monkeypatch.setattr(lefschetz, "get_basis", refuse)
     spec, table = rotated_split_curvature(random.Random(6), 6, 1)
     theta = [[[[[str(v.re), str(v.im)] for v in row] for row in mat] for mat in line] for line in spec.theta]
-    doc = tmp_path / "curvature.json"
-    doc.write_text(json.dumps({"curvature": {"hermitian": {"theta": theta}}}))
+    doc = write_doc(tmp_path, {"curvature": {"hermitian": {"theta": theta}}}, "curvature.json")
     start = time.perf_counter()
-    code = main(["commutator", "--input", str(doc), "--output", "machine"])
+    code, out, err = run_hlab(["commutator", "--input", doc, "--output", "machine"])
     assert time.perf_counter() - start < 1
-    out, err = capsys.readouterr()
     assert code == 0, err
     results = json.loads(out)["results"]
     assert results["exact"] is False

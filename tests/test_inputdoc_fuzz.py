@@ -2,13 +2,9 @@
 ``load_document`` raises only an input error (``DocumentError`` or
 ``ExprError``), never anything else."""
 
-import contextlib
-import io
-import json
-
 import pytest
+from conftest import run_hlab, write_doc
 
-from hlab.cli import main
 from hlab.exprparse import ExprError
 from hlab.inputdoc import DocumentError, load_document
 from test_input_boundary import _cp2, _with
@@ -82,7 +78,5 @@ def test_bounds_on_random_bound_inputs_exit_through_the_code_map(tmp_path_factor
     # bounds section holds, the command ends with an exit code, not a traceback
     tree = _cp2() if manifold else {"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10", "p": 0}}
     tree["bounds"][key] = value
-    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(tree))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["bounds", "--which", which, "--input", str(path)]) in (0, 1, 2)
+    path = write_doc(tmp_path_factory.mktemp("fuzz"), tree)
+    assert run_hlab(["bounds", "--which", which, "--input", path])[0] in (0, 1, 2)

@@ -1,15 +1,12 @@
 """``hlab.record.Record``: the value semantics every record type relies on."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-
-import hlab
+from conftest import HLAB_ENV
 
 from hlab.bounds import BoundsInput, Interval
 from hlab.genus import BundleData, projective_space
@@ -104,9 +101,6 @@ def test_exceptions_and_interval_load_only_their_home(name):
         f"import json, sys\nbefore = set(sys.modules)\nfrom hlab import {name}\n"
         "print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith('hlab.'))))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])},
-    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=HLAB_ENV)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) <= {"hlab.errors", "hlab.record"}

@@ -11,30 +11,14 @@ documents that raise warnings.  A change that alters a report on purpose
 updates its digest here and says why in CHANGES.md.
 """
 
-import contextlib
 import hashlib
-import importlib.util
-import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import bench_grid, run_hlab, write_doc
 
 from hlab import cli
 from hlab.inputdoc import cp_fixture
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    """perfbench/<name>.py under its own name (its siblings import it so)."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 def _truncated():
@@ -52,14 +36,11 @@ DEGENERATE = {
     }
 }
 
-GRID = {workload: _load("gen").build(workload, 0) for workload in ("hrr", "kahler", "hermitian")}
-DOCS = {
-    "truncated": _truncated(),
-    "degenerate": DEGENERATE,
-    **{f"{workload}/{name}": tree for workload, wl in GRID.items() for name, tree in wl.docs.items()},
-}
+GRID = bench_grid(0)
+DOCS = {"truncated": _truncated(), "degenerate": DEGENERATE}
 
-# An argument "@<name>" stands for the path of document DOCS[<name>].
+# An argument "@<name>" stands for the path of document DOCS[<name>], and
+# "@<workload>/<name>" for that of a document of the seed-0 grid.
 EDGE = {
     "no arguments": (),
     "help": ("--help",),
@@ -108,21 +89,17 @@ CASES = {
 
 
 @pytest.fixture(scope="module")
-def paths(tmp_path_factory):
+def paths(tmp_path_factory, grid_docs):
     root = tmp_path_factory.mktemp("docs")
-    paths = {}
-    for i, (name, tree) in enumerate(DOCS.items()):
-        paths[f"@{name}"] = str(root / f"{i}.json")
-        Path(paths[f"@{name}"]).write_text(json.dumps(tree))
-    return paths
+    return {
+        **{f"@{name}": write_doc(root, tree, f"{name}.json") for name, tree in DOCS.items()},
+        **{f"@{workload}/{name}": path for workload, docs in grid_docs.items() for name, path in docs.items()},
+    }
 
 
 def report_digest(argv) -> str:
     """sha256 of [exit code, stdout, stderr] of ``hlab <argv>``, as JSON."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(run_hlab(argv)).encode()).hexdigest()
 
 
 def test_every_case_has_a_digest():

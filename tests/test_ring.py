@@ -162,6 +162,17 @@ def test_power_sum_closed_forms():
     assert elementary_from_power_sums(p, 3) == [c1, c2, c3]
 
 
+def test_power_sums_take_one_to_n_classes():
+    # the classes after the m given are 0: their terms are skipped, not multiplied
+    spec = RingSpec((("c1", 1), ("c2", 2), ("c3", 3)), 3)
+    c1, c2, zero = spec.gen("c1"), spec.gen("c2"), spec.zero()
+    assert power_sums_from_elementary([c1], 3) == power_sums_from_elementary([c1, zero, zero], 3)
+    assert power_sums_from_elementary([c1, c2], 3) == power_sums_from_elementary([c1, c2, zero], 3)
+    for e in ([], [c1, c2, zero, zero]):
+        with pytest.raises(ValueError, match="need 1 to 3"):
+            power_sums_from_elementary(e, 3)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_newton_roundtrip_random(n):
     rng = random.Random(4000 + n)

@@ -2,15 +2,13 @@
 keep their checks under ``python -O``."""
 
 import ast
-import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import hlab
+from conftest import HLAB_ENV, perfbench
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import hlab
 
 # genus binds ring's todd_series when it is imported, so importing it before
 # the patch keeps the fault in the one check that reads ring.todd_series.
@@ -53,13 +51,8 @@ raise SystemExit(main(["verify"]))
 
 
 def _verify(script, *flags):
-    env = {**os.environ, "PYTHONPATH": str(Path(hlab.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=HLAB_ENV, timeout=300
     )
 
 
@@ -116,6 +109,29 @@ def test_library_does_not_import_dataclasses():
     assert not offenders, offenders
 
 
+def test_tests_share_one_harness():
+    """Loading ``perfbench/``, the environment of a fresh interpreter,
+    capturing ``hlab`` in this process and writing a JSON document each have
+    one implementation, in ``tests/conftest.py``.  A probe string that a
+    child interpreter runs is a string here, not code."""
+    def called(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "conftest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            found = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found &= {"spec_from_file_location", "redirect_stdout"}
+            if isinstance(node, ast.Dict) and any(getattr(key, "value", None) == "PYTHONPATH" for key in node.keys):
+                found.add("PYTHONPATH")
+            if called(node) == "write_text" and node.args and called(node.args[0]) == "dumps":
+                found.add("write_text(json.dumps(...))")
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(found)]
+    assert not offenders, offenders
+
+
 def _unreferenced(public: bool) -> list[tuple[str, str]]:
     """(module file, name) of each public (or private) module-level function
     or class in ``hlab`` that is named nowhere in ``hlab`` outside its own
@@ -150,11 +166,8 @@ def test_library_has_no_dead_public_code():
     """Every public module-level function or class in ``hlab`` is referenced
     somewhere in ``hlab`` outside its own definition, exported by the
     package, or wrapped by name by the benchmark tracer
-    (``perfbench/tracer.py``, read as ``tests/test_tracer_targets.py`` reads it)."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    traced = {dotted for group in tracer.TARGETS.values() for dotted in group}
+    (``perfbench/tracer.py``)."""
+    traced = {dotted for group in perfbench("tracer").TARGETS.values() for dotted in group}
     dead = [
         f"{module}:{name}"
         for module, name in _unreferenced(public=True)

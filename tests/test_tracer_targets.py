@@ -6,10 +6,8 @@ This test reads ``TARGETS`` without changing the tracer and fails first.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from conftest import perfbench
 
 
 def _resolves(layer: str, dotted: str) -> bool:
@@ -22,10 +20,7 @@ def _resolves(layer: str, dotted: str) -> bool:
 
 
 def test_every_tracer_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    names = [(layer, dotted) for layer, group in tracer.TARGETS.items() for dotted in group]
+    names = [(layer, dotted) for layer, group in perfbench("tracer").TARGETS.items() for dotted in group]
     assert len(names) > 50
     missing = [f"hlab.{layer}.{dotted}" for layer, dotted in names if not _resolves(layer, dotted)]
     assert not missing, missing
