@@ -167,56 +167,47 @@ def isolate_real_roots(P: QPoly, width: Fraction = Fraction(1, 2**20)) -> list[t
     if Q.degree == 1:
         root = -Q.coeffs[0] / Q.coeffs[1]
         return [(root, root)]
-    chain, q = sturm_chain(Q), _integral(Q)
+    chain = [_integral(S) for S in sturm_chain(Q)]
+    q = chain[0]
+
+    def count(a, b):
+        return _variations(chain, a) - _variations(chain, b)
+
     B = cauchy_bound(Q)
     out: list[tuple[Fraction, Fraction]] = []
-    work = [(-B, B, count_roots_between(chain, -B, B))]
+    work = [(-B, B, count(-B, B))]
     while work:
         a, b, cnt = work.pop()
         if cnt == 0:
             continue
-        if cnt == 1:
-            out.append(_refine(Q, a, b, width))
+        if cnt == 1 and b - a <= width:
+            out.append((a, b))
             continue
         mid = (a + b) / 2
-        if not _sign_at(q, mid):
+        sign = _sign_at(q, mid)
+        if not sign:
             out.append((mid, mid))
+            if cnt == 1:
+                continue
             # carve out a punctured neighbourhood holding only this root
             delta = (b - a) / 4
             while True:
                 lo, hi = mid - delta, mid + delta
-                if _sign_at(q, lo) and _sign_at(q, hi) and count_roots_between(chain, lo, hi) == 1:
+                if _sign_at(q, lo) and _sign_at(q, hi) and count(lo, hi) == 1:
                     break
                 delta /= 2
-            left = count_roots_between(chain, a, lo)
+            left = count(a, lo)
             work += [(a, lo, left), (hi, b, cnt - 1 - left)]
+        elif cnt == 1:
+            # Q is square-free, so it changes sign at its one root in (a, b)
+            # and neither end is a root: the root lies left of a non-root
+            # midpoint exactly when Q there differs in sign from Q(a)
+            work.append((a, mid, 1) if sign != _sign_at(q, a) else (mid, b, 1))
         else:
-            left = count_roots_between(chain, a, mid)
+            left = count(a, mid)
             work += [(a, mid, left), (mid, b, cnt - left)]
     out.sort()
     return out
-
-
-def _refine(Q: QPoly, a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect (a, b], which holds exactly one root of Q, down to ``width``.
-
-    Q is square-free, so Q changes sign at its one root in (a, b), and
-    neither end is a root: the root lies left of a non-root midpoint exactly
-    when Q there differs in sign from Q(a), and the half kept is the one a
-    Sturm count would pick.
-    """
-    q = _integral(Q)
-    left = _sign_at(q, a)
-    while b - a > width:
-        mid = (a + b) / 2
-        s = _sign_at(q, mid)
-        if not s:
-            return (mid, mid)
-        if s != left:
-            b = mid
-        else:
-            a = mid
-    return (a, b)
 
 
 class RootReport(Record):

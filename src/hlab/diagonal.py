@@ -47,7 +47,7 @@ class DiagonalCurvature(Record):
     @property
     def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
         """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j)."""
-        from .gaussian import CQ, CQ_ZERO  # only the operator engine reads theta
+        from .gaussian import CQ, CQ_ZERO  # verify's block checks and the operator engine read theta
 
         zero = ((CQ_ZERO,),)
         return tuple(

@@ -11,7 +11,8 @@ A basis index is the integer key of ``hlab.monomials``, which holds the
 basis order and every sign and phase under wedge and star, for
 ``hlab.sl2`` and the Hermitian blocks too.
 
-Only ``hlab verify`` runs this engine: it and the tests hold the faster
+No command runs this engine, ``hlab verify`` included: only the tests
+(and the benchmark tracer) run it, and the tests hold the faster
 certificates against it.  ``lefschetz-check`` certifies sl(2), the star
 identities, hard Lefschetz and injectivity from integer tables in
 ``hlab.sl2``, and three of those functions are re-exported here.  The

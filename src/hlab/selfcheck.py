@@ -4,18 +4,20 @@ Runs a deterministic battery of the library's defining identities and
 reports one line per check; no network, no external files.  Every random
 draw comes from ``hlab.fixtures``, as in the test suite, and CP^n from
 ``genus.projective_space``, which reads the document ``hlab fixture cp n``
-prints, so that document is what the CP^n checks test.  The CLI exits
-nonzero iff any check fails.
+prints, so that document is what the CP^n checks test.  The Kahler checks
+hold the integer tables of ``hlab.sl2`` and the blocks of ``hlab.blocks``
+to closed forms and to a sign rule of their own (:func:`_sorting_sign`);
+none runs the operator engine.  The CLI exits nonzero iff any check fails.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from . import blocks, bounds, fixtures, genus, hermitian, lefschetz, linebundle, monomials, ring, sl2
-from .errors import CertificateError
+from . import blocks, bounds, diagonal, fixtures, genus, hermitian, linebundle, monomials, ring, sl2
 from .qpoly import QPoly
 
 
@@ -47,15 +49,15 @@ def run_all() -> list[tuple[str, bool, str]]:
     check("hilbert polynomial consistency", _check_hilbert)
     check("sl2 commutator", _check_sl2)
     check("hodge star conjugation identity", _check_star)
-    check("commutator closed form vs matrix", lambda: _check_commutator(rng))
+    check("commutator blocks: diagonal theta vs closed form", lambda: _check_diagonal_blocks(rng))
     check("line-bundle norm: eigenvalues vs blocks", lambda: _check_line_bundle_norm(rng))
-    check("commutator blocks: theta formula vs operator engine", lambda: _check_commutator_blocks(rng))
+    check("commutator blocks: rotated split bundles vs line tables", lambda: _check_rotated_split_blocks(rng))
     check("hard lefschetz bijectivity", _check_lefschetz_power)
     check("injectivity range", _check_injectivity)
     check("lemma44_search window and bound", _check_lemma44)
     check("root isolation", _check_roots)
     check("bound evaluator fixtures", _check_bound_fixtures)
-    check("lefschetz-check sign table vs operator engine L", _check_certificate_tables)
+    check("lefschetz-check sign and star tables vs sorting signs", _check_certificate_tables)
     return results
 
 
@@ -149,23 +151,22 @@ def _check_star():
         _expect(sl2.star_identities(n, 1) == (True, True), f"n = {n}")
 
 
-def _check_commutator(rng):
-    for gammas in fixtures.gamma_draws(rng, 2):
-        spec = lefschetz.DiagonalCurvature(gammas)
-        basis = lefschetz.get_basis(2, 1)
-        T = lefschetz.curvature_operator(spec).commutator(lefschetz.op_Lambda(2, 1))
-        eigs = lefschetz.diagonal_commutator_eigenvalues(spec)
-        for (J, K), ev in eigs.items():
-            idx = basis.index[(J, K, 0)]
-            _expect(T.entry(idx, idx) == lefschetz.CQ(ev))
-        norm = lefschetz.commutator_norm(spec)
-        _expect(norm.value == max(abs(v) for v in eigs.values()))
-        _expect(max(abs(g) for g in gammas) <= norm.value)
-    # Hermitian: a split bundle in rotated frames keeps its diagonal table,
-    # whose integer entries the block search certifies exactly
-    spec, table = fixtures.rotated_split_curvature(rng, 2, 2)
-    for key, iv in lefschetz.commutator_norm(spec).table.items():
-        _expect(iv.lo == iv.hi == table[key], (key, iv, table[key]))
+def _check_diagonal_blocks(rng):
+    """Each bidegree block that ``blocks.commutator_block`` reads from a
+    diagonal theta against its closed form, in which no wedge sign enters:
+    diagonal, with sum gamma - gamma_J - gamma_K on xi_J ^ xibar_K.  Its
+    largest size is the C_{p,q} of ``diagonal.diagonal_norm``, which reads
+    sorted partial sums of the gammas and no block."""
+    for n in (1, 2, 3):
+        for g in fixtures.gamma_draws(rng, n):
+            spec = diagonal.DiagonalCurvature(g)
+            norm, total = diagonal.diagonal_norm(spec), sum(g)
+            _expect(max(map(abs, g)) <= norm.value, g)
+            for (p, q), value in norm.table.items():
+                diag = [total - sum(g[j] for _, j in _factors(n, c)) for c in monomials.basis_keys(n, 1, p, q)]
+                closed = [[x if a == b else 0 for b in range(len(diag))] for a, x in enumerate(diag)]
+                _expect(blocks.commutator_block(spec, p, q) == closed, (g, p, q))
+                _expect(max(map(abs, diag)) == value, (g, p, q))
 
 
 def _check_line_bundle_norm(rng):
@@ -185,16 +186,16 @@ def _check_line_bundle_norm(rng):
                 _expect(fast.table[key].lo <= value <= fast.table[key].hi, (n, key, value))
 
 
-def _check_commutator_blocks(rng):
-    """Each bidegree block that ``blocks.commutator_block`` reads from theta
-    against the same block of the operator [Lambda, iTheta(E)], built by the
-    engine from L and the curvature operator, on generic draws."""
-    for n in (1, 2, 3):
-        for r in (1, 2):
-            spec = fixtures.generic_curvature(rng, n, r)
-            T = lefschetz.op_Lambda(n, r).commutator(lefschetz.curvature_operator(spec))
-            for (p, q), idxs in lefschetz.get_basis(n, r).by_bidegree.items():
-                _expect(blocks.commutator_block(spec, p, q) == T.block(idxs, idxs), (n, r, p, q))
+def _check_rotated_split_blocks(rng):
+    """The block certificate ``blocks.block_commutator_norm`` on direct sums
+    of line bundles in rotated unitary frames against the closed-form table
+    of their lines (``fixtures.rotated_split_curvature``).  Every C_{p,q} is
+    an integer there, which the search certifies exactly.  Rank 1 is the
+    line-bundle check's."""
+    for n, r in ((1, 2), (2, 2), (1, 3), (2, 3)):
+        spec, table = fixtures.rotated_split_curvature(rng, n, r)
+        for key, iv in blocks.block_commutator_norm(spec).table.items():
+            _expect(iv.lo == iv.hi == table[key], (n, r, key, iv, table[key]))
 
 
 def _check_lefschetz_power():
@@ -205,59 +206,51 @@ def _check_lefschetz_power():
                 _expect((lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), (n, r, k))
 
 
-def _int_block(op, src, dst, phase) -> list[list[int]]:
-    """The block of ``op`` from the src to the dst basis indices, row-major,
-    divided by the unit ``phase`` that all its entries share."""
-    return [[_strip_phase(v, phase) for v in row] for row in op.block(dst, src)]
+def _gram(S: dict[int, dict[int, int]], keys: list[int], m: int) -> list[list[int]]:
+    """M^T M for the columns M of S^m at ``keys``, S a sign table."""
+    cols = [Counter({c: 1}) for c in keys]
+    for _ in range(m):
+        images = [Counter() for _ in cols]
+        for col, image in zip(cols, images):
+            for key, v in col.items():
+                image.update({row: v * w for row, w in S[key].items()})
+        cols = images
+    return [[sum(v * b[row] for row, v in a.items()) for b in cols] for a in cols]
 
 
-def _strip_phase(value, phase) -> int:
-    """value / phase = value conj(phase) for a unit phase; it must be an integer."""
-    w = value * phase.conj()
-    if w.b or w.d != 1:
-        raise CertificateError("entries do not share the expected phase")
-    return w.a
+def _nullity(B: list[list[int]], h: int) -> int:
+    """dim ker (B - h I) for a symmetric integer matrix B: one zero sign
+    per eigenvalue at h from the inertia kernel of ``hermitian``."""
+    return list(hermitian.inertia_signs((1, B, [[0] * len(B) for _ in B], None), Fraction(h))).count(0)
 
 
 def lefschetz_power_by_rank(n: int, r: int, k: int) -> tuple[bool, tuple[Fraction, ...]]:
-    """(bijective, singular values) of L^{n-k} on k-forms, from exact integer
-    ranks; independent of the sl(2) certificate it checks.  Per bidegree
-    block M (phase i^{n-k} stripped) B = M^T M is symmetric, so when every
-    candidate s = (n-k+j)!/j!, j <= min(p, q), makes B - s^2 I singular and
-    their nullities sum to dim B, the candidates are exactly its spectrum;
-    all are positive, so a square block is bijective."""
-    basis = lefschetz.get_basis(n, r)
-    power = lefschetz.op_L(n, r).power(n - k)
+    """(bijective, singular values) of L^{n-k} on k-forms, from exact
+    nullities; independent of the sl(2) certificate it checks.  L = iS for
+    the sign table S, so per bidegree block M of S^{n-k}, B = M^T M is the
+    Gram matrix of L^{n-k} there.  When every candidate s = (n-k+j)!/j!,
+    j <= min(p, q), makes B - s^2 I singular and their nullities sum to
+    dim B, the candidates are exactly its spectrum; all are positive, so a
+    square block is bijective."""
+    S = sl2.sign_table(n, r)
     bijective, sigmas = True, set()
-    for (p, q), src in basis.by_bidegree.items():
-        if p + q != k:
-            continue
-        dst = basis.by_bidegree[(p + n - k, q + n - k)]
-        M = _int_block(power, src, dst, monomials.i_power(n - k))
-        dim = len(src)
-        B = [[sum(row[a] * row[b] for row in M) for b in range(dim)] for a in range(dim)]
-        candidates = {factorial(n - k + j) // factorial(j) for j in range(min(p, q) + 1)}
-        nullities = [
-            dim - lefschetz.int_rank([[x - s * s * (a == b) for b, x in enumerate(row)] for a, row in enumerate(B)])
-            for s in candidates
-        ]
-        _expect(min(nullities) > 0 and sum(nullities) == dim, ("spectrum", n, r, k, p, q, nullities))
-        bijective = bijective and len(dst) == dim
+    for p in range(k + 1):
+        B = _gram(S, monomials.basis_keys(n, r, p, k - p), n - k)
+        candidates = {factorial(n - k + j) // factorial(j) for j in range(min(p, k - p) + 1)}
+        nullities = [_nullity(B, s * s) for s in candidates]
+        _expect(min(nullities) > 0 and sum(nullities) == len(B), ("spectrum", n, r, k, p, nullities))
+        bijective = bijective and len(monomials.basis_keys(n, r, n - k + p, n - p)) == len(B)
         sigmas |= candidates
     return bijective, tuple(Fraction(s) for s in sorted(sigmas))
 
 
 def injectivity_by_rank(n: int, r: int) -> dict[tuple[int, int], bool]:
-    """Whether L: Lambda^{p,q} -> Lambda^{p+1,q+1} is injective, from exact
-    integer ranks; independent of the sl(2) certificate it checks."""
-    basis = lefschetz.get_basis(n, r)
-    L = lefschetz.op_L(n, r)
-    out = {}
-    for (p, q), src in basis.by_bidegree.items():
-        dst = basis.by_bidegree.get((p + 1, q + 1), [])
-        rows = _int_block(L, src, dst, lefschetz.CQ_I)
-        out[(p, q)] = bool(dst) and lefschetz.int_rank(rows) == len(src)
-    return out
+    """Whether L: Lambda^{p,q} -> Lambda^{p+1,q+1} is injective, from the
+    exact nullity of S^T S there (L = iS); independent of the sl(2)
+    certificate it checks."""
+    S = sl2.sign_table(n, r)
+    grams = {(p, q): _gram(S, monomials.basis_keys(n, r, p, q), 1) for p in range(n + 1) for q in range(n + 1)}
+    return {pq: not _nullity(B, 0) for pq, B in grams.items()}
 
 
 def _check_injectivity():
@@ -266,15 +259,54 @@ def _check_injectivity():
             _expect(sl2.injectivity_scan(n, r) == injectivity_by_rank(n, r), (n, r))
 
 
+def _sorting_sign(factors: list[tuple[int, int]]) -> int:
+    """The sign of the permutation that sorts distinct ``factors``, with
+    every xi_j = (0, j) before every xibar_k = (1, k) and each in index
+    order; 0 when a factor repeats, as the wedge then vanishes.  The sign
+    rule of ``verify``, written apart from ``hlab.monomials``."""
+    if len(set(factors)) < len(factors):
+        return 0
+    return (-1) ** sum(a > b for i, a in enumerate(factors) for b in factors[i + 1 :])
+
+
+def _factors(n: int, c: int) -> list[tuple[int, int]]:
+    """The factors of xi_J ^ xibar_K in order, for the basis key c = J | K << n | s << 2n."""
+    return [(kind, j) for kind in (0, 1) for j in range(n) if c >> kind * n + j & 1]
+
+
+def _omega_by_sorting(n: int, c: int) -> dict[int, int]:
+    """Column c of the sign table S with L = iS, by :func:`_sorting_sign`:
+    L u = i sum_j xi_j ^ xibar_j ^ u."""
+    signs = {c | 1 << j | 1 << n + j: _sorting_sign([(0, j), (1, j)] + _factors(n, c)) for j in range(n)}
+    return {key: sign for key, sign in signs.items() if sign}
+
+
+def _star_by_sorting(n: int, c: int) -> tuple[int, int]:
+    """(sigma(c), e) with star c = i^e sigma(c), by :func:`_sorting_sign`.
+
+    The star sends u = xi_J ^ xibar_K (x) e_s to i^e xi_{K^c} ^ xibar_{J^c} (x) e_s,
+    with e fixed by u ^ conj(star u) = vol = i^n (-1)^{n(n-1)/2} xi_1..xi_n ^ xibar_1..xibar_n.
+    conj(star u) = i^-e xibar_{K^c} ^ xi_{J^c}: conjugation swaps the kind
+    of each factor and keeps their order.  So i^-e times the sorting sign
+    of all 2n factors is i^{n + n(n-1)} = i^{n^2}.
+    """
+    full = (1 << n) - 1
+    t = (c >> n & full ^ full) | (c & full ^ full) << n | c >> 2 * n << 2 * n
+    sign = _sorting_sign(_factors(n, c) + [(1 - kind, j) for kind, j in _factors(n, t)])
+    return t, (2 * (sign < 0) - n * n) % 4
+
+
 def _check_certificate_tables():
-    """The sign table S of ``lefschetz-check`` (``sl2.sign_table``) against
-    the operator engine's L, entry for entry: L = iS, for n <= 3 and r <= 3.
-    Both index the basis by the keys of ``hlab.monomials``; the star map is
-    shared (``monomials.star_key``), so only the sign table is compared."""
+    """The sign table S and the star of ``lefschetz-check`` (``sl2.sign_table``,
+    ``sl2.star_table``) against the sign rule of :func:`_sorting_sign`, for
+    n <= 3 and r <= 3: L u = i sum_j xi_j ^ xibar_j ^ u for L = iS
+    (:func:`_omega_by_sorting`), and u ^ conj(star u) = vol
+    (:func:`_star_by_sorting`)."""
     for n in (1, 2, 3):
         for r in (1, 2, 3):
-            L = {c: {row: lefschetz.CQ_I * v for row, v in col.items()} for c, col in sl2.sign_table(n, r).items() if col}
-            _expect(lefschetz.op_L(n, r).cols == L, ("L", n, r))
+            keys = range(r << 2 * n)
+            _expect(sl2.sign_table(n, r) == {c: _omega_by_sorting(n, c) for c in keys}, ("S", n, r))
+            _expect(sl2.star_table(n, r) == {c: _star_by_sorting(n, c) for c in keys}, ("star", n, r))
 
 
 def _check_lemma44():

@@ -5,8 +5,8 @@ The basis of Lambda^{*,*}(C^n) (x) C^r is indexed by the integer keys of
 :func:`sign_table`, so Lambda = L* = -i S^T and
 [Lambda, L] = S^T S - S S^T, checked over Z.  The star is the permutation
 sigma of :func:`star_table` with phases i^e, read off
-``monomials.star_key``.  ``hlab verify`` holds S against the operator L
-that ``hlab.lefschetz`` builds.
+``monomials.star_key``.  ``hlab verify`` holds S and the star phases to
+a sign rule of its own, the parity of sorting the factors of a wedge.
 """
 
 from __future__ import annotations

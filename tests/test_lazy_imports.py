@@ -8,10 +8,11 @@ the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
 bound evaluators (``bounds``), ``diagonal`` (whose ``commutator_norm``
 imports the certificate a curvature takes), the integer Kahler
 certificates of ``lefschetz-check`` (``sl2``, with the sign rules of
-``monomials``) or the self-check suite
-(``selfcheck``, ``fixtures``); only the last loads the operator engine
-(``lefschetz``).  The exact set of each is pinned here, and so is the size
-of the hlab code each set compiles: its AST nodes, docstrings left out.
+``monomials``) or the self-check suite (``selfcheck``, ``fixtures``), which
+loads every engine but one.  No command loads the operator engine
+(``lefschetz``): only the tests and the benchmark tracer run it.  The exact
+set of each is pinned here, and so is the size of the hlab code each set
+compiles: its AST nodes, docstrings left out.
 No command loads ``dataclasses``, ``inspect``, ``argparse`` and the
 ``gettext`` and ``locale`` it pulls in, or OpenSSL's ``_hashlib``.
 The package still exports every name it did when it imported all of its
@@ -32,7 +33,7 @@ from conftest import HLAB_ENV, write_doc
 import hlab
 from hlab.inputdoc import cp_fixture
 
-HEAVY = {"hlab.lefschetz", "hlab.selfcheck", "hlab.fixtures"}
+HEAVY = {"hlab.selfcheck", "hlab.fixtures"}
 OPENSSL = {"hashlib", "_hashlib"}  # 4-5 ms of a cold start; the input digest takes a lean module
 # sha256 without OpenSSL: in _sha2 from Python 3.12 on, in _sha256 before
 LEAN_SHA256 = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
@@ -61,6 +62,8 @@ SL2 = FLAGS | {"hlab.sl2", "hlab.monomials"}
 HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
 LINE_BUNDLE = HERMITIAN | {"hlab.linebundle"}
 RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
+# verify: every engine but the operator engine, and the suite itself
+VERIFY = HRR | BOUNDS | SL2 | LINE_BUNDLE | RANK_R | HEAVY
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -179,6 +182,15 @@ def test_operator_commands_load_lefschetz_only(gammas_file, hermitian_file, line
     assert _hlab(modules) == loads
 
 
+def test_verify_loads_no_operator_engine():
+    # its Kahler checks read the integer tables of sl2 and the blocks of
+    # blocks, held to closed forms and a sign rule of its own
+    code, modules = _loaded(PROBE, "verify")
+    assert code == 0
+    assert _hlab(modules) == VERIFY
+    assert "hlab.lefschetz" not in modules
+
+
 @pytest.mark.parametrize(
     "argv",
     [("fixture", "cp", "1"), ("genus",), ("bounds", "--which", "t5"), ("commutator", "--gammas", "1,2"),
@@ -271,13 +283,14 @@ CODE_NODES = [
     ("import hlab.cli", FLAGS, 4462),
     ("fixture", READER, 6821),
     ("genus kcoeffs hilbert ineq", HRR, 15644),
-    ("bounds", HRR | BOUNDS, 18345),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 11053),
+    ("bounds", HRR | BOUNDS, 18310),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 11018),
     ("commutator --gammas", DIAGONAL, 5395),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 7754),
     ("lefschetz-check", SL2, 6194),
     ("commutator --input HERMITIAN", RANK_R, 12475),
     ("commutator --input LINE", LINE_BUNDLE, 11306),
+    ("verify", VERIFY, 30622),
 ]
 
 

@@ -311,7 +311,7 @@ def test_lefschetz_power_guard_limit_spot():
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (1, 2)])
 def test_lefschetz_power_matches_exact_ranks(n, r):
-    # the reference proves the spectrum of every M^T M block by integer ranks
+    # the reference proves the spectrum of every M^T M block by exact nullities
     for k in range(n + 1):
         lp = lefschetz_power(n, r, k)
         assert (lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), k
@@ -435,7 +435,7 @@ def test_injectivity_n2_examples():
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (1, 2)])
 def test_injectivity_certificate_matches_exact_ranks(n, r):
-    # the reference computes int_rank of every L block
+    # the reference counts the exact nullity of S^T S on every bidegree, L = iS
     assert injectivity_scan(n, r) == injectivity_by_rank(n, r)
 
 

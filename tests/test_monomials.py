@@ -1,11 +1,14 @@
 """The basis keys and the star map of ``hlab.monomials`` on every admitted
 space with n <= 6 and r <= 2, from integers alone: no operator is built, so
-this covers n = 4..6, where the engine's star tests do not run."""
+this covers n = 4..6, where the engine's star tests do not run.  The wedge
+sign and the star phases also agree, case by case, with the sorting sign
+that ``hlab verify`` holds the certificate tables to."""
 
 import pytest
 
 from hlab.literals import check_space
-from hlab.monomials import basis_keys, bidegree, star_key
+from hlab.monomials import basis_keys, bidegree, star_key, wedge_sign
+from hlab.selfcheck import _factors, _sorting_sign, _star_by_sorting
 
 
 def _admitted(n, r):
@@ -49,3 +52,21 @@ def test_star_key_pairs_the_bidegrees_and_squares_to_the_sign(n, r):
                 back, e2 = star_key(n, t)
                 assert back == c
                 assert (e + e2) % 4 == 2 * (p + q) % 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_sign_is_the_sorting_sign(n):
+    # every (J1, K1, J2, K2): the sign of sorting the factors of both monomials
+    masks = range(1 << n)
+    for J1 in masks:
+        for K1 in masks:
+            for J2 in masks:
+                for K2 in masks:
+                    factors = _factors(n, J1 | K1 << n) + _factors(n, J2 | K2 << n)
+                    assert _sorting_sign(factors) == wedge_sign(J1, K1, J2, K2), (J1, K1, J2, K2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_star_key_is_fixed_by_the_volume_form_and_the_sorting_sign(n):
+    # u ^ conj(star u) = vol on every basis key, the fiber index included
+    assert [star_key(n, c) for c in range(2 << 2 * n)] == [_star_by_sorting(n, c) for c in range(2 << 2 * n)]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import HLAB_ENV, perfbench
 
 import hlab
@@ -50,6 +51,35 @@ raise SystemExit(main(["verify"]))
 """
 
 
+# The Kahler checks of `verify` hold the sign table and the star of
+# lefschetz-check to a sign rule of their own.  A wedge sign that drops the
+# sign of moving xibar_K1 past xi_J2, or a star with every phase negated,
+# passes the certificates of lefschetz-check; each fails that check alone.
+# sl2 binds wedge_sign and star_key when it is imported, so each patch comes
+# before anything imports sl2.
+DROPPED_CROSSING_SIGN = """
+from hlab import monomials
+
+def wedge_sign(J1, K1, J2, K2):
+    if J1 & J2 or K1 & K2:
+        return 0
+    return -1 if (monomials._inversions(J1, J2) + monomials._inversions(K1, K2)) % 2 else 1
+
+monomials.wedge_sign = wedge_sign
+from hlab.cli import main
+raise SystemExit(main(["verify"]))
+"""
+
+NEGATED_STAR_PHASES = """
+from hlab import monomials
+
+star_key = monomials.star_key
+monomials.star_key = lambda n, c: (star_key(n, c)[0], (star_key(n, c)[1] + 2) % 4)
+from hlab.cli import main
+raise SystemExit(main(["verify"]))
+"""
+
+
 def _verify(script, *flags):
     return subprocess.run(
         [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=HLAB_ENV, timeout=300
@@ -60,7 +90,7 @@ def test_verify_reports_injected_fault_under_optimize():
     proc = _verify(BROKEN_TODD_UNDER_O, "-O")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
-    assert "PASS  lefschetz-check sign table vs operator engine L" in proc.stdout
+    assert "PASS  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
     assert "19/20 checks passed" in proc.stdout
 
 
@@ -76,6 +106,14 @@ def test_verify_checks_the_line_bundle_eigenvalue_path():
     proc = _verify(SHIFTED_EIGENVALUES)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  line-bundle norm: eigenvalues vs blocks" in proc.stdout
+    assert "19/20 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("script", [DROPPED_CROSSING_SIGN, NEGATED_STAR_PHASES], ids=["wedge sign", "star phases"])
+def test_verify_holds_the_sign_conventions_to_its_own_rule(script):
+    proc = _verify(script)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
     assert "19/20 checks passed" in proc.stdout
 
 
@@ -105,6 +143,27 @@ def test_library_does_not_import_dataclasses():
             else:
                 continue
             if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_only_the_engine_itself_imports_the_operator_engine():
+    """No ``hlab`` module but ``lefschetz`` imports ``hlab.lefschetz``: only
+    the tests and the benchmark tracer run the operator engine.  The lazy
+    export table of ``__init__`` names it in a string, not an import."""
+    offenders = []
+    for path in sorted(Path(hlab.__file__).parent.glob("*.py")):
+        if path.name == "lefschetz.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("hlab" if node.level else "", node.module)))
+                names = {base} | {f"{base}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if "hlab.lefschetz" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
 
