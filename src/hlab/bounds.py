@@ -6,6 +6,12 @@ bisection), and the closed-form lower bounds on (-1)^n chi(X) driven by a
 curvature constant K, the commutator norm C and the dimensional constant
 c_n.  Everything is exact rational arithmetic except the two square roots
 in the primitive-bound interval, which are certified decimal enclosures.
+
+Next to the evaluators sit the one source rule for their inputs
+(:func:`bound_input`: derived from a document's ring, manifold and line
+bundle, or read from its ``bounds`` section, and checked to agree when
+given both ways) and the ``--which`` dispatch of ``hlab bounds``
+(:func:`bounds_results`).  So only a ``bounds`` job compiles them.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import ceil, factorial, floor, isqrt, lcm
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from .errors import DocumentError
 from .qpoly import QPoly, is_integer_valued
 from .record import Interval, Record
+
+if TYPE_CHECKING:
+    from .inputdoc import InputDocument
 
 Scalar = Union[int, Fraction]
 
@@ -374,3 +384,69 @@ def t4_chain(b: BoundsInput, P: QPoly, chi_p: Scalar, p: int) -> T4ChainReport:
     s = Fraction((-1) ** (b.n - p + 1)) * delta
     branch = "chi_p" if s >= N else "chi_p_twisted"
     return T4ChainReport(p, N, m_tilde, delta, branch, N + 1)
+
+
+# -- the bounds command ----------------------------------------------------------
+
+
+def bound_input(doc: InputDocument, key: str):
+    """One bound input of a document, by the one source rule: derived when
+    the document has the sections it comes from, read from ``bounds.<key>``
+    otherwise; given both ways, the two must agree.  n comes from the ring,
+    chi^p(X) from the manifold, chi from chi^p got either way, and a_n,
+    c1sq_L and the bounds.p-Hilbert polynomial (``hilbert``) from the
+    manifold and line bundle."""
+    section, x, line = doc.require("bounds"), doc.manifold, doc.line_bundle
+    if x is not None:  # every derivation from X runs in genus, loaded when X was read
+        from . import genus
+    given, path, derived = section.get(key), f"bounds.{key}", None
+    if key == "hilbert":
+        p = doc.bounds_p
+        given, path = (given or {}).get(p), f"{path}.{p}"
+    if key == "n" and doc.spec is not None:
+        derived = doc.spec.truncation
+    elif key == "chi" and (x is not None or "chi_p" in section):
+        derived = sum((-1) ** p * v for p, v in enumerate(bound_input(doc, "chi_p")))
+    elif key == "chi_p" and x is not None:  # X's own, whatever the bundle section says; chi_y checks integrality
+        derived = tuple(map(int, genus.chi_y(x, genus.BundleData.trivial()).padded(x.n + 1)))
+    elif key == "hilbert" and x is not None and line is not None:
+        derived = genus.hilbert_polynomial(x, line, p)
+    elif key in ("a_n", "c1sq_L") and x is not None and line is not None:
+        c1 = line.chern[0] if line.chern else x.spec.zero()
+        derived = genus.integrate(c1 ** x.n if key == "a_n" else c1 * c1, x.fclass)
+    if derived is None:
+        if given is None:
+            raise DocumentError(f"this bound needs {path}, or the document sections to derive it from")
+        if key == "chi_p" and len(given) != (count := bound_input(doc, "n") + 1):
+            raise DocumentError(f"{path} must list chi^0 .. chi^n: {count} values, not {len(given)}")
+        if key == "hilbert" and (given.degree > (n := bound_input(doc, "n")) or not is_integer_valued(given)):
+            raise DocumentError(f"{path} = {given} is not an integer-valued polynomial of degree <= n = {n}")
+        return given
+    if given is not None and given != derived:
+        raise DocumentError(f"{path} = {given} disagrees with {derived}, derived from the rest of the document")
+    return derived
+
+
+def bounds_results(doc: InputDocument, which: str) -> dict:
+    """``hlab bounds --which W``: the chosen bound and the inputs it read.
+    The hypotheses on n, K, C and c_n are checked first, then bounds.p, then
+    the data of X and L that the chosen bound reads."""
+    b, p = doc.bounds_input(), doc.bounds_p
+    if which == "t4":
+        return {"bound_T4": bound_T4(b)}
+    if which == "t2":
+        c1sq = bound_input(doc, "c1sq_L")
+        return {"c1sq_L": c1sq, "bound_T2": bound_T2(b, c1sq)}
+    if which == "etheta":
+        chi = Fraction(bound_input(doc, "chi"))
+        lower, upper = e_theta_interval(b, int(chi))
+        return {"chi": chi, "E_theta_lower_enclosure": lower, "E_theta_upper_enclosure": upper}
+    if which == "t4chain":
+        chi_p = bound_input(doc, "chi_p")
+        return dict(vars(t4_chain(b, bound_input(doc, "hilbert"), chi_p[p], p)))  # its fields, in order
+    a_n, chi_p = bound_input(doc, "a_n"), bound_input(doc, "chi_p")
+    rr = root_report(bound_input(doc, "hilbert"), chi_p[p])
+    if which == "t5":
+        return {"m_p": rr.m_p, "bound_T5": bound_T5(b, a_n, rr.m_p)}
+    plus, minus = bound_C1(b, a_n, rr.c_plus), bound_C1(b, a_n, rr.c_minus)
+    return {"C_plus": rr.c_plus, "C_minus": rr.c_minus, "bound_C1_plus": plus, "bound_C1_minus": minus}

@@ -19,8 +19,14 @@ fails (a bug), 141 when stdout closes early (``| head``); ``main`` maps
 the exception classes of ``hlab.errors`` to them.  All numeric output is
 exact rational text except the explicitly marked enclosures.
 
-Importing this module loads the literal rules of the flags only
-(``literals``, ``errors``, ``record``); each handler imports what it runs.
+This module is the dispatcher alone.  A handler reads its flags and its
+document, then calls the one engine function that builds its results, and
+imports that engine only then: ``genus.hrr_results`` for ``genus``,
+``kcoeffs``, ``hilbert`` and ``ineq``, ``bounds.bounds_results``,
+``diagonal.commutator_results``, ``sl2.lefschetz_check_results``,
+``selfcheck.run_all`` and ``inputdoc.write_fixture``.  So importing this
+module loads the literal rules of the flags only (``literals``, ``errors``,
+``record``), and a job compiles no other command's code.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
-from .literals import INTEGER, check_space, digest, in_range, parse_gammas, parse_integer
+from .literals import INTEGER, check_space, digest, parse_gammas, parse_integer
 from .record import Interval
 
 ENGINE_ERROR = 1
@@ -115,78 +121,47 @@ def _doc_from_args(args):
 
 
 # -- subcommands --------------------------------------------------------------
-# A reporting handler returns (inputs, results); _run builds the report.
+# A reporting handler reads its flags and its document and returns (inputs,
+# results), the results built by one engine function; _run builds the report.
 
 
 def cmd_genus(args):
-    from . import genus
+    from .genus import hrr_results
 
     doc = _doc_from_args(args)
-    x = doc.require("manifold")
-    e = doc.bundle or genus.BundleData.trivial()
-    return doc.raw, {
-        "td": genus.todd_class(x),
-        "ch": genus.chern_character(e, x.spec, x.n),
-        "chi_p": list((chi := genus.chi_y(x, e)).padded(x.n + 1)),
-        "chi_y": chi,
-        "euler_characteristic": chi(-1),
-    }
+    return doc.raw, hrr_results("genus", doc)
 
 
 def cmd_kcoeffs(args):
-    from . import genus
+    from .genus import hrr_results
 
     doc = _doc_from_args(args)
-    x = doc.require("manifold")
-    e = doc.bundle or genus.BundleData.trivial()
-    ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
-    results = {"K": ks, "k1_closed_form_matches": genus.k1_formula_check(x, e, ks)}
-    if x.n == 2:
-        results["k2_surface_form_matches"] = genus.k2_surface_formula_check(x, e, ks)
-    return doc.raw, results
+    return doc.raw, hrr_results("kcoeffs", doc)
 
 
 def cmd_hilbert(args):
-    from . import genus
+    from .genus import hrr_results
 
     doc = _doc_from_args(args)
-    x = doc.require("manifold")
-    line = doc.require("line_bundle")
-    P = genus.hilbert_polynomial(x, line, in_range(args.p, x.n, "--p"))
-    return doc.raw, {"p": args.p, "polynomial": P, "coefficients": list(P.padded(x.n + 1))}
+    return doc.raw, hrr_results("hilbert", doc, args.p)
 
 
 def cmd_ineq(args):
-    from . import genus
+    from .genus import hrr_results
 
     doc = _doc_from_args(args)
-    x = doc.require("manifold")
-    e = doc.bundle or genus.BundleData.trivial()
-    js = [in_range(args.j, x.n, "--j")] if args.j is not None else list(range(x.n + 1))
-    ks = genus.k_coefficients(genus.chi_y(x, e), upto=x.n)
-    rows = []
-    for j in js:
-        holds, lhs, rhs = genus.chern_inequality_check(ks, j)
-        rows.append({"j": j, "lhs": lhs, "rhs": rhs, "holds": holds})
-    return doc.raw, {"inequalities": rows}
+    return doc.raw, hrr_results("ineq", doc, args.j)
 
 
 def cmd_commutator(args):
-    from .diagonal import DiagonalCurvature, commutator_norm, flatness_test
+    from .diagonal import commutator_results
 
-    if args.gammas is not None:
-        if args.input:
-            raise DocumentError("--gammas and --input both give a curvature: give one")
-        inputs, spec = {"gammas": args.gammas}, parse_gammas(args.gammas.split(","), "--gammas")
-    else:
+    if args.gammas is None:
         doc = _doc_from_args(args)
-        inputs, spec = doc.raw, doc.require("curvature")
-    norm = commutator_norm(spec)
-    table = [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())]
-    results = {"C": norm.value, "exact": norm.exact, "C_pq": table}
-    if isinstance(spec, DiagonalCurvature):
-        results["flat"] = flatness_test(spec)
-    return inputs, results
+        return doc.raw, commutator_results(doc.require("curvature"))
+    if args.input:
+        raise DocumentError("--gammas and --input both give a curvature: give one")
+    return {"gammas": args.gammas}, commutator_results(parse_gammas(args.gammas.split(","), "--gammas"))
 
 
 def cmd_lefschetz_check(args):
@@ -195,76 +170,28 @@ def cmd_lefschetz_check(args):
         check_space(n, r)
     except ValueError as exc:
         raise DocumentError(f"--n {n} --r {r}: {exc}") from None
-    from . import sl2
+    from .sl2 import lefschetz_check_results
 
-    results = {"sl2_commutator": sl2.sl2_commutator_check(n, r)}
-    if n <= 3:
-        results["star_unitary"], results["star_conjugation_gives_lambda"] = sl2.star_identities(n, r)
-    else:
-        warnings.warn("star identity check skipped for n > 3 (cost)")
-    scan = sorted(sl2.injectivity_scan(n, r).items())
-    results["injectivity"] = [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan]
-    powers = [sl2.lefschetz_power(n, r, k) for k in range(n + 1)]
-    keys = ("k", "bijective", "sigma_min", "sigma_max")
-    results["lefschetz_powers"] = [{key: getattr(lp, key) for key in keys} for lp in powers]
-    return {"n": n, "r": r}, results
+    return {"n": n, "r": r}, lefschetz_check_results(n, r)
 
 
 def cmd_bounds(args):
-    """The hypotheses on n, K, C and c_n are checked first, then bounds.p,
-    then the data of X and L that the chosen bound reads."""
-    from .bounds import bound_C1, bound_T2, bound_T4, bound_T5, e_theta_interval, root_report, t4_chain
+    from .bounds import bounds_results
 
     doc = _doc_from_args(args)
-    which, b, p = args.which, doc.bounds_input(), doc.bounds_p
-    if which == "t4":
-        results = {"bound_T4": bound_T4(b)}
-    elif which == "t2":
-        c1sq = doc.bound("c1sq_L")
-        results = {"c1sq_L": c1sq, "bound_T2": bound_T2(b, c1sq)}
-    elif which in ("t5", "c1"):
-        a_n, chi_p = doc.bound("a_n"), doc.bound("chi_p")
-        rr = root_report(doc.bound("hilbert"), chi_p[p])
-        if which == "t5":
-            results = {"m_p": rr.m_p, "bound_T5": bound_T5(b, a_n, rr.m_p)}
-        else:
-            plus, minus = bound_C1(b, a_n, rr.c_plus), bound_C1(b, a_n, rr.c_minus)
-            results = {"C_plus": rr.c_plus, "C_minus": rr.c_minus, "bound_C1_plus": plus, "bound_C1_minus": minus}
-    elif which == "etheta":
-        chi = Fraction(doc.bound("chi"))
-        lower, upper = e_theta_interval(b, int(chi))
-        results = {"chi": chi, "E_theta_lower_enclosure": lower, "E_theta_upper_enclosure": upper}
-    else:  # t4chain
-        chi_p = doc.bound("chi_p")
-        report = t4_chain(b, doc.bound("hilbert"), chi_p[p], p)
-        results = {key: getattr(report, key) for key in ("p", "N", "m_tilde", "delta", "branch", "bound")}
-    return doc.raw, results
+    return doc.raw, bounds_results(doc, args.which)
 
 
 def cmd_verify(args):
-    from . import selfcheck
+    from .selfcheck import run_all
 
-    results = selfcheck.run_all()
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-    passed = sum(ok for _, ok, _ in results)
-    print(f"{passed}/{len(results)} checks passed")
-    return 0 if passed == len(results) else 1
+    return run_all()
 
 
 def cmd_fixture(args):
-    from .inputdoc import cp_fixture
+    from .inputdoc import write_fixture
 
-    text = json.dumps(cp_fixture(args.n), indent=2, sort_keys=True)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise DocumentError(f"--out: cannot write {args.out}: {exc}") from None
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    write_fixture(args.n, args.out)
 
 
 # -- dispatcher ---------------------------------------------------------------

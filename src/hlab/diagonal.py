@@ -16,6 +16,7 @@ its certificate, so ``commutator --gammas`` loads no operator engine;
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CertificateError
@@ -44,9 +45,12 @@ class DiagonalCurvature(Record):
     def r(self) -> int:
         return 1
 
-    @property
+    @cached_property
     def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
-        """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j)."""
+        """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j),
+        built once per record (``blocks.commutator_block`` reads it for every
+        bidegree); cached in the instance ``__dict__``, so equality and hashing
+        still see the gammas alone."""
         from .gaussian import CQ, CQ_ZERO  # verify's block checks and the operator engine read theta
 
         zero = ((CQ_ZERO,),)
@@ -90,6 +94,17 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     from .blocks import block_commutator_norm
 
     return block_commutator_norm(spec)
+
+
+def commutator_results(spec: CurvatureSpec) -> dict:
+    """``hlab commutator``: C, whether it is exact, the C_{p,q} table, and for
+    diagonal curvature whether it is flat."""
+    norm = commutator_norm(spec)
+    table = [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())]
+    results = {"C": norm.value, "exact": norm.exact, "C_pq": table}
+    if isinstance(spec, DiagonalCurvature):
+        results["flat"] = flatness_test(spec)
+    return results
 
 
 def _diagonal_table(

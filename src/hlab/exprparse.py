@@ -15,68 +15,60 @@ errors are reported with their character position.
 
 Values are computed in the target ring itself: its truncation is the
 quotient by the monomials of weight above T, which commutes with every
-operation here.  A syntactic weight bound rides along with each value: a
+operation here.  A product of integer literals, generators and their powers
+is one :class:`_Monomial`, an integer numerator and denominator times one
+exponent tuple, which takes no ring arithmetic; a sum merges the parts of
+its terms over one denominator in one pass.  Only a parenthesised
+sub-expression, and a product or power that has one, takes the ring's
+arithmetic.  A syntactic weight bound rides along with each value: a
 product or power whose bound exceeds max(WEIGHT_CAP, T) is rejected before
-any arithmetic, and one warning per parse fires when the whole bound exceeds T.
-Coefficients are capped too, at the bit size of an integer with as many
-digits as the interpreter converts to text (``sys.get_int_max_str_digits()``):
-a power ``a^k`` is rejected before it is computed when k times the largest
-numerator or denominator bit length in ``a`` exceeds that size, and a
-product when its result does.
+any arithmetic, and one warning per parse fires when the whole bound
+exceeds T.  Coefficients are capped too, at the bit size of an integer with
+as many digits as the interpreter converts to text
+(``sys.get_int_max_str_digits()``): a power ``a^k`` is rejected before it
+is computed when k times the largest numerator or denominator bit length in
+``a`` exceeds that size, and a product when its result does.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from functools import lru_cache
+from math import gcd
+from operator import add
 from typing import TYPE_CHECKING
 
 from .errors import ExprError
 from .literals import parse_rational  # noqa: F401 - re-exported: its home is literals
+from .ring import GradedElement, _sum
 
-if TYPE_CHECKING:  # the parser calls only the methods of the RingSpec it is given
-    from .ring import GradedElement, RingSpec
+if TYPE_CHECKING:
+    from .ring import RingSpec
 
 # expressions whose syntactic weight bound exceeds this are rejected
 # before any arithmetic is attempted
 WEIGHT_CAP = 4096
+
+# after any whitespace: ASCII digits, a name, an operator, or any other
+# character, which is an error; a name starts with a letter or "_" (checked
+# below), so "٣" or "²", which \w matches, starts none
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 class TruncationWarning(UserWarning):
     """Emitted when a parsed expression loses terms to the truncation."""
 
 
-_TOKEN_CHARS = set("+-*/^()")
-
-
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: "٣" or "²" is no digit
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            tokens.append(("int", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i, src)
+    for match in _TOKEN.finditer(src):
+        kind = match.lastgroup
+        text, i = match[kind], match.start(kind)
+        if kind == "bad" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ExprError(f"unexpected character {text[0]!r}", i, src)
+        tokens.append((kind, text, i))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -87,9 +79,38 @@ def _bit_size(digits: int) -> int:
     return (10**digits).bit_length()
 
 
-def _coefficient_bits(value: GradedElement) -> int:
+def _coefficient_bits(value) -> int:
     """The largest numerator or denominator bit length among the coefficients."""
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.terms.values()), default=0)
+    den = value.den
+    return max(
+        (max((v // g).bit_length(), (den // g).bit_length()) for part in value.parts.values() for v in part.values()
+         if (g := gcd(v, den))),
+        default=0,
+    )
+
+
+class _Monomial(GradedElement):
+    """num/den times the monomial ``exps`` of that weight, in lowest terms,
+    or 0 above the truncation: a GradedElement whose products and powers
+    with other monomials, and negation, take no ring arithmetic."""
+
+    def __init__(self, spec, num, den, exps, weight):
+        num *= weight <= spec.truncation  # 0 above the truncation
+        g = gcd(num, den)
+        self.spec, self.num, self.den, self.exps, self.weight = spec, num // g, den // g, exps, weight
+        self.parts = {weight: {exps: num // g}} if num else {}
+
+    def __mul__(self, other):
+        if not isinstance(other, _Monomial):
+            return super().__mul__(other)
+        exps = tuple(map(add, self.exps, other.exps))
+        return _Monomial(self.spec, self.num * other.num, self.den * other.den, exps, self.weight + other.weight)
+
+    def __neg__(self):
+        return _Monomial(self.spec, -self.num, self.den, self.exps, self.weight)
+
+    def __pow__(self, k):
+        return _Monomial(self.spec, self.num**k, self.den**k, tuple(e * k for e in self.exps), self.weight * k)
 
 
 class _Parser:
@@ -104,6 +125,7 @@ class _Parser:
         self.max_bits = _bit_size(sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.zeros = (0,) * len(spec.generators)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -116,16 +138,15 @@ class _Parser:
     def fail(self, message: str):
         raise ExprError(message, self.peek()[2], self.src)
 
-    def _guard(self, bound: int, where: int) -> int:
+    def _guard(self, where, bound, bits=0):
+        """The weight bound, unless it or the coefficient ``bits`` exceeds its cap."""
         if bound > self.cap:
             raise ExprError(f"expression weight bound {bound} exceeds the cap {self.cap}", where, self.src)
-        return bound
-
-    def _size_guard(self, bits: int, where: int):
         if bits > self.max_bits:
             raise ExprError(
                 f"a coefficient of about {bits} bits exceeds the {self.max_bits}-bit limit", where, self.src
             )
+        return bound
 
     def parse(self) -> tuple[GradedElement, int]:
         """The truncated value and the weight bound of the whole input."""
@@ -138,79 +159,64 @@ class _Parser:
         return value, bound
 
     def expr(self):
+        """A sum: the parts of its terms merged over one denominator."""
         value, bound = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+        terms = [value]
+        while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs, rbound = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            terms.append(rhs if op == "+" else -rhs)
             bound = max(bound, rbound)
-        return value, bound
+        return _sum(self.spec, [(v.parts, v.den) for v in terms]), bound
 
     def term(self):
         value, bound = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+        while self.peek()[1] in ("*", "/"):
             _, op, where = self.advance()
             rhs, rbound = self.unary()
             if op == "*":
-                bound = self._guard(bound + rbound, where)
+                bound = self._guard(where, bound + rbound)
                 value = value * rhs
-                self._size_guard(_coefficient_bits(value), where)
+                self._guard(where, 0, _coefficient_bits(value))
             else:
                 # exact: a bound <= T means nothing of the divisor was truncated
-                const = rhs.constant_term()
-                if rbound > self.spec.truncation or const == 0 or rhs != self.spec.constant(const):
-                    raise ExprError(
-                        "division is only defined by nonzero rational constants",
-                        where,
-                        self.src,
-                    )
-                value = value / const
+                if rbound > self.spec.truncation or list(rhs.parts) != [0]:
+                    raise ExprError("division is only defined by nonzero rational constants", where, self.src)
+                (p,) = rhs.parts[0].values()  # rhs = p/den: times den/p = den p/p^2
+                value = value * _Monomial(self.spec, rhs.den * p, p * p, self.zeros, 0)
         return value, bound
 
     def unary(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
+        """unary := ('+' | '-') unary | atom ('^' INTEGER)?"""
+        kind, text, where = self.advance()
+        if text in ("+", "-"):
             value, bound = self.unary()
-            return -value, bound
-        if self.peek()[:2] == ("op", "+"):
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        value, bound = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            _, _, where = self.advance()
-            kind, text, _ = self.peek()
-            if kind != "int":
-                raise ExprError("exponent must be a nonnegative integer", where, self.src)
-            self.advance()
-            k = int(text)
-            bound = self._guard(bound * k, where)
-            self._size_guard(k * _coefficient_bits(value), where)
-            return value**k, bound
-        return value, bound
-
-    def atom(self):
-        kind, text, where = self.peek()
+            return (-value if text == "-" else value), bound
         if kind == "int":
-            self.advance()
-            return self.spec.constant(int(text)), 0
-        if kind == "name":
-            self.advance()
+            value, bound = _Monomial(self.spec, int(text), 1, self.zeros, 0), 0
+        elif kind == "name":
             try:
-                elt = self.spec.gen(text)
+                i = self.spec.index(text)
             except KeyError:
                 raise ExprError(f"unknown generator {text!r}", where, self.src) from None
-            return elt, self.spec.weights[self.spec.index(text)]
-        if (kind, text) == ("op", "("):
-            self.advance()
-            value = self.expr()
-            if self.peek()[:2] != ("op", ")"):
+            bound = self.spec.weights[i]
+            value = _Monomial(self.spec, 1, 1, self.zeros[:i] + (1,) + self.zeros[i + 1 :], bound)
+        elif text == "(":
+            value, bound = self.expr()
+            if self.peek()[1] != ")":
                 self.fail("expected ')'")
             self.advance()
-            return value
-        self.fail(f"expected a value, found {text!r}" if text else "unexpected end of input")
+        else:
+            raise ExprError(f"expected a value, found {text!r}" if text else "unexpected end of input", where, self.src)
+        if self.peek()[1] == "^":
+            _, _, where = self.advance()
+            kind, text, _ = self.advance()
+            if kind != "int":
+                raise ExprError("exponent must be a nonnegative integer", where, self.src)
+            k = int(text)
+            bound = self._guard(where, bound * k, k * _coefficient_bits(value))
+            value = value**k
+        return value, bound
 
 
 def parse_expression(src: str, spec: RingSpec) -> GradedElement:

@@ -16,6 +16,7 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .errors import IntegralityError, MissingChernNumber
+from .literals import in_range
 from .qpoly import QPoly, is_integer_valued
 from .record import Record
 from .ring import (
@@ -331,6 +332,38 @@ def chern_inequality_check(ks: Sequence[Fraction], j: int) -> tuple[bool, Fracti
     lhs = Fraction((-1) ** (n + j)) * ks[j]
     rhs = Fraction(sum(comb(p, j) for p in range(j, n + 1)))
     return lhs >= rhs, lhs, rhs
+
+
+# -- the results of the HRR commands -------------------------------------------
+
+
+def hrr_results(command: str, doc, index: int | None = None) -> dict:
+    """The results of ``hlab genus``, ``kcoeffs``, ``hilbert --p P`` and
+    ``ineq [--j J]`` (``index`` is P or J) on a document's X, E and L; E is
+    the trivial line bundle when the document has none."""
+    x = doc.require("manifold")
+    if command == "hilbert":
+        P = hilbert_polynomial(x, doc.require("line_bundle"), in_range(index, x.n, "--p"))
+        return {"p": index, "polynomial": P, "coefficients": list(P.padded(x.n + 1))}
+    e = doc.bundle or BundleData.trivial()
+    js = range(x.n + 1) if index is None else [in_range(index, x.n, "--j")]  # ineq's, checked before chi_y runs
+    chi = chi_y(x, e)
+    if command == "genus":
+        return {
+            "td": todd_class(x),
+            "ch": chern_character(e, x.spec, x.n),
+            "chi_p": list(chi.padded(x.n + 1)),
+            "chi_y": chi,
+            "euler_characteristic": chi(-1),
+        }
+    ks = k_coefficients(chi, upto=x.n)
+    if command == "ineq":
+        rows = [(j, *chern_inequality_check(ks, j)) for j in js]
+        return {"inequalities": [{"j": j, "lhs": lhs, "rhs": rhs, "holds": holds} for j, holds, lhs, rhs in rows]}
+    results = {"K": ks, "k1_closed_form_matches": k1_formula_check(x, e, ks)}
+    if x.n == 2:
+        results["k2_surface_form_matches"] = k2_surface_formula_check(x, e, ks)
+    return results
 
 
 # -- builtin fixture ---------------------------------------------------------

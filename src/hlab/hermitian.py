@@ -14,13 +14,30 @@ from math import comb, copysign, isfinite, lcm, nan, sqrt
 from typing import Iterator, Union
 
 from .diagonal import DiagonalCurvature
-from .errors import CertificateError
+from .errors import CertificateError, DocumentError
 from .gaussian import CQ, _as_cq
-from .literals import check_space
+from .literals import _rational, _rationals, check_space
 from .record import Record
 
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
 MAX_HERMITIAN_BLOCK = 100  # r >= 2: Bareiss (hlab.blocks) costs the cube of the largest block
+
+
+def read_theta(node, path: str, depth: int = 3):
+    """The theta array of an input document as nested tuples of complex
+    entries; every level above the entries must be a JSON list
+    (theta[j][k][a][b] has depth 3 above its entries).  It lives next to
+    the record it feeds, so a document without one compiles no reader."""
+    if not isinstance(node, list):
+        raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")
+    if depth > 0:
+        return tuple(read_theta(x, f"{path}[{i}]", depth - 1) for i, x in enumerate(node))
+    if any(isinstance(x, list) and len(x) != 2 for x in node):
+        raise DocumentError(f"{path}: a complex entry is a rational or [re, im]")
+    return tuple(
+        CQ(*_rationals(x, f"{path}[{i}]")) if isinstance(x, list) else CQ(_rational(x, f"{path}[{i}]"))
+        for i, x in enumerate(node)
+    )
 
 
 class HermitianCurvature(Record):

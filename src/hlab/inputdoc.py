@@ -1,14 +1,17 @@
 """Structured input documents: JSON trees describing rings, Chern data,
 curvature and bound parameters.
 
-This module alone reads the JSON tree.  It parses every section once, at
-load time, so a malformed section is an input error for every command: a
-:class:`DocumentError` naming the JSON path at fault.  A rational is a JSON
+This module reads the JSON tree; the one part it hands on is the theta
+array of Hermitian curvature, which ``hlab.hermitian.read_theta`` reads next
+to the record it feeds, so a document without one compiles no reader for
+it.  Every section is parsed once, at load time, so a malformed section is
+an input error for every command: a :class:`DocumentError` naming the JSON
+path at fault.  A rational is a JSON
 int or a "p/q" string and an integer field a JSON int or a decimal string,
 so no float ever enters the pipeline.  Those literal rules live in
 ``hlab.literals``, shared with the command-line flags; the expression parser
 (``exprparse``) and each section's engine load only where a section needs
-them.  :meth:`InputDocument.bound` alone decides where each bound input
+them.  ``hlab.bounds.bound_input`` alone decides where each bound input
 comes from.  An expression truncated at the ring's dimension emits the
 parser's ``TruncationWarning`` to the caller as an ordinary Python warning;
 the command line records it in the report.
@@ -119,55 +122,19 @@ class InputDocument:
 
     def bounds_input(self) -> BoundsInput:
         """The hypotheses n, K, C and c_n, checked by BoundsInput; the data of
-        X and L that a bound reads are got by :meth:`bound`."""
-        from .bounds import BoundsInput
+        X and L that a bound reads are got by :func:`hlab.bounds.bound_input`."""
+        from .bounds import BoundsInput, bound_input
 
         section = self.require("bounds")
         if missing := [k for k in ("K", "C", "c_n") if k not in section]:
             raise DocumentError(f"bounds section is missing {missing}")
-        return BoundsInput(self.bound("n"), section["K"], section["C"], section["c_n"])
+        return BoundsInput(bound_input(self, "n"), section["K"], section["C"], section["c_n"])
 
     @property
     def bounds_p(self) -> int:
-        return in_range(self.require("bounds").get("p", 0), self.bound("n"), "bounds.p")
+        from .bounds import bound_input
 
-    def bound(self, key: str):
-        """One bound input, by the one source rule: derived when the document
-        has the sections it comes from, read from ``bounds.<key>`` otherwise;
-        given both ways, the two must agree.  n comes from the ring, chi^p(X)
-        from the manifold, chi from chi^p got either way, and a_n, c1sq_L and
-        the bounds.p-Hilbert polynomial (``hilbert``) from the manifold and
-        line bundle."""
-        from .qpoly import is_integer_valued
-
-        section, x, line = self.require("bounds"), self.manifold, self.line_bundle
-        if x is not None:  # every derivation from X runs in genus, loaded when X was read
-            from . import genus
-        given, path, derived = section.get(key), f"bounds.{key}", None
-        if key == "hilbert":
-            given, path = (given or {}).get(self.bounds_p), f"{path}.{self.bounds_p}"
-        if key == "n" and self.spec is not None:
-            derived = self.spec.truncation
-        elif key == "chi" and (x is not None or "chi_p" in section):
-            derived = sum((-1) ** p * v for p, v in enumerate(self.bound("chi_p")))
-        elif key == "chi_p" and x is not None:  # X's own, whatever the bundle section says; chi_y checks integrality
-            derived = tuple(map(int, genus.chi_y(x, genus.BundleData.trivial()).padded(x.n + 1)))
-        elif key == "hilbert" and x is not None and line is not None:
-            derived = genus.hilbert_polynomial(x, line, self.bounds_p)
-        elif key in ("a_n", "c1sq_L") and x is not None and line is not None:
-            c1 = line.chern[0] if line.chern else x.spec.zero()
-            derived = genus.integrate(c1 ** x.n if key == "a_n" else c1 * c1, x.fclass)
-        if derived is None:
-            if given is None:
-                raise DocumentError(f"this bound needs {path}, or the document sections to derive it from")
-            if key == "chi_p" and len(given) != (count := self.bound("n") + 1):
-                raise DocumentError(f"{path} must list chi^0 .. chi^n: {count} values, not {len(given)}")
-            if key == "hilbert" and (given.degree > (n := self.bound("n")) or not is_integer_valued(given)):
-                raise DocumentError(f"{path} = {given} is not an integer-valued polynomial of degree <= n = {n}")
-            return given
-        if given is not None and given != derived:
-            raise DocumentError(f"{path} = {given} disagrees with {derived}, derived from the rest of the document")
-        return derived
+        return in_range(self.require("bounds").get("p", 0), bound_input(self, "n"), "bounds.p")
 
 
 def load_document(tree: dict) -> InputDocument:
@@ -235,29 +202,12 @@ def _curvature(node: dict) -> CurvatureSpec:
         raise DocumentError("curvature needs one of 'gammas' and 'hermitian', not both or neither")
     if "gammas" in node:
         return parse_gammas(node["gammas"], "curvature.gammas")
-    from .hermitian import HermitianCurvature
+    from .hermitian import HermitianCurvature, read_theta
 
     herm = _object(node["hermitian"], "curvature.hermitian", ("theta",))
-    theta = _nested_lists(herm.get("theta"), 3, "curvature.hermitian.theta")
+    theta = read_theta(herm.get("theta"), "curvature.hermitian.theta")
     with _at("curvature.hermitian.theta"):
         return HermitianCurvature(theta)
-
-
-def _nested_lists(node, depth: int, path: str):
-    """Nested tuples of complex entries; every level above the entries must
-    be a JSON list (theta[j][k][a][b] has depth 3 above its entries)."""
-    from .gaussian import CQ
-
-    if not isinstance(node, list):
-        raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")
-    if depth > 0:
-        return tuple(_nested_lists(x, depth - 1, f"{path}[{i}]") for i, x in enumerate(node))
-    if any(isinstance(x, list) and len(x) != 2 for x in node):
-        raise DocumentError(f"{path}: a complex entry is a rational or [re, im]")
-    return tuple(
-        CQ(*_rationals(x, f"{path}[{i}]")) if isinstance(x, list) else CQ(_rational(x, f"{path}[{i}]"))
-        for i, x in enumerate(node)
-    )
 
 
 def load_file(path: str) -> InputDocument:
@@ -289,3 +239,17 @@ def cp_fixture(n: int) -> dict:
         "fundamental_class": {("h" if n == 1 else f"h^{n}"): "1"},
         "line_bundle": {"c1": "h"},
     }
+
+
+def write_fixture(n: int, out: str | None):
+    """``hlab fixture cp N``: the CP^n document, printed or written to ``out``."""
+    text = json.dumps(cp_fixture(n), indent=2, sort_keys=True)
+    if not out:
+        print(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise DocumentError(f"--out: cannot write {out}: {exc}") from None
+    print(f"wrote {out}")

@@ -76,9 +76,7 @@ class RingSpec(Record):
 
     def gen(self, name: str) -> "GradedElement":
         i = self.index(name)
-        key = tuple(int(j == i) for j in range(len(self.generators)))
-        w = self.weights[i]
-        return _canonical(self, {w: {key: 1}} if w <= self.truncation else {}, 1)
+        return self.element({tuple(int(j == i) for j in range(len(self.generators))): 1})
 
     def element(self, terms: Mapping[Sequence[int], Scalar]) -> "GradedElement":
         return GradedElement(self, {tuple(k): Fraction(v) for k, v in terms.items()})
@@ -104,6 +102,25 @@ def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den
     return out
 
 
+def _sum(spec: RingSpec, terms: Sequence) -> "GradedElement":
+    """The sum of ``(parts, den)`` pairs: merged over the lcm of their
+    denominators, zeros dropped, reduced once."""
+    den, acc = lcm(*(d for _, d in terms)), {}
+    for parts, d in terms:
+        s = den // d
+        for w, part in parts.items():
+            if w not in acc:
+                acc[w] = {e: v * s for e, v in part.items()}
+                continue
+            out = acc[w]
+            for e, v in part.items():
+                if v := out.get(e, 0) + v * s:
+                    out[e] = v
+                else:
+                    del out[e]
+    return _canonical(spec, {w: out for w, out in acc.items() if out}, den)
+
+
 class GradedElement:
     """Sparse truncated polynomial over Q in a :class:`RingSpec`.
 
@@ -113,17 +130,14 @@ class GradedElement:
     """
 
     def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, ...], Fraction]):
-        clean = {}
-        ngen = len(spec.generators)
+        monomials = []
         for exps, coeff in terms.items():
-            if len(exps) != ngen or any(e < 0 for e in exps):
+            if len(exps) != len(spec.generators) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {spec.names}")
-            if (c := Fraction(coeff)) and spec.weight_of(exps) <= spec.truncation:
-                clean[exps] = c
-        # over the lcm of reduced denominators the gcd is 1
-        self.spec, self.den, self.parts = spec, lcm(*(c.denominator for c in clean.values())), {}
-        for exps, c in clean.items():
-            self.parts.setdefault(spec.weight_of(exps), {})[exps] = c.numerator * (self.den // c.denominator)
+            c, w = Fraction(coeff), spec.weight_of(exps)
+            monomials.append(({w: {exps: c.numerator}} if c and w <= spec.truncation else {}, c.denominator))
+        out = _sum(spec, monomials)
+        self.spec, self.parts, self.den = spec, out.parts, out.den
 
     @cached_property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -161,20 +175,7 @@ class GradedElement:
         if isinstance(other, (int, Fraction)):
             other = self.spec.constant(other)
         self._check(other)
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        parts = {w: {e: v * s for e, v in part.items()} for w, part in self.parts.items()}
-        for w, part in other.parts.items():
-            out = parts.setdefault(w, {})
-            for e, v in part.items():
-                v = out.get(e, 0) + v * t
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            if not out:
-                del parts[w]
-        return _canonical(self.spec, parts, den)
+        return _sum(self.spec, ((self.parts, self.den), (other.parts, other.den)))
 
     __radd__ = __add__
 

@@ -27,41 +27,46 @@ def _expect(ok, detail=""):
         raise AssertionError(detail)
 
 
-def run_all() -> list[tuple[str, bool, str]]:
-    rng = random.Random(20240601)
-    results = []
-
-    def check(name, fn):
+def run_all() -> int:
+    """Run every check, each on the suite's one seeded stream, and print one
+    line each, then the count passed; the exit code of ``hlab verify``: 0 if
+    every check passed, else 1."""
+    rng, passed = random.Random(20240601), 0
+    checks = (
+        ("ring axioms", _check_ring_axioms),
+        ("exp/log inverse pair", _check_exp_log),
+        ("newton identity round-trip", _check_newton),
+        ("todd series bernoulli values", _check_todd_series),
+        ("projective space genus suite", _check_cpn),
+        ("serre symmetry", _check_serre),
+        ("flat bundle factorization", _check_flat),
+        ("K coefficient closed forms", _check_k_formulas),
+        ("hilbert polynomial consistency", _check_hilbert),
+        ("sl2 commutator", _check_sl2),
+        ("hodge star conjugation identity", _check_star),
+        ("commutator blocks: diagonal theta vs closed form", _check_diagonal_blocks),
+        ("line-bundle norm: eigenvalues vs blocks", _check_line_bundle_norm),
+        ("commutator blocks: rotated split bundles vs line tables", _check_rotated_split_blocks),
+        ("hard lefschetz bijectivity", _check_lefschetz_power),
+        ("injectivity range", _check_injectivity),
+        ("lemma44_search window and bound", _check_lemma44),
+        ("root isolation", _check_roots),
+        ("bound evaluator fixtures", _check_bound_fixtures),
+        ("lefschetz-check sign and star tables vs sorting signs", _check_certificate_tables),
+    )
+    for name, check in checks:
         try:
-            fn()
-            results.append((name, True, ""))
+            check(rng)
+            detail = ""
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    check("ring axioms", lambda: _check_ring_axioms(rng))
-    check("exp/log inverse pair", lambda: _check_exp_log(rng))
-    check("newton identity round-trip", lambda: _check_newton(rng))
-    check("todd series bernoulli values", _check_todd_series)
-    check("projective space genus suite", _check_cpn)
-    check("serre symmetry", lambda: _check_serre(rng))
-    check("flat bundle factorization", lambda: _check_flat(rng))
-    check("K coefficient closed forms", lambda: _check_k_formulas(rng))
-    check("hilbert polynomial consistency", _check_hilbert)
-    check("sl2 commutator", _check_sl2)
-    check("hodge star conjugation identity", _check_star)
-    check("commutator blocks: diagonal theta vs closed form", lambda: _check_diagonal_blocks(rng))
-    check("line-bundle norm: eigenvalues vs blocks", lambda: _check_line_bundle_norm(rng))
-    check("commutator blocks: rotated split bundles vs line tables", lambda: _check_rotated_split_blocks(rng))
-    check("hard lefschetz bijectivity", _check_lefschetz_power)
-    check("injectivity range", _check_injectivity)
-    check("lemma44_search window and bound", _check_lemma44)
-    check("root isolation", _check_roots)
-    check("bound evaluator fixtures", _check_bound_fixtures)
-    check("lefschetz-check sign and star tables vs sorting signs", _check_certificate_tables)
-    return results
+            detail = f"  ({type(exc).__name__}: {exc})"
+        print(f"{'FAIL' if detail else 'PASS'}  {name}{detail}")
+        passed += not detail
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
-def _check_sl2():
+def _check_sl2(rng):
     for n in (1, 2, 3):
         _expect(sl2.sl2_commutator_check(n, 1), n)
 
@@ -96,7 +101,7 @@ def _check_newton(rng):
         _expect(ring.elementary_from_power_sums(p, 3) == e)
 
 
-def _check_todd_series():
+def _check_todd_series(rng):
     got = ring.todd_series(6).coeffs
     expected = (
         Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
@@ -105,7 +110,7 @@ def _check_todd_series():
     _expect(got == expected, got)
 
 
-def _check_cpn():
+def _check_cpn(rng):
     for n in range(1, 5):
         x, _ = genus.projective_space(n)
         chi = genus.chi_y(x, genus.BundleData.trivial())
@@ -138,7 +143,7 @@ def _check_k_formulas(rng):
         _expect(genus.k2_surface_formula_check(x, e, ks))
 
 
-def _check_hilbert():
+def _check_hilbert(rng):
     x, o1 = genus.projective_space(2)
     P = genus.hilbert_polynomial(x, o1, 0)
     _expect(P == QPoly([1, Fraction(3, 2), Fraction(1, 2)]))
@@ -146,7 +151,7 @@ def _check_hilbert():
         _expect(P(m) == genus.chi_p(x, genus.bundle_power(o1, m), 0))
 
 
-def _check_star():
+def _check_star(rng):
     for n in (1, 2, 3):
         _expect(sl2.star_identities(n, 1) == (True, True), f"n = {n}")
 
@@ -198,7 +203,7 @@ def _check_rotated_split_blocks(rng):
             _expect(iv.lo == iv.hi == table[key], (n, r, key, iv, table[key]))
 
 
-def _check_lefschetz_power():
+def _check_lefschetz_power(rng):
     for n in (1, 2, 3):
         for r in (1, 2):
             for k in range(n + 1):
@@ -253,7 +258,7 @@ def injectivity_by_rank(n: int, r: int) -> dict[tuple[int, int], bool]:
     return {pq: not _nullity(B, 0) for pq, B in grams.items()}
 
 
-def _check_injectivity():
+def _check_injectivity(rng):
     for n in (1, 2, 3):
         for r in (1, 2):
             _expect(sl2.injectivity_scan(n, r) == injectivity_by_rank(n, r), (n, r))
@@ -296,7 +301,7 @@ def _star_by_sorting(n: int, c: int) -> tuple[int, int]:
     return t, (2 * (sign < 0) - n * n) % 4
 
 
-def _check_certificate_tables():
+def _check_certificate_tables(rng):
     """The sign table S and the star of ``lefschetz-check`` (``sl2.sign_table``,
     ``sl2.star_table``) against the sign rule of :func:`_sorting_sign`, for
     n <= 3 and r <= 3: L u = i sum_j xi_j ^ xibar_j ^ u for L = iS
@@ -309,7 +314,7 @@ def _check_certificate_tables():
             _expect(sl2.star_table(n, r) == {c: _star_by_sorting(n, c) for c in keys}, ("star", n, r))
 
 
-def _check_lemma44():
+def _check_lemma44(rng):
     for coeffs, m0, k in [((0, 0, 1), 0, 1), ((0, 0, 1), 0, 3), ((0, 1), 0, 5)]:
         P = QPoly(coeffs)
         n = P.degree
@@ -319,7 +324,7 @@ def _check_lemma44():
         _expect(P(m) >= a_n * Fraction(k) ** n / Fraction(2) ** (n - 1))
 
 
-def _check_roots():
+def _check_roots(rng):
     rep = bounds.root_report(QPoly([-1, 0, 1]))
     _expect(rep.m_p >= 1 and rep.m_p - 1 <= Fraction(1, 2**18))
     rep = bounds.root_report(QPoly([1, 0, 1]))
@@ -329,7 +334,7 @@ def _check_roots():
     _expect(len(rep.intervals) == 2)
 
 
-def _check_bound_fixtures():
+def _check_bound_fixtures(rng):
     b = bounds.BoundsInput(n=2, K=Fraction(100), C=Fraction(2), c_n=Fraction(1, 10))
     _expect(bounds.bound_T4(b) == 5)
     b2 = bounds.BoundsInput(n=2, K=Fraction(5), C=Fraction(2), c_n=Fraction(1))

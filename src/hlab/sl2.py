@@ -11,6 +11,7 @@ a sign rule of its own, the parity of sorting the factors of a wedge.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -167,3 +168,20 @@ def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
     if not sl2_commutator_check(n, r):
         raise CertificateError("[Lambda, L] is not (n-k) id; no injectivity certificate")
     return {(p, q): p + q < n for p in range(n + 1) for q in range(n + 1)}
+
+
+def lefschetz_check_results(n: int, r: int) -> dict:
+    """``hlab lefschetz-check``: the sl(2) and star identities, injectivity of
+    L on every bidegree and the powers L^{n-k}, on Lambda^{*,*}(C^n) (x) C^r."""
+    results = {"sl2_commutator": sl2_commutator_check(n, r)}
+    if n <= 3:
+        results["star_unitary"], results["star_conjugation_gives_lambda"] = star_identities(n, r)
+    else:
+        warnings.warn("star identity check skipped for n > 3 (cost)")
+    scan = sorted(injectivity_scan(n, r).items())
+    results["injectivity"] = [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan]
+    powers = [lefschetz_power(n, r, k) for k in range(n + 1)]
+    results["lefschetz_powers"] = [
+        {"k": lp.k, "bijective": lp.bijective, "sigma_min": lp.sigma_min, "sigma_max": lp.sigma_max} for lp in powers
+    ]
+    return results

@@ -81,3 +81,14 @@ def test_closed_form_encloses_the_exact_table_from_wide_gammas(n):
                 straddled |= lo == 0 < exact[key]
     # for n = 1 every sum is S_0 = 0 or S_1 = total, exact
     assert straddled or n == 1
+
+
+def test_theta_view_is_built_once_and_stays_out_of_equality():
+    # blocks.commutator_block reads theta once per bidegree block: one build per record
+    spec, twin = diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3)), diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3))
+    assert spec == twin and hash(spec) == hash(twin)
+    theta = spec.theta
+    assert spec.theta is theta
+    assert [[block[0][0] for block in line] for line in theta] == [[1, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 3]]
+    assert spec == twin and hash(spec) == hash(twin)  # twin has no cached view yet
+    assert spec != diagonal.DiagonalCurvature((1, Fraction(-1, 2), 2))
