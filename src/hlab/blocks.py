@@ -13,10 +13,11 @@ takes xi_k out of xi_J times the one that puts xi_j into xi_R.  eps' is the
 same within K alone: there is no sign across J and K.  So the block
 T_{p,q}, of dimension r C(n,p) C(n,q) in the basis order of
 ``hlab.monomials.basis_keys``, is built entry by entry
-(:func:`commutator_block`) and no 4^n r-dimensional operator is.
-``hlab verify`` holds the blocks to closed forms in which no wedge sign
-enters (diagonal theta, and split bundles in rotated frames); the tests
-hold every block against the operator engine's.
+(:func:`commutator_block`) and no 4^n r-dimensional operator is.  Both
+functions take a ``HermitianCurvature`` only.  ``hlab verify`` holds the
+blocks to closed forms in which no wedge sign enters (a diagonal curvature
+converted by ``hlab.fixtures.as_hermitian``, and split bundles in rotated
+frames); the tests hold every block against the operator engine's.
 
 The Hodge star maps Lambda^{p,q} onto Lambda^{n-q,n-p} by the monomial
 unitary S: c -> i^e sigma(c) of ``hlab.monomials.star_key``, and

@@ -22,7 +22,8 @@ exact rational text except the explicitly marked enclosures.
 This module is the dispatcher alone.  A handler reads its flags and its
 document, then calls the one engine function that builds its results, and
 imports that engine only then: ``genus.hrr_results`` for ``genus``,
-``kcoeffs``, ``hilbert`` and ``ineq``, ``bounds.bounds_results``,
+``kcoeffs``, ``hilbert`` and ``ineq``, which share one handler
+(:func:`cmd_hrr`), ``bounds.bounds_results``,
 ``diagonal.commutator_results``, ``sl2.lefschetz_check_results``,
 ``selfcheck.run_all`` and ``inputdoc.write_fixture``.  So importing this
 module loads the literal rules of the flags only (``literals``, ``errors``,
@@ -125,32 +126,13 @@ def _doc_from_args(args):
 # results), the results built by one engine function; _run builds the report.
 
 
-def cmd_genus(args):
+def cmd_hrr(args):
+    """``genus``, ``kcoeffs``, ``hilbert --p P`` and ``ineq [--j J]``: one
+    engine function, told the command and its index."""
     from .genus import hrr_results
 
     doc = _doc_from_args(args)
-    return doc.raw, hrr_results("genus", doc)
-
-
-def cmd_kcoeffs(args):
-    from .genus import hrr_results
-
-    doc = _doc_from_args(args)
-    return doc.raw, hrr_results("kcoeffs", doc)
-
-
-def cmd_hilbert(args):
-    from .genus import hrr_results
-
-    doc = _doc_from_args(args)
-    return doc.raw, hrr_results("hilbert", doc, args.p)
-
-
-def cmd_ineq(args):
-    from .genus import hrr_results
-
-    doc = _doc_from_args(args)
-    return doc.raw, hrr_results("ineq", doc, args.j)
+    return doc.raw, hrr_results(args.command, doc, getattr(args, "p", getattr(args, "j", None)))
 
 
 def cmd_commutator(args):
@@ -209,10 +191,10 @@ def build_parser() -> dict:
     required; ``positionals`` lists (name, type) pairs in order.
     """
     return {
-        "genus": (cmd_genus, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
-        "kcoeffs": (cmd_kcoeffs, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
-        "hilbert": (cmd_hilbert, "p-Hilbert polynomial of the line bundle", {**DOCUMENT, "--p": (int, 0)}, ()),
-        "ineq": (cmd_ineq, "Chern number inequality checker", {**DOCUMENT, "--j": (int, None)}, ()),
+        "genus": (cmd_hrr, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
+        "kcoeffs": (cmd_hrr, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
+        "hilbert": (cmd_hrr, "p-Hilbert polynomial of the line bundle", {**DOCUMENT, "--p": (int, 0)}, ()),
+        "ineq": (cmd_hrr, "Chern number inequality checker", {**DOCUMENT, "--j": (int, None)}, ()),
         "commutator": (
             cmd_commutator, "C = |[Lambda, iTheta]| and C_pq table", {**DOCUMENT, "--gammas": (str, None)}, ()
         ),

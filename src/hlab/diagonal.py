@@ -8,26 +8,29 @@ rationals got from sorted partial sums of the gammas, with no operator built.
 The same closed form, at enclosures of the eigenvalues of theta, gives the
 norm of a Hermitian line bundle (``hlab.linebundle``).  This module holds
 that closed form and :func:`commutator_norm`, which sends each curvature to
-its certificate, so ``commutator --gammas`` loads no operator engine;
-``hlab.lefschetz`` re-exports them.  The space rule ``check_space`` lives in
-``hlab.literals``.
+its certificate, so ``commutator --gammas`` loads no operator engine and
+no complex scalars; ``hlab.lefschetz`` re-exports them.  The space rule
+``check_space`` lives in ``hlab.literals``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CertificateError
 from .record import Interval, Record
 
 if TYPE_CHECKING:
-    from .gaussian import CQ
     from .hermitian import CurvatureSpec
 
+
 class DiagonalCurvature(Record):
-    """iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j for a line bundle (r = 1)."""
+    """iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j for a line bundle (r = 1).
+
+    The record is its gammas and nothing else.  The bidegree blocks and the
+    operator engine take ``HermitianCurvature``; ``hlab verify`` and the
+    tests convert with ``hlab.fixtures.as_hermitian``."""
 
     gammas: tuple[Fraction, ...]
 
@@ -40,23 +43,6 @@ class DiagonalCurvature(Record):
     @property
     def n(self) -> int:
         return len(self.gammas)
-
-    @property
-    def r(self) -> int:
-        return 1
-
-    @cached_property
-    def theta(self) -> tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]:
-        """The :class:`HermitianCurvature` view: 1 x 1 blocks, gamma_j at (j, j),
-        built once per record (``blocks.commutator_block`` reads it for every
-        bidegree); cached in the instance ``__dict__``, so equality and hashing
-        still see the gammas alone."""
-        from .gaussian import CQ, CQ_ZERO  # verify's block checks and the operator engine read theta
-
-        zero = ((CQ_ZERO,),)
-        return tuple(
-            tuple(((CQ(g),),) if j == k else zero for k in range(self.n)) for j, g in enumerate(self.gammas)
-        )
 
     def scaled(self, m: int | Fraction) -> "DiagonalCurvature":
         return DiagonalCurvature(tuple(g * Fraction(m) for g in self.gammas))

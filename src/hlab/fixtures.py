@@ -1,6 +1,8 @@
 """The one source of seeded random data: ring elements, Chern data with
 exact integralization, diagonal curvature gammas, and Hermitian curvature,
-generic or with a closed-form commutator norm.
+generic or with a closed-form commutator norm; and the one conversion of
+diagonal curvature to Hermitian (:func:`as_hermitian`), which no command
+runs.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -156,10 +158,9 @@ def rotated_split_curvature(rng: random.Random, n: int, r: int):
     return _curvature(H, n, r), table
 
 
-def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
-    """A Hermitian theta with random Gaussian-rational entries, some zero off
-    the diagonal: irrational eigenvalues and no closed-form norm."""
-    d = n * r
+def generic_hermitian(rng: random.Random, d: int) -> list[list[CQ]]:
+    """A d x d Hermitian matrix with random Gaussian-rational entries, some
+    zero off the diagonal."""
     H = [[CQ_ZERO] * d for _ in range(d)]
     for x in range(d):
         H[x][x] = CQ(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
@@ -167,7 +168,19 @@ def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
             if rng.random() < 0.7:
                 z = CQ(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), 2))
                 H[x][y], H[y][x] = z, z.conj()
-    return _curvature(H, n, r)
+    return H
+
+
+def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
+    """A Hermitian theta drawn by :func:`generic_hermitian`: irrational
+    eigenvalues and no closed-form norm."""
+    return _curvature(generic_hermitian(rng, n * r), n, r)
+
+
+def as_hermitian(spec: DiagonalCurvature) -> HermitianCurvature:
+    """The Hermitian curvature of diagonal gammas: 1 x 1 blocks, gamma_j at (j, j)."""
+    H = [[CQ(g) if j == k else CQ_ZERO for k in range(spec.n)] for j, g in enumerate(spec.gammas)]
+    return _curvature(H, spec.n, 1)
 
 
 def _curvature(H: list[list[CQ]], n: int, r: int) -> HermitianCurvature:

@@ -21,8 +21,9 @@ bidegree blocks of [Lambda, iTheta(E)] are read from theta in
 ``hlab.literals``, and the diagonal curvature record, its closed-form norm
 and ``commutator_norm``, which chooses the certificate of each curvature,
 in ``hlab.diagonal``; both are re-exported here.  The scalars are the
-Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record
-lives in ``hlab.hermitian``.
+Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record,
+the one curvature that :func:`curvature_operator` takes, lives in
+``hlab.hermitian``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .monomials import basis_keys, bidegree, i_power, star_key, wedge_sign
 from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
-    from .hermitian import CurvatureSpec
+    from .hermitian import HermitianCurvature
 
 
 class ExteriorBasis:
@@ -268,8 +269,9 @@ def op_star(n: int, r: int = 1) -> Operator:
 # -- curvature ---------------------------------------------------------------
 
 
-def curvature_operator(spec: CurvatureSpec) -> Operator:
-    """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action."""
+def curvature_operator(spec: HermitianCurvature) -> Operator:
+    """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action.
+    A diagonal curvature enters as ``hlab.fixtures.as_hermitian(spec)``."""
     blocks = [
         (j, k, mat)
         for j, line in enumerate(spec.theta)

@@ -158,19 +158,21 @@ def _check_star(rng):
 
 def _check_diagonal_blocks(rng):
     """Each bidegree block that ``blocks.commutator_block`` reads from a
-    diagonal theta against its closed form, in which no wedge sign enters:
-    diagonal, with sum gamma - gamma_J - gamma_K on xi_J ^ xibar_K.  Its
-    largest size is the C_{p,q} of ``diagonal.diagonal_norm``, which reads
-    sorted partial sums of the gammas and no block."""
+    diagonal theta (``fixtures.as_hermitian``) against its closed form, in
+    which no wedge sign enters: diagonal, with sum gamma - gamma_J - gamma_K
+    on xi_J ^ xibar_K.  Its largest size is the C_{p,q} of
+    ``diagonal.diagonal_norm``, which reads sorted partial sums of the
+    gammas and no block."""
     for n in (1, 2, 3):
         for g in fixtures.gamma_draws(rng, n):
             spec = diagonal.DiagonalCurvature(g)
+            theta = fixtures.as_hermitian(spec)
             norm, total = diagonal.diagonal_norm(spec), sum(g)
             _expect(max(map(abs, g)) <= norm.value, g)
             for (p, q), value in norm.table.items():
                 diag = [total - sum(g[j] for _, j in _factors(n, c)) for c in monomials.basis_keys(n, 1, p, q)]
                 closed = [[x if a == b else 0 for b in range(len(diag))] for a, x in enumerate(diag)]
-                _expect(blocks.commutator_block(spec, p, q) == closed, (g, p, q))
+                _expect(blocks.commutator_block(theta, p, q) == closed, (g, p, q))
                 _expect(max(map(abs, diag)) == value, (g, p, q))
 
 

@@ -19,7 +19,7 @@ from math import factorial
 from .errors import CertificateError
 from .literals import check_space
 from .monomials import bidegree, star_key, wedge_sign
-from .record import Interval, Record
+from .record import Record
 
 
 def sign_table(n: int, r: int) -> dict[int, dict[int, int]]:
@@ -114,12 +114,14 @@ def sl2_commutator_check(n: int, r: int = 1) -> bool:
 
 
 class LefschetzPower(Record):
-    """Result of analysing L^{n-k} from k-forms to (2n-k)-forms."""
+    """Result of analysing L^{n-k} from k-forms to (2n-k)-forms: its
+    singular values are exact rationals, so the least and the largest are
+    ``Fraction``s, not enclosures."""
 
     k: int
     bijective: bool
-    sigma_min: Interval
-    sigma_max: Interval
+    sigma_min: Fraction
+    sigma_max: Fraction
     sigma_values: tuple[Fraction, ...]
 
 
@@ -141,15 +143,14 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
     k-forms.  Primitive m-forms are the orthogonal complement of
     L Lambda^{m-2}, and dim Lambda^{m-2} < dim Lambda^m for m <= n, so every
     s_j occurs.  Each s_j >= 1 and both degrees have dimension
-    C(2n, k) r, so L^{n-k} is bijective.  The enclosures are exact.
+    C(2n, k) r, so L^{n-k} is bijective.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k = {k} outside [0, {n}]")
     if not sl2_commutator_check(n, r):
         raise CertificateError("[Lambda, L] is not (n-k) id; no hard Lefschetz certificate")
     sigmas = sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)})
-    lo, hi = Interval(sigmas[0], sigmas[0]), Interval(sigmas[-1], sigmas[-1])
-    return LefschetzPower(k, True, lo, hi, tuple(sigmas))
+    return LefschetzPower(k, True, sigmas[0], sigmas[-1], tuple(sigmas))
 
 
 def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:

@@ -23,6 +23,7 @@ from hlab.bounds import (
     lemma44_search,
     root_report,
 )
+from hlab.fixtures import as_hermitian
 from hlab.genus import (
     BundleData,
     FundamentalClass,
@@ -162,7 +163,7 @@ def test_criterion_07_commutator_suite():
             spec = DiagonalCurvature(gammas)
             basis = get_basis(n, 1)
             eigs = diagonal_commutator_eigenvalues(spec)
-            iT = curvature_operator(spec)
+            iT = curvature_operator(as_hermitian(spec))
             lam = op_Lambda(n, 1)
             T_paper = iT.commutator(lam)  # [iTheta, Lambda]
             assert T_paper.is_diagonal()

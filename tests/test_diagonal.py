@@ -16,7 +16,7 @@ import pytest
 
 import hlab
 from hlab import diagonal, exprparse, inputdoc, lefschetz, literals
-from hlab.fixtures import gamma_draws
+from hlab.fixtures import as_hermitian, gamma_draws
 
 MOVED = [
     (lefschetz, diagonal, "CommutatorNorm"),
@@ -48,7 +48,7 @@ def test_closed_form_table_is_the_operator_table(n):
         norm = diagonal.diagonal_norm(spec)
         assert norm.exact and norm.value == max(norm.table.values())
         assert lefschetz.commutator_norm(spec) == norm
-        T = lam.commutator(lefschetz.curvature_operator(spec))  # [Lambda, iTheta(L)], diagonal
+        T = lam.commutator(lefschetz.curvature_operator(as_hermitian(spec)))  # [Lambda, iTheta(L)], diagonal
         assert T.is_diagonal()
         built = {}
         for (p, q), idxs in basis.by_bidegree.items():
@@ -83,12 +83,7 @@ def test_closed_form_encloses_the_exact_table_from_wide_gammas(n):
     assert straddled or n == 1
 
 
-def test_theta_view_is_built_once_and_stays_out_of_equality():
-    # blocks.commutator_block reads theta once per bidegree block: one build per record
+def test_equality_and_hash_see_the_gammas_alone():
     spec, twin = diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3)), diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3))
     assert spec == twin and hash(spec) == hash(twin)
-    theta = spec.theta
-    assert spec.theta is theta
-    assert [[block[0][0] for block in line] for line in theta] == [[1, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 3]]
-    assert spec == twin and hash(spec) == hash(twin)  # twin has no cached view yet
     assert spec != diagonal.DiagonalCurvature((1, Fraction(-1, 2), 2))

@@ -16,7 +16,7 @@ import hlab.linebundle as linebundle
 import hlab.sl2 as sl2
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
-from hlab.fixtures import gamma_draws, generic_curvature, rotated_split_curvature
+from hlab.fixtures import as_hermitian, gamma_draws, generic_curvature, generic_hermitian, rotated_split_curvature
 from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
 from hlab.linebundle import line_bundle_norm
@@ -253,7 +253,7 @@ def test_sl2_explicit_table():
 def test_lefschetz_power_identity_case():
     lp = lefschetz_power(2, 1, 2)
     assert lp.bijective
-    assert lp.sigma_min.lo == lp.sigma_max.hi == 1
+    assert lp.sigma_min == lp.sigma_max == 1
 
 
 def test_lefschetz_power_n1():
@@ -277,8 +277,8 @@ def test_hard_lefschetz_bijective(n, r):
         lp = lefschetz_power(n, r, k)
         assert lp.bijective, (n, r, k)
         # sigma are exact integers (n-k+j)!/j!
-        assert lp.sigma_min.lo == lp.sigma_min.hi
-        assert lp.sigma_max.lo == lp.sigma_max.hi
+        assert type(lp.sigma_min) is F
+        assert type(lp.sigma_max) is F
 
 
 def test_lefschetz_power_sigma_closed_form():
@@ -452,28 +452,28 @@ def test_injectivity_certificate_needs_the_sl2_identity(monkeypatch):
 
 def test_zero_curvature_operator():
     spec = DiagonalCurvature((F(0), F(0)))
-    assert curvature_operator(spec).is_zero()
+    assert curvature_operator(as_hermitian(spec)).is_zero()
 
 
 def test_diagonal_curvature_is_weighted_wedges():
     spec = DiagonalCurvature((F(2),))
     basis = get_basis(1, 1)
-    op = curvature_operator(spec)
+    op = curvature_operator(as_hermitian(spec))
     col = op.cols[basis.index[((), (), 0)]]
     assert col == {basis.index[((1,), (1,), 0)]: CQ(0, 2)}
 
 
 def test_tensor_power_scales_operator():
     spec = DiagonalCurvature((F(1), F(-3)))
-    assert curvature_operator(spec.scaled(4)) == curvature_operator(spec).scale(4)
+    assert curvature_operator(as_hermitian(spec.scaled(4))) == curvature_operator(as_hermitian(spec)).scale(4)
 
 
 def test_diagonal_curvature_is_hermitian_with_diagonal_theta():
     gammas = (F(1), F(0), F(-5, 2))
     spec = DiagonalCurvature(gammas)
     diagonal = [[[[CQ(g if j == k else 0)]] for k in range(3)] for j, g in enumerate(gammas)]
-    assert spec.theta == _herm(diagonal).theta
-    assert curvature_operator(spec) == curvature_operator(_herm(diagonal))
+    assert as_hermitian(spec) == _herm(diagonal)
+    assert curvature_operator(as_hermitian(spec)) == curvature_operator(_herm(diagonal))
 
 
 def test_commutator_example_n2():
@@ -492,7 +492,7 @@ def test_commutator_closed_form_vs_matrix(n):
     for _ in range(6):
         gammas = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
         spec = DiagonalCurvature(gammas)
-        T = curvature_operator(spec).commutator(lam)  # [iTheta, Lambda]
+        T = curvature_operator(as_hermitian(spec)).commutator(lam)  # [iTheta, Lambda]
         eigs = diagonal_commutator_eigenvalues(spec)
         assert T.is_diagonal()
         for (J, K), ev in eigs.items():
@@ -559,7 +559,7 @@ def test_hermitian_requires_symmetry():
 def test_hermitian_matches_diagonal():
     for gammas in [(F(1), F(2)), (F(-1), F(3)), (F(0), F(0))]:
         exact_norm = commutator_norm(DiagonalCurvature(gammas))
-        enclosed = commutator_norm(HermitianCurvature(DiagonalCurvature(gammas).theta))
+        enclosed = commutator_norm(as_hermitian(DiagonalCurvature(gammas)))
         assert enclosed.value.lo <= exact_norm.value <= enclosed.value.hi
         assert enclosed.value.width <= F(1, 10**10)
         for key, iv in enclosed.table.items():
@@ -882,23 +882,12 @@ def _reference_norm_enclosure(block, tol):
     )
 
 
-def _random_hermitian_block(rng, d):
-    block = [[CQ_ZERO] * d for _ in range(d)]
-    for i in range(d):
-        block[i][i] = CQ(F(rng.randint(-6, 6), rng.randint(1, 3)))
-        for j in range(i + 1, d):
-            if rng.random() < 0.7:
-                z = CQ(F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4), 2))
-                block[i][j], block[j][i] = z, z.conj()
-    return block
-
-
 def test_hermitian_enclosure_matches_charpoly_reference():
     from hlab.blocks import _hermitian_norm_enclosure
 
     tol = F(1, 10**12)
     rng = random.Random(2024)
-    blocks = [_random_hermitian_block(rng, d) for d in range(1, 10)]
+    blocks = [generic_hermitian(rng, d) for d in range(1, 10)]
     # a symmetric spectrum {+1, -1} and the zero block
     blocks.append([[CQ_ZERO, CQ_ONE], [CQ_ONE, CQ_ZERO]])
     blocks.append([[CQ_ZERO] * 3 for _ in range(3)])
