@@ -66,8 +66,7 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
             found[(p, q)] = found[pair] = _hermitian_norm_enclosure(
                 block, hermitian.HERMITIAN_WIDTH, symmetric=pair == (p, q)
             )
-    table = {key: found[key] for key in sorted(found)}
-    return CommutatorNorm(max(table.values(), key=lambda iv: iv.hi), table)
+    return CommutatorNorm({key: found[key] for key in sorted(found)})
 
 
 def commutator_block(spec: HermitianCurvature, p: int, q: int) -> list[list[CQ]]:

@@ -49,14 +49,23 @@ class DiagonalCurvature(Record):
 
 
 class CommutatorNorm(Record):
-    """C = |[Lambda, iTheta(E)]| together with the per-bidegree table."""
+    """The per-bidegree table C_{p,q} of |[Lambda, iTheta(E)]|, whose largest
+    entry is C."""
 
-    value: Union[Fraction, Interval]
     table: dict[tuple[int, int], Union[Fraction, Interval]]
 
     @property
+    def value(self) -> Union[Fraction, Interval]:
+        """C = max C_{p,q}: the largest entry, or for enclosures the one with
+        the largest upper end."""
+        return max(self.table.values(), key=lambda v: getattr(v, "hi", v))
+
+    @property
     def exact(self) -> bool:
-        """True when C is an exact rational, False when it is an enclosure."""
+        """True when C comes from the diagonal closed form, whose entries are
+        exact rationals; False for every Hermitian curvature, whose table
+        holds enclosures even when they are degenerate (a report then
+        prints C as one rational with ``exact`` false)."""
         return not isinstance(self.value, Interval)
 
 
@@ -135,7 +144,7 @@ def diagonal_norm(spec: DiagonalCurvature) -> CommutatorNorm:
     at the degenerate enclosures (gamma, gamma)."""
     ends = _diagonal_table([(g, g) for g in sorted(spec.gammas)], sum(spec.gammas, Fraction(0)))
     table = {key: lo for key, (lo, _) in ends.items()}
-    return CommutatorNorm(max(table.values()), table)
+    return CommutatorNorm(table)
 
 
 def flatness_test(spec: DiagonalCurvature) -> bool:

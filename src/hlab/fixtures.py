@@ -87,7 +87,8 @@ def integralized(x: ManifoldData, bundles: Iterable[BundleData]) -> ManifoldData
             scale = lcm(scale, integrate_product(td_ch, h, x.fclass).denominator)
     if scale == 1:
         return x
-    return ManifoldData(x.n, x.chern, x.fclass.scaled(scale))
+    fclass = FundamentalClass(x.spec, {e: c * scale for e, c in x.fclass.assignments.items()})
+    return ManifoldData(x.n, x.chern, fclass)
 
 
 def random_manifold_bundle(

@@ -50,12 +50,6 @@ class FundamentalClass(Record):
             table[exps] = Fraction(value)
         object.__setattr__(self, "assignments", table)
 
-    def scaled(self, factor: Scalar) -> "FundamentalClass":
-        f = Fraction(factor)
-        return FundamentalClass(
-            self.spec, {e: c * f for e, c in self.assignments.items()}
-        )
-
 
 def _check_rings(fclass: FundamentalClass, *elements: GradedElement):
     if any(x.spec != fclass.spec for x in elements):

@@ -37,7 +37,7 @@ def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
     trace = sum((theta[j][j].re for j in range(n)), Fraction(0))
     ends = _diagonal_table(eigenvalue_enclosures(theta, trace), trace)
     table = {key: Interval(lo, hi) for key, (lo, hi) in ends.items()}
-    return CommutatorNorm(max(table.values(), key=lambda iv: iv.hi), table)
+    return CommutatorNorm(table)
 
 
 def eigenvalue_enclosures(theta: list[list[CQ]], trace: Fraction) -> list[tuple[Fraction, Fraction]]:

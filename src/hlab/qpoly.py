@@ -27,10 +27,6 @@ class QPoly:
         self.coeffs = tuple(cs)
         self.var = var
 
-    @classmethod
-    def zero(cls, var: str = "m") -> "QPoly":
-        return cls([], var)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -183,7 +179,7 @@ def _coeff_str(c: Fraction, alone: bool = False) -> str:
 
 def poly_from_values(values: Sequence[tuple[Scalar, Scalar]], var: str = "m") -> QPoly:
     """Lagrange interpolation through exact points (for test oracles)."""
-    out = QPoly.zero(var)
+    out = QPoly([], var)
     pts = [(Fraction(x), Fraction(y)) for x, y in values]
     for i, (xi, yi) in enumerate(pts):
         num = QPoly([yi], var)

@@ -75,7 +75,10 @@ class Record:
 
 
 class Interval(Record):
-    """Certified rational enclosure lo <= value <= hi."""
+    """Certified rational enclosure lo <= value <= hi.
+
+    A report prints it by the one rule of ``hlab.cli._plain``; ``str``
+    gives the repr."""
 
     lo: Fraction
     hi: Fraction
@@ -89,6 +92,3 @@ class Interval(Record):
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def __str__(self):
-        return str(self.lo) if self.lo == self.hi else f"[{self.lo}, {self.hi}]"

@@ -79,7 +79,16 @@ class RingSpec(Record):
         return self.element({tuple(int(j == i) for j in range(len(self.generators))): 1})
 
     def element(self, terms: Mapping[Sequence[int], Scalar]) -> "GradedElement":
-        return GradedElement(self, {tuple(k): Fraction(v) for k, v in terms.items()})
+        """The element sum c * x^exps over ``terms``; terms above the
+        truncation are dropped."""
+        monomials = []
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if len(exps) != len(self.generators) or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps} for {self.names}")
+            c, w = Fraction(coeff), self.weight_of(exps)
+            monomials.append(({w: {exps: c.numerator}} if c and w <= self.truncation else {}, c.denominator))
+        return _sum(self, monomials)
 
     def monomial_name(self, exps: Sequence[int]) -> str:
         """Canonical printable form of an exponent tuple, e.g. ``c1^2*c2``."""
@@ -126,18 +135,10 @@ class GradedElement:
 
     ``parts[w]`` maps each exponent tuple of weight w <= spec.truncation to
     a nonzero integer numerator over ``den`` > 0, with gcd 1: one form per
-    value.  Values are immutable; all arithmetic returns fresh elements.
+    value.  The class has no constructor of its own: its ring makes it
+    (``RingSpec.element``, ``zero``, ``one``, ``constant``, ``gen``).
+    Values are immutable; all arithmetic returns fresh elements.
     """
-
-    def __init__(self, spec: RingSpec, terms: Mapping[tuple[int, ...], Fraction]):
-        monomials = []
-        for exps, coeff in terms.items():
-            if len(exps) != len(spec.generators) or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for {spec.names}")
-            c, w = Fraction(coeff), spec.weight_of(exps)
-            monomials.append(({w: {exps: c.numerator}} if c and w <= spec.truncation else {}, c.denominator))
-        out = _sum(spec, monomials)
-        self.spec, self.parts, self.den = spec, out.parts, out.den
 
     @cached_property
     def terms(self) -> dict[tuple[int, ...], Fraction]:

@@ -17,6 +17,7 @@ import pytest
 import hlab
 from hlab import diagonal, exprparse, inputdoc, lefschetz, literals
 from hlab.fixtures import as_hermitian, gamma_draws
+from hlab.record import Interval
 
 MOVED = [
     (lefschetz, diagonal, "CommutatorNorm"),
@@ -87,3 +88,15 @@ def test_equality_and_hash_see_the_gammas_alone():
     spec, twin = diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3)), diagonal.DiagonalCurvature((1, Fraction(-1, 2), 3))
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != diagonal.DiagonalCurvature((1, Fraction(-1, 2), 2))
+
+
+def test_the_norm_record_is_its_table():
+    # C is read off the C_{p,q} table: its largest entry, or among enclosures
+    # the one with the largest upper end, not the largest lower end
+    table = {(0, 0): Fraction(1), (0, 1): Fraction(7, 2), (1, 0): Fraction(3), (1, 1): Fraction(0)}
+    norm = diagonal.CommutatorNorm(table)
+    assert norm._fields == ("table",)
+    assert (norm.value, norm.exact) == (Fraction(7, 2), True)
+    wide = Interval(0, 4)
+    enclosed = diagonal.CommutatorNorm({(0, 0): Interval(3, 3), (0, 1): wide, (1, 0): Interval(1, 2)})
+    assert enclosed.value is wide and not enclosed.exact

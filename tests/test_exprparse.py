@@ -20,7 +20,7 @@ from hlab.exprparse import (
 from hlab.inputdoc import DocumentError, cp_fixture, digest, load_document
 from hlab.diagonal import DiagonalCurvature
 from hlab.hermitian import HermitianCurvature
-from hlab.ring import GradedElement, RingSpec
+from hlab.ring import RingSpec
 
 F = Fraction
 
@@ -165,7 +165,7 @@ def test_truncating_as_it_goes_matches_truncating_the_exact_value():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = parse_expression(src, spec)
-            assert got == GradedElement(spec, exact.terms), src
+            assert got == spec.element(exact.terms), src
             if any(wide.weight_of(e) > trunc for e in exact.terms):
                 assert any(w.category is TruncationWarning for w in caught), src
 

@@ -6,8 +6,8 @@ equal the digest stored in ``DIGESTS``.
 This file pins the rest of each report too: its ``command``,
 ``inputs_digest`` and ``warnings``, and the text form.  The cases are the
 benchmark's jobs of seed 0, in text and in machine mode, and the edge
-commands of ``EDGE``: help texts, usage errors, refused spaces and the
-documents that raise warnings.  A change that alters a report on purpose
+commands of ``EDGE``: help texts, usage errors, refused spaces, the
+documents that raise warnings, and ``hlab verify``.  A change that alters a report on purpose
 updates its digest here and says why in CHANGES.md.
 """
 
@@ -58,6 +58,7 @@ EDGE = {
     "extra positional": ("fixture", "cp", "1", "2"),
     "positional not offered": ("fixture", "xx", "1"),
     "fixture cp 2": ("fixture", "cp", "2"),
+    "verify": ("verify",),
     "no document": ("genus",),
     "gammas and a document": ("commutator", "--gammas", "1,2", "--input", "@truncated"),
     **{
@@ -253,6 +254,7 @@ DIGESTS = {
     "extra positional": "9ae19613e5e1bb1b67ea1b9898d691cb83902592190bc5c842baf65341cce068",
     "positional not offered": "3858903bce0a68f8501e076014a69d920bea587c94423f3d9c304d3bd3c9e06a",
     "fixture cp 2": "636f67d0440bef3ab38a5cc0e17628dd992c40bf6385bf7a3defb8fa8a247c58",
+    "verify": "d6fff06e0eb807ac74cb97988c1ed6899672671d8e12f48d2b7902e3054cd32c",
     "no document": "b23a11f04018dccdb8ddf04a81da894dc605f23bd5c6be492d536c81292e25c1",
     "gammas and a document": "a5496bb748cf42aa558cdb50c55806f60e4f95ff845d8cc66d4bf083ebc710a6",
     "lefschetz-check --n 0": "8112f2542749c94b968e1ef612ac589a06d97b64d9f999233eceaf886c5af623",
