@@ -15,9 +15,11 @@ order raised.  ``verify`` and ``fixture`` print their own output.
 
 Exit codes: 0 on success, 1 when the data violate a hypothesis, 2 on a
 usage error or a malformed input document, 3 when an internal certificate
-fails (a bug), 141 when stdout closes early (``| head``); ``main`` maps
-the exception classes of ``hlab.errors`` to them.  All numeric output is
-exact rational text except the explicitly marked enclosures.
+fails (a bug), 4 when any other exception escapes ``main`` (a crash, also
+a bug: the process entry ``hlab.__main__.run`` prints its traceback), 141
+when stdout closes early (``| head``); ``main`` maps the exception classes
+of ``hlab.errors`` to them.  All numeric output is exact rational text
+except the explicitly marked enclosures.
 
 This module is the dispatcher alone.  A handler reads its flags and its
 document, then calls the one engine function that builds its results, and
@@ -309,7 +311,3 @@ def main(argv=None) -> int:
     except (IntegralityError, MissingChernNumber, ValueError) as exc:  # a violated hypothesis
         print(f"engine error: {exc}", file=sys.stderr)
         return ENGINE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

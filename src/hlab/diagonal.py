@@ -44,9 +44,6 @@ class DiagonalCurvature(Record):
     def n(self) -> int:
         return len(self.gammas)
 
-    def scaled(self, m: int | Fraction) -> "DiagonalCurvature":
-        return DiagonalCurvature(tuple(g * Fraction(m) for g in self.gammas))
-
 
 class CommutatorNorm(Record):
     """The per-bidegree table C_{p,q} of |[Lambda, iTheta(E)]|, whose largest

@@ -10,6 +10,7 @@ import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +70,14 @@ def run_hlab(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args):
+    """(exit code, stdout, stderr) of ``python <args>`` in a fresh interpreter
+    that imports the tested hlab: ``run_python("-m", "hlab", *argv)`` runs a
+    command as its user does."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=HLAB_ENV, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def write_doc(directory, tree, name="doc.json"):

@@ -181,7 +181,8 @@ def test_criterion_07_commutator_suite():
             C = commutator_norm(spec).value
             assert C == max((abs(v) for v in diag.values()), default=F(0))
             m = rng.randint(-4, 4)
-            assert commutator_norm(spec.scaled(m)).value == abs(m) * C
+            power = DiagonalCurvature(tuple(g * m for g in spec.gammas))
+            assert commutator_norm(power).value == abs(m) * C
             assert max(abs(g) for g in gammas) <= C
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"took {elapsed:.2f} s"

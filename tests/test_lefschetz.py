@@ -465,7 +465,8 @@ def test_diagonal_curvature_is_weighted_wedges():
 
 def test_tensor_power_scales_operator():
     spec = DiagonalCurvature((F(1), F(-3)))
-    assert curvature_operator(as_hermitian(spec.scaled(4))) == curvature_operator(as_hermitian(spec)).scale(4)
+    power = DiagonalCurvature(tuple(g * 4 for g in spec.gammas))
+    assert curvature_operator(as_hermitian(power)) == curvature_operator(as_hermitian(spec)).scale(4)
 
 
 def test_diagonal_curvature_is_hermitian_with_diagonal_theta():
@@ -526,7 +527,8 @@ def test_commutator_norm_homogeneous():
         gammas = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         spec = DiagonalCurvature(gammas)
         m = rng.randint(-5, 5)
-        assert commutator_norm(spec.scaled(m)).value == abs(m) * commutator_norm(spec).value
+        power = DiagonalCurvature(tuple(g * m for g in spec.gammas))
+        assert commutator_norm(power).value == abs(m) * commutator_norm(spec).value
 
 
 def test_flatness():
@@ -538,7 +540,8 @@ def test_flatness():
 def test_tensor_power_norm_values():
     # the curvature of L^m is m iTheta(L), so its norm is |m| C
     spec = DiagonalCurvature((F(1), F(2)))
-    assert [commutator_norm(spec.scaled(m)).value for m in (0, 1, -3)] == [0, 3, 9]
+    powers = [DiagonalCurvature(tuple(g * m for g in spec.gammas)) for m in (0, 1, -3)]
+    assert [commutator_norm(power).value for power in powers] == [0, 3, 9]
 
 
 # -- Hermitian curvature -----------------------------------------------------------
