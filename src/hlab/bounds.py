@@ -10,8 +10,9 @@ in the primitive-bound interval, which are certified decimal enclosures.
 Next to the evaluators sit the one source rule for their inputs
 (:func:`bound_input`: derived from a document's ring, manifold and line
 bundle, or read from its ``bounds`` section, and checked to agree when
-given both ways) and the ``--which`` dispatch of ``hlab bounds``
-(:func:`bounds_results`).  So only a ``bounds`` job compiles them.
+given both ways), the ``--which`` dispatch of ``hlab bounds``
+(:func:`bounds_results`) and its handler (:func:`run_command`).  So only
+a ``bounds`` job compiles them.
 """
 
 from __future__ import annotations
@@ -425,6 +426,14 @@ def bound_input(doc: InputDocument, key: str):
     if given is not None and given != derived:
         raise DocumentError(f"{path} = {given} disagrees with {derived}, derived from the rest of the document")
     return derived
+
+
+def run_command(args) -> tuple[dict, dict]:
+    """``hlab bounds --which W``: the document's tree and the chosen bound."""
+    from .inputdoc import load_input
+
+    doc = load_input(args.input)
+    return doc.raw, bounds_results(doc, args.which)
 
 
 def bounds_results(doc: InputDocument, which: str) -> dict:

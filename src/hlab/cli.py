@@ -21,15 +21,18 @@ when stdout closes early (``| head``); ``main`` maps the exception classes
 of ``hlab.errors`` to them.  All numeric output is exact rational text
 except the explicitly marked enclosures.
 
-This module is the dispatcher alone.  A handler reads its flags and its
-document, then calls the one engine function that builds its results, and
-imports that engine only then: ``genus.hrr_results`` for ``genus``,
-``kcoeffs``, ``hilbert`` and ``ineq``, which share one handler
-(:func:`cmd_hrr`), ``bounds.bounds_results``,
-``diagonal.commutator_results``, ``sl2.lefschetz_check_results``,
-``selfcheck.run_all`` and ``inputdoc.write_fixture``.  So importing this
-module loads the literal rules of the flags only (``literals``, ``errors``,
-``record``), and a job compiles no other command's code.
+This module is the dispatcher alone: the command table, the flag rules,
+the report and the exit codes.  It holds no handler.  The table names the
+module that handles each command, and ``_run`` imports that module and
+calls its ``run_command(args)``: ``genus`` for ``genus``, ``kcoeffs``,
+``hilbert`` and ``ineq``, which share one handler, ``bounds``, ``diagonal``
+for ``commutator``, ``sl2`` for ``lefschetz-check``, ``selfcheck`` for
+``verify`` and ``fixturedoc`` for ``fixture``.  The help texts live in
+``helptext``, imported only for ``--help`` and for the usage error of a
+missing subcommand.  So importing this module loads the literal rules of
+the flags only (``literals``, ``errors``), and a job compiles no other
+command's code; ``record`` loads with the engines that build records.  The space of ``lefschetz-check`` is a flag rule
+(``literals.check_space``), so a refused space loads no engine.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import CertificateError, DocumentError, ExprError, IntegralityError, MissingChernNumber
-from .literals import INTEGER, check_space, digest, parse_gammas, parse_integer
-from .record import Interval
+from .literals import _at, check_space, digest, is_integer, parse_integer
 
 ENGINE_ERROR = 1
 USAGE_ERROR = 2
@@ -97,8 +100,6 @@ def _plain(value):
     """Make values JSON-representable without floats: rationals as strings."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, Interval):
-        return str(value.lo) if value.lo == value.hi else [str(value.lo), str(value.hi)]
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -108,6 +109,10 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
+    from .record import Interval  # loaded by every engine that builds one
+
+    if isinstance(value, Interval):
+        return str(value.lo) if value.lo == value.hi else [str(value.lo), str(value.hi)]
     return str(value)
 
 
@@ -115,67 +120,6 @@ def _flat_str(value):
     if isinstance(value, list):
         return "[" + ", ".join(map(str, value)) + "]"
     return str(value)
-
-
-def _doc_from_args(args):
-    from .inputdoc import load_document, load_file
-
-    return load_file(args.input) if args.input else load_document({})
-
-
-# -- subcommands --------------------------------------------------------------
-# A reporting handler reads its flags and its document and returns (inputs,
-# results), the results built by one engine function; _run builds the report.
-
-
-def cmd_hrr(args):
-    """``genus``, ``kcoeffs``, ``hilbert --p P`` and ``ineq [--j J]``: one
-    engine function, told the command and its index."""
-    from .genus import hrr_results
-
-    doc = _doc_from_args(args)
-    return doc.raw, hrr_results(args.command, doc, getattr(args, "p", getattr(args, "j", None)))
-
-
-def cmd_commutator(args):
-    from .diagonal import commutator_results
-
-    if args.gammas is None:
-        doc = _doc_from_args(args)
-        return doc.raw, commutator_results(doc.require("curvature"))
-    if args.input:
-        raise DocumentError("--gammas and --input both give a curvature: give one")
-    return {"gammas": args.gammas}, commutator_results(parse_gammas(args.gammas.split(","), "--gammas"))
-
-
-def cmd_lefschetz_check(args):
-    n, r = args.n, args.r
-    try:
-        check_space(n, r)
-    except ValueError as exc:
-        raise DocumentError(f"--n {n} --r {r}: {exc}") from None
-    from .sl2 import lefschetz_check_results
-
-    return {"n": n, "r": r}, lefschetz_check_results(n, r)
-
-
-def cmd_bounds(args):
-    from .bounds import bounds_results
-
-    doc = _doc_from_args(args)
-    return doc.raw, bounds_results(doc, args.which)
-
-
-def cmd_verify(args):
-    from .selfcheck import run_all
-
-    return run_all()
-
-
-def cmd_fixture(args):
-    from .inputdoc import write_fixture
-
-    write_fixture(args.n, args.out)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -186,30 +130,30 @@ DOCUMENT = {"--input": (str, None), **OUTPUT}
 
 
 def build_parser() -> dict:
-    """The command table: subcommand -> (handler, help, flags, positionals).
+    """The command table: subcommand -> (home, help, flags, positionals).
 
+    ``home`` is the hlab module whose ``run_command(args)`` handles it;
     ``flags`` maps each flag to (type, default), where the type is ``int``,
     ``str`` or a tuple of choices and a default of ``...`` makes the flag
     required; ``positionals`` lists (name, type) pairs in order.
     """
     return {
-        "genus": (cmd_hrr, "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
-        "kcoeffs": (cmd_hrr, "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
-        "hilbert": (cmd_hrr, "p-Hilbert polynomial of the line bundle", {**DOCUMENT, "--p": (int, 0)}, ()),
-        "ineq": (cmd_hrr, "Chern number inequality checker", {**DOCUMENT, "--j": (int, None)}, ()),
+        "genus": ("genus", "Todd class, Chern character, chi_y, chi^p", DOCUMENT, ()),
+        "kcoeffs": ("genus", "Taylor coefficients of chi_y at y = -1", DOCUMENT, ()),
+        "hilbert": ("genus", "p-Hilbert polynomial of the line bundle", {**DOCUMENT, "--p": (int, 0)}, ()),
+        "ineq": ("genus", "Chern number inequality checker", {**DOCUMENT, "--j": (int, None)}, ()),
         "commutator": (
-            cmd_commutator, "C = |[Lambda, iTheta]| and C_pq table", {**DOCUMENT, "--gammas": (str, None)}, ()
+            "diagonal", "C = |[Lambda, iTheta]| and C_pq table", {**DOCUMENT, "--gammas": (str, None)}, ()
         ),
         "lefschetz-check": (
-            cmd_lefschetz_check, "sl2 / star / injectivity / power scans",
-            {**OUTPUT, "--n": (int, ...), "--r": (int, 1)}, (),
+            "sl2", "sl2 / star / injectivity / power scans", {**OUTPUT, "--n": (int, ...), "--r": (int, 1)}, (),
         ),
         "bounds": (
-            cmd_bounds, "Euler-characteristic bound evaluators",
+            "bounds", "Euler-characteristic bound evaluators",
             {**DOCUMENT, "--which": (("t2", "t4", "t5", "c1", "etheta", "t4chain"), ...)}, (),
         ),
-        "verify": (cmd_verify, "run the built-in property suites", {}, ()),
-        "fixture": (cmd_fixture, "emit a builtin input document", {"--out": (str, None)}, (("KIND", ("cp",)), ("N", int))),
+        "verify": ("selfcheck", "run the built-in property suites", {}, ()),
+        "fixture": ("fixturedoc", "emit a builtin input document", {"--out": (str, None)}, (("KIND", ("cp",)), ("N", int))),
     }
 
 
@@ -230,12 +174,12 @@ def _parse(table: dict, argv: list):
         return _help(table)
     if name not in table:
         raise DocumentError(f"{name!r} is not a subcommand: give one of {', '.join(table)}")
-    fn, _, flags, positionals = table[name]
+    home, _, flags, positionals = table[name]
     values, words = {}, []
     for token in tokens:
         if token in ("-h", "--help"):
             return _help(table, name)
-        if not token.startswith("-") or INTEGER.fullmatch(token):
+        if not token.startswith("-") or is_integer(token):
             words.append(token)
             continue
         flag, eq, text = token.partition("=")
@@ -257,22 +201,16 @@ def _parse(table: dict, argv: list):
         raise DocumentError(f"{positionals[len(words)][0]} is missing: {usage}")
     for (pos, kind), word in zip(positionals, words):
         values[pos] = _value(pos, kind, word)
-    return SimpleNamespace(fn=fn, command=name, **{key.lstrip("-").lower(): v for key, v in values.items()})
+    if "--r" in flags:  # the space of lefschetz-check, refused before its engine loads
+        with _at(f"--n {values['--n']} --r {values['--r']}"):
+            check_space(values["--n"], values["--r"])
+    return SimpleNamespace(home=home, command=name, **{key.lstrip("-").lower(): v for key, v in values.items()})
 
 
 def _help(table: dict, name=None) -> str:
-    """The list of subcommands, or the positionals and flags of one."""
-    if name is None:
-        rows = [f"  {key:<16} {entry[1]}" for key, entry in table.items()]
-        return "\n".join(["usage: hlab <subcommand> [flags]; hlab <subcommand> --help lists its flags", *rows])
-    _, text, flags, positionals = table[name]
-    rows = [(key, kind, ...) for key, kind in positionals] + [(flag, *spec) for flag, spec in flags.items()]
-    lines = [f"usage: hlab {' '.join([name, *(pos for pos, _ in positionals)])} [flags]", text]
-    for key, kind, default in rows:
-        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else "INT" if kind is int else "TEXT"
-        note = "required" if default is ... else "optional" if default is None else f"default {default}"
-        lines.append(f"  {key:<10} {meta} ({note})")
-    return "\n".join(lines)
+    from .helptext import help_text
+
+    return help_text(table, name)
 
 
 def _run(argv: list) -> int:
@@ -280,11 +218,12 @@ def _run(argv: list) -> int:
     if isinstance(args, str):  # the help text
         print(args)
         return 0
+    run_command = import_module(f"hlab.{args.home}").run_command
     if "output" not in vars(args):  # verify and fixture print their own output
-        return args.fn(args) or 0
+        return run_command(args) or 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        inputs, results = args.fn(args)
+        inputs, results = run_command(args)
     command = f"bounds {args.which}" if args.command == "bounds" else args.command
     rep = Reporter(command, inputs, args.output, [str(w.message) for w in caught])
     for key, value in results.items():

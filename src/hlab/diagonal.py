@@ -10,7 +10,9 @@ norm of a Hermitian line bundle (``hlab.linebundle``).  This module holds
 that closed form and :func:`commutator_norm`, which sends each curvature to
 its certificate, so ``commutator --gammas`` loads no operator engine and
 no complex scalars; ``hlab.lefschetz`` re-exports them.  The space rule
-``check_space`` lives in ``hlab.literals``.
+``check_space`` lives in ``hlab.literals``.  The ``curvature`` section of
+a document is read here too (:func:`read_curvature`), next to the records
+it gives, and ``hlab commutator`` is handled here (:func:`run_command`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .errors import CertificateError
+from .errors import CertificateError, DocumentError
 from .record import Interval, Record
 
 if TYPE_CHECKING:
@@ -74,29 +76,61 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     theta, enclosed to width at most HERMITIAN_WIDTH
     (``hlab.linebundle.line_bundle_norm``); neither builds an operator.
     Rank r >= 2 takes the bidegree blocks, read from theta
-    (``hlab.blocks.block_commutator_norm``).  Each path imports its
-    engine here, so a job loads only the one it runs.
+    (``hlab.blocks.block_commutator_norm``); ``hermitian.hermitian_norm``
+    chooses between the two.  Each path imports its engine only when it
+    runs, so a job loads only the one it runs.
     """
     if isinstance(spec, DiagonalCurvature):
         return diagonal_norm(spec)
-    if spec.r == 1:
-        from .linebundle import line_bundle_norm
+    from .hermitian import hermitian_norm
 
-        return line_bundle_norm(spec)
-    from .blocks import block_commutator_norm
-
-    return block_commutator_norm(spec)
+    return hermitian_norm(spec)
 
 
-def commutator_results(spec: CurvatureSpec) -> dict:
-    """``hlab commutator``: C, whether it is exact, the C_{p,q} table, and for
-    diagonal curvature whether it is flat."""
+def parse_gammas(values, path: str) -> DiagonalCurvature:
+    """Diagonal curvature from a list of rational literals: ``curvature.gammas``
+    in a document, or the ``--gammas`` flag split at its commas."""
+    from .literals import _at, _rationals
+
+    gammas = _rationals(values, path)
+    with _at(path):
+        return DiagonalCurvature(gammas)
+
+
+def read_curvature(node) -> CurvatureSpec:
+    """The ``curvature`` section of a document: diagonal ``gammas``, or the
+    Hermitian curvature that ``hermitian.read_hermitian`` reads."""
+    from .inputdoc import _object
+
+    node = _object(node, "curvature", ("gammas", "hermitian"))
+    if ("gammas" in node) == ("hermitian" in node):
+        raise DocumentError("curvature needs one of 'gammas' and 'hermitian', not both or neither")
+    if "gammas" in node:
+        return parse_gammas(node["gammas"], "curvature.gammas")
+    from .hermitian import read_hermitian
+
+    return read_hermitian(node["hermitian"])
+
+
+def run_command(args) -> tuple[dict, dict]:
+    """``hlab commutator``: the curvature of ``--gammas`` or of the document;
+    C, whether it is exact, the C_{p,q} table, and for diagonal curvature
+    whether it is flat."""
+    if args.gammas is None:
+        from .inputdoc import load_input
+
+        doc = load_input(args.input)
+        inputs, spec = doc.raw, doc.require("curvature")
+    elif args.input:
+        raise DocumentError("--gammas and --input both give a curvature: give one")
+    else:
+        inputs, spec = {"gammas": args.gammas}, parse_gammas(args.gammas.split(","), "--gammas")
     norm = commutator_norm(spec)
     table = [{"p": p, "q": q, "value": v} for (p, q), v in sorted(norm.table.items())]
     results = {"C": norm.value, "exact": norm.exact, "C_pq": table}
     if isinstance(spec, DiagonalCurvature):
         results["flat"] = flatness_test(spec)
-    return results
+    return inputs, results
 
 
 def _diagonal_table(

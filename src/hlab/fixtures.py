@@ -1,8 +1,9 @@
 """The one source of seeded random data: ring elements, Chern data with
-exact integralization, diagonal curvature gammas, and Hermitian curvature,
-generic or with a closed-form commutator norm; and the one conversion of
-diagonal curvature to Hermitian (:func:`as_hermitian`), which no command
-runs.
+exact integralization, diagonal curvature gammas, Hermitian curvature,
+generic or with a closed-form commutator norm, and Hermitian matrices whose
+inertia is known, built to drive the zero pivots of the inertia kernel; and
+the one conversion of diagonal curvature to Hermitian
+(:func:`as_hermitian`), which no command runs.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -182,6 +183,60 @@ def as_hermitian(spec: DiagonalCurvature) -> HermitianCurvature:
     """The Hermitian curvature of diagonal gammas: 1 x 1 blocks, gamma_j at (j, j)."""
     H = [[CQ(g) if j == k else CQ_ZERO for k in range(spec.n)] for j, g in enumerate(spec.gammas)]
     return _curvature(H, spec.n, 1)
+
+
+def _congruent(P: list[list[CQ]], B: list[list[CQ]]) -> list[list[CQ]]:
+    """P* B P, which has the inertia of B when P is invertible (Sylvester)."""
+    d = len(B)
+    BP = [[sum((B[a][b] * P[b][j] for b in range(d)), CQ_ZERO) for j in range(d)] for a in range(d)]
+    return [[sum((P[a][i].conj() * BP[a][j] for a in range(d)), CQ_ZERO) for j in range(d)] for i in range(d)]
+
+
+def _unitriangular(rng: random.Random, d: int, entries) -> list[list[CQ]]:
+    """A random d x d upper unitriangular matrix with off-diagonal entries drawn from ``entries``."""
+    return [[CQ_ONE if i == j else rng.choice(entries) if i < j else CQ_ZERO for j in range(d)] for i in range(d)]
+
+
+def imaginary_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tuple[int, int, int]]:
+    """A d x d Hermitian matrix with a zero diagonal and purely imaginary
+    entries, and its inertia (#positive, #negative, #zero eigenvalues).
+
+    It is C^T (iJ) C for a random real C of determinant 1 and J the sum of
+    k blocks [[0, 1], [-1, 0]] and d - 2k zeros: C^T J C is skew, so the
+    diagonal is 0 and every entry imaginary, and by Sylvester's law the
+    inertia is that of iJ, whose blocks have eigenvalues +1 and -1: (k, k, d - 2k).
+    """
+    k = rng.randint(0, d // 2)
+    A = [[CQ_ZERO] * d for _ in range(d)]
+    for a in range(k):
+        A[2 * a][2 * a + 1], A[2 * a + 1][2 * a] = CQ(0, 1), CQ(0, -1)
+    upper = _unitriangular(rng, d, [CQ(x) for x in range(-2, 3)])
+    lower = [list(col) for col in zip(*_unitriangular(rng, d, [CQ(x) for x in range(-2, 3)]))]
+    return _congruent(upper, _congruent(lower, A)), (k, k, d - 2 * k)  # C = lower upper
+
+
+def cancelling_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tuple[int, int, int]]:
+    """A d x d Hermitian Gaussian-integer matrix, d >= 2, whose first
+    elimination step cancels, and its inertia (#positive, #negative, #zero).
+
+    A_00 = 0, A_01 = z for z = +-1 or +-i, and A_11 = 2 (Im z - Re z), so
+    2 Re(u A_01) + A_11 = 0 for u = 1 (z real) or u = i (z imaginary): the
+    congruence e_0 -> e_0 + u e_1 gives a zero pivot, and the kernel must
+    take u = -1 or -i.  It is P* B P for B = [[0, z], [conj z, A_11]] plus a
+    random diagonal and P an upper unitriangular Gaussian-integer matrix
+    that fixes e_0 and e_1, so by Sylvester's law the inertia is that
+    of B: the 2 x 2 block has determinant -1, one eigenvalue of each sign.
+    """
+    z = rng.choice((CQ(1), CQ(-1), CQ(0, 1), CQ(0, -1)))
+    diagonal = [rng.randint(-2, 2) for _ in range(d - 2)]
+    B = [[CQ_ZERO] * d for _ in range(d)]
+    B[0][1], B[1][0], B[1][1] = z, z.conj(), CQ(2 * (z.im - z.re))
+    for i, e in enumerate(diagonal, 2):
+        B[i][i] = CQ(e)
+    P = _unitriangular(rng, d, [CQ(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)])
+    P[0] = [CQ_ONE] + [CQ_ZERO] * (d - 1)
+    signs = [1, -1] + diagonal
+    return _congruent(P, B), (sum(e > 0 for e in signs), sum(e < 0 for e in signs), signs.count(0))
 
 
 def _curvature(H: list[list[CQ]], n: int, r: int) -> HermitianCurvature:

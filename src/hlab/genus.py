@@ -5,6 +5,13 @@ graded ring, and a table of Chern numbers (the fundamental-class
 functional).  No geometry is verified: consistency of the table is the
 caller's burden and the only sanity check is that every holomorphic Euler
 characteristic comes out an integer.
+
+The ring-side sections of an input document (``ring``,
+``fundamental_class``, ``manifold``, ``bundle``, ``line_bundle``) are read
+here, next to the records they feed (:func:`read_ring_sections`), so a
+document without a ring compiles no reader for them.  ``hlab genus``,
+``kcoeffs``, ``hilbert`` and ``ineq`` share one handler
+(:func:`run_command`).
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 from operator import add
-from typing import Mapping, Sequence, Union
+from reprlib import repr as _show
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-from .errors import IntegralityError, MissingChernNumber
-from .literals import in_range
+from .errors import DocumentError, IntegralityError, MissingChernNumber
+from .literals import _at, _dimension, _list, is_digits, parse_integer, parse_rational
 from .qpoly import QPoly, is_integer_valued
 from .record import Record
 from .ring import (
@@ -27,6 +35,9 @@ from .ring import (
     power_sums_from_elementary,
     todd_series,
 )
+
+if TYPE_CHECKING:
+    from .inputdoc import InputDocument
 
 Scalar = Union[int, Fraction]
 
@@ -328,22 +339,100 @@ def chern_inequality_check(ks: Sequence[Fraction], j: int) -> tuple[bool, Fracti
     return lhs >= rhs, lhs, rhs
 
 
-# -- the results of the HRR commands -------------------------------------------
+# -- the ring-side sections of a document ---------------------------------------
 
 
-def hrr_results(command: str, doc, index: int | None = None) -> dict:
-    """The results of ``hlab genus``, ``kcoeffs``, ``hilbert --p P`` and
-    ``ineq [--j J]`` (``index`` is P or J) on a document's X, E and L; E is
-    the trivial line bundle when the document has none."""
-    x = doc.require("manifold")
+def read_ring_sections(tree: dict, doc: InputDocument):
+    """Read the ring of a document that has one into ``doc.spec``, and with
+    it the fundamental class, ``doc.manifold``, ``doc.bundle`` and
+    ``doc.line_bundle`` that the document gives."""
+    from .inputdoc import _object
+
+    if "manifold" in tree and "fundamental_class" not in tree:
+        raise DocumentError("a manifold needs a fundamental_class table")
+    node = _object(tree["ring"], "ring", ("generators", "dimension"))
+    gens = []
+    for i, gen in enumerate(_list(node.get("generators"), "ring.generators")):
+        gen = _object(gen, f"ring.generators[{i}]", ("name", "weight"))
+        if not isinstance(gen.get("name"), str):
+            raise DocumentError(f"ring.generators[{i}].name must be a string")
+        gens.append((gen["name"], parse_integer(gen.get("weight"), f"ring.generators[{i}].weight")))
+    dim = _dimension(node.get("dimension"), "ring.dimension")
+    with _at("ring.generators"):
+        doc.spec = spec = RingSpec(tuple(gens), dim)
+    if "fundamental_class" in tree:
+        from .exprparse import parse_monomial_key
+
+        table = {}
+        for key, value in _object(tree["fundamental_class"], "fundamental_class").items():
+            with _at(f"fundamental_class.{key}"):
+                exps = parse_monomial_key(key, spec)
+                if exps in table:
+                    raise DocumentError(f"fundamental_class.{key} repeats the monomial of another key")
+                table[exps] = parse_rational(value)
+        with _at("fundamental_class"):
+            fclass = FundamentalClass(spec, table)
+    if "manifold" in tree:
+        node = _object(tree["manifold"], "manifold", ("chern",)).get("chern", {})
+        chern = _chern_classes(node, spec, spec.truncation, "manifold.chern", spec.truncation)
+        with _at("manifold.chern"):
+            doc.manifold = ManifoldData(spec.truncation, tuple(chern), fclass)
+    if "bundle" in tree:
+        node = _object(tree["bundle"], "bundle", ("rank", "chern"))
+        rank = parse_integer(node.get("rank", 1), "bundle.rank")
+        chern = _chern_classes(node.get("chern", {}), spec, rank, "bundle.chern")
+        with _at("bundle"):
+            doc.bundle = BundleData(rank, tuple(chern))
+    if "line_bundle" in tree:
+        c1 = _object(tree["line_bundle"], "line_bundle", ("c1",)).get("c1", "0")
+        with _at("line_bundle"):
+            doc.line_bundle = BundleData(1, tuple(_chern_classes({"c1": c1}, spec, 1, "line_bundle")))
+
+
+def _chern_index(key: str) -> int:
+    """i for a Chern-class key "c<i>", i of one to four ASCII digits with no
+    leading 0; 0 for any other key."""
+    index = key[1:]
+    return int(index) if key[:1] == "c" and len(index) <= 4 and is_digits(index) and index[0] != "0" else 0
+
+
+def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0) -> list:
+    """[c_1, c_2, ...] from {"c<i>": expression}, 1 <= i <= count, through the
+    highest nonzero class given and at least ``length`` long; omitted classes are 0."""
+    from .exprparse import parse_expression
+    from .inputdoc import _object
+
+    given = {}
+    for key, value in _object(node, path).items():
+        if not 0 < (i := _chern_index(key)) <= count:
+            raise DocumentError(f"{path}.{key} is not a Chern-class key c1..c{count}")
+        if not isinstance(value, str):
+            raise DocumentError(f"{path}.{key} must be an expression string, got {_show(value)}")
+        with _at(f"{path}.{key}"):
+            given[i] = parse_expression(value, spec)
+    top = max([length, *(i for i, c in given.items() if not c.is_zero())])
+    return [given.get(i, spec.zero()) for i in range(1, top + 1)]
+
+
+# -- the HRR commands ---------------------------------------------------------------
+
+
+def run_command(args) -> tuple[dict, dict]:
+    """``hlab genus``, ``kcoeffs``, ``hilbert --p P`` and ``ineq [--j J]``:
+    the document's tree, and the results on its X, E and L; E is the
+    trivial line bundle when the document has none."""
+    from .inputdoc import in_range, load_input
+
+    doc = load_input(args.input)
+    x, command, index = doc.require("manifold"), args.command, getattr(args, "p", getattr(args, "j", None))
     if command == "hilbert":
         P = hilbert_polynomial(x, doc.require("line_bundle"), in_range(index, x.n, "--p"))
-        return {"p": index, "polynomial": P, "coefficients": list(P.padded(x.n + 1))}
+        return doc.raw, {"p": index, "polynomial": P, "coefficients": list(P.padded(x.n + 1))}
     e = doc.bundle or BundleData.trivial()
     js = range(x.n + 1) if index is None else [in_range(index, x.n, "--j")]  # ineq's, checked before chi_y runs
     chi = chi_y(x, e)
     if command == "genus":
-        return {
+        return doc.raw, {
             "td": todd_class(x),
             "ch": chern_character(e, x.spec, x.n),
             "chi_p": list(chi.padded(x.n + 1)),
@@ -353,11 +442,11 @@ def hrr_results(command: str, doc, index: int | None = None) -> dict:
     ks = k_coefficients(chi, upto=x.n)
     if command == "ineq":
         rows = [(j, *chern_inequality_check(ks, j)) for j in js]
-        return {"inequalities": [{"j": j, "lhs": lhs, "rhs": rhs, "holds": holds} for j, holds, lhs, rhs in rows]}
+        return doc.raw, {"inequalities": [{"j": j, "lhs": lhs, "rhs": rhs, "holds": holds} for j, holds, lhs, rhs in rows]}
     results = {"K": ks, "k1_closed_form_matches": k1_formula_check(x, e, ks)}
     if x.n == 2:
         results["k2_surface_form_matches"] = k2_surface_formula_check(x, e, ks)
-    return results
+    return doc.raw, results
 
 
 # -- builtin fixture ---------------------------------------------------------
@@ -365,9 +454,10 @@ def hrr_results(command: str, doc, index: int | None = None) -> dict:
 
 def projective_space(n: int) -> tuple[ManifoldData, BundleData]:
     """Complex projective space with its hyperplane bundle O(1), read from
-    the document ``hlab fixture cp n`` prints (:func:`hlab.inputdoc.cp_fixture`),
+    the document ``hlab fixture cp n`` prints (:func:`hlab.fixturedoc.cp_fixture`),
     so n outside the document guard rail [1, 12] is a ``DocumentError``."""
-    from .inputdoc import cp_fixture, load_document
+    from .fixturedoc import cp_fixture
+    from .inputdoc import load_document
 
     doc = load_document(cp_fixture(n))
     return doc.manifold, doc.line_bundle

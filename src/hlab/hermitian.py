@@ -3,8 +3,11 @@ its spectra, the search that encloses a value from it, and the float
 eigenvalues that propose where to look.
 
 Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
-``hlab.diagonal.commutator_norm`` chooses between them.  Each C_{p,q}
-enclosure is at most HERMITIAN_WIDTH wide.
+:func:`hermitian_norm` chooses between them for
+``hlab.diagonal.commutator_norm``.  Each C_{p,q} enclosure is at most
+HERMITIAN_WIDTH wide.  The ``curvature.hermitian`` section of a document
+is read here too (:func:`read_hermitian`, :func:`read_theta`), next to the
+record it feeds.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterator, Union
 from .diagonal import DiagonalCurvature
 from .errors import CertificateError, DocumentError
 from .gaussian import CQ, _as_cq
-from .literals import _rational, _rationals, check_space
+from .literals import _at, _rational, _rationals, check_space
 from .record import Record
 
 HERMITIAN_WIDTH = Fraction(1, 10**12)  # of each Hermitian C_pq enclosure
@@ -38,6 +41,28 @@ def read_theta(node, path: str, depth: int = 3):
         CQ(*_rationals(x, f"{path}[{i}]")) if isinstance(x, list) else CQ(_rational(x, f"{path}[{i}]"))
         for i, x in enumerate(node)
     )
+
+
+def read_hermitian(node) -> HermitianCurvature:
+    """The ``curvature.hermitian`` section of a document: its theta."""
+    from .inputdoc import _object
+
+    herm = _object(node, "curvature.hermitian", ("theta",))
+    theta = read_theta(herm.get("theta"), "curvature.hermitian.theta")
+    with _at("curvature.hermitian.theta"):
+        return HermitianCurvature(theta)
+
+
+def hermitian_norm(spec: HermitianCurvature):
+    """The CommutatorNorm of a Hermitian curvature: the eigenvalue path of a
+    line bundle (``linebundle``), else the bidegree blocks (``blocks``)."""
+    if spec.r == 1:
+        from .linebundle import line_bundle_norm
+
+        return line_bundle_norm(spec)
+    from .blocks import block_commutator_norm
+
+    return block_commutator_norm(spec)
 
 
 class HermitianCurvature(Record):

@@ -1,22 +1,24 @@
 """The literal rules shared by input documents and command-line flags.
 
-An integer is a JSON int or a string matching :data:`INTEGER`, a rational a
-JSON int or a "p/q" string, and diagonal curvature a list of rationals; no
-float or bool is ever accepted.  ``digest`` names the inputs of a report,
-and :func:`check_space` admits the exterior algebra of every command.
-``cli`` imports this module alone for its flags, so a command that reads no
-document loads no document reader (``inputdoc``, ``exprparse``).
-``inputdoc`` re-exports ``digest``, ``exprparse`` ``parse_rational``.
+An integer is a JSON int or a string that :func:`is_integer` admits, and a
+rational a JSON int or a "p/q" string; no float or bool is ever accepted.
+The text rules are str checks, not regular expressions, so no job compiles
+a pattern for them.  A document's dimension, and the N of ``hlab fixture
+cp N``, obey one rule (:func:`_dimension`).  ``digest`` names the inputs
+of a report, and :func:`check_space` admits the exterior algebra of every
+command.  ``cli`` imports this module alone for
+its flags, so a command that reads no document loads no document reader
+(``inputdoc``, ``exprparse``).  ``inputdoc`` re-exports ``digest``,
+``exprparse`` ``parse_rational``.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from contextlib import contextmanager
 from fractions import Fraction
 from reprlib import repr as _show
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .errors import DocumentError, ExprError
 
@@ -28,11 +30,19 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-if TYPE_CHECKING:
-    from .diagonal import DiagonalCurvature
-
-INTEGER = re.compile(r"-?[0-9]+")  # the one integer rule: ASCII digits, no padding, no "+" or "_"
 MAX_N = 6  # 4^n r grows fast; paper-scale checks never need more
+MAX_DOC_DIMENSION = 12  # polynomial-degree guard rail for desk-scale inputs
+
+
+def is_digits(text: str) -> bool:
+    """One or more ASCII digits: ``str.isdigit`` alone admits "²" and "١"."""
+    return text.isascii() and text.isdigit()
+
+
+def is_integer(text: str) -> bool:
+    """The one integer rule: an optional leading "-", then ASCII digits; no
+    padding, no "+" or "_"."""
+    return is_digits(text[1:] if text[:1] == "-" else text)
 
 
 def check_space(n: int, r: int):
@@ -69,10 +79,10 @@ def _list(value, path: str) -> list:
 
 
 def parse_integer(value, path: str) -> int:
-    """A JSON int or a string matching :data:`INTEGER` (a document's "2", a
-    flag's text); never a bool or a float."""
+    """A JSON int or a string that :func:`is_integer` admits (a document's
+    "2", a flag's text); never a bool or a float."""
     if isinstance(value, str):
-        if not INTEGER.fullmatch(value):
+        if not is_integer(value):
             raise DocumentError(f"{path}: {value!r} is not an integer")
         with _at(path):  # more digits than int() converts
             return int(value)
@@ -81,20 +91,24 @@ def parse_integer(value, path: str) -> int:
     return value
 
 
-def in_range(value: int, n: int, path: str) -> int:
-    """A form degree (``--p``, ``--j``, ``bounds.p``) of an n-fold: in [0, n]."""
-    if not 0 <= value <= n:
-        raise DocumentError(f"{path} = {value} is outside [0, {n}]")
-    return value
+def _dimension(value, path: str) -> int:
+    """The dimension rule: ``ring.dimension``, ``bounds.n`` and the N of
+    ``hlab fixture cp N`` are integers in [1, MAX_DOC_DIMENSION]."""
+    n = parse_integer(value, path)
+    if not 1 <= n <= MAX_DOC_DIMENSION:
+        raise DocumentError(f"{path}: dimension {n} is outside the guard rail [1, {MAX_DOC_DIMENSION}]")
+    return n
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a JSON int or a string of the form ``-?[0-9]+(/[0-9]+)?``, exactly.
-    Anything else (a float, a bool, '1e3', '1.5', padding) is an input error:
-    an :class:`ExprError` naming the literal."""
+    """Parse a JSON int or a string "p" or "p/q", exactly: p an integer
+    (:func:`is_integer`), q ASCII digits.  Anything else (a float, a bool,
+    '1e3', '1.5', padding) is an input error: an :class:`ExprError` naming
+    the literal."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not (isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
+    num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
+    if not (is_integer(num) and (not slash or is_digits(den))):
         raise ExprError(f"bad rational literal {text!r}: expected an integer or 'p/q'")
     try:
         return Fraction(text)
@@ -109,13 +123,3 @@ def _rational(value, path: str) -> Fraction:
 
 def _rationals(value, path: str) -> tuple[Fraction, ...]:
     return tuple(_rational(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
-
-
-def parse_gammas(values, path: str) -> DiagonalCurvature:
-    """Diagonal curvature from a list of rational literals: ``curvature.gammas``
-    in a document, or the ``--gammas`` flag split at its commas."""
-    from .diagonal import DiagonalCurvature
-
-    gammas = _rationals(values, path)
-    with _at(path):
-        return DiagonalCurvature(gammas)

@@ -7,7 +7,9 @@ draw comes from ``hlab.fixtures``, as in the test suite, and CP^n from
 prints, so that document is what the CP^n checks test.  The Kahler checks
 hold the integer tables of ``hlab.sl2`` and the blocks of ``hlab.blocks``
 to closed forms and to a sign rule of their own (:func:`_sorting_sign`);
-none runs the operator engine.  The CLI exits nonzero iff any check fails.
+none runs the operator engine.  The enclosure kernels are held to their
+widths from bad guesses too, and the inertia kernel to matrices whose
+inertia Sylvester's law gives.  The CLI exits nonzero iff any check fails.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, nan, sqrt
 
 from . import blocks, bounds, diagonal, fixtures, genus, hermitian, linebundle, monomials, ring, sl2
 from .qpoly import QPoly
@@ -27,10 +29,10 @@ def _expect(ok, detail=""):
         raise AssertionError(detail)
 
 
-def run_all() -> int:
-    """Run every check, each on the suite's one seeded stream, and print one
-    line each, then the count passed; the exit code of ``hlab verify``: 0 if
-    every check passed, else 1."""
+def run_command(args=None) -> int:
+    """``hlab verify``: run every check, each on the suite's one seeded
+    stream, and print one line each, then the count passed; the exit code:
+    0 if every check passed, else 1."""
     rng, passed = random.Random(20240601), 0
     checks = (
         ("ring axioms", _check_ring_axioms),
@@ -47,6 +49,8 @@ def run_all() -> int:
         ("commutator blocks: diagonal theta vs closed form", _check_diagonal_blocks),
         ("line-bundle norm: eigenvalues vs blocks", _check_line_bundle_norm),
         ("commutator blocks: rotated split bundles vs line tables", _check_rotated_split_blocks),
+        ("enclosures within their width from any guess", _check_enclosure_widths),
+        ("inertia signs on zero-pivot families", _check_zero_pivot_inertia),
         ("hard lefschetz bijectivity", _check_lefschetz_power),
         ("injectivity range", _check_injectivity),
         ("lemma44_search window and bound", _check_lemma44),
@@ -203,6 +207,45 @@ def _check_rotated_split_blocks(rng):
         spec, table = fixtures.rotated_split_curvature(rng, n, r)
         for key, iv in blocks.block_commutator_norm(spec).table.items():
             _expect(iv.lo == iv.hi == table[key], (n, r, key, iv, table[key]))
+
+
+def _check_enclosure_widths(rng):
+    """Every enclosure kernel keeps its width promise from any guess:
+    ``hermitian.enclose`` around sqrt(k) from no guess, from guesses outside
+    the bracket and from a good one, ``bounds.sqrt_enclosure`` and
+    ``bounds.isolate_real_roots``.  The Hermitian checks above start from
+    good float guesses, which end most searches before they bisect."""
+    for k in (2, 3, 5, 7):
+
+        def compare(h, k=k):
+            """sign(sqrt(k) - h), for h > 0"""
+            return (h * h < k) - (h * h > k)
+
+        def within(lo, hi, width, k=k):
+            """[lo, hi] is at most width wide and holds sqrt(k) or -sqrt(k)."""
+            return hi - lo <= width and (lo * lo - k) * (hi * hi - k) <= 0
+
+        for width in (Fraction(1, 2**10), hermitian.HERMITIAN_WIDTH):
+            for guess in (nan, -1.0, 1e6, sqrt(k)):
+                ends = hermitian.enclose(compare, guess, Fraction(0), Fraction(k), width)
+                _expect(within(*ends, width), (k, width, guess, ends))
+            _expect(within(*bounds.sqrt_enclosure(k, width), width), (k, width))
+            roots = bounds.isolate_real_roots(QPoly([-k, 0, 1]), width)
+            _expect(len(roots) == 2 and all(within(*ends, width) for ends in roots), (k, width, roots))
+
+
+def _check_zero_pivot_inertia(rng):
+    """``hermitian.inertia_signs`` at h = 0 on the zero-pivot families of
+    ``hlab.fixtures``, whose inertia Sylvester's law gives: a zero diagonal
+    with imaginary entries, and a first step whose congruence u = 1 or i
+    cancels.  The signs of -A count the eigenvalues of A the other way."""
+    for d in range(2, 7):
+        for family in (fixtures.imaginary_hermitian, fixtures.cancelling_hermitian):
+            A, (pos, neg, zero) = family(rng, d)
+            parts = hermitian.integer_parts(A)
+            for s, counts in ((-1, (pos, neg, zero)), (1, (neg, pos, zero))):
+                signs = list(hermitian.inertia_signs(parts, Fraction(0), s))
+                _expect((signs.count(1), signs.count(-1), signs.count(0)) == counts, (family.__name__, d, s, signs))
 
 
 def _check_lefschetz_power(rng):

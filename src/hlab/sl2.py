@@ -171,9 +171,12 @@ def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
     return {(p, q): p + q < n for p in range(n + 1) for q in range(n + 1)}
 
 
-def lefschetz_check_results(n: int, r: int) -> dict:
-    """``hlab lefschetz-check``: the sl(2) and star identities, injectivity of
-    L on every bidegree and the powers L^{n-k}, on Lambda^{*,*}(C^n) (x) C^r."""
+def run_command(args) -> tuple[dict, dict]:
+    """``hlab lefschetz-check --n N [--r R]``: the space, which the command
+    line has admitted (``literals.check_space``), and on Lambda^{*,*}(C^n)
+    (x) C^r the sl(2) and star identities, injectivity of L on every
+    bidegree and the powers L^{n-k}."""
+    n, r = args.n, args.r
     results = {"sl2_commutator": sl2_commutator_check(n, r)}
     if n <= 3:
         results["star_unitary"], results["star_conjugation_gives_lambda"] = star_identities(n, r)
@@ -185,4 +188,4 @@ def lefschetz_check_results(n: int, r: int) -> dict:
     results["lefschetz_powers"] = [
         {"k": lp.k, "bijective": lp.bijective, "sigma_min": lp.sigma_min, "sigma_max": lp.sigma_max} for lp in powers
     ]
-    return results
+    return {"n": n, "r": r}, results

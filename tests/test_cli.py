@@ -5,7 +5,8 @@ import json
 import pytest
 from conftest import run_hlab, write_doc
 
-from hlab.inputdoc import cp_fixture, digest, load_document
+from hlab.fixturedoc import cp_fixture
+from hlab.inputdoc import digest, load_document
 
 
 @pytest.fixture

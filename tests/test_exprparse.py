@@ -17,7 +17,8 @@ from hlab.exprparse import (
     parse_monomial_key,
     parse_rational,
 )
-from hlab.inputdoc import DocumentError, cp_fixture, digest, load_document
+from hlab.fixturedoc import cp_fixture
+from hlab.inputdoc import DocumentError, digest, load_document
 from hlab.diagonal import DiagonalCurvature
 from hlab.hermitian import HermitianCurvature
 from hlab.ring import RingSpec

@@ -2,8 +2,10 @@
 that names its JSON path, literals are never coerced, and a failed internal
 certificate has its own exit code (3)."""
 
+import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,12 +14,47 @@ from fractions import Fraction
 import pytest
 from conftest import HLAB_ENV, perfbench, run_hlab, write_doc
 
-from hlab import lefschetz, sl2
+from hlab import genus, lefschetz, literals, sl2
 from hlab.fixtures import rotated_split_curvature
 from hlab.exprparse import ExprError, parse_rational
-from hlab.inputdoc import DocumentError, cp_fixture, load_document
+from hlab.fixturedoc import cp_fixture
+from hlab.inputdoc import DocumentError, load_document
 
 BOUNDS = {"K": "100", "C": "2", "c_n": "1/10", "p": 0}
+
+# The regular expressions that the literal rules replaced, and a corpus of
+# near misses: digits outside ASCII, padding, signs, "_", empty parts, plus
+# every string of up to three characters over an alphabet of both.
+OLD_INTEGER = r"-?[0-9]+"
+OLD_RATIONAL = r"-?[0-9]+(/[0-9]+)?"
+OLD_CHERN_KEY = r"c([1-9][0-9]{0,3})"
+ALPHABET = ["-", "0", "1", "9", "/", "c", "+", " ", "_", "\u0661", "\u00b2", "\n"]
+CORPUS = [
+    "", "\u0661", "\u00b2", " 1", "1 ", "1_0", "+1", "-", "--1", "-0", "007", "12345678901234567890",
+    "1/2", "-1/2", "1/-2", "1/+2", "1/", "/2", "1//2", "1/2/3", "1.5", "1e3", "\uff11", "c1", "c01", "c12",
+    "c999", "c9999", "c10000", "c\u0661", "c\u00b2", "C1", "c-1", "c+1", "c 1", "c1 ", "c1_0", "cc1",
+    *("".join(chars) for k in range(1, 4) for chars in itertools.product(ALPHABET, repeat=k)),
+]
+
+
+def _is_rational_literal(text):
+    """Whether parse_rational takes ``text`` as an integer or 'p/q' (its other
+    errors, a zero denominator, come after that rule)."""
+    try:
+        parse_rational(text)
+    except ExprError as exc:
+        return "expected an integer or 'p/q'" not in str(exc)
+    return True
+
+
+def test_literal_rules_admit_the_language_of_the_old_regular_expressions():
+    for text in CORPUS:
+        assert literals.is_integer(text) == bool(re.fullmatch(OLD_INTEGER, text)), repr(text)
+        assert literals.is_digits(text) == bool(re.fullmatch("[0-9]+", text)), repr(text)
+        assert _is_rational_literal(text) == bool(re.fullmatch(OLD_RATIONAL, text)), repr(text)
+        for key in (text, "c" + text):
+            old = re.fullmatch(OLD_CHERN_KEY, key)
+            assert genus._chern_index(key) == (int(old[1]) if old else 0), repr(key)
 
 
 def _cp2(**sections):

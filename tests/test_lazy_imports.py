@@ -1,18 +1,25 @@
 """Start-up loads only the engine a command runs.
 
 ``import hlab`` loads no engine module and ``import hlab.cli`` loads the
-literal rules of the flags alone.  A command that reads a document loads
-the document reader (``inputdoc``), and the expression parser
-(``exprparse``) when the document holds expressions.  Each command imports
-the engine it runs: the HRR engine (``ring``, ``genus``, ``qpoly``), the
-bound evaluators (``bounds``), ``diagonal`` (whose ``commutator_norm``
-imports the certificate a curvature takes), the integer Kahler
-certificates of ``lefschetz-check`` (``sl2``, with the sign rules of
+literal rules of the flags alone (``cli``, ``errors``, ``literals``).  The
+command table names each command's handler by its module, so a job loads
+no other command's handler, and the help texts (``helptext``) load only
+for ``--help`` and for the usage error of a missing subcommand.
+``hlab fixture`` loads its own module (``fixturedoc``) and no document
+reader.  A command that reads a document loads the document reader
+(``inputdoc``), and with a ring section the expression parser
+(``exprparse``) and the ring-side readers of ``genus``.  Each command
+imports the engine it runs: the HRR engine (``ring``, ``genus``,
+``qpoly``), the bound evaluators (``bounds``), ``diagonal`` (whose
+``commutator_norm`` imports the certificate a curvature takes), the integer
+Kahler certificates of ``lefschetz-check`` (``sl2``, with the sign rules of
 ``monomials``) or the self-check suite (``selfcheck``, ``fixtures``), which
-loads every engine but one.  No command loads the operator engine
-(``lefschetz``): only the tests and the benchmark tracer run it.  The exact
-set of each is pinned here, and so is the size of the hlab code each set
-compiles: its AST nodes, docstrings left out.
+loads every engine but one; each engine loads the value records
+(``record``).  A refused ``lefschetz-check`` space loads the flag rules
+alone.  No command loads the operator engine (``lefschetz``): only the
+tests and the benchmark tracer run it.  The exact set of each is pinned
+here, and so is the size of the hlab code each set compiles: its AST
+nodes, docstrings left out.
 No command loads ``dataclasses``, ``inspect``, ``argparse`` and the
 ``gettext`` and ``locale`` it pulls in, or OpenSSL's ``_hashlib``.
 The package still exports every name it did when it imported all of its
@@ -31,7 +38,7 @@ import pytest
 from conftest import HLAB_ENV, write_doc
 
 import hlab
-from hlab.inputdoc import cp_fixture
+from hlab.fixturedoc import cp_fixture
 
 HEAVY = {"hlab.selfcheck", "hlab.fixtures"}
 OPENSSL = {"hashlib", "_hashlib"}  # 4-5 ms of a cold start; the input digest takes a lean module
@@ -42,28 +49,30 @@ ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with 
 ENGINES = {
     f"hlab.{m}"
     for m in (
-        "blocks", "bounds", "diagonal", "exprparse", "gaussian", "genus", "hermitian", "inputdoc", "lefschetz",
-        "linebundle", "literals", "monomials", "qpoly", "ring", "sl2",
+        "blocks", "bounds", "diagonal", "exprparse", "fixturedoc", "gaussian", "genus", "helptext", "hermitian",
+        "inputdoc", "lefschetz", "linebundle", "monomials", "qpoly", "record", "ring", "sl2",
     )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
 # reads a document (with the expression parser if the document has
-# expressions), plus its engine.
-FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "record", "literals")}
+# expressions), plus its engine and the value records.
+FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "literals")}
+FIXTURE = FLAGS | {"hlab.fixturedoc"}
+HELP = FLAGS | {"hlab.helptext"}
 READER = FLAGS | {"hlab.inputdoc"}
 BOUNDARY = READER | {"hlab.exprparse"}
-HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly"}
+HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly", "hlab.record"}
 BOUNDS = {"hlab.bounds"}
-DIAGONAL = FLAGS | {"hlab.diagonal"}
+DIAGONAL = FLAGS | {"hlab.diagonal", "hlab.record"}
 # lefschetz-check: the space rule is a flag rule, the certificates are integer ones
-SL2 = FLAGS | {"hlab.sl2", "hlab.monomials"}
+SL2 = FLAGS | {"hlab.sl2", "hlab.monomials", "hlab.record"}
 # a Hermitian document: the record and its Gaussian-rational entries; then
 # the eigenvalue path of a line bundle, or the blocks of rank r >= 2
-HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian"}
+HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian", "hlab.record"}
 LINE_BUNDLE = HERMITIAN | {"hlab.linebundle"}
 RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
-# verify: every engine but the operator engine, and the suite itself
-VERIFY = HRR | BOUNDS | SL2 | LINE_BUNDLE | RANK_R | HEAVY
+# verify: every engine but the operator engine, the CP^n document and the suite itself
+VERIFY = HRR | BOUNDS | SL2 | LINE_BUNDLE | RANK_R | HEAVY | {"hlab.fixturedoc"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -128,13 +137,23 @@ def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
     path = write_doc(tmp_path, {"bounds": {"n": 2, "K": "100", "C": "2", "c_n": "1/10"}}, "scalars.json")
     code, modules = _loaded(PROBE, "bounds", "--which", "t4", "--input", path)
     assert code == 0
-    assert _hlab(modules) == READER | BOUNDS | {"hlab.qpoly"}
+    assert _hlab(modules) == READER | BOUNDS | {"hlab.qpoly", "hlab.record"}
 
 
 def test_fixture_command_loads_no_operator_engine():
     code, modules = _loaded(PROBE, "fixture", "cp", "1")
     assert code == 0
-    assert _hlab(modules) == READER
+    assert _hlab(modules) == FIXTURE
+    assert "hlab.inputdoc" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code", [((), 2), (("--help",), 0), (("-h",), 0), (("genus", "--help"), 0)], ids=repr
+)
+def test_help_and_the_missing_subcommand_load_the_help_texts_alone(argv, exit_code):
+    code, modules = _loaded(PROBE, *argv)
+    assert code == exit_code
+    assert _hlab(modules) == HELP
 
 
 def test_cli_import_loads_the_flag_rules_only():
@@ -280,17 +299,18 @@ def _code_nodes(name: str) -> int:
 # compiles: a change may make a command compile less, never more, without
 # raising its pin here.  Comments and docstrings do not count.
 CODE_NODES = [
-    ("import hlab.cli", FLAGS, 3281),
-    ("fixture", READER, 5072),
-    ("genus kcoeffs hilbert ineq", HRR, 14203),
-    ("bounds", HRR | BOUNDS, 17638),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly"}, 10020),
-    ("commutator --gammas", DIAGONAL, 4176),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 5967),
-    ("lefschetz-check", SL2, 5144),
-    ("commutator --input HERMITIAN", RANK_R, 10838),
-    ("commutator --input LINE", LINE_BUNDLE, 9674),
-    ("verify", VERIFY, 30263),
+    ("import hlab.cli", FLAGS, 2328),
+    ("fixture", FIXTURE, 2558),
+    ("--help and the missing subcommand", HELP, 2575),
+    ("genus kcoeffs hilbert ineq", HRR, 13615),
+    ("bounds", HRR | BOUNDS, 17091),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8679),
+    ("commutator --gammas", DIAGONAL, 3938),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
+    ("lefschetz-check", SL2, 4765),
+    ("commutator --input HERMITIAN", RANK_R, 9700),
+    ("commutator --input LINE", LINE_BUNDLE, 8536),
+    ("verify", VERIFY, 31402),
 ]
 
 

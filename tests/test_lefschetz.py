@@ -16,7 +16,15 @@ import hlab.linebundle as linebundle
 import hlab.sl2 as sl2
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
 from hlab.errors import CertificateError
-from hlab.fixtures import as_hermitian, gamma_draws, generic_curvature, generic_hermitian, rotated_split_curvature
+from hlab.fixtures import (
+    as_hermitian,
+    cancelling_hermitian,
+    gamma_draws,
+    generic_curvature,
+    generic_hermitian,
+    imaginary_hermitian,
+    rotated_split_curvature,
+)
 from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
 from hlab.linebundle import line_bundle_norm
@@ -791,28 +799,25 @@ def _inertia_by_charpoly(A):
 
 def _structured_hermitian(rng, d, kind):
     """A Hermitian Gaussian-integer matrix of one kind: generic, singular
-    (v v* - w w*), a zero diagonal with real or with purely imaginary
-    off-diagonal entries, generic with zero rows, or "cancelling": A_00 = 0,
-    the other diagonal entries -2, 0 or 2 and off-diagonal entries +-1 or +-i,
-    so that 2 Re(u A_0t) + A_tt is often 0 for u = 1 or i."""
+    (v v* - w w*), a zero diagonal with real off-diagonal entries, or
+    generic with zero rows.  The zero-pivot families with purely imaginary
+    entries and with a cancelling first step come from ``hlab.fixtures``,
+    which ``hlab verify`` reads too."""
+    if kind == "imaginary":
+        return imaginary_hermitian(rng, d)[0]
+    if kind == "cancelling":
+        return cancelling_hermitian(rng, max(d, 2))[0]
     if kind == "singular":
         v, w = ([CQ(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(2))
         return [[v[i] * v[j].conj() - w[i] * w[j].conj() for j in range(d)] for i in range(d)]
     A = [[CQ_ZERO] * d for _ in range(d)]
-    if kind == "cancelling":
-        for i in range(d):
-            A[i][i] = CQ(rng.choice((-2, 0, 2)) if i else 0)
-            for j in range(i + 1, d):
-                A[i][j] = rng.choice((CQ(1), CQ(-1), CQ(0, 1), CQ(0, -1), CQ_ZERO))
-                A[j][i] = A[i][j].conj()
-        return A
     for i in range(d):
         if kind in ("generic", "zero rows"):
             A[i][i] = CQ(rng.randint(-3, 3))
         for j in range(i + 1, d):
             if rng.random() < 0.6:
                 x, y = rng.randint(-3, 3), rng.randint(-3, 3)
-                z = {"real": CQ(x), "imaginary": CQ(0, y)}.get(kind, CQ(x, y))
+                z = CQ(x) if kind == "real" else CQ(x, y)
                 A[i][j], A[j][i] = z, z.conj()
     if kind == "zero rows":
         for z in rng.sample(range(d), rng.randint(1, d)):
@@ -841,6 +846,23 @@ def test_inertia_signs_match_the_characteristic_polynomial(kind):
         M = [[(CQ(h) if i == j else CQ_ZERO) - s * A[i][j] for j in range(d)] for i in range(d)]
         signs = list(hermitian.inertia_signs(hermitian.integer_parts(A), h, s))
         assert (signs.count(1), signs.count(-1), signs.count(0)) == _inertia_by_charpoly(M), (A, h, s)
+
+
+@pytest.mark.parametrize("family", [imaginary_hermitian, cancelling_hermitian], ids=lambda f: f.__name__)
+def test_zero_pivot_families_have_the_inertia_they_state(family):
+    # the inertia each builder states by Sylvester's law, against the
+    # characteristic polynomial, and its shape: a zero diagonal with
+    # imaginary entries, or a first congruence u = 1 or i that cancels
+    rng = random.Random(f"family {family.__name__}")
+    for d in range(2, 9):
+        for _ in range(4):
+            A, inertia = family(rng, d)
+            assert inertia == _inertia_by_charpoly(A), (A, inertia)
+            if family is imaginary_hermitian:
+                assert all(not A[i][j].re for i in range(d) for j in range(d)), A
+            else:
+                z = A[0][1]
+                assert not A[0][0] and z and A[1][1] == CQ(2 * (z.im - z.re)), A
 
 
 # -- reference: the characteristic polynomial of T^2 --------------------------------

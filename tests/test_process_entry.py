@@ -13,7 +13,7 @@ import pytest
 from conftest import run_hlab, run_python, write_doc
 
 import hlab
-from hlab.inputdoc import cp_fixture
+from hlab.fixturedoc import cp_fixture
 
 SRC = Path(hlab.__file__).parent
 PYPROJECT = SRC.parents[1] / "pyproject.toml"
@@ -32,7 +32,7 @@ runpy.run_module("hlab", run_name="__main__", alter_sys=True)
 # a failed sl(2) identity: a certificate failure (exit 3)
 SL2_FAILS = ("hlab.sl2", "sl2_commutator_check", "lambda n, r=1: False")
 # a handler that raises an exception no exit code is mapped to: a crash (exit 4)
-FIXTURE_CRASHES = ("hlab.cli", "cmd_fixture", "lambda args: None + 1")
+FIXTURE_CRASHES = ("hlab.fixturedoc", "run_command", "lambda args: None + 1")
 
 
 def _probe(*argv, plant=None):

@@ -24,17 +24,17 @@ raise SystemExit(main(["verify"]))
 # The CP^n checks of `verify` read the document `hlab fixture cp N` prints,
 # so a fault in that document fails them.
 DOUBLED_CP_FUNDAMENTAL_CLASS = """
-from hlab import inputdoc
+from hlab import fixturedoc
 from hlab.cli import main
 
-cp_fixture = inputdoc.cp_fixture
+cp_fixture = fixturedoc.cp_fixture
 
 def doubled(n):
     tree = cp_fixture(n)
     tree["fundamental_class"] = {key: "2" for key in tree["fundamental_class"]}
     return tree
 
-inputdoc.cp_fixture = doubled
+fixturedoc.cp_fixture = doubled
 raise SystemExit(main(["verify"]))
 """
 
@@ -79,6 +79,36 @@ from hlab.cli import main
 raise SystemExit(main(["verify"]))
 """
 
+# A one-line edit to the source of an hlab module, run in place of that
+# module before anything imports from it: ``verify`` must fail the named
+# check.  An ``enclose`` that stops at 64 times its width passes the other
+# Hermitian checks, whose good float guesses end the search before it
+# bisects; an ``inertia_signs`` whose zero-pivot congruence always takes
+# u = +1 or +i leaves the cancelling pivot at 0.
+MUTANT = """
+import sys
+from pathlib import Path
+from hlab import {module} as target
+
+source = Path(target.__file__).read_text()
+old, new = sys.argv[1:]
+if source.count(old) != 1:
+    raise SystemExit(f"the mutated text must occur once, not {{source.count(old)}} times")
+exec(compile(source.replace(old, new), target.__file__, "exec"), vars(target))
+from hlab.cli import main
+raise SystemExit(main(["verify"]))
+"""
+
+MUTANTS = {
+    "enclose width": (
+        "hermitian", "while hi - lo > width:", "while hi - lo > 64 * width:",
+        "enclosures within their width from any guess",
+    ),
+    "zero-pivot sign": (
+        "hermitian", "sign = 1 if 2 * p + m else -1", "sign = 1", "inertia signs on zero-pivot families",
+    ),
+}
+
 
 def _verify(script, *flags):
     return subprocess.run(
@@ -91,7 +121,7 @@ def test_verify_reports_injected_fault_under_optimize():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
     assert "PASS  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
-    assert "19/20 checks passed" in proc.stdout
+    assert "21/22 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_cp_document_hlab_fixture_prints():
@@ -99,14 +129,14 @@ def test_verify_checks_the_cp_document_hlab_fixture_prints():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  projective space genus suite" in proc.stdout
     assert "FAIL  hilbert polynomial consistency" in proc.stdout
-    assert "18/20 checks passed" in proc.stdout
+    assert "20/22 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_line_bundle_eigenvalue_path():
     proc = _verify(SHIFTED_EIGENVALUES)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  line-bundle norm: eigenvalues vs blocks" in proc.stdout
-    assert "19/20 checks passed" in proc.stdout
+    assert "21/22 checks passed" in proc.stdout
 
 
 @pytest.mark.parametrize("script", [DROPPED_CROSSING_SIGN, NEGATED_STAR_PHASES], ids=["wedge sign", "star phases"])
@@ -114,7 +144,18 @@ def test_verify_holds_the_sign_conventions_to_its_own_rule(script):
     proc = _verify(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
-    assert "19/20 checks passed" in proc.stdout
+    assert "21/22 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("module,old,new,check", list(MUTANTS.values()), ids=list(MUTANTS))
+def test_verify_catches_the_mutant(module, old, new, check):
+    proc = subprocess.run(
+        [sys.executable, "-c", MUTANT.format(module=module), old, new],
+        capture_output=True, text=True, env=HLAB_ENV, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"FAIL  {check}" in proc.stdout
+    assert "21/22 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
