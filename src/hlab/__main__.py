@@ -1,18 +1,22 @@
 """The process entry of ``python -m hlab`` and of the ``hlab`` script.
 
-:func:`run` runs one command through ``cli.main`` and returns its exit
-code.  An exception that escapes ``cli.main`` is a bug: its traceback goes
-to stderr and the process exits 4, a code no other failure uses.
+:func:`run` runs one command through ``cli.main``.  An exception that
+escapes ``cli.main`` is a bug: its traceback goes to stderr and the exit
+code is 4, a code no other failure uses.
 
-Once the report is written, ``run`` freezes the heap (``gc.freeze``): every
-tracked object moves to the permanent generation, so the collections of
-interpreter shutdown skip the objects the OS frees anyway.  Atexit
-handlers, the flush of stdio and the exit code are unchanged.  Only the
-process entry freezes; ``cli.main`` called in-process keeps normal
-collection.
+Once the report is written, ``run`` flushes stdout and stderr and ends the
+process with ``os._exit``: the interpreter's teardown (module cleanup and
+the collections of every object the OS frees anyway) is skipped.  hlab
+registers no atexit handler and closes every file it opens (``fixture
+--out`` writes inside ``with``), so the flush is the one step of that
+teardown that matters, and the exit code is the one ``cli.main`` returned.
+If the flush fails (stdout on a full disk, say), or a stream is gone,
+``run`` returns the code instead, and the interpreter's own shutdown flush
+reports the failure as it always has (exit 120).  Only the process entry
+exits this way; ``cli.main`` called in-process returns.
 """
 
-import gc
+import os
 import sys
 
 from .cli import main
@@ -21,7 +25,8 @@ CRASH = 4
 
 
 def run() -> int:
-    """Run the command of ``sys.argv``, freeze the heap, return the exit code."""
+    """Run the command of ``sys.argv`` and exit with its code once stdout
+    and stderr are flushed; return the code if they cannot be."""
     try:
         code = main()
     except Exception:
@@ -29,8 +34,12 @@ def run() -> int:
 
         traceback.print_exc()
         code = CRASH
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed stream
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -161,13 +161,13 @@ class _Parser:
     def expr(self):
         """A sum: the parts of its terms merged over one denominator."""
         value, bound = self.term()
-        terms = [value]
+        terms = [(value.parts, 1, value.den)]
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs, rbound = self.term()
-            terms.append(rhs if op == "+" else -rhs)
+            terms.append((rhs.parts, 1 if op == "+" else -1, rhs.den))
             bound = max(bound, rbound)
-        return _sum(self.spec, [(v.parts, v.den) for v in terms]), bound
+        return _sum(self.spec, terms), bound
 
     def term(self):
         value, bound = self.unary()

@@ -30,8 +30,9 @@ from .record import Record
 from .ring import (
     GradedElement,
     RingSpec,
-    elementary_from_power_sums,
     genus_product,
+    linear_combination,
+    newton_rung,
     power_sums_from_elementary,
     todd_series,
 )
@@ -155,25 +156,39 @@ class ManifoldData(Record):
         return genus_product(todd_series(self.n), self._power_sums)
 
     @cached_property
-    def hodge(self) -> tuple[GradedElement, ...]:
-        """(ch Omega^0, ..., ch Omega^n): exterior powers of the cotangent bundle.
+    def _ladder(self) -> tuple[list, list]:
+        """The Hodge ladder as far as :meth:`hodge_class` has built it: the
+        power sums [P_1, ...] of u and [e_0(u) = 1, e_1(u), ...]."""
+        return [], [self.spec.one()]
+
+    def hodge_class(self, p: int) -> GradedElement:
+        """ch Omega^p, the p-th exterior power of the cotangent bundle.
 
         ch Omega^p = e_p(1 + u) = sum_{m <= p} C(n - m, p - m) e_m(u), with
         u_i = e^{-gamma_i} - 1.  As (e^x - 1)^k / k! = sum_j S(j, k) x^j / j!
         (S: Stirling numbers of the second kind), the power sums of u are
-        P_k = sum_{j >= k} (-1)^j k! S(j, k) p_j / j!, and one inverse-Newton
-        ladder yields every e_m(u).  e_m(u) has weight >= m, so the ladder
+        P_k = sum_{j >= k} (-1)^j k! S(j, k) p_j / j!, where
+        k! S(j, k) = sum_i (-1)^{k-i} C(k, i) i^j (inclusion-exclusion), and
+        the inverse-Newton ladder yields e_m(u) from P_1..P_m.  The ladder is
+        built once per manifold, one rung at a time and only as far as the
+        highest p asked for: ch Omega^0 takes no rung, ch Omega^1 one, and
+        :attr:`hodge` every one.  e_m(u) has weight >= m, so the ladder
         multiplies small nilpotent elements.
         """
-        spec, n = self.spec, self.n
-        P = [spec.zero()] * (n + 1)
-        surj = [1]  # k! S(j, k) for k = 0..j: the maps of j points onto k
-        for j, pj in enumerate(self._power_sums, start=1):
-            surj = [0] + [k * (s + t) for k, s, t in zip(range(1, j + 1), surj, surj[1:] + [0])]
-            for k in range(1, j + 1):
-                P[k] = P[k] + pj * Fraction((-1) ** j * surj[k], factorial(j))
-        e = (spec.one(), *elementary_from_power_sums(P[1:], n))
-        return tuple(sum((e[m] * comb(n - m, p - m) for m in range(p + 1)), spec.zero()) for p in range(n + 1))
+        spec, n, (P, e) = self.spec, self.n, self._ladder
+        while len(e) <= p:
+            k, terms = len(e), []
+            for j in range(k, n + 1):
+                onto = sum((-1) ** (k - i) * comb(k, i) * i**j for i in range(k + 1))
+                terms.append((self._power_sums[j - 1], Fraction((-1) ** j * onto, factorial(j))))
+            P.append(linear_combination(spec, terms))
+            e.append(newton_rung(e, P))
+        return linear_combination(spec, [(e[m], comb(n - m, p - m)) for m in range(p + 1)])
+
+    @cached_property
+    def hodge(self) -> tuple[GradedElement, ...]:
+        """(ch Omega^0, ..., ch Omega^n), the ladder built to its top."""
+        return tuple(map(self.hodge_class, range(self.n + 1)))
 
 
 class BundleData(Record):
@@ -214,10 +229,9 @@ def todd_class(x: ManifoldData) -> GradedElement:
 def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
     """ch(E) = rank + sum_k p_k(E)/k! truncated at weight n; the power sums
     come from E's own classes, so a bundle without classes has ch = rank."""
-    out = spec.constant(e.rank)
-    for k, pk in enumerate(power_sums_from_elementary(e.chern[:n], n) if e.chern else (), start=1):
-        out = out + pk / factorial(k)
-    return out
+    p = power_sums_from_elementary(e.chern[:n], n) if e.chern else ()
+    terms = [(pk, Fraction(1, factorial(k))) for k, pk in enumerate(p, 1)]
+    return linear_combination(spec, [(spec.one(), e.rank), *terms])
 
 
 def hodge_classes(x: ManifoldData) -> list[GradedElement]:
@@ -226,10 +240,11 @@ def hodge_classes(x: ManifoldData) -> list[GradedElement]:
 
 
 def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
-    """ch of the p-th exterior power of the cotangent bundle."""
+    """ch of the p-th exterior power of the cotangent bundle, the manifold's
+    ladder built only as far as e_p(u) (:meth:`ManifoldData.hodge_class`)."""
     if not 0 <= p <= x.n:
         raise ValueError(f"p = {p} outside [0, {x.n}]")
-    return x.hodge[p]
+    return x.hodge_class(p)
 
 
 def _integral_chi(p: int, value: Fraction) -> Fraction:

@@ -87,7 +87,7 @@ class RingSpec(Record):
             if len(exps) != len(self.generators) or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {self.names}")
             c, w = Fraction(coeff), self.weight_of(exps)
-            monomials.append(({w: {exps: c.numerator}} if c and w <= self.truncation else {}, c.denominator))
+            monomials.append(({w: {exps: c.numerator}} if c and w <= self.truncation else {}, 1, c.denominator))
         return _sum(self, monomials)
 
     def monomial_name(self, exps: Sequence[int]) -> str:
@@ -112,11 +112,14 @@ def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den
 
 
 def _sum(spec: RingSpec, terms: Sequence) -> "GradedElement":
-    """The sum of ``(parts, den)`` pairs: merged over the lcm of their
-    denominators, zeros dropped, reduced once."""
-    den, acc = lcm(*(d for _, d in terms)), {}
-    for parts, d in terms:
-        s = den // d
+    """The sum of ``(parts, a, d)`` triples, each worth ``a * parts / d``:
+    merged over the lcm of the denominators, zeros dropped, reduced once.
+    The one sum kernel: :meth:`RingSpec.element`, the sums of the
+    expression parser and :func:`linear_combination` (so ``+``) end here."""
+    den, acc = lcm(*(d for _, _, d in terms)), {}
+    for parts, a, d in terms:
+        if not (s := a * (den // d)):
+            continue
         for w, part in parts.items():
             if w not in acc:
                 acc[w] = {e: v * s for e, v in part.items()}
@@ -128,6 +131,18 @@ def _sum(spec: RingSpec, terms: Sequence) -> "GradedElement":
                 else:
                     del out[e]
     return _canonical(spec, {w: out for w, out in acc.items() if out}, den)
+
+
+def linear_combination(spec: RingSpec, terms: Iterable) -> "GradedElement":
+    """sum c * x over ``(x, c)`` pairs, each c an int or a Fraction: one merge
+    over one denominator and one reduction, where a chain of ``+`` merges
+    and reduces the running total at every step."""
+    triples = []
+    for x, c in terms:
+        if x.spec is not spec and x.spec != spec:
+            raise SpecMismatch(f"ring mismatch: {spec} vs {x.spec}")
+        triples.append((x.parts, c.numerator, x.den * c.denominator))
+    return _sum(spec, triples)
 
 
 class GradedElement:
@@ -175,8 +190,7 @@ class GradedElement:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.spec.constant(other)
-        self._check(other)
-        return _sum(self.spec, ((self.parts, self.den), (other.parts, other.den)))
+        return linear_combination(self.spec, ((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -292,10 +306,11 @@ def log(u: GradedElement) -> GradedElement:
 def _nilpotent_series(x: GradedElement, coeff) -> GradedElement:
     """sum_k coeff(k) x^k for x of zero constant term: finite, since x is
     nilpotent under truncation."""
-    out, power, k = x.spec.zero(), x.spec.one(), 0
+    terms, power = [], x.spec.one()
     while not power.is_zero():
-        out, power, k = out + power * coeff(k), power * x, k + 1
-    return out
+        terms.append((power, coeff(len(terms))))
+        power = power * x
+    return linear_combination(x.spec, terms)
 
 
 # -- symmetric-function machinery ------------------------------------------
@@ -316,27 +331,33 @@ def power_sums_from_elementary(e: Sequence[GradedElement], n: int) -> list[Grade
             raise SpecMismatch("elementary inputs live in different rings")
     p: list[GradedElement] = []
     for k in range(1, n + 1):
-        acc = e[k - 1] * ((-1) ** (k - 1) * k) if k <= m else spec.zero()
-        for i in range(1, min(k, m + 1)):
-            acc = acc + e[i - 1] * p[k - i - 1] * (-1) ** (i - 1)
-        p.append(acc)
+        terms = [(e[i - 1] * p[k - i - 1], (-1) ** (i - 1)) for i in range(1, min(k, m + 1))]
+        if k <= m:
+            terms.append((e[k - 1], (-1) ** (k - 1) * k))
+        p.append(linear_combination(spec, terms))
     return p
 
 
 def elementary_from_power_sums(p: Sequence[GradedElement], n: int) -> list[GradedElement]:
-    """Inverse Newton: e_k = (1/k) sum_{i=1..k} (-1)^{i-1} e_{k-i} p_i."""
+    """Inverse Newton: e_1..e_n from p_1..p_n, one :func:`newton_rung` each."""
     if len(p) != n:
         raise ValueError(f"need exactly {n} power sums, got {len(p)}")
     if n == 0:
         return []
-    spec = p[0].spec
-    e = [spec.one()]
-    for k in range(1, n + 1):
-        acc = spec.zero()
-        for i in range(1, k + 1):
-            acc = acc + e[k - i] * p[i - 1] * (-1) ** (i - 1)
-        e.append(acc / k)
+    e = [p[0].spec.one()]
+    while len(e) <= n:
+        e.append(newton_rung(e, p))
     return e[1:]
+
+
+def newton_rung(e: Sequence[GradedElement], p: Sequence[GradedElement]) -> GradedElement:
+    """e_k = (1/k) sum_{i=1..k} (-1)^{i-1} e_{k-i} p_i for k = len(e): the
+    next rung of the inverse-Newton ladder from e_0 = 1, e_1..e_{k-1} and
+    p_1..p_k (``p[i - 1]`` is p_i), in one linear combination; e_0 p_k
+    is p_k itself, not a product."""
+    k = len(e)
+    terms = [(e[k - i] * p[i - 1] if i < k else p[i - 1], Fraction((-1) ** (i - 1), k)) for i in range(1, k + 1)]
+    return linear_combination(e[0].spec, terms)
 
 
 # -- one-variable series ----------------------------------------------------
@@ -424,8 +445,4 @@ def genus_product(q: Series, p: Sequence[GradedElement]) -> GradedElement:
         raise ValueError("need at least one power sum (the ring carrier)")
     spec = p[0].spec
     b = q.log().coeffs
-    acc = spec.zero()
-    for k in range(1, min(len(b) - 1, len(p)) + 1):
-        if b[k]:
-            acc = acc + p[k - 1] * b[k]
-    return exp(acc)
+    return exp(linear_combination(spec, [(p[k - 1], b[k]) for k in range(1, min(len(b), len(p) + 1))]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, nan, sqrt
+from math import comb, factorial, nan, sqrt
 
 from . import blocks, bounds, diagonal, fixtures, genus, hermitian, linebundle, monomials, ring, sl2
 from .qpoly import QPoly
@@ -43,6 +43,7 @@ def run_command(args=None) -> int:
         ("serre symmetry", _check_serre),
         ("flat bundle factorization", _check_flat),
         ("K coefficient closed forms", _check_k_formulas),
+        ("chern inequality right side vs hockey stick", _check_inequality_rhs),
         ("hilbert polynomial consistency", _check_hilbert),
         ("sl2 commutator", _check_sl2),
         ("hodge star conjugation identity", _check_star),
@@ -145,6 +146,16 @@ def _check_k_formulas(rng):
         _expect(ks[0] == e.rank * c2_top)
         _expect(genus.k1_formula_check(x, e, ks))
         _expect(genus.k2_surface_formula_check(x, e, ks))
+
+
+def _check_inequality_rhs(rng):
+    """The right side of :func:`genus.chern_inequality_check` against the
+    hockey-stick identity sum_{p=j..n} C(p, j) = C(n + 1, j + 1), for every
+    n <= 12 and 0 <= j <= n."""
+    for n in range(1, 13):
+        for j in range(n + 1):
+            rhs = genus.chern_inequality_check([Fraction(0)] * (n + 1), j)[2]
+            _expect(rhs == comb(n + 1, j + 1), (n, j, rhs))
 
 
 def _check_hilbert(rng):

@@ -225,6 +225,42 @@ def test_hodge_ladder_matches_inverse_newton_on_formal_manifolds(n, bundle_rank)
         assert x.hodge == _inverse_newton_hodge(x)
 
 
+def _ladder_draws():
+    """(id, a factory of fresh equal manifolds): CP^1..CP^12 and seeded formal ones."""
+    draws = [(f"cp{n}", lambda n=n: projective_space(n)[0]) for n in range(1, 13)]
+    for n, rank in ((2, 1), (3, 2), (4, 1), (5, 2)):
+        x, _ = random_manifold_bundle(random.Random(3800 + n), n, bundle_rank=rank)
+        draws.append((f"formal-n{n}-r{rank}", lambda x=x: ManifoldData(x.n, x.chern, x.fclass)))
+    return draws
+
+
+LADDER_DRAWS = _ladder_draws()
+
+
+@pytest.mark.parametrize("fresh", [f for _, f in LADDER_DRAWS], ids=[i for i, _ in LADDER_DRAWS])
+def test_hodge_class_on_demand_matches_the_full_ladder(monkeypatch, fresh):
+    import hlab.genus as genus
+
+    rungs, rung = [], genus.newton_rung
+    monkeypatch.setattr(genus, "newton_rung", lambda e, p: rungs.append(len(e)) or rung(e, p))
+    full = hodge_classes(fresh())
+    n = len(full) - 1
+    assert rungs == list(range(1, n + 1))  # each rung once, in order
+    for p in range(n + 1):
+        # partial first: only the rungs up to e_p, then the rest on demand
+        x, rungs[:] = fresh(), []
+        assert ch_hodge_sheaf(x, p) == full[p]
+        assert rungs == list(range(1, p + 1))
+        assert hodge_classes(x) == full
+        assert rungs == list(range(1, n + 1))
+    # full first: every class afterwards is read off the built ladder
+    x = fresh()
+    hodge_classes(x)
+    rungs[:] = []
+    assert [ch_hodge_sheaf(x, p) for p in range(n + 1)] == full
+    assert rungs == []
+
+
 def test_ch_hodge_sheaf_cp2_middle(cp2):
     x, _ = cp2
     h = x.spec.gen("h")
@@ -525,18 +561,18 @@ def test_integrate_product_missing_monomial_only_when_it_survives():
 def test_one_hodge_ladder_per_manifold(monkeypatch):
     import hlab.genus as genus
 
-    calls = {"ladder": 0, "todd": 0}
-    ladder, product = genus.elementary_from_power_sums, genus.genus_product
+    calls = {"rungs": 0, "todd": 0}
+    rung, product = genus.newton_rung, genus.genus_product
 
-    def counted_ladder(*args):
-        calls["ladder"] += 1
-        return ladder(*args)
+    def counted_rung(*args):
+        calls["rungs"] += 1
+        return rung(*args)
 
     def counted_product(*args):
         calls["todd"] += 1
         return product(*args)
 
-    monkeypatch.setattr(genus, "elementary_from_power_sums", counted_ladder)
+    monkeypatch.setattr(genus, "newton_rung", counted_rung)
     monkeypatch.setattr(genus, "genus_product", counted_product)
     x, o1 = projective_space(4)
     chi_y(x, o1)
@@ -544,7 +580,7 @@ def test_one_hodge_ladder_per_manifold(monkeypatch):
     assert k1_formula_check(x, o1, _ks(x, o1))
     chern_inequality_check(_ks(x), 2)
     assert [ch_hodge_sheaf(x, p) for p in range(5)] == hodge_classes(x)
-    assert calls == {"ladder": 1, "todd": 1}
+    assert calls == {"rungs": 4, "todd": 1}
     # the cache is per manifold: a second one runs its own ladder
     chi_y(projective_space(4)[0], o1)
-    assert calls == {"ladder": 2, "todd": 2}
+    assert calls == {"rungs": 8, "todd": 2}

@@ -302,15 +302,15 @@ CODE_NODES = [
     ("import hlab.cli", FLAGS, 2328),
     ("fixture", FIXTURE, 2558),
     ("--help and the missing subcommand", HELP, 2575),
-    ("genus kcoeffs hilbert ineq", HRR, 13615),
-    ("bounds", HRR | BOUNDS, 17091),
+    ("genus kcoeffs hilbert ineq", HRR, 13760),
+    ("bounds", HRR | BOUNDS, 17236),
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8679),
     ("commutator --gammas", DIAGONAL, 3938),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
     ("lefschetz-check", SL2, 4765),
     ("commutator --input HERMITIAN", RANK_R, 9700),
     ("commutator --input LINE", LINE_BUNDLE, 8536),
-    ("verify", VERIFY, 31402),
+    ("verify", VERIFY, 31630),
 ]
 
 

@@ -1,16 +1,19 @@
-"""The process entry ``hlab.__main__.run``: one command, its exit code, then
-a frozen heap.  ``run`` freezes the heap of the process it runs in, so it is
-only ever called in a fresh interpreter, never in this one."""
+"""The process entry ``hlab.__main__.run``: one command, its exit code,
+then ``os._exit`` once stdout and stderr are flushed.  ``run`` ends the
+process it runs in, so it is only ever called in a fresh interpreter, never
+in this one."""
 
 import ast
-import gc
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from conftest import run_hlab, run_python, write_doc
+from conftest import HLAB_ENV, run_hlab, run_python, write_doc
 
 import hlab
 from hlab.fixturedoc import cp_fixture
@@ -19,13 +22,17 @@ SRC = Path(hlab.__file__).parent
 PYPROJECT = SRC.parents[1] / "pyproject.toml"
 
 # Run hlab as ``python -m hlab`` does (runpy, as ``__main__``), after the
-# planted statements; at exit, report on stderr the freeze count and whether
-# the traceback module was loaded.
+# planted statements; when ``os._exit`` is called, report on stderr the code
+# it exits with and whether the traceback module was loaded.  The probe line
+# is the last one on stderr only if ``run`` flushed everything before it.
 PROBE = """
-import atexit, gc, json, runpy, sys
+import json, os, runpy, sys
 {plant}
-atexit.register(lambda: print(json.dumps(
-    {{"frozen": gc.get_freeze_count(), "traceback": "traceback" in sys.modules}}), file=sys.stderr))
+exit_now = os._exit
+def probed_exit(code):
+    print(json.dumps({{"exit": code, "traceback": "traceback" in sys.modules}}), file=sys.stderr, flush=True)
+    exit_now(code)
+os._exit = probed_exit
 runpy.run_module("hlab", run_name="__main__", alter_sys=True)
 """
 
@@ -52,18 +59,19 @@ def cp2_file(tmp_path_factory):
     return write_doc(tmp_path_factory.mktemp("entry"), tree, "cp2.json")
 
 
-def test_in_process_main_does_not_freeze():
-    before = gc.get_freeze_count()
+def test_in_process_main_does_not_exit(monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) called in-process")
+
+    monkeypatch.setattr(os, "_exit", refuse)
     assert run_hlab(["fixture", "cp", "1"])[0] == 0
-    assert gc.get_freeze_count() == before
 
 
-def test_fresh_process_freezes_before_it_exits():
+def test_fresh_process_ends_at_os_exit():
     code, out, err, at_exit = _probe("fixture", "cp", "1")
     assert (code, err) == (0, "")
     assert json.loads(out) == cp_fixture(1)
-    assert at_exit["frozen"] > 0
-    assert not at_exit["traceback"]  # loaded only for a crash
+    assert at_exit == {"exit": 0, "traceback": False}  # traceback loads only for a crash
 
 
 def test_importing_the_entry_runs_no_command():
@@ -98,20 +106,79 @@ def test_crash_exits_4_with_its_traceback():
     assert (code, out) == (4, "")
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("TypeError: unsupported operand type(s) for +: 'NoneType' and 'int'\n")
-    assert at_exit["traceback"] and at_exit["frozen"] > 0
+    assert at_exit == {"exit": 4, "traceback": True}
 
 
-def _freezes(path):
-    """Whether the module at ``path`` calls ``gc.freeze`` or imports from ``gc``."""
+# stdout block-buffered (the default for a pipe or a file), and written at every print
+BUFFERED_ENV = {key: value for key, value in HLAB_ENV.items() if key != "PYTHONUNBUFFERED"}
+UNBUFFERED_ENV = {**HLAB_ENV, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_failed_final_flush_exits_120_as_the_interpreter_does():
+    # the report cannot be written: cli.main's flush raises (a crash, exit 4),
+    # run's flush fails again, and the interpreter's own shutdown flush then
+    # reports it and exits 120, without os._exit
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE.format(plant=""), "fixture", "cp", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV, timeout=120,
+        )
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+        "OSError: [Errno 28] No space left on device\n"
+    )
+    assert '"exit"' not in proc.stderr
+
+
+def test_closed_stdout_crashes_with_exit_4():
+    # no stdout at all: cli.main's flush raises, and run leaves the missing
+    # stream to the interpreter's shutdown, which ignores it
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(plant=""), "fixture", "cp", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=HLAB_ENV, timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.endswith("AttributeError: 'NoneType' object has no attribute 'flush'\n")
+
+
+def test_fixture_out_writes_the_whole_document(tmp_path):
+    path = str(tmp_path / "cp12.json")
+    code, out, err, at_exit = _probe("fixture", "cp", "12", "--out", path)
+    assert (code, out, err, at_exit["exit"]) == (0, f"wrote {path}\n", "", 0)
+    assert Path(path).read_text() == run_hlab(["fixture", "cp", "12"])[1]
+    assert json.loads(Path(path).read_text()) == cp_fixture(12)
+
+
+@pytest.mark.parametrize("env", [UNBUFFERED_ENV, BUFFERED_ENV], ids=["unbuffered", "buffered"])
+def test_large_report_arrives_whole_through_a_pipe(tmp_path, env):
+    # a machine report of about 117 kB, larger than a pipe's buffer: c_1(E)
+    # of O(a) on CP^12 with a of 300 digits
+    tree = cp_fixture(12)
+    tree["bundle"] = {"rank": 1, "chern": {"c1": "7" * 300 + "*h"}}
+    argv = ["genus", "--input", write_doc(tmp_path, tree), "--output", "machine"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hlab", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    in_process = run_hlab(argv)
+    assert len(in_process[1]) > 100_000
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+
+def _exits(path):
+    """Whether the module at ``path`` calls ``os._exit`` or imports it from ``os``."""
     return any(
-        isinstance(node, ast.Attribute) and node.attr == "freeze" and getattr(node.value, "id", None) == "gc"
-        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        isinstance(node, ast.Attribute) and node.attr == "_exit" and getattr(node.value, "id", None) == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os" and "_exit" in {a.name for a in node.names}
         for node in ast.walk(ast.parse(path.read_text()))
     )
 
 
-def test_only_the_process_entry_freezes_the_heap():
-    assert [path.name for path in SRC.glob("*.py") if _freezes(path)] == ["__main__.py"]
+def test_only_the_process_entry_calls_os_exit():
+    assert [path.name for path in SRC.glob("*.py") if _exits(path)] == ["__main__.py"]
 
 
 def _main_guards(path):
@@ -122,7 +189,7 @@ def _main_guards(path):
 
 
 def test_only_the_process_entry_runs_as_a_script():
-    # ``python -m hlab.cli`` would be a second entry: no freeze, a crash exiting 1
+    # ``python -m hlab.cli`` would be a second entry: no os._exit, a crash exiting 1
     assert [path.name for path in SRC.glob("*.py") if _main_guards(path)] == ["__main__.py"]
 
 

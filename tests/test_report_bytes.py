@@ -254,7 +254,7 @@ DIGESTS = {
     "extra positional": "9ae19613e5e1bb1b67ea1b9898d691cb83902592190bc5c842baf65341cce068",
     "positional not offered": "3858903bce0a68f8501e076014a69d920bea587c94423f3d9c304d3bd3c9e06a",
     "fixture cp 2": "636f67d0440bef3ab38a5cc0e17628dd992c40bf6385bf7a3defb8fa8a247c58",
-    "verify": "844a84acd1b71e2c885a50d463b47ebd54d6e6a7e342b5a5ef9d0fbe6ade7659",
+    "verify": "a3100b4038bc483bd2916238981a016cc0a386026ccdc1d6f764a1836d0a0929",
     "no document": "b23a11f04018dccdb8ddf04a81da894dc605f23bd5c6be492d536c81292e25c1",
     "gammas and a document": "a5496bb748cf42aa558cdb50c55806f60e4f95ff845d8cc66d4bf083ebc710a6",
     "lefschetz-check --n 0": "8112f2542749c94b968e1ef612ac589a06d97b64d9f999233eceaf886c5af623",

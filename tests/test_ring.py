@@ -15,6 +15,7 @@ from hlab.ring import (
     elementary_from_power_sums,
     exp,
     genus_product,
+    linear_combination,
     log,
     power_sums_from_elementary,
     todd_series,
@@ -494,3 +495,44 @@ def test_atoms_are_canonical_and_heavy_generators_vanish():
         k = spec.constant(q)
         _assert_canonical(k)
         assert k.constant_term() == q and k == q and (k.den, k.is_zero()) == (F(q).denominator, not q)
+
+
+# -- the one-pass sum kernel -----------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["h-T6", "uvw-T5", "abc-T7"])
+def test_linear_combination_equals_the_chained_sum(spec):
+    rng = random.Random(3801)
+    for _ in range(40):
+        xs = [_draw(rng, spec)[0] for _ in range(rng.randint(0, 6))]
+        cs = [rng.choice(SCALARS + [rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12))]) for _ in xs]
+        if xs and rng.random() < 0.3:  # a term and its negative: they cancel
+            xs.append(xs[0])
+            cs.append(-cs[0])
+        chained = spec.zero()
+        for x, c in zip(xs, cs):
+            chained = chained + x * c
+        combined = linear_combination(spec, zip(xs, cs))
+        _assert_canonical(combined)
+        assert combined == chained
+
+
+def test_linear_combination_edge_terms(surf):
+    c1, c2 = surf.gen("c1"), surf.gen("c2")
+    x = c1 * F(3, 4) + c2 * F(-5, 6) + 2
+    assert linear_combination(surf, []) == surf.zero()
+    assert linear_combination(surf, [(x, 0), (c1, F(0))]).is_zero()
+    assert linear_combination(surf, [(x, 1), (x, -1)]).is_zero()
+    assert linear_combination(surf, [(x, F(1, 3)), (x, F(2, 3))]) == x
+    assert linear_combination(surf, [(x, F(4, 3)), (c1, -1), (surf.one(), F(-8, 3))]) == c2 * F(-10, 9)
+    third = linear_combination(surf, [(c1, F(1, 6)), (c1, F(1, 6))])
+    _assert_canonical(third)
+    assert (third.den, third.parts) == (3, {1: {(1, 0): 1}})
+
+
+def test_linear_combination_checks_the_ring(surf, hring):
+    with pytest.raises(SpecMismatch):
+        linear_combination(surf, [(surf.gen("c1"), 1), (hring.gen("h"), 1)])
+    # an equal ring built apart is the same ring
+    twin = RingSpec((("c1", 1), ("c2", 2)), 2)
+    assert linear_combination(surf, [(twin.gen("c1"), 2)]) == surf.gen("c1") * 2

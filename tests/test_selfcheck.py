@@ -84,7 +84,8 @@ raise SystemExit(main(["verify"]))
 # check.  An ``enclose`` that stops at 64 times its width passes the other
 # Hermitian checks, whose good float guesses end the search before it
 # bisects; an ``inertia_signs`` whose zero-pivot congruence always takes
-# u = +1 or +i leaves the cancelling pivot at 0.
+# u = +1 or +i leaves the cancelling pivot at 0.  The Chern-inequality
+# right side summed from p = j + 1 fails the hockey-stick check alone.
 MUTANT = """
 import sys
 from pathlib import Path
@@ -107,6 +108,10 @@ MUTANTS = {
     "zero-pivot sign": (
         "hermitian", "sign = 1 if 2 * p + m else -1", "sign = 1", "inertia signs on zero-pivot families",
     ),
+    "inequality from j + 1": (
+        "genus", "for p in range(j, n + 1)", "for p in range(j + 1, n + 1)",
+        "chern inequality right side vs hockey stick",
+    ),
 }
 
 
@@ -121,7 +126,7 @@ def test_verify_reports_injected_fault_under_optimize():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  todd series bernoulli values" in proc.stdout
     assert "PASS  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
-    assert "21/22 checks passed" in proc.stdout
+    assert "22/23 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_cp_document_hlab_fixture_prints():
@@ -129,14 +134,14 @@ def test_verify_checks_the_cp_document_hlab_fixture_prints():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  projective space genus suite" in proc.stdout
     assert "FAIL  hilbert polynomial consistency" in proc.stdout
-    assert "20/22 checks passed" in proc.stdout
+    assert "21/23 checks passed" in proc.stdout
 
 
 def test_verify_checks_the_line_bundle_eigenvalue_path():
     proc = _verify(SHIFTED_EIGENVALUES)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  line-bundle norm: eigenvalues vs blocks" in proc.stdout
-    assert "21/22 checks passed" in proc.stdout
+    assert "22/23 checks passed" in proc.stdout
 
 
 @pytest.mark.parametrize("script", [DROPPED_CROSSING_SIGN, NEGATED_STAR_PHASES], ids=["wedge sign", "star phases"])
@@ -144,7 +149,7 @@ def test_verify_holds_the_sign_conventions_to_its_own_rule(script):
     proc = _verify(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  lefschetz-check sign and star tables vs sorting signs" in proc.stdout
-    assert "21/22 checks passed" in proc.stdout
+    assert "22/23 checks passed" in proc.stdout
 
 
 @pytest.mark.parametrize("module,old,new,check", list(MUTANTS.values()), ids=list(MUTANTS))
@@ -155,7 +160,7 @@ def test_verify_catches_the_mutant(module, old, new, check):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert f"FAIL  {check}" in proc.stdout
-    assert "21/22 checks passed" in proc.stdout
+    assert "22/23 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
