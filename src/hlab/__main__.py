@@ -4,6 +4,13 @@
 escapes ``cli.main`` is a bug: its traceback goes to stderr and the exit
 code is 4, a code no other failure uses.
 
+``run`` turns the cyclic garbage collector off before it imports
+``hlab.cli``, so neither the compiles nor the arithmetic of a job run a
+collection.  hlab's values are acyclic (records, tuples, and dicts of ints
+and Fractions), so reference counting frees them, and the process ends at
+``os._exit`` below.  Importing this module, or calling ``cli.main``
+in-process, leaves the collector as it found it.
+
 Once the report is written, ``run`` flushes stdout and stderr and ends the
 process with ``os._exit``: the interpreter's teardown (module cleanup and
 the collections of every object the OS frees anyway) is skipped.  hlab
@@ -16,17 +23,20 @@ reports the failure as it always has (exit 120).  Only the process entry
 exits this way; ``cli.main`` called in-process returns.
 """
 
+import gc
 import os
 import sys
-
-from .cli import main
 
 CRASH = 4
 
 
 def run() -> int:
-    """Run the command of ``sys.argv`` and exit with its code once stdout
-    and stderr are flushed; return the code if they cannot be."""
+    """Run the command of ``sys.argv`` with the cyclic collector off, and
+    exit with its code once stdout and stderr are flushed; return the code
+    if they cannot be."""
+    gc.disable()
+    from .cli import main
+
     try:
         code = main()
     except Exception:

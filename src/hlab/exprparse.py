@@ -1,5 +1,11 @@
 """Recursive-descent parser for ring-element expressions.
 
+A document's text in the form the ring prints (``str`` of an element,
+``RingSpec.monomial_name`` of a key) is read by the ring itself
+(``RingSpec.read_element``, ``RingSpec.read_monomial``), which gives the
+value this parser would give, with no warning; this module loads only for
+other text, and every error, warning and cap below is its own.
+
 Grammar (usual precedence, ^ binds tightest and is right-associative):
 
     expr   := term (('+' | '-') term)*

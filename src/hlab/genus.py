@@ -360,7 +360,10 @@ def chern_inequality_check(ks: Sequence[Fraction], j: int) -> tuple[bool, Fracti
 def read_ring_sections(tree: dict, doc: InputDocument):
     """Read the ring of a document that has one into ``doc.spec``, and with
     it the fundamental class, ``doc.manifold``, ``doc.bundle`` and
-    ``doc.line_bundle`` that the document gives."""
+    ``doc.line_bundle`` that the document gives.  A key or a Chern class in
+    the form the ring prints is read by the ring (``read_monomial``,
+    ``read_element``); only other text loads and runs the expression
+    parser, so its errors and warnings are unchanged."""
     from .inputdoc import _object
 
     if "manifold" in tree and "fundamental_class" not in tree:
@@ -376,12 +379,13 @@ def read_ring_sections(tree: dict, doc: InputDocument):
     with _at("ring.generators"):
         doc.spec = spec = RingSpec(tuple(gens), dim)
     if "fundamental_class" in tree:
-        from .exprparse import parse_monomial_key
-
         table = {}
         for key, value in _object(tree["fundamental_class"], "fundamental_class").items():
             with _at(f"fundamental_class.{key}"):
-                exps = parse_monomial_key(key, spec)
+                if (exps := spec.read_monomial(key)) is None:
+                    from .exprparse import parse_monomial_key
+
+                    exps = parse_monomial_key(key, spec)
                 if exps in table:
                     raise DocumentError(f"fundamental_class.{key} repeats the monomial of another key")
                 table[exps] = parse_rational(value)
@@ -414,7 +418,6 @@ def _chern_index(key: str) -> int:
 def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0) -> list:
     """[c_1, c_2, ...] from {"c<i>": expression}, 1 <= i <= count, through the
     highest nonzero class given and at least ``length`` long; omitted classes are 0."""
-    from .exprparse import parse_expression
     from .inputdoc import _object
 
     given = {}
@@ -424,7 +427,11 @@ def _chern_classes(node, spec: RingSpec, count: int, path: str, length: int = 0)
         if not isinstance(value, str):
             raise DocumentError(f"{path}.{key} must be an expression string, got {_show(value)}")
         with _at(f"{path}.{key}"):
-            given[i] = parse_expression(value, spec)
+            if (c := spec.read_element(value)) is None:
+                from .exprparse import parse_expression
+
+                c = parse_expression(value, spec)
+            given[i] = c
     top = max([length, *(i for i, c in given.items() if not c.is_zero())])
     return [given.get(i, spec.zero()) for i in range(1, top + 1)]
 

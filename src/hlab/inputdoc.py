@@ -13,8 +13,11 @@ error for every command: a :class:`DocumentError` naming the JSON path at
 fault.  A rational is a JSON int or a "p/q" string and an integer field a
 JSON int or a decimal string, so no float ever enters the pipeline.  Those
 literal rules live in ``hlab.literals``, shared with the command-line
-flags; the expression parser (``exprparse``) and each section's engine load
-only where a section needs them.  ``hlab.bounds.bound_input`` alone decides
+flags.  Each section's engine loads only where a section needs it, and the
+expression parser (``exprparse``) only for an expression or a
+``fundamental_class`` key outside the form the ring prints, which the
+ring's own readers (``RingSpec.read_element``, ``RingSpec.read_monomial``)
+take without it.  ``hlab.bounds.bound_input`` alone decides
 where each bound input comes from.  An expression truncated at the ring's
 dimension emits the parser's ``TruncationWarning`` to the caller as an
 ordinary Python warning; the command line records it in the report.

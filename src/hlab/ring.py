@@ -9,6 +9,7 @@ the cup product on cohomology with all relations above degree 2n collapsed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
@@ -100,6 +101,56 @@ class RingSpec(Record):
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
+    # the generators that an expression can name: ASCII identifiers
+    @cached_property
+    def _ascii_index(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.names) if n.isascii() and n.isidentifier()}
+
+    def read_monomial(self, text: str) -> tuple[int, ...] | None:
+        """The inverse of :meth:`monomial_name`: the exponent tuple of "1" or
+        of ``name`` and ``name^k`` factors joined by "*" (each generator at
+        most once, k of one to three digits with no leading 0), if its
+        weight is at most the truncation; None for any other text."""
+        exps = [0] * len(self.generators)
+        for factor in [] if text == "1" else text.split("*"):
+            name, caret, power = factor.partition("^")
+            i, k = self._ascii_index.get(name), _numeral(power) if caret else 1
+            # k < 1000 stays under the parser's coefficient-bit cap on a power
+            if i is None or exps[i] or not k or power[:1] == "0" or len(power) > 3:
+                return None
+            exps[i] = k
+        return tuple(exps) if self.weight_of(exps) <= self.truncation else None
+
+    def read_element(self, text: str) -> GradedElement | None:
+        """The inverse of ``str`` on elements: terms ``c*m``, ``m`` or ``c``
+        (c an integer or p/q with q nonzero, m a monomial that
+        :meth:`read_monomial` reads) joined by " + " and " - ", the first
+        term maybe led by "-"; None for any other text, which is left to
+        the expression parser."""
+        words, terms = ("- " + text[1:] if text[:1] == "-" else "+ " + text).split(" "), []
+        if len(words) % 2 or not {*words[::2]} <= {"+", "-"}:
+            return None
+        for op, term in zip(words[::2], words[1::2]):
+            head, star, mono = term.partition("*")
+            num, slash, den = head.partition("/")
+            a, d = _numeral(num), _numeral(den) if slash else 1
+            if a is None:  # no coefficient
+                a, d, mono = 1, 1, term
+            elif not star:  # a constant
+                mono = "1"
+            if not d or (exps := self.read_monomial(mono)) is None:
+                return None
+            terms.append(({self.weight_of(exps): {exps: a}} if a else {}, 1 if op == "+" else -1, d))
+        return _sum(self, terms)
+
+
+def _numeral(text: str) -> int | None:
+    """The value of a run of ASCII digits shorter than the least digit limit
+    the interpreter admits (``sys.int_info.str_digits_check_threshold``, 640),
+    or None."""
+    short = len(text) < sys.int_info.str_digits_check_threshold
+    return int(text) if short and text.isascii() and text.isdigit() else None
+
 
 def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den: int) -> "GradedElement":
     """``parts / den`` (no zero numerator, no empty part, den > 0), reduced."""
@@ -114,8 +165,9 @@ def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den
 def _sum(spec: RingSpec, terms: Sequence) -> "GradedElement":
     """The sum of ``(parts, a, d)`` triples, each worth ``a * parts / d``:
     merged over the lcm of the denominators, zeros dropped, reduced once.
-    The one sum kernel: :meth:`RingSpec.element`, the sums of the
-    expression parser and :func:`linear_combination` (so ``+``) end here."""
+    The one sum kernel: :meth:`RingSpec.element`, :meth:`RingSpec.read_element`,
+    the sums of the expression parser and :func:`linear_combination` (so
+    ``+``) end here."""
     den, acc = lcm(*(d for _, _, d in terms)), {}
     for parts, a, d in terms:
         if not (s := a * (den // d)):

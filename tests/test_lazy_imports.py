@@ -7,8 +7,9 @@ no other command's handler, and the help texts (``helptext``) load only
 for ``--help`` and for the usage error of a missing subcommand.
 ``hlab fixture`` loads its own module (``fixturedoc``) and no document
 reader.  A command that reads a document loads the document reader
-(``inputdoc``), and with a ring section the expression parser
-(``exprparse``) and the ring-side readers of ``genus``.  Each command
+(``inputdoc``), and with a ring section the ring-side readers of
+``genus``; the expression parser (``exprparse``) loads only for an
+expression or a key outside the form the ring prints.  Each command
 imports the engine it runs: the HRR engine (``ring``, ``genus``,
 ``qpoly``), the bound evaluators (``bounds``), ``diagonal`` (whose
 ``commutator_norm`` imports the certificate a curvature takes), the integer
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import HLAB_ENV, write_doc
+from conftest import HLAB_ENV, run_hlab, write_doc
 
 import hlab
 from hlab.fixturedoc import cp_fixture
@@ -54,14 +55,15 @@ ENGINES = {
     )
 }
 # The hlab modules a command loads: the flag rules, the document reader if it
-# reads a document (with the expression parser if the document has
-# expressions), plus its engine and the value records.
+# reads a document (with the expression parser if the document has an
+# expression or a key outside the ring's printed form), plus its engine and
+# the value records.
 FLAGS = {f"hlab.{m}" for m in ("cli", "errors", "literals")}
 FIXTURE = FLAGS | {"hlab.fixturedoc"}
 HELP = FLAGS | {"hlab.helptext"}
 READER = FLAGS | {"hlab.inputdoc"}
-BOUNDARY = READER | {"hlab.exprparse"}
-HRR = BOUNDARY | {"hlab.ring", "hlab.genus", "hlab.qpoly", "hlab.record"}
+HRR = READER | {"hlab.ring", "hlab.genus", "hlab.qpoly", "hlab.record"}
+PARSED = HRR | {"hlab.exprparse"}  # HRR on a document outside the printed form
 BOUNDS = {"hlab.bounds"}
 DIAGONAL = FLAGS | {"hlab.diagonal", "hlab.record"}
 # lefschetz-check: the space rule is a flag rule, the certificates are integer ones
@@ -131,6 +133,26 @@ def test_hrr_and_bounds_commands_skip_the_operator_engine(cp2_file, argv):
     code, modules = _loaded(PROBE, *argv, "--input", cp2_file)
     assert code == (1 if argv[-1] == "etheta" else 0)  # E_theta's hypotheses fail on this document
     assert _hlab(modules) == (HRR | BOUNDS if argv[0] == "bounds" else HRR)
+
+
+# c_2(X) of CP^2 and c_2(E) of a rank-2 bundle written outside the form the
+# ring prints, and their canonical twins
+TWINS = [("3 * h^2", "(h + h)*h"), ("3*h^2", "2*h^2")]
+
+
+def test_only_a_document_outside_the_printed_form_loads_the_parser(tmp_path):
+    reports = []
+    for c2x, c2e in TWINS:
+        tree = cp_fixture(2)
+        tree["manifold"]["chern"]["c2"] = c2x
+        tree["bundle"] = {"rank": 2, "chern": {"c1": "h", "c2": c2e}}
+        path = write_doc(tmp_path, tree, f"{len(reports)}.json")
+        code, modules = _loaded(PROBE, "genus", "--input", path)
+        assert code == 0
+        assert _hlab(modules) == (HRR if reports else PARSED)
+        report = json.loads(run_hlab(["genus", "--input", path, "--output", "machine"])[1])
+        reports.append({**report, "inputs_digest": None})
+    assert reports[0] == reports[1]
 
 
 def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
@@ -302,15 +324,16 @@ CODE_NODES = [
     ("import hlab.cli", FLAGS, 2328),
     ("fixture", FIXTURE, 2558),
     ("--help and the missing subcommand", HELP, 2575),
-    ("genus kcoeffs hilbert ineq", HRR, 13760),
-    ("bounds", HRR | BOUNDS, 17236),
+    ("genus kcoeffs hilbert ineq", HRR, 12623),
+    ("genus on a document outside the printed form", PARSED, 14301),
+    ("bounds", HRR | BOUNDS, 16099),
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8679),
     ("commutator --gammas", DIAGONAL, 3938),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
     ("lefschetz-check", SL2, 4765),
     ("commutator --input HERMITIAN", RANK_R, 9700),
     ("commutator --input LINE", LINE_BUNDLE, 8536),
-    ("verify", VERIFY, 31630),
+    ("verify", VERIFY, 30493),
 ]
 
 

@@ -4,6 +4,7 @@ process it runs in, so it is only ever called in a fresh interpreter, never
 in this one."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -76,6 +77,51 @@ def test_fresh_process_ends_at_os_exit():
 
 def test_importing_the_entry_runs_no_command():
     assert run_python("-c", "import hlab.__main__") == (0, "", "")
+
+
+# Run hlab as ``python -m hlab`` does, and report on stderr, when ``os._exit``
+# is called, whether the cyclic collector was on when ``hlab.cli`` was first
+# looked up, and whether it is on at exit.
+GC_PROBE = """
+import gc, json, os, runpy, sys
+at_cli = []
+class Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "hlab.cli":
+            at_cli.append(gc.isenabled())
+sys.meta_path.insert(0, Spy)
+exit_now = os._exit
+def probed_exit(code):
+    print(json.dumps({"at_cli": at_cli, "at_exit": gc.isenabled()}), file=sys.stderr, flush=True)
+    exit_now(code)
+os._exit = probed_exit
+runpy.run_module("hlab", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [("fixture", "cp", "1"), ("genus", "--input", "DOC")], ids=" ".join)
+def test_fresh_process_runs_without_the_cyclic_collector(cp2_file, argv):
+    # hlab's values are acyclic: the compiles and the arithmetic of a job run
+    # no collection, and the process ends at os._exit
+    code, out, err = run_python("-c", GC_PROBE, *(cp2_file if a == "DOC" else a for a in argv))
+    assert code == 0 and out
+    assert json.loads(err) == {"at_cli": [False], "at_exit": False}
+
+
+def test_importing_the_entry_leaves_the_collector_on():
+    assert run_python("-c", "import gc, hlab.__main__; print(gc.isenabled())") == (0, "True\n", "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_in_process_main_leaves_the_collector_as_it_found_it(cp2_file, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run_hlab(["genus", "--input", cp2_file])[0] == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # one job per exit code of cli.main; "DOC" stands for the CP^2 document
