@@ -4,7 +4,8 @@
 
 One command table (``build_parser``) gives each subcommand its handler,
 help line, typed flags and positionals.  A flag is spelled in full, at most
-once, as ``--flag value`` or ``--flag=value``; ``--help`` lists them.
+once, as ``--flag value`` or ``--flag=value`` with a nonempty value;
+``--help`` lists them.
 
 Every command with ``--output`` reports through one path: its handler
 returns its inputs and an ordered dict of results, and ``_run`` runs it under
@@ -187,7 +188,9 @@ def _parse(table: dict, argv: list):
             raise DocumentError(f"{flag} is not a flag of {name}: its flags are {', '.join(flags) or 'none'}")
         if flag in values:
             raise DocumentError(f"{flag} is given twice")
-        if not eq and (text := next(tokens, None)) is None:
+        if not eq:
+            text = next(tokens, "")
+        if not text:
             raise DocumentError(f"{flag} needs a value")
         values[flag] = _value(flag, flags[flag][0], text)
     for flag, (_, default) in flags.items():

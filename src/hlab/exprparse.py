@@ -19,21 +19,18 @@ rational constant (so literals like 1/2 work); '^' takes a nonnegative
 integer exponent.  Unknown generator names, other characters and syntax
 errors are reported with their character position.
 
-Values are computed in the target ring itself: its truncation is the
-quotient by the monomials of weight above T, which commutes with every
-operation here.  A product of integer literals, generators and their powers
-is one :class:`_Monomial`, an integer numerator and denominator times one
-exponent tuple, which takes no ring arithmetic; a sum merges the parts of
-its terms over one denominator in one pass.  Only a parenthesised
-sub-expression, and a product or power that has one, takes the ring's
-arithmetic.  A syntactic weight bound rides along with each value: a
-product or power whose bound exceeds max(WEIGHT_CAP, T) is rejected before
-any arithmetic, and one warning per parse fires when the whole bound
-exceeds T.  Coefficients are capped too, at the bit size of an integer with
-as many digits as the interpreter converts to text
-(``sys.get_int_max_str_digits()``): a power ``a^k`` is rejected before it
-is computed when k times the largest numerator or denominator bit length in
-``a`` exceeds that size, and a product when its result does.
+Values are computed in the target ring itself, with its public arithmetic
+only: its truncation is the quotient by the monomials of weight above T,
+which commutes with every operation here, and a sum is one
+:func:`~hlab.ring.linear_combination` of its terms.  A syntactic weight
+bound rides along with each value: a product or power whose bound exceeds
+max(WEIGHT_CAP, T) is rejected before any arithmetic, and one warning per
+parse fires when the whole bound exceeds T.  Coefficients are capped too,
+at the bit size of an integer with as many digits as the interpreter
+converts to text (``sys.get_int_max_str_digits()``): a power ``a^k`` is
+rejected before it is computed when k times the largest numerator or
+denominator bit length in ``a`` exceeds that size, and a product when its
+result does.
 """
 
 from __future__ import annotations
@@ -42,16 +39,14 @@ import re
 import sys
 import warnings
 from functools import lru_cache
-from math import gcd
-from operator import add
 from typing import TYPE_CHECKING
 
 from .errors import ExprError
 from .literals import parse_rational  # noqa: F401 - re-exported: its home is literals
-from .ring import GradedElement, _sum
+from .ring import linear_combination
 
 if TYPE_CHECKING:
-    from .ring import RingSpec
+    from .ring import GradedElement, RingSpec
 
 # expressions whose syntactic weight bound exceeds this are rejected
 # before any arithmetic is attempted
@@ -87,36 +82,7 @@ def _bit_size(digits: int) -> int:
 
 def _coefficient_bits(value) -> int:
     """The largest numerator or denominator bit length among the coefficients."""
-    den = value.den
-    return max(
-        (max((v // g).bit_length(), (den // g).bit_length()) for part in value.parts.values() for v in part.values()
-         if (g := gcd(v, den))),
-        default=0,
-    )
-
-
-class _Monomial(GradedElement):
-    """num/den times the monomial ``exps`` of that weight, in lowest terms,
-    or 0 above the truncation: a GradedElement whose products and powers
-    with other monomials, and negation, take no ring arithmetic."""
-
-    def __init__(self, spec, num, den, exps, weight):
-        num *= weight <= spec.truncation  # 0 above the truncation
-        g = gcd(num, den)
-        self.spec, self.num, self.den, self.exps, self.weight = spec, num // g, den // g, exps, weight
-        self.parts = {weight: {exps: num // g}} if num else {}
-
-    def __mul__(self, other):
-        if not isinstance(other, _Monomial):
-            return super().__mul__(other)
-        exps = tuple(map(add, self.exps, other.exps))
-        return _Monomial(self.spec, self.num * other.num, self.den * other.den, exps, self.weight + other.weight)
-
-    def __neg__(self):
-        return _Monomial(self.spec, -self.num, self.den, self.exps, self.weight)
-
-    def __pow__(self, k):
-        return _Monomial(self.spec, self.num**k, self.den**k, tuple(e * k for e in self.exps), self.weight * k)
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in value.terms.values()), default=0)
 
 
 class _Parser:
@@ -131,7 +97,6 @@ class _Parser:
         self.max_bits = _bit_size(sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits)
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.zeros = (0,) * len(spec.generators)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -165,15 +130,15 @@ class _Parser:
         return value, bound
 
     def expr(self):
-        """A sum: the parts of its terms merged over one denominator."""
+        """A sum: one linear combination of its terms."""
         value, bound = self.term()
-        terms = [(value.parts, 1, value.den)]
+        terms = [(value, 1)]
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
             rhs, rbound = self.term()
-            terms.append((rhs.parts, 1 if op == "+" else -1, rhs.den))
+            terms.append((rhs, 1 if op == "+" else -1))
             bound = max(bound, rbound)
-        return _sum(self.spec, terms), bound
+        return linear_combination(self.spec, terms), bound
 
     def term(self):
         value, bound = self.unary()
@@ -186,10 +151,9 @@ class _Parser:
                 self._guard(where, 0, _coefficient_bits(value))
             else:
                 # exact: a bound <= T means nothing of the divisor was truncated
-                if rbound > self.spec.truncation or list(rhs.parts) != [0]:
+                if rbound > self.spec.truncation or rhs.is_zero() or not rhs.is_homogeneous(0):
                     raise ExprError("division is only defined by nonzero rational constants", where, self.src)
-                (p,) = rhs.parts[0].values()  # rhs = p/den: times den/p = den p/p^2
-                value = value * _Monomial(self.spec, rhs.den * p, p * p, self.zeros, 0)
+                value = value / rhs.constant_term()
         return value, bound
 
     def unary(self):
@@ -199,14 +163,13 @@ class _Parser:
             value, bound = self.unary()
             return (-value if text == "-" else value), bound
         if kind == "int":
-            value, bound = _Monomial(self.spec, int(text), 1, self.zeros, 0), 0
+            value, bound = self.spec.constant(int(text)), 0
         elif kind == "name":
             try:
-                i = self.spec.index(text)
+                bound = self.spec.weights[self.spec.index(text)]
             except KeyError:
                 raise ExprError(f"unknown generator {text!r}", where, self.src) from None
-            bound = self.spec.weights[i]
-            value = _Monomial(self.spec, 1, 1, self.zeros[:i] + (1,) + self.zeros[i + 1 :], bound)
+            value = self.spec.gen(text)
         elif text == "(":
             value, bound = self.expr()
             if self.peek()[1] != ")":

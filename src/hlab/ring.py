@@ -165,9 +165,8 @@ def _canonical(spec: RingSpec, parts: dict[int, dict[tuple[int, ...], int]], den
 def _sum(spec: RingSpec, terms: Sequence) -> "GradedElement":
     """The sum of ``(parts, a, d)`` triples, each worth ``a * parts / d``:
     merged over the lcm of the denominators, zeros dropped, reduced once.
-    The one sum kernel: :meth:`RingSpec.element`, :meth:`RingSpec.read_element`,
-    the sums of the expression parser and :func:`linear_combination` (so
-    ``+``) end here."""
+    The one sum kernel: :meth:`RingSpec.element`, :meth:`RingSpec.read_element`
+    and :func:`linear_combination` (so ``+``) end here."""
     den, acc = lcm(*(d for _, _, d in terms)), {}
     for parts, a, d in terms:
         if not (s := a * (den // d)):
@@ -202,8 +201,10 @@ class GradedElement:
 
     ``parts[w]`` maps each exponent tuple of weight w <= spec.truncation to
     a nonzero integer numerator over ``den`` > 0, with gcd 1: one form per
-    value.  The class has no constructor of its own: its ring makes it
-    (``RingSpec.element``, ``zero``, ``one``, ``constant``, ``gen``).
+    value.  The class has no constructor of its own and no subclass: its
+    ring makes it (``RingSpec.element``, ``zero``, ``one``, ``constant``,
+    ``gen``).  Outside this module only ``genus``'s pairing reads ``parts``
+    and ``den``.
     Values are immutable; all arithmetic returns fresh elements.
     """
 

@@ -288,6 +288,9 @@ FLAG_FAULTS = {
     "ineq-j": (("ineq", "--j", "9"), "--j = 9"),
     "bounds-p": (("bounds", "--which", "t5"), "bounds.p = 7"),
     "fixture-out": (("fixture", "cp", "1", "--out", "/nonexistent/dir/x.json"), "--out"),
+    "empty-input": (("genus", "--input="), "--input needs a value"),
+    "empty-input-word": (("genus", "--input", ""), "--input needs a value"),
+    "empty-out": (("fixture", "cp", "1", "--out="), "--out needs a value"),
 }
 
 

@@ -28,6 +28,7 @@ modules eagerly.
 """
 
 import ast
+import builtins
 import hashlib
 import importlib.util
 import json
@@ -36,7 +37,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import HLAB_ENV, run_hlab, write_doc
+from conftest import HLAB_ENV, bench_grid, run_hlab, write_doc
 
 import hlab
 from hlab.fixturedoc import cp_fixture
@@ -153,6 +154,28 @@ def test_only_a_document_outside_the_printed_form_loads_the_parser(tmp_path):
         report = json.loads(run_hlab(["genus", "--input", path, "--output", "machine"])[1])
         reports.append({**report, "inputs_digest": None})
     assert reports[0] == reports[1]
+
+
+# Load the documents of the JSON list at argv[1] in a fresh interpreter; print
+# how many loaded and the modules loaded.
+GRID_PROBE = """
+import json, sys
+from hlab.inputdoc import load_document
+with open(sys.argv[1]) as fh:
+    trees = json.load(fh)
+for tree in trees:
+    load_document(tree)
+print(json.dumps({"code": len(trees), "modules": sorted(sys.modules)}))
+"""
+
+
+def test_no_bench_grid_document_loads_the_parser(tmp_path):
+    # every document of the benchmark's grids is in the form the ring prints,
+    # so reading one compiles no expression parser
+    trees = [tree for seed in (0, 7, 13) for wl in bench_grid(seed).values() for tree in wl.docs.values()]
+    count, modules = _loaded(GRID_PROBE, write_doc(tmp_path, trees, "grids.json"))
+    assert count == len(trees) == 51
+    assert "hlab.genus" in modules and "hlab.exprparse" not in modules
 
 
 def test_bounds_without_manifold_data_load_no_hrr_engine(tmp_path):
@@ -325,7 +348,7 @@ CODE_NODES = [
     ("fixture", FIXTURE, 2558),
     ("--help and the missing subcommand", HELP, 2575),
     ("genus kcoeffs hilbert ineq", HRR, 12623),
-    ("genus on a document outside the printed form", PARSED, 14301),
+    ("genus on a document outside the printed form", PARSED, 13902),
     ("bounds", HRR | BOUNDS, 16099),
     ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8679),
     ("commutator --gammas", DIAGONAL, 3938),
@@ -358,6 +381,22 @@ def test_diagonal_names_no_complex_scalars():
             names.update((node.module or "").split("."))
         names.update(getattr(node, field, None) for field in ("id", "attr", "name", "asname"))
     found = sorted(name for name in names - {None} if name == "gaussian" or name.startswith("CQ"))
+    assert not found, found
+
+
+def test_parser_uses_the_rings_public_api_only():
+    # the expression parser builds its values with the ring's public
+    # arithmetic: it imports no private ring name, reads no field of the
+    # element representation and subclasses no ring type
+    tree = ast.parse((Path(hlab.__file__).parent / "exprparse.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "ring":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("parts", "den"):
+            found.append(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            found += [ast.unparse(base) for base in node.bases if getattr(base, "id", None) not in dir(builtins)]
     assert not found, found
 
 
