@@ -3,7 +3,10 @@ exact integralization, diagonal curvature gammas, Hermitian curvature,
 generic or with a closed-form commutator norm, and Hermitian matrices whose
 inertia is known, built to drive the zero pivots of the inertia kernel; and
 the one conversion of diagonal curvature to Hermitian
-(:func:`as_hermitian`), which no command runs.
+(:func:`as_hermitian`), which no command runs.  The Hermitian draws are
+Gaussian-rational ``CQ`` matrices; :func:`gaussian_integers` converts one,
+once, to the integers over a scale that the record and the certificates
+read.
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -239,14 +242,22 @@ def cancelling_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tu
     return _congruent(P, B), (sum(e > 0 for e in signs), sum(e < 0 for e in signs), signs.count(0))
 
 
+def gaussian_integers(H: list[list[CQ]]) -> tuple:
+    """The matrix (scale, re, im) of ``hlab.hermitian`` that H is: integers
+    with H = (re + i im) / scale over the least common scale.  The one
+    conversion of a drawn matrix to the form the Hermitian certificates read."""
+    scale = lcm(*(v.d for row in H for v in row))
+    return scale, [[v.a * (scale // v.d) for v in row] for row in H], [[v.b * (scale // v.d) for v in row] for row in H]
+
+
 def _curvature(H: list[list[CQ]], n: int, r: int) -> HermitianCurvature:
     """The curvature whose (nr x nr) matrix is H: theta[j][k][a][b] = H[j r + a][k r + b]."""
+    scale, re, im = gaussian_integers(H)
+    pairs = [list(zip(*rows)) for rows in zip(re, im)]
     return HermitianCurvature(
         tuple(
-            tuple(
-                tuple(tuple(H[j * r + a][k * r + b] for b in range(r)) for a in range(r))
-                for k in range(n)
-            )
+            tuple(tuple(tuple(pairs[j * r + a][k * r + b] for b in range(r)) for a in range(r)) for k in range(n))
             for j in range(n)
-        )
+        ),
+        scale,
     )

@@ -1,8 +1,11 @@
-"""Exact Gaussian rationals Q(i): the scalars of Hermitian curvature and of
-the operator engine's matrices.
+"""Exact Gaussian rationals Q(i): the scalars of the operator engine's
+matrices (``hlab.lefschetz``, a test oracle) and of the seeded Hermitian
+draws of ``hlab.fixtures``.
 
-Apart from the engines that use them, so reading a Hermitian curvature or
-taking its line-bundle norm loads no operator engine.
+No command loads it: Hermitian curvature, its bidegree blocks and their
+certificates hold Gaussian integers over one scale (``hlab.hermitian``),
+and the fixtures convert a drawn matrix to that form once, when they build
+the record.
 """
 
 from __future__ import annotations

@@ -2,6 +2,10 @@
 its spectra, the search that encloses a value from it, and the float
 eigenvalues that propose where to look.
 
+From the document to the certificate, theta and every matrix built from it
+are Gaussian integers over one positive scale: a matrix is the triple
+(scale, re, im) of (re + i im) / scale, with re and im integer matrices.
+
 Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
 :func:`hermitian_norm` chooses between them for
 ``hlab.diagonal.commutator_norm``.  Each C_{p,q} enclosure is at most
@@ -13,12 +17,12 @@ record it feeds.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, product
 from math import comb, copysign, isfinite, lcm, nan, sqrt
 from typing import Iterator, Union
 
 from .diagonal import DiagonalCurvature
 from .errors import CertificateError, DocumentError
-from .gaussian import CQ, _as_cq
 from .literals import _at, _rational, _rationals, check_space
 from .record import Record
 
@@ -27,10 +31,10 @@ MAX_HERMITIAN_BLOCK = 100  # r >= 2: Bareiss (hlab.blocks) costs the cube of the
 
 
 def read_theta(node, path: str, depth: int = 3):
-    """The theta array of an input document as nested tuples of complex
-    entries; every level above the entries must be a JSON list
-    (theta[j][k][a][b] has depth 3 above its entries).  It lives next to
-    the record it feeds, so a document without one compiles no reader."""
+    """The theta array of an input document as nested tuples of exact
+    (re, im) rational entries; every level above the entries must be a JSON
+    list (theta[j][k][a][b] has depth 3 above its entries).  It lives next
+    to the record it feeds, so a document without one compiles no reader."""
     if not isinstance(node, list):
         raise DocumentError(f"{path} must be an n x n array of r x r matrices (nested JSON lists)")
     if depth > 0:
@@ -38,7 +42,7 @@ def read_theta(node, path: str, depth: int = 3):
     if any(isinstance(x, list) and len(x) != 2 for x in node):
         raise DocumentError(f"{path}: a complex entry is a rational or [re, im]")
     return tuple(
-        CQ(*_rationals(x, f"{path}[{i}]")) if isinstance(x, list) else CQ(_rational(x, f"{path}[{i}]"))
+        _rationals(x, f"{path}[{i}]") if isinstance(x, list) else (_rational(x, f"{path}[{i}]"), 0)
         for i, x in enumerate(node)
     )
 
@@ -68,41 +72,49 @@ def hermitian_norm(spec: HermitianCurvature):
 class HermitianCurvature(Record):
     """iTheta(E) = i sum_{j,k} theta[j][k] xi_j ^ xibar_k, theta[j][k] r x r.
 
-    Hermitian symmetry theta[j][k] = theta[k][j]^dagger is validated.  For
-    r >= 2 the largest bidegree block, of dimension r C(n, n/2)^2, is at
-    most MAX_HERMITIAN_BLOCK; a line bundle's norm builds no block.
+    Built from exact entries, each a rational or an (re, im) pair of
+    rationals, all divided by ``scale`` (a nonzero rational, 1 by default),
+    it holds them as Gaussian integers over their least common scale:
+    theta[j][k][a][b] is the pair (x, y) of the entry (x + i y) / scale.
+    Hermitian symmetry theta[j][k] = theta[k][j]^dagger is validated on
+    those integers.  For r >= 2 the largest bidegree block, of dimension
+    r C(n, n/2)^2, is at most MAX_HERMITIAN_BLOCK; a line bundle's norm
+    builds no block.
     """
 
-    theta: tuple[tuple[tuple[tuple[CQ, ...], ...], ...], ...]
+    theta: tuple[tuple[tuple[tuple[tuple[int, int], ...], ...], ...], ...]
+    scale: int = 1
 
     def __post_init__(self):
-        theta = tuple(
-            tuple(
-                tuple(tuple(_as_cq(x) for x in row) for row in mat) for mat in line
-            )
-            for line in self.theta
-        )
-        object.__setattr__(self, "theta", theta)
-        n = len(theta)
-        r = len(theta[0][0]) if n and theta[0] else 0
+        n = len(self.theta)
+        r = len(self.theta[0][0]) if n and self.theta[0] else 0
         check_space(n, r)
         if r >= 2 and (block := r * comb(n, n // 2) ** 2) > MAX_HERMITIAN_BLOCK:
             raise ValueError(
                 f"the largest bidegree block has dimension {r} C({n}, {n // 2})^2 = {block} > {MAX_HERMITIAN_BLOCK}"
             )
-        if any(len(line) != n for line in theta) or any(
-            len(mat) != r or any(len(row) != r for row in mat) for line in theta for mat in line
+        if any(len(line) != n for line in self.theta) or any(
+            len(mat) != r or any(len(row) != r for row in mat) for line in self.theta for mat in line
         ):
             raise ValueError("theta must be an n x n array of r x r fiber matrices")
-        for j in range(n):
-            for k in range(n):
-                mat = theta[j][k]
-                for a in range(r):
-                    for b in range(r):
-                        if mat[a][b] != theta[k][j][b][a].conj():
-                            raise ValueError(
-                                f"theta[{j}][{k}] is not the adjoint of theta[{k}][{j}]"
-                            )
+        try:  # Fraction(v, scale) refuses every v but an int or a Fraction
+            parts = [
+                Fraction(v, self.scale)
+                for line in self.theta for mat in line for row in mat for x in row
+                for v in (x if isinstance(x, (tuple, list)) and len(x) == 2 else (x, 0))
+            ]
+        except TypeError:
+            raise TypeError("a theta entry is a rational or an (re, im) pair of rationals") from None
+        scale = lcm(*(v.denominator for v in parts))
+        whole = iter([v.numerator * (scale // v.denominator) for v in parts])
+        pairs = zip(whole, whole)
+        theta = tuple(tuple(tuple(tuple(islice(pairs, r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "scale", scale)
+        for j, k, a, b in product(range(n), range(n), range(r), range(r)):
+            x, y = theta[j][k][a][b]
+            if theta[k][j][b][a] != (x, -y):
+                raise ValueError(f"theta[{j}][{k}] is not the adjoint of theta[{k}][{j}]")
 
     @property
     def n(self) -> int:
@@ -116,16 +128,16 @@ class HermitianCurvature(Record):
 CurvatureSpec = Union[DiagonalCurvature, HermitianCurvature]
 
 
-def integer_parts(matrix: list[list[CQ]]) -> tuple:
-    """(scale, re, im, radius): integers with matrix = (re + i im) / scale,
-    and the largest row sum of |re| + |im| over scale, which bounds every
+def integer_parts(matrix: tuple) -> tuple:
+    """(scale, re, im, radius) of the matrix (scale, re, im), certified
+    Hermitian on its integers (re symmetric, im antisymmetric); radius is
+    the largest row sum of |re| + |im| over scale, which bounds every
     eigenvalue's size.  The one Hermitian certificate of both paths."""
-    for i, row in enumerate(matrix):
-        if any(row[j] != matrix[j][i].conj() for j in range(i, len(row))):
-            raise CertificateError("matrix is not Hermitian; convention bug")
-    scale = lcm(*(v.d for row in matrix for v in row))
-    re = [[v.a * (scale // v.d) for v in row] for row in matrix]
-    im = [[v.b * (scale // v.d) for v in row] for row in matrix]
+    scale, re, im = matrix
+    for i, (row_re, row_im) in enumerate(zip(re, im)):
+        for j in range(i, len(row_re)):
+            if row_re[j] != re[j][i] or row_im[j] != -im[j][i]:
+                raise CertificateError("matrix is not Hermitian; convention bug")
     return scale, re, im, Fraction(max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im)), scale)
 
 
@@ -197,13 +209,16 @@ def enclose(compare, guess: float, lo: Fraction, hi: Fraction, width: Fraction) 
     return lo, hi
 
 
-def _float_eigenvalues(block: list[list[CQ]]) -> list[float]:
-    """Eigenvalues of a Hermitian block, by cyclic complex Jacobi in floats
-    (nan when an entry overflows a float).  Only guesses for :func:`enclose`."""
+def _float_eigenvalues(parts: tuple) -> list[float]:
+    """Eigenvalues of the Hermitian matrix of :func:`integer_parts`, by
+    cyclic complex Jacobi in floats (nan when an entry overflows a float).
+    Only guesses for :func:`enclose`.  Each entry is int / int, which is
+    correctly rounded: the float of the exact rational entry."""
+    scale, re, im, _ = parts
     try:
-        A = [[complex(v.a / v.d, v.b / v.d) for v in row] for row in block]
+        A = [[complex(x / scale, y / scale) for x, y in zip(*rows)] for rows in zip(re, im)]
     except OverflowError:
-        return [nan] * len(block)
+        return [nan] * len(re)
     d = len(A)
     for _ in range(50):
         off = sum(abs(A[i][j]) ** 2 for i in range(d) for j in range(i + 1, d))

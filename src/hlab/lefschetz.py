@@ -23,7 +23,8 @@ and ``commutator_norm``, which chooses the certificate of each curvature,
 in ``hlab.diagonal``; both are re-exported here.  The scalars are the
 Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record,
 the one curvature that :func:`curvature_operator` takes, lives in
-``hlab.hermitian``.
+``hlab.hermitian`` and holds theta as Gaussian integers over one scale,
+which :func:`curvature_operator` turns into those scalars.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .diagonal import CommutatorNorm, DiagonalCurvature  # noqa: F401 - Commutat
 from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
 from .literals import check_space
-from .monomials import basis_keys, bidegree, i_power, star_key, wedge_sign
+from .monomials import basis_keys, bidegree, star_key, wedge_sign
 from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
@@ -255,6 +256,11 @@ def op_Lambda(n: int, r: int = 1) -> Operator:
     return op_L(n, r).adjoint()
 
 
+def i_power(k: int) -> CQ:
+    """i^k, the phase of the star's exponent k."""
+    return (CQ_ONE, CQ_I, CQ(-1), CQ(0, -1))[k % 4]
+
+
 @lru_cache(maxsize=None)
 def op_star(n: int, r: int = 1) -> Operator:
     """Hodge star fixed by  u ^ conj(star u) = <u, u> vol  on monomials:
@@ -270,13 +276,15 @@ def op_star(n: int, r: int = 1) -> Operator:
 
 
 def curvature_operator(spec: HermitianCurvature) -> Operator:
-    """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action.
-    A diagonal curvature enters as ``hlab.fixtures.as_hermitian(spec)``."""
+    """Matrix of alpha -> iTheta(E) ^ alpha with the fiber matrix action,
+    each theta entry (x + i y) / scale as a ``CQ``.  A diagonal curvature
+    enters as ``hlab.fixtures.as_hermitian(spec)``."""
+    s = spec.scale
     blocks = [
-        (j, k, mat)
+        (j, k, [[CQ(Fraction(x, s), Fraction(y, s)) for x, y in row] for row in mat])
         for j, line in enumerate(spec.theta)
         for k, mat in enumerate(line)
-        if any(any(row) for row in mat)
+        if any(x or y for row in mat for x, y in row)
     ]
     return _wedge_operator(spec.n, spec.r, blocks)
 

@@ -6,17 +6,14 @@ with J and K bitmasks (index j is bit j - 1), so the keys below r 4^n are
 the whole basis.  The wedge sign is +-1 and the star's phase an exponent of
 i.  The certificates of ``hlab.sl2``, the Hermitian blocks (``hlab.blocks``)
 and the operator engine (``hlab.lefschetz``) all index the basis by these
-keys and take every sign and phase from here; only :func:`i_power` loads
-``hlab.gaussian``.
+keys and take every sign and phase from here, as integers: the blocks turn
+their Gaussian integers by the exponent, and only the operator engine makes
+it a Gaussian rational (``lefschetz.i_power``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .gaussian import CQ
 
 
 def _inversions(a: int, b: int) -> int:
@@ -66,9 +63,3 @@ def star_key(n: int, c: int) -> tuple[int, int]:
     Jc, Kc = J ^ full, K ^ full
     odd = n * (n - 1) // 2 + Jc.bit_count() * Kc.bit_count() + (wedge_sign(J, K, Jc, Kc) < 0)
     return Kc | Jc << n | c >> 2 * n << 2 * n, (2 * odd - n) % 4
-
-
-def i_power(k: int) -> CQ:
-    from .gaussian import CQ
-
-    return CQ(*((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4])

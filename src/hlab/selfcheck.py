@@ -182,12 +182,12 @@ def _check_diagonal_blocks(rng):
         for g in fixtures.gamma_draws(rng, n):
             spec = diagonal.DiagonalCurvature(g)
             theta = fixtures.as_hermitian(spec)
-            norm, total = diagonal.diagonal_norm(spec), sum(g)
+            norm, total, s = diagonal.diagonal_norm(spec), sum(g), theta.scale
             _expect(max(map(abs, g)) <= norm.value, g)
             for (p, q), value in norm.table.items():
                 diag = [total - sum(g[j] for _, j in _factors(n, c)) for c in monomials.basis_keys(n, 1, p, q)]
-                closed = [[x if a == b else 0 for b in range(len(diag))] for a, x in enumerate(diag)]
-                _expect(blocks.commutator_block(theta, p, q) == closed, (g, p, q))
+                closed = [[x * s if a == b else 0 for b in range(len(diag))] for a, x in enumerate(diag)]
+                _expect(blocks.commutator_block(theta, p, q) == (s, closed, [[0] * len(diag)] * len(diag)), (g, p, q))
                 _expect(max(map(abs, diag)) == value, (g, p, q))
 
 
@@ -253,7 +253,7 @@ def _check_zero_pivot_inertia(rng):
     for d in range(2, 7):
         for family in (fixtures.imaginary_hermitian, fixtures.cancelling_hermitian):
             A, (pos, neg, zero) = family(rng, d)
-            parts = hermitian.integer_parts(A)
+            parts = hermitian.integer_parts(fixtures.gaussian_integers(A))
             for s, counts in ((-1, (pos, neg, zero)), (1, (neg, pos, zero))):
                 signs = list(hermitian.inertia_signs(parts, Fraction(0), s))
                 _expect((signs.count(1), signs.count(-1), signs.count(0)) == counts, (family.__name__, d, s, signs))

@@ -1,13 +1,18 @@
 """The bidegree blocks of [Lambda, iTheta(E)] read from theta (``hlab.blocks``):
 they equal the operator engine's blocks, the Hodge star pairs them, and one
-enclosure is certified per pair."""
+enclosure is certified per pair.  Theta and the blocks are Gaussian integers
+over one scale, and both Hermitian checks on them (the record's and the
+certificate's) refuse a fault in the imaginary part alone."""
 
 import random
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hlab.blocks as blocks
+import hlab.hermitian as hermitian
 from hlab.diagonal import commutator_norm
 from hlab.errors import CertificateError
 from hlab.fixtures import generic_curvature, rotated_split_curvature
@@ -27,7 +32,13 @@ def test_blocks_from_theta_equal_the_operator_engine_blocks(n, r):
     for spec in specs:
         T = op_Lambda(n, r).commutator(curvature_operator(spec))
         for (p, q), idxs in get_basis(n, r).by_bidegree.items():
-            assert blocks.commutator_block(spec, p, q) == T.block(idxs, idxs), (p, q)
+            assert _gaussian_rationals(blocks.commutator_block(spec, p, q)) == T.block(idxs, idxs), (p, q)
+
+
+def _gaussian_rationals(block):
+    """The (scale, re, im) block as the operator engine's matrix of ``CQ``."""
+    scale, re, im = block
+    return [[CQ(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(*rows)] for rows in zip(re, im)]
 
 
 def _corrupt(monkeypatch, target):
@@ -38,7 +49,8 @@ def _corrupt(monkeypatch, target):
     def corrupted(spec, p, q):
         block = build(spec, p, q)
         if (p, q) == target:
-            block[0][0] = block[0][0] + CQ(1)
+            scale, re, _ = block
+            re[0][0] += scale
         return block
 
     monkeypatch.setattr(blocks, "commutator_block", corrupted)
@@ -90,3 +102,56 @@ def test_paired_and_symmetric_enclosures_match_certifying_each_block(n, r):
             assert alone.lo <= got.table[(p, q)].hi and got.table[(p, q)].lo <= alone.hi, (p, q)
             if p + q == n:
                 assert blocks._hermitian_norm_enclosure(block, HERMITIAN_WIDTH, symmetric=True) == alone
+
+
+# Matrices that are Hermitian in their real part only: the imaginary part is
+# symmetric, or has a nonzero diagonal entry.
+RE = [[1, 2], [2, 3]]
+NOT_HERMITIAN = {"symmetric Im": [[0, 1], [1, 0]], "Im on the diagonal": [[1, 0], [0, 0]]}
+
+
+def _admitted() -> list[str]:
+    """The matrices of NOT_HERMITIAN that the certificate of
+    ``hlab.hermitian`` or its record lets through; the record reads each as
+    the theta of n = 2, r = 1 and of n = 1, r = 2."""
+    found = []
+    for name, im in NOT_HERMITIAN.items():
+        try:
+            hermitian.integer_parts((1, RE, im))
+            found.append(f"certificate: {name}")
+        except CertificateError:
+            pass
+        entries = [list(zip(row_re, row_im)) for row_re, row_im in zip(RE, im)]
+        for theta in ([[[[z]] for z in row] for row in entries], [[entries]]):
+            try:
+                hermitian.HermitianCurvature(theta)
+                found.append(f"record, r = {len(theta[0][0])}: {name}")
+            except ValueError as exc:
+                assert "is not the adjoint" in str(exc)
+    return found
+
+
+def test_the_hermitian_checks_refuse_a_fault_in_the_imaginary_part():
+    assert _admitted() == []
+
+
+# Planted faults that ``hlab verify`` cannot see, since every matrix it draws
+# is Hermitian: a one-line edit to ``hlab.hermitian``, run in place of the
+# module, that skips the antisymmetry of the imaginary part, in the
+# certificate or in the record.  Each must let an input of the test above
+# through.
+HERMITIAN_FAULTS = {
+    "certificate": ("row_re[j] != re[j][i] or row_im[j] != -im[j][i]", "row_re[j] != re[j][i]"),
+    "record": ("if theta[k][j][b][a] != (x, -y):", "if theta[k][j][b][a][0] != x:"),
+}
+
+
+@pytest.mark.parametrize("old,new", list(HERMITIAN_FAULTS.values()), ids=list(HERMITIAN_FAULTS))
+def test_a_hermitian_check_that_skips_the_imaginary_part_is_caught(monkeypatch, old, new):
+    source = Path(hermitian.__file__).read_text()
+    assert source.count(old) == 1
+    mutant = {"__name__": hermitian.__name__, "__package__": "hlab"}
+    exec(compile(source.replace(old, new), hermitian.__file__, "exec"), mutant)
+    for name in ("integer_parts", "HermitianCurvature"):
+        monkeypatch.setattr(hermitian, name, mutant[name])
+    assert _admitted()

@@ -288,7 +288,7 @@ def test_document_curvature_parsing():
         }
     )
     assert isinstance(herm.curvature, HermitianCurvature)
-    assert herm.curvature.theta[0][1][0][0].im == 1
+    assert herm.curvature.theta[0][1][0][0] == (0, 1) and herm.curvature.scale == 1
     with pytest.raises(DocumentError):
         load_document({"curvature": {}})
 

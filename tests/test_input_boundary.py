@@ -409,7 +409,11 @@ def test_hermitian_line_bundle_n6_runs_without_a_basis(monkeypatch, tmp_path):
 
     monkeypatch.setattr(lefschetz, "get_basis", refuse)
     spec, table = rotated_split_curvature(random.Random(6), 6, 1)
-    theta = [[[[[str(v.re), str(v.im)] for v in row] for row in mat] for mat in line] for line in spec.theta]
+    s = spec.scale
+    theta = [
+        [[[[str(Fraction(x, s)), str(Fraction(y, s))] for x, y in row] for row in mat] for mat in line]
+        for line in spec.theta
+    ]
     doc = write_doc(tmp_path, {"curvature": {"hermitian": {"theta": theta}}}, "curvature.json")
     start = time.perf_counter()
     code, out, err = run_hlab(["commutator", "--input", doc, "--output", "machine"])

@@ -69,13 +69,15 @@ BOUNDS = {"hlab.bounds"}
 DIAGONAL = FLAGS | {"hlab.diagonal", "hlab.record"}
 # lefschetz-check: the space rule is a flag rule, the certificates are integer ones
 SL2 = FLAGS | {"hlab.sl2", "hlab.monomials", "hlab.record"}
-# a Hermitian document: the record and its Gaussian-rational entries; then
-# the eigenvalue path of a line bundle, or the blocks of rank r >= 2
-HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.gaussian", "hlab.record"}
+# a Hermitian document: the record, which holds theta as Gaussian integers
+# over one scale; then the eigenvalue path of a line bundle, or the blocks of
+# rank r >= 2.  No Gaussian rational (``gaussian``) is made on either path.
+HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.record"}
 LINE_BUNDLE = HERMITIAN | {"hlab.linebundle"}
 RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
-# verify: every engine but the operator engine, the CP^n document and the suite itself
-VERIFY = HRR | BOUNDS | SL2 | LINE_BUNDLE | RANK_R | HEAVY | {"hlab.fixturedoc"}
+# verify: every engine but the operator engine, the CP^n document, the suite
+# itself and the Gaussian rationals of its seeded draws
+VERIFY = HRR | BOUNDS | SL2 | LINE_BUNDLE | RANK_R | HEAVY | {"hlab.fixturedoc", "hlab.gaussian"}
 
 # Run one command in a fresh interpreter and print the modules that importing
 # hlab.cli and running the command loaded.
@@ -354,9 +356,9 @@ CODE_NODES = [
     ("commutator --gammas", DIAGONAL, 3938),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
     ("lefschetz-check", SL2, 4765),
-    ("commutator --input HERMITIAN", RANK_R, 9700),
-    ("commutator --input LINE", LINE_BUNDLE, 8536),
-    ("verify", VERIFY, 30493),
+    ("commutator --input HERMITIAN", RANK_R, 8828),
+    ("commutator --input LINE", LINE_BUNDLE, 7645),
+    ("verify", VERIFY, 30861),
 ]
 
 
@@ -370,18 +372,29 @@ def test_diagonal_closed_form_loads_no_operator_engine(statement):
     assert _import_loads(statement) == {"hlab.diagonal", "hlab.errors", "hlab.record"}
 
 
-def test_diagonal_names_no_complex_scalars():
-    # the diagonal record is its gammas: its source names neither the
-    # Gaussian-rational module nor its scalars, not even in a lazy import
-    # inside a method, which a module-set probe sees only if the method runs
-    tree = ast.parse((Path(hlab.__file__).parent / "diagonal.py").read_text())
+def _complex_scalar_names(module: str) -> list[str]:
+    """The names of the Gaussian-rational module and of its scalars that the
+    source of hlab module ``module`` holds, lazy imports inside a function
+    included, which a module-set probe sees only if the function runs."""
+    tree = ast.parse((Path(hlab.__file__).parent / f"{module}.py").read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names.update((node.module or "").split("."))
         names.update(getattr(node, field, None) for field in ("id", "attr", "name", "asname"))
-    found = sorted(name for name in names - {None} if name == "gaussian" or name.startswith("CQ"))
-    assert not found, found
+    return sorted(name for name in names - {None} if name == "gaussian" or name.startswith("CQ"))
+
+
+def test_diagonal_names_no_complex_scalars():
+    # the diagonal record is its gammas
+    assert not _complex_scalar_names("diagonal")
+
+
+@pytest.mark.parametrize("module", ["hermitian", "blocks", "linebundle"])
+def test_hermitian_path_names_no_complex_scalars(module):
+    # from the document to the certificate, theta and its blocks are
+    # Gaussian integers over one scale: no Gaussian rational is made
+    assert not _complex_scalar_names(module)
 
 
 def test_parser_uses_the_rings_public_api_only():

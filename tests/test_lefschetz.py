@@ -21,6 +21,7 @@ from hlab.fixtures import (
     cancelling_hermitian,
     gamma_draws,
     generic_curvature,
+    gaussian_integers,
     generic_hermitian,
     imaginary_hermitian,
     rotated_split_curvature,
@@ -29,7 +30,7 @@ from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
 from hlab.linebundle import line_bundle_norm
 from hlab.literals import check_space
-from hlab.monomials import i_power, wedge_sign
+from hlab.monomials import wedge_sign
 from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
     DiagonalCurvature,
@@ -39,6 +40,7 @@ from hlab.lefschetz import (
     diagonal_commutator_eigenvalues,
     flatness_test,
     get_basis,
+    i_power,
     identity_operator,
     op_L,
     op_Lambda,
@@ -556,9 +558,9 @@ def test_tensor_power_norm_values():
 
 
 def _herm(entries):
-    # entries: n x n x r x r nested lists of CQ
+    # entries: n x n x r x r nested lists of CQ, read as (re, im) rationals
     return HermitianCurvature(
-        tuple(tuple(tuple(tuple(row) for row in mat) for mat in line) for line in entries)
+        tuple(tuple(tuple(tuple((v.re, v.im) for v in row) for row in mat) for mat in line) for line in entries)
     )
 
 
@@ -606,7 +608,7 @@ def test_hermitian_enclosure_survives_a_bad_guess(monkeypatch, guess):
     # r = 2 takes the block certificate: a refuted or non-finite float
     # proposal leaves the exact bisection of the open (-1, 1 + max row sum),
     # which must still pin the split-bundle value within tol
-    monkeypatch.setattr(hermitian, "_float_eigenvalues", lambda block: [guess] * len(block))
+    monkeypatch.setattr(hermitian, "_float_eigenvalues", lambda parts: [guess] * len(parts[1]))
     spec, table = rotated_split_curvature(random.Random(88), 2, 2)
     got = commutator_norm(spec)
     assert set(got.table) == set(table)
@@ -620,7 +622,7 @@ def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
     # r = 1 takes the eigenvalues of theta: a refuted or non-finite float
     # proposal of every eigenvalue leaves exact bisection on the inertia
     # counts, which must still pin the diagonal value within tol
-    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda block: [guess] * len(block))
+    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda parts: [guess] * len(parts[1]))
     rng = random.Random(88)
     for _ in range(5):
         a = F(rng.randint(-5, 5), rng.randint(1, 3))
@@ -636,7 +638,7 @@ def test_line_bundle_enclosure_survives_a_bad_guess(monkeypatch, guess):
     monkeypatch.undo()
     specs = [generic_curvature(random.Random(seed), 4, 1) for seed in range(3)]
     good = [line_bundle_norm(spec) for spec in specs]
-    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda block: [guess] * len(block))
+    monkeypatch.setattr(linebundle, "_float_eigenvalues", lambda parts: [guess] * len(parts[1]))
     for spec, want in zip(specs, good):
         for key, iv in line_bundle_norm(spec).table.items():
             assert iv.lo <= want.table[key].hi and want.table[key].lo <= iv.hi, key
@@ -747,7 +749,7 @@ def test_line_bundle_norm_certifies_real_eigenvalues(entries):
     # [[1, i], [i, 1]] (the real x^2 - 2x + 2, with no real root) are both
     # refused by the Hermitian certificate the inertia kernel starts from
     spec = _herm([[[[CQ(1)]], [[CQ(0)]]], [[[CQ(0)]], [[CQ(1)]]]])
-    object.__setattr__(spec, "theta", tuple(tuple(((v,),) for v in row) for row in entries))
+    object.__setattr__(spec, "theta", tuple(tuple((((v.a, v.b),),) for v in row) for row in entries))  # scale 1
     with pytest.raises(CertificateError, match="not Hermitian"):
         line_bundle_norm(spec)
 
@@ -767,8 +769,7 @@ def test_rotated_split_bundle_n3_r2():
 
 def _positive_definite(re, im):
     """Whether re + i im is positive definite, by the inertia kernel."""
-    matrix = [[CQ(x, y) for x, y in zip(*rows)] for rows in zip(re, im)]
-    return all(sign > 0 for sign in hermitian.inertia_signs(hermitian.integer_parts(matrix), F(0), -1))
+    return all(sign > 0 for sign in hermitian.inertia_signs(hermitian.integer_parts((1, re, im)), F(0), -1))
 
 
 def test_positive_definite_rejects_a_non_real_pivot():
@@ -844,7 +845,7 @@ def test_inertia_signs_match_the_characteristic_polynomial(kind):
         d = len(A)
         h, s = (F(rng.randint(-6, 6), rng.randint(1, 3)), rng.choice((1, -1))) if kind == "generic" else (F(0), -1)
         M = [[(CQ(h) if i == j else CQ_ZERO) - s * A[i][j] for j in range(d)] for i in range(d)]
-        signs = list(hermitian.inertia_signs(hermitian.integer_parts(A), h, s))
+        signs = list(hermitian.inertia_signs(hermitian.integer_parts(gaussian_integers(A)), h, s))
         assert (signs.count(1), signs.count(-1), signs.count(0)) == _inertia_by_charpoly(M), (A, h, s)
 
 
@@ -917,7 +918,7 @@ def test_hermitian_enclosure_matches_charpoly_reference():
     blocks.append([[CQ_ZERO, CQ_ONE], [CQ_ONE, CQ_ZERO]])
     blocks.append([[CQ_ZERO] * 3 for _ in range(3)])
     for block in blocks:
-        new = _hermitian_norm_enclosure(block, tol)
+        new = _hermitian_norm_enclosure(gaussian_integers(block), tol)
         old = _reference_norm_enclosure(block, tol)
         assert new.lo <= old.hi and old.lo <= new.hi, (len(block), new, old)
         assert new.width <= tol
@@ -945,8 +946,8 @@ def test_fiber_matrix_acts_by_columns():
 
 @pytest.mark.parametrize("n,r", [(1, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
 def test_L_is_the_curvature_operator_of_the_identity_theta(n, r):
-    eye = [[CQ(int(a == b)) for b in range(r)] for a in range(r)]
-    zero = [[CQ_ZERO] * r for _ in range(r)]
+    eye = [[int(a == b) for b in range(r)] for a in range(r)]
+    zero = [[0] * r for _ in range(r)]
     theta = [[eye if j == k else zero for k in range(n)] for j in range(n)]
     assert op_L(n, r) == curvature_operator(HermitianCurvature(theta))
 
@@ -956,7 +957,7 @@ def test_hermitian_curvature_bounds_the_block_dimension(n, r, block):
     # every (n, r) here passes the space rule; for r >= 2, r C(n, floor(n/2))^2
     # <= 100 is admitted, and a line bundle's norm builds no block
     check_space(n, r)
-    zero = tuple(tuple(tuple(tuple(CQ_ZERO for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
+    zero = tuple(tuple(tuple(tuple(0 for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
     if block is None:
         assert HermitianCurvature(zero).r == r
     else:
@@ -978,7 +979,7 @@ def test_one_space_rule_refuses_every_way_in(n, r):
         check_space(n, r)
     with pytest.raises(ValueError, match=re.escape(str(rule.value))):
         get_basis(n, r)
-    zero = tuple(tuple(tuple(tuple(CQ_ZERO for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
+    zero = tuple(tuple(tuple(tuple(0 for _ in range(r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
     with pytest.raises(ValueError, match=re.escape(str(rule.value))):
         HermitianCurvature(zero)
     if r == 1:

@@ -1,9 +1,10 @@
 """Differential test of the expression parser against a reference evaluator.
 
-``hlab.exprparse`` builds a product of literals and generator powers as one
-monomial and merges a sum over one denominator.  The reference below keeps
-the plain semantics of the grammar instead: every literal is a ring
-constant, every name a generator, and every operation is one
+``hlab.exprparse`` evaluates in the target ring with its public arithmetic:
+one ring operation per product, quotient, power and sign, and one
+``ring.linear_combination`` per sum.  The reference below keeps the plain
+semantics of the grammar: every literal is a ring constant, every name a
+generator, and every operation, each addition included, is one
 GradedElement operation, with the weight-bound, coefficient-size and
 division checks made on the value each step produces.  On seeded random
 expressions over small rings, both must give equal values, the same

@@ -81,11 +81,13 @@ raise SystemExit(main(["verify"]))
 
 # A one-line edit to the source of an hlab module, run in place of that
 # module before anything imports from it: ``verify`` must fail the named
-# check.  An ``enclose`` that stops at 64 times its width passes the other
-# Hermitian checks, whose good float guesses end the search before it
-# bisects; an ``inertia_signs`` whose zero-pivot congruence always takes
-# u = +1 or +i leaves the cancelling pivot at 0.  The Chern-inequality
-# right side summed from p = j + 1 fails the hockey-stick check alone.
+# checks and pass the others.  An ``enclose`` that stops at 64 times its
+# width passes the other Hermitian checks, whose good float guesses end the
+# search before it bisects; an ``inertia_signs`` whose zero-pivot congruence
+# always takes u = +1 or +i leaves the cancelling pivot at 0.  The
+# Chern-inequality right side summed from p = j + 1 fails the hockey-stick
+# check alone.  A star pairing that turns every entry by one more power of
+# i refuses the blocks of both checks that certify them.
 MUTANT = """
 import sys
 from pathlib import Path
@@ -103,14 +105,18 @@ raise SystemExit(main(["verify"]))
 MUTANTS = {
     "enclose width": (
         "hermitian", "while hi - lo > width:", "while hi - lo > 64 * width:",
-        "enclosures within their width from any guess",
+        ("enclosures within their width from any guess",),
     ),
     "zero-pivot sign": (
-        "hermitian", "sign = 1 if 2 * p + m else -1", "sign = 1", "inertia signs on zero-pivot families",
+        "hermitian", "sign = 1 if 2 * p + m else -1", "sign = 1", ("inertia signs on zero-pivot families",),
     ),
     "inequality from j + 1": (
         "genus", "for p in range(j, n + 1)", "for p in range(j + 1, n + 1)",
-        "chern inequality right side vs hockey stick",
+        ("chern inequality right side vs hockey stick",),
+    ),
+    "star pair rotation": (
+        "blocks", "(power[a] - power[b] + 2) % 4", "(power[a] - power[b] + 3) % 4",
+        ("line-bundle norm: eigenvalues vs blocks", "commutator blocks: rotated split bundles vs line tables"),
     ),
 }
 
@@ -152,15 +158,16 @@ def test_verify_holds_the_sign_conventions_to_its_own_rule(script):
     assert "22/23 checks passed" in proc.stdout
 
 
-@pytest.mark.parametrize("module,old,new,check", list(MUTANTS.values()), ids=list(MUTANTS))
-def test_verify_catches_the_mutant(module, old, new, check):
+@pytest.mark.parametrize("module,old,new,checks", list(MUTANTS.values()), ids=list(MUTANTS))
+def test_verify_catches_the_mutant(module, old, new, checks):
     proc = subprocess.run(
         [sys.executable, "-c", MUTANT.format(module=module), old, new],
         capture_output=True, text=True, env=HLAB_ENV, timeout=300,
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert f"FAIL  {check}" in proc.stdout
-    assert "22/23 checks passed" in proc.stdout
+    for check in checks:
+        assert f"FAIL  {check}" in proc.stdout
+    assert f"{23 - len(checks)}/23 checks passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
