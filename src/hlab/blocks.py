@@ -67,9 +67,7 @@ def block_commutator_norm(spec: HermitianCurvature) -> CommutatorNorm:
             block = commutator_block(spec, p, q)
             partner = block if pair == (p, q) else commutator_block(spec, *pair)
             _check_star_pair(spec, p, q, block, partner)
-            found[(p, q)] = found[pair] = _hermitian_norm_enclosure(
-                block, hermitian.HERMITIAN_WIDTH, symmetric=pair == (p, q)
-            )
+            found[(p, q)] = found[pair] = _hermitian_norm_enclosure(block, symmetric=pair == (p, q))
     return CommutatorNorm({key: found[key] for key in sorted(found)})
 
 
@@ -132,9 +130,9 @@ def _check_star_pair(spec: HermitianCurvature, p: int, q: int, block, partner):
             raise CertificateError(f"star does not pair the blocks ({p}, {q}) and ({n - q}, {n - p}) of T")
 
 
-def _hermitian_norm_enclosure(block: tuple, tol: Fraction, symmetric: bool = False) -> Interval:
+def _hermitian_norm_enclosure(block: tuple, symmetric: bool = False) -> Interval:
     """Certified enclosure of the operator norm of a self-adjoint block
-    (scale, re, im), width <= tol.
+    (scale, re, im), width <= HERMITIAN_WIDTH.
 
     ||T|| lies in [0, max row sum], and ``hermitian.enclose`` searches the
     open (-1, 1 + max row sum) from a float guess, so either end can be hit:
@@ -157,4 +155,4 @@ def _hermitian_norm_enclosure(block: tuple, tol: Fraction, symmetric: bool = Fal
                 zero = zero or not sign
         return 0 if zero else -1
 
-    return Interval(*hermitian.enclose(compare, abs(guess), Fraction(-1), 1 + radius, tol))
+    return Interval(*hermitian.enclose(compare, abs(guess), Fraction(-1), 1 + radius, hermitian.HERMITIAN_WIDTH))

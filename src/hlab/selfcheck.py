@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial, nan, sqrt
 
 from . import blocks, bounds, diagonal, fixtures, genus, hermitian, linebundle, monomials, ring, sl2
-from .qpoly import QPoly
+from .qpoly import QPoly, is_integer_valued
 
 
 def _expect(ok, detail=""):
@@ -108,26 +108,29 @@ def _check_newton(rng):
 
 def _check_todd_series(rng):
     got = ring.todd_series(6).coeffs
-    expected = (
-        Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
-        Fraction(-1, 720), Fraction(0), Fraction(1, 30240),
-    )
+    expected = (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240))
     _expect(got == expected, got)
 
 
 def _check_cpn(rng):
+    """chi_y(CP^n) = sum_p (-y)^p, read through its coefficients K_j about
+    y = -1 (``genus.k_coefficients``) and the Chern inequalities on them:
+    (-1)^{n+j} K_j = (-1)^n C(n + 1, j + 1), the right side, which
+    :func:`_check_inequality_rhs` holds to the binomial.  So the
+    inequalities hold, sharply, for even n alone."""
     for n in range(1, 5):
         x, _ = genus.projective_space(n)
-        chi = genus.chi_y(x, genus.BundleData.trivial())
-        _expect(chi.padded(n + 1) == [Fraction((-1) ** p) for p in range(n + 1)])
-        _expect(chi(-1) == n + 1)
+        ks = genus.k_coefficients(genus.chi_y(x, genus.BundleData.trivial()))
+        for j in range(n + 1):
+            holds, lhs, rhs = genus.chern_inequality_check(ks, j)
+            _expect(lhs == (-1) ** n * rhs and holds == (n % 2 == 0), (n, j))
 
 
 def _check_serre(rng):
     x, _ = fixtures.random_manifold_bundle(rng, 2, bundle_rank=2)
     chi = genus.chi_y(x, genus.BundleData.trivial())
-    flipped = [Fraction((-1) ** 2) * c for c in reversed(chi.padded(3))]
-    _expect(chi.padded(3) == flipped)
+    # chi^p = (-1)^n chi^{n-p}, and (-1)^n = 1 for n = 2
+    _expect(chi.padded(3) == chi.padded(3)[::-1])
 
 
 def _check_flat(rng):
@@ -154,7 +157,7 @@ def _check_inequality_rhs(rng):
     n <= 12 and 0 <= j <= n."""
     for n in range(1, 13):
         for j in range(n + 1):
-            rhs = genus.chern_inequality_check([Fraction(0)] * (n + 1), j)[2]
+            rhs = genus.chern_inequality_check([0] * (n + 1), j)[2]
             _expect(rhs == comb(n + 1, j + 1), (n, j, rhs))
 
 
@@ -162,6 +165,7 @@ def _check_hilbert(rng):
     x, o1 = genus.projective_space(2)
     P = genus.hilbert_polynomial(x, o1, 0)
     _expect(P == QPoly([1, Fraction(3, 2), Fraction(1, 2)]))
+    _expect(not is_integer_valued(QPoly([Fraction(1, 2)])))
     for m in range(-5, 6):
         _expect(P(m) == genus.chi_p(x, genus.bundle_power(o1, m), 0))
 
@@ -249,14 +253,17 @@ def _check_zero_pivot_inertia(rng):
     """``hermitian.inertia_signs`` at h = 0 on the zero-pivot families of
     ``hlab.fixtures``, whose inertia Sylvester's law gives: a zero diagonal
     with imaginary entries, and a first step whose congruence u = 1 or i
-    cancels.  The signs of -A count the eigenvalues of A the other way."""
+    cancels.  The signs of -A count the eigenvalues of A the other way.
+    No eigenvalue of +-A lies above the radius of ``integer_parts``."""
     for d in range(2, 7):
         for family in (fixtures.imaginary_hermitian, fixtures.cancelling_hermitian):
-            A, (pos, neg, zero) = family(rng, d)
+            A, counts = family(rng, d)
             parts = hermitian.integer_parts(fixtures.gaussian_integers(A))
-            for s, counts in ((-1, (pos, neg, zero)), (1, (neg, pos, zero))):
+            for s in (-1, 1):
                 signs = list(hermitian.inertia_signs(parts, Fraction(0), s))
-                _expect((signs.count(1), signs.count(-1), signs.count(0)) == counts, (family.__name__, d, s, signs))
+                # sign -s per positive eigenvalue of A, s per negative one
+                _expect(tuple(map(signs.count, (-s, s, 0))) == counts, (family.__name__, d, s, signs))
+                _expect(-1 not in hermitian.inertia_signs(parts, parts[3], s))
 
 
 def _check_lefschetz_power(rng):

@@ -74,9 +74,9 @@ def test_one_enclosure_is_certified_per_star_pair(monkeypatch):
     calls = []
     certify = blocks._hermitian_norm_enclosure
 
-    def counted(block, tol, symmetric=False):
+    def counted(block, symmetric=False):
         calls.append((len(block), symmetric))
-        return certify(block, tol, symmetric)
+        return certify(block, symmetric)
 
     monkeypatch.setattr(blocks, "_hermitian_norm_enclosure", counted)
     n, r = 3, 2
@@ -98,10 +98,10 @@ def test_paired_and_symmetric_enclosures_match_certifying_each_block(n, r):
     for p in range(n + 1):
         for q in range(n + 1):
             block = blocks.commutator_block(spec, p, q)
-            alone = blocks._hermitian_norm_enclosure(block, HERMITIAN_WIDTH)
+            alone = blocks._hermitian_norm_enclosure(block)
             assert alone.lo <= got.table[(p, q)].hi and got.table[(p, q)].lo <= alone.hi, (p, q)
             if p + q == n:
-                assert blocks._hermitian_norm_enclosure(block, HERMITIAN_WIDTH, symmetric=True) == alone
+                assert blocks._hermitian_norm_enclosure(block, symmetric=True) == alone
 
 
 # Matrices that are Hermitian in their real part only: the imaginary part is

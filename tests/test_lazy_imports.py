@@ -356,9 +356,9 @@ CODE_NODES = [
     ("commutator --gammas", DIAGONAL, 3938),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
     ("lefschetz-check", SL2, 4765),
-    ("commutator --input HERMITIAN", RANK_R, 8828),
+    ("commutator --input HERMITIAN", RANK_R, 8823),
     ("commutator --input LINE", LINE_BUNDLE, 7645),
-    ("verify", VERIFY, 30861),
+    ("verify", VERIFY, 30853),
 ]
 
 

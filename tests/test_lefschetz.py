@@ -754,6 +754,16 @@ def test_line_bundle_norm_certifies_real_eigenvalues(entries):
         line_bundle_norm(spec)
 
 
+def test_line_bundle_enclosures_that_miss_the_trace_are_refused(monkeypatch):
+    # a planted fault that ``hlab verify`` does not see: a tree without the
+    # trace certificate of ``eigenvalue_enclosures`` passes it.  Enclosures
+    # that each miss by +1 add up around tr theta + n, and it refuses them
+    enclose = linebundle.enclose
+    monkeypatch.setattr(linebundle, "enclose", lambda *args: tuple(end + 1 for end in enclose(*args)))
+    with pytest.raises(CertificateError, match="do not add up around tr theta"):
+        line_bundle_norm(generic_curvature(random.Random(5), 3, 1))
+
+
 def test_rotated_split_bundle_n3_r2():
     # blocks of dimension 18; the characteristic-polynomial path took ~49 s
     spec, table = rotated_split_curvature(random.Random(3), 3, 2)
@@ -918,7 +928,7 @@ def test_hermitian_enclosure_matches_charpoly_reference():
     blocks.append([[CQ_ZERO, CQ_ONE], [CQ_ONE, CQ_ZERO]])
     blocks.append([[CQ_ZERO] * 3 for _ in range(3)])
     for block in blocks:
-        new = _hermitian_norm_enclosure(gaussian_integers(block), tol)
+        new = _hermitian_norm_enclosure(gaussian_integers(block))
         old = _reference_norm_enclosure(block, tol)
         assert new.lo <= old.hi and old.lo <= new.hi, (len(block), new, old)
         assert new.width <= tol
