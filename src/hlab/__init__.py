@@ -29,8 +29,8 @@ _EXPORTS = {
     "genus": (
         "BundleData", "FundamentalClass", "ManifoldData", "bundle_power", "ch_hodge_sheaf",
         "chern_character", "chern_inequality_check", "chi_p", "chi_y", "hilbert_polynomial",
-        "hodge_classes", "integrate", "integrate_product", "k1_formula_check",
-        "k2_surface_formula_check", "k_coefficients", "projective_space", "todd_class",
+        "integrate", "integrate_product", "k1_formula_check", "k2_surface_formula_check",
+        "k_coefficients", "projective_space", "todd_class",
     ),
     "hermitian": ("HermitianCurvature",),
     "lefschetz": (

@@ -3,10 +3,11 @@ exact integralization, diagonal curvature gammas, Hermitian curvature,
 generic or with a closed-form commutator norm, and Hermitian matrices whose
 inertia is known, built to drive the zero pivots of the inertia kernel; and
 the one conversion of diagonal curvature to Hermitian
-(:func:`as_hermitian`), which no command runs.  The Hermitian draws are
-Gaussian-rational ``CQ`` matrices; :func:`gaussian_integers` converts one,
-once, to the integers over a scale that the record and the certificates
-read.
+(:func:`as_hermitian`), which no command runs.  The Hermitian draws
+compute on matrices of Gaussian-integer pairs (x, y) = x + i y over an
+integer scale, with one product and one adjoint, and hand over the one
+matrix form of ``hlab.hermitian`` that the record and the certificates
+read: (scale, re, im).
 
 Random "formal manifolds" have no reason to produce integral Euler
 characteristics, so after drawing the data we rescale the fundamental
@@ -34,7 +35,6 @@ from .genus import (
     integrate_product,
 )
 from .diagonal import DiagonalCurvature, diagonal_norm
-from .gaussian import CQ, CQ_ONE, CQ_ZERO
 from .hermitian import HermitianCurvature
 from .ring import RingSpec
 
@@ -120,17 +120,38 @@ def random_manifold_bundle(
     return integralized(ManifoldData(n, cx, fclass), bundles), e
 
 
-def _reflection(rng: random.Random, d: int) -> list[list[CQ]]:
-    """I - 2 v v* / (v* v) for a random nonzero Gaussian-integer v: a unitary
-    matrix with Gaussian-rational entries."""
-    v = [CQ(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
-    if not any(v):
-        v[0] = CQ_ONE
-    c = Fraction(-2) / sum(x.abs2() for x in v)
-    return [
-        [(CQ_ONE if i == j else CQ_ZERO) + v[i] * v[j].conj() * c for j in range(d)]
-        for i in range(d)
-    ]
+def _times(z: tuple, w: tuple) -> tuple:
+    """(a + i b)(c + i d) for the Gaussian integers z = (a, b) and w = (c, d)."""
+    (a, b), (c, d) = z, w
+    return a * c - b * d, a * d + b * c
+
+
+def _product(A: list, B: list) -> list:
+    """AB for matrices of Gaussian-integer pairs (x, y) = x + i y."""
+    return [[tuple(map(sum, zip(*map(_times, row, col)))) for col in zip(*B)] for row in A]
+
+
+def _adjoint(A: list) -> list:
+    """The conjugate transpose of a matrix of Gaussian-integer pairs."""
+    return [[(x, -y) for x, y in col] for col in zip(*A)]
+
+
+def _matrix(scale: int, A: list) -> tuple:
+    """The matrix (scale, re, im) of ``hlab.hermitian`` that A / scale is,
+    for A a matrix of Gaussian-integer pairs."""
+    return scale, [[x for x, _ in row] for row in A], [[y for _, y in row] for row in A]
+
+
+def _reflection(rng: random.Random, d: int) -> tuple[int, list]:
+    """(s, s I - 2 v v*) for s = v* v and a random nonzero Gaussian-integer
+    v: over s, a unitary matrix."""
+    v = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+    if not any(map(any, v)):
+        v[0] = (1, 0)
+    s = sum(x * x + y * y for x, y in v)
+    column = [[z] for z in v]
+    vv = _product(column, _adjoint(column))
+    return s, [[(s * (i == j) - 2 * x, -2 * y) for j, (x, y) in enumerate(row)] for i, row in enumerate(vv)]
 
 
 def rotated_split_curvature(rng: random.Random, n: int, r: int):
@@ -142,38 +163,31 @@ def rotated_split_curvature(rng: random.Random, n: int, r: int):
     the table is the closed form: per bidegree, the largest diagonal C_{p,q}
     among the r lines.  Returns (HermitianCurvature, table).
     """
-    gamma = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(n)]
-    U, W = _reflection(rng, n), _reflection(rng, r)
+    gamma = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    (su, U), (sw, W) = _reflection(rng, n), _reflection(rng, r)
     d = n * r
-    V = [
-        [U[j][k] * W[a][b] for k in range(n) for b in range(r)]
-        for j in range(n)
-        for a in range(r)
-    ]
-    D = [gamma[z // r][z % r] for z in range(d)]
-    H = [
-        [sum((V[x][z] * D[z] * V[y][z].conj() for z in range(d)), CQ_ZERO) for y in range(d)]
-        for x in range(d)
-    ]
+    V = [[_times(U[x // r][y // r], W[x % r][y % r]) for y in range(d)] for x in range(d)]
+    D = [[(gamma[x // r][x % r], 0) if x == y else (0, 0) for y in range(d)] for x in range(d)]
     lines = [
         diagonal_norm(DiagonalCurvature(tuple(row[s] for row in gamma))).table
         for s in range(r)
     ]
     table = {pq: max(t[pq] for t in lines) for pq in lines[0]}
-    return _curvature(H, n, r), table
+    return _curvature(_matrix((su * sw) ** 2, _product(_product(V, D), _adjoint(V))), n, r), table
 
 
-def generic_hermitian(rng: random.Random, d: int) -> list[list[CQ]]:
-    """A d x d Hermitian matrix with random Gaussian-rational entries, some
-    zero off the diagonal."""
-    H = [[CQ_ZERO] * d for _ in range(d)]
+def generic_hermitian(rng: random.Random, d: int) -> tuple:
+    """A d x d Hermitian matrix (6, re, im) with random entries: real parts
+    of denominator 1, 2 or 3 and imaginary parts of denominator 2, some
+    entries zero off the diagonal."""
+    H = [[(0, 0)] * d for _ in range(d)]
     for x in range(d):
-        H[x][x] = CQ(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        H[x][x] = (6 * rng.randint(-6, 6) // rng.randint(1, 3), 0)
         for y in range(x + 1, d):
             if rng.random() < 0.7:
-                z = CQ(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), 2))
-                H[x][y], H[y][x] = z, z.conj()
-    return H
+                z = a, b = 6 * rng.randint(-4, 4) // rng.randint(1, 3), 3 * rng.randint(-4, 4)
+                H[x][y], H[y][x] = z, (a, -b)
+    return _matrix(6, H)
 
 
 def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
@@ -184,25 +198,23 @@ def generic_curvature(rng: random.Random, n: int, r: int) -> HermitianCurvature:
 
 def as_hermitian(spec: DiagonalCurvature) -> HermitianCurvature:
     """The Hermitian curvature of diagonal gammas: 1 x 1 blocks, gamma_j at (j, j)."""
-    H = [[CQ(g) if j == k else CQ_ZERO for k in range(spec.n)] for j, g in enumerate(spec.gammas)]
-    return _curvature(H, spec.n, 1)
+    H = [[(g if j == k else 0, 0) for k in range(spec.n)] for j, g in enumerate(spec.gammas)]
+    return _curvature(_matrix(1, H), spec.n, 1)
 
 
-def _congruent(P: list[list[CQ]], B: list[list[CQ]]) -> list[list[CQ]]:
+def _congruent(P: list, B: list) -> list:
     """P* B P, which has the inertia of B when P is invertible (Sylvester)."""
-    d = len(B)
-    BP = [[sum((B[a][b] * P[b][j] for b in range(d)), CQ_ZERO) for j in range(d)] for a in range(d)]
-    return [[sum((P[a][i].conj() * BP[a][j] for a in range(d)), CQ_ZERO) for j in range(d)] for i in range(d)]
+    return _product(_adjoint(P), _product(B, P))
 
 
-def _unitriangular(rng: random.Random, d: int, entries) -> list[list[CQ]]:
+def _unitriangular(rng: random.Random, d: int, entries) -> list:
     """A random d x d upper unitriangular matrix with off-diagonal entries drawn from ``entries``."""
-    return [[CQ_ONE if i == j else rng.choice(entries) if i < j else CQ_ZERO for j in range(d)] for i in range(d)]
+    return [[(1, 0) if i == j else rng.choice(entries) if i < j else (0, 0) for j in range(d)] for i in range(d)]
 
 
-def imaginary_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tuple[int, int, int]]:
-    """A d x d Hermitian matrix with a zero diagonal and purely imaginary
-    entries, and its inertia (#positive, #negative, #zero eigenvalues).
+def imaginary_hermitian(rng: random.Random, d: int) -> tuple[tuple, tuple[int, int, int]]:
+    """A d x d Hermitian matrix (1, re, im) with a zero diagonal and purely
+    imaginary entries, and its inertia (#positive, #negative, #zero eigenvalues).
 
     It is C^T (iJ) C for a random real C of determinant 1 and J the sum of
     k blocks [[0, 1], [-1, 0]] and d - 2k zeros: C^T J C is skew, so the
@@ -210,17 +222,17 @@ def imaginary_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tup
     inertia is that of iJ, whose blocks have eigenvalues +1 and -1: (k, k, d - 2k).
     """
     k = rng.randint(0, d // 2)
-    A = [[CQ_ZERO] * d for _ in range(d)]
+    A = [[(0, 0)] * d for _ in range(d)]
     for a in range(k):
-        A[2 * a][2 * a + 1], A[2 * a + 1][2 * a] = CQ(0, 1), CQ(0, -1)
-    upper = _unitriangular(rng, d, [CQ(x) for x in range(-2, 3)])
-    lower = [list(col) for col in zip(*_unitriangular(rng, d, [CQ(x) for x in range(-2, 3)]))]
-    return _congruent(upper, _congruent(lower, A)), (k, k, d - 2 * k)  # C = lower upper
+        A[2 * a][2 * a + 1], A[2 * a + 1][2 * a] = (0, 1), (0, -1)
+    upper = _unitriangular(rng, d, [(x, 0) for x in range(-2, 3)])
+    lower = _adjoint(_unitriangular(rng, d, [(x, 0) for x in range(-2, 3)]))
+    return _matrix(1, _congruent(upper, _congruent(lower, A))), (k, k, d - 2 * k)  # C = lower upper
 
 
-def cancelling_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tuple[int, int, int]]:
-    """A d x d Hermitian Gaussian-integer matrix, d >= 2, whose first
-    elimination step cancels, and its inertia (#positive, #negative, #zero).
+def cancelling_hermitian(rng: random.Random, d: int) -> tuple[tuple, tuple[int, int, int]]:
+    """A d x d Hermitian Gaussian-integer matrix (1, re, im), d >= 2, whose
+    first elimination step cancels, and its inertia (#positive, #negative, #zero).
 
     A_00 = 0, A_01 = z for z = +-1 or +-i, and A_11 = 2 (Im z - Re z), so
     2 Re(u A_01) + A_11 = 0 for u = 1 (z real) or u = i (z imaginary): the
@@ -230,29 +242,20 @@ def cancelling_hermitian(rng: random.Random, d: int) -> tuple[list[list[CQ]], tu
     that fixes e_0 and e_1, so by Sylvester's law the inertia is that
     of B: the 2 x 2 block has determinant -1, one eigenvalue of each sign.
     """
-    z = rng.choice((CQ(1), CQ(-1), CQ(0, 1), CQ(0, -1)))
+    z = x, y = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
     diagonal = [rng.randint(-2, 2) for _ in range(d - 2)]
-    B = [[CQ_ZERO] * d for _ in range(d)]
-    B[0][1], B[1][0], B[1][1] = z, z.conj(), CQ(2 * (z.im - z.re))
-    for i, e in enumerate(diagonal, 2):
-        B[i][i] = CQ(e)
-    P = _unitriangular(rng, d, [CQ(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)])
-    P[0] = [CQ_ONE] + [CQ_ZERO] * (d - 1)
+    B = [[(e, 0) if i == j else (0, 0) for j in range(d)] for i, e in enumerate([0, 2 * (y - x), *diagonal])]
+    B[0][1], B[1][0] = z, (x, -y)
+    P = _unitriangular(rng, d, [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    P[0] = [(1, 0)] + [(0, 0)] * (d - 1)
     signs = [1, -1] + diagonal
-    return _congruent(P, B), (sum(e > 0 for e in signs), sum(e < 0 for e in signs), signs.count(0))
+    return _matrix(1, _congruent(P, B)), (sum(e > 0 for e in signs), sum(e < 0 for e in signs), signs.count(0))
 
 
-def gaussian_integers(H: list[list[CQ]]) -> tuple:
-    """The matrix (scale, re, im) of ``hlab.hermitian`` that H is: integers
-    with H = (re + i im) / scale over the least common scale.  The one
-    conversion of a drawn matrix to the form the Hermitian certificates read."""
-    scale = lcm(*(v.d for row in H for v in row))
-    return scale, [[v.a * (scale // v.d) for v in row] for row in H], [[v.b * (scale // v.d) for v in row] for row in H]
-
-
-def _curvature(H: list[list[CQ]], n: int, r: int) -> HermitianCurvature:
-    """The curvature whose (nr x nr) matrix is H: theta[j][k][a][b] = H[j r + a][k r + b]."""
-    scale, re, im = gaussian_integers(H)
+def _curvature(H: tuple, n: int, r: int) -> HermitianCurvature:
+    """The curvature whose (nr x nr) matrix is H = (scale, re, im):
+    theta[j][k][a][b] = H[j r + a][k r + b].  The record reduces the scale."""
+    scale, re, im = H
     pairs = [list(zip(*rows)) for rows in zip(re, im)]
     return HermitianCurvature(
         tuple(

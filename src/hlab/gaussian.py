@@ -1,11 +1,9 @@
 """Exact Gaussian rationals Q(i): the scalars of the operator engine's
-matrices (``hlab.lefschetz``, a test oracle) and of the seeded Hermitian
-draws of ``hlab.fixtures``.
+matrices (``hlab.lefschetz``, a test oracle), its one ``src`` client.
 
-No command loads it: Hermitian curvature, its bidegree blocks and their
-certificates hold Gaussian integers over one scale (``hlab.hermitian``),
-and the fixtures convert a drawn matrix to that form once, when they build
-the record.
+No command loads it: Hermitian curvature, its bidegree blocks, their
+certificates and the seeded Hermitian draws of ``hlab.fixtures`` hold
+Gaussian integers over one scale (``hlab.hermitian``).
 """
 
 from __future__ import annotations

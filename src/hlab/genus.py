@@ -234,11 +234,6 @@ def chern_character(e: BundleData, spec: RingSpec, n: int) -> GradedElement:
     return linear_combination(spec, [(spec.one(), e.rank), *terms])
 
 
-def hodge_classes(x: ManifoldData) -> list[GradedElement]:
-    """[ch Omega^0, ..., ch Omega^n], from one inverse-Newton ladder per manifold."""
-    return list(x.hodge)
-
-
 def ch_hodge_sheaf(x: ManifoldData, p: int) -> GradedElement:
     """ch of the p-th exterior power of the cotangent bundle, the manifold's
     ladder built only as far as e_p(u) (:meth:`ManifoldData.hodge_class`)."""

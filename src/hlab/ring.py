@@ -222,9 +222,6 @@ class GradedElement:
         # generators weigh >= 1: weight 0 holds the constant alone
         return Fraction(sum(self.parts.get(0, {}).values()), self.den)
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def graded_component(self, k: int) -> "GradedElement":
         """Sum of the terms of total weight exactly ``k``."""
         if not 0 <= k <= self.spec.truncation:

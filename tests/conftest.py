@@ -1,8 +1,10 @@
 """Shared helpers: the seeded random Chern data of `hlab.fixtures`, random
-forms, integer-valued polynomials in the binomial basis, and the one
-harness of the suite (README, "Install and test"): loading ``perfbench/``,
-running hlab in-process or in a fresh interpreter, writing a document, and
-the benchmark's seed-0 grid, built and written once per session."""
+forms, the two conversions between a matrix of Gaussian rationals ``CQ``
+and the form (scale, re, im) of ``hlab.hermitian``, integer-valued
+polynomials in the binomial basis, and the one harness of the suite
+(README, "Install and test"): loading ``perfbench/``, running hlab
+in-process or in a fresh interpreter, writing a document, and the
+benchmark's seed-0 grid, built and written once per session."""
 
 import contextlib
 import functools
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,19 @@ def random_form(rng, basis):
         terms[idx] = CQ(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                         Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
     return FormVector(basis, terms)
+
+
+def gaussian_integers(H):
+    """The matrix (scale, re, im) of ``hlab.hermitian`` that the matrix H of
+    ``CQ`` is: integers with H = (re + i im) / scale over the least common scale."""
+    scale = lcm(*(v.d for row in H for v in row))
+    return scale, [[v.a * (scale // v.d) for v in row] for row in H], [[v.b * (scale // v.d) for v in row] for row in H]
+
+
+def gaussian_rationals(matrix):
+    """The matrix (scale, re, im) as the operator engine's matrix of ``CQ``."""
+    scale, re, im = matrix
+    return [[CQ(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(*rows)] for rows in zip(re, im)]
 
 
 def newton_poly(b):

@@ -6,17 +6,16 @@ certificate's) refuse a fault in the imaginary part alone."""
 
 import random
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import gaussian_rationals
 
 import hlab.blocks as blocks
 import hlab.hermitian as hermitian
 from hlab.diagonal import commutator_norm
 from hlab.errors import CertificateError
 from hlab.fixtures import generic_curvature, rotated_split_curvature
-from hlab.gaussian import CQ
 from hlab.hermitian import HERMITIAN_WIDTH
 from hlab.lefschetz import curvature_operator, get_basis, op_Lambda
 
@@ -32,13 +31,7 @@ def test_blocks_from_theta_equal_the_operator_engine_blocks(n, r):
     for spec in specs:
         T = op_Lambda(n, r).commutator(curvature_operator(spec))
         for (p, q), idxs in get_basis(n, r).by_bidegree.items():
-            assert _gaussian_rationals(blocks.commutator_block(spec, p, q)) == T.block(idxs, idxs), (p, q)
-
-
-def _gaussian_rationals(block):
-    """The (scale, re, im) block as the operator engine's matrix of ``CQ``."""
-    scale, re, im = block
-    return [[CQ(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(*rows)] for rows in zip(re, im)]
+            assert gaussian_rationals(blocks.commutator_block(spec, p, q)) == T.block(idxs, idxs), (p, q)
 
 
 def _corrupt(monkeypatch, target):

@@ -58,7 +58,7 @@ print(json.dumps(sorted(f"{module}.{name}" for module, name in defined - entered
 """
 
 UNENTERED = {
-    "operator-engine oracle: the tests hold the integer certificates to it": (
+    "operator-engine oracle and its Gaussian-rational scalars: the tests hold the integer certificates to it": (
         "hlab.lefschetz.ExteriorBasis.__eq__", "hlab.lefschetz.ExteriorBasis.__hash__",
         "hlab.lefschetz.ExteriorBasis.__init__", "hlab.lefschetz.ExteriorBasis.bidegree_of",
         "hlab.lefschetz.FormVector.__add__", "hlab.lefschetz.FormVector.__eq__", "hlab.lefschetz.FormVector.__init__",
@@ -71,6 +71,12 @@ UNENTERED = {
         "hlab.lefschetz.curvature_operator", "hlab.lefschetz.diagonal_commutator_eigenvalues",
         "hlab.lefschetz.get_basis", "hlab.lefschetz.i_power", "hlab.lefschetz.identity_operator",
         "hlab.lefschetz.int_rank", "hlab.lefschetz.op_L", "hlab.lefschetz.op_Lambda", "hlab.lefschetz.op_star",
+        "hlab.gaussian.CQ.__add__", "hlab.gaussian.CQ.__bool__", "hlab.gaussian.CQ.__eq__",
+        "hlab.gaussian.CQ.__hash__", "hlab.gaussian.CQ.__init__", "hlab.gaussian.CQ.__mul__",
+        "hlab.gaussian.CQ.__neg__", "hlab.gaussian.CQ.__repr__", "hlab.gaussian.CQ.__rsub__",
+        "hlab.gaussian.CQ.__sub__", "hlab.gaussian.CQ.__truediv__", "hlab.gaussian.CQ.abs2", "hlab.gaussian.CQ.conj",
+        "hlab.gaussian.CQ.im", "hlab.gaussian.CQ.re", "hlab.gaussian._as_cq", "hlab.gaussian._cq",
+        "hlab.gaussian._reduced",
     ),
     "parser for text outside the printed form: every grid document is canonical": (
         "hlab.exprparse._Parser.__init__", "hlab.exprparse._Parser._guard", "hlab.exprparse._Parser.advance",
@@ -91,19 +97,15 @@ UNENTERED = {
         "hlab.__main__.run",
     ),
     "printing and dunders": (
-        "hlab.__dir__", "hlab.gaussian.CQ.__eq__", "hlab.gaussian.CQ.__hash__", "hlab.gaussian.CQ.__neg__",
-        "hlab.gaussian.CQ.__repr__", "hlab.gaussian.CQ.__rsub__", "hlab.gaussian.CQ.__sub__",
-        "hlab.gaussian.CQ.__truediv__", "hlab.qpoly.QPoly.__hash__", "hlab.qpoly.QPoly.__repr__",
+        "hlab.__dir__", "hlab.qpoly.QPoly.__hash__", "hlab.qpoly.QPoly.__repr__",
         "hlab.qpoly.QPoly.__rsub__", "hlab.record.Record.__hash__", "hlab.record.Record.__repr__",
         "hlab.ring.GradedElement.__hash__", "hlab.ring.GradedElement.__repr__", "hlab.ring.GradedElement.__rsub__",
         "hlab.ring.GradedElement.__truediv__", "hlab.ring.Series.__eq__", "hlab.ring.Series.__getitem__",
         "hlab.ring.Series.__str__",
     ),
-    "library API": (
-        "hlab.bounds.forward_difference", "hlab.genus.hodge_classes", "hlab.ring.GradedElement.coefficient",
-    ),
     "tracer target: perfbench/tracer.py wraps it by name": (
-        "hlab.bounds.count_roots_between", "hlab.qpoly.poly_from_values", "hlab.ring.GradedElement.graded_component",
+        "hlab.bounds.count_roots_between", "hlab.bounds.forward_difference", "hlab.qpoly.poly_from_values",
+        "hlab.ring.GradedElement.graded_component",
     ),
 }
 

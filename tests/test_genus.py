@@ -21,7 +21,6 @@ from hlab.genus import (
     chi_p,
     chi_y,
     hilbert_polynomial,
-    hodge_classes,
     integrate,
     integrate_product,
     k1_formula_check,
@@ -186,7 +185,7 @@ def test_ch_hodge_sheaf_ends(cp2):
 def test_hodge_classes_formal_manifolds(n):
     """Every rung of the one-pass ladder against oracles that avoid it."""
     x, _ = random_manifold_bundle(random.Random(600 + n), n)
-    classes = hodge_classes(x)
+    classes = list(x.hodge)
     assert len(classes) == n + 1
     for p, cls in enumerate(classes):
         assert cls.constant_term() == comb(n, p)
@@ -243,7 +242,7 @@ def test_hodge_class_on_demand_matches_the_full_ladder(monkeypatch, fresh):
 
     rungs, rung = [], genus.newton_rung
     monkeypatch.setattr(genus, "newton_rung", lambda e, p: rungs.append(len(e)) or rung(e, p))
-    full = hodge_classes(fresh())
+    full = list(fresh().hodge)
     n = len(full) - 1
     assert rungs == list(range(1, n + 1))  # each rung once, in order
     for p in range(n + 1):
@@ -251,11 +250,11 @@ def test_hodge_class_on_demand_matches_the_full_ladder(monkeypatch, fresh):
         x, rungs[:] = fresh(), []
         assert ch_hodge_sheaf(x, p) == full[p]
         assert rungs == list(range(1, p + 1))
-        assert hodge_classes(x) == full
+        assert list(x.hodge) == full
         assert rungs == list(range(1, n + 1))
     # full first: every class afterwards is read off the built ladder
     x = fresh()
-    hodge_classes(x)
+    list(x.hodge)
     rungs[:] = []
     assert [ch_hodge_sheaf(x, p) for p in range(n + 1)] == full
     assert rungs == []
@@ -538,7 +537,7 @@ def test_integrate_product_matches_integrate_of_product():
     for n in (1, 2, 3, 4):
         x, e = random_manifold_bundle(rng, n, bundle_rank=2)
         ch = chern_character(e, x.spec, n)
-        pairs = [(todd_class(x), ch)] + [(todd_class(x) * ch, h) for h in hodge_classes(x)]
+        pairs = [(todd_class(x), ch)] + [(todd_class(x) * ch, h) for h in list(x.hodge)]
         pairs += [(x.chern[0], x.chern[n - 1]), (x.spec.zero(), ch), (ch, x.spec.one())]
         for a, b in pairs:
             assert integrate_product(a, b, x.fclass) == integrate(a * b, x.fclass)
@@ -579,7 +578,7 @@ def test_one_hodge_ladder_per_manifold(monkeypatch):
     hilbert_polynomial(x, o1, 1)
     assert k1_formula_check(x, o1, _ks(x, o1))
     chern_inequality_check(_ks(x), 2)
-    assert [ch_hodge_sheaf(x, p) for p in range(5)] == hodge_classes(x)
+    assert [ch_hodge_sheaf(x, p) for p in range(5)] == list(x.hodge)
     assert calls == {"rungs": 4, "todd": 1}
     # the cache is per manifold: a second one runs its own ladder
     chi_y(projective_space(4)[0], o1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import random_form
+from conftest import gaussian_integers, gaussian_rationals, random_form
 
 import hlab.hermitian as hermitian
 import hlab.lefschetz as lefschetz
@@ -21,7 +21,6 @@ from hlab.fixtures import (
     cancelling_hermitian,
     gamma_draws,
     generic_curvature,
-    gaussian_integers,
     generic_hermitian,
     imaginary_hermitian,
     rotated_split_curvature,
@@ -815,9 +814,9 @@ def _structured_hermitian(rng, d, kind):
     entries and with a cancelling first step come from ``hlab.fixtures``,
     which ``hlab verify`` reads too."""
     if kind == "imaginary":
-        return imaginary_hermitian(rng, d)[0]
+        return gaussian_rationals(imaginary_hermitian(rng, d)[0])
     if kind == "cancelling":
-        return cancelling_hermitian(rng, max(d, 2))[0]
+        return gaussian_rationals(cancelling_hermitian(rng, max(d, 2))[0])
     if kind == "singular":
         v, w = ([CQ(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(2))
         return [[v[i] * v[j].conj() - w[i] * w[j].conj() for j in range(d)] for i in range(d)]
@@ -867,7 +866,8 @@ def test_zero_pivot_families_have_the_inertia_they_state(family):
     rng = random.Random(f"family {family.__name__}")
     for d in range(2, 9):
         for _ in range(4):
-            A, inertia = family(rng, d)
+            matrix, inertia = family(rng, d)
+            A = gaussian_rationals(matrix)
             assert inertia == _inertia_by_charpoly(A), (A, inertia)
             if family is imaginary_hermitian:
                 assert all(not A[i][j].re for i in range(d) for j in range(d)), A
@@ -923,7 +923,7 @@ def test_hermitian_enclosure_matches_charpoly_reference():
 
     tol = F(1, 10**12)
     rng = random.Random(2024)
-    blocks = [generic_hermitian(rng, d) for d in range(1, 10)]
+    blocks = [gaussian_rationals(generic_hermitian(rng, d)) for d in range(1, 10)]
     # a symmetric spectrum {+1, -1} and the zero block
     blocks.append([[CQ_ZERO, CQ_ONE], [CQ_ONE, CQ_ZERO]])
     blocks.append([[CQ_ZERO] * 3 for _ in range(3)])

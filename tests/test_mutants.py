@@ -101,6 +101,22 @@ MUTANTS = {
             "hilbert polynomial consistency",
         ),
     ),
+    "seeded draws: Gaussian product adds b d": (
+        "fixtures", "a * c - b * d", "a * c + b * d",
+        (
+            "line-bundle norm: eigenvalues vs blocks",
+            "commutator blocks: rotated split bundles vs line tables",
+            "inertia signs on zero-pivot families",
+        ),
+    ),
+    "seeded draws: adjoint without the conjugation": (
+        "fixtures", "[(x, -y) for x, y in col]", "[(x, y) for x, y in col]",
+        (
+            "line-bundle norm: eigenvalues vs blocks",
+            "commutator blocks: rotated split bundles vs line tables",
+            "inertia signs on zero-pivot families",
+        ),
+    ),
     "doubled CP fundamental class": (
         "fixturedoc", 'else f"h^{n}"): "1"', 'else f"h^{n}"): "2"',
         ("projective space genus suite", "hilbert polynomial consistency"),
