@@ -288,8 +288,11 @@ class BoundsInput(Record):
 
 
 def bound_T4(b: BoundsInput) -> int:
-    """(n+1) + floor(c_n K / (n C)), the basic Euler-characteristic bound."""
-    return b.n + 1 + floor(b.c_n * b.K / (b.n * b.C))
+    """(n+1) + floor(c_n K / (2 n C)), the basic Euler-characteristic bound
+    (-1)^n chi(X) >= (n+1) + floor(c_n K / (2nC)) of the paper's abstract.
+    With N = floor(c_n K / (n C)) of :func:`t4_chain`, whose proof step
+    comes before the factor 2 enters, it is n + 1 + N // 2."""
+    return b.n + 1 + floor(b.c_n * b.K / (2 * b.n * b.C))
 
 
 def bound_T2(b: BoundsInput, c1sq_L: Scalar) -> Fraction:

@@ -2,8 +2,9 @@
 
 Basis monomials xi_J ^ xibar_K (J, K subsets of {1..n}) tensored with a
 fiber index are declared orthonormal; all operators are sparse matrices
-with exact complex-rational entries.  L wedges with the standard Kahler
-form omega = i sum_j xi_j ^ xibar_j, Lambda is its basis adjoint, and the
+with exact complex-rational entries, the Gaussian rationals ``CQ`` of the
+scalars section below.  L wedges with the standard Kahler form
+omega = i sum_j xi_j ^ xibar_j, Lambda is its basis adjoint, and the
 Hodge star follows the convention  alpha ^ conj(star beta) = <alpha, beta> vol
 with vol = omega^n / n!.  The identity Lambda = star^{-1} L star is then a
 theorem about the convention, checked by the tests rather than assumed.
@@ -11,20 +12,23 @@ A basis index is the integer key of ``hlab.monomials``, which holds the
 basis order and every sign and phase under wedge and star, for
 ``hlab.sl2`` and the Hermitian blocks too.
 
-No command runs this engine, ``hlab verify`` included: only the tests
-(and the benchmark tracer) run it, and the tests hold the faster
-certificates against it.  ``lefschetz-check`` certifies sl(2), the star
-identities, hard Lefschetz and injectivity from integer tables in
-``hlab.sl2``, and three of those functions are re-exported here.  The
+No command runs this engine, ``hlab verify`` included, and the package
+exports none of its names: only the tests (and the benchmark tracer) run
+it, from ``hlab.lefschetz``, and the tests hold the faster certificates
+against it.  ``lefschetz-check`` certifies sl(2), the star identities,
+hard Lefschetz and injectivity from integer tables in ``hlab.sl2``.  The
 bidegree blocks of [Lambda, iTheta(E)] are read from theta in
 ``hlab.blocks``.  The space rule :func:`check_space` lives in
 ``hlab.literals``, and the diagonal curvature record, its closed-form norm
 and ``commutator_norm``, which chooses the certificate of each curvature,
-in ``hlab.diagonal``; both are re-exported here.  The scalars are the
-Gaussian rationals of ``hlab.gaussian``.  The Hermitian curvature record,
-the one curvature that :func:`curvature_operator` takes, lives in
-``hlab.hermitian`` and holds theta as Gaussian integers over one scale,
-which :func:`curvature_operator` turns into those scalars.
+in ``hlab.diagonal``.  This module re-exports the three sl2 certificates,
+``commutator_norm`` and ``flatness_test``, which the tracer wraps here,
+and keeps the old import paths of ``check_space``, ``CertificateError``,
+``CommutatorNorm``, ``DiagonalCurvature`` and ``diagonal_norm``.  The
+Hermitian curvature record, the one curvature that
+:func:`curvature_operator` takes, lives in ``hlab.hermitian`` and holds
+theta as Gaussian integers over one scale, which
+:func:`curvature_operator` turns into ``CQ``.
 """
 
 from __future__ import annotations
@@ -32,18 +36,146 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import CertificateError  # noqa: F401 - re-exported, like every engine's own exception
-from .diagonal import CommutatorNorm, DiagonalCurvature  # noqa: F401 - CommutatorNorm is re-exported
-from .diagonal import commutator_norm, diagonal_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
-from .gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO, _as_cq
+from .errors import CertificateError  # noqa: F401 - old import path
+from .diagonal import CommutatorNorm, DiagonalCurvature, diagonal_norm  # noqa: F401 - old import paths
+from .diagonal import commutator_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .literals import check_space
 from .monomials import basis_keys, bidegree, star_key, wedge_sign
 from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
     from .hermitian import HermitianCurvature
+
+
+# -- scalars -------------------------------------------------------------------
+
+
+class CQ:
+    """Exact complex rational (a + b i) / d over the Gaussian integers.
+
+    a, b, d are ints with d > 0 and gcd(a, b, d) = 1, a canonical form, so
+    equality compares fields.  Arithmetic takes a gcd only when d != 1; the
+    entries of L, Lambda and star and all their products have d = 1.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # with d the lcm of the reduced denominators, gcd(a, b, d) = 1
+            d = self.d = lcm(re.denominator, im.denominator)
+            self.a = re.numerator * (d // re.denominator)
+            self.b = im.numerator * (d // im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __add__(self, other):
+        o = _as_cq(other)
+        if self.d == 1 == o.d:
+            return _cq(self.a + o.a, self.b + o.b, 1)
+        return _reduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _cq(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -_as_cq(other)
+
+    def __rsub__(self, other):
+        return _as_cq(other) - self
+
+    def __mul__(self, other):
+        o = _as_cq(other)
+        a, b = self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a
+        if self.d == 1 == o.d:
+            return _cq(a, b, 1)
+        return _reduced(a, b, self.d * o.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _as_cq(other)
+        norm = o.a * o.a + o.b * o.b
+        if not norm:
+            raise ZeroDivisionError("complex division by zero")
+        # (a + b i) o.d (o.a - o.b i) / (d |o.a + o.b i|^2)
+        return _reduced(
+            (self.a * o.a + self.b * o.b) * o.d, (self.b * o.a - self.a * o.b) * o.d, self.d * norm
+        )
+
+    def conj(self) -> "CQ":
+        return _cq(self.a, -self.b, self.d)
+
+    def abs2(self) -> Fraction:
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        if isinstance(other, CQ):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other.numerator and self.d == other.denominator
+        return NotImplemented
+
+    def __hash__(self):
+        # a real value hashes like the int or Fraction it equals
+        if not self.b:
+            return hash(self.a if self.d == 1 else Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self):
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+def _as_cq(x) -> CQ:
+    if isinstance(x, CQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return CQ(x)
+    raise TypeError(f"cannot coerce {x!r} to a complex rational")
+
+
+def _cq(a: int, b: int, d: int) -> CQ:
+    """(a + b i) / d, already in canonical form."""
+    z = object.__new__(CQ)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> CQ:
+    """(a + b i) / d for d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    return _cq(a // g, b // g, d // g)
+
+
+CQ_ZERO = CQ(0)
+CQ_ONE = CQ(1)
+CQ_I = CQ(0, 1)
+
+
+# -- the basis -----------------------------------------------------------------
 
 
 class ExteriorBasis:

@@ -197,12 +197,15 @@ def _check_diagonal_blocks(rng):
 
 def _check_line_bundle_norm(rng):
     """The eigenvalue path of a Hermitian line bundle against the block
-    certificate of every bidegree block, on generic and rotated split draws.
-    Both rest on the inertia kernel of ``hermitian``, so the rotated draws are
-    also held to their closed-form table, which shares no code with it."""
+    certificate of every bidegree block, on generic and rotated split draws;
+    ``commutator_norm``, the dispatch of ``hlab commutator``, must take the
+    eigenvalue path.  Both rest on the inertia kernel of ``hermitian``, so
+    the rotated draws are also held to their closed-form table, which shares
+    no code with it."""
     for n in (1, 2, 3):
         for spec, exact in ((fixtures.generic_curvature(rng, n, 1), {}), fixtures.rotated_split_curvature(rng, n, 1)):
             fast, slow = linebundle.line_bundle_norm(spec), blocks.block_commutator_norm(spec)
+            _expect(diagonal.commutator_norm(spec) == fast, n)
             _expect(set(fast.table) == set(slow.table), n)
             for key, iv in slow.table.items():
                 other = fast.table[key]
@@ -213,14 +216,15 @@ def _check_line_bundle_norm(rng):
 
 
 def _check_rotated_split_blocks(rng):
-    """The block certificate ``blocks.block_commutator_norm`` on direct sums
-    of line bundles in rotated unitary frames against the closed-form table
-    of their lines (``fixtures.rotated_split_curvature``).  Every C_{p,q} is
-    an integer there, which the search certifies exactly.  Rank 1 is the
-    line-bundle check's."""
+    """The norm of direct sums of line bundles in rotated unitary frames, read
+    through ``commutator_norm`` as ``hlab commutator`` reads it, so through
+    the block certificate ``blocks.block_commutator_norm``, against the
+    closed-form table of their lines (``fixtures.rotated_split_curvature``).
+    Every C_{p,q} is an integer there, which the search certifies exactly.
+    Rank 1 is the line-bundle check's."""
     for n, r in ((1, 2), (2, 2), (1, 3), (2, 3)):
         spec, table = fixtures.rotated_split_curvature(rng, n, r)
-        for key, iv in blocks.block_commutator_norm(spec).table.items():
+        for key, iv in diagonal.commutator_norm(spec).table.items():
             _expect(iv.lo == iv.hi == table[key], (n, r, key, iv, table[key]))
 
 
@@ -399,7 +403,7 @@ def _check_roots(rng):
 
 def _check_bound_fixtures(rng):
     b = bounds.BoundsInput(n=2, K=Fraction(100), C=Fraction(2), c_n=Fraction(1, 10))
-    _expect(bounds.bound_T4(b) == 5)
+    _expect(bounds.bound_T4(b) == 4)
     b2 = bounds.BoundsInput(n=2, K=Fraction(5), C=Fraction(2), c_n=Fraction(1))
     _expect(bounds.bound_T2(b2, 1) == 7)
     b5 = bounds.BoundsInput(n=3, K=Fraction(61), C=Fraction(1), c_n=Fraction(1))

@@ -27,8 +27,7 @@ from hlab.fixtures import (  # noqa: F401 - re-exported for the test modules
     random_manifold_bundle,
     weight_keys,
 )
-from hlab.gaussian import CQ
-from hlab.lefschetz import FormVector
+from hlab.lefschetz import CQ, FormVector
 from hlab.qpoly import QPoly
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")

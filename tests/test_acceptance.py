@@ -40,8 +40,8 @@ from hlab.genus import (
     projective_space,
     todd_class,
 )
-from hlab.gaussian import CQ
 from hlab.lefschetz import (
+    CQ,
     DiagonalCurvature,
     commutator_norm,
     curvature_operator,
@@ -233,8 +233,8 @@ def test_criterion_09_lemma44_exhaustive():
 
 def test_criterion_10_bound_evaluator_fixtures():
     with criterion(10, "bound_T4/T2/T5/C1 reproduce the hand-computed fixtures exactly"):
-        assert bound_T4(BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))) == 5
-        assert bound_T4(BoundsInput(n=3, K=F(30), C=F(1), c_n=F(1))) == 14
+        assert bound_T4(BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))) == 4
+        assert bound_T4(BoundsInput(n=3, K=F(30), C=F(1), c_n=F(1))) == 9
         assert bound_T2(BoundsInput(n=2, K=F(1), C=F(5), c_n=F(1)), 7) == 3
         assert bound_T2(BoundsInput(n=2, K=F(5), C=F(2), c_n=F(1)), 1) == 7
         assert bound_T2(BoundsInput(n=2, K=F(100), C=F(1), c_n=F(3, 100)), -2) == 21

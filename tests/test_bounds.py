@@ -310,12 +310,12 @@ def test_sqrt_enclosure_certified():
 
 
 def test_bound_T4_fixtures():
-    assert bound_T4(BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))) == 5
-    assert bound_T4(BoundsInput(n=3, K=F(30), C=F(1), c_n=F(1))) == 14
+    assert bound_T4(BoundsInput(n=2, K=F(100), C=F(2), c_n=F(1, 10))) == 4
+    assert bound_T4(BoundsInput(n=3, K=F(30), C=F(1), c_n=F(1))) == 9
     # small K degenerates to n + 1
     assert bound_T4(BoundsInput(n=2, K=F(1), C=F(100), c_n=F(1))) == 3
-    # genuine floor, not rounding: 11/4 -> 2
-    assert bound_T4(BoundsInput(n=1, K=F(11), C=F(4), c_n=F(1))) == 4
+    # genuine floor, not rounding: 11/8 -> 1
+    assert bound_T4(BoundsInput(n=1, K=F(11), C=F(4), c_n=F(1))) == 3
 
 
 def test_bound_T4_requires_positive_C():
@@ -333,6 +333,20 @@ def test_bound_T4_monotonicity():
         base = bound_T4(BoundsInput(n=n, K=K, C=C, c_n=c_n))
         assert bound_T4(BoundsInput(n=n, K=K + 1, C=C, c_n=c_n)) >= base
         assert bound_T4(BoundsInput(n=n, K=K, C=C + 1, c_n=c_n)) <= base
+
+
+def test_bound_T4_is_n_plus_1_plus_half_the_chain_N():
+    # the abstract's floor(c_n K / (2nC)) is half, rounded down, of the
+    # N = floor(c_n K / (nC)) that the chain scans with
+    rng = random.Random(906)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        b = BoundsInput(
+            n=n, K=F(rng.randint(1, 50), rng.randint(1, 5)), C=F(rng.randint(1, 50), rng.randint(1, 5)),
+            c_n=F(rng.randint(1, 9), rng.randint(1, 9)),
+        )
+        N = t4_chain(b, QPoly([0, 1]), F(0), 0).N
+        assert bound_T4(b) == n + 1 + N // 2, b
 
 
 def test_bound_T2_fixtures():

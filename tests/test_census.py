@@ -71,12 +71,12 @@ UNENTERED = {
         "hlab.lefschetz.curvature_operator", "hlab.lefschetz.diagonal_commutator_eigenvalues",
         "hlab.lefschetz.get_basis", "hlab.lefschetz.i_power", "hlab.lefschetz.identity_operator",
         "hlab.lefschetz.int_rank", "hlab.lefschetz.op_L", "hlab.lefschetz.op_Lambda", "hlab.lefschetz.op_star",
-        "hlab.gaussian.CQ.__add__", "hlab.gaussian.CQ.__bool__", "hlab.gaussian.CQ.__eq__",
-        "hlab.gaussian.CQ.__hash__", "hlab.gaussian.CQ.__init__", "hlab.gaussian.CQ.__mul__",
-        "hlab.gaussian.CQ.__neg__", "hlab.gaussian.CQ.__repr__", "hlab.gaussian.CQ.__rsub__",
-        "hlab.gaussian.CQ.__sub__", "hlab.gaussian.CQ.__truediv__", "hlab.gaussian.CQ.abs2", "hlab.gaussian.CQ.conj",
-        "hlab.gaussian.CQ.im", "hlab.gaussian.CQ.re", "hlab.gaussian._as_cq", "hlab.gaussian._cq",
-        "hlab.gaussian._reduced",
+        "hlab.lefschetz.CQ.__add__", "hlab.lefschetz.CQ.__bool__", "hlab.lefschetz.CQ.__eq__",
+        "hlab.lefschetz.CQ.__hash__", "hlab.lefschetz.CQ.__init__", "hlab.lefschetz.CQ.__mul__",
+        "hlab.lefschetz.CQ.__neg__", "hlab.lefschetz.CQ.__repr__", "hlab.lefschetz.CQ.__rsub__",
+        "hlab.lefschetz.CQ.__sub__", "hlab.lefschetz.CQ.__truediv__", "hlab.lefschetz.CQ.abs2",
+        "hlab.lefschetz.CQ.conj", "hlab.lefschetz.CQ.im", "hlab.lefschetz.CQ.re", "hlab.lefschetz._as_cq",
+        "hlab.lefschetz._cq", "hlab.lefschetz._reduced",
     ),
     "parser for text outside the printed form: every grid document is canonical": (
         "hlab.exprparse._Parser.__init__", "hlab.exprparse._Parser._guard", "hlab.exprparse._Parser.advance",

@@ -85,7 +85,7 @@ def test_lefschetz_check():
 def test_bounds_t4(cp2_bounds_file):
     code, out, _ = run_hlab(["bounds", "--input", cp2_bounds_file, "--which", "t4"])
     assert code == 0
-    assert "bound_T4 = 5" in out
+    assert "bound_T4 = 4" in out
 
 
 def test_bounds_t5_pipeline(cp2_bounds_file):

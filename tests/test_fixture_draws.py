@@ -14,8 +14,8 @@ from conftest import gaussian_integers, gaussian_rationals
 
 import hlab.fixtures as fixtures
 from hlab.diagonal import DiagonalCurvature, diagonal_norm
-from hlab.gaussian import CQ, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HermitianCurvature
+from hlab.lefschetz import CQ, CQ_ONE, CQ_ZERO
 
 SEEDS = range(50)
 # every shape that ``hlab verify`` and the tests draw

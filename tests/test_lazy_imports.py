@@ -15,16 +15,18 @@ imports the engine it runs: the HRR engine (``ring``, ``genus``,
 ``commutator_norm`` imports the certificate a curvature takes), the integer
 Kahler certificates of ``lefschetz-check`` (``sl2``, with the sign rules of
 ``monomials``) or the self-check suite (``selfcheck``, ``fixtures``), which
-loads every engine but the operator engine and its Gaussian rationals
-(``gaussian``); each engine loads the value records (``record``).  A
-refused ``lefschetz-check`` space loads the flag rules alone.  No command loads the operator engine (``lefschetz``): only the
-tests and the benchmark tracer run it.  The exact set of each is pinned
-here, and so is the size of the hlab code each set compiles: its AST
-nodes, docstrings left out.
+loads every engine but the operator engine; each engine loads the value
+records (``record``).  A refused ``lefschetz-check`` space loads the flag
+rules alone.  No command loads the operator engine (``lefschetz``), which
+holds the one Gaussian-rational type ``CQ``: only the tests and the
+benchmark tracer run it, and no other module names ``CQ``.  The exact set
+of each is pinned here, and so is the size of the hlab code each set
+compiles: its AST nodes, docstrings left out.
 No command loads ``dataclasses``, ``inspect``, ``argparse`` and the
 ``gettext`` and ``locale`` it pulls in, or OpenSSL's ``_hashlib``.
 The package still exports every name it did when it imported all of its
-modules eagerly.
+modules eagerly, but the operator engine's own: those live only in
+``hlab.lefschetz``.
 """
 
 import ast
@@ -51,7 +53,7 @@ ARGPARSE = {"argparse", "gettext", "locale"}  # about 7 ms of a cold start with 
 ENGINES = {
     f"hlab.{m}"
     for m in (
-        "blocks", "bounds", "diagonal", "exprparse", "fixturedoc", "gaussian", "genus", "helptext", "hermitian",
+        "blocks", "bounds", "diagonal", "exprparse", "fixturedoc", "genus", "helptext", "hermitian",
         "inputdoc", "lefschetz", "linebundle", "monomials", "qpoly", "record", "ring", "sl2",
     )
 }
@@ -71,7 +73,7 @@ DIAGONAL = FLAGS | {"hlab.diagonal", "hlab.record"}
 SL2 = FLAGS | {"hlab.sl2", "hlab.monomials", "hlab.record"}
 # a Hermitian document: the record, which holds theta as Gaussian integers
 # over one scale; then the eigenvalue path of a line bundle, or the blocks of
-# rank r >= 2.  No Gaussian rational (``gaussian``) is made on either path.
+# rank r >= 2.  No Gaussian rational (``CQ``) is made on either path.
 HERMITIAN = READER | {"hlab.diagonal", "hlab.hermitian", "hlab.record"}
 LINE_BUNDLE = HERMITIAN | {"hlab.linebundle"}
 RANK_R = HERMITIAN | {"hlab.blocks", "hlab.monomials"}
@@ -274,10 +276,11 @@ def test_commands_load_no_code_generation(cp2_file, argv):
 def test_operator_engine_imports_no_other_engine():
     # Interval lives in record, so lefschetz no longer pulls in bounds and qpoly,
     # and it loads neither the Hermitian record nor any norm certificate; it
-    # takes the space rule from literals and re-exports three sl2 certificates
+    # takes the space rule from literals and re-exports three sl2 certificates;
+    # its scalars are its own
     assert _import_loads("import hlab.lefschetz") == {
-        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.gaussian", "hlab.literals", "hlab.monomials",
-        "hlab.record", "hlab.sl2",
+        "hlab.lefschetz", "hlab.diagonal", "hlab.errors", "hlab.literals", "hlab.monomials", "hlab.record",
+        "hlab.sl2",
     }
 
 
@@ -351,14 +354,14 @@ CODE_NODES = [
     ("--help and the missing subcommand", HELP, 2575),
     ("genus kcoeffs hilbert ineq", HRR, 12575),
     ("genus on a document outside the printed form", PARSED, 13854),
-    ("bounds", HRR | BOUNDS, 16051),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8679),
+    ("bounds", HRR | BOUNDS, 16054),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8682),
     ("commutator --gammas", DIAGONAL, 3938),
     ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
     ("lefschetz-check", SL2, 4714),
     ("commutator --input HERMITIAN", RANK_R, 8823),
     ("commutator --input LINE", LINE_BUNDLE, 7645),
-    ("verify", VERIFY, 29727),
+    ("verify", VERIFY, 29747),
 ]
 
 
@@ -373,9 +376,10 @@ def test_diagonal_closed_form_loads_no_operator_engine(statement):
 
 
 def _complex_scalar_names(module: str) -> list[str]:
-    """The names of the Gaussian-rational module and of its scalars that the
-    source of hlab module ``module`` holds, lazy imports inside a function
-    included, which a module-set probe sees only if the function runs."""
+    """The names ``gaussian`` and ``CQ...`` of the Gaussian-rational scalars
+    that the source of hlab module ``module`` holds, lazy imports inside a
+    function included, which a module-set probe sees only if the function
+    runs."""
     tree = ast.parse((Path(hlab.__file__).parent / f"{module}.py").read_text())
     names = set()
     for node in ast.walk(tree):
@@ -390,10 +394,14 @@ def test_diagonal_names_no_complex_scalars():
     assert not _complex_scalar_names("diagonal")
 
 
-@pytest.mark.parametrize("module", ["hermitian", "blocks", "linebundle", "fixtures", "selfcheck"])
+PACKAGE = sorted(p.stem for p in Path(hlab.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [m for m in PACKAGE if m not in ("lefschetz", "diagonal")])
 def test_hermitian_path_names_no_complex_scalars(module):
     # from the document or the seeded draw to the certificate, theta and its
-    # blocks are Gaussian integers over one scale: no Gaussian rational is made
+    # blocks are Gaussian integers over one scale: no Gaussian rational is
+    # made, and only the operator engine names one (diagonal: the test above)
     assert not _complex_scalar_names(module)
 
 
@@ -433,7 +441,6 @@ EXPORTS = {
         "isolate_real_roots root_report sqrt_enclosure t4_chain"
     ),
     "exprparse": "ExprError parse_expression parse_rational",
-    "gaussian": "CQ",
     "genus": (
         "BundleData FundamentalClass IntegralityError ManifoldData MissingChernNumber bundle_power "
         "ch_hodge_sheaf chern_character chern_inequality_check chi_p chi_y hilbert_polynomial "
@@ -441,11 +448,7 @@ EXPORTS = {
         "k_coefficients projective_space todd_class"
     ),
     "hermitian": "HermitianCurvature",
-    "lefschetz": (
-        "CertificateError CommutatorNorm DiagonalCurvature ExteriorBasis FormVector "
-        "Operator commutator_norm curvature_operator "
-        "diagonal_commutator_eigenvalues flatness_test get_basis op_L op_Lambda op_star"
-    ),
+    "lefschetz": "CertificateError CommutatorNorm DiagonalCurvature commutator_norm flatness_test",
     "qpoly": "QPoly",
     "ring": (
         "GradedElement RingSpec Series SpecMismatch elementary_from_power_sums exp genus_product "
@@ -457,7 +460,7 @@ EXPORTED = [(home, name) for home, names in EXPORTS.items() for name in names.sp
 
 
 def test_every_export_is_listed():
-    assert len(EXPORTED) == 69
+    assert len(EXPORTED) == 59
     listed = set(dir(hlab))
     for name in [name for _, name in EXPORTED] + ["__version__"]:
         assert name in listed and name in hlab.__all__, name
@@ -466,6 +469,22 @@ def test_every_export_is_listed():
 @pytest.mark.parametrize("home,name", EXPORTED, ids=[name for _, name in EXPORTED])
 def test_export_is_its_home_modules_object(home, name):
     assert getattr(hlab, name) is getattr(importlib.import_module(f"hlab.{home}"), name)
+
+
+# The operator engine's own names: the tests' oracle exports none through
+# the package, and each lives in hlab.lefschetz alone.
+ORACLE = (
+    "CQ ExteriorBasis FormVector Operator curvature_operator diagonal_commutator_eigenvalues get_basis "
+    "op_L op_Lambda op_star"
+)
+
+
+@pytest.mark.parametrize("name", ORACLE.split())
+def test_oracle_name_is_not_exported(name):
+    from hlab import lefschetz
+
+    assert hasattr(lefschetz, name)
+    assert not hasattr(hlab, name) and name not in dir(hlab) and name not in hlab.__all__
 
 
 def test_unknown_name_raises_attribute_error():

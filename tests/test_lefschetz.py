@@ -25,13 +25,16 @@ from hlab.fixtures import (
     imaginary_hermitian,
     rotated_split_curvature,
 )
-from hlab.gaussian import CQ, CQ_I, CQ_ONE, CQ_ZERO
 from hlab.hermitian import HERMITIAN_WIDTH, HermitianCurvature
 from hlab.linebundle import line_bundle_norm
 from hlab.literals import check_space
 from hlab.monomials import wedge_sign
 from hlab.selfcheck import injectivity_by_rank, lefschetz_power_by_rank
 from hlab.lefschetz import (
+    CQ,
+    CQ_I,
+    CQ_ONE,
+    CQ_ZERO,
     DiagonalCurvature,
     FormVector,
     commutator_norm,

@@ -169,6 +169,22 @@ MUTANTS = {
         "bounds", "return b.n + 1 + floor(", "return b.n + floor(",
         ("bound evaluator fixtures",),
     ),
+    "T2 bound without the square": (
+        "bounds", "Fraction(f) ** 2", "Fraction(f)",
+        ("bound evaluator fixtures",),
+    ),
+    "T5 bound without the factor 2": (
+        "bounds", "+ 2 * abs(Fraction(a_n))", "+ abs(Fraction(a_n))",
+        ("bound evaluator fixtures",),
+    ),
+    "C1 bound without the + 1": (
+        "bounds", "** b.n + 1", "** b.n",
+        ("bound evaluator fixtures",),
+    ),
+    "rank 2 sent to the line-bundle path": (
+        "hermitian", "if spec.r == 1:", "if spec.r <= 2:",
+        ("commutator blocks: rotated split bundles vs line tables",),
+    ),
 }
 
 

@@ -266,8 +266,8 @@ DIGESTS = {
     "lefschetz-check --n 4 machine": "928973cf5a29a9a5d4e82a5a202e52bed16e1104c61e7d5215980d82c2652499",
     "genus --input @truncated text": "7db12eeb4646ab324464f900bb165713fe3207b1fc62a43d1ff9830c569ea2b8",
     "genus --input @truncated machine": "56a9b2db6e4893dca901561a5f95674fe5ec6b9d6d2fcc9cd53a3f6f26c2ca7a",
-    "bounds --which t4 --input @degenerate text": "1f1801ff381665a3d2af8487b1a1c2bcd37aa9c222d9e8fce18876c293183486",
-    "bounds --which t4 --input @degenerate machine": "b51ccbb9e4702f1d4cc98841b7584da3e73d5936f637b192c5e4b7a69ef22396",
+    "bounds --which t4 --input @degenerate text": "b382a57405aed93bcc5b2ad1f76377fe3fdfcc6a131b79cf0d48422b3b27fc6c",
+    "bounds --which t4 --input @degenerate machine": "2a4d3df5c946baa035d3aa3e53660a9ff2df84e6d74ce15b573f9360c78e1b78",
     "bounds --which t5 --input @degenerate text": "e692541de00c88196712afc02dbe9cc2f782faad525f01802ae496ecd4f4765a",
     "bounds --which t5 --input @degenerate machine": "eaa4287455333c2bcf046f1f7cd1520295ebb15036e2aa5392dfeac965fa9364",
     "bounds --which c1 --input @degenerate text": "6ad72ea05b02263423230bc5b5da7e2e0a584b624c1a4786c21d3f4f5acd4dbf",
