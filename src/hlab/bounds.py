@@ -7,12 +7,12 @@ curvature constant K, the commutator norm C and the dimensional constant
 c_n.  Everything is exact rational arithmetic except the two square roots
 in the primitive-bound interval, which are certified decimal enclosures.
 
-Next to the evaluators sit the one source rule for their inputs
-(:func:`bound_input`: derived from a document's ring, manifold and line
-bundle, or read from its ``bounds`` section, and checked to agree when
-given both ways), the ``--which`` dispatch of ``hlab bounds``
-(:func:`bounds_results`) and its handler (:func:`run_command`).  So only
-a ``bounds`` job compiles them.
+Next to the evaluators sit the one source rule for their inputs, every
+one of n, p, K, C, c_n and the data of X and L (:func:`bound_input`:
+derived from a document's ring, manifold and line bundle, or read from
+its ``bounds`` section, and checked to agree when given both ways), the
+``--which`` dispatch of ``hlab bounds`` (:func:`bounds_results`) and its
+handler (:func:`run_command`).  So only a ``bounds`` job compiles them.
 """
 
 from __future__ import annotations
@@ -399,13 +399,18 @@ def bound_input(doc: InputDocument, key: str):
     otherwise; given both ways, the two must agree.  n comes from the ring,
     chi^p(X) from the manifold, chi from chi^p got either way, and a_n,
     c1sq_L and the bounds.p-Hilbert polynomial (``hilbert``) from the
-    manifold and line bundle."""
+    manifold and line bundle.  K, C and c_n are only ever given, and p, a
+    form degree in [0, n], is 0 unless given."""
     section, x, line = doc.require("bounds"), doc.manifold, doc.line_bundle
     if x is not None:  # every derivation from X runs in genus, loaded when X was read
         from . import genus
     given, path, derived = section.get(key), f"bounds.{key}", None
+    if key == "p":
+        from .inputdoc import in_range
+
+        return in_range(section.get(key, 0), bound_input(doc, "n"), path)
     if key == "hilbert":
-        p = doc.bounds_p
+        p = bound_input(doc, "p")
         given, path = (given or {}).get(p), f"{path}.{p}"
     if key == "n" and doc.spec is not None:
         derived = doc.spec.truncation
@@ -420,7 +425,8 @@ def bound_input(doc: InputDocument, key: str):
         derived = genus.integrate(c1 ** x.n if key == "a_n" else c1 * c1, x.fclass)
     if derived is None:
         if given is None:
-            raise DocumentError(f"this bound needs {path}, or the document sections to derive it from")
+            source = "" if key in ("K", "C", "c_n") else ", or the document sections to derive it from"
+            raise DocumentError(f"this bound needs {path}{source}")
         if key == "chi_p" and len(given) != (count := bound_input(doc, "n") + 1):
             raise DocumentError(f"{path} must list chi^0 .. chi^n: {count} values, not {len(given)}")
         if key == "hilbert" and (given.degree > (n := bound_input(doc, "n")) or not is_integer_valued(given)):
@@ -443,7 +449,7 @@ def bounds_results(doc: InputDocument, which: str) -> dict:
     """``hlab bounds --which W``: the chosen bound and the inputs it read.
     The hypotheses on n, K, C and c_n are checked first, then bounds.p, then
     the data of X and L that the chosen bound reads."""
-    b, p = doc.bounds_input(), doc.bounds_p
+    b, p = doc.bounds_input(), bound_input(doc, "p")
     if which == "t4":
         return {"bound_T4": bound_T4(b)}
     if which == "t2":

@@ -1,5 +1,8 @@
 """Diagonal line-bundle curvature, its commutator norm in closed form, and
-the one choice of how C = |[Lambda, iTheta(E)]| is computed.
+the first choice of how C = |[Lambda, iTheta(E)]| is computed: diagonal
+curvature here, Hermitian curvature in ``hermitian.hermitian_norm``, which
+chooses by rank.  That second choice stays in ``hermitian`` so that
+``commutator --gammas`` compiles none of it.
 
 For iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j the operator [iTheta(L), Lambda]
 is diagonal on the monomial basis, with eigenvalue gamma_J + gamma_K - sum gamma

@@ -17,8 +17,10 @@ flags.  Each section's engine loads only where a section needs it, and the
 expression parser (``exprparse``) only for an expression or a
 ``fundamental_class`` key outside the form the ring prints, which the
 ring's own readers (``RingSpec.read_element``, ``RingSpec.read_monomial``)
-take without it.  ``hlab.bounds.bound_input`` alone decides
-where each bound input comes from.  An expression truncated at the ring's
+take without it.  The ``bounds`` section is parsed here, field by field,
+and read nowhere else here: ``hlab.bounds.bound_input`` alone decides where
+each bound input (n, p, K, C, c_n and the data of X and L) comes from and
+how it is checked.  An expression truncated at the ring's
 dimension emits the parser's ``TruncationWarning`` to the caller as an
 ordinary Python warning; the command line records it in the report.
 """
@@ -107,20 +109,11 @@ class InputDocument:
         return value
 
     def bounds_input(self) -> BoundsInput:
-        """The hypotheses n, K, C and c_n, checked by BoundsInput; the data of
-        X and L that a bound reads are got by :func:`hlab.bounds.bound_input`."""
+        """The hypotheses n, K, C and c_n, each got in that order by
+        :func:`hlab.bounds.bound_input` and then checked by BoundsInput."""
         from .bounds import BoundsInput, bound_input
 
-        section = self.require("bounds")
-        if missing := [k for k in ("K", "C", "c_n") if k not in section]:
-            raise DocumentError(f"bounds section is missing {missing}")
-        return BoundsInput(bound_input(self, "n"), section["K"], section["C"], section["c_n"])
-
-    @property
-    def bounds_p(self) -> int:
-        from .bounds import bound_input
-
-        return in_range(self.require("bounds").get("p", 0), bound_input(self, "n"), "bounds.p")
+        return BoundsInput(*(bound_input(self, k) for k in ("n", "K", "C", "c_n")))
 
 
 def load_document(tree: dict) -> InputDocument:

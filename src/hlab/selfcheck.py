@@ -291,9 +291,11 @@ def _gram(S: dict[int, dict[int, int]], keys: list[int], m: int) -> list[list[in
 
 
 def _nullity(B: list[list[int]], h: int) -> int:
-    """dim ker (B - h I) for a symmetric integer matrix B: one zero sign
-    per eigenvalue at h from the inertia kernel of ``hermitian``."""
-    return list(hermitian.inertia_signs((1, B, [[0] * len(B) for _ in B], None), Fraction(h))).count(0)
+    """dim ker (B - h I) for a symmetric integer matrix B, certified so by
+    ``hermitian.integer_parts``: one zero sign per eigenvalue at h from the
+    inertia kernel of ``hermitian``."""
+    parts = hermitian.integer_parts((1, B, [[0] * len(B) for _ in B]))
+    return list(hermitian.inertia_signs(parts, Fraction(h))).count(0)
 
 
 def lefschetz_power_by_rank(n: int, r: int, k: int) -> tuple[bool, tuple[Fraction, ...]]:

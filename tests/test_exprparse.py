@@ -17,6 +17,7 @@ from hlab.exprparse import (
     parse_monomial_key,
     parse_rational,
 )
+from hlab.bounds import bound_input
 from hlab.fixturedoc import cp_fixture
 from hlab.inputdoc import DocumentError, digest, load_document
 from hlab.diagonal import DiagonalCurvature
@@ -299,7 +300,7 @@ def test_document_bounds_input():
     doc = load_document(tree)
     b = doc.bounds_input()
     assert (b.n, b.K, b.C, b.c_n) == (2, 100, 2, F(1, 10))
-    assert doc.bounds_p == 1
+    assert bound_input(doc, "p") == 1
     with pytest.raises(DocumentError):
         load_document({"bounds": {"K": "1"}}).bounds_input()
 

@@ -15,6 +15,7 @@ import pytest
 from conftest import HLAB_ENV, perfbench, run_hlab, write_doc
 
 from hlab import genus, lefschetz, literals, sl2
+from hlab.bounds import bound_input
 from hlab.fixtures import rotated_split_curvature
 from hlab.exprparse import ExprError, parse_rational
 from hlab.fixturedoc import cp_fixture
@@ -134,6 +135,9 @@ FAULTS = {
         T5, {"bounds": {**BOUNDS, "n": 2, "a_n": "1", "chi_p": ["1"], "hilbert": {"0": ["2", "1"]}}}, "bounds.chi_p"
     ),
     "bounds-p-above-n": (T4, {"bounds": {**BOUNDS, "n": 2, "p": 3}}, "bounds.p = 3"),
+    # a missing hypothesis is named by its own path, not in a list
+    "bounds-K-missing": (T4, {"bounds": {"n": 2, "C": "2", "c_n": "1/10"}}, "bounds.K"),
+    "bounds-c_n-missing": (T4, {"bounds": {"n": 2, "K": "100", "C": "2"}}, "bounds.c_n"),
     # a given Hilbert polynomial meets the rule a derived one meets: degree
     # <= n and integer-valued; t5 exited 0, t4chain exited 1
     "hilbert-degree-above-n-t5": (T5, _scalar_bounds(["1", "3/2", "1/2", "1"]), "bounds.hilbert.0"),
@@ -243,7 +247,16 @@ def test_bounds_section_is_parsed_at_load():
         load_document(_with(("bounds", "K"), "x"))
     doc = load_document(_with(("bounds", "c1sq_L"), "9"))
     assert doc.bounds["c1sq_L"] == 9 and doc.bounds["p"] == 0
-    assert load_document(_with(("bounds",), {"K": "1"})).bounds_p == 0  # p defaults to 0
+    assert bound_input(load_document(_with(("bounds",), {"K": "1"})), "p") == 0  # p defaults to 0
+
+
+@pytest.mark.parametrize("key", ["K", "C", "c_n"])
+def test_missing_hypothesis_is_named_and_not_offered_a_derivation(key):
+    # K, C and c_n are only ever given, so the message names the key alone
+    doc = load_document(_cp2(bounds={k: v for k, v in BOUNDS.items() if k != key}))
+    with pytest.raises(DocumentError) as err:
+        doc.bounds_input()
+    assert str(err.value) == f"this bound needs bounds.{key}"
 
 
 def test_deeply_nested_expression_is_input_error():

@@ -352,16 +352,16 @@ CODE_NODES = [
     ("import hlab.cli", FLAGS, 2328),
     ("fixture", FIXTURE, 2558),
     ("--help and the missing subcommand", HELP, 2575),
-    ("genus kcoeffs hilbert ineq", HRR, 12575),
-    ("genus on a document outside the printed form", PARSED, 13854),
-    ("bounds", HRR | BOUNDS, 16054),
-    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8682),
+    ("genus kcoeffs hilbert ineq", HRR, 12503),
+    ("genus on a document outside the printed form", PARSED, 13782),
+    ("bounds", HRR | BOUNDS, 16031),
+    ("bounds without manifold data", READER | BOUNDS | {"hlab.qpoly", "hlab.record"}, 8659),
     ("commutator --gammas", DIAGONAL, 3938),
-    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4755),
+    ("commutator --input GAMMAS", DIAGONAL | {"hlab.inputdoc"}, 4683),
     ("lefschetz-check", SL2, 4714),
-    ("commutator --input HERMITIAN", RANK_R, 8823),
-    ("commutator --input LINE", LINE_BUNDLE, 7645),
-    ("verify", VERIFY, 29747),
+    ("commutator --input HERMITIAN", RANK_R, 8751),
+    ("commutator --input LINE", LINE_BUNDLE, 7573),
+    ("verify", VERIFY, 29733),
 ]
 
 
