@@ -2,14 +2,16 @@
 with holomorphic bundles, pointwise Lefschetz/curvature operator models,
 and the associated Euler-characteristic lower bounds.
 
-All computations are exact over the rationals (or Gaussian rationals for
-the exterior algebra); the only approximate outputs are certified rational
-enclosures of square roots and Hermitian operator norms.
+All computations are exact over the rationals; the only approximate
+outputs are certified rational enclosures of square roots and Hermitian
+operator norms.  Gaussian rationals are made only by the operator-engine
+oracle of the exterior algebra (``hlab.lefschetz``).
 
 The names below are exported lazily (PEP 562): ``import hlab`` loads no
 engine module, and ``hlab.X`` or ``from hlab import X`` imports the module
 that defines ``X`` on first use.  The operator engine ``hlab.lefschetz``,
-the tests' oracle, exports nothing through the package.
+the tests' oracle, exports nothing through the package; the dense series
+and the ring ``log`` are exported from their home ``hlab.oracles``.
 """
 
 from importlib import import_module
@@ -34,12 +36,10 @@ _EXPORTS = {
     ),
     "hermitian": ("HermitianCurvature",),
     "literals": ("parse_rational",),
+    "oracles": ("Series", "elementary_from_power_sums", "log", "todd_series"),
     "qpoly": ("QPoly",),
     "record": ("Interval",),
-    "ring": (
-        "GradedElement", "RingSpec", "Series", "SpecMismatch", "elementary_from_power_sums",
-        "exp", "genus_product", "log", "power_sums_from_elementary", "todd_series",
-    ),
+    "ring": ("GradedElement", "RingSpec", "SpecMismatch", "exp", "genus_product", "power_sums_from_elementary"),
     "sl2": ("LefschetzPower", "injectivity_scan", "lefschetz_power", "sl2_commutator_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,7 +34,7 @@ from .ring import (
     linear_combination,
     newton_rung,
     power_sums_from_elementary,
-    todd_series,
+    todd_log,
 )
 
 if TYPE_CHECKING:
@@ -153,7 +153,7 @@ class ManifoldData(Record):
     @cached_property
     def td(self) -> GradedElement:
         """td(X): the Todd genus product over the Chern roots of TX."""
-        return genus_product(todd_series(self.n), self._power_sums)
+        return genus_product(todd_log(self.n), self._power_sums)
 
     @cached_property
     def _ladder(self) -> tuple[list, list]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -336,7 +336,7 @@ class GradedElement:
         return f"<GradedElement {self}>"
 
 
-# -- exp / log ------------------------------------------------------------
+# -- exp --------------------------------------------------------------------
 
 
 def exp(x: GradedElement) -> GradedElement:
@@ -344,13 +344,6 @@ def exp(x: GradedElement) -> GradedElement:
     if x.constant_term() != 0:
         raise ValueError("exp requires a zero constant term")
     return _nilpotent_series(x, lambda k: Fraction(1, factorial(k)))
-
-
-def log(u: GradedElement) -> GradedElement:
-    """Series log of an element with constant term 1 (inverse of exp)."""
-    if u.constant_term() != 1:
-        raise ValueError("log requires constant term 1")
-    return _nilpotent_series(u - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def _nilpotent_series(x: GradedElement, coeff) -> GradedElement:
@@ -388,18 +381,6 @@ def power_sums_from_elementary(e: Sequence[GradedElement], n: int) -> list[Grade
     return p
 
 
-def elementary_from_power_sums(p: Sequence[GradedElement], n: int) -> list[GradedElement]:
-    """Inverse Newton: e_1..e_n from p_1..p_n, one :func:`newton_rung` each."""
-    if len(p) != n:
-        raise ValueError(f"need exactly {n} power sums, got {len(p)}")
-    if n == 0:
-        return []
-    e = [p[0].spec.one()]
-    while len(e) <= n:
-        e.append(newton_rung(e, p))
-    return e[1:]
-
-
 def newton_rung(e: Sequence[GradedElement], p: Sequence[GradedElement]) -> GradedElement:
     """e_k = (1/k) sum_{i=1..k} (-1)^{i-1} e_{k-i} p_i for k = len(e): the
     next rung of the inverse-Newton ladder from e_0 = 1, e_1..e_{k-1} and
@@ -410,89 +391,50 @@ def newton_rung(e: Sequence[GradedElement], p: Sequence[GradedElement]) -> Grade
     return linear_combination(e[0].spec, terms)
 
 
-# -- one-variable series ----------------------------------------------------
+# -- multiplicative genera ---------------------------------------------------
 
 
-class Series:
-    """Dense univariate power series truncated at a fixed degree.
-
-    Coefficient k is the degree-k coefficient; the list always has
-    length ``truncation + 1``.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n - i + 1):
-                out[i + j] += a * other.coeffs[j]
-        return Series(out)
-
-    def reciprocal(self) -> "Series":
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series with zero constant term")
-        n = self.truncation
-        inv = [Fraction(1) / self.coeffs[0]] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            s = sum((self.coeffs[i] * inv[k - i] for i in range(1, k + 1)), Fraction(0))
-            inv[k] = -s / self.coeffs[0]
-        return Series(inv)
-
-    def log(self) -> "Series":
-        """log of a series with constant term 1: the integral of f'/f."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series log requires constant term 1")
-        derivative = Series([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
-        g = (derivative * self.reciprocal()).coeffs
-        return Series([0] + [g[k - 1] / k for k in range(1, self.truncation + 1)])
-
-    def __str__(self):
-        return " + ".join(f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c != 0) or "0"
-
-
-def todd_series(n: int) -> Series:
-    """Coefficients of t/(1 - e^{-t}) up to degree n, by exact series division.
-
-    The Bernoulli numbers fall out of the division; they are cross-checked
-    in the tests rather than tabulated here.
-    """
+def todd_log(n: int) -> tuple[Fraction, ...]:
+    """Coefficients b_0..b_n of log(t/(1 - e^{-t})) = t/2 - sum_k B_2k t^2k / (2k (2k)!)
+    (Hirzebruch, *Topological Methods in Algebraic Geometry*, section 1), with
+    the Bernoulli numbers from B_0 = 1 and sum_{j<=k} C(k + 1, j) B_j = 0,
+    which are 0 at every odd k > 1 and are left out there."""
     if n < 1:
         raise ValueError("need n >= 1")
-    # (1 - e^{-t})/t = sum_{k>=0} (-1)^k t^k/(k+1)!
-    denom = Series([Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)])
-    return denom.reciprocal()
+    B = {0: Fraction(1)}
+    for k in (1, *range(2, n + 1, 2)):
+        B[k] = -sum(comb(k + 1, j) * B[j] for j in B) / (k + 1)
+    b = [Fraction(0)] * (n + 1)
+    b[1] = Fraction(1, 2)
+    for k in range(2, n + 1, 2):
+        b[k] = -B[k] / (k * factorial(k))
+    return tuple(b)
 
 
-def genus_product(q: Series, p: Sequence[GradedElement]) -> GradedElement:
-    """Evaluate prod_i Q(gamma_i) for a multiplicative factor Q with Q(0) = 1.
+def genus_product(b: Sequence[Scalar], p: Sequence[GradedElement]) -> GradedElement:
+    """Evaluate prod_i Q(gamma_i) for a multiplicative factor Q with Q(0) = 1,
+    given ``b``, the coefficients of log Q = sum_k b_k t^k (so b_0 = 0).
 
     ``p`` are the power sums of the roots gamma_i.  Uses
-    prod Q(gamma_i) = exp(sum_k b_k p_k) where log Q = sum b_k t^k,
-    which stays symmetric-function exact at every step.
+    prod Q(gamma_i) = exp(sum_k b_k p_k), which stays symmetric-function
+    exact at every step.
     """
-    if q.coeffs[0] != 1:
-        raise ValueError("genus factor must have constant term 1")
+    if b[0] != 0:
+        raise ValueError("log of a genus factor must have constant term 0")
     if not p:
         raise ValueError("need at least one power sum (the ring carrier)")
     spec = p[0].spec
-    b = q.log().coeffs
     return exp(linear_combination(spec, [(p[k - 1], b[k]) for k in range(1, min(len(b), len(p) + 1))]))
+
+
+# the oracles that moved to ``hlab.oracles``; the benchmark tracer still
+# wraps them by these names
+_MOVED = ("Series", "elementary_from_power_sums", "log", "todd_series")
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracles
+
+    return getattr(oracles, name)

@@ -100,11 +100,11 @@ UNENTERED = {
         "hlab.__dir__", "hlab.qpoly.QPoly.__hash__", "hlab.qpoly.QPoly.__repr__",
         "hlab.qpoly.QPoly.__rsub__", "hlab.record.Record.__hash__", "hlab.record.Record.__repr__",
         "hlab.ring.GradedElement.__hash__", "hlab.ring.GradedElement.__repr__", "hlab.ring.GradedElement.__rsub__",
-        "hlab.ring.GradedElement.__truediv__", "hlab.ring.Series.__eq__", "hlab.ring.Series.__getitem__",
-        "hlab.ring.Series.__str__",
+        "hlab.ring.GradedElement.__truediv__", "hlab.oracles.Series.__eq__", "hlab.oracles.Series.__getitem__",
+        "hlab.oracles.Series.__str__",
     ),
     "tracer target: perfbench/tracer.py wraps it by name": (
-        "hlab.bounds.count_roots_between", "hlab.bounds.forward_difference", "hlab.qpoly.poly_from_values",
+        "hlab.bounds.count_roots_between", "hlab.bounds.forward_difference", "hlab.oracles.poly_from_values",
         "hlab.ring.GradedElement.graded_component",
     ),
 }

@@ -40,7 +40,8 @@ raise SystemExit(main(["verify"]))
 # name: (module, exact old text, new text, the verify checks that must fail).
 # An ``enclose`` that stops at 64 times its width passes the other Hermitian
 # checks, whose good float guesses end the search before it bisects.  The
-# ring's Todd series reaches ``genus`` too, which imports it by name.
+# ring's closed-form Todd log reaches ``genus`` too, which imports it by
+# name; the dense Todd series of ``oracles`` reaches ``verify`` alone.
 MUTANTS = {
     "enclose width": (
         "hermitian", "while hi - lo > width:", "while hi - lo > 64 * width:",
@@ -83,7 +84,11 @@ MUTANTS = {
         ),
     ),
     "todd series of ones": (
-        "ring", "return denom.reciprocal()", "return Series([1] * (n + 1))",
+        "oracles", "return denom.reciprocal()", "return Series([1] * (n + 1))",
+        ("todd series bernoulli values",),
+    ),
+    "todd log with the dual's first coefficient": (
+        "ring", "b[1] = Fraction(1, 2)", "b[1] = Fraction(-1, 2)",
         (
             "todd series bernoulli values",
             "projective space genus suite",

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hlab.qpoly import QPoly, poly_from_values
+from hlab.oracles import poly_from_values
+from hlab.qpoly import QPoly
 
 F = Fraction
 

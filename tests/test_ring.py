@@ -7,18 +7,16 @@ from math import gcd
 import pytest
 
 from hlab.fixtures import random_element, weight_keys
+from hlab.oracles import Series, elementary_from_power_sums, log, todd_series
 from hlab.ring import (
     GradedElement,
     RingSpec,
-    Series,
     SpecMismatch,
-    elementary_from_power_sums,
     exp,
     genus_product,
     linear_combination,
-    log,
     power_sums_from_elementary,
-    todd_series,
+    todd_log,
 )
 
 F = Fraction
@@ -210,6 +208,17 @@ def test_todd_series_low_coefficients():
     assert ts[6] == F(1, 30240)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_todd_log_closed_form_is_the_log_of_the_series_division(n):
+    # t/2 - sum_k B_2k t^2k / (2k (2k)!) against the dense oracle route
+    assert todd_log(n) == todd_series(n).log().coeffs
+
+
+def test_todd_log_refuses_n_below_one():
+    with pytest.raises(ValueError):
+        todd_log(0)
+
+
 def test_series_reciprocal_roundtrip():
     s = Series([F(1), F(-1, 2), F(1, 6), F(-1, 24)])
     prod = s * s.reciprocal()
@@ -236,13 +245,13 @@ def test_series_log_matches_ring_log():
 def test_genus_product_trivial(surf):
     p = power_sums_from_elementary([surf.gen("c1"), surf.gen("c2")], 2)
     one_series = Series([F(1), F(0), F(0)])
-    assert genus_product(one_series, p) == surf.one()
+    assert genus_product(one_series.log().coeffs, p) == surf.one()
 
 
 def test_genus_product_todd_surface(surf):
     c1, c2 = surf.gen("c1"), surf.gen("c2")
     p = power_sums_from_elementary([c1, c2], 2)
-    td = genus_product(todd_series(2), p)
+    td = genus_product(todd_series(2).log().coeffs, p)
     assert td == surf.one() + c1 * F(1, 2) + (c1 * c1 + c2) * F(1, 12)
 
 
@@ -251,7 +260,7 @@ def test_genus_product_exp_negative_root(surf):
     c1 = surf.gen("c1")
     p = power_sums_from_elementary([c1, surf.gen("c2")], 2)
     q = Series([F(1), F(-1), F(1, 2)])
-    got = genus_product(q, p)
+    got = genus_product(q.log().coeffs, p)
     assert got == surf.one() - c1 + c1 * c1 * F(1, 2)
     assert got == exp(-c1)
 
@@ -264,13 +273,15 @@ def test_genus_product_multiplicative(surf):
         p = [random_homogeneous(rng, surf, 1), random_homogeneous(rng, surf, 2)]
         q1 = Series([F(1), F(rng.randint(-3, 3), 2), F(rng.randint(-3, 3), 3)])
         q2 = Series([F(1), F(rng.randint(-3, 3), 3), F(rng.randint(-3, 3), 2)])
-        assert genus_product(q1 * q2, p) == genus_product(q1, p) * genus_product(q2, p)
+        product = genus_product((q1 * q2).log().coeffs, p)
+        assert product == genus_product(q1.log().coeffs, p) * genus_product(q2.log().coeffs, p)
 
 
 def test_genus_product_requires_unit_constant(surf):
+    # log Q = 2 + ...: Q(0) = e^2, not 1
     p = power_sums_from_elementary([surf.gen("c1"), surf.gen("c2")], 2)
     with pytest.raises(ValueError):
-        genus_product(Series([F(2), F(0), F(0)]), p)
+        genus_product([F(2), F(0), F(0)], p)
 
 
 # -- invariants -----------------------------------------------------------------
