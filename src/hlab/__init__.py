@@ -40,7 +40,7 @@ _EXPORTS = {
     "qpoly": ("QPoly",),
     "record": ("Interval",),
     "ring": ("GradedElement", "RingSpec", "SpecMismatch", "exp", "genus_product", "power_sums_from_elementary"),
-    "sl2": ("LefschetzPower", "injectivity_scan", "lefschetz_power", "sl2_commutator_check"),
+    "sl2": ("injectivity_scan", "lefschetz_power", "sl2_commutator_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

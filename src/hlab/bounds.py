@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil, factorial, floor, isqrt, lcm
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .errors import DocumentError
+from .errors import CertificateError, DocumentError
 from .qpoly import QPoly, is_integer_valued
 from .record import Interval, Record
 
@@ -99,7 +99,9 @@ def lemma42_search(P: QPoly, candidates: Sequence[int], Lval: int) -> int:
     distinct integers guarantees a hit (a list sized to the looser
     2 deg(P) Lval + 1 passes a fortiori).  The first qualifying candidate
     in list order is returned.  A ``range`` holds distinct integers, so it
-    is counted and scanned without being stored.
+    is counted and scanned without being stored.  Every precondition is
+    checked first, so a list that still misses is an hlab bug:
+    ``CertificateError``.
     """
     n = P.degree
     if n < 1:
@@ -115,7 +117,7 @@ def lemma42_search(P: QPoly, candidates: Sequence[int], Lval: int) -> int:
     for m in candidates:
         if abs(P(m)) >= Lval:
             return m
-    raise ValueError("no qualifying integer found; preconditions must be violated")
+    raise CertificateError("no qualifying integer found; the counting bound failed")
 
 
 # -- real roots ----------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Diagonal line-bundle curvature, its commutator norm in closed form, and
-the first choice of how C = |[Lambda, iTheta(E)]| is computed: diagonal
-curvature here, Hermitian curvature in ``hermitian.hermitian_norm``, which
-chooses by rank.  That second choice stays in ``hermitian`` so that
-``commutator --gammas`` compiles none of it.
+the one choice of how C = |[Lambda, iTheta(E)]| is computed: diagonal
+curvature here, a Hermitian line bundle in ``hlab.linebundle`` and
+Hermitian curvature of rank r >= 2 in ``hlab.blocks``.
 
 For iTheta(L) = i sum_j gamma_j xi_j ^ xibar_j the operator [iTheta(L), Lambda]
 is diagonal on the monomial basis, with eigenvalue gamma_J + gamma_K - sum gamma
@@ -12,10 +11,12 @@ The same closed form, at enclosures of the eigenvalues of theta, gives the
 norm of a Hermitian line bundle (``hlab.linebundle``).  This module holds
 that closed form and :func:`commutator_norm`, which sends each curvature to
 its certificate, so ``commutator --gammas`` loads no operator engine and
-no complex scalars; ``hlab.lefschetz`` re-exports them.  The space rule
-``check_space`` lives in ``hlab.literals``.  The ``curvature`` section of
-a document is read here too (:func:`read_curvature`), next to the records
-it gives, and ``hlab commutator`` is handled here (:func:`run_command`).
+no complex scalars; ``hlab.lefschetz`` re-exports :func:`commutator_norm`
+and :func:`flatness_test`, which the benchmark tracer wraps there.  The
+space rule ``check_space`` lives in ``hlab.literals``.  The ``curvature``
+section of a document is read here too (:func:`read_curvature`), next to
+the records it gives, and ``hlab commutator`` is handled here
+(:func:`run_command`).
 """
 
 from __future__ import annotations
@@ -79,15 +80,18 @@ def commutator_norm(spec: CurvatureSpec) -> CommutatorNorm:
     theta, enclosed to width at most HERMITIAN_WIDTH
     (``hlab.linebundle.line_bundle_norm``); neither builds an operator.
     Rank r >= 2 takes the bidegree blocks, read from theta
-    (``hlab.blocks.block_commutator_norm``); ``hermitian.hermitian_norm``
-    chooses between the two.  Each path imports its engine only when it
-    runs, so a job loads only the one it runs.
+    (``hlab.blocks.block_commutator_norm``).  Each path imports its engine
+    only when it runs, so a job loads only the one it runs.
     """
     if isinstance(spec, DiagonalCurvature):
         return diagonal_norm(spec)
-    from .hermitian import hermitian_norm
+    if spec.r == 1:
+        from .linebundle import line_bundle_norm
 
-    return hermitian_norm(spec)
+        return line_bundle_norm(spec)
+    from .blocks import block_commutator_norm
+
+    return block_commutator_norm(spec)
 
 
 def parse_gammas(values, path: str) -> DiagonalCurvature:
@@ -177,8 +181,7 @@ def diagonal_norm(spec: DiagonalCurvature) -> CommutatorNorm:
     """The exact C and C_{p,q} table of a diagonal curvature: :func:`_diagonal_table`
     at the degenerate enclosures (gamma, gamma)."""
     ends = _diagonal_table([(g, g) for g in sorted(spec.gammas)], sum(spec.gammas, Fraction(0)))
-    table = {key: lo for key, (lo, _) in ends.items()}
-    return CommutatorNorm(table)
+    return CommutatorNorm({key: lo for key, (lo, _) in ends.items()})
 
 
 def flatness_test(spec: DiagonalCurvature) -> bool:

@@ -10,7 +10,7 @@ map every failure kind without importing an engine it does not run:
 The package exports them from here, so ``from hlab import CertificateError``
 loads no engine.  Each engine module imports its own classes from here, so
 the old paths (``hlab.inputdoc.DocumentError``,
-``hlab.lefschetz.CertificateError``, ...) name the same classes.
+``hlab.genus.IntegralityError``, ...) name the same classes.
 """
 
 from __future__ import annotations

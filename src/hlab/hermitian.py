@@ -6,12 +6,11 @@ From the document to the certificate, theta and every matrix built from it
 are Gaussian integers over one positive scale: a matrix is the triple
 (scale, re, im) of (re + i im) / scale, with re and im integer matrices.
 
-Both Hermitian norm certificates read it (``linebundle``, ``blocks``);
-:func:`hermitian_norm` chooses between them for
-``hlab.diagonal.commutator_norm``.  Each C_{p,q} enclosure is at most
-HERMITIAN_WIDTH wide.  The ``curvature.hermitian`` section of a document
-is read here too (:func:`read_hermitian`, :func:`read_theta`), next to the
-record it feeds.
+Both Hermitian norm certificates read it (``linebundle``, ``blocks``), and
+``hlab.diagonal.commutator_norm`` chooses between them by rank; this module
+chooses nothing.  Each C_{p,q} enclosure is at most HERMITIAN_WIDTH wide.
+The ``curvature.hermitian`` section of a document is read here too
+(:func:`read_hermitian`, :func:`read_theta`), next to the record it feeds.
 """
 
 from __future__ import annotations
@@ -57,18 +56,6 @@ def read_hermitian(node) -> HermitianCurvature:
         return HermitianCurvature(theta)
 
 
-def hermitian_norm(spec: HermitianCurvature):
-    """The CommutatorNorm of a Hermitian curvature: the eigenvalue path of a
-    line bundle (``linebundle``), else the bidegree blocks (``blocks``)."""
-    if spec.r == 1:
-        from .linebundle import line_bundle_norm
-
-        return line_bundle_norm(spec)
-    from .blocks import block_commutator_norm
-
-    return block_commutator_norm(spec)
-
-
 class HermitianCurvature(Record):
     """iTheta(E) = i sum_{j,k} theta[j][k] xi_j ^ xibar_k, theta[j][k] r x r.
 
@@ -93,8 +80,9 @@ class HermitianCurvature(Record):
             raise ValueError(
                 f"the largest bidegree block has dimension {r} C({n}, {n // 2})^2 = {block} > {MAX_HERMITIAN_BLOCK}"
             )
-        if any(len(line) != n for line in self.theta) or any(
-            len(mat) != r or any(len(row) != r for row in mat) for line in self.theta for mat in line
+        if any(
+            len(line) != n or any(len(mat) != r or any(len(row) != r for row in mat) for mat in line)
+            for line in self.theta
         ):
             raise ValueError("theta must be an n x n array of r x r fiber matrices")
         try:  # Fraction(v, scale) refuses every v but an int or a Fraction
@@ -106,7 +94,7 @@ class HermitianCurvature(Record):
         except TypeError:
             raise TypeError("a theta entry is a rational or an (re, im) pair of rationals") from None
         scale = lcm(*(v.denominator for v in parts))
-        whole = iter([v.numerator * (scale // v.denominator) for v in parts])
+        whole = (v.numerator * (scale // v.denominator) for v in parts)
         pairs = zip(whole, whole)
         theta = tuple(tuple(tuple(tuple(islice(pairs, r)) for _ in range(r)) for _ in range(n)) for _ in range(n))
         object.__setattr__(self, "theta", theta)

@@ -71,10 +71,17 @@ def _integers(value, path: str) -> tuple[int, ...]:
 
 
 def _hilbert(node, path: str) -> dict[int, QPoly]:
+    """The p-Hilbert polynomials by p; two keys that read as one p ("0",
+    "00", "-0") are refused, as ``fundamental_class`` refuses two keys of
+    one monomial."""
     from .qpoly import QPoly
 
-    polys = _object(node, path).items()
-    return {parse_integer(p, f"{path}.{p}"): QPoly(_rationals(cs, f"{path}.{p}")) for p, cs in polys}
+    polys = {}
+    for p, cs in _object(node, path).items():
+        if (k := parse_integer(p, at := f"{path}.{p}")) in polys:
+            raise DocumentError(f"{at} repeats p = {k}")
+        polys[k] = QPoly(_rationals(cs, at))
+    return polys
 
 
 # -- the document ---------------------------------------------------------------

@@ -22,13 +22,11 @@ bidegree blocks of [Lambda, iTheta(E)] are read from theta in
 ``hlab.literals``, and the diagonal curvature record, its closed-form norm
 and ``commutator_norm``, which chooses the certificate of each curvature,
 in ``hlab.diagonal``.  This module re-exports the three sl2 certificates,
-``commutator_norm`` and ``flatness_test``, which the tracer wraps here,
-and keeps the old import paths of ``check_space``, ``CertificateError``,
-``CommutatorNorm``, ``DiagonalCurvature`` and ``diagonal_norm``.  The
-Hermitian curvature record, the one curvature that
-:func:`curvature_operator` takes, lives in ``hlab.hermitian`` and holds
-theta as Gaussian integers over one scale, which
-:func:`curvature_operator` turns into ``CQ``.
+``commutator_norm`` and ``flatness_test``, which the tracer wraps here;
+every other name lives at its home alone.  The Hermitian curvature
+record, the one curvature that :func:`curvature_operator` takes, lives in
+``hlab.hermitian`` and holds theta as Gaussian integers over one scale,
+which :func:`curvature_operator` turns into ``CQ``.
 """
 
 from __future__ import annotations
@@ -39,14 +37,13 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import CertificateError  # noqa: F401 - old import path
-from .diagonal import CommutatorNorm, DiagonalCurvature, diagonal_norm  # noqa: F401 - old import paths
 from .diagonal import commutator_norm, flatness_test  # noqa: F401 - re-exported: their home is diagonal
 from .literals import check_space
 from .monomials import basis_keys, bidegree, star_key, wedge_sign
 from .sl2 import injectivity_scan, lefschetz_power, sl2_commutator_check  # noqa: F401 - re-exported: their home is sl2
 
 if TYPE_CHECKING:
+    from .diagonal import DiagonalCurvature
     from .hermitian import HermitianCurvature
 
 

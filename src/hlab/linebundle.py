@@ -36,8 +36,7 @@ def line_bundle_norm(spec: HermitianCurvature) -> CommutatorNorm:
     im = [[m[0][0][1] for m in line] for line in spec.theta]
     trace = Fraction(sum(re[j][j] for j in range(spec.n)), spec.scale)
     ends = _diagonal_table(eigenvalue_enclosures((spec.scale, re, im), trace), trace)
-    table = {key: Interval(lo, hi) for key, (lo, hi) in ends.items()}
-    return CommutatorNorm(table)
+    return CommutatorNorm({key: Interval(lo, hi) for key, (lo, hi) in ends.items()})
 
 
 def eigenvalue_enclosures(theta: tuple, trace: Fraction) -> list[tuple[Fraction, Fraction]]:

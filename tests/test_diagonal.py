@@ -4,9 +4,10 @@ of the gammas.
 
 ``hlab.diagonal`` holds the diagonal curvature record, its closed-form
 C_{p,q} table and ``commutator_norm``, so ``commutator --gammas`` loads no
-operator engine; ``hlab.lefschetz`` re-exports them and the space rule of
-``hlab.literals``, as ``inputdoc`` and ``exprparse`` re-export its literal
-rules.
+operator engine; ``hlab.lefschetz`` re-exports ``commutator_norm`` and
+``flatness_test``, which the benchmark tracer wraps there, and the space
+rule of ``hlab.literals``, as ``inputdoc`` and ``exprparse`` re-export its
+literal rules.
 """
 
 import random
@@ -20,11 +21,8 @@ from hlab.fixtures import as_hermitian, gamma_draws
 from hlab.record import Interval
 
 MOVED = [
-    (lefschetz, diagonal, "CommutatorNorm"),
-    (lefschetz, diagonal, "DiagonalCurvature"),
     (lefschetz, literals, "check_space"),
     (lefschetz, diagonal, "commutator_norm"),
-    (lefschetz, diagonal, "diagonal_norm"),
     (lefschetz, diagonal, "flatness_test"),
     (inputdoc, literals, "digest"),
     (exprparse, literals, "parse_rational"),

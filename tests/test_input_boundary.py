@@ -144,6 +144,11 @@ FAULTS = {
     "hilbert-degree-above-n-t4chain": (T4CHAIN, _scalar_bounds(["1", "3/2", "1/2", "1"]), "bounds.hilbert.0"),
     "hilbert-not-integer-valued-t5": (T5, _scalar_bounds(["1", "1/3", "0"]), "bounds.hilbert.0"),
     "hilbert-not-integer-valued-t4chain": (T4CHAIN, _scalar_bounds(["1", "1/3", "0"]), "bounds.hilbert.0"),
+    # "0", "00" and "-0" all read as p = 0; the last key won, with exit 0
+    "hilbert-repeated-p": (
+        T5, _with(("bounds", "hilbert", "00"), [5, 0, 1], _scalar_bounds(["1", "3/2", "1/2"])),
+        "bounds.hilbert.00 repeats p = 0",
+    ),
     # an Euler characteristic is an integer; chi^p = 1/2 was accepted
     "chi_p-fraction": (T5, _with(("bounds", "chi_p"), ["1/2", "0", "1"]), "bounds.chi_p[0]"),
     # an expression integer is ASCII digits; "٣" was read as 3

@@ -15,6 +15,7 @@ import hlab.lefschetz as lefschetz
 import hlab.linebundle as linebundle
 import hlab.sl2 as sl2
 from hlab.bounds import Interval, isolate_real_roots, sqrt_enclosure
+from hlab.diagonal import DiagonalCurvature
 from hlab.errors import CertificateError
 from hlab.fixtures import (
     as_hermitian,
@@ -35,7 +36,6 @@ from hlab.lefschetz import (
     CQ_I,
     CQ_ONE,
     CQ_ZERO,
-    DiagonalCurvature,
     FormVector,
     commutator_norm,
     curvature_operator,
@@ -263,34 +263,30 @@ def test_sl2_explicit_table():
 
 
 def test_lefschetz_power_identity_case():
-    lp = lefschetz_power(2, 1, 2)
-    assert lp.bijective
-    assert lp.sigma_min == lp.sigma_max == 1
+    lp = lefschetz_power(2, 1, 2)  # returns without CertificateError: bijective
+    assert lp[0] == lp[-1] == 1
 
 
 def test_lefschetz_power_n1():
-    lp = lefschetz_power(1, 1, 0)
-    assert lp.bijective
-    assert lp.sigma_values == (F(1),)
+    lp = lefschetz_power(1, 1, 0)  # returns without CertificateError: bijective
+    assert lp == (F(1),)
 
 
 def test_lefschetz_power_equal_dimensions():
     basis = get_basis(2, 1)
     degree = {k: sum(len(idxs) for (p, q), idxs in basis.by_bidegree.items() if p + q == k) for k in (1, 3)}
     assert degree[1] == degree[3] == 4
-    lp = lefschetz_power(2, 1, 1)
-    assert lp.bijective
+    lefschetz_power(2, 1, 1)  # returns without CertificateError: bijective
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2])
 def test_hard_lefschetz_bijective(n, r):
     for k in range(n + 1):
-        lp = lefschetz_power(n, r, k)
-        assert lp.bijective, (n, r, k)
+        lp = lefschetz_power(n, r, k)  # returns without CertificateError: bijective
         # sigma are exact integers (n-k+j)!/j!
-        assert type(lp.sigma_min) is F
-        assert type(lp.sigma_max) is F
+        assert type(lp[0]) is F
+        assert type(lp[-1]) is F
 
 
 def test_lefschetz_power_sigma_closed_form():
@@ -304,9 +300,9 @@ def test_lefschetz_power_sigma_closed_form():
                 for j in range(k // 2 + 1)
             )
             if k == n:
-                assert lp.sigma_values == (F(1),)
+                assert lp == (F(1),)
             else:
-                assert lp.sigma_values == tuple(sorted(expected))
+                assert lp == tuple(sorted(expected))
 
 
 def test_lefschetz_power_range_check():
@@ -316,17 +312,16 @@ def test_lefschetz_power_range_check():
 
 def test_lefschetz_power_guard_limit_spot():
     # the documented n = 6 region: spectral certificates instead of rank
-    lp = lefschetz_power(5, 1, 2)
-    assert lp.bijective
-    assert lp.sigma_values == (F(6), F(24))
+    lp = lefschetz_power(5, 1, 2)  # returns without CertificateError: bijective
+    assert lp == (F(6), F(24))
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in (1, 2)])
 def test_lefschetz_power_matches_exact_ranks(n, r):
     # the reference proves the spectrum of every M^T M block by exact nullities
     for k in range(n + 1):
-        lp = lefschetz_power(n, r, k)
-        assert (lp.bijective, lp.sigma_values) == lefschetz_power_by_rank(n, r, k), k
+        # returns without CertificateError, so bijective
+        assert (True, lefschetz_power(n, r, k)) == lefschetz_power_by_rank(n, r, k), k
 
 
 def test_lefschetz_power_builds_no_matrix(monkeypatch):
@@ -336,7 +331,7 @@ def test_lefschetz_power_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(sl2, "sl2_commutator_check", lambda n, r=1: True)
     for name in ("sign_table", "star_table"):
         monkeypatch.setattr(sl2, name, refuse)
-    assert lefschetz_power(6, 1, 2).sigma_values == (F(24), F(120))
+    assert lefschetz_power(6, 1, 2) == (F(24), F(120))
 
 
 def _keys(n, r):

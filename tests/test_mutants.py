@@ -187,7 +187,7 @@ MUTANTS = {
         ("bound evaluator fixtures",),
     ),
     "rank 2 sent to the line-bundle path": (
-        "hermitian", "if spec.r == 1:", "if spec.r <= 2:",
+        "diagonal", "if spec.r == 1:", "if spec.r <= 2:",
         ("commutator blocks: rotated split bundles vs line tables",),
     ),
 }
